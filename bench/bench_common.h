@@ -276,10 +276,6 @@ struct BenchOptions {
   uint64_t seed = 0;             // --seed N; 0 = keep the bench's default
   // --cc occ|nowait|waitdie|woundwait (Xenic systems only; default occ).
   txn::CcPolicyKind cc = txn::CcPolicyKind::kOcc;
-  // --engine-jobs N: engine worker threads per run. Cluster runs are a
-  // single LP (shared harness Rng), so any value is byte-identical by
-  // construction -- tools/check_engine_jobs.sh enforces exactly that.
-  uint64_t engine_jobs = 1;
 
   static void PrintHelp(const char* prog) {
     std::printf(
@@ -297,7 +293,6 @@ struct BenchOptions {
         "                      \"p99<50us,goodput>0.95\" (implies --metrics rerun)\n"
         "  --trace PATH        Chrome trace of the first system's peak point\n"
         "  --seed N            override the run seed (default: bench-specific)\n"
-        "  --engine-jobs N     engine worker threads (results byte-identical)\n"
         "  --retry-policy P    abort backoff policy: uniform | expjitter | cwnd\n"
         "                      (default uniform: the historical fixed backoff)\n"
         "  --backoff-base US   backoff base in microseconds (default 4)\n"
@@ -320,76 +315,72 @@ struct BenchOptions {
     return v;
   }
 
+  // Every flag in PrintHelp is accepted, value flags as `--flag V` or
+  // `--flag=V`; anything else exits 2, so a typo never runs the defaults.
+  // A value flag that ends argv gets the value "" (argv is never read past).
   static BenchOptions Parse(int argc, char** argv) {
     BenchOptions o;
-    auto policy = [&o](const char* name) {
-      if (!txn::ParseRetryPolicy(name, &o.retry_policy)) {
-        std::fprintf(stderr, "unknown --retry-policy '%s' (uniform|expjitter|cwnd)\n", name);
-        std::exit(2);
-      }
-    };
-    auto cc = [&o](const char* name) {
-      if (!txn::ParseCcPolicy(name, &o.cc)) {
-        std::fprintf(stderr, "unknown --cc '%s' (occ|nowait|waitdie|woundwait)\n", name);
-        std::exit(2);
-      }
-    };
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--attrib") == 0) {
+      const char* a = argv[i];
+      const char* value = "";
+      auto with_value = [&](const char* flag) {
+        const size_t n = std::strlen(flag);
+        if (std::strncmp(a, flag, n) != 0 || (a[n] != '\0' && a[n] != '=')) {
+          return false;
+        }
+        if (a[n] == '=') {
+          value = a + n + 1;
+        } else if (i + 1 < argc) {
+          value = argv[++i];
+        }
+        return true;
+      };
+      if (std::strcmp(a, "--attrib") == 0) {
         o.attrib = true;
-      } else if (std::strcmp(argv[i], "--msg-breakdown") == 0) {
+      } else if (std::strcmp(a, "--msg-breakdown") == 0) {
         o.msg_breakdown = true;
-      } else if (std::strcmp(argv[i], "--txn-attrib") == 0) {
+      } else if (std::strcmp(a, "--txn-attrib") == 0) {
         o.txn_attrib = true;
-      } else if (std::strcmp(argv[i], "--latency-hist") == 0) {
+      } else if (std::strcmp(a, "--latency-hist") == 0) {
         o.latency_hist = true;
-      } else if (std::strcmp(argv[i], "--abort-breakdown") == 0) {
+      } else if (std::strcmp(a, "--abort-breakdown") == 0) {
         o.abort_breakdown = true;
-      } else if (std::strcmp(argv[i], "--metrics") == 0) {
+      } else if (std::strcmp(a, "--metrics") == 0) {
         o.metrics = true;
-      } else if (std::strcmp(argv[i], "--metrics-window-us") == 0 && i + 1 < argc) {
-        o.metrics_window_us = ParseCount("--metrics-window-us", argv[++i]);
-      } else if (std::strncmp(argv[i], "--metrics-window-us=", 20) == 0) {
-        o.metrics_window_us = ParseCount("--metrics-window-us", argv[i] + 20);
-      } else if (std::strcmp(argv[i], "--slo") == 0 && i + 1 < argc) {
-        o.slo = argv[++i];
-      } else if (std::strncmp(argv[i], "--slo=", 6) == 0) {
-        o.slo = argv[i] + 6;
-      } else if (std::strcmp(argv[i], "--hot-key-path") == 0) {
+      } else if (std::strcmp(a, "--hot-key-path") == 0) {
         o.hot_key_path = true;
-      } else if (std::strcmp(argv[i], "--adaptive-dma") == 0) {
+      } else if (std::strcmp(a, "--adaptive-dma") == 0) {
         o.adaptive_dma = true;
-      } else if (std::strcmp(argv[i], "--retry-policy") == 0 && i + 1 < argc) {
-        policy(argv[++i]);
-      } else if (std::strncmp(argv[i], "--retry-policy=", 15) == 0) {
-        policy(argv[i] + 15);
-      } else if (std::strcmp(argv[i], "--cc") == 0 && i + 1 < argc) {
-        cc(argv[++i]);
-      } else if (std::strncmp(argv[i], "--cc=", 5) == 0) {
-        cc(argv[i] + 5);
-      } else if (std::strcmp(argv[i], "--backoff-base") == 0 && i + 1 < argc) {
-        o.backoff_base_us = ParseCount("--backoff-base", argv[++i]);
-      } else if (std::strncmp(argv[i], "--backoff-base=", 15) == 0) {
-        o.backoff_base_us = ParseCount("--backoff-base", argv[i] + 15);
-      } else if (std::strcmp(argv[i], "--retry-cap") == 0 && i + 1 < argc) {
-        o.retry_cap_us = ParseCount("--retry-cap", argv[++i]);
-      } else if (std::strncmp(argv[i], "--retry-cap=", 12) == 0) {
-        o.retry_cap_us = ParseCount("--retry-cap", argv[i] + 12);
-      } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        o.seed = ParseCount("--seed", argv[++i]);
-      } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-        o.seed = ParseCount("--seed", argv[i] + 7);
-      } else if (std::strcmp(argv[i], "--engine-jobs") == 0 && i + 1 < argc) {
-        o.engine_jobs = ParseCount("--engine-jobs", argv[++i]);
-      } else if (std::strncmp(argv[i], "--engine-jobs=", 14) == 0) {
-        o.engine_jobs = ParseCount("--engine-jobs", argv[i] + 14);
-      } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-        o.trace_path = argv[++i];
-      } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-        o.trace_path = argv[i] + 8;
-      } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
+      } else if (with_value("--jobs")) {
+        // Read by SweepExecutor::ParseJobsFlag.
+      } else if (with_value("--metrics-window-us")) {
+        o.metrics_window_us = ParseCount("--metrics-window-us", value);
+      } else if (with_value("--slo")) {
+        o.slo = value;
+      } else if (with_value("--retry-policy")) {
+        if (!txn::ParseRetryPolicy(value, &o.retry_policy)) {
+          std::fprintf(stderr, "unknown --retry-policy '%s' (uniform|expjitter|cwnd)\n", value);
+          std::exit(2);
+        }
+      } else if (with_value("--cc")) {
+        if (!txn::ParseCcPolicy(value, &o.cc)) {
+          std::fprintf(stderr, "unknown --cc '%s' (occ|nowait|waitdie|woundwait)\n", value);
+          std::exit(2);
+        }
+      } else if (with_value("--backoff-base")) {
+        o.backoff_base_us = ParseCount("--backoff-base", value);
+      } else if (with_value("--retry-cap")) {
+        o.retry_cap_us = ParseCount("--retry-cap", value);
+      } else if (with_value("--seed")) {
+        o.seed = ParseCount("--seed", value);
+      } else if (with_value("--trace")) {
+        o.trace_path = value;
+      } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
         PrintHelp(argv[0]);
         std::exit(0);
+      } else {
+        std::fprintf(stderr, "%s: unknown flag '%s' (see --help)\n", argv[0], a);
+        std::exit(2);
       }
     }
     return o;
@@ -413,7 +404,6 @@ inline void ApplyContentionOptions(const BenchOptions& o, RunConfig* rc,
     if (o.seed > 0) {
       rc->seed = o.seed;
     }
-    rc->engine_jobs = static_cast<uint32_t>(o.engine_jobs);
   }
   if (cfg != nullptr && cfg->kind == SystemConfig::Kind::kXenic) {
     if (o.hot_key_path) {

@@ -24,8 +24,6 @@
 
 #include "bench/bench_common.h"
 #include "src/common/rng.h"
-#include "src/harness/partition.h"
-#include "src/net/perf_model.h"
 #include "src/workload/retwis.h"
 
 namespace {
@@ -143,95 +141,6 @@ double MeasureEventsPerSec(uint64_t* executed_out) {
   return secs > 0 ? static_cast<double>(executed) / secs : 0;
 }
 
-// --- Topology scaling: the multi-LP engine on a PHOLD-style workload ---
-//
-// Cluster benches run single-LP (their submitters share one harness Rng),
-// so the parallel engine is exercised here the way a partitioned topology
-// would use it: nodes mapped to LPs by harness::PartitionNodes, per-node
-// LCG streams (each LP's randomness is self-contained), local hops at
-// sub-lookahead delays, and cross-LP hops riding the wire latency --
-// exactly the lookahead harness::DeriveLookahead derives from the perf
-// model. The digest and event count must be byte-identical for every
-// --engine-jobs value; events/sec is wall-clock (one measured number per
-// config) and `critical_path_bound` = total events / sum of per-epoch
-// max-per-LP events is the machine-independent parallelism ceiling the
-// same run would enjoy given enough cores.
-class PholdTopology {
- public:
-  PholdTopology(uint32_t nodes, uint32_t jobs, sim::Tick lookahead)
-      : nodes_(nodes), lookahead_(lookahead), part_(harness::PartitionNodes(nodes, 8)) {
-    eng_.ConfigureLps(part_.num_lps, lookahead);
-    eng_.set_engine_jobs(jobs);
-    state_.resize(nodes);
-    for (uint32_t n = 0; n < nodes; ++n) {
-      state_[n].lcg = 0x9e3779b97f4a7c15ull * (n + 1) ^ 0x243f6a8885a308d3ull;
-    }
-  }
-
-  void Run(sim::Tick horizon) {
-    constexpr uint32_t kChainsPerNode = 2;
-    for (uint32_t n = 0; n < nodes_; ++n) {
-      for (uint32_t c = 0; c < kChainsPerNode; ++c) {
-        const sim::Tick t0 = 1 + c * 17 + (n % 13);
-        eng_.ScheduleAtLp(part_.NodeLp(n), t0, [this, n] { Fire(n); });
-      }
-    }
-    eng_.RunUntil(horizon);
-  }
-
-  uint64_t Digest() const {
-    uint64_t d = 0;
-    for (const auto& st : state_) {
-      d ^= st.digest + 0x9e3779b97f4a7c15ull + (d << 6) + (d >> 2);
-      d ^= st.fires;
-    }
-    return d;
-  }
-  const sim::Engine& engine() const { return eng_; }
-  uint32_t num_lps() const { return part_.num_lps; }
-
- private:
-  struct NodeState {
-    uint64_t lcg = 0;
-    uint64_t digest = 0;
-    uint64_t fires = 0;
-  };
-
-  void Fire(uint32_t node) {
-    NodeState& st = state_[node];
-    st.lcg = st.lcg * 6364136223846793005ull + 1442695040888963407ull;
-    st.digest ^= st.lcg + (st.digest << 6);
-    st.fires++;
-    const uint64_t r = st.lcg >> 33;
-    uint32_t dst = node;
-    if (nodes_ > 1 && r % 4 == 0) {
-      dst = (node + 1 + static_cast<uint32_t>(r % (nodes_ - 1))) % nodes_;
-    }
-    const uint32_t dst_lp = part_.NodeLp(dst);
-    const sim::Tick now = eng_.now();
-    const sim::Tick at = dst_lp == part_.NodeLp(node)
-                             ? now + 1 + (r >> 8) % 400
-                             : now + lookahead_ + (r >> 8) % 256;
-    eng_.ScheduleAtLp(dst_lp, at, [this, dst] { Fire(dst); });
-  }
-
-  uint32_t nodes_;
-  sim::Tick lookahead_;
-  harness::LpPartition part_;
-  sim::Engine eng_;
-  std::vector<NodeState> state_;
-};
-
-struct TopoPoint {
-  uint32_t nodes = 0;
-  uint32_t lps = 0;
-  uint32_t jobs = 0;
-  uint64_t events = 0;
-  uint64_t epochs = 0;
-  double eps = 0;
-  double cp_bound = 0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,57 +164,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(raw_events));
   std::printf("seed heap+std::function engine: %s events/sec  ->  %.2fx speedup\n",
               TablePrinter::FmtOps(seed_eps).c_str(), raw_eps / seed_eps);
-
-  // Topology scaling: PHOLD over partitioned LPs, every --engine-jobs
-  // value checked byte-identical before its wall rate is recorded.
-  const sim::Tick lookahead = harness::DeriveLookahead(net::PerfModel{});
-  const sim::Tick topo_horizon = 1000 * sim::kNsPerUs;
-  std::vector<TopoPoint> topo;
-  std::printf("\ntopology scaling (PHOLD, lookahead %llu ns, horizon %llu us):\n",
-              static_cast<unsigned long long>(lookahead),
-              static_cast<unsigned long long>(topo_horizon / sim::kNsPerUs));
-  for (uint32_t nodes : {6u, 24u, 96u}) {
-    uint64_t ref_digest = 0;
-    uint64_t ref_events = 0;
-    for (uint32_t jobs : {1u, 4u, 8u}) {
-      PholdTopology ph(nodes, jobs, lookahead);
-      const auto t0 = std::chrono::steady_clock::now();
-      ph.Run(topo_horizon);
-      const double secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-      const sim::Engine& eng = ph.engine();
-      if (jobs == 1) {
-        ref_digest = ph.Digest();
-        ref_events = eng.events_executed();
-      } else if (ph.Digest() != ref_digest || eng.events_executed() != ref_events) {
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: nodes=%u jobs=%u digest/events diverged\n",
-                     nodes, jobs);
-        return 1;
-      }
-      TopoPoint p;
-      p.nodes = nodes;
-      p.lps = ph.num_lps();
-      p.jobs = jobs;
-      p.events = eng.events_executed();
-      p.epochs = eng.barrier_epochs();
-      p.eps = secs > 0 ? static_cast<double>(p.events) / secs : 0;
-      p.cp_bound = eng.critical_path_events() > 0
-                       ? static_cast<double>(p.events) /
-                             static_cast<double>(eng.critical_path_events())
-                       : 1.0;
-      topo.push_back(p);
-      std::printf(
-          "  nodes=%-3u lps=%u jobs=%u: %s events/sec (%llu events, %llu epochs, "
-          "parallelism bound %.2fx)\n",
-          nodes, p.lps, jobs, TablePrinter::FmtOps(p.eps).c_str(),
-          static_cast<unsigned long long>(p.events), static_cast<unsigned long long>(p.epochs),
-          p.cp_bound);
-    }
-  }
-  std::printf("  (wall rates measured on %u hardware thread(s); the parallelism bound is\n"
-              "   the machine-independent ceiling: total events / critical-path events)\n",
-              std::thread::hardware_concurrency());
 
   // Small end-to-end Retwis run on the full Xenic stack.
   workload::Retwis::Options wo;
@@ -338,23 +196,12 @@ int main(int argc, char** argv) {
                  "  \"retwis_sim_events\": %llu,\n"
                  "  \"retwis_events_per_sec\": %.0f,\n"
                  "  \"retwis_tput_per_server\": %.0f,\n"
-                 "  \"hw_concurrency\": %u,\n"
-                 "  \"topology_scaling\": [\n",
+                 "  \"hw_concurrency\": %u\n"
+                 "}\n",
                  raw_eps, seed_eps, raw_eps / seed_eps,
                  static_cast<unsigned long long>(raw_events), r.wall_seconds * 1e3,
                  static_cast<unsigned long long>(r.sim_events), r.sim_events_per_sec,
                  r.tput_per_server, std::thread::hardware_concurrency());
-    for (size_t i = 0; i < topo.size(); ++i) {
-      const TopoPoint& p = topo[i];
-      std::fprintf(f,
-                   "    {\"nodes\": %u, \"lps\": %u, \"engine_jobs\": %u, \"events\": %llu, "
-                   "\"barrier_epochs\": %llu, \"events_per_sec\": %.0f, "
-                   "\"critical_path_bound\": %.3f}%s\n",
-                   p.nodes, p.lps, p.jobs, static_cast<unsigned long long>(p.events),
-                   static_cast<unsigned long long>(p.epochs), p.eps, p.cp_bound,
-                   i + 1 < topo.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("wrote BENCH_sim.json\n");
   }

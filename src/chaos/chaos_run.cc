@@ -133,7 +133,6 @@ ChaosVerdict RunChaos(const ChaosConfig& config) {
   system->StartWorkers();
 
   sim::Engine& engine = system->engine();
-  engine.set_engine_jobs(config.engine_jobs);
   FaultInjector injector(*system, config.faults, config.seed, config.epoch);
   injector.Arm(config.horizon);
 

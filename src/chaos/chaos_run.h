@@ -76,13 +76,6 @@ struct ChaosConfig {
   // windows; non-empty implies metrics sampling. Result lines (prefixed
   // "slo ") land in ChaosVerdict::slo_text.
   obs::SloSpec slo;
-
-  // Engine worker threads (--engine-jobs). A chaos run executes as a
-  // single LP -- the closed-loop submitters share one Rng stream, so only
-  // serial execution reproduces the historical transcripts -- which makes
-  // any value byte-identical by construction; the flag is plumbed through
-  // so tools/check_determinism.sh can enforce exactly that end-to-end.
-  uint32_t engine_jobs = 1;
 };
 
 struct ChaosVerdict {

@@ -136,7 +136,6 @@ RunResult RunWorkload(SystemAdapter& system, workload::Workload& workload,
 
   const uint64_t events_before = system.engine().events_executed();
   const auto wall_start = std::chrono::steady_clock::now();
-  system.engine().set_engine_jobs(config.engine_jobs);
 
   // Observability attachments. Both are pure bookkeeping: the monitor only
   // hangs histograms off resources, the trace sink only records spans.

@@ -34,15 +34,6 @@ struct RunConfig {
   // byte-for-byte (same single Rng draw per retry).
   txn::RetryPolicyConfig retry;
 
-  // Engine worker threads (--engine-jobs). Cluster runs execute as a
-  // single LP -- all submitters share one harness Rng, so only serial
-  // execution reproduces the historical transcripts -- which makes every
-  // value byte-identical by construction; the flag is plumbed through so
-  // tools/check_engine_jobs.sh can enforce exactly that end-to-end. Real
-  // multi-LP speedups come from partitioned topologies (harness::
-  // PartitionNodes + Engine::ConfigureLps; see bench_sim_speed).
-  uint32_t engine_jobs = 1;
-
   // --- Observability (pure bookkeeping; cannot change results) ---
   // Collect per-resource queueing snapshots into RunResult::resources.
   bool collect_resources = false;

@@ -39,8 +39,8 @@ void AppendUs(std::string* out, sim::Tick ns) {
 }  // namespace
 
 uint32_t TraceRecorder::RegisterTrack(const std::string& process, const std::string& track) {
-  auto [it, inserted] = pid_by_process_.try_emplace(
-      process, pid_base_ + static_cast<uint32_t>(pid_by_process_.size()) + 1);
+  auto [it, inserted] =
+      pid_by_process_.try_emplace(process, static_cast<uint32_t>(pid_by_process_.size()) + 1);
   uint32_t tid = 1;
   for (const Track& t : tracks_) {
     if (t.pid == it->second) {
@@ -79,14 +79,6 @@ void TraceRecorder::Instant(uint32_t track, const char* name, sim::Tick at, uint
 std::string TraceRecorder::ToJson() const {
   std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   bool first = true;
-  AppendJsonEvents(&out, &first);
-  out += "]}";
-  return out;
-}
-
-void TraceRecorder::AppendJsonEvents(std::string* out_ptr, bool* first_ptr) const {
-  std::string& out = *out_ptr;
-  bool& first = *first_ptr;
   auto sep = [&] {
     if (!first) {
       out += ',';
@@ -126,6 +118,8 @@ void TraceRecorder::AppendJsonEvents(std::string* out_ptr, bool* first_ptr) cons
     }
     out += "}";
   }
+  out += "]}";
+  return out;
 }
 
 bool TraceRecorder::WriteJson(const std::string& path) const {

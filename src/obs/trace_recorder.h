@@ -25,11 +25,6 @@ namespace xenic::obs {
 
 class TraceRecorder : public sim::TraceSink {
  public:
-  // `pid_base` offsets every assigned pid, so multiple recorders (one per
-  // LP -- see obs::LpTraceSet) can merge into one trace without process
-  // collisions.
-  explicit TraceRecorder(uint32_t pid_base = 0) : pid_base_(pid_base) {}
-
   uint32_t RegisterTrack(const std::string& process, const std::string& track) override;
   void Span(uint32_t track, const char* name, sim::Tick start, sim::Tick end,
             uint64_t id) override;
@@ -43,11 +38,6 @@ class TraceRecorder : public sim::TraceSink {
   // failure.
   std::string ToJson() const;
   bool WriteJson(const std::string& path) const;
-
-  // Append this recorder's metadata + events into an in-progress
-  // traceEvents array (`*first` tracks whether a comma is needed).
-  // LpTraceSet splices per-LP recorders into one merged document with it.
-  void AppendJsonEvents(std::string* out, bool* first) const;
 
  private:
   struct Track {
@@ -67,7 +57,6 @@ class TraceRecorder : public sim::TraceSink {
 
   uint32_t InternName(const char* name);
 
-  uint32_t pid_base_ = 0;
   std::vector<Track> tracks_;
   std::unordered_map<std::string, uint32_t> pid_by_process_;
   std::unordered_map<std::string, uint32_t> name_ids_;

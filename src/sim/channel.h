@@ -60,9 +60,7 @@ class Channel {
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t sends() const { return sends_; }
   double bytes_per_ns() const { return bytes_per_ns_; }
-  // Propagation delay per delivery (ns). Every cross-node event rides a
-  // channel, so the minimum latency over a topology's channels is a valid
-  // conservative lookahead for LP partitioning (harness::DeriveLookahead).
+  // Propagation delay per delivery (ns), added after serialization.
   Tick latency() const { return latency_; }
 
   // --- Queueing accounting (since the last ResetStats) ---

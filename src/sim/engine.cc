@@ -1,122 +1,16 @@
 #include "src/sim/engine.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
-#include <limits>
-#include <mutex>
-#include <thread>
 
 namespace xenic::sim {
 
-namespace {
-constexpr Tick kNoEvent = std::numeric_limits<Tick>::max();
-}  // namespace
-
-thread_local Engine::Shard* Engine::tls_shard_ = nullptr;
-
-// ---------------------------------------------------------------------------
-// Worker pool: persistent threads that execute LP epochs. Work distribution
-// is a shared atomic cursor over the LP index space (LPs are heterogeneous;
-// static striping would idle workers behind the busiest LP). All shard state
-// handed between threads is synchronized through the pool mutex at epoch
-// boundaries: a worker's writes are released when it re-acquires the mutex
-// to decrement `running`, and acquired by whichever thread (main between
-// epochs, any worker next epoch) locks it afterwards.
-// ---------------------------------------------------------------------------
-
-struct Engine::Pool {
-  Pool(Engine* e, uint32_t n) : eng(e) {
-    threads.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      threads.emplace_back([this] { Worker(); });
-    }
-  }
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> lk(m);
-      stop = true;
-    }
-    cv_work.notify_all();
-    for (auto& t : threads) {
-      t.join();
-    }
-  }
-
-  void Worker() {
-    uint64_t seen = 0;
-    std::unique_lock<std::mutex> lk(m);
-    for (;;) {
-      cv_work.wait(lk, [&] { return stop || gen != seen; });
-      if (stop) {
-        return;
-      }
-      seen = gen;
-      const Tick h = horizon;
-      lk.unlock();
-      const uint32_t n = static_cast<uint32_t>(eng->shards_.size());
-      for (;;) {
-        const uint32_t lp = next_lp.fetch_add(1, std::memory_order_relaxed);
-        if (lp >= n) {
-          break;
-        }
-        eng->RunShardTo(*eng->shards_[lp], h);
-      }
-      lk.lock();
-      if (--running == 0) {
-        cv_done.notify_one();
-      }
-    }
-  }
-
-  Engine* eng;
-  std::mutex m;
-  std::condition_variable cv_work;
-  std::condition_variable cv_done;
-  uint64_t gen = 0;
-  Tick horizon = 0;
-  uint32_t running = 0;
-  bool stop = false;
-  std::atomic<uint32_t> next_lp{0};
-  std::vector<std::thread> threads;
-};
-
-Engine::Engine() = default;
-Engine::~Engine() = default;
-
-// ---------------------------------------------------------------------------
-// Scheduling.
-// ---------------------------------------------------------------------------
-
-void Engine::ScheduleOnShard(Shard& s, Tick t, Callback cb) {
-  assert(t >= s.now && "cannot schedule in the past");
-  if (s.trace != nullptr && s.trace_ctx != 0) {
+void Engine::ScheduleAt(Tick t, Callback cb) {
+  assert(t >= now_ && "cannot schedule in the past");
+  if (trace_ != nullptr && trace_ctx_ != 0) {
     // Capture the current transaction context into the event and restore it
     // at dispatch. Only done while a sink is attached: the wrapper changes
     // neither the callback's effect nor the event's (time, seq) slot, so
     // traced runs execute the exact untraced schedule.
-    cb = Callback([sp = &s, ctx = s.trace_ctx, inner = std::move(cb)]() mutable {
-      sp->trace_ctx = ctx;
-      inner();
-    });
-  }
-  s.queue.Push(t, s.next_seq++, std::move(cb));
-}
-
-void Engine::ScheduleAt(Tick t, Callback cb) {
-  if (Shard* s = CurrentShard()) {
-    ScheduleOnShard(*s, t, std::move(cb));
-    return;
-  }
-  if (!shards_.empty()) {
-    // Main thread scheduling into a sharded engine (seeding between runs):
-    // LP 0 by convention. Use ScheduleAtLp to target a specific LP.
-    ScheduleOnShard(*shards_[0], t, std::move(cb));
-    return;
-  }
-  assert(t >= now_ && "cannot schedule in the past");
-  if (trace_ != nullptr && trace_ctx_ != 0) {
     cb = Callback([this, ctx = trace_ctx_, inner = std::move(cb)]() mutable {
       trace_ctx_ = ctx;
       inner();
@@ -126,52 +20,11 @@ void Engine::ScheduleAt(Tick t, Callback cb) {
 }
 
 void Engine::ScheduleDetachedAt(Tick t, Callback cb) {
-  if (Shard* s = CurrentShard()) {
-    assert(t >= s->now && "cannot schedule in the past");
-    s->queue.Push(t, s->next_seq++, std::move(cb));
-    return;
-  }
-  if (!shards_.empty()) {
-    Shard& s0 = *shards_[0];
-    assert(t >= s0.now && "cannot schedule in the past");
-    s0.queue.Push(t, s0.next_seq++, std::move(cb));
-    return;
-  }
   assert(t >= now_ && "cannot schedule in the past");
   queue_.Push(t, next_seq_++, std::move(cb));
 }
 
-void Engine::ScheduleAtLp(uint32_t lp, Tick t, Callback cb) {
-  assert(sharded() && "ScheduleAtLp requires ConfigureLps with num_lps > 1");
-  assert(lp < shards_.size());
-  Shard* dst = shards_[lp].get();
-  Shard* cur = CurrentShard();
-  if (cur == nullptr || cur == dst) {
-    // Local (same-LP) schedule, or main-thread seeding between runs.
-    ScheduleOnShard(*dst, t, std::move(cb));
-    return;
-  }
-  // Cross-LP send: conservative synchronization is only safe when the event
-  // cannot land inside a window another LP may already be executing, i.e.
-  // at least `lookahead` past the sender's clock (the model guarantees this
-  // naturally when every cross-LP interaction rides a Channel whose latency
-  // bounds the lookahead from below).
-  assert(t >= cur->now + lookahead_ && "cross-LP event under the lookahead horizon");
-  if (cur->trace != nullptr && cur->trace_ctx != 0) {
-    cb = Callback([dst, ctx = cur->trace_ctx, inner = std::move(cb)]() mutable {
-      dst->trace_ctx = ctx;
-      inner();
-    });
-  }
-  cur->outbox[lp].push_back(Shard::Mail{t, cur->mail_seq++, std::move(cb)});
-}
-
-// ---------------------------------------------------------------------------
-// Serial execution (single-LP path; unchanged from the serial engine).
-// ---------------------------------------------------------------------------
-
 bool Engine::Step() {
-  assert(!sharded() && "Step() is serial-only; sharded engines use Run/RunUntil");
   if (queue_.empty()) {
     return false;
   }
@@ -185,9 +38,6 @@ bool Engine::Step() {
 }
 
 uint64_t Engine::Run() {
-  if (sharded()) {
-    return RunShardedUntil(0, /*bounded=*/false);
-  }
   const uint64_t before = events_executed_;
   while (Step()) {
   }
@@ -195,9 +45,6 @@ uint64_t Engine::Run() {
 }
 
 uint64_t Engine::RunUntil(Tick t) {
-  if (sharded()) {
-    return RunShardedUntil(t, /*bounded=*/true);
-  }
   const uint64_t before = events_executed_;
   while (!queue_.empty() && queue_.PeekTime() <= t) {
     Step();
@@ -206,227 +53,6 @@ uint64_t Engine::RunUntil(Tick t) {
     now_ = t;
   }
   return events_executed_ - before;
-}
-
-// ---------------------------------------------------------------------------
-// Parallel execution.
-// ---------------------------------------------------------------------------
-
-void Engine::ConfigureLps(uint32_t num_lps, Tick lookahead) {
-  assert(num_lps >= 1);
-  assert(!sharded() && "ConfigureLps may be called at most once");
-  assert(queue_.empty() && events_executed_ == 0 && now_ == 0 &&
-         "ConfigureLps requires a fresh engine");
-  if (num_lps == 1) {
-    return;  // serial path, bit-identical to an unconfigured engine
-  }
-  assert(lookahead > 0 && "conservative synchronization needs positive lookahead");
-  lookahead_ = lookahead;
-  shards_.reserve(num_lps);
-  for (uint32_t i = 0; i < num_lps; ++i) {
-    auto s = std::make_unique<Shard>();
-    s->id = i;
-    s->owner = this;
-    s->trace = trace_;
-    s->outbox.resize(num_lps);
-    shards_.push_back(std::move(s));
-  }
-}
-
-void Engine::set_engine_jobs(uint32_t jobs) {
-  jobs_ = jobs == 0 ? 1 : jobs;
-}
-
-void Engine::set_trace(TraceSink* sink) {
-  trace_ = sink;
-  for (auto& s : shards_) {
-    s->trace = sink;
-  }
-}
-
-void Engine::set_lp_trace(uint32_t lp, TraceSink* sink) {
-  assert(lp < shards_.size());
-  shards_[lp]->trace = sink;
-}
-
-uint64_t Engine::events_executed() const {
-  uint64_t n = events_executed_;
-  for (const auto& s : shards_) {
-    n += s->events_executed;
-  }
-  return n;
-}
-
-bool Engine::idle() const {
-  if (!queue_.empty()) {
-    return false;
-  }
-  for (const auto& s : shards_) {
-    if (!s->queue.empty()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-size_t Engine::pending_events() const {
-  size_t n = queue_.size();
-  for (const auto& s : shards_) {
-    n += s->queue.size();
-  }
-  return n;
-}
-
-Tick Engine::NextEventTime() const {
-  Tick next = kNoEvent;
-  for (const auto& s : shards_) {
-    if (!s->queue.empty()) {
-      next = std::min(next, s->queue.PeekTime());
-    }
-  }
-  return next;
-}
-
-// Drain one LP's events with time < horizon. Runs on exactly one thread per
-// epoch; which thread varies, but the executed sequence is the LP's own
-// (time, seq) order, so results cannot depend on the assignment.
-void Engine::RunShardTo(Shard& s, Tick horizon) {
-  tls_shard_ = &s;
-  while (!s.queue.empty() && s.queue.PeekTime() < horizon) {
-    Tick t = 0;
-    SmallCallback cb = s.queue.PopNext(&t);
-    s.now = t;
-    s.events_executed++;
-    s.trace_ctx = 0;
-    cb();
-  }
-  tls_shard_ = nullptr;
-}
-
-void Engine::RunEpoch(Tick horizon) {
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
-  const uint32_t workers = std::min(jobs_, n);
-  if (workers <= 1) {
-    for (auto& s : shards_) {
-      RunShardTo(*s, horizon);
-    }
-    return;
-  }
-  if (pool_ == nullptr || pool_->threads.size() != workers - 1) {
-    pool_.reset();  // join any old pool before spawning the new size
-    pool_ = std::make_unique<Pool>(this, workers - 1);
-  }
-  Pool& p = *pool_;
-  p.next_lp.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(p.m);
-    p.horizon = horizon;
-    p.running = static_cast<uint32_t>(p.threads.size());
-    ++p.gen;
-  }
-  p.cv_work.notify_all();
-  // The main thread is worker 0.
-  for (;;) {
-    const uint32_t lp = p.next_lp.fetch_add(1, std::memory_order_relaxed);
-    if (lp >= n) {
-      break;
-    }
-    RunShardTo(*shards_[lp], horizon);
-  }
-  std::unique_lock<std::mutex> lk(p.m);
-  p.cv_done.wait(lk, [&p] { return p.running == 0; });
-}
-
-// Barrier merge: move every staged cross-LP message into its destination
-// queue in the total order (time, source LP, source send seq). The order is
-// a pure function of the simulated schedule -- never of thread timing -- so
-// the destination's (time, seq) ordering, and with it the whole run, is
-// identical for every worker count.
-void Engine::DeliverMail() {
-  struct MailIn {
-    Tick t;
-    uint32_t src;
-    uint64_t seq;
-    SmallCallback cb;
-  };
-  std::vector<MailIn> merged;
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
-  for (uint32_t dst = 0; dst < n; ++dst) {
-    merged.clear();
-    for (uint32_t src = 0; src < n; ++src) {
-      auto& box = shards_[src]->outbox[dst];
-      for (auto& m : box) {
-        merged.push_back(MailIn{m.t, src, m.seq, std::move(m.cb)});
-      }
-      box.clear();
-    }
-    if (merged.empty()) {
-      continue;
-    }
-    std::sort(merged.begin(), merged.end(), [](const MailIn& a, const MailIn& b) {
-      if (a.t != b.t) {
-        return a.t < b.t;
-      }
-      if (a.src != b.src) {
-        return a.src < b.src;
-      }
-      return a.seq < b.seq;
-    });
-    Shard& d = *shards_[dst];
-    for (auto& m : merged) {
-      d.queue.Push(m.t, d.next_seq++, std::move(m.cb));
-    }
-  }
-}
-
-uint64_t Engine::RunShardedUntil(Tick t, bool bounded) {
-  const uint64_t before = events_executed();
-  for (;;) {
-    const Tick next = NextEventTime();
-    if (next == kNoEvent || (bounded && next > t)) {
-      break;
-    }
-    // Epoch window [next, horizon): at most `lookahead` wide, so no cross-LP
-    // message produced inside it (targets >= sender now + lookahead >= next
-    // + lookahead >= horizon) can land inside it. Bounded runs clip the
-    // window at t + 1 so events at exactly t execute (RunUntil contract);
-    // the clip only shrinks the window, preserving safety.
-    Tick horizon = next + lookahead_;
-    if (horizon < next) {
-      horizon = kNoEvent;  // lookahead overflow: unbounded window is safe
-    }
-    if (bounded && t + 1 < horizon) {
-      horizon = t + 1;
-    }
-    for (auto& s : shards_) {
-      s->epoch_start = s->events_executed;
-    }
-    RunEpoch(horizon);
-    uint64_t widest = 0;
-    for (auto& s : shards_) {
-      widest = std::max(widest, s->events_executed - s->epoch_start);
-    }
-    critical_path_events_ += widest;
-    barrier_epochs_++;
-    DeliverMail();
-  }
-  if (bounded) {
-    for (auto& s : shards_) {
-      if (s->now < t) {
-        s->now = t;
-      }
-    }
-    if (now_ < t) {
-      now_ = t;
-    }
-  } else {
-    Tick latest = now_;
-    for (auto& s : shards_) {
-      latest = std::max(latest, s->now);
-    }
-    now_ = latest;
-  }
-  return events_executed() - before;
 }
 
 }  // namespace xenic::sim

@@ -10,29 +10,16 @@
 // calendar queue (O(1) schedule/dispatch for the near-term horizon where
 // almost all events land). See calendar_queue.h for the ordering proof.
 //
-// Parallel mode (ConfigureLps): the event space is partitioned into
-// logical processes (LPs), each with its own calendar queue, clock, and
-// sequence counter, synchronized conservatively with a caller-supplied
-// lookahead (the minimum cross-LP propagation delay -- for the cluster
-// model, sim::Channel wire latency). Execution proceeds in barrier epochs:
-// every LP independently drains its events in the window
-// [global_min, global_min + lookahead), then cross-LP messages posted
-// during the epoch are merged into their destination queues in the total
-// order (time, source LP, source send sequence). Because a cross-LP send
-// must target a time >= sender_now + lookahead (asserted), no merged
-// message can land inside the window an LP already executed -- the
-// classical conservative-PDES safety argument -- so the executed schedule,
-// and therefore every simulated result, is byte-identical for any worker
-// count (--engine-jobs), including 1. DESIGN.md section 14 has the full
-// derivation. A single-LP engine (the default; ConfigureLps(1, ...) is a
-// no-op) takes exactly the historical serial path.
+// The engine is serial: one queue, one clock, one thread. Cluster runs draw
+// all randomness from one shared harness Rng, so they cannot be split into
+// independently advancing partitions without changing results. DESIGN.md
+// section 14 records a multi-LP variant that was built, measured slower
+// than serial, and removed.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "src/sim/calendar_queue.h"
 #include "src/sim/sbo_callback.h"
@@ -48,45 +35,34 @@ class Engine {
  public:
   using Callback = SmallCallback;
 
-  // Returned by current_lp() when the calling thread is not inside an LP
-  // event (main thread, or a different engine's worker).
-  static constexpr uint32_t kNoLp = ~uint32_t{0};
-
-  Engine();
-  ~Engine();
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  Tick now() const {
-    const Shard* s = CurrentShard();
-    return s != nullptr ? s->now : now_;
-  }
-  uint64_t events_executed() const;
-  bool idle() const;
-  size_t pending_events() const;
+  Tick now() const { return now_; }
+  uint64_t events_executed() const { return events_executed_; }
+  bool idle() const { return queue_.empty(); }
+  size_t pending_events() const { return queue_.size(); }
 
-  // Schedule cb at absolute time t (>= now). In sharded mode, called from
-  // inside an LP event this stays on the executing LP; called from the
-  // main thread (between Run* calls) it lands on LP 0.
+  // Schedule cb at absolute time t (>= now).
   void ScheduleAt(Tick t, Callback cb);
 
   // Schedule cb `delay` ns from now.
-  void ScheduleAfter(Tick delay, Callback cb) { ScheduleAt(now() + delay, std::move(cb)); }
+  void ScheduleAfter(Tick delay, Callback cb) { ScheduleAt(now_ + delay, std::move(cb)); }
 
   // Like ScheduleAt, but never captures the current trace context: the
   // event runs on behalf of no transaction even when armed inside a traced
   // span. For ambient timers (worker poll ticks, retry wakeups) whose
   // firing is not causally part of the arming transaction's critical path
   // -- capturing the arming context there misattributes whatever the timer
-  // does to a transaction that may already have finished (see the trace-
-  // context audit, engine_test.cc).
+  // does to a transaction that may already have finished (see the
+  // trace-context tests in tests/engine_test.cc).
   void ScheduleDetachedAt(Tick t, Callback cb);
   void ScheduleDetachedAfter(Tick delay, Callback cb) {
-    ScheduleDetachedAt(now() + delay, std::move(cb));
+    ScheduleDetachedAt(now_ + delay, std::move(cb));
   }
 
   // Execute the next event. Returns false if the queue is empty.
-  // Single-LP engines only (sharded engines advance via Run/RunUntil).
   bool Step();
 
   // Run until the queue drains. Returns events executed by this call
@@ -99,20 +75,14 @@ class Engine {
   // counters cannot drift).
   uint64_t RunUntil(Tick t);
 
-  uint64_t RunFor(Tick duration) { return RunUntil(now() + duration); }
+  uint64_t RunFor(Tick duration) { return RunUntil(now_ + duration); }
 
   // Observability sink (null = tracing off). The sink is write-only from
   // the simulation's point of view: attaching one never changes event
   // order, timing, or any simulated result (see trace.h), which
-  // check_determinism.sh enforces end-to-end. On a sharded engine this
-  // attaches the sink to every LP; with more than one worker the caller
-  // must either provide a thread-safe sink or use per-LP sinks
-  // (set_lp_trace + obs::LpTraceSet) instead.
-  TraceSink* trace() const {
-    const Shard* s = CurrentShard();
-    return s != nullptr ? s->trace : trace_;
-  }
-  void set_trace(TraceSink* sink);
+  // check_determinism.sh enforces end-to-end.
+  TraceSink* trace() const { return trace_; }
+  void set_trace(TraceSink* sink) { trace_ = sink; }
 
   // Trace context: the transaction id the currently executing event is
   // working on behalf of (0 = none). With a sink attached, ScheduleAt
@@ -122,116 +92,17 @@ class Engine {
   // re-plumbing ids by hand. Pure bookkeeping: the context feeds only span
   // ids, never a simulated decision, so traced and untraced runs stay
   // byte-identical (the wrapping itself is skipped when no sink is
-  // attached). In sharded mode the context is per-LP state.
-  uint64_t trace_ctx() const {
-    const Shard* s = CurrentShard();
-    return s != nullptr ? s->trace_ctx : trace_ctx_;
-  }
-  void set_trace_ctx(uint64_t ctx) {
-    Shard* s = CurrentShard();
-    (s != nullptr ? s->trace_ctx : trace_ctx_) = ctx;
-  }
-
-  // --- Parallel (multi-LP) mode -------------------------------------------
-
-  // Partition the engine into `num_lps` logical processes synchronized with
-  // `lookahead` (> 0 when num_lps > 1): a cross-LP event must be scheduled
-  // at least `lookahead` ns past the sender's clock. Must be called on a
-  // fresh engine, before anything is scheduled, at most once.
-  // ConfigureLps(1, ...) keeps the engine on the exact serial path.
-  void ConfigureLps(uint32_t num_lps, Tick lookahead);
-
-  bool sharded() const { return !shards_.empty(); }
-  uint32_t num_lps() const {
-    return shards_.empty() ? 1 : static_cast<uint32_t>(shards_.size());
-  }
-  Tick lookahead() const { return lookahead_; }
-
-  // Worker threads used to execute LP epochs (default 1 = serial; results
-  // are byte-identical for every value). Inert on a single-LP engine.
-  void set_engine_jobs(uint32_t jobs);
-  uint32_t engine_jobs() const { return jobs_; }
-
-  // LP the calling thread is currently executing an event for, or kNoLp.
-  uint32_t current_lp() const {
-    const Shard* s = CurrentShard();
-    return s != nullptr ? s->id : kNoLp;
-  }
-
-  // Schedule onto a specific LP. From inside an event of another LP this is
-  // a cross-LP send: `t` must be >= sender now + lookahead (asserted), and
-  // delivery order at the destination follows the total (time, source LP,
-  // source send seq) tie-break. From the destination LP itself or from the
-  // main thread it is an ordinary local schedule.
-  void ScheduleAtLp(uint32_t lp, Tick t, Callback cb);
-
-  // Per-LP observability sinks (sharded engines; pure bookkeeping). Each
-  // LP's spans go only to its own sink, so sinks need no locking; merge
-  // deterministically afterwards with obs::LpTraceSet.
-  void set_lp_trace(uint32_t lp, TraceSink* sink);
-  TraceSink* lp_trace(uint32_t lp) const { return shards_[lp]->trace; }
-
-  Tick lp_now(uint32_t lp) const { return shards_[lp]->now; }
-  uint64_t lp_events_executed(uint32_t lp) const { return shards_[lp]->events_executed; }
-
-  // Conservative-sync diagnostics: barrier epochs executed, and the sum
-  // over epochs of the largest per-LP event count in that epoch -- the
-  // parallel schedule's critical path. total events / critical path is the
-  // run's machine-independent speedup bound (bench_sim_speed records it).
-  uint64_t barrier_epochs() const { return barrier_epochs_; }
-  uint64_t critical_path_events() const { return critical_path_events_; }
+  // attached).
+  uint64_t trace_ctx() const { return trace_ctx_; }
+  void set_trace_ctx(uint64_t ctx) { trace_ctx_ = ctx; }
 
  private:
-  // One logical process: a complete serial engine core. Heap-allocated so
-  // worker threads never share a cache line of hot state.
-  struct Shard {
-    CalendarQueue queue;
-    Tick now = 0;
-    uint64_t next_seq = 0;
-    uint64_t events_executed = 0;
-    TraceSink* trace = nullptr;
-    uint64_t trace_ctx = 0;
-    uint32_t id = 0;
-    Engine* owner = nullptr;
-    uint64_t mail_seq = 0;     // per-sender send counter (tie-break component)
-    uint64_t epoch_start = 0;  // events_executed at epoch entry (critical path)
-    // Cross-LP sends staged during an epoch, one box per destination;
-    // drained by the barrier merge between epochs.
-    struct Mail {
-      Tick t;
-      uint64_t seq;
-      SmallCallback cb;
-    };
-    std::vector<std::vector<Mail>> outbox;
-  };
-  struct Pool;  // worker threads (engine.cc)
-
-  static thread_local Shard* tls_shard_;
-  Shard* CurrentShard() const {
-    Shard* s = tls_shard_;
-    return (s != nullptr && s->owner == this) ? s : nullptr;
-  }
-
-  void ScheduleOnShard(Shard& s, Tick t, Callback cb);
-  void RunShardTo(Shard& s, Tick horizon);
-  void RunEpoch(Tick horizon);
-  void DeliverMail();
-  Tick NextEventTime() const;  // min over shards; kNoEvent when all idle
-  uint64_t RunShardedUntil(Tick t, bool bounded);
-
   CalendarQueue queue_;
   Tick now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
   TraceSink* trace_ = nullptr;
   uint64_t trace_ctx_ = 0;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  Tick lookahead_ = 0;
-  uint32_t jobs_ = 1;
-  uint64_t barrier_epochs_ = 0;
-  uint64_t critical_path_events_ = 0;
-  std::unique_ptr<Pool> pool_;
 };
 
 }  // namespace xenic::sim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace xenic::sim {
@@ -98,6 +99,81 @@ TEST(EngineTest, EventsScheduledDuringRunUntilWindowExecute) {
   });
   e.RunUntil(50);
   EXPECT_EQ(count, 2);
+}
+
+// --- Trace context ---------------------------------------------------------
+//
+// These rules let attribution sinks name the transaction behind every
+// span without any component passing ids by hand.
+
+class NullSink : public TraceSink {
+ public:
+  uint32_t RegisterTrack(const std::string&, const std::string&) override { return 0; }
+  void Span(uint32_t, const char*, Tick, Tick, uint64_t) override {}
+  void Instant(uint32_t, const char*, Tick, uint64_t) override {}
+};
+
+TEST(EngineTest, ScheduleAtCarriesContextWhenSinkAttached) {
+  Engine e;
+  NullSink sink;
+  e.set_trace(&sink);
+  uint64_t seen_at = 0;
+  uint64_t seen_after = 0;
+  uint64_t seen_grandchild = 0;
+  e.ScheduleAt(10, [&] {
+    e.set_trace_ctx(42);
+    e.ScheduleAt(20, [&] { seen_at = e.trace_ctx(); });
+    e.ScheduleAfter(5, [&] {
+      seen_after = e.trace_ctx();
+      // The restored context propagates again, transitively.
+      e.ScheduleAfter(5, [&] { seen_grandchild = e.trace_ctx(); });
+    });
+  });
+  e.Run();
+  EXPECT_EQ(seen_at, 42u);
+  EXPECT_EQ(seen_after, 42u);
+  EXPECT_EQ(seen_grandchild, 42u);
+}
+
+TEST(EngineTest, ContextIsNotCarriedWithoutSink) {
+  // No sink, no wrapping: the scheduled event starts from context 0.
+  Engine e;
+  uint64_t seen = 99;
+  e.ScheduleAt(10, [&] {
+    e.set_trace_ctx(42);
+    e.ScheduleAfter(5, [&] { seen = e.trace_ctx(); });
+  });
+  e.Run();
+  EXPECT_EQ(seen, 0u);
+}
+
+TEST(EngineTest, DetachedScheduleRunsWithZeroContext) {
+  Engine e;
+  NullSink sink;
+  e.set_trace(&sink);
+  uint64_t seen_at = 99;
+  uint64_t seen_after = 99;
+  e.ScheduleAt(10, [&] {
+    e.set_trace_ctx(7);
+    e.ScheduleDetachedAt(12, [&] { seen_at = e.trace_ctx(); });
+    e.ScheduleDetachedAfter(5, [&] { seen_after = e.trace_ctx(); });
+  });
+  e.Run();
+  EXPECT_EQ(seen_at, 0u);
+  EXPECT_EQ(seen_after, 0u);
+}
+
+TEST(EngineTest, UncontextedEventRunsWithZeroRightAfterTracedEvent) {
+  // The second event was scheduled with no context; the first leaves 42
+  // behind, and dispatch must not leak it across the event boundary.
+  Engine e;
+  NullSink sink;
+  e.set_trace(&sink);
+  uint64_t seen = 99;
+  e.ScheduleAt(10, [&] { e.set_trace_ctx(42); });
+  e.ScheduleAt(10, [&] { seen = e.trace_ctx(); });
+  e.Run();
+  EXPECT_EQ(seen, 0u);
 }
 
 }  // namespace

@@ -46,8 +46,8 @@ SELF_TEST_REGRESSION = 0.9  # synthetic candidate: higher-better x0.9
 # Order matters: first match wins. Config/identity and wall-clock
 # diagnostics are matched before the broad *_us / committed patterns.
 IGNORE_PAT = re.compile(
-    r"(^|_)(seed|contexts|nodes|lps|engine_jobs|hw_concurrency|replicas"
-    r"|theta|read_ratio|ops_per_txn|barrier_epochs|window_us|detect_us"
+    r"(^|_)(seed|contexts|nodes|hw_concurrency|replicas"
+    r"|theta|read_ratio|ops_per_txn|window_us|detect_us"
     r"|fault_at_us|at_us|capacity|keys|epoch)($|_)"
 )
 WALL_PAT = re.compile(r"(events_per_sec|wall_ms|wall_seconds|speedup)$")

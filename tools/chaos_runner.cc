@@ -10,7 +10,7 @@
 //
 // Usage:
 //   chaos_runner [--seed N | --seeds A-B] [--system xenic|drtmh|drtmh-nc|fasst|drtmr]
-//                [--jobs N] [--engine-jobs N] [--nodes N] [--epoch N] [--horizon-us N]
+//                [--jobs N] [--nodes N] [--epoch N] [--horizon-us N]
 //                [--replicas N] [--quorum N] [--handoffs N]
 //                [--nic-log-apply] [--replica-reads]
 //                [--crashes N] [--storms N] [--stalls N]
@@ -225,10 +225,6 @@ int main(int argc, char** argv) {
     } else if (a == "--timeline-window-us") {
       base.timeline_window =
           static_cast<xenic::sim::Tick>(ParseU64(next())) * xenic::sim::kNsPerUs;
-    } else if (a == "--engine-jobs") {
-      // Engine worker threads inside each run. A chaos run is one LP, so
-      // any value is byte-identical -- check_engine_jobs.sh enforces it.
-      base.engine_jobs = static_cast<uint32_t>(ParseU64(next()));
     } else if (a == "--jobs" || a.rfind("--jobs=", 0) == 0) {
       if (a == "--jobs") {
         (void)next();  // consumed below by ParseJobsFlag

@@ -16,7 +16,7 @@ BIN=${1:?usage: check_seed3_regression.sh <path-to-chaos_runner> <golden-file> [
 GOLDEN=${2:?usage: check_seed3_regression.sh <path-to-chaos_runner> <golden-file> [extra-flags...]}
 shift 2
 # Any remaining flags pass through to the runner. They must be inert ones
-# (--engine-jobs, --jobs): the diff below still demands the exact golden.
+# (such as --jobs): the diff below still demands the exact golden.
 
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT

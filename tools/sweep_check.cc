@@ -14,6 +14,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/workload/smallbank.h"
@@ -23,12 +24,13 @@ int main(int argc, char** argv) {
   using namespace xenic;
   using namespace xenic::bench;
 
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
   bool point_check = false;
   std::string workload_name = "smallbank";
   uint32_t replication = 3;
   uint32_t quorum = 0;  // 0 = historical wait-for-all commit
+  // This tool's own flags are consumed here; the rest go to BenchOptions,
+  // which rejects anything it does not know.
+  std::vector<char*> rest = {argv[0]};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--point-check") == 0) {
       point_check = true;
@@ -44,8 +46,13 @@ int main(int argc, char** argv) {
       quorum = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strncmp(argv[i], "--quorum=", 9) == 0) {
       quorum = static_cast<uint32_t>(std::strtoul(argv[i] + 9, nullptr, 10));
+    } else {
+      rest.push_back(argv[i]);
     }
   }
+  const int rest_argc = static_cast<int>(rest.size());
+  SweepExecutor ex(SweepExecutor::ParseJobsFlag(rest_argc, rest.data()));
+  const BenchOptions opts = BenchOptions::Parse(rest_argc, rest.data());
   if (workload_name != "smallbank" && workload_name != "ycsb") {
     std::fprintf(stderr, "unknown --workload '%s' (smallbank|ycsb)\n", workload_name.c_str());
     return 2;

@@ -58,7 +58,6 @@ struct Args {
   bool adaptive_dma = false;
   bool nic_log_apply = false;
   bool replica_reads = false;
-  uint64_t engine_jobs = 1;  // --engine-jobs=N; byte-identical for any N
   bool help = false;
   bool bad_flag = false;
 };
@@ -92,8 +91,6 @@ Args Parse(int argc, char** argv) {
       a.measure_us = std::stoull(v);
     } else if (ParseArg(argv[i], "--seed", &v)) {
       a.seed = std::stoull(v);
-    } else if (ParseArg(argv[i], "--engine-jobs", &v)) {
-      a.engine_jobs = std::stoull(v);
     } else if (ParseArg(argv[i], "--scale", &v)) {
       a.scale = std::stoull(v);
     } else if (std::strcmp(argv[i], "--csv") == 0) {
@@ -219,8 +216,7 @@ int main(int argc, char** argv) {
                  "          [--retry-policy=uniform|expjitter|cwnd]\n"
                  "          [--backoff-base=US] [--retry-cap=US]\n"
                  "          [--hot-key-path] [--adaptive-dma]\n"
-                 "          [--nic-log-apply] [--replica-reads]\n"
-                 "          [--engine-jobs=N]\n",
+                 "          [--nic-log-apply] [--replica-reads]\n",
                  argv[0]);
     if (a.bad_flag) {
       return 2;
@@ -247,7 +243,6 @@ int main(int argc, char** argv) {
   harness::RunConfig rc;
   rc.contexts_per_node = a.contexts;
   rc.seed = a.seed;
-  rc.engine_jobs = static_cast<uint32_t>(a.engine_jobs);
   rc.warmup = 150 * sim::kNsPerUs;
   rc.measure = a.measure_us * sim::kNsPerUs;
   rc.retry.kind = retry_kind;
