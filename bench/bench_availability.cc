@@ -81,6 +81,12 @@ int main(int argc, char** argv) {
       replicas = static_cast<uint32_t>(std::strtoull(next(), nullptr, 10));
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       (void)next();  // accepted for driver-script uniformity; runs are serial
+    } else if (std::strncmp(argv[i], "--jobs=", 7) != 0) {
+      std::fprintf(stderr,
+                   "%s: unknown flag '%s' (flags: --seed N --detect-us N --window-us N "
+                   "--replicas N --jobs N)\n",
+                   argv[0], argv[i]);
+      return 2;
     }
   }
 

@@ -17,168 +17,123 @@ RdmaNic::RdmaNic(sim::Engine* engine, const net::PerfModel& model, RdmaFabric* f
           model.wire_latency) {}
 
 void RdmaNic::Read(NodeId dst, uint32_t bytes, sim::Engine::Callback done) {
-  OneSided(dst, bytes, /*is_write=*/false, [] {}, std::move(done));
+  Read(dst, bytes, {}, std::move(done));
 }
 
 void RdmaNic::Read(NodeId dst, uint32_t bytes, sim::Engine::Callback at_target,
                    sim::Engine::Callback done) {
-  OneSided(dst, bytes, /*is_write=*/false, std::move(at_target), std::move(done));
+  Post(Verb{id_, dst, 0, bytes, 0, /*rpc=*/false, std::move(at_target), std::move(done)});
 }
 
 void RdmaNic::Write(NodeId dst, uint32_t bytes, sim::Engine::Callback done) {
-  OneSided(dst, bytes, /*is_write=*/true, [] {}, std::move(done));
+  Write(dst, bytes, {}, std::move(done));
 }
 
 void RdmaNic::Write(NodeId dst, uint32_t bytes, sim::Engine::Callback at_target,
                     sim::Engine::Callback done) {
-  OneSided(dst, bytes, /*is_write=*/true, std::move(at_target), std::move(done));
+  Post(Verb{id_, dst, bytes, 0, 0, /*rpc=*/false, std::move(at_target), std::move(done)});
 }
 
 void RdmaNic::Atomic(NodeId dst, sim::SmallFunction<uint64_t()> op,
                      sim::SmallFunction<void(uint64_t)> done) {
   auto result = std::make_shared<uint64_t>(0);
-  OneSided(
-      dst, 8, /*is_write=*/false,
-      [op = std::move(op), result]() mutable { *result = op(); },
+  Read(
+      dst, 8, [op = std::move(op), result]() mutable { *result = op(); },
       [result, done = std::move(done)]() mutable { done(*result); });
-}
-
-void RdmaNic::OneSided(NodeId dst, uint32_t bytes, bool is_write,
-                       sim::Engine::Callback at_target, sim::Engine::Callback done) {
-  ops_++;
-  // Initiator: verb post (host, doorbell-batched) + NIC pipeline + wire.
-  const uint32_t req_payload = is_write ? bytes : 0;
-  const uint32_t resp_payload = is_write ? 0 : bytes;
-  host_cores_->Submit(model_.rdma_init_cost, [this, dst, req_payload, resp_payload, is_write,
-                                              at_target = std::move(at_target),
-                                              done = std::move(done)]() mutable {
-    // Initiator-side posting is cheap with doorbell batching; the measured
-    // ~15 Mops/s small-op ceiling is dominated by target-side processing.
-    pipeline_.Submit(model_.rdma_nic_service / 2, [this, dst, req_payload, resp_payload, is_write,
-                                               at_target = std::move(at_target),
-                                               done = std::move(done)]() mutable {
-      const uint64_t wire_bytes = kVerbHeader + req_payload;
-      wire_bytes_sent_ += wire_bytes;
-      engine_->ScheduleAfter(model_.rdma_nic_hw_cost, [this, dst, wire_bytes, req_payload,
-                                                       resp_payload, is_write,
-                                                       at_target = std::move(at_target),
-                                                       done = std::move(done)]() mutable {
-        tx_.Send(wire_bytes, [this, dst, req_payload, resp_payload, is_write,
-                              at_target = std::move(at_target), done = std::move(done)]() mutable {
-          fabric_->node(dst).HandleOneSided(id_, req_payload, resp_payload, is_write,
-                                            std::move(at_target), std::move(done));
-        });
-      });
-    });
-  });
-}
-
-void RdmaNic::HandleOneSided(NodeId src, uint32_t req_payload, uint32_t resp_payload,
-                             bool is_write, sim::Engine::Callback at_target,
-                             sim::Engine::Callback done_at_initiator) {
-  (void)req_payload;
-  // Target NIC hardware: pipeline occupancy, fixed processing latency, PCIe
-  // DMA to host memory, then the response.
-  pipeline_.Submit(model_.rdma_nic_service, [this, src, resp_payload, is_write,
-                                             at_target = std::move(at_target),
-                                             done_at_initiator =
-                                                 std::move(done_at_initiator)]() mutable {
-    const sim::Tick latency = model_.rdma_nic_hw_cost + model_.rdma_target_dma;
-    (void)is_write;
-    engine_->ScheduleAfter(latency, [this, src, resp_payload,
-                                     at_target = std::move(at_target),
-                                     done_at_initiator = std::move(done_at_initiator)]() mutable {
-      at_target();  // the actual memory effect (reads/CAS on real state)
-      SendResponse(src, kVerbHeader + resp_payload, std::move(done_at_initiator),
-                   /*to_host=*/false);
-    });
-  });
-}
-
-void RdmaNic::SendResponse(NodeId src, uint32_t bytes, sim::Engine::Callback done_at_initiator,
-                           bool to_host) {
-  wire_bytes_sent_ += bytes;
-  tx_.Send(bytes, [this, src, to_host,
-                   done_at_initiator = std::move(done_at_initiator)]() mutable {
-    RdmaNic& initiator = fabric_->node(src);
-    initiator.pipeline_.Submit(model_.rdma_nic_service / 2, [&initiator, to_host,
-                                                         done_at_initiator = std::move(
-                                                             done_at_initiator)]() mutable {
-      // Completion delivery: DMA of CQE (plus payload for two-sided) and
-      // the initiator's poll.
-      const sim::Tick extra = to_host ? initiator.model_.rdma_target_dma : 0;
-      initiator.engine_->ScheduleAfter(
-          initiator.model_.rdma_completion_poll + extra,
-          [&initiator, done_at_initiator = std::move(done_at_initiator)]() mutable {
-            initiator.host_cores_->Submit(initiator.model_.rdma_init_cost / 2,
-                                          std::move(done_at_initiator));
-          });
-    });
-  });
 }
 
 void RdmaNic::Rpc(NodeId dst, uint32_t req_bytes, uint32_t resp_bytes, sim::Tick handler_cost,
                   sim::Engine::Callback handler, sim::Engine::Callback done) {
-  ops_++;
-  host_cores_->Submit(model_.rdma_init_cost, [this, dst, req_bytes, resp_bytes, handler_cost,
-                                              handler = std::move(handler),
-                                              done = std::move(done)]() mutable {
-    pipeline_.Submit(model_.rdma_nic_service / 2, [this, dst, req_bytes, resp_bytes, handler_cost,
-                                               handler = std::move(handler),
-                                               done = std::move(done)]() mutable {
-      const uint64_t wire_bytes = kVerbHeader + req_bytes;
-      wire_bytes_sent_ += wire_bytes;
-      engine_->ScheduleAfter(model_.rdma_nic_hw_cost, [this, dst, wire_bytes, resp_bytes,
-                                                       handler_cost,
-                                                       handler = std::move(handler),
-                                                       done = std::move(done)]() mutable {
-        tx_.Send(wire_bytes, [this, dst, resp_bytes, handler_cost, handler = std::move(handler),
-                              done = std::move(done)]() mutable {
-          fabric_->node(dst).HandleRpc(id_, resp_bytes, handler_cost, std::move(handler),
-                                       std::move(done));
-        });
-      });
-    });
-  });
+  Post(Verb{id_, dst, req_bytes, resp_bytes, handler_cost, /*rpc=*/true, std::move(handler),
+            std::move(done)});
 }
 
-void RdmaNic::HandleRpc(NodeId src, uint32_t resp_bytes, sim::Tick handler_cost,
-                        sim::Engine::Callback handler, sim::Engine::Callback done_at_initiator) {
+void RdmaNic::Post(Verb verb) {
+  ops_++;
+  const uint32_t v = fabric_->verbs_.Put(std::move(verb));
+  host_cores_->Submit(model_.rdma_init_cost, sim::InlineCallback([this, v] {
+    // Initiator-side posting is cheap with doorbell batching; the measured
+    // ~15 Mops/s small-op ceiling is dominated by target-side processing.
+    pipeline_.Submit(model_.rdma_nic_service / 2, sim::InlineCallback([this, v] {
+      const uint64_t wire_bytes = kVerbHeader + fabric_->verbs_[v].req_payload;
+      wire_bytes_sent_ += wire_bytes;
+      engine_->ScheduleAfter(model_.rdma_nic_hw_cost, sim::InlineCallback([this, v, wire_bytes] {
+        tx_.Send(wire_bytes, sim::InlineCallback([this, v] {
+          const Verb& verb = fabric_->verbs_[v];
+          RdmaNic& target = fabric_->node(verb.dst);
+          if (verb.rpc) {
+            target.HandleRpc(v);
+          } else {
+            target.HandleOneSided(v);
+          }
+        }));
+      }));
+    }));
+  }));
+}
+
+void RdmaNic::HandleOneSided(uint32_t v) {
+  // Target NIC hardware: pipeline occupancy, fixed processing latency, PCIe
+  // DMA to host memory, then the response.
+  pipeline_.Submit(model_.rdma_nic_service, sim::InlineCallback([this, v] {
+    const sim::Tick latency = model_.rdma_nic_hw_cost + model_.rdma_target_dma;
+    engine_->ScheduleAfter(latency, sim::InlineCallback([this, v] {
+      // The actual memory effect (reads/CAS on real state). Moved out of
+      // the table first: it may post verbs of its own.
+      sim::Engine::Callback at_target = std::move(fabric_->verbs_[v].at_target);
+      if (at_target) {
+        at_target();
+      }
+      SendResponse(v);
+    }));
+  }));
+}
+
+void RdmaNic::SendResponse(uint32_t v) {
+  const uint32_t bytes = kVerbHeader + fabric_->verbs_[v].resp_payload;
+  wire_bytes_sent_ += bytes;
+  tx_.Send(bytes, sim::InlineCallback([this, v] {
+    fabric_->node(fabric_->verbs_[v].src).Complete(v);
+  }));
+}
+
+void RdmaNic::Complete(uint32_t v) {
+  pipeline_.Submit(model_.rdma_nic_service / 2, sim::InlineCallback([this, v] {
+    // Completion delivery: DMA of CQE (plus payload for two-sided) and
+    // the initiator's poll.
+    const sim::Tick extra = fabric_->verbs_[v].rpc ? model_.rdma_target_dma : 0;
+    engine_->ScheduleAfter(model_.rdma_completion_poll + extra, sim::InlineCallback([this, v] {
+      Verb verb = fabric_->verbs_.Take(v);
+      host_cores_->Submit(model_.rdma_init_cost / 2, std::move(verb.done));
+    }));
+  }));
+}
+
+void RdmaNic::HandleRpc(uint32_t v) {
   // Target NIC -> host rx ring (DMA + poll), then the handler on a host
   // thread, then the response send posts back through the NIC.
-  pipeline_.Submit(model_.rdma_nic_service, [this, src, resp_bytes, handler_cost,
-                                             handler = std::move(handler),
-                                             done_at_initiator =
-                                                 std::move(done_at_initiator)]() mutable {
+  pipeline_.Submit(model_.rdma_nic_service, sim::InlineCallback([this, v] {
     const sim::Tick to_host = model_.rdma_nic_hw_cost + model_.rdma_target_dma +
                               model_.rdma_two_sided_target_extra / 2;
-    engine_->ScheduleAfter(to_host, [this, src, resp_bytes, handler_cost,
-                                     handler = std::move(handler),
-                                     done_at_initiator = std::move(done_at_initiator)]() mutable {
+    engine_->ScheduleAfter(to_host, sim::InlineCallback([this, v] {
       host_cores_->Submit(
-          model_.host_rpc_handle_cost + handler_cost,
-          [this, src, resp_bytes, handler = std::move(handler),
-           done_at_initiator = std::move(done_at_initiator)]() mutable {
-            handler();
+          model_.host_rpc_handle_cost + fabric_->verbs_[v].handler_cost,
+          sim::InlineCallback([this, v] {
+            // Moved out of the table first: the handler may post verbs.
+            sim::Engine::Callback handler = std::move(fabric_->verbs_[v].at_target);
+            if (handler) {
+              handler();
+            }
             // Response: send post + NIC pipeline + wire; delivered to the
             // initiator host (two-sided completions land in host memory).
-            pipeline_.Submit(model_.rdma_nic_service,
-                             [this, src, resp_bytes,
-                              done_at_initiator = std::move(done_at_initiator)]() mutable {
-                               engine_->ScheduleAfter(
-                                   model_.rdma_nic_hw_cost +
-                                       model_.rdma_two_sided_target_extra / 2,
-                                   [this, src, resp_bytes,
-                                    done_at_initiator =
-                                        std::move(done_at_initiator)]() mutable {
-                                     SendResponse(src, kVerbHeader + resp_bytes,
-                                                  std::move(done_at_initiator),
-                                                  /*to_host=*/true);
-                                   });
-                             });
-          });
-    });
-  });
+            pipeline_.Submit(model_.rdma_nic_service, sim::InlineCallback([this, v] {
+              engine_->ScheduleAfter(
+                  model_.rdma_nic_hw_cost + model_.rdma_two_sided_target_extra / 2,
+                  sim::InlineCallback([this, v] { SendResponse(v); }));
+            }));
+          }));
+    }));
+  }));
 }
 
 void RdmaNic::ResetStats() {

@@ -8,11 +8,19 @@
 //  * Two-sided SEND/RECV RPC: crosses the target host (rx ring, poll,
 //    handler, send post), ~6.3 us RTT; the handler closure runs on a target
 //    host thread and may carry extra application cost.
+//
+// Allocation: a verb's state -- endpoints, sizes, handler cost, the
+// at_target closure or RPC handler, and `done` -- is parked in one slot
+// (sim::SlotTable) on the RdmaFabric, so the verb keeps its index as it
+// moves from initiator to target and back, and each of its events captures
+// only {this, slot}. Once the table has grown to the peak number of verbs
+// in flight, Read, Write and Rpc make no heap allocation beyond what the
+// caller's callbacks themselves carry. Atomic still wraps its typed
+// closures (one shared result word plus two spilled callbacks).
 
 #ifndef SRC_NICMODEL_RDMA_NIC_H_
 #define SRC_NICMODEL_RDMA_NIC_H_
 
-#include <functional>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,6 +29,7 @@
 #include "src/sim/channel.h"
 #include "src/sim/engine.h"
 #include "src/sim/resource.h"
+#include "src/sim/slot_table.h"
 #include "src/store/types.h"
 
 namespace xenic::nicmodel {
@@ -72,19 +81,27 @@ class RdmaNic {
  private:
   friend class RdmaFabric;
 
-  struct OneSidedKind {
-    bool is_write;
-    bool is_atomic;
+  // One verb from post to completion.
+  struct Verb {
+    NodeId src;
+    NodeId dst;
+    uint32_t req_payload;     // request payload on the wire (WRITE data, RPC request)
+    uint32_t resp_payload;    // response payload (READ data, RPC response)
+    sim::Tick handler_cost;   // RPC: extra target host-thread time
+    bool rpc;                 // two-sided: the target host runs `at_target`
+    sim::Engine::Callback at_target;  // memory effect or RPC handler (may be empty)
+    sim::Engine::Callback done;
   };
-  void OneSided(NodeId dst, uint32_t bytes, bool is_write, sim::Engine::Callback at_target,
-                sim::Engine::Callback done);
-  // Target side: NIC hardware handles the request and responds.
-  void HandleOneSided(NodeId src, uint32_t req_payload, uint32_t resp_payload, bool is_write,
-                      sim::Engine::Callback at_target, sim::Engine::Callback done_at_initiator);
-  void HandleRpc(NodeId src, uint32_t resp_bytes, sim::Tick handler_cost,
-                 sim::Engine::Callback handler, sim::Engine::Callback done_at_initiator);
-  void SendResponse(NodeId src, uint32_t bytes, sim::Engine::Callback done_at_initiator,
-                    bool to_host);
+
+  // Initiator: verb post (host, doorbell-batched) + NIC pipeline + wire.
+  void Post(Verb verb);
+  // Target side: NIC hardware handles a one-sided request and responds.
+  void HandleOneSided(uint32_t verb);
+  // Target side: rx ring, host handler, response send.
+  void HandleRpc(uint32_t verb);
+  void SendResponse(uint32_t verb);
+  // Initiator side: completion delivery and poll, then `done`.
+  void Complete(uint32_t verb);
 
   sim::Engine* engine_;
   const net::PerfModel& model_;
@@ -109,9 +126,12 @@ class RdmaFabric {
   uint32_t size() const { return static_cast<uint32_t>(nics_.size()); }
 
  private:
+  friend class RdmaNic;
+
   sim::Engine* engine_;
   net::PerfModel model_;
   std::vector<std::unique_ptr<RdmaNic>> nics_;
+  sim::SlotTable<RdmaNic::Verb> verbs_;  // verbs in flight, any node
 };
 
 }  // namespace xenic::nicmodel

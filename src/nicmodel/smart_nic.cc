@@ -57,11 +57,11 @@ void SmartNic::NicSend(NodeId dst, uint32_t bytes, sim::Engine::Callback deliver
   }
   if (!q.flush_scheduled) {
     q.flush_scheduled = true;
-    engine_->ScheduleAfter(model_.batch_window, [this, dst] {
+    engine_->ScheduleAfter(model_.batch_window, sim::InlineCallback([this, dst] {
       if (eth_queues_[dst].flush_scheduled) {
         FlushEth(dst);
       }
-    });
+    }));
   }
 }
 
@@ -71,51 +71,44 @@ void SmartNic::FlushEth(NodeId dst) {
   if (q.msgs.empty()) {
     return;
   }
-  std::vector<PendingMsg> msgs = std::move(q.msgs);
-  q.msgs.clear();
-  q.bytes = 0;
-
-  const uint64_t frame_bytes =
-      model_.frame_overhead +
-      [&] {
-        uint64_t b = 0;
-        for (const auto& m : msgs) {
-          b += m.bytes;
-        }
-        return b;
-      }();
+  uint64_t frame_bytes = model_.frame_overhead;
+  for (const auto& m : q.msgs) {
+    frame_bytes += m.bytes;
+  }
   frames_sent_++;
   wire_bytes_sent_ += frame_bytes;
 
   // TX software pipeline: gather list assembly on a NIC core, then the
   // port serializes the frame onto the wire.
   const sim::Tick tx_cost =
-      model_.nic_frame_tx_cost + model_.nic_msg_cost * static_cast<sim::Tick>(msgs.size());
-  auto* port = tx_ports_[next_tx_port_].get();
+      model_.nic_frame_tx_cost + model_.nic_msg_cost * static_cast<sim::Tick>(q.msgs.size());
+  const auto port = static_cast<uint32_t>(next_tx_port_);
   next_tx_port_ = (next_tx_port_ + 1) % tx_ports_.size();
-  nic_cores_.Submit(tx_cost, [this, port, frame_bytes, dst, msgs = std::move(msgs)]() mutable {
-    port->Send(frame_bytes, model_.port_frame_cost, [this, dst, msgs = std::move(msgs)]() mutable {
-      fabric_->node(dst).DeliverFrame(std::move(msgs));
-    });
-  });
+  q.bytes = 0;
+  const uint32_t frame = fabric_->frames_.Put(
+      Frame{dst, port, frame_bytes, std::exchange(q.msgs, fabric_->NewMsgVector())});
+  nic_cores_.Submit(tx_cost, sim::InlineCallback([this, frame] {
+    const Frame& f = fabric_->frames_[frame];
+    sim::Channel* tx_port = tx_ports_[f.tx_port].get();
+    tx_port->Send(f.bytes, model_.port_frame_cost, sim::InlineCallback([this, frame] {
+      fabric_->node(fabric_->frames_[frame].dst).DeliverFrame(frame);
+    }));
+  }));
 }
 
-void SmartNic::DeliverFrame(std::vector<PendingMsg> msgs) {
+void SmartNic::DeliverFrame(uint32_t frame) {
   // RX port serialization at the destination, then software pipeline on a
   // NIC core, then the per-message handlers run.
-  const uint64_t frame_bytes = model_.frame_overhead + [&] {
-    uint64_t b = 0;
-    for (const auto& m : msgs) {
-      b += m.bytes;
-    }
-    return b;
-  }();
   auto* port = rx_ports_[next_rx_port_].get();
   next_rx_port_ = (next_rx_port_ + 1) % rx_ports_.size();
-  port->Send(frame_bytes, model_.port_frame_cost, [this, msgs = std::move(msgs)]() mutable {
+  const uint64_t frame_bytes = fabric_->frames_[frame].bytes;
+  port->Send(frame_bytes, model_.port_frame_cost, sim::InlineCallback([this, frame] {
+    const size_t count = fabric_->frames_[frame].msgs.size();
     const sim::Tick rx_cost =
-        model_.nic_frame_rx_cost + model_.nic_msg_cost * static_cast<sim::Tick>(msgs.size());
-    nic_cores_.Submit(rx_cost, [this, msgs = std::move(msgs)]() mutable {
+        model_.nic_frame_rx_cost + model_.nic_msg_cost * static_cast<sim::Tick>(count);
+    nic_cores_.Submit(rx_cost, sim::InlineCallback([this, frame] {
+      // Out of the table first: a handler may send, which parks new frames.
+      std::vector<PendingMsg> msgs = fabric_->frames_.Take(frame).msgs;
       for (auto& m : msgs) {
         // Each handler (and everything it schedules) runs under its own
         // message's transaction context, not the frame's: aggregation must
@@ -124,22 +117,25 @@ void SmartNic::DeliverFrame(std::vector<PendingMsg> msgs) {
         m.deliver();
       }
       engine_->set_trace_ctx(0);
-    });
-  });
+      fabric_->FreeMsgVector(std::move(msgs));
+    }));
+  }));
 }
 
 void SmartNic::HostToNic(uint32_t bytes, sim::Engine::Callback deliver_at_nic) {
   const sim::Tick extra = features_.pcie_aggregation ? 0 : model_.pcie_msg_unbatched_cost;
-  pcie_up_.Send(bytes, extra, [this, deliver_at_nic = std::move(deliver_at_nic)]() mutable {
-    engine_->ScheduleAfter(model_.host_to_nic_crossing, std::move(deliver_at_nic));
-  });
+  const uint32_t slot = pcie_deliveries_.Put(std::move(deliver_at_nic));
+  pcie_up_.Send(bytes, extra, sim::InlineCallback([this, slot] {
+    engine_->ScheduleAfter(model_.host_to_nic_crossing, pcie_deliveries_.Take(slot));
+  }));
 }
 
 void SmartNic::NicToHost(uint32_t bytes, sim::Engine::Callback deliver_at_host) {
   const sim::Tick extra = features_.pcie_aggregation ? 0 : model_.pcie_msg_unbatched_cost;
-  pcie_down_.Send(bytes, extra, [this, deliver_at_host = std::move(deliver_at_host)]() mutable {
-    engine_->ScheduleAfter(model_.nic_to_host_crossing, std::move(deliver_at_host));
-  });
+  const uint32_t slot = pcie_deliveries_.Put(std::move(deliver_at_host));
+  pcie_down_.Send(bytes, extra, sim::InlineCallback([this, slot] {
+    engine_->ScheduleAfter(model_.nic_to_host_crossing, pcie_deliveries_.Take(slot));
+  }));
 }
 
 void SmartNic::DmaOp(uint64_t bytes, bool is_read, sim::Engine::Callback done) {
@@ -151,26 +147,10 @@ void SmartNic::DmaOp(uint64_t bytes, bool is_read, sim::Engine::Callback done) {
       static_cast<sim::Tick>(static_cast<double>(bytes) / model_.pcie_bytes_per_ns);
   const sim::Tick service = std::max<sim::Tick>(model_.dma_engine_service, transfer);
 
-  if (!features_.async_dma_batching) {
-    // Unbatched, blocking model: the issuing NIC core pays the full
-    // submission cost, the engine fetches one descriptor per request, and
-    // the core stalls until the DMA completes.
-    nic_cores_.Submit(model_.dma_submit_cost, [this, service, completion,
-                                               done = std::move(done)]() mutable {
-      dma_submit_port_.Submit(model_.dma_submit_cost, [this, service, completion,
-                                                       done = std::move(done)]() mutable {
-        const sim::Tick start = engine_->now();
-        dma_queues_.Submit(service, [this, start, completion, done = std::move(done)]() mutable {
-          const sim::Tick elapsed = engine_->now() - start;
-          const sim::Tick wait = completion > elapsed ? completion - elapsed : 0;
-          // Core blocks for the whole duration (submission already charged).
-          nic_cores_.Submit(wait, std::move(done));
-        });
-      });
-    });
-    return;
-  }
-
+  // Unbatched, blocking model: the issuing NIC core pays the full
+  // submission cost, the engine fetches one descriptor per request, and
+  // the core stalls until the DMA completes.
+  //
   // Async vectored model: submission cost and the engine's descriptor
   // fetch are amortized across a vector; the core is free while the DMA
   // engine works. The static model assumes an always-full vector; the
@@ -178,22 +158,33 @@ void SmartNic::DmaOp(uint64_t bytes, bool is_read, sim::Engine::Callback done) {
   // from the queue occupancy observed at submission, so idle-engine
   // submissions pay closer to the real descriptor-fetch cost while loaded
   // ones amortize exactly like the static model.
-  const uint32_t vec = features_.adaptive_dma_batching
-                           ? dma_batcher_.OnSubmit(dma_queues_.queue_depth())
-                           : model_.dma_vector_max;
-  const sim::Tick submit_share = model_.dma_submit_cost / vec + 1;
-  nic_cores_.Submit(submit_share, [this, submit_share, service, completion,
-                                   done = std::move(done)]() mutable {
-    dma_submit_port_.Submit(submit_share, [this, service, completion,
-                                           done = std::move(done)]() mutable {
-      const sim::Tick start = engine_->now();
-      dma_queues_.Submit(service, [this, start, completion, done = std::move(done)]() mutable {
-        const sim::Tick elapsed = engine_->now() - start;
-        const sim::Tick wait = completion > elapsed ? completion - elapsed : 0;
-        engine_->ScheduleAfter(wait, std::move(done));
-      });
-    });
-  });
+  const bool blocking = !features_.async_dma_batching;
+  sim::Tick submit_cost = model_.dma_submit_cost;
+  if (!blocking) {
+    const uint32_t vec = features_.adaptive_dma_batching
+                             ? dma_batcher_.OnSubmit(dma_queues_.queue_depth())
+                             : model_.dma_vector_max;
+    submit_cost = model_.dma_submit_cost / vec + 1;
+  }
+  const uint32_t job =
+      dma_jobs_.Put(DmaJob{submit_cost, service, completion, 0, blocking, std::move(done)});
+  nic_cores_.Submit(submit_cost, sim::InlineCallback([this, job] {
+    dma_submit_port_.Submit(dma_jobs_[job].submit_cost, sim::InlineCallback([this, job] {
+      DmaJob& j = dma_jobs_[job];
+      j.start = engine_->now();
+      dma_queues_.Submit(j.service, sim::InlineCallback([this, job] {
+        DmaJob j = dma_jobs_.Take(job);
+        const sim::Tick elapsed = engine_->now() - j.start;
+        const sim::Tick wait = j.completion > elapsed ? j.completion - elapsed : 0;
+        if (j.blocking) {
+          // Core blocks for the whole duration (submission already charged).
+          nic_cores_.Submit(wait, std::move(j.done));
+        } else {
+          engine_->ScheduleAfter(wait, std::move(j.done));
+        }
+      }));
+    }));
+  }));
 }
 
 void SmartNic::DmaRead(uint64_t bytes, sim::Engine::Callback done) {
@@ -238,6 +229,20 @@ SmartNicFabric::SmartNicFabric(sim::Engine* engine, const net::PerfModel& model,
   for (uint32_t i = 0; i < num_nodes; ++i) {
     nics_.push_back(std::make_unique<SmartNic>(engine, model_, this, i));
   }
+}
+
+std::vector<SmartNic::PendingMsg> SmartNicFabric::NewMsgVector() {
+  if (free_msg_vectors_.empty()) {
+    return {};
+  }
+  std::vector<SmartNic::PendingMsg> msgs = std::move(free_msg_vectors_.back());
+  free_msg_vectors_.pop_back();
+  return msgs;
+}
+
+void SmartNicFabric::FreeMsgVector(std::vector<SmartNic::PendingMsg> msgs) {
+  msgs.clear();
+  free_msg_vectors_.push_back(std::move(msgs));
 }
 
 }  // namespace xenic::nicmodel

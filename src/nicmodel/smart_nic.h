@@ -17,6 +17,16 @@
 //
 // Payload movement is the protocol layer's job (closures carry real data);
 // this class accounts time and bandwidth only.
+//
+// Allocation: every continuation in flight inside the model is parked in a
+// slot (sim::SlotTable) and each event captures only {this, slot}: a DMA's
+// three stages share one DmaJob slot, a PCIe crossing parks its delivery,
+// and an Ethernet frame is parked on the fabric, which owns the frame table
+// and one pool of message vectors for all NICs (a frame is built at the
+// sender and freed at the receiver; per-NIC pools would grow with each
+// node's send/receive imbalance). Once those tables and the pool have grown
+// to their peak in-flight size, the primitives make no heap allocation
+// beyond what the caller's callbacks themselves carry.
 
 #ifndef SRC_NICMODEL_SMART_NIC_H_
 #define SRC_NICMODEL_SMART_NIC_H_
@@ -30,6 +40,7 @@
 #include "src/sim/channel.h"
 #include "src/sim/engine.h"
 #include "src/sim/resource.h"
+#include "src/sim/slot_table.h"
 #include "src/store/types.h"
 
 namespace xenic::nicmodel {
@@ -107,9 +118,26 @@ class SmartNic {
     uint32_t bytes = 0;
     bool flush_scheduled = false;
   };
+  // One Ethernet frame between its flush at the sender and its handlers at
+  // the receiver.
+  struct Frame {
+    NodeId dst;
+    uint32_t tx_port;
+    uint64_t bytes;  // wire bytes, frame overhead included
+    std::vector<PendingMsg> msgs;
+  };
+  // One DMA request across its stages: NIC core, descriptor fetch, engine.
+  struct DmaJob {
+    sim::Tick submit_cost;  // NIC-core and descriptor-fetch time
+    sim::Tick service;      // DMA engine occupancy
+    sim::Tick completion;   // measured submission-to-completion latency
+    sim::Tick start;        // when the request reached the engine queues
+    bool blocking;          // unbatched model: the core stalls until done
+    sim::Engine::Callback done;
+  };
 
   void FlushEth(NodeId dst);
-  void DeliverFrame(std::vector<PendingMsg> msgs);  // runs at destination
+  void DeliverFrame(uint32_t frame);  // runs at destination
   void DmaOp(uint64_t bytes, bool is_read, sim::Engine::Callback done);
 
   sim::Engine* engine_;
@@ -134,6 +162,8 @@ class SmartNic {
   size_t next_rx_port_ = 0;
 
   std::vector<DstQueue> eth_queues_;  // per destination
+  sim::SlotTable<DmaJob> dma_jobs_;
+  sim::SlotTable<sim::Engine::Callback> pcie_deliveries_;  // HostToNic / NicToHost
 
   uint64_t frames_sent_ = 0;
   uint64_t messages_sent_ = 0;
@@ -153,9 +183,17 @@ class SmartNicFabric {
   const net::PerfModel& model() const { return model_; }
 
  private:
+  friend class SmartNic;
+
+  // A cleared message vector from the pool (capacity kept), or a new one.
+  std::vector<SmartNic::PendingMsg> NewMsgVector();
+  void FreeMsgVector(std::vector<SmartNic::PendingMsg> msgs);
+
   sim::Engine* engine_;
   net::PerfModel model_;
   std::vector<std::unique_ptr<SmartNic>> nics_;
+  sim::SlotTable<SmartNic::Frame> frames_;  // frames on the wire
+  std::vector<std::vector<SmartNic::PendingMsg>> free_msg_vectors_;
 };
 
 }  // namespace xenic::nicmodel

@@ -14,14 +14,21 @@ void Resource::Submit(Tick service, Engine::Callback done) {
   // The submitting event's transaction context rides along with the job so
   // both the wait and the service span name the right transaction even when
   // the grant happens inside another job's completion event.
-  const uint64_t ctx = engine_->trace_ctx();
+  const uint32_t slot =
+      jobs_.Put(Job{service, engine_->now(), engine_->trace_ctx(), kNoSlot, std::move(done)});
   if (busy_ < servers_) {
-    Start(Job{service, engine_->now(), ctx, std::move(done)});
+    Start(slot);
+    return;
+  }
+  if (wait_tail_ == kNoSlot) {
+    wait_head_ = slot;
   } else {
-    queue_.push_back(Job{service, engine_->now(), ctx, std::move(done)});
-    if (queue_.size() > peak_queue_depth_) {
-      peak_queue_depth_ = queue_.size();
-    }
+    jobs_[wait_tail_].next = slot;
+  }
+  wait_tail_ = slot;
+  queued_++;
+  if (queued_ > peak_queue_depth_) {
+    peak_queue_depth_ = queued_;
   }
 }
 
@@ -33,7 +40,8 @@ void Resource::EnsureTracks(TraceSink* t) {
   }
 }
 
-void Resource::Start(Job job) {
+void Resource::Start(uint32_t slot) {
+  const Job& job = jobs_[slot];
   const Tick wait = engine_->now() - job.enqueued;
   wait_time_total_ += wait;
   jobs_started_++;
@@ -47,30 +55,31 @@ void Resource::Start(Job job) {
     }
   }
   busy_++;
-  const Tick service = job.service;
-  engine_->ScheduleAfter(service, [this, service, ctx = job.ctx,
-                                   done = std::move(job.done)]() mutable {
-    // Restore the job's own context: the engine-level capture would carry
-    // the context of whichever event performed the grant.
-    engine_->set_trace_ctx(ctx);
-    Finish(service, ctx, std::move(done));
-  });
+  engine_->ScheduleAfter(job.service, InlineCallback([this, slot] { Finish(slot); }));
 }
 
-void Resource::Finish(Tick service, uint64_t ctx, Engine::Callback done) {
+void Resource::Finish(uint32_t slot) {
+  Job job = jobs_.Take(slot);
+  // Restore the job's own context: the engine-level capture would carry
+  // the context of whichever event performed the grant.
+  engine_->set_trace_ctx(job.ctx);
   if (TraceSink* t = engine_->trace()) {
     EnsureTracks(t);
-    t->Span(trace_track_, name_.c_str(), engine_->now() - service, engine_->now(), ctx);
+    t->Span(trace_track_, name_.c_str(), engine_->now() - job.service, engine_->now(), job.ctx);
   }
   busy_--;
-  busy_time_ += service;
+  busy_time_ += job.service;
   completed_++;
-  if (!queue_.empty() && busy_ < servers_) {
-    Job next = std::move(queue_.front());
-    queue_.pop_front();
-    Start(std::move(next));
+  if (queued_ > 0 && busy_ < servers_) {
+    const uint32_t next = wait_head_;
+    wait_head_ = jobs_[next].next;
+    if (wait_head_ == kNoSlot) {
+      wait_tail_ = kNoSlot;
+    }
+    queued_--;
+    Start(next);
   }
-  done();
+  job.done();
 }
 
 }  // namespace xenic::sim

@@ -6,22 +6,35 @@
 // accounting supports utilization-law sanity checks in tests and the
 // Table 3 thread-count analysis.
 //
+// Ordering: jobs are granted servers in submission order. A job's `done`
+// runs at grant time + service, in the job's own trace context (the one
+// current when it was submitted); completions at the same tick run in grant
+// order. Inside a completion the next waiting job is granted the freed
+// server before `done` runs, so a `done` that re-submits joins the back of
+// the queue.
+//
 // Queueing observability: every job's wait (submit -> server grant) feeds
 // cheap always-on scalars (total wait, jobs started, peak queue depth) and,
 // when a histogram is attached (obs::ResourceMonitor), a full wait-time
 // distribution. When an Engine trace sink is attached, each job's service
 // interval is emitted as a span. Neither path schedules events or alters
 // timing: accounting is invisible to the simulation.
+//
+// Allocation: queued and in-service jobs live in one SlotTable, and the
+// wait queue is a FIFO list threaded through those slots, so a grant's
+// completion event captures only {this, slot} and stays inline. After the
+// table has grown to the peak number of jobs in flight, Submit and its
+// completion make no heap allocation beyond what `done` itself carries.
 
 #ifndef SRC_SIM_RESOURCE_H_
 #define SRC_SIM_RESOURCE_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "src/common/histogram.h"
 #include "src/sim/engine.h"
+#include "src/sim/slot_table.h"
 
 namespace xenic::sim {
 
@@ -38,7 +51,7 @@ class Resource {
 
   const std::string& name() const { return name_; }
   uint32_t busy() const { return busy_; }
-  size_t queue_depth() const { return queue_.size(); }
+  size_t queue_depth() const { return queued_; }
   uint64_t completed() const { return completed_; }
   Tick busy_time() const { return busy_time_; }
 
@@ -76,22 +89,29 @@ class Resource {
   }
 
  private:
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
+
   struct Job {
     Tick service;
     Tick enqueued;
     uint64_t ctx;  // transaction context at submit time (0 = none)
+    uint32_t next;  // next waiting job's slot (wait queue only)
     Engine::Callback done;
   };
 
-  void Start(Job job);
-  void Finish(Tick service, uint64_t ctx, Engine::Callback done);
+  void Start(uint32_t slot);
+  void Finish(uint32_t slot);
   void EnsureTracks(TraceSink* t);
 
   Engine* engine_;
   std::string name_;
   uint32_t servers_;
   uint32_t busy_ = 0;
-  std::deque<Job> queue_;
+  SlotTable<Job> jobs_;
+  // FIFO of waiting jobs, linked through Job::next.
+  uint32_t wait_head_ = kNoSlot;
+  uint32_t wait_tail_ = kNoSlot;
+  size_t queued_ = 0;
   Tick busy_time_ = 0;
   uint64_t completed_ = 0;
   Tick wait_time_total_ = 0;

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/nicmodel/rdma_nic.h"
 #include "src/nicmodel/smart_nic.h"
 
@@ -158,6 +163,81 @@ TEST(SmartNicTest, UnbatchedDmaSubmissionLimitsThroughput) {
   EXPECT_GT(mops, 4.0);
 }
 
+// --- Slot lifetime: continuations that re-enter the model ------------------
+//
+// Each callback below starts new work on the model while the model is still
+// delivering it, so new slots are parked, and tables may grow, mid-delivery.
+// The callbacks touch their captures after that, so a callback run in place
+// from a reallocated slot shows up as a use-after-free under ASan.
+
+TEST(SmartNicTest, DmaDoneThatIssuesAnotherDma) {
+  for (const bool async : {true, false}) {
+    LioFixture single;
+    single.fabric.node(0).features().async_dma_batching = async;
+    const Tick one = MeasureOnce(single.engine, [&](Engine::Callback done) {
+      single.fabric.node(0).DmaRead(256, std::move(done));
+    });
+
+    LioFixture f;
+    SmartNic& nic = f.fabric.node(0);
+    nic.features().async_dma_batching = async;
+    // A chain of four reads, each issued from the previous one's done, and
+    // each done also fanning out a write.
+    std::vector<Tick> reads;
+    int writes = 0;
+    std::function<void()> next = [&] {
+      nic.DmaRead(256, [&] {
+        if (reads.size() < 3) {
+          nic.DmaWrite(64, [&writes] { writes++; });
+          next();
+        }
+        reads.push_back(f.engine.now());
+      });
+    };
+    next();
+    f.engine.Run();
+    ASSERT_EQ(reads.size(), 4u) << "async=" << async;
+    EXPECT_EQ(writes, 3) << "async=" << async;
+    EXPECT_EQ(nic.dma_ops(), 7u);
+    // The first read runs on an idle engine, exactly like a lone read.
+    EXPECT_EQ(reads[0], one) << "async=" << async;
+    for (size_t i = 1; i < reads.size(); ++i) {
+      EXPECT_GT(reads[i], reads[i - 1]);
+    }
+  }
+}
+
+TEST(SmartNicTest, FrameHandlerThatSendsWhileFrameIsDelivered) {
+  for (const bool aggregate : {true, false}) {
+    LioFixture f;
+    for (uint32_t n = 0; n < 3; ++n) {
+      f.fabric.node(n).features().eth_aggregation = aggregate;
+    }
+    // Node 0 sends a burst to node 1; every handler at node 1 replies to
+    // node 0 and to node 2 while its own frame is still being delivered.
+    int replies = 0;
+    std::vector<int> delivered;
+    for (int i = 0; i < 12; ++i) {
+      f.fabric.node(0).NicSend(1, 100, [&, i] {
+        f.fabric.node(1).NicSend(0, 100, [&replies] { replies++; });
+        f.fabric.node(1).NicSend(2, 100, [&replies] { replies++; });
+        delivered.push_back(i);
+      });
+    }
+    f.engine.Run();
+    std::vector<int> in_order(12);
+    for (int i = 0; i < 12; ++i) {
+      in_order[i] = i;
+    }
+    EXPECT_EQ(delivered, in_order) << "aggregate=" << aggregate;
+    EXPECT_EQ(replies, 24) << "aggregate=" << aggregate;
+    EXPECT_EQ(f.fabric.node(1).messages_sent(), 24u);
+    if (!aggregate) {
+      EXPECT_EQ(f.fabric.node(1).frames_sent(), 24u);
+    }
+  }
+}
+
 struct RdmaFixture {
   RdmaFixture() {
     for (int i = 0; i < 2; ++i) {
@@ -250,6 +330,46 @@ TEST(RdmaNicTest, ReadDataVisibleAtInitiator) {
   f.fabric->node(0).Read(1, 64, [&] { got = target_value; }, [&] { EXPECT_EQ(got, 42); });
   f.engine.Run();
   EXPECT_EQ(got, 42);
+}
+
+TEST(RdmaNicTest, AtTargetAndRpcHandlerThatPostVerbs) {
+  RdmaFixture f;
+  RdmaNic& n0 = f.fabric->node(0);
+  RdmaNic& n1 = f.fabric->node(1);
+  std::vector<std::string> events;
+  // A READ whose target-side memory effect posts a WRITE back to node 0,
+  // and an RPC whose handler posts a READ of node 0. Both nested verbs are
+  // initiated by node 1 while the outer verbs are still in flight.
+  n0.Read(
+      1, 64,
+      [&] {
+        n1.Write(0, 32, [&] { events.push_back("nested write done"); });
+        events.push_back("read at target");
+      },
+      [&] { events.push_back("read done"); });
+  n0.Rpc(
+      1, 64, 64, 100,
+      [&] {
+        n1.Read(0, 128, [&] { events.push_back("nested read done"); });
+        events.push_back("rpc handler");
+      },
+      [&] { events.push_back("rpc done"); });
+  f.engine.Run();
+  std::vector<std::string> sorted = events;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, (std::vector<std::string>{"nested read done", "nested write done",
+                                              "read at target", "read done", "rpc done",
+                                              "rpc handler"}));
+  // Causality: each verb's target-side work precedes its completion.
+  auto pos = [&](const std::string& e) {
+    return std::find(events.begin(), events.end(), e) - events.begin();
+  };
+  EXPECT_LT(pos("read at target"), pos("read done"));
+  EXPECT_LT(pos("read at target"), pos("nested write done"));
+  EXPECT_LT(pos("rpc handler"), pos("rpc done"));
+  EXPECT_LT(pos("rpc handler"), pos("nested read done"));
+  EXPECT_EQ(n0.ops(), 2u);
+  EXPECT_EQ(n1.ops(), 2u);
 }
 
 }  // namespace

@@ -141,7 +141,8 @@ TEST(SloEvalTest, FirstViolationReportsWindowStart) {
       GoodputWindow(100 * kUs, 50, 50),  // violating
       GoodputWindow(150 * kUs, 10, 90),  // violating again
   };
-  const SloObjectiveResult& r = EvaluateSlo(spec, windows).objectives[0];
+  const SloReport report = EvaluateSlo(spec, windows);
+  const SloObjectiveResult& r = report.objectives[0];
   EXPECT_EQ(r.windows_violating, 2u);
   EXPECT_EQ(r.first_violation_us, 100);
 }
@@ -155,7 +156,8 @@ TEST(SloEvalTest, BurnRateArithmetic) {
       GoodputWindow(0, 80, 20),         // 20% bad: burning 2x budget
       GoodputWindow(50 * kUs, 100, 0),  // clean
   };
-  const SloObjectiveResult& r = EvaluateSlo(spec, windows).objectives[0];
+  const SloReport report = EvaluateSlo(spec, windows);
+  const SloObjectiveResult& r = report.objectives[0];
   EXPECT_EQ(r.total_events, 200u);
   EXPECT_EQ(r.bad_events, 20u);
   // Window burn x1000: 20/100 over a 0.1 budget = 2.0x -> 2000.
@@ -173,7 +175,8 @@ TEST(SloEvalTest, BudgetExhaustionMidRun) {
       GoodputWindow(50 * kUs, 89, 11),    // cum bad 31 > 30: exhausted here
       GoodputWindow(100 * kUs, 100, 0),
   };
-  const SloObjectiveResult& r = EvaluateSlo(spec, windows).objectives[0];
+  const SloReport report = EvaluateSlo(spec, windows);
+  const SloObjectiveResult& r = report.objectives[0];
   EXPECT_EQ(r.budget_exhausted_us, 50);
   EXPECT_GT(r.budget_consumed_ppm, 1000000u);
 }
@@ -186,7 +189,8 @@ TEST(SloEvalTest, ExactlyAtBudgetIsNotExhausted) {
       GoodputWindow(0, 80, 20),
       GoodputWindow(50 * kUs, 100, 0),
   };
-  const SloObjectiveResult& r = EvaluateSlo(spec, windows).objectives[0];
+  const SloReport report = EvaluateSlo(spec, windows);
+  const SloObjectiveResult& r = report.objectives[0];
   EXPECT_EQ(r.budget_exhausted_us, -1);
   EXPECT_EQ(r.budget_consumed_ppm, 1000000u);
 }
