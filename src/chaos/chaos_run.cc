@@ -382,6 +382,14 @@ ChaosVerdict RunChaos(const ChaosConfig& config) {
            << " unreclaimed records";
         verdict.failures.push_back(os.str());
       }
+      const txn::XenicNode::ParkedSlots slots = cluster->node(n).parked_slots();
+      if (slots.requests + slots.appends + slots.fan_ins > 0) {
+        std::ostringstream os;
+        os << "leaked request slots: node " << n << " holds " << slots.requests
+           << " requests, " << slots.appends << " appends, " << slots.fan_ins
+           << " DMA fan-ins at quiesce";
+        verdict.failures.push_back(os.str());
+      }
     }
   }
 

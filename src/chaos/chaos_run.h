@@ -3,7 +3,7 @@
 // injects crashes, wire faults, eviction storms, and back-pressure windows.
 // Every committed transaction's observation is recorded; at the end the run
 // is audited for serializability, money conservation, leaked locks, leaked
-// NIC-index pins, and undrained commit logs.
+// NIC-index pins, undrained commit logs, and leaked request slots.
 //
 // Determinism contract: the verdict -- every counter, every violation
 // string, and the simulator's total event count -- is a pure function of

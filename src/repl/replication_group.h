@@ -45,8 +45,9 @@ class ReplicationGroup {
   bool QuorumArmed() const { return quorum() < map_->replication; }
 
   // Live backups of `shard` under the current membership view (marked-failed
-  // nodes filtered), in chain order. This is the LOG fan-out target set.
-  std::vector<store::NodeId> BackupsOf(store::NodeId shard) const {
+  // nodes filtered), in chain order. This is the LOG fan-out target set. A
+  // non-allocating view over the map (txn::ClusterMap::BackupView).
+  txn::ClusterMap::BackupView BackupsOf(store::NodeId shard) const {
     return map_->BackupsOf(shard);
   }
 

@@ -21,11 +21,23 @@
 // An event that never runs -- a delivery a channel fault hook drops -- leaves
 // its slot parked until the table is destroyed. The chaos injector models
 // loss as a retransmission and never drops a NIC's deliveries.
+//
+// Entries that own buffers (a request's key and result vectors) use
+// in-place reuse instead: AcquireHandle hands out a free slot as its last
+// user left it, so the vectors inside keep their capacity and the caller
+// clears the fields it uses. The Handle claims the slot and frees it,
+// without moving anything out, when reset or destroyed, so a continuation
+// that is dropped without running (a send from a crashed node, a parked
+// request cleared with its queue) cannot leak the slot. A Handle
+// re-indexes the table on every access, so it stays valid across an
+// acquire that grows the table; references taken through it do not. Every
+// Handle must be destroyed before its table.
 
 #ifndef SRC_SIM_SLOT_TABLE_H_
 #define SRC_SIM_SLOT_TABLE_H_
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
@@ -57,13 +69,71 @@ class SlotTable {
     return std::move(slots_[slot]);
   }
 
-  // The entry parked in `slot`. Valid until the next Put.
+  // The entry parked in `slot`. Valid until the next Put or AcquireHandle.
   T& operator[](uint32_t slot) {
     assert(slot < slots_.size());
     return slots_[slot];
   }
 
+  // Entries parked now: Put or acquired, and not yet taken or released.
+  size_t live() const { return slots_.size() - free_.size(); }
+
+  class Handle {
+   public:
+    Handle() = default;
+    Handle(Handle&& other) noexcept
+        : table_(std::exchange(other.table_, nullptr)), slot_(other.slot_) {}
+    Handle& operator=(Handle&& other) noexcept {
+      if (this != &other) {
+        Reset();
+        table_ = std::exchange(other.table_, nullptr);
+        slot_ = other.slot_;
+      }
+      return *this;
+    }
+    Handle(const Handle&) = delete;
+    Handle& operator=(const Handle&) = delete;
+    ~Handle() { Reset(); }
+
+    explicit operator bool() const { return table_ != nullptr; }
+    T& operator*() const { return (*table_)[slot_]; }
+    T* operator->() const { return &(*table_)[slot_]; }
+
+    // Free the slot now.
+    void Reset() {
+      if (table_ != nullptr) {
+        std::exchange(table_, nullptr)->Release(slot_);
+      }
+    }
+
+   private:
+    friend class SlotTable;
+    Handle(SlotTable* table, uint32_t slot) : table_(table), slot_(slot) {}
+
+    SlotTable* table_ = nullptr;
+    uint32_t slot_ = 0;
+  };
+
+  // A free slot under a Handle, its entry as the slot's last user left it.
+  Handle AcquireHandle() { return Handle(this, Acquire()); }
+
  private:
+  uint32_t Acquire() {
+    if (free_.empty()) {
+      slots_.emplace_back();
+      return static_cast<uint32_t>(slots_.size() - 1);
+    }
+    const uint32_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+
+  // Free `slot` and leave its entry in place for the next Acquire.
+  void Release(uint32_t slot) {
+    assert(slot < slots_.size());
+    free_.push_back(slot);
+  }
+
   std::vector<T> slots_;
   std::vector<uint32_t> free_;
 };

@@ -276,7 +276,7 @@ RecoveryReport RecoverShard(XenicCluster& cluster, NodeId failed, NodeId promote
                             const std::vector<store::TxnId>& known_committed) {
   RecoveryReport report;
   const ClusterMap& map = cluster.map();
-  const std::vector<NodeId> backups = cluster.repl().BackupsOf(failed);
+  const auto backups = cluster.repl().BackupsOf(failed);
   assert(std::find(backups.begin(), backups.end(), promoted) != backups.end() &&
          "promoted node must be a backup of the failed primary");
 

@@ -7,8 +7,11 @@
 #ifndef SRC_TXN_TYPES_H_
 #define SRC_TXN_TYPES_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "src/net/message.h"
@@ -212,16 +215,78 @@ struct ClusterMap {
   }
 
   NodeId PrimaryOf(TableId table, Key key) const { return partitioner->PrimaryOf(table, key); }
-  std::vector<NodeId> BackupsOf(NodeId primary) const {
-    std::vector<NodeId> out;
-    for (uint32_t i = 1; i < replication; ++i) {
-      const NodeId b = (primary + i) % num_nodes;
-      if (!IsFailed(b)) {
-        out.push_back(b);
+
+  // The live backups of one primary, in chain order. A view that walks the
+  // chain and skips failed nodes, so building one allocates nothing. It is
+  // a view, not a snapshot: a MarkFailed made while it is held shows
+  // through.
+  class BackupView {
+   public:
+    class Iterator {
+     public:
+      using iterator_category = std::input_iterator_tag;
+      using value_type = NodeId;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const NodeId*;
+      using reference = NodeId;
+
+      Iterator(const ClusterMap* map, NodeId primary, uint32_t i)
+          : map_(map), primary_(primary), i_(i) {
+        SkipFailed();
       }
+      NodeId operator*() const { return (primary_ + i_) % map_->num_nodes; }
+      Iterator& operator++() {
+        ++i_;
+        SkipFailed();
+        return *this;
+      }
+      Iterator operator++(int) {
+        Iterator old = *this;
+        ++*this;
+        return old;
+      }
+      bool operator==(const Iterator& other) const { return i_ == other.i_; }
+      bool operator!=(const Iterator& other) const { return i_ != other.i_; }
+
+     private:
+      void SkipFailed() {
+        while (i_ < map_->replication && map_->IsFailed(**this)) {
+          ++i_;
+        }
+      }
+
+      const ClusterMap* map_;
+      NodeId primary_;
+      uint32_t i_;
+    };
+
+    BackupView(const ClusterMap* map, NodeId primary) : map_(map), primary_(primary) {}
+    Iterator begin() const { return Iterator(map_, primary_, 1); }
+    Iterator end() const {
+      return Iterator(map_, primary_, std::max<uint32_t>(map_->replication, 1));
     }
-    return out;
-  }
+    size_t size() const {
+      size_t n = 0;
+      for (auto it = begin(); it != end(); ++it) {
+        n++;
+      }
+      return n;
+    }
+    bool empty() const { return begin() == end(); }
+    NodeId operator[](size_t n) const {
+      auto it = begin();
+      for (; n > 0; --n) {
+        ++it;
+      }
+      return *it;
+    }
+
+   private:
+    const ClusterMap* map_;
+    NodeId primary_;
+  };
+
+  BackupView BackupsOf(NodeId primary) const { return BackupView(this, primary); }
   bool IsReplicaOf(NodeId node, NodeId primary) const {
     for (uint32_t i = 0; i < replication; ++i) {
       if ((primary + i) % num_nodes == node) {

@@ -24,6 +24,15 @@ XenicCluster::XenicCluster(const XenicClusterOptions& options, const Partitioner
   }
 }
 
+XenicCluster::~XenicCluster() {
+  // Continuations parked at a node (wait queues, appends, DMA fan-ins) hold
+  // slot handles into other nodes' request tables: drop them while every
+  // node is still alive.
+  for (auto& n : nodes_) {
+    n->DropParked();
+  }
+}
+
 void XenicCluster::LoadReplicated(store::TableId table, store::Key key,
                                   const store::Value& value, store::Seq seq) {
   const NodeId primary = map_.PrimaryOf(table, key);

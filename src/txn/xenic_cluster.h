@@ -39,6 +39,9 @@ struct XenicClusterOptions {
 class XenicCluster {
  public:
   XenicCluster(const XenicClusterOptions& options, const Partitioner* partitioner);
+  ~XenicCluster();
+  XenicCluster(const XenicCluster&) = delete;
+  XenicCluster& operator=(const XenicCluster&) = delete;
 
   sim::Engine& engine() { return engine_; }
   XenicNode& node(NodeId id) { return *nodes_[id]; }
@@ -66,13 +69,16 @@ class XenicCluster {
 
  private:
   XenicClusterOptions options_;
-  sim::Engine engine_;
   ClusterMap map_;
   repl::ReplicationGroup repl_;
-  std::unique_ptr<nicmodel::SmartNicFabric> fabric_;
   std::vector<std::unique_ptr<store::Datastore>> stores_;
   std::vector<std::unique_ptr<XenicNode>> nodes_;
   std::vector<XenicNode*> peers_;
+  // Declared after nodes_, so destroyed before them: pending events and
+  // the NICs' parked continuations hold slot handles into the nodes'
+  // request tables.
+  sim::Engine engine_;
+  std::unique_ptr<nicmodel::SmartNicFabric> fabric_;
 };
 
 }  // namespace xenic::txn

@@ -818,8 +818,9 @@ void XenicNode::CcLocalAcquire(TxnId txn, uint32_t parks) {
   KeyRef conflict;
   if (!LockAll(txn, keys, &contention, &conflict)) {
     st->contention_hint = std::max(st->contention_hint, contention);
-    if (CcHandleConflict(txn, conflict, parks,
-                         [this, txn, parks] { CcLocalAcquire(txn, parks + 1); })) {
+    if (CcMayWait(txn, conflict, parks)) {
+      CcHandleConflict(txn, conflict,
+                       sim::InlineCallback([this, txn, parks] { CcLocalAcquire(txn, parks + 1); }));
       return;  // parked (zero locks held) until release, timeout, or wound
     }
     if (st->abort_reason == AbortReason::kNone) {
@@ -931,17 +932,22 @@ bool XenicNode::ShipEligible(const TxnState& st, NodeId* remote_out) const {
   return true;
 }
 
-std::vector<XenicNode::ShardGroup> XenicNode::GroupByShard(const TxnState& st,
-                                                           bool new_only) const {
-  std::vector<ShardGroup> groups;
+size_t XenicNode::GroupByShard(const TxnState& st, bool new_only) {
+  size_t n = 0;
   auto group_of = [&](NodeId p) -> ShardGroup& {
-    for (auto& g : groups) {
-      if (g.primary == p) {
-        return g;
+    for (size_t g = 0; g < n; ++g) {
+      if (shard_groups_[g].primary == p) {
+        return shard_groups_[g];
       }
     }
-    groups.push_back(ShardGroup{p, {}, {}});
-    return groups.back();
+    if (n == shard_groups_.size()) {
+      shard_groups_.emplace_back();
+    }
+    ShardGroup& g = shard_groups_[n++];
+    g.primary = p;
+    g.read_idx.clear();
+    g.write_idx.clear();
+    return g;
   };
   const uint32_t rbase = new_only ? st.new_exec_read_base : 0;
   const uint32_t wbase = new_only ? st.new_exec_write_base : 0;
@@ -952,7 +958,7 @@ std::vector<XenicNode::ShardGroup> XenicNode::GroupByShard(const TxnState& st,
     group_of(map_->PrimaryOf(st.write_keys[i].table, st.write_keys[i].key))
         .write_idx.push_back(i);
   }
-  return groups;
+  return n;
 }
 
 void XenicNode::ExecutePhase(TxnState* st) {
@@ -964,102 +970,111 @@ void XenicNode::ExecutePhase(TxnState* st) {
     st->cc_read_locks = true;
     st->lock_all = true;
   }
-  const bool new_only = st->round > 0;
-  std::vector<ShardGroup> groups = GroupByShard(*st, new_only);
+  const size_t groups = GroupByShard(*st, /*new_only=*/st->round > 0);
 
   // Without the combined "smart" remote operations, each read is its own
   // request and write locks move to a separate post-execution round (the
   // one-sided-RDMA-style baseline in Figure 9). A 2PL policy overrides the
   // ablation: locking at execute time requires the combined operation.
-  if (!features_->smart_remote_ops && !Cc2pl()) {
-    std::vector<ShardGroup> split;
-    for (const auto& g : groups) {
-      for (uint32_t r : g.read_idx) {
-        split.push_back(ShardGroup{g.primary, {r}, {}});
-      }
-    }
-    groups = std::move(split);
+  const bool split = !features_->smart_remote_ops && !Cc2pl();
+  uint32_t pending = 0;
+  for (size_t g = 0; g < groups; ++g) {
+    pending += split ? static_cast<uint32_t>(shard_groups_[g].read_idx.size()) : 1;
   }
-
-  st->pending = static_cast<uint32_t>(groups.size());
+  st->pending = pending;
   if (st->pending == 0) {
     AfterExecuteRound(st);
     return;
   }
-  const TxnId txn = st->id;
-  for (const auto& g : groups) {
-    std::vector<std::pair<uint32_t, KeyRef>> reads;
-    std::vector<std::pair<uint32_t, KeyRef>> writes;
-    for (uint32_t i : g.read_idx) {
-      reads.emplace_back(i, st->read_keys[i]);
-    }
-    for (uint32_t i : g.write_idx) {
-      writes.emplace_back(i, st->write_keys[i]);
-    }
-    const uint32_t req_bytes = net::wire::ExecuteReq(reads.size(), writes.size());
-    XenicNode* server = (*peers_)[g.primary];
-    const NodeId shard = g.primary;
-    // Keys the server will lock (mirrors ServeExecute): tracked so a grant
-    // that races an abort can be released as orphaned.
-    std::vector<KeyRef> lock_keys;
-    for (const auto& [i, k] : writes) {
-      (void)i;
-      lock_keys.push_back(k);
-    }
-    if (Cc2pl()) {
-      for (const auto& [i, k] : reads) {
-        (void)i;
-        if (!ContainsKey(lock_keys, k)) {
-          lock_keys.push_back(k);
-        }
+  for (size_t g = 0; g < groups; ++g) {
+    const ShardGroup& group = shard_groups_[g];
+    if (split) {
+      for (uint32_t i : group.read_idx) {
+        ExecSlot req = NewExecRequest(*st, group.primary, /*lock_only=*/false);
+        req->reads.emplace_back(i, st->read_keys[i]);
+        SendExecute(std::move(req));
       }
+      continue;
     }
-    transport_.Send(
-        net::MsgType::kExecute, shard, req_bytes,
-        [this, server, txn, shard, reads = std::move(reads), writes = std::move(writes),
-         lock_keys = std::move(lock_keys)]() mutable {
-          server->ServeExecute(
-              txn, id(), std::move(reads), std::move(writes),
-              [this, server, txn, shard, lock_keys = std::move(lock_keys)](ExecReply r) mutable {
-                const uint32_t bytes = net::wire::ExecuteReply(r.reads.size(), ValueBytes(r.reads),
-                                                               r.write_seqs.size());
-                server->transport().Send(net::MsgType::kExecReply, id(), bytes,
-                                         [this, txn, shard, r = std::move(r),
-                                          lock_keys = std::move(lock_keys)]() mutable {
-                                           OnExecuteResp(txn, shard, r.ok, std::move(r.reads),
-                                                         std::move(r.write_seqs),
-                                                         std::move(lock_keys), r.contention);
-                                         },
-                                         txn);
-              });
-        },
-        txn);
+    ExecSlot req = NewExecRequest(*st, group.primary, /*lock_only=*/false);
+    for (uint32_t i : group.read_idx) {
+      req->reads.emplace_back(i, st->read_keys[i]);
+    }
+    for (uint32_t i : group.write_idx) {
+      req->writes.emplace_back(i, st->write_keys[i]);
+    }
+    SendExecute(std::move(req));
   }
 }
 
-void XenicNode::OnExecuteResp(TxnId id, NodeId shard, bool ok,
-                              std::vector<std::pair<uint32_t, ReadResult>> reads,
-                              std::vector<std::pair<uint32_t, Seq>> write_seqs,
-                              std::vector<KeyRef> locked_keys, uint8_t contention) {
+XenicNode::ExecSlot XenicNode::NewExecRequest(const TxnState& st, NodeId shard, bool lock_only) {
+  ExecSlot req = exec_reqs_.AcquireHandle();
+  ExecRequest& r = *req;
+  r.txn = st.id;
+  r.coord = id();
+  r.shard = shard;
+  r.lock_only = lock_only;
+  r.reads.clear();
+  r.writes.clear();
+  r.lock_keys.clear();
+  r.ok = false;
+  r.contention = 0;
+  r.next_read = 0;
+  r.read_owner = store::kNoTxn;
+  r.results.clear();
+  r.write_seqs.clear();
+  return req;
+}
+
+void XenicNode::SendExecute(ExecSlot req) {
+  // Keys the server will lock: the write set, plus the read set under 2PL.
+  ExecRequest& r = *req;
+  for (const auto& [i, k] : r.writes) {
+    (void)i;
+    r.lock_keys.push_back(k);
+  }
+  if (Cc2pl()) {
+    for (const auto& [i, k] : r.reads) {
+      (void)i;
+      if (!ContainsKey(r.lock_keys, k)) {
+        r.lock_keys.push_back(k);
+      }
+    }
+  }
+  const uint32_t bytes = net::wire::ExecuteReq(r.reads.size(), r.writes.size());
+  const NodeId shard = r.shard;
+  const TxnId txn = r.txn;
+  XenicNode* server = (*peers_)[shard];
+  transport_.Send(net::MsgType::kExecute, shard, bytes,
+                  sim::InlineCallback([server, req = std::move(req)]() mutable {
+                    server->ServeExecute(std::move(req));
+                  }),
+                  txn);
+}
+
+void XenicNode::OnExecuteResp(ExecSlot req) {
+  const TxnId id = req->txn;
+  const NodeId shard = req->shard;
   TxnState* st = FindState(id);
   if (st == nullptr || crashed_) {
     // Raced with an abort (or this coordinator failed). If the server
     // granted locks, nobody will ever release them through the normal
-    // paths: do it here. (`locked_keys` is the write set under OCC -- the
+    // paths: do it here. (`lock_keys` is the write set under OCC -- the
     // same keys `write_seqs` covers -- plus the read set under 2PL.)
-    if (st == nullptr && !crashed_ && ok && !locked_keys.empty()) {
-      ReleaseOrphanedLocks(id, shard, std::move(locked_keys));
+    if (st == nullptr && !crashed_ && req->ok && !req->lock_keys.empty()) {
+      ReleaseOrphanedLocks(id, shard, req->lock_keys);
     }
     return;
   }
-  if (ok) {
-    for (auto& [i, r] : reads) {
+  if (req->ok) {
+    for (auto& [i, r] : req->results) {
       st->reads[i] = std::move(r);
     }
-    for (auto& [i, s] : write_seqs) {
+    for (const auto& [i, s] : req->write_seqs) {
       st->write_seqs[i] = s;
     }
-    const bool holds_locks = st->cc_read_locks ? !locked_keys.empty() : !write_seqs.empty();
+    const bool holds_locks =
+        st->cc_read_locks ? !req->lock_keys.empty() : !req->write_seqs.empty();
     if (holds_locks &&
         std::find(st->locked_shards.begin(), st->locked_shards.end(), shard) ==
             st->locked_shards.end()) {
@@ -1067,11 +1082,14 @@ void XenicNode::OnExecuteResp(TxnId id, NodeId shard, bool ok,
     }
   } else {
     st->abort = true;
-    st->contention_hint = std::max(st->contention_hint, contention);
+    st->contention_hint = std::max(st->contention_hint, req->contention);
     if (st->abort_reason == AbortReason::kNone) {
       st->abort_reason = AbortReason::kLockExecute;
     }
   }
+  // Free the slot now: AfterExecuteRound can start the next round, which
+  // acquires from the same table.
+  req.Reset();
   assert(st->pending > 0);
   if (--st->pending > 0) {
     return;
@@ -1108,34 +1126,34 @@ void XenicNode::AfterExecuteRound(TxnState* st) {
   if ((features_->smart_remote_ops || Cc2pl()) && !CheckReadWriteGap(st)) {
     return;
   }
-  const TxnId txn = st->id;
-  RunExecuteLogic(st, [this, txn] {
-    TxnState* st = FindState(txn);
-    if (st == nullptr) {
-      return;
-    }
-    if (st->app_abort) {
-      AbortCleanup(st, TxnOutcome::kAppAborted);
-      return;
-    }
-    if (st->new_exec_read_base < st->read_keys.size() ||
-        st->new_exec_write_base < st->write_keys.size()) {
-      // Execution added keys: another EXECUTE round (multi-shot).
-      st->round++;
-      ExecutePhase(st);
-      return;
-    }
-    if (!features_->smart_remote_ops && !Cc2pl() && !st->write_keys.empty()) {
-      LockRound(st);
-      return;
-    }
-    ValidatePhase(st);
-  });
+  RunExecuteLogic(st);
+}
+
+void XenicNode::OnExecuteLogicDone(TxnId txn) {
+  TxnState* st = FindState(txn);
+  if (st == nullptr) {
+    return;
+  }
+  if (st->app_abort) {
+    AbortCleanup(st, TxnOutcome::kAppAborted);
+    return;
+  }
+  if (st->new_exec_read_base < st->read_keys.size() ||
+      st->new_exec_write_base < st->write_keys.size()) {
+    // Execution added keys: another EXECUTE round (multi-shot).
+    st->round++;
+    ExecutePhase(st);
+    return;
+  }
+  if (!features_->smart_remote_ops && !Cc2pl() && !st->write_keys.empty()) {
+    LockRound(st);
+    return;
+  }
+  ValidatePhase(st);
 }
 
 void XenicNode::LockRound(TxnState* st) {
   stats_.remote_rounds++;
-  const TxnId txn = st->id;
   st->pending = static_cast<uint32_t>(st->write_keys.size());
   if (st->pending == 0) {
     ValidatePhase(st);
@@ -1143,44 +1161,24 @@ void XenicNode::LockRound(TxnState* st) {
   }
   for (uint32_t i = 0; i < st->write_keys.size(); ++i) {
     const NodeId shard = map_->PrimaryOf(st->write_keys[i].table, st->write_keys[i].key);
-    std::vector<std::pair<uint32_t, KeyRef>> writes = {{i, st->write_keys[i]}};
-    std::vector<KeyRef> lock_keys = {st->write_keys[i]};
-    const uint32_t req_bytes = net::wire::ExecuteReq(0, 1);
-    XenicNode* server = (*peers_)[shard];
-    transport_.Send(
-        net::MsgType::kExecute, shard, req_bytes,
-        [this, server, txn, shard, writes = std::move(writes),
-         lock_keys = std::move(lock_keys)]() mutable {
-          server->ServeExecute(txn, id(), {}, std::move(writes),
-                               [this, server, txn, shard,
-                                lock_keys = std::move(lock_keys)](ExecReply r) mutable {
-                                 const uint32_t bytes = net::wire::SeqList(r.write_seqs.size());
-                                 server->transport().Send(
-                                     net::MsgType::kExecReply, id(), bytes,
-                                     [this, txn, shard, r = std::move(r),
-                                      lock_keys = std::move(lock_keys)]() mutable {
-                                       OnLockResp(txn, shard, r.ok, std::move(r.write_seqs),
-                                                  std::move(lock_keys), r.contention);
-                                     },
-                                     txn);
-                               });
-        },
-        txn);
+    ExecSlot req = NewExecRequest(*st, shard, /*lock_only=*/true);
+    req->writes.emplace_back(i, st->write_keys[i]);
+    SendExecute(std::move(req));
   }
 }
 
-void XenicNode::OnLockResp(TxnId id, NodeId shard, bool ok,
-                           std::vector<std::pair<uint32_t, Seq>> write_seqs,
-                           std::vector<KeyRef> locked_keys, uint8_t contention) {
+void XenicNode::OnLockResp(ExecSlot req) {
+  const TxnId id = req->txn;
+  const NodeId shard = req->shard;
   TxnState* st = FindState(id);
   if (st == nullptr || crashed_) {
-    if (st == nullptr && !crashed_ && ok) {
-      ReleaseOrphanedLocks(id, shard, std::move(locked_keys));
+    if (st == nullptr && !crashed_ && req->ok) {
+      ReleaseOrphanedLocks(id, shard, req->lock_keys);
     }
     return;
   }
-  if (ok) {
-    for (auto& [i, s] : write_seqs) {
+  if (req->ok) {
+    for (const auto& [i, s] : req->write_seqs) {
       st->write_seqs[i] = s;
     }
     if (std::find(st->locked_shards.begin(), st->locked_shards.end(), shard) ==
@@ -1189,11 +1187,12 @@ void XenicNode::OnLockResp(TxnId id, NodeId shard, bool ok,
     }
   } else {
     st->abort = true;
-    st->contention_hint = std::max(st->contention_hint, contention);
+    st->contention_hint = std::max(st->contention_hint, req->contention);
     if (st->abort_reason == AbortReason::kNone) {
       st->abort_reason = AbortReason::kLockExecute;
     }
   }
+  req.Reset();
   assert(st->pending > 0);
   if (--st->pending > 0) {
     return;
@@ -1208,48 +1207,47 @@ void XenicNode::OnLockResp(TxnId id, NodeId shard, bool ok,
   ValidatePhase(st);
 }
 
-void XenicNode::RunExecuteLogic(TxnState* st, sim::Engine::Callback next) {
-  const TxnId txn = st->id;
-  auto run_logic = [this, txn] {
-    TxnState* st = FindState(txn);
-    if (st == nullptr || crashed_) {
-      return;
-    }
-    std::vector<KeyRef> add_reads;
-    std::vector<KeyRef> add_writes;
-    bool abort_flag = false;
-    ExecRound er;
-    er.round = st->round;
-    er.read_keys = &st->read_keys;
-    er.reads = &st->reads;
-    er.write_keys = &st->write_keys;
-    er.writes = &st->writes;
-    er.add_reads = &add_reads;
-    er.add_writes = &add_writes;
-    er.abort = &abort_flag;
-    if (st->req.execute) {
-      st->req.execute(er);
-    }
-    st->app_abort = abort_flag;
-    st->new_exec_read_base = static_cast<uint32_t>(st->read_keys.size());
-    st->new_exec_write_base = static_cast<uint32_t>(st->write_keys.size());
-    for (const auto& k : add_reads) {
-      st->read_keys.push_back(k);
-      st->reads.emplace_back();
-    }
-    for (const auto& k : add_writes) {
-      st->write_keys.push_back(k);
-      st->write_seqs.push_back(0);
-      st->writes.emplace_back();
-    }
-  };
+void XenicNode::ExecuteLogic(TxnId txn) {
+  TxnState* st = FindState(txn);
+  if (st == nullptr || crashed_) {
+    return;
+  }
+  std::vector<KeyRef> add_reads;
+  std::vector<KeyRef> add_writes;
+  bool abort_flag = false;
+  ExecRound er;
+  er.round = st->round;
+  er.read_keys = &st->read_keys;
+  er.reads = &st->reads;
+  er.write_keys = &st->write_keys;
+  er.writes = &st->writes;
+  er.add_reads = &add_reads;
+  er.add_writes = &add_writes;
+  er.abort = &abort_flag;
+  if (st->req.execute) {
+    st->req.execute(er);
+  }
+  st->app_abort = abort_flag;
+  st->new_exec_read_base = static_cast<uint32_t>(st->read_keys.size());
+  st->new_exec_write_base = static_cast<uint32_t>(st->write_keys.size());
+  for (const auto& k : add_reads) {
+    st->read_keys.push_back(k);
+    st->reads.emplace_back();
+  }
+  for (const auto& k : add_writes) {
+    st->write_keys.push_back(k);
+    st->write_seqs.push_back(0);
+    st->writes.emplace_back();
+  }
+}
 
+void XenicNode::RunExecuteLogic(TxnState* st) {
+  const TxnId txn = st->id;
   if (features_->nic_execution && st->req.allow_ship) {
-    nic_->NicCompute(NicExecCost(st->req.exec_cost),
-                     [run_logic = std::move(run_logic), next = std::move(next)]() mutable {
-                       run_logic();
-                       next();
-                     });
+    nic_->NicCompute(NicExecCost(st->req.exec_cost), sim::InlineCallback([this, txn] {
+      ExecuteLogic(txn);
+      OnExecuteLogicDone(txn);
+    }));
     return;
   }
 
@@ -1257,20 +1255,18 @@ void XenicNode::RunExecuteLogic(TxnState* st, sim::Engine::Callback next) {
   // (two extra PCIe crossings on the critical path).
   const uint32_t up_bytes = net::wire::ReadSet(st->reads.size(), ValueBytes(st->reads));
   const sim::Tick exec_cost = st->req.exec_cost;
-  nic_->NicToHost(up_bytes, [this, txn, exec_cost, run_logic = std::move(run_logic),
-                             next = std::move(next)]() mutable {
-    nic_->HostCompute(exec_cost, [this, txn, run_logic = std::move(run_logic),
-                                  next = std::move(next)]() mutable {
-      run_logic();
+  nic_->NicToHost(up_bytes, sim::InlineCallback([this, txn, exec_cost] {
+    nic_->HostCompute(exec_cost, sim::InlineCallback([this, txn] {
+      ExecuteLogic(txn);
       TxnState* st = FindState(txn);
       if (st == nullptr || crashed_) {
         return;
       }
       const uint32_t down_bytes =
           net::wire::WriteImages(st->writes.size(), ValueBytes(st->writes));
-      nic_->HostToNic(down_bytes, std::move(next));
-    });
-  });
+      nic_->HostToNic(down_bytes, sim::InlineCallback([this, txn] { OnExecuteLogicDone(txn); }));
+    }));
+  }));
 }
 
 void XenicNode::ValidatePhase(TxnState* st) {
@@ -1308,80 +1304,72 @@ void XenicNode::ValidatePhase(TxnState* st) {
     return;
   }
   // Keys to validate: read-set keys that are not written (written keys are
-  // locked since EXECUTE).
-  struct ShardChecks {
-    NodeId primary;
-    std::vector<std::pair<KeyRef, Seq>> checks;
-  };
-  std::vector<ShardChecks> shards;
-  std::vector<NodeId> involved;
-  auto note_shard = [&](NodeId p) {
-    if (std::find(involved.begin(), involved.end(), p) == involved.end()) {
-      involved.push_back(p);
-    }
-  };
+  // locked since EXECUTE), one request per primary in first-check order.
+  std::vector<NodeId>& shards = validate_shards_;
+  shards.clear();
+  uint32_t checks = 0;
   for (const auto& k : st->read_keys) {
-    note_shard(map_->PrimaryOf(k.table, k.key));
-  }
-  for (const auto& k : st->write_keys) {
-    note_shard(map_->PrimaryOf(k.table, k.key));
-  }
-
-  for (size_t i = 0; i < st->read_keys.size(); ++i) {
-    const auto& k = st->read_keys[i];
     if (ContainsKey(st->write_keys, k)) {
       continue;
     }
+    checks++;
     const NodeId p = map_->PrimaryOf(k.table, k.key);
-    auto it = std::find_if(shards.begin(), shards.end(),
-                           [&](const ShardChecks& s) { return s.primary == p; });
-    if (it == shards.end()) {
-      shards.push_back(ShardChecks{p, {}});
-      it = shards.end() - 1;
+    if (std::find(shards.begin(), shards.end(), p) == shards.end()) {
+      shards.push_back(p);
     }
-    it->checks.emplace_back(k, st->reads[i].seq);
   }
 
   // Single-shard, single-round transactions read atomically inside one
   // EXECUTE handler; with the combined operations enabled, read-only ones
-  // need no validation round.
+  // need no validation round. (With no writes every read is checked, so
+  // `shards` is every shard the transaction touched.)
   const bool atomic_snapshot = features_->smart_remote_ops && st->round == 0 &&
-                               involved.size() == 1 && st->write_keys.empty();
+                               st->write_keys.empty() && shards.size() == 1;
+  const TxnId txn = st->id;
   if (shards.empty() || atomic_snapshot) {
     if (st->write_keys.empty() && st->req.local_log_writes.empty()) {
       ReportAndFinish(st, TxnOutcome::kCommitted);
+      EraseState(txn);  // read-only: no locks to release, no commit phase
       return;
     }
     LogPhase(st);
     return;
   }
 
-  if (!features_->smart_remote_ops) {
-    // One VALIDATE request per key.
-    std::vector<ShardChecks> split;
-    for (auto& s : shards) {
-      for (auto& c : s.checks) {
-        split.push_back(ShardChecks{s.primary, {c}});
+  // Without the combined operations, one VALIDATE request per key.
+  const bool split = !features_->smart_remote_ops;
+  stats_.remote_rounds++;
+  st->pending = split ? checks : static_cast<uint32_t>(shards.size());
+  auto send = [this, txn](NodeId primary, ValidateSlot req) {
+    const uint32_t bytes = net::wire::ValidateReq(req->checks.size());
+    XenicNode* server = (*peers_)[primary];
+    transport_.Send(net::MsgType::kValidate, primary, bytes,
+                    sim::InlineCallback([server, req = std::move(req)]() mutable {
+                      server->ServeValidate(std::move(req));
+                    }),
+                    txn);
+  };
+  for (NodeId p : shards) {
+    ValidateSlot req;
+    for (size_t i = 0; i < st->read_keys.size(); ++i) {
+      const auto& k = st->read_keys[i];
+      if (map_->PrimaryOf(k.table, k.key) != p || ContainsKey(st->write_keys, k)) {
+        continue;
+      }
+      if (!req) {
+        req = validate_reqs_.AcquireHandle();
+        req->txn = txn;
+        req->coord = id();
+        req->checks.clear();
+      }
+      req->checks.emplace_back(k, st->reads[i].seq);
+      if (split) {
+        send(p, std::move(req));
       }
     }
-    shards = std::move(split);
-  }
-
-  stats_.remote_rounds++;
-  st->pending = static_cast<uint32_t>(shards.size());
-  const TxnId txn = st->id;
-  for (auto& s : shards) {
-    const uint32_t bytes = net::wire::ValidateReq(s.checks.size());
-    XenicNode* server = (*peers_)[s.primary];
-    transport_.Send(
-        net::MsgType::kValidate, s.primary, bytes,
-        [this, server, txn, checks = std::move(s.checks)]() mutable {
-          server->ServeValidate(std::move(checks), [this, server, txn](bool ok, uint8_t c) {
-            server->transport().SendAck(net::MsgType::kValidate, id(),
-                                        [this, txn, ok, c] { OnValidateResp(txn, ok, c); }, txn);
-          });
-        },
-        txn);
+    if (req) {
+      send(p, std::move(req));
+    }
   }
 }
 
@@ -1407,32 +1395,82 @@ void XenicNode::OnValidateResp(TxnId id, bool ok, uint8_t contention) {
   }
   if (st->write_keys.empty() && st->req.local_log_writes.empty()) {
     ReportAndFinish(st, TxnOutcome::kCommitted);
+    EraseState(id);  // read-only: no locks to release, no commit phase
     return;
   }
   LogPhase(st);
 }
 
-std::vector<store::LogWrite> XenicNode::ShardWrites(const TxnState& st, NodeId shard) const {
-  std::vector<store::LogWrite> out;
+void XenicNode::WrittenShards(const TxnState& st, NodeId coord,
+                              std::vector<NodeId>* out) const {
+  out->clear();
+  for (const auto& k : st.write_keys) {
+    const NodeId p = map_->PrimaryOf(k.table, k.key);
+    if (std::find(out->begin(), out->end(), p) == out->end()) {
+      out->push_back(p);
+    }
+  }
+  if (!st.req.local_log_writes.empty() &&
+      std::find(out->begin(), out->end(), coord) == out->end()) {
+    out->push_back(coord);
+  }
+}
+
+void XenicNode::ShardWrites(const TxnState& st, NodeId shard,
+                            std::vector<store::LogWrite>* out) const {
+  out->clear();
+  size_t n = shard == id() ? st.req.local_log_writes.size() : 0;
+  for (const auto& k : st.write_keys) {
+    n += map_->PrimaryOf(k.table, k.key) == shard ? 1 : 0;
+  }
+  out->reserve(n);
   for (size_t i = 0; i < st.write_keys.size(); ++i) {
     const auto& k = st.write_keys[i];
     if (map_->PrimaryOf(k.table, k.key) != shard) {
       continue;
     }
-    store::LogWrite w;
+    store::LogWrite& w = out->emplace_back();
     w.table = k.table;
     w.key = k.key;
     w.seq = st.write_seqs[i] + 1;
     w.value = st.writes[i].value;
     w.is_delete = st.writes[i].is_delete;
-    out.push_back(std::move(w));
   }
   if (shard == id()) {
-    for (const auto& w : st.req.local_log_writes) {
-      out.push_back(w);
-    }
+    out->insert(out->end(), st.req.local_log_writes.begin(), st.req.local_log_writes.end());
   }
-  return out;
+}
+
+void XenicNode::SendLogRecords(const XenicNode& coordinator, const TxnState& st, NodeId shard,
+                               uint32_t total_shards) {
+  const auto backups = repl_->BackupsOf(shard);
+  size_t left = backups.size();
+  if (left == 0) {
+    return;
+  }
+  store::LogRecord rec;
+  rec.type = store::LogRecordType::kLog;
+  rec.txn = st.id;
+  rec.total_shards = total_shards;
+  rec.shard = shard;
+  coordinator.ShardWrites(st, shard, &rec.writes);
+  for (NodeId backup : backups) {
+    LogSlot req = log_reqs_.AcquireHandle();
+    req->coord = coordinator.id();
+    // Copied for every backup but the last, which takes the record itself.
+    if (--left > 0) {
+      req->record = rec;
+    } else {
+      req->record = std::move(rec);
+    }
+    const uint32_t bytes = net::wire::LogAppend(req->record.ByteSize());
+    XenicNode* server = (*peers_)[backup];
+    transport_.Send(net::MsgType::kLog, backup, bytes,
+                    sim::InlineCallback([server, req = std::move(req)]() mutable {
+                      server->ServeLog(std::move(req));
+                    }),
+                    st.id);
+  }
 }
 
 void XenicNode::LogPhase(TxnState* st) {
@@ -1443,32 +1481,12 @@ void XenicNode::LogPhase(TxnState* st) {
     st->phase_start = now;
   }
   // One LOG record per written shard, sent to each of that shard's backups.
-  std::vector<NodeId> shards;
-  for (const auto& k : st->write_keys) {
-    const NodeId p = map_->PrimaryOf(k.table, k.key);
-    if (std::find(shards.begin(), shards.end(), p) == shards.end()) {
-      shards.push_back(p);
-    }
-  }
-  if (!st->req.local_log_writes.empty() &&
-      std::find(shards.begin(), shards.end(), id()) == shards.end()) {
-    shards.push_back(id());
-  }
+  std::vector<NodeId>& shards = log_round_shards_;
+  WrittenShards(*st, id(), &shards);
 
   uint32_t pending = 0;
-  const TxnId txn = st->id;
-  std::vector<std::pair<NodeId, store::LogRecord>> to_send;
   for (NodeId shard : shards) {
-    store::LogRecord rec;
-    rec.type = store::LogRecordType::kLog;
-    rec.txn = txn;
-    rec.total_shards = static_cast<uint32_t>(shards.size());
-    rec.shard = shard;
-    rec.writes = ShardWrites(*st, shard);
-    for (NodeId backup : repl_->BackupsOf(shard)) {
-      to_send.emplace_back(backup, rec);
-      pending++;
-    }
+    pending += static_cast<uint32_t>(repl_->BackupsOf(shard).size());
   }
   if (pending == 0) {
     // Replication factor 1: commit point reached immediately.
@@ -1481,31 +1499,25 @@ void XenicNode::LogPhase(TxnState* st) {
   st->log_waiting.clear();
   st->log_shards.clear();
   st->log_needed.clear();
-  for (const auto& [backup, rec] : to_send) {
-    st->log_waiting.push_back(backup);
-    st->log_shards.push_back(rec.shard);
+  st->log_waiting.reserve(pending);
+  // Wait-for-all leaves log_shards empty: per-shard attribution unused.
+  const bool quorum = repl_->QuorumArmed();
+  for (NodeId shard : shards) {
+    for (NodeId backup : repl_->BackupsOf(shard)) {
+      st->log_waiting.push_back(backup);
+      if (quorum) {
+        st->log_shards.push_back(shard);
+      }
+    }
   }
-  if (repl_->QuorumArmed()) {
+  if (quorum) {
     for (NodeId shard : shards) {
       st->log_needed[shard] = repl_->AcksRequired(shard);
     }
-  } else {
-    st->log_shards.clear();  // wait-for-all: per-shard attribution unused
   }
   stats_.remote_rounds++;
-  for (auto& [backup, rec] : to_send) {
-    const uint32_t bytes = net::wire::LogAppend(rec.ByteSize());
-    XenicNode* server = (*peers_)[backup];
-    transport_.Send(
-        net::MsgType::kLog, backup, bytes,
-        [this, server, txn, rec = std::move(rec)]() mutable {
-          server->ServeLog(std::move(rec), [this, server, txn](bool ok) {
-            const NodeId from = server->id();
-            server->transport().SendAck(net::MsgType::kLog, id(),
-                                        [this, txn, ok, from] { OnLogAck(txn, ok, from); }, txn);
-          });
-        },
-        txn);
+  for (NodeId shard : shards) {
+    SendLogRecords(*this, *st, shard, static_cast<uint32_t>(shards.size()));
   }
   if (!st->log_needed.empty()) {
     bool met = true;
@@ -1600,24 +1612,15 @@ void XenicNode::OnLogAck(TxnId id, bool ok, NodeId from) {
 }
 
 void XenicNode::CommitPhase(TxnState* st) {
+  std::vector<NodeId>& shards = commit_round_shards_;
+  WrittenShards(*st, id(), &shards);
   if (features_->nic_log_apply && st->logs_sent) {
     // Stability notice for the NIC appliers: each backup parks a LOG
     // record until it learns the transaction reached its commit point
     // (otherwise a quorum straggler could apply a record whose transaction
     // later aborts). Fire-and-forget -- commit progress never waits on it.
-    std::vector<NodeId> logged;
-    for (const auto& k : st->write_keys) {
-      const NodeId p = map_->PrimaryOf(k.table, k.key);
-      if (std::find(logged.begin(), logged.end(), p) == logged.end()) {
-        logged.push_back(p);
-      }
-    }
-    if (!st->req.local_log_writes.empty() &&
-        std::find(logged.begin(), logged.end(), id()) == logged.end()) {
-      logged.push_back(id());
-    }
     const TxnId stable_txn = st->id;
-    for (NodeId shard : logged) {
+    for (NodeId shard : shards) {
       for (NodeId backup : repl_->BackupsOf(shard)) {
         XenicNode* server = (*peers_)[backup];
         transport_.Send(
@@ -1625,17 +1628,6 @@ void XenicNode::CommitPhase(TxnState* st) {
             [server, stable_txn] { server->ServeLogCommit(stable_txn); }, stable_txn);
       }
     }
-  }
-  std::vector<NodeId> shards;
-  for (const auto& k : st->write_keys) {
-    const NodeId p = map_->PrimaryOf(k.table, k.key);
-    if (std::find(shards.begin(), shards.end(), p) == shards.end()) {
-      shards.push_back(p);
-    }
-  }
-  if (!st->req.local_log_writes.empty() &&
-      std::find(shards.begin(), shards.end(), id()) == shards.end()) {
-    shards.push_back(id());
   }
   if (st->cc_read_locks || st->lock_all) {
     // Read locks can be held at shards with no writes at all: always under
@@ -1657,23 +1649,27 @@ void XenicNode::CommitPhase(TxnState* st) {
     return;
   }
   for (NodeId shard : shards) {
-    std::vector<store::LogWrite> writes = ShardWrites(*st, shard);
+    CommitSlot req = commit_reqs_.AcquireHandle();
+    CommitRequest& r = *req;
+    r.txn = txn;
+    r.coord = id();
+    ShardWrites(*st, shard, &r.writes);
     // The primary's COMMIT record covers datastore writes only:
     // workload-managed writes are applied by host_finish on the
     // coordinator and by the worker hook at backups (via LOG records).
-    std::erase_if(writes,
+    std::erase_if(r.writes,
                   [this](const store::LogWrite& w) { return w.table >= ds_->num_tables(); });
     // Shipped transactions locked their read-set keys too; release them
     // with the commit message.
-    std::vector<KeyRef> release_keys;
+    r.release_keys.clear();
     if (st->lock_all) {
       for (const auto& k : st->read_keys) {
         if (map_->PrimaryOf(k.table, k.key) == shard && !ContainsKey(st->write_keys, k)) {
-          release_keys.push_back(k);
+          r.release_keys.push_back(k);
         }
       }
     }
-    if (writes.empty() && release_keys.empty()) {
+    if (r.writes.empty() && r.release_keys.empty()) {
       if (--st->pending == 0) {
         EraseState(txn);
         return;
@@ -1681,30 +1677,24 @@ void XenicNode::CommitPhase(TxnState* st) {
       continue;
     }
     const uint32_t bytes =
-        net::wire::CommitMsg(writes.size(), ValueBytes(writes), release_keys.size());
+        net::wire::CommitMsg(r.writes.size(), ValueBytes(r.writes), r.release_keys.size());
     XenicNode* server = (*peers_)[shard];
-    transport_.Send(
-        net::MsgType::kCommit, shard, bytes,
-        [this, server, txn, writes = std::move(writes),
-         release_keys = std::move(release_keys)]() mutable {
-          server->ServeCommit(
-              txn, std::move(writes), std::move(release_keys), [this, server, txn] {
-                server->transport().SendAck(
-                    net::MsgType::kCommit, id(),
-                    [this, txn] {
-                      TxnState* st = FindState(txn);
-                      if (st == nullptr) {
-                        return;
-                      }
-                      assert(st->pending > 0);
-                      if (--st->pending == 0) {
-                        EraseState(txn);
-                      }
-                    },
+    transport_.Send(net::MsgType::kCommit, shard, bytes,
+                    sim::InlineCallback([server, req = std::move(req)]() mutable {
+                      server->ServeCommit(std::move(req));
+                    }),
                     txn);
-              });
-        },
-        txn);
+  }
+}
+
+void XenicNode::OnCommitAck(TxnId id) {
+  TxnState* st = FindState(id);
+  if (st == nullptr) {
+    return;
+  }
+  assert(st->pending > 0);
+  if (--st->pending == 0) {
+    EraseState(id);
   }
 }
 
@@ -1892,16 +1882,7 @@ void XenicNode::ShippedPath(TxnState* st, NodeId remote) {
     // the final shard set -- precomputed here since shipping fixes the key
     // set).
     std::vector<NodeId> shards;
-    for (const auto& k : st->write_keys) {
-      const NodeId p = map_->PrimaryOf(k.table, k.key);
-      if (std::find(shards.begin(), shards.end(), p) == shards.end()) {
-        shards.push_back(p);
-      }
-    }
-    if (!st->req.local_log_writes.empty() &&
-        std::find(shards.begin(), shards.end(), id()) == shards.end()) {
-      shards.push_back(id());
-    }
+    WrittenShards(*st, id(), &shards);
     st->pending = 1;  // EXEC result
     st->log_waiting.assign(1, kShipExecSignal);
     st->log_shards.clear();
@@ -1990,10 +1971,10 @@ void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
       if (!LockAll(txn, *my_keys_ptr, &contention, &conflict)) {
         const sim::Tick now = nic_->engine()->now();
         if (features_->hot_key_fastpath && parks < kRemoteMaxParks &&
-            sketch_.IsHot(conflict, now) &&
-            ParkRemote(conflict, txn, [self, parks] { self(self, parks + 1); })) {
+            sketch_.IsHot(conflict, now) && RemoteQueueHasRoom(conflict)) {
           // Hot key: the shipped execution is parked behind the holder
           // (zero locks held) instead of failing back to the coordinator.
+          ParkRemote(conflict, txn, [self, parks] { self(self, parks + 1); });
           return;
         }
         transport_.SendAck(
@@ -2053,41 +2034,10 @@ void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
         // LOG fan-out to all backups of all written shards; acks go
         // straight to the coordinator NIC (the multi-hop pattern).
         std::vector<NodeId> shards;
-        for (const auto& k : st->write_keys) {
-          const NodeId p = map_->PrimaryOf(k.table, k.key);
-          if (std::find(shards.begin(), shards.end(), p) == shards.end()) {
-            shards.push_back(p);
-          }
-        }
-        if (!st->req.local_log_writes.empty() &&
-            std::find(shards.begin(), shards.end(), coord) == shards.end()) {
-          shards.push_back(coord);
-        }
+        WrittenShards(*st, coord, &shards);
         st->logs_sent = true;
         for (NodeId shard : shards) {
-          store::LogRecord rec;
-          rec.type = store::LogRecordType::kLog;
-          rec.txn = txn;
-          rec.total_shards = static_cast<uint32_t>(shards.size());
-          rec.shard = shard;
-          rec.writes = coordinator->ShardWrites(*st, shard);
-          for (NodeId backup : repl_->BackupsOf(shard)) {
-            const uint32_t bytes = net::wire::LogAppend(rec.ByteSize());
-            XenicNode* bnode = (*peers_)[backup];
-            transport_.Send(
-                net::MsgType::kLog, backup, bytes,
-                [coordinator, bnode, txn, rec]() mutable {
-                  bnode->ServeLog(std::move(rec), [coordinator, bnode, txn](bool ok) {
-                    const NodeId from = bnode->id();
-                    bnode->transport().SendAck(net::MsgType::kLog, coordinator->id(),
-                                               [coordinator, txn, ok, from] {
-                                                 coordinator->OnLogAck(txn, ok, from);
-                                               },
-                                               txn);
-                  });
-                },
-                txn);
-          }
+          SendLogRecords(*coordinator, *st, shard, static_cast<uint32_t>(shards.size()));
         }
 
         // EXEC result back to the coordinator (write values for its local
@@ -2185,11 +2135,16 @@ void XenicNode::WakeHotWaiters(const KeyRef& key) {
   });
 }
 
-bool XenicNode::ParkRemote(const KeyRef& key, TxnId txn, std::function<void()> resume) {
+bool XenicNode::RemoteQueueHasRoom(const KeyRef& key) const {
+  // A full queue means a convoy is forming: deny instead of queueing
+  // behind it.
+  auto it = remote_waiters_.find(key);
+  return it == remote_waiters_.end() || it->second.size() < kRemoteQueueCap;
+}
+
+void XenicNode::ParkRemote(const KeyRef& key, TxnId txn, sim::SmallFunction<void()> resume) {
   auto& queue = remote_waiters_[key];
-  if (queue.size() >= kRemoteQueueCap) {
-    return false;  // convoy forming: deny instead of queueing behind it
-  }
+  assert(queue.size() < kRemoteQueueCap);
   stats_.hot_remote_parks++;
   const uint64_t id = ++remote_waiter_seq_;
   queue.push_back(RemoteWaiter{id, txn, std::move(resume)});
@@ -2218,7 +2173,6 @@ bool XenicNode::ParkRemote(const KeyRef& key, TxnId txn, std::function<void()> r
     nic_->engine()->set_trace_ctx(w.txn);
     w.resume();
   });
-  return true;
 }
 
 void XenicNode::WakeOneRemote(const KeyRef& key) {
@@ -2233,7 +2187,7 @@ void XenicNode::WakeOneRemote(const KeyRef& key) {
   }
   // Fresh event, same reason as the local wake: the release may happen
   // mid-rollback over another transaction's key list.
-  nic_->engine()->ScheduleAfter(0, [this, w = std::move(w)] {
+  nic_->engine()->ScheduleAfter(0, [this, w = std::move(w)]() mutable {
     if (crashed_) {
       return;
     }
@@ -2246,27 +2200,33 @@ void XenicNode::WakeOneRemote(const KeyRef& key) {
 // 2PL conflict handling (WAIT_DIE / WOUND_WAIT wait queues, WOUND delivery).
 // ---------------------------------------------------------------------------
 
-bool XenicNode::CcHandleConflict(TxnId txn, const KeyRef& conflict, uint32_t parks,
-                                 std::function<void()> resume) {
+bool XenicNode::CcMayWait(TxnId txn, const KeyRef& conflict, uint32_t parks) const {
+  const TxnId holder = ds_->index(conflict.table).LockOwner(conflict.key);
+  if (holder == store::kNoTxn) {
+    return true;  // released meanwhile: CcHandleConflict re-attempts at once
+  }
+  // Deny when the policy says abort or the park budget is spent: the
+  // coordinator aborts (and retries) the requester.
+  return cc_policy().OnConflict(txn, holder) != CcAction::kAbort && parks < kCcMaxParks;
+}
+
+void XenicNode::CcHandleConflict(TxnId txn, const KeyRef& conflict,
+                                 sim::SmallFunction<void()> resume) {
   const TxnId holder = ds_->index(conflict.table).LockOwner(conflict.key);
   if (holder == store::kNoTxn) {
     // The holder released between the failed acquire and this decision
     // (lock rollbacks run inline). Re-attempt in a fresh event.
     stats_.cc_waits++;
-    nic_->engine()->ScheduleAfter(0, [this, txn, resume = std::move(resume)] {
+    nic_->engine()->ScheduleAfter(0, [this, txn, resume = std::move(resume)]() mutable {
       if (crashed_) {
         return;
       }
       nic_->engine()->set_trace_ctx(txn);
       resume();
     });
-    return true;
+    return;
   }
-  const CcAction act = cc_policy().OnConflict(txn, holder);
-  if (act == CcAction::kAbort || parks >= kCcMaxParks) {
-    return false;  // deny: the coordinator aborts (and retries) the requester
-  }
-  if (act == CcAction::kWound) {
+  if (cc_policy().OnConflict(txn, holder) == CcAction::kWound) {
     // Abort the younger holder at its coordinator so the lock frees; the
     // message rides the transport (a self-wound schedules locally). The
     // holder may already be past its commit point, in which case the wound
@@ -2279,10 +2239,9 @@ bool XenicNode::CcHandleConflict(TxnId txn, const KeyRef& conflict, uint32_t par
         [victim, holder] { victim->ServeWound(holder); }, txn);
   }
   CcPark(conflict, txn, std::move(resume));
-  return true;
 }
 
-void XenicNode::CcPark(const KeyRef& key, TxnId txn, std::function<void()> resume) {
+void XenicNode::CcPark(const KeyRef& key, TxnId txn, sim::SmallFunction<void()> resume) {
   stats_.cc_waits++;
   const uint64_t id = ++cc_waiter_seq_;
   cc_waiters_[key].push_back(CcWaiter{id, txn, std::move(resume)});
@@ -2345,7 +2304,7 @@ void XenicNode::WakeCcWaiters(const KeyRef& key) {
     }
     // Fresh event, same reason as WakeHotWaiters: the release may happen
     // mid-rollback over another transaction's key list.
-    nic_->engine()->ScheduleAfter(0, [this, w = std::move(w)] {
+    nic_->engine()->ScheduleAfter(0, [this, w = std::move(w)]() mutable {
       if (crashed_) {
         return;
       }
@@ -2390,47 +2349,24 @@ void XenicNode::ChargeDmaReads(const store::NicIndex::LookupStats& stats,
     return;
   }
   const uint64_t per_read = stats.bytes_read / stats.dma_reads;
-  auto remaining = std::make_shared<uint32_t>(stats.dma_reads);
-  auto shared_done = std::make_shared<sim::Engine::Callback>(std::move(done));
   // The reads of one operation are issued as one vector: they proceed in
   // parallel on the DMA engine; completion is when the last one lands.
+  const uint32_t slot = fan_ins_.Put(DmaFanIn{stats.dma_reads, std::move(done)});
   for (uint32_t i = 0; i < stats.dma_reads; ++i) {
-    nic_->DmaRead(per_read, [remaining, shared_done] {
-      if (--*remaining == 0) {
-        (*shared_done)();
+    nic_->DmaRead(per_read, sim::InlineCallback([this, slot] {
+      if (--fan_ins_[slot].remaining == 0) {
+        sim::Engine::Callback last = fan_ins_.Take(slot).done;
+        last();
       }
-    });
+    }));
   }
 }
 
-void XenicNode::NicReadKey(const KeyRef& ref, bool metadata_only,
-                           std::function<void(ReadResult, store::TxnId)> done) {
-  store::NicIndex::LookupStats s;
-  std::optional<store::NicIndex::RemoteObject> r;
-  if (metadata_only) {
-    r = ds_->index(ref.table).ReadMetadata(ref.key, &s);
-  } else {
-    r = ds_->index(ref.table).LookupRemote(ref.key, &s);
-  }
-  ReadResult result;
-  TxnId owner = store::kNoTxn;
-  if (r) {
-    result = ReadResult{true, r->seq, std::move(r->value)};
-    owner = r->lock_owner;
-  }
-  ChargeDmaReads(s, [done = std::move(done), result = std::move(result), owner]() mutable {
-    done(std::move(result), owner);
-  });
-}
-
-void XenicNode::ServeExecute(TxnId txn, NodeId coord,
-                             std::vector<std::pair<uint32_t, KeyRef>> reads,
-                             std::vector<std::pair<uint32_t, KeyRef>> writes,
-                             std::function<void(ExecReply)> reply) {
+void XenicNode::ServeExecute(ExecSlot req) {
   if (crashed_) {
     return;  // request lost with the node; the coordinator times out
   }
-  TraceInstant("hop.execute", txn);
+  TraceInstant("hop.execute", req->txn);
   // NicOpCost(0), pinned: the historical code passed
   // `NicOpCost(reads.size() + writes.size())` alongside a lambda whose
   // init-captures moved `reads`/`writes` in the same call, and argument
@@ -2438,147 +2374,151 @@ void XenicNode::ServeExecute(TxnId txn, NodeId coord,
   // been charged the base op cost only. Golden transcripts (including the
   // pinned seed-3 schedule) encode that timing; keep it explicit rather
   // than re-derive it by accident (regression-pinned by
-  // serve_execute_cost_test.cc, like ServeShipExec below).
-  nic_->NicCompute(
-      NicOpCost(0),
-      [this, txn, coord, reads = std::move(reads), writes = std::move(writes),
-       reply = std::move(reply)]() mutable {
-        if (crashed_) {
-          return;
-        }
-        // Lock the write set first (all-or-nothing at this shard); a 2PL
-        // policy locks the read set in the same step, making the reads
-        // below stable without a validation round.
-        std::vector<KeyRef> lock_keys;
-        for (const auto& [i, k] : writes) {
-          (void)i;
-          lock_keys.push_back(k);
-        }
-        if (Cc2pl()) {
-          for (const auto& [i, k] : reads) {
-            (void)i;
-            if (!ContainsKey(lock_keys, k)) {
-              lock_keys.push_back(k);
-            }
-          }
-        }
-        auto reads_ptr = std::make_shared<std::vector<std::pair<uint32_t, KeyRef>>>(
-            std::move(reads));
-        auto writes_ptr = std::make_shared<std::vector<std::pair<uint32_t, KeyRef>>>(
-            std::move(writes));
-        auto lock_keys_ptr = std::make_shared<std::vector<KeyRef>>(std::move(lock_keys));
-        auto reply_ptr = std::make_shared<std::function<void(ExecReply)>>(std::move(reply));
-
-        // Lock attempt, re-entered after each remote hot-key park (the
-        // recursion-on-a-copy idiom `step` below also uses).
-        auto attempt = [this, txn, coord, reads_ptr, writes_ptr, lock_keys_ptr, reply_ptr](
-                           auto&& self, uint32_t parks) -> void {
-          if (crashed_) {
-            return;  // the node died while this request was parked
-          }
-          // A wake after a park must re-check the coordinator: if it
-          // crashed, or recovery swept the transaction while we waited,
-          // granting locks now would strand them (nobody will release).
-          // Dropping the reply is what a lost request looks like, which
-          // both of those paths already handle.
-          if (parks > 0 && ((*peers_)[coord]->crashed() ||
-                            (*peers_)[coord]->FindState(txn) == nullptr)) {
-            return;
-          }
-          uint8_t lock_contention = 0;
-          KeyRef conflict{};
-          if (!LockAll(txn, *lock_keys_ptr, &lock_contention, &conflict)) {
-            const sim::Tick now = nic_->engine()->now();
-            if (Cc2pl()) {
-              // WAIT_DIE / WOUND_WAIT may park (and wound) instead of
-              // denying; NO_WAIT and an exhausted park budget deny here,
-              // and the coordinator aborts exactly like an OCC conflict.
-              if (CcHandleConflict(txn, conflict, parks,
-                                   [self, parks] { self(self, parks + 1); })) {
-                return;
-              }
-              (*reply_ptr)(ExecReply{false, {}, {}, lock_contention});
-              return;
-            }
-            if (features_->hot_key_fastpath && parks < kRemoteMaxParks &&
-                sketch_.IsHot(conflict, now) &&
-                ParkRemote(conflict, txn, [self, parks] { self(self, parks + 1); })) {
-              // Hot key: the pending reply is parked behind the holder
-              // (zero locks held) instead of bouncing an abort-retry cycle
-              // through the coordinator; timeout, a full queue, or an
-              // exhausted park budget denies exactly as the unparked path
-              // would.
-              return;
-            }
-            (*reply_ptr)(ExecReply{false, {}, {}, lock_contention});
-            return;
-          }
-
-          // Abort when a read-set key is locked by another transaction
-          // (paper 4.2 step 2).
-          auto state = std::make_shared<ExecReply>();
-          state->ok = true;
-
-          // Sequentially read each read-set key (charging DMA costs), then
-          // fetch current versions for the write set, then reply.
-          auto finish = [this, txn, state, writes_ptr, lock_keys_ptr, reply_ptr]() {
-            if (!state->ok) {
-              UnlockAll(txn, *lock_keys_ptr);
-              (*reply_ptr)(ExecReply{false, {}, {}, state->contention});
-              return;
-            }
-            // Current versions for the write set (from NIC metadata; absent
-            // keys are inserts with seq 0).
-            store::NicIndex::LookupStats agg;
-            for (const auto& [i, k] : *writes_ptr) {
-              auto m = LookupAccum(k, /*fetch_value=*/false, &agg);
-              state->write_seqs.emplace_back(i, m ? m->seq : 0);
-            }
-            ChargeDmaReads(agg, [state, reply_ptr] { (*reply_ptr)(std::move(*state)); });
-          };
-
-          // Recurses on a copy of itself; a shared_ptr<function> capturing
-          // itself would be a reference cycle leaking once per EXECUTE.
-          auto step = [this, txn, state, reads_ptr, finish](auto&& self,
-                                                            size_t idx) -> void {
-            if (idx >= reads_ptr->size()) {
-              finish();
-              return;
-            }
-            const auto& [i, k] = (*reads_ptr)[idx];
-            const uint32_t read_idx = i;
-            const KeyRef key = k;
-            NicReadKey(k, /*metadata_only=*/false,
-                       [this, state, self, idx, read_idx, txn, key](ReadResult r,
-                                                                   TxnId owner) mutable {
-                         if (owner != store::kNoTxn && owner != txn) {
-                           state->ok = false;
-                           const sim::Tick now = nic_->engine()->now();
-                           sketch_.RecordConflict(key, now);
-                           state->contention =
-                               std::max(state->contention, sketch_.Level(key, now));
-                         } else {
-                           state->reads.emplace_back(read_idx, std::move(r));
-                         }
-                         self(self, idx + 1);
-                       });
-          };
-          step(step, 0);
-        };
-        attempt(attempt, 0);
-      });
+  // serve_execute_cost_test.cc, like ServeShipExec, ServeValidate, ServeLog
+  // and ServeCommit).
+  nic_->NicCompute(NicOpCost(0), sim::InlineCallback([this, req = std::move(req)]() mutable {
+    if (crashed_) {
+      return;
+    }
+    ExecuteAttempt(std::move(req), 0);
+  }));
 }
 
-void XenicNode::ServeValidate(std::vector<std::pair<KeyRef, Seq>> checks,
-                              std::function<void(bool, uint8_t)> reply) {
+void XenicNode::ExecuteAttempt(ExecSlot req, uint32_t parks) {
+  if (crashed_) {
+    return;  // the node died while this request was parked
+  }
+  const TxnId txn = req->txn;
+  XenicNode* coord = (*peers_)[req->coord];
+  // A wake after a park must re-check the coordinator: if it crashed, or
+  // recovery swept the transaction while we waited, granting locks now
+  // would strand them (nobody will release). Dropping the reply is what a
+  // lost request looks like, which both of those paths already handle.
+  if (parks > 0 && (coord->crashed() || coord->FindState(txn) == nullptr)) {
+    return;
+  }
+  // Lock the write set first (all-or-nothing at this shard); a 2PL policy
+  // locks the read set in the same step, making the reads below stable
+  // without a validation round.
+  uint8_t lock_contention = 0;
+  KeyRef conflict{};
+  if (!LockAll(txn, req->lock_keys, &lock_contention, &conflict)) {
+    const sim::Tick now = nic_->engine()->now();
+    // WAIT_DIE / WOUND_WAIT may park (and wound) instead of denying; NO_WAIT
+    // and an exhausted park budget deny, and the coordinator aborts exactly
+    // like an OCC conflict. Under OCC a hot key parks the pending reply
+    // behind the holder (zero locks held) instead of bouncing an
+    // abort-retry cycle through the coordinator; timeout, a full queue, or
+    // an exhausted park budget denies exactly as the unparked path would.
+    const bool wait = Cc2pl() ? CcMayWait(txn, conflict, parks)
+                              : features_->hot_key_fastpath && parks < kRemoteMaxParks &&
+                                    sketch_.IsHot(conflict, now) &&
+                                    RemoteQueueHasRoom(conflict);
+    if (wait) {
+      auto resume = sim::InlineCallback([this, req = std::move(req), parks]() mutable {
+        ExecuteAttempt(std::move(req), parks + 1);
+      });
+      if (Cc2pl()) {
+        CcHandleConflict(txn, conflict, std::move(resume));
+      } else {
+        ParkRemote(conflict, txn, std::move(resume));
+      }
+      return;
+    }
+    req->contention = lock_contention;
+    ReplyExecute(std::move(req));
+    return;
+  }
+  req->ok = true;
+  ExecuteReadStep(std::move(req));
+}
+
+void XenicNode::ExecuteReadStep(ExecSlot req) {
+  ExecRequest& r = *req;
+  if (r.next_read == r.reads.size()) {
+    ExecuteFinish(std::move(req));
+    return;
+  }
+  const auto [i, key] = r.reads[r.next_read];
+  store::NicIndex::LookupStats s;
+  auto obj = ds_->index(key.table).LookupRemote(key.key, &s);
+  r.read_owner = obj ? obj->lock_owner : store::kNoTxn;
+  r.results.emplace_back(i, obj ? ReadResult{true, obj->seq, std::move(obj->value)} : ReadResult{});
+  ChargeDmaReads(s, sim::InlineCallback([this, req = std::move(req)]() mutable {
+    ExecuteReadDone(std::move(req));
+  }));
+}
+
+void XenicNode::ExecuteReadDone(ExecSlot req) {
+  ExecRequest& r = *req;
+  const KeyRef key = r.reads[r.next_read++].second;
+  // Abort when a read-set key is locked by another transaction (paper 4.2
+  // step 2).
+  if (r.read_owner != store::kNoTxn && r.read_owner != r.txn) {
+    r.results.pop_back();
+    r.ok = false;
+    const sim::Tick now = nic_->engine()->now();
+    sketch_.RecordConflict(key, now);
+    r.contention = std::max(r.contention, sketch_.Level(key, now));
+  }
+  ExecuteReadStep(std::move(req));
+}
+
+void XenicNode::ExecuteFinish(ExecSlot req) {
+  if (!req->ok) {
+    UnlockAll(req->txn, req->lock_keys);
+    ReplyExecute(std::move(req));
+    return;
+  }
+  // Current versions for the write set (from NIC metadata; absent keys are
+  // inserts with seq 0).
+  ExecRequest& r = *req;
+  store::NicIndex::LookupStats agg;
+  for (const auto& [i, k] : r.writes) {
+    auto m = LookupAccum(k, /*fetch_value=*/false, &agg);
+    r.write_seqs.emplace_back(i, m ? m->seq : 0);
+  }
+  ChargeDmaReads(agg, sim::InlineCallback([this, req = std::move(req)]() mutable {
+    ReplyExecute(std::move(req));
+  }));
+}
+
+void XenicNode::ReplyExecute(ExecSlot req) {
+  ExecRequest& r = *req;
+  if (!r.ok) {
+    r.results.clear();  // a denial carries no reads or versions
+    r.write_seqs.clear();
+  }
+  const uint32_t bytes =
+      r.lock_only ? net::wire::SeqList(r.write_seqs.size())
+                  : net::wire::ExecuteReply(r.results.size(), ValueBytes(r.results),
+                                            r.write_seqs.size());
+  const NodeId coord_id = r.coord;
+  const TxnId txn = r.txn;
+  XenicNode* coord = (*peers_)[coord_id];
+  transport_.Send(net::MsgType::kExecReply, coord_id, bytes,
+                  sim::InlineCallback([coord, req = std::move(req)]() mutable {
+                    if (req->lock_only) {
+                      coord->OnLockResp(std::move(req));
+                    } else {
+                      coord->OnExecuteResp(std::move(req));
+                    }
+                  }),
+                  txn);
+}
+
+void XenicNode::ServeValidate(ValidateSlot req) {
   if (crashed_) {
     return;
   }
   // The VALIDATE wire message doesn't carry the txn id in-band; the causal
   // trace context delivered with the message names it for the span tree.
   TraceInstant("hop.validate", nic_->engine()->trace_ctx());
-  nic_->NicCompute(NicOpCost(checks.size()), [this, checks = std::move(checks),
-                                              reply = std::move(reply)]() mutable {
+  // NicOpCost(0), pinned like ServeExecute's: the historical code passed
+  // `NicOpCost(checks.size())` alongside a lambda that moved `checks` in
+  // the same call, so VALIDATE handlers have always been charged the base
+  // op cost only.
+  nic_->NicCompute(NicOpCost(0), sim::InlineCallback([this, req = std::move(req)]() mutable {
     if (crashed_) {
       return;
     }
@@ -2586,7 +2526,7 @@ void XenicNode::ServeValidate(std::vector<std::pair<KeyRef, Seq>> checks,
     uint8_t contention = 0;
     store::NicIndex::LookupStats agg;
     const sim::Tick now = nic_->engine()->now();
-    for (const auto& [k, expected] : checks) {
+    for (const auto& [k, expected] : req->checks) {
       auto m = LookupAccum(k, /*fetch_value=*/false, &agg);
       const Seq cur = m ? m->seq : 0;
       const TxnId owner = m ? m->lock_owner : store::kNoTxn;
@@ -2596,64 +2536,87 @@ void XenicNode::ServeValidate(std::vector<std::pair<KeyRef, Seq>> checks,
         contention = std::max(contention, sketch_.Level(k, now));
       }
     }
-    ChargeDmaReads(agg, [ok, contention, reply = std::move(reply)]() mutable {
-      reply(ok, contention);
-    });
-  });
+    ChargeDmaReads(agg, sim::InlineCallback([this, req = std::move(req), ok, contention]() mutable {
+      XenicNode* coord = (*peers_)[req->coord];
+      const TxnId txn = req->txn;
+      req.Reset();
+      transport_.SendAck(net::MsgType::kValidate, coord->id(),
+                         sim::InlineCallback([coord, txn, ok, contention] {
+                           coord->OnValidateResp(txn, ok, contention);
+                         }),
+                         txn);
+    }));
+  }));
 }
 
 void XenicNode::AppendWhenSpace(store::LogRecord record, sim::Engine::Callback appended) {
   if (crashed_) {
     return;  // the DMA target is gone; retry loops die with the node
   }
+  TryAppend(appends_.Put(PendingAppend{std::move(record), std::move(appended)}));
+}
+
+void XenicNode::TryAppend(uint32_t slot) {
+  if (crashed_) {
+    appends_.Take(slot);  // the DMA target is gone; retry loops die with the node
+    return;
+  }
   if (ds_->log().Full()) {
     // Host has fallen behind: back-pressure by retrying until workers free
     // ring space. Commit-point decisions never observe a failed append.
-    nic_->engine()->ScheduleAfter(
-        2 * sim::kNsPerUs, [this, record = std::move(record),
-                            appended = std::move(appended)]() mutable {
-          AppendWhenSpace(std::move(record), std::move(appended));
-        });
+    nic_->engine()->ScheduleAfter(2 * sim::kNsPerUs,
+                                  sim::InlineCallback([this, slot] { TryAppend(slot); }));
     return;
   }
-  const auto bytes = static_cast<uint32_t>(record.ByteSize());
+  const auto bytes = static_cast<uint32_t>(appends_[slot].record.ByteSize());
   // The record becomes host-visible when the DMA completes: append then,
   // in the same event as the caller's continuation, so the host workers
   // can never observe the record before the NIC's own bookkeeping (cache
   // pinning) is in place.
-  nic_->DmaWrite(bytes, [this, record = std::move(record),
-                         appended = std::move(appended)]() mutable {
+  nic_->DmaWrite(bytes, sim::InlineCallback([this, slot] {
     if (crashed_) {
+      appends_.Take(slot);
       return;
     }
     if (ds_->log().Full()) {
-      AppendWhenSpace(std::move(record), std::move(appended));
+      TryAppend(slot);
       return;
     }
-    auto result = ds_->Append(std::move(record));
+    PendingAppend a = appends_.Take(slot);
+    auto result = ds_->Append(std::move(a.record));
     assert(result.ok());
     (void)result;
-    appended();
-  });
+    a.appended();
+  }));
 }
 
-void XenicNode::ServeLog(store::LogRecord record, std::function<void(bool)> reply) {
+void XenicNode::ServeLog(LogSlot req) {
   if (crashed_) {
     return;
   }
-  TraceInstant("hop.log", record.txn);
-  nic_->NicCompute(NicOpCost(record.writes.size()), [this, record = std::move(record),
-                                                     reply = std::move(reply)]() mutable {
+  TraceInstant("hop.log", req->record.txn);
+  // NicOpCost(0), pinned like ServeExecute's: the historical code passed
+  // `NicOpCost(record.writes.size())` alongside a lambda that moved
+  // `record` in the same call, so LOG handlers have always been charged
+  // the base op cost only.
+  nic_->NicCompute(NicOpCost(0), sim::InlineCallback([this, req = std::move(req)]() mutable {
     if (crashed_) {
       return;
     }
-    AppendWhenSpace(std::move(record),
-                    [reply = std::move(reply)]() mutable { reply(true); });
-  });
+    XenicNode* coord = (*peers_)[req->coord];
+    const TxnId txn = req->record.txn;
+    store::LogRecord record = std::move(req->record);
+    req.Reset();
+    AppendWhenSpace(std::move(record), sim::InlineCallback([this, coord, txn] {
+      const NodeId from = id();
+      transport_.SendAck(
+          net::MsgType::kLog, coord->id(),
+          sim::InlineCallback([coord, txn, from] { coord->OnLogAck(txn, true, from); }), txn);
+    }));
+  }));
 }
 
-void XenicNode::ApplyCommitAtNic(TxnId txn, const std::vector<store::LogWrite>& writes,
-                                 sim::Engine::Callback done) {
+void XenicNode::ApplyCommitAtNic(TxnId txn, const std::vector<store::LogWrite>& writes) {
   if (crashed_) {
     return;
   }
@@ -2670,36 +2633,39 @@ void XenicNode::ApplyCommitAtNic(TxnId txn, const std::vector<store::LogWrite>& 
     }
     ReleaseOne(txn, KeyRef{w.table, w.key});
   }
-  done();
 }
 
-void XenicNode::ServeCommit(TxnId txn, std::vector<store::LogWrite> writes,
-                            std::vector<KeyRef> release_keys, sim::Engine::Callback ack) {
+void XenicNode::ServeCommit(CommitSlot req) {
   if (crashed_) {
     return;
   }
-  nic_->NicCompute(NicOpCost(writes.size()), [this, txn, writes = std::move(writes),
-                                              release_keys = std::move(release_keys),
-                                              ack = std::move(ack)]() mutable {
+  // NicOpCost(0), pinned like ServeExecute's: the historical code passed
+  // `NicOpCost(writes.size())` alongside a lambda that moved `writes` in
+  // the same call, so COMMIT handlers have always been charged the base op
+  // cost only.
+  nic_->NicCompute(NicOpCost(0), sim::InlineCallback([this, req = std::move(req)]() mutable {
     if (crashed_) {
       return;
     }
     store::LogRecord rec;
     rec.type = store::LogRecordType::kCommit;
-    rec.txn = txn;
+    rec.txn = req->txn;
     rec.shard = id();
-    rec.writes = writes;
+    rec.writes = req->writes;
     // The commit record is applied by the host workers; cache entries are
     // updated and pinned now, and locks release once the DMA completes.
-    AppendWhenSpace(std::move(rec), [this, txn, writes = std::move(writes),
-                                     release_keys = std::move(release_keys),
-                                     ack = std::move(ack)]() mutable {
-      for (const auto& k : release_keys) {
+    AppendWhenSpace(std::move(rec), sim::InlineCallback([this, req = std::move(req)]() mutable {
+      const TxnId txn = req->txn;
+      for (const auto& k : req->release_keys) {
         ReleaseOne(txn, k);
       }
-      ApplyCommitAtNic(txn, writes, std::move(ack));
-    });
-  });
+      ApplyCommitAtNic(txn, req->writes);
+      XenicNode* coord = (*peers_)[req->coord];
+      req.Reset();
+      transport_.SendAck(net::MsgType::kCommit, coord->id(),
+                         sim::InlineCallback([coord, txn] { coord->OnCommitAck(txn); }), txn);
+    }));
+  }));
 }
 
 void XenicNode::ServeRelease(TxnId txn, std::vector<KeyRef> keys) {
@@ -2909,6 +2875,23 @@ void XenicNode::ClearNicState() {
   cc_waiters_.clear();
 }
 
+XenicNode::ParkedSlots XenicNode::parked_slots() const {
+  ParkedSlots p;
+  p.requests =
+      exec_reqs_.live() + validate_reqs_.live() + log_reqs_.live() + commit_reqs_.live();
+  p.appends = appends_.live();
+  p.fan_ins = fan_ins_.live();
+  return p;
+}
+
+void XenicNode::DropParked() {
+  hot_waiters_.clear();
+  remote_waiters_.clear();
+  cc_waiters_.clear();
+  appends_ = {};
+  fan_ins_ = {};
+}
+
 void XenicNode::Crash() {
   crashed_ = true;
   workers_running_ = false;
@@ -2919,7 +2902,8 @@ void XenicNode::Crash() {
   hot_waiters_.clear();  // parked submissions die with the node
   // Parked remote lock requests die too: their replies are never sent,
   // which is exactly what a request lost with the node looks like to the
-  // coordinator (recovery's wedged-txn sweep resolves it).
+  // coordinator (recovery's wedged-txn sweep resolves it). Clearing the
+  // queue frees each request's slot at its coordinator.
   remote_waiters_.clear();
   cc_waiters_.clear();  // same story for 2PL wait queues
   // txns_ is intentionally NOT cleared: shipped executions at remote nodes
@@ -2970,23 +2954,14 @@ std::vector<XenicNode::WedgedTxn> XenicNode::WedgedOn(NodeId failed, bool backup
       // Reconstruct the LOG fan-out (one record per written shard) so the
       // sweep can check which live backups already hold or applied it.
       std::vector<NodeId> shards;
-      for (const auto& k : st->write_keys) {
-        const NodeId p = map_->PrimaryOf(k.table, k.key);
-        if (std::find(shards.begin(), shards.end(), p) == shards.end()) {
-          shards.push_back(p);
-        }
-      }
-      if (!st->req.local_log_writes.empty() &&
-          std::find(shards.begin(), shards.end(), id()) == shards.end()) {
-        shards.push_back(id());
-      }
+      WrittenShards(*st, id(), &shards);
       for (NodeId shard : shards) {
         store::LogRecord rec;
         rec.type = store::LogRecordType::kLog;
         rec.txn = tid;
         rec.total_shards = static_cast<uint32_t>(shards.size());
         rec.shard = shard;
-        rec.writes = ShardWrites(*st, shard);
+        ShardWrites(*st, shard, &rec.writes);
         w.records.emplace_back(shard, std::move(rec));
       }
     }

@@ -37,6 +37,7 @@
 #include "src/nicmodel/smart_nic.h"
 #include "src/repl/log_applier.h"
 #include "src/repl/replication_group.h"
+#include "src/sim/slot_table.h"
 #include "src/store/commit_log.h"
 #include "src/store/datastore.h"
 #include "src/txn/cc_policy.h"
@@ -144,6 +145,24 @@ class XenicNode {
   // suppressed).
   void ForceAbortWedged(TxnId txn);
 
+  // Slots this node holds for work in flight: requests it sent (EXECUTE,
+  // VALIDATE, LOG and COMMIT), log appends, and DMA fan-ins. Every request
+  // either completes or is dropped with its slot freed, so a quiesced live
+  // node holds none (the chaos run audits this).
+  struct ParkedSlots {
+    size_t requests = 0;
+    size_t appends = 0;
+    size_t fan_ins = 0;
+  };
+  ParkedSlots parked_slots() const;
+  // Coordinator states alive at this node (finished transactions free
+  // theirs).
+  size_t live_txns() const { return txns_.size(); }
+  // Destroy every continuation parked at this node (wait queues, appends,
+  // fan-ins). Those hold slot handles into other nodes' request tables, so
+  // XenicCluster calls this on every node before it destroys any.
+  void DropParked();
+
  private:
   // ---- Per-transaction coordinator state (lives on the coordinator NIC).
   struct ShardGroup {
@@ -207,6 +226,60 @@ class XenicNode {
   // Sentinel "sender" for the shipped path's EXEC-result completion signal.
   static constexpr NodeId kShipExecSignal = static_cast<NodeId>(-1);
 
+  // ---- In-flight requests of the four remote rounds (paper 4.2), each
+  // parked in a slot owned by the sending node. The slot's handle travels
+  // with the message to the server and back, so every delivery, handler
+  // step and reply captures only {node, handle} and stays inline in
+  // SmallCallback; dropping the handle (a crashed sender or server, a
+  // cleared wait queue) frees the slot. A reused slot clears its vectors
+  // and keeps their capacity.
+  struct ExecRequest {
+    TxnId txn = store::kNoTxn;
+    NodeId coord = 0;        // where the reply goes
+    NodeId shard = 0;        // the serving primary
+    bool lock_only = false;  // LockRound's one-key lock request
+    std::vector<std::pair<uint32_t, KeyRef>> reads;
+    std::vector<std::pair<uint32_t, KeyRef>> writes;
+    // Keys the server locks; the coordinator releases them as orphaned if
+    // a grant races an abort.
+    std::vector<KeyRef> lock_keys;
+    // Filled by the server.
+    bool ok = false;
+    uint8_t contention = 0;            // sketch level of the conflicting key on !ok
+    size_t next_read = 0;              // read-loop cursor
+    TxnId read_owner = store::kNoTxn;  // lock owner seen by the read in flight
+    std::vector<std::pair<uint32_t, ReadResult>> results;
+    std::vector<std::pair<uint32_t, Seq>> write_seqs;
+  };
+  struct ValidateRequest {
+    TxnId txn = store::kNoTxn;
+    NodeId coord = 0;
+    std::vector<std::pair<KeyRef, Seq>> checks;
+  };
+  struct LogRequest {
+    NodeId coord = 0;  // collects the ack (the shipped path's executor sends for it)
+    store::LogRecord record;
+  };
+  struct CommitRequest {
+    TxnId txn = store::kNoTxn;
+    NodeId coord = 0;
+    std::vector<store::LogWrite> writes;
+    std::vector<KeyRef> release_keys;
+  };
+  using ExecSlot = sim::SlotTable<ExecRequest>::Handle;
+  using ValidateSlot = sim::SlotTable<ValidateRequest>::Handle;
+  using LogSlot = sim::SlotTable<LogRequest>::Handle;
+  using CommitSlot = sim::SlotTable<CommitRequest>::Handle;
+  // Node-owned parking for AppendWhenSpace and the ChargeDmaReads fan-in.
+  struct PendingAppend {
+    store::LogRecord record;
+    sim::Engine::Callback appended;
+  };
+  struct DmaFanIn {
+    uint32_t remaining = 0;
+    sim::Engine::Callback done;
+  };
+
   using StatePtr = std::unique_ptr<TxnState>;
 
   // ---- Coordinator-side phases.
@@ -228,18 +301,17 @@ class XenicNode {
   bool ShipEligible(const TxnState& st, NodeId* remote_out) const;
   void ShippedPath(TxnState* st, NodeId remote);
   void ExecutePhase(TxnState* st);
-  void OnExecuteResp(TxnId id, NodeId shard, bool ok,
-                     std::vector<std::pair<uint32_t, ReadResult>> reads,
-                     std::vector<std::pair<uint32_t, Seq>> write_seqs,
-                     std::vector<KeyRef> locked_keys, uint8_t contention);
+  // A cleared EXECUTE request slot for `st` at `shard`; SendExecute sends
+  // it once its reads and writes are filled in.
+  ExecSlot NewExecRequest(const TxnState& st, NodeId shard, bool lock_only);
+  void SendExecute(ExecSlot req);
+  void OnExecuteResp(ExecSlot req);
   void AfterExecuteRound(TxnState* st);
   // Separate lock round used when smart_remote_ops is disabled (the
   // one-op-per-request ablation baseline): one LOCK request per write key,
   // issued after execution completes, DrTM-style.
   void LockRound(TxnState* st);
-  void OnLockResp(TxnId id, NodeId shard, bool ok,
-                  std::vector<std::pair<uint32_t, Seq>> write_seqs,
-                  std::vector<KeyRef> locked_keys, uint8_t contention);
+  void OnLockResp(ExecSlot req);
   // A lock grant arrived for a transaction that no longer exists (the epoch
   // sweep resolved it while the response was in flight): release the
   // orphaned locks at their shard.
@@ -247,42 +319,57 @@ class XenicNode {
   // Version-gap check for keys both read and written; aborts and returns
   // false on a mismatch.
   bool CheckReadWriteGap(TxnState* st);
-  void RunExecuteLogic(TxnState* st, sim::Engine::Callback next);
+  // Run the application's execute logic for the current round on the
+  // coordinator NIC (or, without NIC execution, on the host behind two
+  // PCIe crossings), then OnExecuteLogicDone picks the next phase.
+  void RunExecuteLogic(TxnState* st);
+  void ExecuteLogic(TxnId txn);
+  void OnExecuteLogicDone(TxnId txn);
   void ValidatePhase(TxnState* st);
   void OnValidateResp(TxnId id, bool ok, uint8_t contention);
   void LogPhase(TxnState* st);
   void OnLogAck(TxnId id, bool ok, NodeId from);
   void OnShipFailure(TxnId id, uint8_t contention = 0);
   void CommitPhase(TxnState* st);
+  void OnCommitAck(TxnId id);
   void ReportAndFinish(TxnState* st, TxnOutcome outcome);
   void AbortCleanup(TxnState* st, TxnOutcome outcome);
   void EraseState(TxnId id);
   TxnState* FindState(TxnId id);
 
-  // Group the transaction's current keys by primary shard.
-  std::vector<ShardGroup> GroupByShard(const TxnState& st, bool new_only) const;
-  // Collect the write set of one shard as (key, intent, new seq) triples.
-  std::vector<store::LogWrite> ShardWrites(const TxnState& st, NodeId shard) const;
+  // Group the transaction's current keys by primary shard into
+  // shard_groups_[0, n); returns n.
+  size_t GroupByShard(const TxnState& st, bool new_only);
+  // The primaries of the write set in first-write order, plus `coord` when
+  // the transaction carries workload-managed log writes (they replicate
+  // with the coordinator's shard), into `out` (cleared first).
+  void WrittenShards(const TxnState& st, NodeId coord, std::vector<NodeId>* out) const;
+  // Collect the write set of one shard as (key, intent, new seq) triples
+  // into `out` (cleared first).
+  void ShardWrites(const TxnState& st, NodeId shard, std::vector<store::LogWrite>* out) const;
+  // Send `shard`'s LOG record of `st` to each of the shard's live backups,
+  // from this node; `coordinator` built the transaction and collects the
+  // acks (it is this node except on the shipped path).
+  void SendLogRecords(const XenicNode& coordinator, const TxnState& st, NodeId shard,
+                      uint32_t total_shards);
 
   // ---- Server-side handlers (invoked on this node by peers' closures).
-  struct ExecReply {
-    bool ok = false;
-    std::vector<std::pair<uint32_t, ReadResult>> reads;
-    std::vector<std::pair<uint32_t, Seq>> write_seqs;
-    uint8_t contention = 0;  // sketch level of the conflicting key on !ok
-  };
-  void ServeExecute(TxnId txn, NodeId coord, std::vector<std::pair<uint32_t, KeyRef>> reads,
-                    std::vector<std::pair<uint32_t, KeyRef>> writes,
-                    std::function<void(ExecReply)> reply);
-  void ServeValidate(std::vector<std::pair<KeyRef, Seq>> checks,
-                     std::function<void(bool, uint8_t)> reply);
-  void ServeLog(store::LogRecord record, std::function<void(bool)> reply);
+  void ServeExecute(ExecSlot req);
+  // EXECUTE's lock step, re-entered after each park.
+  void ExecuteAttempt(ExecSlot req, uint32_t parks);
+  // EXECUTE's read loop: one read-set key per step, each charged its DMA
+  // reads before the lock-owner check; then the write-set versions.
+  void ExecuteReadStep(ExecSlot req);
+  void ExecuteReadDone(ExecSlot req);
+  void ExecuteFinish(ExecSlot req);
+  void ReplyExecute(ExecSlot req);
+  void ServeValidate(ValidateSlot req);
+  void ServeLog(LogSlot req);
   // Commit-point notification (features.nic_log_apply): stabilizes the
   // transaction's LOG records so the NIC applier may apply and reclaim
   // them. Fire-and-forget; no reply.
   void ServeLogCommit(TxnId txn);
-  void ServeCommit(TxnId txn, std::vector<store::LogWrite> writes,
-                   std::vector<KeyRef> release_keys, sim::Engine::Callback ack);
+  void ServeCommit(CommitSlot req);
   void ServeRelease(TxnId txn, std::vector<KeyRef> keys);
   void ServeShipExec(TxnId txn, NodeId coord, TxnState* coord_state);
 
@@ -317,8 +404,10 @@ class XenicNode {
   // bouncing an abort-retry cycle through the coordinator. The timeout /
   // park-budget fallback denies exactly as before, so the wait is bounded
   // and distributed deadlocks still resolve by abort.
-  // Returns false (caller denies as usual) when the key's queue is full.
-  bool ParkRemote(const KeyRef& key, TxnId txn, std::function<void()> resume);
+  // The caller checks RemoteQueueHasRoom first and denies as usual when
+  // the key's queue is full.
+  bool RemoteQueueHasRoom(const KeyRef& key) const;
+  void ParkRemote(const KeyRef& key, TxnId txn, sim::SmallFunction<void()> resume);
   void WakeOneRemote(const KeyRef& key);
 
   // ---- Pluggable concurrency control (XenicFeatures::cc; cc_policy.h).
@@ -326,17 +415,18 @@ class XenicNode {
   // VALIDATE phase is skipped, and the shipped/hot-key routes are disabled.
   bool Cc2pl() const { return features_->cc != CcPolicyKind::kOcc; }
   const CcPolicy& cc_policy() const { return CcPolicy::Get(features_->cc); }
-  // Policy decision for a denied lock at this shard: park `resume` in the
-  // key's wait queue (optionally wounding the holder first) and return
-  // true, or return false when the policy (or an exhausted park budget)
-  // says the requester must abort.
-  bool CcHandleConflict(TxnId txn, const KeyRef& conflict, uint32_t parks,
-                        std::function<void()> resume);
+  // Policy decision for a denied lock at this shard: false when the policy
+  // (or an exhausted park budget) says the requester must abort.
+  bool CcMayWait(TxnId txn, const KeyRef& conflict, uint32_t parks) const;
+  // Carry out a wait CcMayWait allowed: re-attempt at once if the holder
+  // already released, else park `resume` in the key's wait queue
+  // (wounding the holder first when the policy says so).
+  void CcHandleConflict(TxnId txn, const KeyRef& conflict, sim::SmallFunction<void()> resume);
   // Timestamp-ordered wait queue (one per key, oldest woken first). Parked
   // entries hold the timeout fallback of the hot-key queues: a lock
   // released behind the engine's back (recovery sweeps) must not strand a
   // waiter forever.
-  void CcPark(const KeyRef& key, TxnId txn, std::function<void()> resume);
+  void CcPark(const KeyRef& key, TxnId txn, sim::SmallFunction<void()> resume);
   void WakeCcWaiters(const KeyRef& key);
   // Coordinator-side WOUND handler: abort `victim` unless it already
   // passed its commit point (logs sent / outcome reported) or is gone.
@@ -348,10 +438,6 @@ class XenicNode {
   void CcLocalStart(TxnId txn);
   void CcLocalAcquire(TxnId txn, uint32_t parks);
 
-  // Read one key at the server-side NIC, charging DMA costs; calls `done`
-  // with the result.
-  void NicReadKey(const KeyRef& ref, bool metadata_only,
-                  std::function<void(ReadResult, store::TxnId)> done);
   // Charge `stats` worth of DMA reads, then `done`.
   void ChargeDmaReads(const store::NicIndex::LookupStats& stats, sim::Engine::Callback done);
 
@@ -371,11 +457,11 @@ class XenicNode {
   // Append a record to the host log via DMA write, waiting (back-pressure)
   // while the bounded ring is full; `appended` runs after the DMA lands.
   void AppendWhenSpace(store::LogRecord record, sim::Engine::Callback appended);
+  void TryAppend(uint32_t slot);
 
   // Commit application at the primary NIC for `writes` (cache update, pin,
-  // unlock); used by both ServeCommit and the local path.
-  void ApplyCommitAtNic(TxnId txn, const std::vector<store::LogWrite>& writes,
-                        sim::Engine::Callback done);
+  // unlock).
+  void ApplyCommitAtNic(TxnId txn, const std::vector<store::LogWrite>& writes);
 
   // Robinhood worker iteration. `epoch` guards against stale ticks after a
   // stop/start cycle (chaos back-pressure windows restart workers).
@@ -396,6 +482,22 @@ class XenicNode {
   const XenicFeatures* features_;
   std::vector<XenicNode*>* peers_;
   const repl::ReplicationGroup* repl_;
+  // Requests this node sent, parked until they complete (declared before
+  // every container whose continuations hold handles into them).
+  sim::SlotTable<ExecRequest> exec_reqs_;
+  sim::SlotTable<ValidateRequest> validate_reqs_;
+  sim::SlotTable<LogRequest> log_reqs_;
+  sim::SlotTable<CommitRequest> commit_reqs_;
+  sim::SlotTable<PendingAppend> appends_;
+  sim::SlotTable<DmaFanIn> fan_ins_;
+  // Scratch reused by every call (capacity kept): ExecutePhase's shard
+  // groups (GroupByShard) and the shard lists of ValidatePhase, LogPhase
+  // and CommitPhase. Each is used by one phase only, and no phase reads
+  // its list after calling into another.
+  std::vector<ShardGroup> shard_groups_;
+  std::vector<NodeId> validate_shards_;
+  std::vector<NodeId> log_round_shards_;
+  std::vector<NodeId> commit_round_shards_;
   // NIC-ARM log applier (features.nic_log_apply): replaces the host
   // Robinhood workers for this node's commit log. Created on first
   // StartWorkers with the feature armed.
@@ -416,7 +518,7 @@ class XenicNode {
   struct RemoteWaiter {
     uint64_t id;
     TxnId txn;
-    std::function<void()> resume;
+    sim::SmallFunction<void()> resume;
   };
   std::unordered_map<KeyRef, std::deque<RemoteWaiter>, KeyRefHash> remote_waiters_;
   uint64_t remote_waiter_seq_ = 0;
@@ -426,7 +528,7 @@ class XenicNode {
   struct CcWaiter {
     uint64_t id;
     TxnId txn;
-    std::function<void()> resume;
+    sim::SmallFunction<void()> resume;
   };
   std::unordered_map<KeyRef, std::vector<CcWaiter>, KeyRefHash> cc_waiters_;
   uint64_t cc_waiter_seq_ = 0;

@@ -1,16 +1,18 @@
-// Zero-allocation checks for the simulator's hot paths: resource grants,
-// SmartNIC DMA, PCIe crossings and Ethernet frames, and RDMA verbs.
+// Allocation checks for the simulator's hot paths: resource grants,
+// SmartNIC DMA, PCIe crossings and Ethernet frames, and RDMA verbs, which
+// must not allocate at all; and XenicNode's remote transaction rounds,
+// whose remaining allocations are the data a transaction carries.
 //
 // This executable replaces the global operator new with a counting one.
 // Each test first runs its scenario a few times, which sizes the
 // components' slot tables, the frame pool and the engine's calendar wheel,
-// and then runs it once more inside a counted window that must make no
-// operator new call at all. The callbacks under test capture at most 32
-// bytes, so they stay inline in SmallCallback. gtest assertions allocate,
-// so they stay outside the counted window.
+// and then runs it once more inside a counted window. The callbacks under
+// test capture at most 32 bytes, so they stay inline in SmallCallback.
+// gtest assertions allocate, so they stay outside the counted window.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -19,6 +21,7 @@
 #include "src/nicmodel/rdma_nic.h"
 #include "src/nicmodel/smart_nic.h"
 #include "src/sim/resource.h"
+#include "src/txn/xenic_cluster.h"
 
 namespace {
 
@@ -209,6 +212,119 @@ TEST(HotPathAllocTest, RdmaReadWriteRpcRoundTrips) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(done, 5u * (kWarmupRounds + 1));
   EXPECT_EQ(at_target, 3u * (kWarmupRounds + 1));
+}
+
+// --- txn layer: XenicNode's EXECUTE, VALIDATE, LOG and COMMIT rounds ----
+
+struct TxnFixture {
+  TxnFixture(uint32_t nodes, uint32_t replication) : part(nodes) {
+    txn::XenicClusterOptions o;
+    o.num_nodes = nodes;
+    o.replication = replication;
+    o.tables = {store::TableSpec{0, "t", 10, 16, 8, 8}};
+    cluster = std::make_unique<txn::XenicCluster>(o, &part);
+    PrimeWheel(cluster->engine());
+    cluster->StartWorkers();
+  }
+  ~TxnFixture() {
+    cluster->StopWorkers();
+    cluster->engine().Run();
+  }
+
+  // Keys whose primary is `node`, loaded on every replica.
+  std::vector<store::Key> LoadOn(store::NodeId node, size_t count) {
+    std::vector<store::Key> out;
+    for (store::Key k = 0; out.size() < count; ++k) {
+      if (part.PrimaryOf(0, k) == node) {
+        cluster->LoadReplicated(0, k, store::Value(16, 0));
+        out.push_back(k);
+      }
+    }
+    return out;
+  }
+
+  // Operator new calls of one transaction submitted at node 0 and run
+  // until it and its commit round (acks, log applies) have finished. The
+  // request and the callback are built outside the counted window. Taken
+  // as the minimum of three runs: a growing hash set (the node's reported
+  // commits) rehashes now and then.
+  uint64_t Allocs(const txn::TxnRequest& req) {
+    uint64_t best = ~uint64_t{0};
+    for (int i = 0; i < 3; ++i) {
+      txn::TxnRequest r = req;
+      bool committed = false;
+      txn::CommitCallback done = [&committed](txn::TxnResult res) {
+        committed = res.outcome == txn::TxnOutcome::kCommitted;
+      };
+      const uint64_t before = g_allocs;
+      cluster->node(0).Submit(std::move(r), std::move(done));
+      cluster->engine().RunFor(100 * sim::kNsPerUs);
+      best = std::min(best, g_allocs - before);
+      EXPECT_TRUE(committed);
+    }
+    return best;
+  }
+
+  txn::HashPartitioner part;
+  std::unique_ptr<txn::XenicCluster> cluster;
+};
+
+txn::TxnRequest ReadOnly(const std::vector<store::Key>& keys) {
+  txn::TxnRequest req;
+  for (store::Key k : keys) {
+    req.reads.push_back({0, k});
+  }
+  req.execute = [](txn::ExecRound&) {};
+  return req;
+}
+
+TEST(HotPathAllocTest, RemoteReadKeyCostsOnlyItsValueCopy) {
+  // One EXECUTE round at node 1 that commits on its snapshot. Per read key
+  // the server copies the value out of its NIC index (one allocation); the
+  // reply moves it into the coordinator's read set. Everything else -- the
+  // request slot's vectors, the DMA fan-in, the reply -- is reused.
+  TxnFixture f(2, 1);
+  const std::vector<store::Key> keys = f.LoadOn(1, 4);
+  for (int i = 0; i < kWarmupRounds; ++i) {
+    for (size_t n = 1; n <= keys.size(); ++n) {
+      f.Allocs(ReadOnly({keys.begin(), keys.begin() + static_cast<ptrdiff_t>(n)}));
+    }
+  }
+  uint64_t prev = f.Allocs(ReadOnly({keys[0]}));
+  for (size_t n = 2; n <= keys.size(); ++n) {
+    const uint64_t cur =
+        f.Allocs(ReadOnly({keys.begin(), keys.begin() + static_cast<ptrdiff_t>(n)}));
+    EXPECT_EQ(cur, prev + 1) << n << " keys";
+    prev = cur;
+  }
+}
+
+TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
+  // A read-modify-write of one key on each of nodes 1 and 2 (replication
+  // 2): two EXECUTEs, one LOG per shard to its backup, two COMMITs. What
+  // still allocates is the data the transaction carries, not the protocol:
+  // the TxnState and its six vectors plus its entry in the state table;
+  // the two value copies read at the servers and the two written by the
+  // transaction; each LOG record (vector and value); the COMMIT slots'
+  // value copies and each server's commit-record copy; the log appends'
+  // pending-index copies; the reported-commit entry; and the host log
+  // workers' applies.
+  TxnFixture f(3, 2);
+  const store::Key a = f.LoadOn(1, 1)[0];
+  const store::Key b = f.LoadOn(2, 1)[0];
+  txn::TxnRequest req;
+  req.reads = {{0, a}, {0, b}};
+  req.writes = {{0, a}, {0, b}};
+  req.allow_ship = false;
+  req.execute = [](txn::ExecRound& er) {
+    for (auto& w : *er.writes) {
+      w.value = store::Value(16, 1);
+    }
+  };
+  for (int i = 0; i < kWarmupRounds; ++i) {
+    f.Allocs(req);
+  }
+  EXPECT_LE(f.Allocs(req), 36u);
 }
 
 }  // namespace

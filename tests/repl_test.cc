@@ -133,8 +133,11 @@ TEST(ReplicationGroupTest, IsBackupOfWalksChainAndSkipsFailed) {
     EXPECT_TRUE(rg.IsBackupOf(b, 2));
   }
   EXPECT_FALSE(rg.IsBackupOf(2, 2));
-  c.mutable_map().MarkFailed(backups[0]);
-  EXPECT_FALSE(rg.IsBackupOf(backups[0], 2));
+  // BackupsOf is a view: hold the node id, not the view, across MarkFailed.
+  const store::NodeId first = backups[0];
+  c.mutable_map().MarkFailed(first);
+  EXPECT_FALSE(rg.IsBackupOf(first, 2));
+  EXPECT_EQ(backups.size(), 1u);
 }
 
 // --------------------------------------- roll-forward/discard conformance --
