@@ -17,29 +17,26 @@ constexpr sim::Tick kHostFinishBase = 80;
 constexpr sim::Tick kNicOpBase = 150;
 constexpr sim::Tick kNicKeyCost = 60;
 
-// Hot-key fast path: fallback wakeup for parked waiters (covers lock
+// Lock waiting: the fallback wakeup of every parked waiter (covers lock
 // releases that bypass the node's release paths, e.g. recovery sweeps) and
-// the cap on how often one transaction may re-park before falling back to
-// a normal abort-and-retry.
-constexpr sim::Tick kHotParkTimeout = 30 * sim::kNsPerUs;
-constexpr uint32_t kHotMaxWaits = 8;
-// Remote lock requests park far more conservatively than local hot-path
-// txns: every park delays a coordinator that may hold locks at OTHER
-// shards. One park per request bounds the cross-shard blocking chain to a
-// single timeout (then the deny resolves any distributed cycle), and a
-// shallow per-key queue cap keeps hot keys from building convoys -- a
+// the cap on how often one request may re-park before it aborts. Under 2PL
+// waiting is the policy's normal conflict outcome, not a hot-key
+// optimization, so its remote requests share the local budget.
+constexpr sim::Tick kParkTimeout = 30 * sim::kNsPerUs;
+constexpr uint32_t kMaxParks = 8;
+// Under OCC, remote lock requests park far more conservatively than local
+// hot-path txns: every park delays a coordinator that may hold locks at
+// OTHER shards. One park per request bounds the cross-shard blocking chain
+// to a single timeout (then the deny resolves any distributed cycle), and
+// a shallow per-key queue cap keeps hot keys from building convoys -- a
 // deep FIFO serializes waiters across several lock generations, which
 // costs more in idle coordinator contexts than the saved retry work.
 constexpr uint32_t kRemoteMaxParks = 1;
 constexpr size_t kRemoteQueueCap = 2;
-
-// 2PL wait queues (WAIT_DIE / WOUND_WAIT). Waiting is the policy's normal
-// conflict outcome -- not a hot-key optimization -- so the budget is wider
-// than the remote-park cap; the timeout still bounds every wait (releases
-// that bypass the node's release paths, e.g. recovery sweeps, would
-// otherwise strand a waiter), after which the request denies like NO_WAIT.
-constexpr sim::Tick kCcParkTimeout = 30 * sim::kNsPerUs;
-constexpr uint32_t kCcMaxParks = 8;
+// OCC wait ranks: a release wakes a local transaction before a remote
+// request.
+constexpr uint64_t kLocalRank = 0;
+constexpr uint64_t kRemoteRank = 1;
 
 // Robinhood worker costs.
 constexpr sim::Tick kWorkerPollCost = 80;
@@ -49,6 +46,20 @@ constexpr int kWorkerBatch = 16;
 
 bool ContainsKey(const std::vector<KeyRef>& v, const KeyRef& k) {
   return std::find(v.begin(), v.end(), k) != v.end();
+}
+
+// read ∪ write without duplicates, in first-seen order: the locked-local
+// path's lock set.
+std::vector<KeyRef> KeyUnion(const std::vector<KeyRef>& reads, const std::vector<KeyRef>& writes) {
+  std::vector<KeyRef> keys;
+  for (const auto* set : {&reads, &writes}) {
+    for (const auto& k : *set) {
+      if (!ContainsKey(keys, k)) {
+        keys.push_back(k);
+      }
+    }
+  }
+  return keys;
 }
 
 }  // namespace
@@ -141,16 +152,9 @@ void XenicNode::SubmitOnHost(StatePtr st) {
     return;
   }
   if (all_local) {
-    if (Cc2pl()) {
-      // 2PL: no optimistic race -- lock the read+write set up front on the
-      // NIC and execute under locks (subsumes the hot-key route).
-      CcLocalPath(std::move(st));
-      return;
+    if (!LockedLocalPath(st)) {
+      LocalWritePath(std::move(st));
     }
-    if (features_->hot_key_fastpath && !st->write_keys.empty() && TryHotKeyRoute(st)) {
-      return;
-    }
-    LocalWritePath(std::move(st));
     return;
   }
 
@@ -209,20 +213,7 @@ void XenicNode::LocalReadOnlyPath(StatePtr st) {
       }
       std::vector<KeyRef> add_reads;
       std::vector<KeyRef> add_writes;
-      bool abort_flag = false;
-      ExecRound er;
-      er.round = round++;
-      er.read_keys = &st->read_keys;
-      er.reads = &st->reads;
-      er.write_keys = &st->write_keys;
-      er.writes = &st->writes;
-      er.add_reads = &add_reads;
-      er.add_writes = &add_writes;
-      er.abort = &abort_flag;
-      if (st->req.execute) {
-        st->req.execute(er);
-      }
-      if (abort_flag) {
+      if (RunAppRound(st, round++, &add_reads, &add_writes)) {
         app_abort = true;
         break;
       }
@@ -240,10 +231,7 @@ void XenicNode::LocalReadOnlyPath(StatePtr st) {
         EscalateToDistributed(txn);
         return;
       }
-      for (const auto& k : add_reads) {
-        st->read_keys.push_back(k);
-        st->reads.emplace_back();
-      }
+      AppendKeys(st, add_reads, add_writes);
     }
     auto done = std::move(st->done);
     if (app_abort) {
@@ -321,20 +309,7 @@ void XenicNode::ReplicaReadPath(StatePtr st, NodeId shard) {
       }
       std::vector<KeyRef> add_reads;
       std::vector<KeyRef> add_writes;
-      bool abort_flag = false;
-      ExecRound er;
-      er.round = round++;
-      er.read_keys = &st->read_keys;
-      er.reads = &st->reads;
-      er.write_keys = &st->write_keys;
-      er.writes = &st->writes;
-      er.add_reads = &add_reads;
-      er.add_writes = &add_writes;
-      er.abort = &abort_flag;
-      if (st->req.execute) {
-        st->req.execute(er);
-      }
-      if (abort_flag) {
+      if (RunAppRound(st, round++, &add_reads, &add_writes)) {
         app_abort = true;
         break;
       }
@@ -353,10 +328,7 @@ void XenicNode::ReplicaReadPath(StatePtr st, NodeId shard) {
         EscalateToDistributed(txn);
         return;
       }
-      for (const auto& k : add_reads) {
-        st->read_keys.push_back(k);
-        st->reads.emplace_back();
-      }
+      AppendKeys(st, add_reads, add_writes);
     }
     auto done = std::move(st->done);
     if (app_abort) {
@@ -408,20 +380,7 @@ void XenicNode::LocalWritePath(StatePtr st) {
       }
       std::vector<KeyRef> add_reads;
       std::vector<KeyRef> add_writes;
-      bool abort_flag = false;
-      ExecRound er;
-      er.round = round++;
-      er.read_keys = &st->read_keys;
-      er.reads = &st->reads;
-      er.write_keys = &st->write_keys;
-      er.writes = &st->writes;
-      er.add_reads = &add_reads;
-      er.add_writes = &add_writes;
-      er.abort = &abort_flag;
-      if (st->req.execute) {
-        st->req.execute(er);
-      }
-      if (abort_flag) {
+      if (RunAppRound(st, round++, &add_reads, &add_writes)) {
         app_abort = true;
         break;
       }
@@ -439,15 +398,7 @@ void XenicNode::LocalWritePath(StatePtr st) {
         EscalateToDistributed(txn);
         return;
       }
-      for (const auto& k : add_reads) {
-        st->read_keys.push_back(k);
-        st->reads.emplace_back();
-      }
-      for (const auto& k : add_writes) {
-        st->write_keys.push_back(k);
-        st->write_seqs.push_back(0);
-        st->writes.emplace_back();
-      }
+      AppendKeys(st, add_reads, add_writes);
     }
     if (app_abort) {
       AbortCleanup(st, TxnOutcome::kAppAborted);
@@ -520,31 +471,33 @@ void XenicNode::LocalWritePath(StatePtr st) {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-key fast path (XenicFeatures::hot_key_fastpath, p4db-style is_hot
-// routing). All-local write transactions whose write set hits a
-// sketch-flagged hot key skip the optimistic host execution: the NIC locks
-// the full read+write set up front, executes under locks, and goes
-// straight to LOG/COMMIT -- no validation race, hence no redo. If the hot
-// key is held, the transaction parks in a per-key FIFO *holding zero
-// locks* (no hold-and-wait, so no deadlock) until the holder's release
-// wakes it.
+// Locked-local path. The NIC locks the full read+write set up front,
+// executes under the locks, and goes straight to LOG/COMMIT -- no
+// validation race, hence no redo. Under 2PL every all-local write
+// transaction takes it, and the policy decides whether a conflict aborts,
+// waits or wounds. Under OCC it is the hot-key fast path
+// (XenicFeatures::hot_key_fastpath, p4db-style is_hot routing): it takes
+// only transactions whose write set hits a sketch-flagged hot key, and
+// they wait only while the hot key is held -- *holding zero locks* (no
+// hold-and-wait, so no deadlock) until the holder's release wakes them.
 // ---------------------------------------------------------------------------
 
-bool XenicNode::TryHotKeyRoute(StatePtr& st) {
-  const sim::Tick now = nic_->engine()->now();
-  const KeyRef* hot = nullptr;
-  for (const auto& k : st->write_keys) {
-    if (sketch_.IsHot(k, now)) {
-      hot = &k;
-      break;
+bool XenicNode::LockedLocalPath(StatePtr& st) {
+  if (Cc2pl()) {
+    stats_.local_fastpath++;
+  } else {
+    if (!features_->hot_key_fastpath) {
+      return false;
     }
+    const sim::Tick now = nic_->engine()->now();
+    auto hot = std::find_if(st->write_keys.begin(), st->write_keys.end(),
+                            [&](const KeyRef& k) { return sketch_.IsHot(k, now); });
+    if (hot == st->write_keys.end()) {
+      return false;
+    }
+    st->hot_key = *hot;
+    stats_.hot_path++;
   }
-  if (hot == nullptr) {
-    return false;
-  }
-  st->hot_path = true;
-  st->hot_key = *hot;
-  stats_.hot_path++;
   TxnState* raw = st.get();
   const TxnId txn = raw->id;
   txns_[txn] = std::move(st);
@@ -553,48 +506,42 @@ bool XenicNode::TryHotKeyRoute(StatePtr& st) {
   const uint32_t bytes = net::wire::TxnDescriptor(raw->read_keys.size(), raw->write_keys.size(),
                                                   raw->req.external_bytes);
   nic_->HostCompute(kHostInitCost, [this, txn, bytes] {
-    nic_->HostToNic(bytes, [this, txn] { HotKeyStart(txn); });
+    nic_->HostToNic(bytes, [this, txn] {
+      TxnState* st = FindState(txn);
+      if (st == nullptr || crashed_) {
+        return;
+      }
+      nic_->NicCompute(NicOpCost(st->read_keys.size() + st->write_keys.size()),
+                       [this, txn] { LockedLocalAcquire(txn, 0); });
+    });
   });
   return true;
 }
 
-void XenicNode::HotKeyStart(TxnId txn) {
+void XenicNode::LockedLocalAcquire(TxnId txn, uint32_t parks) {
   TxnState* st = FindState(txn);
   if (st == nullptr || crashed_) {
-    return;
+    return;  // aborted meanwhile (wounded, swept): the attempt just dies
   }
-  nic_->NicCompute(NicOpCost(st->read_keys.size() + st->write_keys.size()),
-                   [this, txn] { HotKeyAcquire(txn); });
-}
-
-void XenicNode::HotKeyAcquire(TxnId txn) {
-  TxnState* st = FindState(txn);
-  if (st == nullptr || crashed_) {
-    return;
-  }
-  // Lock reads and writes together (like the shipped path: everything is
-  // read under locks, so there is no separate validation phase).
-  std::vector<KeyRef> keys;
-  for (const auto& k : st->read_keys) {
-    if (!ContainsKey(keys, k)) {
-      keys.push_back(k);
-    }
-  }
-  for (const auto& k : st->write_keys) {
-    if (!ContainsKey(keys, k)) {
-      keys.push_back(k);
-    }
-  }
+  nic_->engine()->set_trace_ctx(txn);
+  st->park_id = 0;
   uint8_t contention = 0;
   KeyRef conflict;
-  if (!LockAll(txn, keys, &contention, &conflict)) {
+  if (!LockAll(txn, KeyUnion(st->read_keys, st->write_keys), &contention, &conflict)) {
     st->contention_hint = std::max(st->contention_hint, contention);
-    if (conflict == st->hot_key && st->hot_waits < kHotMaxWaits) {
-      HotKeyPark(st);
+    const bool wait = Cc2pl() ? CcMayWait(txn, conflict, parks)
+                              : conflict == st->hot_key && parks < kMaxParks;
+    if (wait) {
+      st->park_key = conflict;
+      st->park_id =
+          WaitForLock(txn, conflict, /*local=*/true, sim::InlineCallback([this, txn, parks] {
+                        LockedLocalAcquire(txn, parks + 1);
+                      }));
       return;
     }
-    // Conflict on a cold key, or the queue is not making progress: fall
-    // back to a normal abort and let the submitter's retry policy decide.
+    // The policy says abort, or (OCC) a conflict on a cold key or a queue
+    // that is not making progress: a normal abort, and the submitter's
+    // retry policy decides.
     if (st->abort_reason == AbortReason::kNone) {
       st->abort_reason = AbortReason::kLockLocal;
     }
@@ -603,6 +550,7 @@ void XenicNode::HotKeyAcquire(TxnId txn) {
   }
   st->lock_all = true;
   st->local_locked = true;
+  st->cc_read_locks = Cc2pl();
   st->locked_shards.push_back(id());
   // Read the full read set and current write seqs under the locks.
   std::vector<uint32_t> read_idx(st->read_keys.size());
@@ -616,11 +564,11 @@ void XenicNode::HotKeyAcquire(TxnId txn) {
     if (st == nullptr || crashed_) {
       return;
     }
-    HotKeyExecute(st);
+    LockedExecute(st);
   });
 }
 
-void XenicNode::HotKeyExecute(TxnState* st) {
+void XenicNode::LockedExecute(TxnState* st) {
   const TxnId txn = st->id;
   nic_->NicCompute(NicExecCost(st->req.exec_cost), [this, txn] {
     TxnState* st = FindState(txn);
@@ -629,20 +577,7 @@ void XenicNode::HotKeyExecute(TxnState* st) {
     }
     std::vector<KeyRef> add_reads;
     std::vector<KeyRef> add_writes;
-    bool abort_flag = false;
-    ExecRound er;
-    er.round = st->round++;
-    er.read_keys = &st->read_keys;
-    er.reads = &st->reads;
-    er.write_keys = &st->write_keys;
-    er.writes = &st->writes;
-    er.add_reads = &add_reads;
-    er.add_writes = &add_writes;
-    er.abort = &abort_flag;
-    if (st->req.execute) {
-      st->req.execute(er);
-    }
-    if (abort_flag) {
+    if (RunAppRound(st, st->round++, &add_reads, &add_writes)) {
       AbortCleanup(st, TxnOutcome::kAppAborted);
       return;
     }
@@ -651,28 +586,16 @@ void XenicNode::HotKeyExecute(TxnState* st) {
       return;
     }
     bool all_local = true;
-    for (const auto& k : add_reads) {
-      all_local &= map_->PrimaryOf(k.table, k.key) == id();
-    }
-    for (const auto& k : add_writes) {
-      all_local &= map_->PrimaryOf(k.table, k.key) == id();
+    for (const auto* added : {&add_reads, &add_writes}) {
+      for (const auto& k : *added) {
+        all_local &= map_->PrimaryOf(k.table, k.key) == id();
+      }
     }
     if (!all_local) {
       // Execution discovered remote keys: drop every lock and restart
       // through the distributed path (nothing is held while distributed
       // EXECUTE rounds run, so no cross-path deadlock is possible).
-      std::vector<KeyRef> held;
-      for (const auto& k : st->read_keys) {
-        if (!ContainsKey(held, k)) {
-          held.push_back(k);
-        }
-      }
-      for (const auto& k : st->write_keys) {
-        if (!ContainsKey(held, k)) {
-          held.push_back(k);
-        }
-      }
-      UnlockAll(txn, held);
+      UnlockAll(txn, KeyUnion(st->read_keys, st->write_keys));
       st->locked_shards.clear();
       st->local_locked = false;
       st->lock_all = false;
@@ -682,30 +605,12 @@ void XenicNode::HotKeyExecute(TxnState* st) {
     }
     // Lock the newly added local keys in place (no parking mid-execution:
     // a conflict aborts and the submitter retries).
-    std::vector<KeyRef> new_keys;
-    auto held_already = [&](const KeyRef& k) {
+    std::vector<KeyRef> new_keys = KeyUnion(add_reads, add_writes);
+    std::erase_if(new_keys, [st](const KeyRef& k) {
       return ContainsKey(st->read_keys, k) || ContainsKey(st->write_keys, k);
-    };
-    for (const auto& k : add_reads) {
-      if (!held_already(k) && !ContainsKey(new_keys, k)) {
-        new_keys.push_back(k);
-      }
-    }
-    for (const auto& k : add_writes) {
-      if (!held_already(k) && !ContainsKey(new_keys, k)) {
-        new_keys.push_back(k);
-      }
-    }
+    });
     const auto read_base = static_cast<uint32_t>(st->read_keys.size());
-    for (const auto& k : add_reads) {
-      st->read_keys.push_back(k);
-      st->reads.emplace_back();
-    }
-    for (const auto& k : add_writes) {
-      st->write_keys.push_back(k);
-      st->write_seqs.push_back(0);
-      st->writes.emplace_back();
-    }
+    AppendKeys(st, add_reads, add_writes);
     uint8_t contention = 0;
     if (!new_keys.empty() && !LockAll(txn, new_keys, &contention)) {
       st->contention_hint = std::max(st->contention_hint, contention);
@@ -726,125 +631,8 @@ void XenicNode::HotKeyExecute(TxnState* st) {
       if (st == nullptr || crashed_) {
         return;
       }
-      HotKeyExecute(st);
+      LockedExecute(st);
     });
-  });
-}
-
-void XenicNode::HotKeyPark(TxnState* st) {
-  const TxnId txn = st->id;
-  st->hot_parked = true;
-  st->hot_waits++;
-  stats_.hot_waits++;
-  hot_waiters_[st->hot_key].push_back(txn);
-  // Fallback wakeup: a release that bypasses this node's release paths
-  // (recovery sweeps drop locks directly in the index) would otherwise
-  // strand the queue. `hot_waits` doubles as a generation counter so a
-  // stale timer from an earlier park cannot double-wake.
-  const uint32_t gen = st->hot_waits;
-  nic_->engine()->ScheduleAfter(kHotParkTimeout, [this, txn, gen] {
-    TxnState* st = FindState(txn);
-    if (st == nullptr || crashed_ || !st->hot_parked || st->hot_waits != gen) {
-      return;
-    }
-    st->hot_parked = false;
-    RemoveHotWaiter(st);
-    HotKeyAcquire(txn);
-  });
-}
-
-void XenicNode::RemoveHotWaiter(TxnState* st) {
-  auto it = hot_waiters_.find(st->hot_key);
-  if (it == hot_waiters_.end()) {
-    return;
-  }
-  auto& q = it->second;
-  auto pos = std::find(q.begin(), q.end(), st->id);
-  if (pos != q.end()) {
-    q.erase(pos);
-  }
-  if (q.empty()) {
-    hot_waiters_.erase(it);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 2PL local path (XenicFeatures::cc != kOcc). Every all-local write
-// transaction takes this route: the NIC locks the full read+write set up
-// front (the policy decides whether a conflict aborts, waits, or wounds),
-// executes under the locks, and reuses LogPhase/CommitPhase. Structurally
-// the hot-key fast path minus the sketch gate, so execution rounds reuse
-// HotKeyExecute (which has no hot-key-specific state).
-// ---------------------------------------------------------------------------
-
-void XenicNode::CcLocalPath(StatePtr st) {
-  stats_.local_fastpath++;
-  TxnState* raw = st.get();
-  const TxnId txn = raw->id;
-  txns_[txn] = std::move(st);
-  const uint32_t bytes = net::wire::TxnDescriptor(raw->read_keys.size(), raw->write_keys.size(),
-                                                  raw->req.external_bytes);
-  nic_->HostCompute(kHostInitCost, [this, txn, bytes] {
-    nic_->HostToNic(bytes, [this, txn] { CcLocalStart(txn); });
-  });
-}
-
-void XenicNode::CcLocalStart(TxnId txn) {
-  TxnState* st = FindState(txn);
-  if (st == nullptr || crashed_) {
-    return;
-  }
-  nic_->NicCompute(NicOpCost(st->read_keys.size() + st->write_keys.size()),
-                   [this, txn] { CcLocalAcquire(txn, 0); });
-}
-
-void XenicNode::CcLocalAcquire(TxnId txn, uint32_t parks) {
-  TxnState* st = FindState(txn);
-  if (st == nullptr || crashed_) {
-    return;  // wounded / swept while parked; the waiter just dies
-  }
-  std::vector<KeyRef> keys;
-  for (const auto& k : st->read_keys) {
-    if (!ContainsKey(keys, k)) {
-      keys.push_back(k);
-    }
-  }
-  for (const auto& k : st->write_keys) {
-    if (!ContainsKey(keys, k)) {
-      keys.push_back(k);
-    }
-  }
-  uint8_t contention = 0;
-  KeyRef conflict;
-  if (!LockAll(txn, keys, &contention, &conflict)) {
-    st->contention_hint = std::max(st->contention_hint, contention);
-    if (CcMayWait(txn, conflict, parks)) {
-      CcHandleConflict(txn, conflict,
-                       sim::InlineCallback([this, txn, parks] { CcLocalAcquire(txn, parks + 1); }));
-      return;  // parked (zero locks held) until release, timeout, or wound
-    }
-    if (st->abort_reason == AbortReason::kNone) {
-      st->abort_reason = AbortReason::kLockLocal;
-    }
-    AbortCleanup(st, TxnOutcome::kAborted);
-    return;
-  }
-  st->lock_all = true;
-  st->local_locked = true;
-  st->cc_read_locks = true;
-  st->locked_shards.push_back(id());
-  std::vector<uint32_t> read_idx(st->read_keys.size());
-  for (uint32_t i = 0; i < read_idx.size(); ++i) {
-    read_idx[i] = i;
-  }
-  store::NicIndex::LookupStats agg;
-  ReadLocalSets(st, read_idx, &agg);
-  ChargeDmaReads(agg, [this, txn] {
-    TxnState* st = FindState(txn);
-    if (st == nullptr || crashed_) {
-      return;
-    }
-    HotKeyExecute(st);
   });
 }
 
@@ -1214,22 +1002,32 @@ void XenicNode::ExecuteLogic(TxnId txn) {
   }
   std::vector<KeyRef> add_reads;
   std::vector<KeyRef> add_writes;
-  bool abort_flag = false;
+  st->app_abort = RunAppRound(st, st->round, &add_reads, &add_writes);
+  st->new_exec_read_base = static_cast<uint32_t>(st->read_keys.size());
+  st->new_exec_write_base = static_cast<uint32_t>(st->write_keys.size());
+  AppendKeys(st, add_reads, add_writes);
+}
+
+bool XenicNode::RunAppRound(TxnState* st, int round, std::vector<KeyRef>* add_reads,
+                            std::vector<KeyRef>* add_writes) {
+  bool abort = false;
   ExecRound er;
-  er.round = st->round;
+  er.round = round;
   er.read_keys = &st->read_keys;
   er.reads = &st->reads;
   er.write_keys = &st->write_keys;
   er.writes = &st->writes;
-  er.add_reads = &add_reads;
-  er.add_writes = &add_writes;
-  er.abort = &abort_flag;
+  er.add_reads = add_reads;
+  er.add_writes = add_writes;
+  er.abort = &abort;
   if (st->req.execute) {
     st->req.execute(er);
   }
-  st->app_abort = abort_flag;
-  st->new_exec_read_base = static_cast<uint32_t>(st->read_keys.size());
-  st->new_exec_write_base = static_cast<uint32_t>(st->write_keys.size());
+  return abort;
+}
+
+void XenicNode::AppendKeys(TxnState* st, const std::vector<KeyRef>& add_reads,
+                           const std::vector<KeyRef>& add_writes) {
   for (const auto& k : add_reads) {
     st->read_keys.push_back(k);
     st->reads.emplace_back();
@@ -1784,9 +1582,8 @@ void XenicNode::ReleaseOrphanedLocks(TxnId txn, NodeId shard, std::vector<KeyRef
 
 void XenicNode::AbortCleanup(TxnState* st, TxnOutcome outcome) {
   const TxnId txn = st->id;
-  if (st->hot_parked) {
-    st->hot_parked = false;
-    RemoveHotWaiter(st);
+  if (st->park_id != 0) {
+    waiters_.Take(st->park_key, st->park_id);
   }
   // Release locks at every shard that acknowledged EXECUTE (or the local
   // lock set for local/shipped paths).
@@ -1956,25 +1753,24 @@ void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
     // on a copy of itself, like the EXECUTE handler's read loop).
     auto attempt = [this, txn, coord, coordinator, st, my_keys_ptr, my_reads_ptr](
                        auto&& self, uint32_t parks) -> void {
-      if (crashed_ || coordinator->FindState(txn) != st) {
+      if (crashed_) {
         return;
       }
+      nic_->engine()->set_trace_ctx(txn);
       // After a park, a crashed coordinator still has the state in its
       // table (crash keeps txns_ for exactly these in-flight pointers), so
       // the FindState guard alone can't see the crash: check it directly
       // rather than lock and execute for a node that will never commit.
-      if (parks > 0 && coordinator->crashed()) {
+      if (coordinator->FindState(txn) != st || (parks > 0 && coordinator->crashed())) {
         return;
       }
       uint8_t contention = 0;
       KeyRef conflict{};
       if (!LockAll(txn, *my_keys_ptr, &contention, &conflict)) {
-        const sim::Tick now = nic_->engine()->now();
-        if (features_->hot_key_fastpath && parks < kRemoteMaxParks &&
-            sketch_.IsHot(conflict, now) && RemoteQueueHasRoom(conflict)) {
+        if (MayParkRemote(txn, conflict, parks)) {
           // Hot key: the shipped execution is parked behind the holder
           // (zero locks held) instead of failing back to the coordinator.
-          ParkRemote(conflict, txn, [self, parks] { self(self, parks + 1); });
+          WaitForLock(txn, conflict, /*local=*/false, [self, parks] { self(self, parks + 1); });
           return;
         }
         transport_.SendAck(
@@ -2001,22 +1797,10 @@ void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
           }
         std::vector<KeyRef> add_reads;
         std::vector<KeyRef> add_writes;
-        bool abort_flag = false;
-        ExecRound er;
-        er.round = 0;
-        er.read_keys = &st->read_keys;
-        er.reads = &st->reads;
-        er.write_keys = &st->write_keys;
-        er.writes = &st->writes;
-        er.add_reads = &add_reads;
-        er.add_writes = &add_writes;
-        er.abort = &abort_flag;
-        if (st->req.execute) {
-          st->req.execute(er);
-        }
+        const bool app_abort = RunAppRound(st, 0, &add_reads, &add_writes);
         assert(add_reads.empty() && add_writes.empty() &&
                "shipped transactions must be single-round (allow_ship misuse)");
-        if (abort_flag) {
+        if (app_abort) {
           UnlockAll(txn, *my_keys_ptr);
           transport_.SendAck(
               net::MsgType::kShipExec, coord,
@@ -2100,219 +1884,101 @@ void XenicNode::UnlockAll(TxnId txn, const std::vector<KeyRef>& keys) {
 
 void XenicNode::ReleaseOne(TxnId txn, const KeyRef& key) {
   ds_->index(key.table).ReleaseLock(key.key, txn);
-  WakeHotWaiters(key);
-  if (!cc_waiters_.empty()) {
-    WakeCcWaiters(key);  // empty under OCC: the 2PL queues are never used
+  if (!waiters_.empty()) {
+    WakeNext(key);
   }
 }
 
-void XenicNode::WakeHotWaiters(const KeyRef& key) {
-  if (hot_waiters_.empty() && remote_waiters_.empty()) {
-    return;
-  }
-  auto it = hot_waiters_.find(key);
-  if (it == hot_waiters_.end() || it->second.empty()) {
-    // No local hot-path waiter: hand the release to a parked remote lock
-    // request instead (one release, one wake, whoever is queued).
-    WakeOneRemote(key);
-    return;
-  }
-  const TxnId next = it->second.front();
-  it->second.pop_front();
-  if (it->second.empty()) {
-    hot_waiters_.erase(it);
-  }
-  // Re-attempt the acquire in a fresh event: the release may happen inside
-  // another transaction's lock rollback, mid-iteration over its key list.
-  nic_->engine()->ScheduleAfter(0, [this, next] {
-    TxnState* st = FindState(next);
-    if (st == nullptr || crashed_ || !st->hot_parked) {
-      return;
-    }
-    st->hot_parked = false;
-    nic_->engine()->set_trace_ctx(next);
-    HotKeyAcquire(next);
-  });
-}
+// ---------------------------------------------------------------------------
+// Lock waiting (one queue for local and remote requests under every
+// policy) and 2PL conflict handling (WAIT_DIE / WOUND_WAIT, WOUND
+// delivery).
+// ---------------------------------------------------------------------------
 
-bool XenicNode::RemoteQueueHasRoom(const KeyRef& key) const {
+bool XenicNode::MayParkRemote(TxnId txn, const KeyRef& conflict, uint32_t parks) {
+  if (Cc2pl()) {
+    return CcMayWait(txn, conflict, parks);
+  }
   // A full queue means a convoy is forming: deny instead of queueing
   // behind it.
-  auto it = remote_waiters_.find(key);
-  return it == remote_waiters_.end() || it->second.size() < kRemoteQueueCap;
+  return features_->hot_key_fastpath && parks < kRemoteMaxParks &&
+         sketch_.IsHot(conflict, nic_->engine()->now()) &&
+         waiters_.Count(conflict, kRemoteRank) < kRemoteQueueCap;
 }
 
-void XenicNode::ParkRemote(const KeyRef& key, TxnId txn, sim::SmallFunction<void()> resume) {
-  auto& queue = remote_waiters_[key];
-  assert(queue.size() < kRemoteQueueCap);
-  stats_.hot_remote_parks++;
-  const uint64_t id = ++remote_waiter_seq_;
-  queue.push_back(RemoteWaiter{id, txn, std::move(resume)});
-  // Fallback wakeup, mirroring HotKeyPark: a release that bypasses this
-  // node's release paths (recovery drops locks directly in the index) must
-  // not strand the coordinator's pending reply. The entry id keeps a
-  // fired timer from double-waking a request a release already resumed.
-  nic_->engine()->ScheduleAfter(kHotParkTimeout, [this, key, id] {
-    if (crashed_) {
-      return;
+uint64_t XenicNode::WaitForLock(TxnId txn, const KeyRef& key, bool local,
+                                sim::SmallCallback resume) {
+  uint64_t rank = local ? kLocalRank : kRemoteRank;
+  if (Cc2pl()) {
+    stats_.cc_waits++;
+    const TxnId holder = ds_->index(key.table).LockOwner(key.key);
+    if (holder == store::kNoTxn) {
+      // The holder released between the failed acquire and this decision
+      // (lock rollbacks run inline). Re-attempt in a fresh event.
+      nic_->engine()->ScheduleAfter(0, std::move(resume));
+      return 0;
     }
-    auto it = remote_waiters_.find(key);
-    if (it == remote_waiters_.end()) {
-      return;
+    if (cc_policy().OnConflict(txn, holder) == CcAction::kWound) {
+      // Abort the younger holder at its coordinator so the lock frees; the
+      // message rides the transport (a self-wound schedules locally). The
+      // holder may already be past its commit point, in which case the
+      // wound is a no-op and we fall back to waiting for its release.
+      stats_.cc_wounds++;
+      const NodeId vcoord = store::TxnNode(holder);
+      XenicNode* victim = (*peers_)[vcoord];
+      transport_.Send(
+          net::MsgType::kWound, vcoord, net::wire::Wound(),
+          [victim, holder] { victim->ServeWound(holder); }, txn);
     }
-    auto pos = std::find_if(it->second.begin(), it->second.end(),
-                            [id](const RemoteWaiter& w) { return w.id == id; });
-    if (pos == it->second.end()) {
-      return;
-    }
-    RemoteWaiter w = std::move(*pos);
-    it->second.erase(pos);
-    if (it->second.empty()) {
-      remote_waiters_.erase(it);
-    }
-    nic_->engine()->set_trace_ctx(w.txn);
-    w.resume();
-  });
-}
-
-void XenicNode::WakeOneRemote(const KeyRef& key) {
-  auto it = remote_waiters_.find(key);
-  if (it == remote_waiters_.end() || it->second.empty()) {
-    return;
+    rank = CcPriority(txn);
+  } else if (local) {
+    stats_.hot_waits++;
+  } else {
+    stats_.hot_remote_parks++;
   }
-  RemoteWaiter w = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) {
-    remote_waiters_.erase(it);
-  }
-  // Fresh event, same reason as the local wake: the release may happen
-  // mid-rollback over another transaction's key list.
-  nic_->engine()->ScheduleAfter(0, [this, w = std::move(w)]() mutable {
-    if (crashed_) {
-      return;
+  const uint64_t id = waiters_.Park(key, txn, rank, std::move(resume));
+  // Fallback wakeup: a release that bypasses this node's release paths
+  // (recovery drops locks directly in the index) must not strand the
+  // waiter. The timer takes its own entry by id, so it finds nothing once
+  // a release has woken the waiter.
+  nic_->engine()->ScheduleAfter(kParkTimeout, [this, key, id] {
+    if (auto w = waiters_.Take(key, id)) {
+      w->resume();
     }
-    nic_->engine()->set_trace_ctx(w.txn);
-    w.resume();
   });
+  return id;
 }
 
-// ---------------------------------------------------------------------------
-// 2PL conflict handling (WAIT_DIE / WOUND_WAIT wait queues, WOUND delivery).
-// ---------------------------------------------------------------------------
+void XenicNode::WakeNext(const KeyRef& key) {
+  auto next = waiters_.PopNext(key, [this](TxnId txn) {
+    // Under 2PL, skip waiters whose transaction died while parked
+    // (wounded, swept by recovery, or their coordinator crashed): wake the
+    // next one instead of letting the release go unused until a timeout
+    // fires. OCC must not skip: there a woken remote request whose
+    // coordinator forgot the transaction uses up the wake (ExecuteAttempt
+    // drops it), and the recorded schedules depend on it.
+    if (!Cc2pl()) {
+      return false;
+    }
+    XenicNode* coord = (*peers_)[store::TxnNode(txn)];
+    return coord->crashed() || coord->FindState(txn) == nullptr;
+  });
+  if (next) {
+    // Resume in a fresh event: the release may happen inside another
+    // transaction's lock rollback, mid-iteration over its key list. Each
+    // resume target checks for a crash and restores its trace context.
+    nic_->engine()->ScheduleAfter(0, std::move(next->resume));
+  }
+}
 
 bool XenicNode::CcMayWait(TxnId txn, const KeyRef& conflict, uint32_t parks) const {
   const TxnId holder = ds_->index(conflict.table).LockOwner(conflict.key);
   if (holder == store::kNoTxn) {
-    return true;  // released meanwhile: CcHandleConflict re-attempts at once
+    return true;  // released meanwhile: WaitForLock re-attempts at once
   }
   // Deny when the policy says abort or the park budget is spent: the
   // coordinator aborts (and retries) the requester.
-  return cc_policy().OnConflict(txn, holder) != CcAction::kAbort && parks < kCcMaxParks;
-}
-
-void XenicNode::CcHandleConflict(TxnId txn, const KeyRef& conflict,
-                                 sim::SmallFunction<void()> resume) {
-  const TxnId holder = ds_->index(conflict.table).LockOwner(conflict.key);
-  if (holder == store::kNoTxn) {
-    // The holder released between the failed acquire and this decision
-    // (lock rollbacks run inline). Re-attempt in a fresh event.
-    stats_.cc_waits++;
-    nic_->engine()->ScheduleAfter(0, [this, txn, resume = std::move(resume)]() mutable {
-      if (crashed_) {
-        return;
-      }
-      nic_->engine()->set_trace_ctx(txn);
-      resume();
-    });
-    return;
-  }
-  if (cc_policy().OnConflict(txn, holder) == CcAction::kWound) {
-    // Abort the younger holder at its coordinator so the lock frees; the
-    // message rides the transport (a self-wound schedules locally). The
-    // holder may already be past its commit point, in which case the wound
-    // is a no-op and we fall back to waiting for its release.
-    stats_.cc_wounds++;
-    const NodeId vcoord = store::TxnNode(holder);
-    XenicNode* victim = (*peers_)[vcoord];
-    transport_.Send(
-        net::MsgType::kWound, vcoord, net::wire::Wound(),
-        [victim, holder] { victim->ServeWound(holder); }, txn);
-  }
-  CcPark(conflict, txn, std::move(resume));
-}
-
-void XenicNode::CcPark(const KeyRef& key, TxnId txn, sim::SmallFunction<void()> resume) {
-  stats_.cc_waits++;
-  const uint64_t id = ++cc_waiter_seq_;
-  cc_waiters_[key].push_back(CcWaiter{id, txn, std::move(resume)});
-  // Fallback wakeup, mirroring ParkRemote: recovery sweeps release locks
-  // directly in the index, bypassing ReleaseOne, and must not strand a
-  // parked request forever. The entry id keeps a fired timer from
-  // double-waking a request a release already resumed.
-  nic_->engine()->ScheduleAfter(kCcParkTimeout, [this, key, id] {
-    if (crashed_) {
-      return;
-    }
-    auto it = cc_waiters_.find(key);
-    if (it == cc_waiters_.end()) {
-      return;
-    }
-    auto pos = std::find_if(it->second.begin(), it->second.end(),
-                            [id](const CcWaiter& w) { return w.id == id; });
-    if (pos == it->second.end()) {
-      return;
-    }
-    CcWaiter w = std::move(*pos);
-    it->second.erase(pos);
-    if (it->second.empty()) {
-      cc_waiters_.erase(it);
-    }
-    nic_->engine()->set_trace_ctx(w.txn);
-    w.resume();
-  });
-}
-
-void XenicNode::WakeCcWaiters(const KeyRef& key) {
-  auto it = cc_waiters_.find(key);
-  while (it != cc_waiters_.end() && !it->second.empty()) {
-    // Grant to the OLDEST parked requester (ties by arrival): under
-    // WOUND_WAIT an older waiter must not starve behind younger arrivals,
-    // and under WAIT_DIE every queued waiter is older than the departed
-    // holder anyway, so age order is also fair.
-    auto pos = std::min_element(it->second.begin(), it->second.end(),
-                                [](const CcWaiter& a, const CcWaiter& b) {
-                                  const uint64_t pa = CcPriority(a.txn);
-                                  const uint64_t pb = CcPriority(b.txn);
-                                  return pa != pb ? pa < pb : a.id < b.id;
-                                });
-    CcWaiter w = std::move(*pos);
-    it->second.erase(pos);
-    if (it->second.empty()) {
-      cc_waiters_.erase(it);
-      it = cc_waiters_.end();
-    }
-    // Skip waiters whose transaction died while parked (wounded, swept by
-    // recovery, or their coordinator crashed): wake the next-oldest
-    // instead of letting the release go unused until a timeout fires.
-    const NodeId coord = store::TxnNode(w.txn);
-    XenicNode* cnode = (*peers_)[coord];
-    if (cnode->crashed() || cnode->FindState(w.txn) == nullptr) {
-      if (it == cc_waiters_.end()) {
-        it = cc_waiters_.find(key);
-      }
-      continue;
-    }
-    // Fresh event, same reason as WakeHotWaiters: the release may happen
-    // mid-rollback over another transaction's key list.
-    nic_->engine()->ScheduleAfter(0, [this, w = std::move(w)]() mutable {
-      if (crashed_) {
-        return;
-      }
-      nic_->engine()->set_trace_ctx(w.txn);
-      w.resume();
-    });
-    return;
-  }
+  return cc_policy().OnConflict(txn, holder) != CcAction::kAbort && parks < kMaxParks;
 }
 
 void XenicNode::ServeWound(TxnId victim) {
@@ -2389,6 +2055,7 @@ void XenicNode::ExecuteAttempt(ExecSlot req, uint32_t parks) {
     return;  // the node died while this request was parked
   }
   const TxnId txn = req->txn;
+  nic_->engine()->set_trace_ctx(txn);
   XenicNode* coord = (*peers_)[req->coord];
   // A wake after a park must re-check the coordinator: if it crashed, or
   // recovery swept the transaction while we waited, granting locks now
@@ -2403,26 +2070,17 @@ void XenicNode::ExecuteAttempt(ExecSlot req, uint32_t parks) {
   uint8_t lock_contention = 0;
   KeyRef conflict{};
   if (!LockAll(txn, req->lock_keys, &lock_contention, &conflict)) {
-    const sim::Tick now = nic_->engine()->now();
     // WAIT_DIE / WOUND_WAIT may park (and wound) instead of denying; NO_WAIT
     // and an exhausted park budget deny, and the coordinator aborts exactly
     // like an OCC conflict. Under OCC a hot key parks the pending reply
     // behind the holder (zero locks held) instead of bouncing an
     // abort-retry cycle through the coordinator; timeout, a full queue, or
     // an exhausted park budget denies exactly as the unparked path would.
-    const bool wait = Cc2pl() ? CcMayWait(txn, conflict, parks)
-                              : features_->hot_key_fastpath && parks < kRemoteMaxParks &&
-                                    sketch_.IsHot(conflict, now) &&
-                                    RemoteQueueHasRoom(conflict);
-    if (wait) {
-      auto resume = sim::InlineCallback([this, req = std::move(req), parks]() mutable {
-        ExecuteAttempt(std::move(req), parks + 1);
-      });
-      if (Cc2pl()) {
-        CcHandleConflict(txn, conflict, std::move(resume));
-      } else {
-        ParkRemote(conflict, txn, std::move(resume));
-      }
+    if (MayParkRemote(txn, conflict, parks)) {
+      WaitForLock(txn, conflict, /*local=*/false,
+                  sim::InlineCallback([this, req = std::move(req), parks]() mutable {
+                    ExecuteAttempt(std::move(req), parks + 1);
+                  }));
       return;
     }
     req->contention = lock_contention;
@@ -2870,9 +2528,7 @@ size_t XenicNode::RebuildLocksFromLog(const std::vector<store::LogRecord>& unack
 
 void XenicNode::ClearNicState() {
   txns_.clear();
-  hot_waiters_.clear();
-  remote_waiters_.clear();
-  cc_waiters_.clear();
+  waiters_.Clear();
 }
 
 XenicNode::ParkedSlots XenicNode::parked_slots() const {
@@ -2885,9 +2541,7 @@ XenicNode::ParkedSlots XenicNode::parked_slots() const {
 }
 
 void XenicNode::DropParked() {
-  hot_waiters_.clear();
-  remote_waiters_.clear();
-  cc_waiters_.clear();
+  waiters_.Clear();
   appends_ = {};
   fan_ins_ = {};
 }
@@ -2899,13 +2553,11 @@ void XenicNode::Crash() {
   if (applier_ != nullptr) {
     applier_->Stop();  // the NIC cores die with the node
   }
-  hot_waiters_.clear();  // parked submissions die with the node
-  // Parked remote lock requests die too: their replies are never sent,
-  // which is exactly what a request lost with the node looks like to the
-  // coordinator (recovery's wedged-txn sweep resolves it). Clearing the
-  // queue frees each request's slot at its coordinator.
-  remote_waiters_.clear();
-  cc_waiters_.clear();  // same story for 2PL wait queues
+  // Parked lock requests die with the node. A remote request's reply is
+  // never sent, which is exactly what a request lost with the node looks
+  // like to the coordinator (recovery's wedged-txn sweep resolves it);
+  // clearing the queue frees each request's slot at its coordinator.
+  waiters_.Clear();
   // txns_ is intentionally NOT cleared: shipped executions at remote nodes
   // hold raw pointers into it and guard against a vanished coordinator by
   // re-looking the state up -- freeing it here would leave them dangling

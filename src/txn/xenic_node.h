@@ -16,6 +16,14 @@
 //    most {local shard, one remote shard} execute at the remote primary
 //    NIC; LOG requests fan out from there and backups acknowledge directly
 //    to the coordinator NIC, eliminating one message delay.
+//  * Locked-local path: all-local write transactions under 2PL, or whose
+//    write set hits a hot key under OCC (hot-key fast path), lock their
+//    whole key set on the NIC up front and execute under the locks.
+//
+// Every lock request a node's shard denies may wait in that node's one
+// lock-wait queue (txn::KeyWaitQueue) instead of aborting, whichever path
+// sent it; the concurrency-control policy and the hot-key sketch decide
+// whether it may.
 //
 // Feature flags (XenicFeatures) gate the smart combined operations, NIC
 // execution, and the multi-hop optimization for the Figure 9 ablations.
@@ -24,7 +32,6 @@
 #define SRC_TXN_XENIC_NODE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -42,6 +49,7 @@
 #include "src/store/datastore.h"
 #include "src/txn/cc_policy.h"
 #include "src/txn/hot_key_sketch.h"
+#include "src/txn/key_wait_queue.h"
 #include "src/txn/types.h"
 
 namespace xenic::txn {
@@ -158,8 +166,8 @@ class XenicNode {
   // Coordinator states alive at this node (finished transactions free
   // theirs).
   size_t live_txns() const { return txns_.size(); }
-  // Destroy every continuation parked at this node (wait queues, appends,
-  // fan-ins). Those hold slot handles into other nodes' request tables, so
+  // Destroy every continuation parked at this node (the lock-wait queue,
+  // appends, fan-ins). Those hold slot handles into other nodes' request tables, so
   // XenicCluster calls this on every node before it destroys any.
   void DropParked();
 
@@ -216,11 +224,12 @@ class XenicNode {
     // membership changed while we ran, a lock granted by the evicted node
     // is gone and our "stable by construction" reads are not.
     uint64_t map_version = 0;
-    // Hot-key fast path bookkeeping.
-    bool hot_path = false;    // routed through the serialized NIC path
-    bool hot_parked = false;  // waiting in a per-hot-key queue (zero locks!)
-    uint32_t hot_waits = 0;   // parks so far (requeue cap + timer generation)
-    KeyRef hot_key;           // the serialization key when hot_path
+    // Locked-local path: under OCC, the sketch-flagged write key this
+    // transaction may wait on; while it waits (holding zero locks), its
+    // entry in waiters_ (park_id 0 = not parked).
+    KeyRef hot_key;
+    KeyRef park_key;
+    uint64_t park_id = 0;
   };
 
   // Sentinel "sender" for the shipped path's EXEC-result completion signal.
@@ -381,34 +390,42 @@ class XenicNode {
                KeyRef* conflict = nullptr);
   void UnlockAll(TxnId txn, const std::vector<KeyRef>& keys);
   // Single release point for every node-path unlock: drops the lock, then
-  // wakes the head of the key's hot-waiter queue (if any).
+  // wakes the key's next waiter (if any).
   void ReleaseOne(TxnId txn, const KeyRef& key);
-  void WakeHotWaiters(const KeyRef& key);
 
-  // ---- Hot-key fast path (XenicFeatures::hot_key_fastpath). All-local
-  // write transactions whose write set hits a sketch-flagged hot key skip
-  // the optimistic race: they lock read+write sets up front on the NIC
-  // (parking in a per-key FIFO while holding zero locks if the hot key is
-  // taken), execute under locks, and reuse LogPhase/CommitPhase.
-  bool TryHotKeyRoute(StatePtr& st);  // true = routed (state consumed)
-  void HotKeyStart(TxnId txn);
-  void HotKeyAcquire(TxnId txn);
-  void HotKeyExecute(TxnState* st);
-  void HotKeyPark(TxnState* st);
-  void RemoveHotWaiter(TxnState* st);
+  // ---- Locked-local path. All-local write transactions skip the
+  // optimistic host race when the NIC must lock up front: always under 2PL,
+  // and under OCC (XenicFeatures::hot_key_fastpath, p4db-style is_hot
+  // routing) when the write set hits a sketch-flagged hot key. The NIC
+  // locks read ∪ write, reads and executes under the locks, and reuses
+  // LogPhase/CommitPhase -- no validation, hence no redo. A denied lock
+  // either aborts or waits in waiters_ holding zero locks: under 2PL as the
+  // policy says (CcMayWait), under OCC only on the hot key.
+  bool LockedLocalPath(StatePtr& st);  // true = routed (state consumed)
+  void LockedLocalAcquire(TxnId txn, uint32_t parks);
+  void LockedExecute(TxnState* st);
 
-  // ---- Remote hot-key parking (also hot_key_fastpath). A lock request a
-  // coordinator sent here (EXECUTE or shipped execution) that is denied on
-  // a sketch-flagged hot key parks its pending reply in a per-key FIFO
-  // (zero locks held) and re-attempts when the holder releases, instead of
-  // bouncing an abort-retry cycle through the coordinator. The timeout /
-  // park-budget fallback denies exactly as before, so the wait is bounded
-  // and distributed deadlocks still resolve by abort.
-  // The caller checks RemoteQueueHasRoom first and denies as usual when
-  // the key's queue is full.
-  bool RemoteQueueHasRoom(const KeyRef& key) const;
-  void ParkRemote(const KeyRef& key, TxnId txn, sim::SmallFunction<void()> resume);
-  void WakeOneRemote(const KeyRef& key);
+  // ---- Lock waiting. Every lock request this shard serves waits in one
+  // queue, waiters_: locked-local transactions and the lock steps of
+  // EXECUTE and shipped executions that coordinators sent here. Under OCC
+  // a remote request parks only on a sketch-flagged hot key, at most once
+  // and two deep, instead of bouncing an abort-retry cycle through its
+  // coordinator; under 2PL the policy decides. Each wait is bounded by a
+  // timeout (releases that bypass ReleaseOne, e.g. recovery sweeps, must
+  // not strand a waiter), after which the request re-attempts and denies
+  // as if it had never waited, so distributed deadlocks still resolve by
+  // abort.
+  //
+  // Whether a denied remote lock request may wait.
+  bool MayParkRemote(TxnId txn, const KeyRef& conflict, uint32_t parks);
+  // Park `resume` behind `key` (under WOUND_WAIT, wounding a younger holder
+  // first) with its timeout; returns the entry id. Under 2PL a holder that
+  // already released gets `resume` in a fresh event instead (returns 0).
+  // `local` marks a locked-local transaction of this node.
+  uint64_t WaitForLock(TxnId txn, const KeyRef& key, bool local, sim::SmallCallback resume);
+  // A release of `key`: resume its next waiter in a fresh event. Under 2PL
+  // a waiter whose transaction died while parked passes the wake on.
+  void WakeNext(const KeyRef& key);
 
   // ---- Pluggable concurrency control (XenicFeatures::cc; cc_policy.h).
   // True when a 2PL policy is active: read sets lock at EXECUTE time, the
@@ -418,25 +435,20 @@ class XenicNode {
   // Policy decision for a denied lock at this shard: false when the policy
   // (or an exhausted park budget) says the requester must abort.
   bool CcMayWait(TxnId txn, const KeyRef& conflict, uint32_t parks) const;
-  // Carry out a wait CcMayWait allowed: re-attempt at once if the holder
-  // already released, else park `resume` in the key's wait queue
-  // (wounding the holder first when the policy says so).
-  void CcHandleConflict(TxnId txn, const KeyRef& conflict, sim::SmallFunction<void()> resume);
-  // Timestamp-ordered wait queue (one per key, oldest woken first). Parked
-  // entries hold the timeout fallback of the hot-key queues: a lock
-  // released behind the engine's back (recovery sweeps) must not strand a
-  // waiter forever.
-  void CcPark(const KeyRef& key, TxnId txn, sim::SmallFunction<void()> resume);
-  void WakeCcWaiters(const KeyRef& key);
   // Coordinator-side WOUND handler: abort `victim` unless it already
   // passed its commit point (logs sent / outcome reported) or is gone.
   void ServeWound(TxnId victim);
-  // All-local write transactions under 2PL: lock the read+write set up
-  // front on the NIC (policy-directed parking on conflict), execute under
-  // locks, then LOG/COMMIT -- no optimistic race, no validation.
-  void CcLocalPath(StatePtr st);
-  void CcLocalStart(TxnId txn);
-  void CcLocalAcquire(TxnId txn, uint32_t parks);
+
+  // ---- Application execution helpers.
+  // Run round `round` of the application's logic over `st`'s current key
+  // sets; keys it adds land in `add_reads`/`add_writes`. Returns whether
+  // the application aborted.
+  static bool RunAppRound(TxnState* st, int round, std::vector<KeyRef>* add_reads,
+                          std::vector<KeyRef>* add_writes);
+  // Append added keys to `st`'s read and write sets, growing the aligned
+  // result vectors with them.
+  static void AppendKeys(TxnState* st, const std::vector<KeyRef>& add_reads,
+                         const std::vector<KeyRef>& add_writes);
 
   // Charge `stats` worth of DMA reads, then `done`.
   void ChargeDmaReads(const store::NicIndex::LookupStats& stats, sim::Engine::Callback done);
@@ -510,28 +522,13 @@ class XenicNode {
   TxnStats stats_;
   // Per-shard conflict sketch feeding contention hints and hot-key routing.
   HotKeySketch sketch_;
-  // Per-hot-key FIFO of parked transactions (ids only; zero locks held).
-  std::unordered_map<KeyRef, std::deque<TxnId>, KeyRefHash> hot_waiters_;
-  // Per-hot-key FIFO of parked remote lock requests (EXECUTE / shipped
-  // execution); `resume` re-attempts the full lock set. The id lets the
-  // timeout fallback find its own entry after wakes reordered the queue.
-  struct RemoteWaiter {
-    uint64_t id;
-    TxnId txn;
-    sim::SmallFunction<void()> resume;
-  };
-  std::unordered_map<KeyRef, std::deque<RemoteWaiter>, KeyRefHash> remote_waiters_;
-  uint64_t remote_waiter_seq_ = 0;
-  // Per-key 2PL wait queues (WAIT_DIE / WOUND_WAIT). Entries hold zero or
-  // more locks at OTHER shards (hold-and-wait is safe: timestamp ordering
-  // keeps the global waits-for graph acyclic); wakes go oldest-first.
-  struct CcWaiter {
-    uint64_t id;
-    TxnId txn;
-    sim::SmallFunction<void()> resume;
-  };
-  std::unordered_map<KeyRef, std::vector<CcWaiter>, KeyRefHash> cc_waiters_;
-  uint64_t cc_waiter_seq_ = 0;
+  // Lock requests waiting at this shard, zero locks held here; each
+  // `resume` re-attempts the request's whole lock set. Ranks: under OCC,
+  // local transactions before remote requests; under 2PL, CcPriority
+  // (oldest first). A 2PL waiter may hold locks at OTHER shards
+  // (hold-and-wait is safe: timestamp ordering keeps the global waits-for
+  // graph acyclic).
+  KeyWaitQueue waiters_;
   net::Transport transport_;
   PhaseBreakdown phases_;
   WorkerApplyHook worker_apply_hook_;

@@ -22,6 +22,10 @@
 //                [--retry-cap US] [--hot-key-path] [--adaptive-dma]
 //                [--cc occ|nowait|waitdie|woundwait] [--workload bank|ycsb]
 //
+// An unknown flag, or a value that does not parse completely (numbers are
+// unsigned decimals, --drop/--dup/--delay probabilities in [0, 1]), exits 2
+// before any run starts.
+//
 // --cc selects the concurrency-control policy of Xenic systems (default
 // occ, the historical pipeline; the 2PL policies change event schedules, so
 // their transcripts are separate from the per-seed goldens). --workload
@@ -56,11 +60,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/chaos/chaos_run.h"
+#include "src/common/flag_values.h"
 #include "src/harness/sweep.h"
 #include "src/txn/cc_policy.h"
 
@@ -70,8 +75,6 @@ using xenic::chaos::ChaosConfig;
 using xenic::chaos::ChaosVerdict;
 using xenic::chaos::RunChaos;
 using xenic::harness::SystemConfig;
-
-uint64_t ParseU64(const char* s) { return std::strtoull(s, nullptr, 10); }
 
 bool SetSystem(ChaosConfig& config, const std::string& name) {
   if (name == "xenic") {
@@ -115,59 +118,66 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric values parse completely or exit 2 (src/common/flag_values.h).
+    auto count = [&]() { return xenic::FlagUint(a.c_str(), next()); };
+    auto count32 = [&]() {
+      return static_cast<uint32_t>(
+          xenic::FlagUint(a.c_str(), next(), std::numeric_limits<uint32_t>::max()));
+    };
+    auto micros = [&]() { return static_cast<xenic::sim::Tick>(count()) * xenic::sim::kNsPerUs; };
+    auto probability = [&]() { return xenic::FlagProbability(a.c_str(), next()); };
     if (a == "--seed") {
-      seed_lo = seed_hi = ParseU64(next());
+      seed_lo = seed_hi = count();
     } else if (a == "--seeds") {
-      const char* v = next();
-      const char* dash = std::strchr(v, '-');
-      if (dash == nullptr) {
+      const std::string v = next();
+      const size_t dash = v.find('-');
+      if (dash == std::string::npos) {
         std::fprintf(stderr, "--seeds wants A-B\n");
         return 2;
       }
-      seed_lo = ParseU64(v);
-      seed_hi = ParseU64(dash + 1);
+      seed_lo = xenic::FlagUint("--seeds", v.substr(0, dash).c_str());
+      seed_hi = xenic::FlagUint("--seeds", v.substr(dash + 1).c_str());
     } else if (a == "--system") {
       if (!SetSystem(base, next())) {
         std::fprintf(stderr, "unknown system\n");
         return 2;
       }
     } else if (a == "--nodes") {
-      base.system.num_nodes = static_cast<uint32_t>(ParseU64(next()));
+      base.system.num_nodes = count32();
     } else if (a == "--replicas") {
-      base.system.replication = static_cast<uint32_t>(ParseU64(next()));
+      base.system.replication = count32();
     } else if (a == "--quorum") {
-      base.system.quorum = static_cast<uint32_t>(ParseU64(next()));
+      base.system.quorum = count32();
     } else if (a == "--handoffs") {
-      base.faults.planned_handoffs = static_cast<uint32_t>(ParseU64(next()));
+      base.faults.planned_handoffs = count32();
     } else if (a == "--detect-us") {
       // Crash detection (lease expiry) delay. The default 8us is almost
       // instant; realistic lease timeouts are tens of microseconds, which
       // is exactly the availability gap planned handoff closes.
-      base.faults.detection_delay =
-          static_cast<xenic::sim::Tick>(ParseU64(next())) * xenic::sim::kNsPerUs;
+      base.faults.detection_delay = micros();
     } else if (a == "--nic-log-apply") {
       base.system.features.nic_log_apply = true;
     } else if (a == "--replica-reads") {
       base.system.features.nic_log_apply = true;  // reads need the applier
       base.system.features.replica_reads = true;
     } else if (a == "--epoch") {
-      base.epoch = ParseU64(next());
+      base.epoch = count();
     } else if (a == "--horizon-us") {
-      base.horizon = static_cast<xenic::sim::Tick>(ParseU64(next())) * xenic::sim::kNsPerUs;
+      base.horizon = micros();
     } else if (a == "--crashes") {
-      base.faults.crashes = static_cast<uint32_t>(ParseU64(next()));
+      base.faults.crashes = count32();
     } else if (a == "--storms") {
-      base.faults.eviction_storms = static_cast<uint32_t>(ParseU64(next()));
+      base.faults.eviction_storms = count32();
     } else if (a == "--stalls") {
-      base.faults.stall_windows = static_cast<uint32_t>(ParseU64(next()));
+      base.faults.stall_windows = count32();
     } else if (a == "--drop") {
-      base.faults.drop_prob = std::atof(next());
+      base.faults.drop_prob = probability();
     } else if (a == "--dup") {
-      base.faults.dup_prob = std::atof(next());
+      base.faults.dup_prob = probability();
     } else if (a == "--delay") {
-      base.faults.delay_prob = std::atof(next());
+      base.faults.delay_prob = probability();
     } else if (a == "--log-capacity") {
-      base.system.log_capacity = static_cast<size_t>(ParseU64(next()));
+      base.system.log_capacity = static_cast<size_t>(count());
     } else if (a == "--drop-type") {
       const char* name = next();
       if (!xenic::net::ParseMsgSelector(name, &base.faults.typed_drop)) {
@@ -178,7 +188,8 @@ int main(int argc, char** argv) {
         base.faults.typed_drop_node = 0;
       }
     } else if (a == "--drop-node") {
-      base.faults.typed_drop_node = static_cast<int>(ParseU64(next()));
+      base.faults.typed_drop_node = static_cast<int>(
+          xenic::FlagUint(a.c_str(), next(), std::numeric_limits<int>::max()));
     } else if (a == "--retry-policy") {
       const char* name = next();
       if (!xenic::txn::ParseRetryPolicy(name, &base.retry.kind)) {
@@ -187,11 +198,9 @@ int main(int argc, char** argv) {
       }
       base.retry_aborts = true;
     } else if (a == "--backoff-base") {
-      base.retry.backoff_base =
-          static_cast<xenic::sim::Tick>(ParseU64(next())) * xenic::sim::kNsPerUs;
+      base.retry.backoff_base = micros();
     } else if (a == "--retry-cap") {
-      base.retry.backoff_cap =
-          static_cast<xenic::sim::Tick>(ParseU64(next())) * xenic::sim::kNsPerUs;
+      base.retry.backoff_cap = micros();
     } else if (a == "--hot-key-path") {
       base.system.features.hot_key_fastpath = true;
     } else if (a == "--adaptive-dma") {
@@ -223,8 +232,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (a == "--timeline-window-us") {
-      base.timeline_window =
-          static_cast<xenic::sim::Tick>(ParseU64(next())) * xenic::sim::kNsPerUs;
+      base.timeline_window = micros();
     } else if (a == "--jobs" || a.rfind("--jobs=", 0) == 0) {
       if (a == "--jobs") {
         (void)next();  // consumed below by ParseJobsFlag

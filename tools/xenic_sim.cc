@@ -11,11 +11,16 @@
 // abort rate, resource utilization); --csv emits a machine-readable line.
 // --attrib adds the per-resource bottleneck-attribution table; --trace
 // writes the run as Chrome trace-event JSON (about:tracing / Perfetto).
+// --trace and --txn-attrib each need the engine's single trace slot, so
+// asking for both exits 2, as do an unknown flag and a numeric value that
+// does not parse completely.
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "src/common/flag_values.h"
 #include "src/common/table_printer.h"
 #include "src/harness/runner.h"
 #include "src/obs/attribution.h"
@@ -75,24 +80,31 @@ Args Parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
     std::string v;
+    // Numeric values parse completely or exit 2 (src/common/flag_values.h).
+    const std::string flag(argv[i], std::strcspn(argv[i], "="));
+    auto u64 = [&] { return FlagUint(flag.c_str(), v.c_str()); };
+    auto u32 = [&] {
+      return static_cast<uint32_t>(
+          FlagUint(flag.c_str(), v.c_str(), std::numeric_limits<uint32_t>::max()));
+    };
     if (ParseArg(argv[i], "--system", &v)) {
       a.system = v;
     } else if (ParseArg(argv[i], "--workload", &v)) {
       a.workload = v;
     } else if (ParseArg(argv[i], "--nodes", &v)) {
-      a.nodes = static_cast<uint32_t>(std::stoul(v));
+      a.nodes = u32();
     } else if (ParseArg(argv[i], "--replication", &v) || ParseArg(argv[i], "--replicas", &v)) {
-      a.replication = static_cast<uint32_t>(std::stoul(v));
+      a.replication = u32();
     } else if (ParseArg(argv[i], "--quorum", &v)) {
-      a.quorum = static_cast<uint32_t>(std::stoul(v));
+      a.quorum = u32();
     } else if (ParseArg(argv[i], "--contexts", &v)) {
-      a.contexts = static_cast<uint32_t>(std::stoul(v));
+      a.contexts = u32();
     } else if (ParseArg(argv[i], "--measure-us", &v)) {
-      a.measure_us = std::stoull(v);
+      a.measure_us = u64();
     } else if (ParseArg(argv[i], "--seed", &v)) {
-      a.seed = std::stoull(v);
+      a.seed = u64();
     } else if (ParseArg(argv[i], "--scale", &v)) {
-      a.scale = std::stoull(v);
+      a.scale = u64();
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       a.csv = true;
     } else if (std::strcmp(argv[i], "--attrib") == 0) {
@@ -104,15 +116,15 @@ Args Parse(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       a.metrics = true;
     } else if (ParseArg(argv[i], "--metrics-window-us", &v)) {
-      a.metrics_window_us = std::stoull(v);
+      a.metrics_window_us = u64();
     } else if (ParseArg(argv[i], "--slo", &v)) {
       a.slo = v;
     } else if (ParseArg(argv[i], "--retry-policy", &v)) {
       a.retry_policy = v;
     } else if (ParseArg(argv[i], "--backoff-base", &v)) {
-      a.backoff_base_us = std::stoull(v);
+      a.backoff_base_us = u64();
     } else if (ParseArg(argv[i], "--retry-cap", &v)) {
-      a.retry_cap_us = std::stoull(v);
+      a.retry_cap_us = u64();
     } else if (std::strcmp(argv[i], "--hot-key-path") == 0) {
       a.hot_key_path = true;
     } else if (std::strcmp(argv[i], "--adaptive-dma") == 0) {
@@ -187,6 +199,11 @@ bool MakeSystemConfig(const Args& a, harness::SystemConfig* cfg) {
 
 int main(int argc, char** argv) {
   Args a = Parse(argc, argv);
+  if (!a.trace_path.empty() && a.txn_attrib) {
+    // Both need the engine's single trace slot.
+    std::fprintf(stderr, "--trace and --txn-attrib cannot be combined; run them separately\n");
+    return 2;
+  }
   harness::SystemConfig cfg;
   auto wl = MakeWorkload(a);
   txn::RetryPolicyKind retry_kind = txn::RetryPolicyKind::kUniform;
@@ -259,8 +276,6 @@ int main(int argc, char** argv) {
   rc.metrics_window = a.metrics_window_us * sim::kNsPerUs;
   rc.collect_resources = a.attrib;
   rc.trace = a.trace_path.empty() ? nullptr : &rec;
-  // --txn-attrib and --trace both need the engine's single trace slot;
-  // --trace wins (RunWorkload prefers rc.trace when both are set).
   rc.txn_trace = a.txn_attrib ? &txn_sink : nullptr;
   std::fprintf(stderr, "running %s on %s (%u nodes, %u contexts/node)...\n", wl->Name().c_str(),
                system->Name().c_str(), a.nodes, a.contexts);
