@@ -11,9 +11,11 @@
 #include "bench/bench_common.h"
 #include "src/workload/smallbank.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xenic;
   using namespace xenic::bench;
+  // A serial bench: --jobs is accepted for uniformity with the sweeps.
+  ParseBenchFlags(argc, argv, harness::kFlagJobs);
 
   const uint32_t nodes = 6;
   RunConfig rc;

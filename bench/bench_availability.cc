@@ -22,16 +22,19 @@
 // Output: a table plus BENCH_avail.json (per-scenario dip depth/width and
 // degraded_service_seconds) for EXPERIMENTS.md and regression tracking.
 //
-// Flags: [--seed N] [--detect-us N] [--window-us N] [--replicas N]
+// Flags (--help lists them): --seed, --detect-us, --window-us, --replicas,
+// and --jobs, accepted for uniformity with the sweep benches (runs are
+// serial).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/chaos/chaos_run.h"
+#include "src/common/output_file.h"
 #include "src/common/table_printer.h"
+#include "src/harness/run_spec.h"
 
 namespace {
 
@@ -65,34 +68,19 @@ std::string Seconds(uint64_t us) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t seed = 3;
-  uint64_t detect_us = 100;
+  harness::RunSpec spec;
   uint64_t window_us = 20;
-  uint32_t replicas = 3;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : "0"; };
-    if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--detect-us") == 0) {
-      detect_us = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--window-us") == 0) {
-      window_us = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--replicas") == 0) {
-      replicas = static_cast<uint32_t>(std::strtoull(next(), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      (void)next();  // accepted for driver-script uniformity; runs are serial
-    } else if (std::strncmp(argv[i], "--jobs=", 7) != 0) {
-      std::fprintf(stderr,
-                   "%s: unknown flag '%s' (flags: --seed N --detect-us N --window-us N "
-                   "--replicas N --jobs N)\n",
-                   argv[0], argv[i]);
-      return 2;
-    }
-  }
+  harness::FlagSet flags(&spec, harness::kFlagSeed | harness::kFlagDetectUs |
+                                    harness::kFlagReplicas | harness::kFlagJobs);
+  flags.Add("--window-us", "US", "timeline bin width in microseconds (default 20)",
+            harness::FlagSet::Uint(&window_us, 1));
+  flags.Parse(argc, argv);
+  const uint64_t seed = spec.seed.value_or(3);
+  const uint64_t detect_us = spec.detect_us.value_or(100);
 
   ChaosConfig base;
   base.seed = seed;
-  base.system.replication = replicas;
+  base.system.replication = spec.replicas;
   base.system.features.nic_log_apply = true;
   base.faults.crashes = 0;
   base.faults.eviction_storms = 0;
@@ -118,7 +106,7 @@ int main(int argc, char** argv) {
   std::string json = "{\"bench\":\"availability\",\"workload\":\"chaos-bank\",\"seed\":" +
                      std::to_string(seed) + ",\"detect_us\":" + std::to_string(detect_us) +
                      ",\"window_us\":" + std::to_string(window_us) +
-                     ",\"replicas\":" + std::to_string(replicas) + ",\"scenarios\":[";
+                     ",\"replicas\":" + std::to_string(spec.replicas) + ",\"scenarios\":[";
   bool all_ok = true;
   for (size_t i = 0; i < scenarios.size(); ++i) {
     const Scenario& s = scenarios[i];
@@ -152,11 +140,6 @@ int main(int argc, char** argv) {
               tp.Render("Availability: crash vs planned handoff (same seed, same instant)")
                   .c_str());
 
-  const std::string path = "BENCH_avail.json";
-  if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-  }
+  WriteOutputFile("BENCH_avail.json", json);
   return all_ok ? 0 : 1;
 }

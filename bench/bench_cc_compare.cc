@@ -66,8 +66,11 @@ const char* TopTailBucket(const obs::TailAttribution& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  // Each cell sets its own --cc and features; only the run flags apply.
+  const harness::RunSpec spec = ParseBenchFlags(
+      argc, argv, harness::kFlagJobs | harness::kFlagSeed | harness::kRetryFlags |
+                      harness::kObserverFlags);
+  SweepExecutor ex(spec.jobs);
 
   const uint32_t nodes = 6;
   auto make_wl = [&](double theta) {
@@ -86,7 +89,7 @@ int main(int argc, char** argv) {
   base_rc.seed = 11;
   base_rc.warmup = 150 * sim::kNsPerUs;
   base_rc.measure = 1000 * sim::kNsPerUs;
-  ApplyContentionOptions(opts, &base_rc);  // --seed/--retry-policy overrides
+  spec.ApplyTo(&base_rc);  // --seed and the retry flags
 
   auto cell_system = [&](txn::CcPolicyKind cc) {
     SystemConfig cfg;
@@ -200,12 +203,7 @@ int main(int argc, char** argv) {
   json += "]}";
   std::printf("%s", tp.Render("CC compare: YCSB, policy x zipf theta @ peak").c_str());
 
-  const std::string path = "BENCH_cc.json";
-  if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-  }
+  WriteOutputFile("BENCH_cc.json", json);
 
   // Standard observability passes (per-policy at theta 0.99, where the
   // policies differ most): abort breakdown, bottleneck attribution,
@@ -216,7 +214,7 @@ int main(int argc, char** argv) {
     cfgs.push_back(cell_system(kPolicies[pi]));
     hot_curves.push_back(curves[pi][kNumThetas - 1]);
   }
-  FinishBench(opts, "cc_compare", cfgs, make_wl(kThetas[kNumThetas - 1]), base_rc,
+  FinishBench(spec, "cc_compare", cfgs, make_wl(kThetas[kNumThetas - 1]), base_rc,
               hot_curves);
   return 0;
 }

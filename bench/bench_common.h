@@ -7,16 +7,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/output_file.h"
 #include "src/common/table_printer.h"
+#include "src/harness/run_spec.h"
 #include "src/harness/runner.h"
-#include "src/txn/cc_policy.h"
 #include "src/harness/sweep.h"
 #include "src/obs/attribution.h"
 #include "src/obs/critical_path.h"
@@ -233,195 +233,20 @@ inline void PrintCurves(const std::string& title, const std::vector<Curve>& curv
   }
 }
 
-// Observability flags shared by the benches:
-//   --attrib        rerun each system's peak-throughput point with resource
-//                   monitoring, print the bottleneck-attribution table, and
-//                   write <slug>.attrib.json
-//   --trace PATH    rerun the first system's peak point with a trace sink
-//                   and write Chrome trace-event JSON to PATH
-// Reruns reuse the sweep's exact RunConfig, so (by the determinism
-// contract) they reproduce the printed point exactly.
-//
-// Contention-control flags (ISSUE 6): retry policy selection and the
-// hot-key / adaptive-DMA feature toggles. All default to the historical
-// behavior; benches opt in by calling ApplyContentionOptions.
-struct BenchOptions {
-  bool attrib = false;
-  bool msg_breakdown = false;  // per-MsgType traffic table after the sweep
-  // --txn-attrib: rerun each system's peak point with a TxnTraceSink,
-  // print the p50-vs-tail critical-path waterfall, write
-  // <slug>.txnattrib.json.
-  bool txn_attrib = false;
-  // --latency-hist: dump the latency histogram buckets of every sweep
-  // point ("latency-hist [...]" lines; midpoint_ns:count pairs).
-  bool latency_hist = false;
-  // --abort-breakdown: abort-reason table at each system's peak point.
-  bool abort_breakdown = false;
-  // --metrics: rerun each system's peak point with a MetricRegistry,
-  // print the windowed series ("metrics [system] " lines) and write
-  // <slug>.metrics.json + <slug>.metrics.om (OpenMetrics, first system).
-  bool metrics = false;
-  uint64_t metrics_window_us = 50;  // --metrics-window-us W
-  // --slo SPEC ("p99<50us,goodput>0.95"): evaluate objectives over each
-  // system's peak-point metric windows; implies the metrics rerun.
-  std::string slo;
-  std::string trace_path;
+// The sweep benches' flags: sweep workers, the run seed and retry policy,
+// the Xenic feature toggles (RunSpec::ApplyTo), and the observers that
+// FinishBench applies after the sweep.
+inline constexpr uint64_t kBenchFlags = harness::kFlagJobs | harness::kFlagSeed |
+                                        harness::kRetryFlags | harness::kXenicFeatureFlags |
+                                        harness::kObserverFlags;
 
-  // --retry-policy uniform|expjitter|cwnd (validated; unknown -> exit 2).
-  txn::RetryPolicyKind retry_policy = txn::RetryPolicyKind::kUniform;
-  uint64_t backoff_base_us = 0;  // --backoff-base US; 0 = keep default (4)
-  uint64_t retry_cap_us = 0;     // --retry-cap US; 0 = keep default (256)
-  bool hot_key_path = false;     // --hot-key-path (Xenic systems only)
-  bool adaptive_dma = false;     // --adaptive-dma (Xenic systems only)
-  uint64_t seed = 0;             // --seed N; 0 = keep the bench's default
-  // --cc occ|nowait|waitdie|woundwait (Xenic systems only; default occ).
-  txn::CcPolicyKind cc = txn::CcPolicyKind::kOcc;
-
-  static void PrintHelp(const char* prog) {
-    std::printf(
-        "usage: %s [flags]\n"
-        "  --jobs N            parallel sweep workers (0 = hardware threads)\n"
-        "  --attrib            bottleneck attribution at each system's peak\n"
-        "  --msg-breakdown     per-message-type traffic table at peaks\n"
-        "  --txn-attrib        p50-vs-tail critical-path waterfall at peaks\n"
-        "  --latency-hist      latency histogram buckets for every point\n"
-        "  --abort-breakdown   abort-reason table at each system's peak\n"
-        "  --metrics           windowed metric series at each system's peak\n"
-        "                      (writes <slug>.metrics.json / .om)\n"
-        "  --metrics-window-us W  sampling window in microseconds (default 50)\n"
-        "  --slo SPEC          objectives over the metric windows, e.g.\n"
-        "                      \"p99<50us,goodput>0.95\" (implies --metrics rerun)\n"
-        "  --trace PATH        Chrome trace of the first system's peak point\n"
-        "  --seed N            override the run seed (default: bench-specific)\n"
-        "  --retry-policy P    abort backoff policy: uniform | expjitter | cwnd\n"
-        "                      (default uniform: the historical fixed backoff)\n"
-        "  --backoff-base US   backoff base in microseconds (default 4)\n"
-        "  --retry-cap US      backoff window cap in microseconds (default 256)\n"
-        "  --hot-key-path      serialize sketch-flagged hot keys on the NIC\n"
-        "  --adaptive-dma      occupancy-aware DMA vector sizing\n"
-        "  --cc P              concurrency control (Xenic systems only):\n"
-        "                      occ | nowait | waitdie | woundwait (default occ)\n",
-        prog);
-  }
-
-  // Parse a mandatory positive integer value for `flag`, exiting 2 on junk.
-  static uint64_t ParseCount(const char* flag, const char* value) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0' || v == 0) {
-      std::fprintf(stderr, "%s requires a positive integer, got '%s'\n", flag, value);
-      std::exit(2);
-    }
-    return v;
-  }
-
-  // Every flag in PrintHelp is accepted, value flags as `--flag V` or
-  // `--flag=V`; anything else exits 2, so a typo never runs the defaults.
-  // A value flag that ends argv gets the value "" (argv is never read past).
-  static BenchOptions Parse(int argc, char** argv) {
-    BenchOptions o;
-    for (int i = 1; i < argc; ++i) {
-      const char* a = argv[i];
-      const char* value = "";
-      auto with_value = [&](const char* flag) {
-        const size_t n = std::strlen(flag);
-        if (std::strncmp(a, flag, n) != 0 || (a[n] != '\0' && a[n] != '=')) {
-          return false;
-        }
-        if (a[n] == '=') {
-          value = a + n + 1;
-        } else if (i + 1 < argc) {
-          value = argv[++i];
-        }
-        return true;
-      };
-      if (std::strcmp(a, "--attrib") == 0) {
-        o.attrib = true;
-      } else if (std::strcmp(a, "--msg-breakdown") == 0) {
-        o.msg_breakdown = true;
-      } else if (std::strcmp(a, "--txn-attrib") == 0) {
-        o.txn_attrib = true;
-      } else if (std::strcmp(a, "--latency-hist") == 0) {
-        o.latency_hist = true;
-      } else if (std::strcmp(a, "--abort-breakdown") == 0) {
-        o.abort_breakdown = true;
-      } else if (std::strcmp(a, "--metrics") == 0) {
-        o.metrics = true;
-      } else if (std::strcmp(a, "--hot-key-path") == 0) {
-        o.hot_key_path = true;
-      } else if (std::strcmp(a, "--adaptive-dma") == 0) {
-        o.adaptive_dma = true;
-      } else if (with_value("--jobs")) {
-        // Read by SweepExecutor::ParseJobsFlag.
-      } else if (with_value("--metrics-window-us")) {
-        o.metrics_window_us = ParseCount("--metrics-window-us", value);
-      } else if (with_value("--slo")) {
-        o.slo = value;
-      } else if (with_value("--retry-policy")) {
-        if (!txn::ParseRetryPolicy(value, &o.retry_policy)) {
-          std::fprintf(stderr, "unknown --retry-policy '%s' (uniform|expjitter|cwnd)\n", value);
-          std::exit(2);
-        }
-      } else if (with_value("--cc")) {
-        if (!txn::ParseCcPolicy(value, &o.cc)) {
-          std::fprintf(stderr, "unknown --cc '%s' (occ|nowait|waitdie|woundwait)\n", value);
-          std::exit(2);
-        }
-      } else if (with_value("--backoff-base")) {
-        o.backoff_base_us = ParseCount("--backoff-base", value);
-      } else if (with_value("--retry-cap")) {
-        o.retry_cap_us = ParseCount("--retry-cap", value);
-      } else if (with_value("--seed")) {
-        o.seed = ParseCount("--seed", value);
-      } else if (with_value("--trace")) {
-        o.trace_path = value;
-      } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
-        PrintHelp(argv[0]);
-        std::exit(0);
-      } else {
-        std::fprintf(stderr, "%s: unknown flag '%s' (see --help)\n", argv[0], a);
-        std::exit(2);
-      }
-    }
-    return o;
-  }
-};
-
-// Apply the contention-control flags to a run: the retry policy shapes the
-// harness's abort backoff, the feature toggles flip the Xenic systems'
-// hot-key fast path and adaptive DMA batching. Defaults leave everything
-// byte-identical to the historical behavior.
-inline void ApplyContentionOptions(const BenchOptions& o, RunConfig* rc,
-                                   SystemConfig* cfg = nullptr) {
-  if (rc != nullptr) {
-    rc->retry.kind = o.retry_policy;
-    if (o.backoff_base_us > 0) {
-      rc->retry.backoff_base = o.backoff_base_us * sim::kNsPerUs;
-    }
-    if (o.retry_cap_us > 0) {
-      rc->retry.backoff_cap = o.retry_cap_us * sim::kNsPerUs;
-    }
-    if (o.seed > 0) {
-      rc->seed = o.seed;
-    }
-  }
-  if (cfg != nullptr && cfg->kind == SystemConfig::Kind::kXenic) {
-    if (o.hot_key_path) {
-      cfg->features.hot_key_fastpath = true;
-    }
-    if (o.adaptive_dma) {
-      cfg->nic_features.adaptive_dma_batching = true;
-    }
-    cfg->features.cc = o.cc;  // default kOcc: the historical pipeline
-  }
-}
-
-inline void ApplyContentionOptions(const BenchOptions& o, RunConfig* rc,
-                                   std::vector<SystemConfig>* cfgs) {
-  ApplyContentionOptions(o, rc);
-  for (auto& c : *cfgs) {
-    ApplyContentionOptions(o, nullptr, &c);
-  }
+// A bench's command line: the shared flags in `shared`, and no others.
+inline harness::RunSpec ParseBenchFlags(int argc, char** argv, uint64_t shared = kBenchFlags) {
+  harness::RunSpec spec;
+  const bool observers = (shared & harness::kObserverFlags) != 0;
+  harness::FlagSet(&spec, shared, observers ? "observers rerun each system's peak point\n" : "")
+      .Parse(argc, argv);
+  return spec;
 }
 
 // Abort-reason table (--abort-breakdown) from the protocol-level counters.
@@ -512,11 +337,20 @@ inline RunResult RerunPoint(const SystemConfig& cfg, const WorkloadFactory& make
   return harness::RunWorkload(*system, *wl, r);
 }
 
-// Post-sweep observability pass; no-op without --attrib/--trace.
-inline void FinishBench(const BenchOptions& opts, const std::string& slug,
+// Post-sweep observability pass: each observer flag reruns each system's
+// peak point with its sink attached. The reruns reuse the sweep's exact
+// RunConfig, so (by the determinism contract) they reproduce the printed
+// point exactly. No-op without observer flags.
+inline void FinishBench(const harness::RunSpec& opts, const std::string& slug,
                         const std::vector<SystemConfig>& cfgs,
                         const WorkloadFactory& make_workload, const RunConfig& rc,
                         const std::vector<Curve>& curves) {
+  // One system's entry in a {"bench":...,"systems":[...]} export.
+  auto add_system = [](std::string* json, const std::string& system, uint32_t contexts,
+                       const char* key, const std::string& value) {
+    *json += std::string(json->back() == '[' ? "" : ",") + "{\"system\":\"" + system +
+             "\",\"contexts\":" + std::to_string(contexts) + ",\"" + key + "\":" + value + "}";
+  };
   if (opts.msg_breakdown) {
     for (const auto& c : curves) {
       const int peak = c.PeakIndex();
@@ -540,7 +374,6 @@ inline void FinishBench(const BenchOptions& opts, const std::string& slug,
   }
   if (opts.attrib) {
     std::string json = "{\"bench\":\"" + slug + "\",\"systems\":[";
-    bool first = true;
     for (size_t i = 0; i < cfgs.size() && i < curves.size(); ++i) {
       const int peak = curves[i].PeakIndex();
       if (peak < 0) {
@@ -555,21 +388,10 @@ inline void FinishBench(const BenchOptions& opts, const std::string& slug,
                                         std::to_string(contexts))
                             .c_str());
       std::printf("\n");
-      if (!first) {
-        json += ',';
-      }
-      first = false;
-      json += "{\"system\":\"" + curves[i].system + "\",\"contexts\":" +
-              std::to_string(contexts) + ",\"attribution\":" + obs::AttributionJson(report) +
-              "}";
+      add_system(&json, curves[i].system, contexts, "attribution", obs::AttributionJson(report));
     }
     json += "]}";
-    const std::string path = slug + ".attrib.json";
-    if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "wrote %s\n", path.c_str());
-    }
+    WriteOutputFile(slug + ".attrib.json", json);
   }
   if (opts.latency_hist) {
     for (const auto& c : curves) {
@@ -590,17 +412,8 @@ inline void FinishBench(const BenchOptions& opts, const std::string& slug,
     // MetricRegistry attached (observer-only, so it reproduces the printed
     // point exactly) and export the series. SLO objectives, when given,
     // are evaluated per system over the same windows.
-    obs::SloSpec slo;
-    if (!opts.slo.empty()) {
-      std::string err;
-      if (!obs::ParseSloSpec(opts.slo, &slo, &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        std::exit(2);
-      }
-    }
     std::string json = "{\"bench\":\"" + slug + "\",\"systems\":[";
     std::string om;  // OpenMetrics exposition (first system's registry)
-    bool first = true;
     for (size_t i = 0; i < cfgs.size() && i < curves.size(); ++i) {
       const int peak = curves[i].PeakIndex();
       if (peak < 0) {
@@ -617,41 +430,25 @@ inline void FinishBench(const BenchOptions& opts, const std::string& slug,
         std::printf("%s", reg.Lines("metrics [" + curves[i].system + "] ").c_str());
       }
       std::string slo_json;
-      if (!slo.empty()) {
+      if (!opts.slo.empty()) {
         const obs::SloReport report = obs::EvaluateSlo(
-            slo, obs::SloInputsFromSeries(reg.series(), reg.FindCounter("txn_committed"),
+            opts.slo, obs::SloInputsFromSeries(reg.series(), reg.FindCounter("txn_committed"),
                                           reg.FindCounter("txn_aborted"),
                                           reg.FindHistogram("txn_latency_ns")));
         std::printf("%s", report.Lines("slo [" + curves[i].system + "] ").c_str());
         slo_json = report.Json();
       }
-      if (!first) {
-        json += ',';
-      }
-      first = false;
-      json += "{\"system\":\"" + curves[i].system + "\",\"contexts\":" +
-              std::to_string(contexts) + ",\"metrics\":" + reg.Json(slug, slo_json) + "}";
+      add_system(&json, curves[i].system, contexts, "metrics", reg.Json(slug, slo_json));
       if (om.empty()) {
         om = reg.OpenMetrics("xenic", {{"system", curves[i].system}});
       }
     }
     json += "]}";
-    const std::string path = slug + ".metrics.json";
-    if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "wrote %s\n", path.c_str());
-    }
-    const std::string om_path = slug + ".metrics.om";
-    if (std::FILE* f = std::fopen(om_path.c_str(), "w"); f != nullptr) {
-      std::fwrite(om.data(), 1, om.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "wrote %s\n", om_path.c_str());
-    }
+    WriteOutputFile(slug + ".metrics.json", json);
+    WriteOutputFile(slug + ".metrics.om", om);
   }
   if (opts.txn_attrib) {
     std::string json = "{\"bench\":\"" + slug + "\",\"systems\":[";
-    bool first = true;
     for (size_t i = 0; i < cfgs.size() && i < curves.size(); ++i) {
       const int peak = curves[i].PeakIndex();
       if (peak < 0) {
@@ -670,20 +467,10 @@ inline void FinishBench(const BenchOptions& opts, const std::string& slug,
                   static_cast<unsigned long long>(sink.zero_id_spans()),
                   static_cast<unsigned long long>(sink.orphan_instants()),
                   static_cast<unsigned long long>(sink.late_spans()));
-      if (!first) {
-        json += ',';
-      }
-      first = false;
-      json += "{\"system\":\"" + curves[i].system + "\",\"contexts\":" +
-              std::to_string(contexts) + ",\"txn_attrib\":" + obs::TxnAttribJson(attrib) + "}";
+      add_system(&json, curves[i].system, contexts, "txn_attrib", obs::TxnAttribJson(attrib));
     }
     json += "]}";
-    const std::string path = slug + ".txnattrib.json";
-    if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "wrote %s\n", path.c_str());
-    }
+    WriteOutputFile(slug + ".txnattrib.json", json);
   }
   if (!opts.trace_path.empty() && !curves.empty()) {
     const int peak = curves[0].PeakIndex();

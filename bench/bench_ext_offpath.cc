@@ -13,7 +13,10 @@ int main(int argc, char** argv) {
   using namespace xenic;
   using namespace xenic::bench;
 
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  // No observers: this bench prints its own summary, not FinishBench's.
+  const harness::RunSpec spec = ParseBenchFlags(
+      argc, argv, harness::kFlagJobs | harness::kFlagSeed | harness::kRetryFlags |
+                      harness::kXenicFeatureFlags);
   const uint32_t nodes = 6;
   auto make_wl = [&]() -> std::unique_ptr<workload::Workload> {
     workload::Smallbank::Options wo;
@@ -26,14 +29,14 @@ int main(int argc, char** argv) {
   rc.warmup = 150 * sim::kNsPerUs;
   rc.measure = 1000 * sim::kNsPerUs;
   const std::vector<uint32_t> loads = {2, 16, 64, 128};
-  ApplyContentionOptions(opts, &rc);
+  spec.ApplyTo(&rc);
 
   std::vector<Curve> curves;
   {
     SystemConfig on_path;
     on_path.kind = SystemConfig::Kind::kXenic;
     on_path.num_nodes = nodes;
-    ApplyContentionOptions(opts, nullptr, &on_path);
+    spec.ApplyTo(&on_path);
     curves.push_back(RunSweep(on_path, make_wl, loads, rc));
     curves.back().system = "Xenic (on-path NIC)";
   }
@@ -42,7 +45,7 @@ int main(int argc, char** argv) {
     off_path.kind = SystemConfig::Kind::kXenic;
     off_path.num_nodes = nodes;
     off_path.perf = net::OffPathPerfModel();
-    ApplyContentionOptions(opts, nullptr, &off_path);
+    spec.ApplyTo(&off_path);
     curves.push_back(RunSweep(off_path, make_wl, loads, rc));
     curves.back().system = "Xenic (off-path NIC)";
   }

@@ -10,8 +10,10 @@
 #include "src/workload/tpcc.h"
 
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xenic;
+  // A serial bench: --jobs is accepted for uniformity with the sweeps.
+  bench::ParseBenchFlags(argc, argv, harness::kFlagJobs);
   const uint32_t nodes = 6;
 
   TablePrinter tp({"Workload", "Load", "Execute(us)", "Validate(us)", "Log(us)", "Total(us)",

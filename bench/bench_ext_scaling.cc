@@ -13,14 +13,17 @@ int main(int argc, char** argv) {
   using namespace xenic;
   using namespace xenic::bench;
 
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  // No observers: this bench prints its own table, not FinishBench's.
+  const harness::RunSpec spec = ParseBenchFlags(
+      argc, argv, harness::kFlagJobs | harness::kFlagSeed | harness::kRetryFlags |
+                      harness::kXenicFeatureFlags);
+  SweepExecutor ex(spec.jobs);
 
   RunConfig rc;
   rc.contexts_per_node = 64;
   rc.warmup = 150 * sim::kNsPerUs;
   rc.measure = 800 * sim::kNsPerUs;
-  ApplyContentionOptions(opts, &rc);
+  spec.ApplyTo(&rc);
 
   // Every (cluster size, system) cell is an independent simulation; run the
   // whole grid through the sweep executor.
@@ -48,7 +51,7 @@ int main(int argc, char** argv) {
         }
         cfg.num_nodes = nodes;
         cfg.replication = 3;
-        ApplyContentionOptions(opts, nullptr, &cfg);
+        spec.ApplyTo(&cfg);
         auto sys = harness::BuildSystem(cfg, *wl);
         harness::LoadWorkload(*sys, *wl);
         harness::RunResult r = harness::RunWorkload(*sys, *wl, rc);

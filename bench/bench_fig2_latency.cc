@@ -8,6 +8,7 @@
 
 #include <functional>
 
+#include "bench/bench_common.h"
 #include "src/common/histogram.h"
 #include "src/common/table_printer.h"
 #include "src/nicmodel/rdma_nic.h"
@@ -43,8 +44,10 @@ double MeasureRtt(sim::Engine& eng,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using xenic::TablePrinter;
+  // A serial bench: --jobs is accepted for uniformity with the sweeps.
+  bench::ParseBenchFlags(argc, argv, harness::kFlagJobs);
   net::PerfModel model;
 
   TablePrinter tp({"Operation", "From Host (us)", "From NIC (us)"});

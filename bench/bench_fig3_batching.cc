@@ -7,6 +7,7 @@
 // up to 22.2x for NIC memory (wire-limited) and 7.0x for host memory
 // (DMA-engine limited below 64 B); CX5 tops out at 13.5-15 Mops/s.
 
+#include "bench/bench_common.h"
 #include "src/common/table_printer.h"
 #include "src/nicmodel/rdma_nic.h"
 #include "src/nicmodel/smart_nic.h"
@@ -130,8 +131,10 @@ double MeasureRdma(uint32_t size) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using xenic::TablePrinter;
+  // A serial bench: --jobs is accepted for uniformity with the sweeps.
+  bench::ParseBenchFlags(argc, argv, harness::kFlagJobs);
   TablePrinter tp({"Buffer", "NIC-mem single", "NIC-mem batched", "Host-mem single",
                    "Host-mem batched", "CX5 RDMA"});
   for (uint32_t size : {16u, 32u, 64u, 128u, 256u}) {

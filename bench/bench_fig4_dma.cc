@@ -7,6 +7,7 @@
 
 #include <functional>
 
+#include "bench/bench_common.h"
 #include "src/common/histogram.h"
 #include "src/common/table_printer.h"
 #include "src/nicmodel/smart_nic.h"
@@ -59,8 +60,10 @@ DmaResult Measure(uint32_t size, bool vectored, bool is_read, uint32_t contexts)
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using xenic::TablePrinter;
+  // A serial bench: --jobs is accepted for uniformity with the sweeps.
+  bench::ParseBenchFlags(argc, argv, harness::kFlagJobs);
 
   TablePrinter tput({"Size", "R x1", "R x15", "W x1", "W x15"});
   for (uint32_t size : {64u, 256u, 1024u, 4096u, 8192u}) {

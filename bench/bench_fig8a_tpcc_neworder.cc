@@ -11,8 +11,8 @@ int main(int argc, char** argv) {
   using namespace xenic;
   using namespace xenic::bench;
 
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const harness::RunSpec spec = ParseBenchFlags(argc, argv);
+  SweepExecutor ex(spec.jobs);
   const uint32_t nodes = 6;
   auto make_wl = [&]() -> std::unique_ptr<workload::Workload> {
     workload::Tpcc::Options wo;
@@ -31,9 +31,10 @@ int main(int argc, char** argv) {
 
   const std::vector<uint32_t> loads = {1, 4, 16, 48, 96, 160};
   std::vector<SystemConfig> cfgs = Figure8Systems(nodes);
-  ApplyContentionOptions(opts, &rc, &cfgs);
+  spec.ApplyTo(&rc);
+  spec.ApplyTo(&cfgs);
   std::vector<Curve> curves = RunSweeps(cfgs, make_wl, loads, rc, ex);
   PrintCurves("Figure 8a: TPC-C New Order, throughput per server vs median latency", curves);
-  FinishBench(opts, "fig8a_tpcc_neworder", cfgs, make_wl, rc, curves);
+  FinishBench(spec, "fig8a_tpcc_neworder", cfgs, make_wl, rc, curves);
   return 0;
 }

@@ -12,8 +12,8 @@ int main(int argc, char** argv) {
   using namespace xenic;
   using namespace xenic::bench;
 
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const harness::RunSpec spec = ParseBenchFlags(argc, argv);
+  SweepExecutor ex(spec.jobs);
   const uint32_t nodes = 6;
   auto make_wl = [&]() -> std::unique_ptr<workload::Workload> {
     workload::Tpcc::Options wo;
@@ -35,13 +35,14 @@ int main(int argc, char** argv) {
   // emulations for context, clearly labeled as such.
   const std::vector<uint32_t> loads = {1, 4, 16, 48, 96, 160};
   std::vector<SystemConfig> cfgs = Figure8Systems(nodes);
-  ApplyContentionOptions(opts, &rc, &cfgs);
+  spec.ApplyTo(&rc);
+  spec.ApplyTo(&cfgs);
   std::vector<Curve> curves = RunSweeps(cfgs, make_wl, loads, rc, ex);
   for (size_t i = 1; i < curves.size(); ++i) {
     curves[i].system += " (emulated, not in paper)";
   }
   PrintCurves("Figure 8b: TPC-C full mix, new-orders/s per server vs median latency", curves);
-  FinishBench(opts, "fig8b_tpcc_full", cfgs, make_wl, rc, curves);
+  FinishBench(spec, "fig8b_tpcc_full", cfgs, make_wl, rc, curves);
   std::printf("Paper reference: Xenic peaks at 541k new-orders/s per server at 100Gbps;\n"
               "this reproduction: %s/srv (scaled-down warehouses/items).\n\n",
               TablePrinter::FmtOps(curves[0].PeakTput()).c_str());

@@ -11,8 +11,8 @@ int main(int argc, char** argv) {
   using namespace xenic;
   using namespace xenic::bench;
 
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const harness::RunSpec spec = ParseBenchFlags(argc, argv);
+  SweepExecutor ex(spec.jobs);
   const uint32_t nodes = 6;
   auto make_wl = [&]() -> std::unique_ptr<workload::Workload> {
     workload::Smallbank::Options wo;
@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
     cfgs.push_back(cfg);
   }
 
-  ApplyContentionOptions(opts, &rc, &cfgs);
+  spec.ApplyTo(&rc);
+  spec.ApplyTo(&cfgs);
   std::vector<Curve> curves = RunSweeps(cfgs, make_wl, loads, rc, ex);
   Curve ref = std::move(curves.front());
   curves.erase(curves.begin());
@@ -76,6 +77,6 @@ int main(int argc, char** argv) {
   std::vector<Curve> all;
   all.push_back(ref);
   all.insert(all.end(), curves.begin(), curves.end());
-  FinishBench(opts, "fig9b_ablation_latency", cfgs, make_wl, rc, all);
+  FinishBench(spec, "fig9b_ablation_latency", cfgs, make_wl, rc, all);
   return 0;
 }

@@ -50,8 +50,12 @@ double BucketUs(const obs::TailAttribution& a, obs::CostBucket b, bool tail) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  // Each variant sets its own retry policy and features; only the seed and
+  // backoff bounds apply.
+  const harness::RunSpec spec = ParseBenchFlags(
+      argc, argv, harness::kFlagJobs | harness::kFlagSeed | harness::kFlagBackoffBase |
+                      harness::kFlagRetryCap | harness::kObserverFlags);
+  SweepExecutor ex(spec.jobs);
 
   // Small account pool -> a real hot set that fits the per-shard sketch;
   // loads straddle the saturation knee so PeakIndex finds a true peak.
@@ -66,8 +70,8 @@ int main(int argc, char** argv) {
   RunConfig base_rc;
   base_rc.warmup = 150 * sim::kNsPerUs;
   base_rc.measure = 1200 * sim::kNsPerUs;
-  ApplyContentionOptions(opts, &base_rc);  // --seed/--backoff-base/--retry-cap
-  if (opts.retry_cap_us == 0) {
+  spec.ApplyTo(&base_rc);  // --seed, --backoff-base, --retry-cap
+  if (!spec.retry_cap_us) {
     // Tuned default for this comparison: the cap bounds the widest window
     // the adaptive policies may draw from, and every tick of backoff is
     // charged to the retry's redo bucket -- so the useful cap is on the
@@ -192,16 +196,11 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", tp.Render("Redo+DMA tail relief: skewed Smallbank @ peak").c_str());
 
-  const std::string path = "BENCH_redo.json";
-  if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-  }
+  WriteOutputFile("BENCH_redo.json", json);
 
   // The satellite observability flags work here too (applied per variant
   // would be ambiguous, so they run against the uniform baseline config).
-  FinishBench(opts, "redo_relief", {variant_system(kVariants[0])}, make_wl,
+  FinishBench(spec, "redo_relief", {variant_system(kVariants[0])}, make_wl,
               variant_rc(kVariants[0]), {curves[0]});
   return 0;
 }

@@ -145,9 +145,8 @@ double MeasureEventsPerSec(uint64_t* executed_out) {
 
 int main(int argc, char** argv) {
   using namespace xenic::bench;
-
-  (void)argc;
-  (void)argv;
+  // A serial bench: --jobs is accepted for uniformity with the sweeps.
+  ParseBenchFlags(argc, argv, harness::kFlagJobs);
 
   // Interleave three trials of each engine and keep the best, which damps
   // scheduler noise on shared hosts.

@@ -65,19 +65,8 @@ struct BenchDef {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --jobs N / --jobs=N is the only flag; anything else exits 2, so a typo
-  // never runs the full sweep on the defaults.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      if (i + 1 < argc) {
-        ++i;  // its value, read by ParseJobsFlag below
-      }
-    } else if (std::strncmp(argv[i], "--jobs=", 7) != 0) {
-      std::fprintf(stderr, "%s: unknown flag '%s' (flags: --jobs N)\n", argv[0], argv[i]);
-      return 2;
-    }
-  }
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
+  // --jobs is the only flag.
+  SweepExecutor ex(ParseBenchFlags(argc, argv, harness::kFlagJobs).jobs);
   const uint32_t nodes = 6;
   net::PerfModel base_model;
 

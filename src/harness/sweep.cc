@@ -1,8 +1,6 @@
 #include "src/harness/sweep.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -58,21 +56,6 @@ void SweepExecutor::RunAll(const std::vector<std::function<void()>>& tasks) {
   if (first_error) {
     std::rethrow_exception(first_error);
   }
-}
-
-uint32_t SweepExecutor::ParseJobsFlag(int argc, char** argv, uint32_t def) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      return static_cast<uint32_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      return static_cast<uint32_t>(std::strtoul(argv[i] + 7, nullptr, 10));
-    }
-  }
-  if (const char* env = std::getenv("XENIC_JOBS"); env != nullptr && env[0] != '\0') {
-    return static_cast<uint32_t>(std::strtoul(env, nullptr, 10));
-  }
-  return def;
 }
 
 }  // namespace xenic::harness

@@ -159,7 +159,7 @@ struct XenicFeatures {
   bool nic_log_apply = false;
   // Serve single-shard read-only transactions from NIC-applied backup
   // state behind a freshness/epoch fence (requires nic_log_apply; see
-  // XenicNode::ReplicaReadPath). Off by default, same reason as above.
+  // XenicNode::HostReadOnlyPath). Off by default, same reason as above.
   bool replica_reads = false;
   // Concurrency-control policy. kOcc (default) is the unmodified paper
   // pipeline; any 2PL kind disables the shipped/hot-key routes, locks the

@@ -148,7 +148,7 @@ void XenicNode::SubmitOnHost(StatePtr st) {
   }
 
   if (all_local && st->write_keys.empty() && st->req.local_log_writes.empty()) {
-    LocalReadOnlyPath(std::move(st));
+    HostReadOnlyPath(std::move(st), id());
     return;
   }
   if (all_local) {
@@ -164,7 +164,7 @@ void XenicNode::SubmitOnHost(StatePtr st) {
   // fence, without any wire round trip.
   NodeId replica_shard = 0;
   if (ReplicaReadEligible(*st, &replica_shard)) {
-    ReplicaReadPath(std::move(st), replica_shard);
+    HostReadOnlyPath(std::move(st), replica_shard);
     return;
   }
 
@@ -183,100 +183,21 @@ void XenicNode::SubmitOnHost(StatePtr st) {
 // Local fast paths (paper 4.2.4).
 // ---------------------------------------------------------------------------
 
-void XenicNode::LocalReadOnlyPath(StatePtr st) {
-  stats_.local_fastpath++;
+void XenicNode::HostReadOnlyPath(StatePtr st, NodeId shard) {
+  const bool replica = shard != id();
+  if (!replica) {
+    stats_.local_fastpath++;
+  }
   // All reads and execution rounds happen on the host against the local
-  // tables within one charged block: atomic, so no validation is needed.
+  // tables within one charged block: atomic, so no validation is needed,
+  // and no NIC or wire work is charged.
   TxnState* raw = st.get();
   const TxnId txn = raw->id;
   txns_[txn] = std::move(st);
 
   sim::Tick cost = kHostInitCost + raw->req.exec_cost;
   cost += kHostKeyCost * static_cast<sim::Tick>(raw->read_keys.size());
-  nic_->HostCompute(cost, [this, txn] {
-    TxnState* st = FindState(txn);
-    if (st == nullptr || crashed_) {
-      return;
-    }
-    bool app_abort = false;
-    int round = 0;
-    while (true) {
-      for (size_t i = 0; i < st->read_keys.size(); ++i) {
-        if (st->reads[i].found) {
-          continue;
-        }
-        const auto& k = st->read_keys[i];
-        auto r = ds_->FreshLookup(k.table, k.key);
-        if (r) {
-          st->reads[i] = ReadResult{true, r->seq, std::move(r->value)};
-        }
-      }
-      std::vector<KeyRef> add_reads;
-      std::vector<KeyRef> add_writes;
-      if (RunAppRound(st, round++, &add_reads, &add_writes)) {
-        app_abort = true;
-        break;
-      }
-      assert(add_writes.empty() && "read-only transaction added writes");
-      if (add_reads.empty()) {
-        break;
-      }
-      bool all_local = true;
-      for (const auto& k : add_reads) {
-        all_local &= map_->PrimaryOf(k.table, k.key) == id();
-      }
-      if (!all_local) {
-        // Execution discovered remote keys: escalate to the distributed
-        // path (restart from the original key set; nothing was locked).
-        EscalateToDistributed(txn);
-        return;
-      }
-      AppendKeys(st, add_reads, add_writes);
-    }
-    auto done = std::move(st->done);
-    if (app_abort) {
-      stats_.app_aborted++;
-    } else {
-      stats_.committed++;
-    }
-    const TxnOutcome outcome = app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kCommitted;
-    EraseState(txn);
-    done(outcome);
-  });
-}
-
-bool XenicNode::ReplicaReadEligible(const TxnState& st, NodeId* shard_out) const {
-  if (!features_->replica_reads || !features_->nic_log_apply || Cc2pl()) {
-    // Requires the NIC applier (stability-gated backup state) and OCC --
-    // 2PL reads take locks at the primary by design.
-    return false;
-  }
-  if (!st.write_keys.empty() || !st.req.local_log_writes.empty() || st.read_keys.empty()) {
-    return false;
-  }
-  const NodeId shard = map_->PrimaryOf(st.read_keys[0].table, st.read_keys[0].key);
-  for (const auto& k : st.read_keys) {
-    if (map_->PrimaryOf(k.table, k.key) != shard) {
-      return false;  // multi-shard read set: no single backup holds it all
-    }
-  }
-  if (shard == id() || map_->IsFailed(shard) || !repl_->IsBackupOf(id(), shard)) {
-    return false;
-  }
-  *shard_out = shard;
-  return true;
-}
-
-void XenicNode::ReplicaReadPath(StatePtr st, NodeId shard) {
-  TxnState* raw = st.get();
-  const TxnId txn = raw->id;
-  txns_[txn] = std::move(st);
-
-  // Same host cost shape as the local read-only path: the reads hit the
-  // local (backup) tables, so no NIC or wire work is charged.
-  sim::Tick cost = kHostInitCost + raw->req.exec_cost;
-  cost += kHostKeyCost * static_cast<sim::Tick>(raw->read_keys.size());
-  nic_->HostCompute(cost, [this, txn, shard] {
+  nic_->HostCompute(cost, [this, txn, shard, replica] {
     TxnState* st = FindState(txn);
     if (st == nullptr || crashed_) {
       return;
@@ -288,8 +209,8 @@ void XenicNode::ReplicaReadPath(StatePtr st, NodeId shard) {
     // was at or below its transaction's commit point and nothing newer is
     // parked -- the backup tables are a prefix-consistent snapshot of the
     // shard, so the whole read set is one serializable point-in-time view.
-    if (st->map_version != map_->version || map_->IsFailed(shard) ||
-        ds_->log().Peek() != nullptr) {
+    if (replica && (st->map_version != map_->version || map_->IsFailed(shard) ||
+                    ds_->log().Peek() != nullptr)) {
       stats_.replica_read_fallback++;
       EscalateToDistributed(txn);
       return;
@@ -322,9 +243,11 @@ void XenicNode::ReplicaReadPath(StatePtr st, NodeId shard) {
         same_shard &= map_->PrimaryOf(k.table, k.key) == shard;
       }
       if (!same_shard) {
-        // Execution discovered keys off this shard: the snapshot no longer
-        // covers the read set. Restart on the distributed path.
-        stats_.replica_read_fallback++;
+        // Execution discovered keys off the shard: restart on the
+        // distributed path (from the original key set; nothing was locked).
+        if (replica) {
+          stats_.replica_read_fallback++;
+        }
         EscalateToDistributed(txn);
         return;
       }
@@ -335,12 +258,36 @@ void XenicNode::ReplicaReadPath(StatePtr st, NodeId shard) {
       stats_.app_aborted++;
     } else {
       stats_.committed++;
-      stats_.replica_reads++;
+      if (replica) {
+        stats_.replica_reads++;
+      }
     }
     const TxnOutcome outcome = app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kCommitted;
     EraseState(txn);
     done(outcome);
   });
+}
+
+bool XenicNode::ReplicaReadEligible(const TxnState& st, NodeId* shard_out) const {
+  if (!features_->replica_reads || !features_->nic_log_apply || Cc2pl()) {
+    // Requires the NIC applier (stability-gated backup state) and OCC --
+    // 2PL reads take locks at the primary by design.
+    return false;
+  }
+  if (!st.write_keys.empty() || !st.req.local_log_writes.empty() || st.read_keys.empty()) {
+    return false;
+  }
+  const NodeId shard = map_->PrimaryOf(st.read_keys[0].table, st.read_keys[0].key);
+  for (const auto& k : st.read_keys) {
+    if (map_->PrimaryOf(k.table, k.key) != shard) {
+      return false;  // multi-shard read set: no single backup holds it all
+    }
+  }
+  if (shard == id() || map_->IsFailed(shard) || !repl_->IsBackupOf(id(), shard)) {
+    return false;
+  }
+  *shard_out = shard;
+  return true;
 }
 
 void XenicNode::LocalWritePath(StatePtr st) {

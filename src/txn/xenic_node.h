@@ -293,7 +293,12 @@ class XenicNode {
 
   // ---- Coordinator-side phases.
   void SubmitOnHost(StatePtr st);
-  void LocalReadOnlyPath(StatePtr st);
+  // A read-only transaction whose read set lives on one shard held here,
+  // run on the host against the local tables: the local fast path (paper
+  // 4.2.4) when `shard` is this node's own, else a replica read. It
+  // escalates to the distributed path if execution adds a key off the
+  // shard.
+  void HostReadOnlyPath(StatePtr st, NodeId shard);
   // Replica read (features.replica_reads): a single-shard read-only
   // transaction whose shard this node backs is served from the local
   // NIC-applied backup tables iff the freshness fence holds at serve time
@@ -301,7 +306,6 @@ class XenicNode {
   // so the tables are a stable prefix of the shard's commit order);
   // otherwise it escalates to the normal distributed path.
   bool ReplicaReadEligible(const TxnState& st, NodeId* shard_out) const;
-  void ReplicaReadPath(StatePtr st, NodeId shard);
   void LocalWritePath(StatePtr st);
   void CoordStartOnNic(TxnId id);
   // A local fast-path execution discovered remote keys: restart the

@@ -259,6 +259,45 @@ TEST(ReplicaReadTest, BackupServesFencedReadLocally) {
   EXPECT_EQ(c.TotalStats().replica_reads, 1u);
 }
 
+TEST(ReplicaReadTest, ReadOffTheShardFallsBackToDistributed) {
+  XenicClusterOptions o = Opts(3, 2);
+  o.features.nic_log_apply = true;
+  o.features.replica_reads = true;
+  HashPartitioner part(3);
+  XenicCluster c(o, &part);
+  const store::Key key = KeyOn(c, 1);
+  const store::Key other = KeyOn(c, 0);
+  c.LoadReplicated(kBank, key, Balance(100));
+  c.LoadReplicated(kBank, other, Balance(50));
+  c.StartWorkers();
+
+  // The read starts as a replica read of shard 1 on its backup, then its
+  // execution adds a key on shard 0: the backup's snapshot no longer covers
+  // the read set, so it escalates and commits on the distributed path.
+  const store::NodeId backup = c.repl().BackupsOf(1)[0];
+  ASSERT_NE(backup, 1u);
+  int64_t got = 0;
+  TxnRequest req;
+  req.reads = {{kBank, key}};
+  req.execute = [&got, other](ExecRound& er) {
+    if (er.read_keys->size() == 1) {
+      er.add_reads->push_back({kBank, other});
+      return;
+    }
+    got = GetI64((*er.reads)[0].value, 0) + GetI64((*er.reads)[1].value, 0);
+  };
+  bool done = false;
+  c.node(backup).Submit(std::move(req), [&](TxnOutcome oc) {
+    EXPECT_EQ(oc, TxnOutcome::kCommitted);
+    done = true;
+  });
+  RunToDone(c, &done);
+
+  EXPECT_EQ(got, 150);
+  EXPECT_EQ(c.TotalStats().replica_read_fallback, 1u);
+  EXPECT_EQ(c.TotalStats().replica_reads, 0u);
+}
+
 TEST(ReplicaReadTest, NonBackupTakesDistributedPath) {
   XenicClusterOptions o = Opts(4, 2);
   o.features.nic_log_apply = true;

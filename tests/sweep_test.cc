@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/harness/run_spec.h"
 #include "src/harness/runner.h"
 #include "src/harness/system_adapter.h"
 #include "src/workload/smallbank.h"
@@ -58,13 +61,29 @@ TEST(SweepExecutorTest, TaskExceptionPropagatesAfterJoin) {
   EXPECT_THROW(ex.RunAll(tasks), std::runtime_error);
 }
 
+// The benches size their executor from --jobs, parsed by the shared flag
+// parser (harness::FlagSet) in both spellings; with neither the flag nor
+// XENIC_JOBS a sweep runs on one worker.
 TEST(SweepExecutorTest, ParseJobsFlag) {
-  const char* argv1[] = {"bench", "--jobs", "6"};
-  EXPECT_EQ(SweepExecutor::ParseJobsFlag(3, const_cast<char**>(argv1)), 6u);
-  const char* argv2[] = {"bench", "--jobs=3"};
-  EXPECT_EQ(SweepExecutor::ParseJobsFlag(2, const_cast<char**>(argv2)), 3u);
-  const char* argv3[] = {"bench"};
-  EXPECT_EQ(SweepExecutor::ParseJobsFlag(1, const_cast<char**>(argv3), 1), 1u);
+  const auto workers = [](std::vector<std::string> args) {
+    args.insert(args.begin(), "bench");
+    std::vector<char*> argv;
+    for (std::string& a : args) {
+      argv.push_back(a.data());
+    }
+    RunSpec spec;
+    FlagSet(&spec, kFlagJobs).Parse(static_cast<int>(argv.size()), argv.data());
+    return SweepExecutor(spec.jobs).jobs();
+  };
+  EXPECT_EQ(workers({"--jobs", "6"}), 6u);
+  EXPECT_EQ(workers({"--jobs=3"}), 3u);
+  const char* env = std::getenv("XENIC_JOBS");
+  const std::string saved = env != nullptr ? env : "";
+  unsetenv("XENIC_JOBS");
+  EXPECT_EQ(workers({}), 1u);
+  if (env != nullptr) {
+    setenv("XENIC_JOBS", saved.c_str(), 1);
+  }
 }
 
 // The load-bearing guarantee: full simulation runs submitted as independent

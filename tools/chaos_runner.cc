@@ -8,23 +8,15 @@
 // run and for every --jobs value, which tools/check_determinism.sh relies
 // on. Exit status is 0 iff every seed's verdict is PASS.
 //
-// Usage:
-//   chaos_runner [--seed N | --seeds A-B] [--system xenic|drtmh|drtmh-nc|fasst|drtmr]
-//                [--jobs N] [--nodes N] [--epoch N] [--horizon-us N]
-//                [--replicas N] [--quorum N] [--handoffs N]
-//                [--nic-log-apply] [--replica-reads]
-//                [--crashes N] [--storms N] [--stalls N]
-//                [--drop P] [--dup P] [--delay P] [--log-capacity N]
-//                [--drop-type NAME] [--drop-node N]
-//                [--timeline] [--timeline-window-us N]
-//                [--metrics] [--slo SPEC]
-//                [--retry-policy uniform|expjitter|cwnd] [--backoff-base US]
-//                [--retry-cap US] [--hot-key-path] [--adaptive-dma]
-//                [--cc occ|nowait|waitdie|woundwait] [--workload bank|ycsb]
-//
-// An unknown flag, or a value that does not parse completely (numbers are
-// unsigned decimals, --drop/--dup/--delay probabilities in [0, 1]), exits 2
-// before any run starts.
+// Usage: chaos_runner [flags]; --help lists them. Flags go through
+// harness::FlagSet, as in every front-end: `--flag V` and `--flag=V` both
+// work. The system, workload, retry, observer and --jobs flags are the
+// shared ones (harness::RunSpec); the fault, seed-range and timeline flags
+// are this tool's own. An unknown flag, a value that does not parse
+// completely (numbers are unsigned decimals, --drop/--dup/--delay
+// probabilities in [0, 1], and --backoff-base, --retry-cap and
+// --timeline-window-us at least 1), or a spec that harness::Validate
+// rejects exits 2 before any run starts.
 //
 // --cc selects the concurrency-control policy of Xenic systems (default
 // occ, the historical pipeline; the 2PL policies change event schedules, so
@@ -59,47 +51,18 @@
 // (check_determinism.sh enforces it).
 
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/chaos/chaos_run.h"
-#include "src/common/flag_values.h"
+#include "src/harness/run_spec.h"
 #include "src/harness/sweep.h"
-#include "src/txn/cc_policy.h"
-
-namespace {
-
-using xenic::chaos::ChaosConfig;
-using xenic::chaos::ChaosVerdict;
-using xenic::chaos::RunChaos;
-using xenic::harness::SystemConfig;
-
-bool SetSystem(ChaosConfig& config, const std::string& name) {
-  if (name == "xenic") {
-    config.system.kind = SystemConfig::Kind::kXenic;
-    return true;
-  }
-  config.system.kind = SystemConfig::Kind::kBaseline;
-  if (name == "drtmh") {
-    config.system.mode = xenic::baseline::BaselineMode::kDrtmH;
-  } else if (name == "drtmh-nc") {
-    config.system.mode = xenic::baseline::BaselineMode::kDrtmHNC;
-  } else if (name == "fasst") {
-    config.system.mode = xenic::baseline::BaselineMode::kFasst;
-  } else if (name == "drtmr") {
-    config.system.mode = xenic::baseline::BaselineMode::kDrtmR;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  ChaosConfig base;
+  using namespace xenic;
+  using harness::FlagSet;
+
+  chaos::ChaosConfig base;
   base.faults.crashes = 1;
   base.faults.eviction_storms = 2;
   base.faults.stall_windows = 1;
@@ -107,159 +70,103 @@ int main(int argc, char** argv) {
   base.faults.dup_prob = 0.01;
   base.faults.delay_prob = 0.02;
 
+  harness::RunSpec spec;
+  spec.workload = "bank";
   uint64_t seed_lo = 1;
   uint64_t seed_hi = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // Numeric values parse completely or exit 2 (src/common/flag_values.h).
-    auto count = [&]() { return xenic::FlagUint(a.c_str(), next()); };
-    auto count32 = [&]() {
-      return static_cast<uint32_t>(
-          xenic::FlagUint(a.c_str(), next(), std::numeric_limits<uint32_t>::max()));
-    };
-    auto micros = [&]() { return static_cast<xenic::sim::Tick>(count()) * xenic::sim::kNsPerUs; };
-    auto probability = [&]() { return xenic::FlagProbability(a.c_str(), next()); };
-    if (a == "--seed") {
-      seed_lo = seed_hi = count();
-    } else if (a == "--seeds") {
-      const std::string v = next();
-      const size_t dash = v.find('-');
-      if (dash == std::string::npos) {
-        std::fprintf(stderr, "--seeds wants A-B\n");
-        return 2;
-      }
-      seed_lo = xenic::FlagUint("--seeds", v.substr(0, dash).c_str());
-      seed_hi = xenic::FlagUint("--seeds", v.substr(dash + 1).c_str());
-    } else if (a == "--system") {
-      if (!SetSystem(base, next())) {
-        std::fprintf(stderr, "unknown system\n");
-        return 2;
-      }
-    } else if (a == "--nodes") {
-      base.system.num_nodes = count32();
-    } else if (a == "--replicas") {
-      base.system.replication = count32();
-    } else if (a == "--quorum") {
-      base.system.quorum = count32();
-    } else if (a == "--handoffs") {
-      base.faults.planned_handoffs = count32();
-    } else if (a == "--detect-us") {
-      // Crash detection (lease expiry) delay. The default 8us is almost
-      // instant; realistic lease timeouts are tens of microseconds, which
-      // is exactly the availability gap planned handoff closes.
-      base.faults.detection_delay = micros();
-    } else if (a == "--nic-log-apply") {
-      base.system.features.nic_log_apply = true;
-    } else if (a == "--replica-reads") {
-      base.system.features.nic_log_apply = true;  // reads need the applier
-      base.system.features.replica_reads = true;
-    } else if (a == "--epoch") {
-      base.epoch = count();
-    } else if (a == "--horizon-us") {
-      base.horizon = micros();
-    } else if (a == "--crashes") {
-      base.faults.crashes = count32();
-    } else if (a == "--storms") {
-      base.faults.eviction_storms = count32();
-    } else if (a == "--stalls") {
-      base.faults.stall_windows = count32();
-    } else if (a == "--drop") {
-      base.faults.drop_prob = probability();
-    } else if (a == "--dup") {
-      base.faults.dup_prob = probability();
-    } else if (a == "--delay") {
-      base.faults.delay_prob = probability();
-    } else if (a == "--log-capacity") {
-      base.system.log_capacity = static_cast<size_t>(count());
-    } else if (a == "--drop-type") {
-      const char* name = next();
-      if (!xenic::net::ParseMsgSelector(name, &base.faults.typed_drop)) {
-        std::fprintf(stderr, "unknown message type %s\n", name);
-        return 2;
-      }
-      if (base.faults.typed_drop_node < 0) {
-        base.faults.typed_drop_node = 0;
-      }
-    } else if (a == "--drop-node") {
-      base.faults.typed_drop_node = static_cast<int>(
-          xenic::FlagUint(a.c_str(), next(), std::numeric_limits<int>::max()));
-    } else if (a == "--retry-policy") {
-      const char* name = next();
-      if (!xenic::txn::ParseRetryPolicy(name, &base.retry.kind)) {
-        std::fprintf(stderr, "unknown --retry-policy %s (uniform|expjitter|cwnd)\n", name);
-        return 2;
-      }
-      base.retry_aborts = true;
-    } else if (a == "--backoff-base") {
-      base.retry.backoff_base = micros();
-    } else if (a == "--retry-cap") {
-      base.retry.backoff_cap = micros();
-    } else if (a == "--hot-key-path") {
-      base.system.features.hot_key_fastpath = true;
-    } else if (a == "--adaptive-dma") {
-      base.system.nic_features.adaptive_dma_batching = true;
-    } else if (a == "--cc") {
-      const char* name = next();
-      if (!xenic::txn::ParseCcPolicy(name, &base.system.features.cc)) {
-        std::fprintf(stderr, "unknown --cc %s (occ|nowait|waitdie|woundwait)\n", name);
-        return 2;
-      }
-    } else if (a == "--workload") {
-      const std::string name = next();
-      if (name == "bank") {
-        base.workload = xenic::chaos::ChaosWorkload::kBank;
-      } else if (name == "ycsb") {
-        base.workload = xenic::chaos::ChaosWorkload::kYcsb;
-      } else {
-        std::fprintf(stderr, "unknown --workload %s (bank|ycsb)\n", name.c_str());
-        return 2;
-      }
-    } else if (a == "--timeline") {
-      base.timeline = true;
-    } else if (a == "--metrics") {
-      base.metrics = true;
-    } else if (a == "--slo") {
-      std::string err;
-      if (!xenic::obs::ParseSloSpec(next(), &base.slo, &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 2;
-      }
-    } else if (a == "--timeline-window-us") {
-      base.timeline_window = micros();
-    } else if (a == "--jobs" || a.rfind("--jobs=", 0) == 0) {
-      if (a == "--jobs") {
-        (void)next();  // consumed below by ParseJobsFlag
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", a.c_str());
-      return 2;
+  size_t log_capacity = base.system.log_capacity;
+  FlagSet flags(&spec,
+                harness::kFlagSystem | harness::kFlagNodes | harness::kFlagReplicas |
+                    harness::kFlagQuorum | harness::kFlagCc | harness::kFlagHotKeyPath |
+                    harness::kFlagAdaptiveDma | harness::kFlagNicLogApply |
+                    harness::kFlagReplicaReads | harness::kFlagWorkload | harness::kFlagSeed |
+                    harness::kRetryFlags | harness::kFlagDetectUs | harness::kFlagJobs |
+                    harness::kFlagMetrics | harness::kFlagSlo,
+                "workloads: bank | ycsb (default bank)\n");
+  flags.Add("--seeds", "A-B", "run every seed from A to B", [&](const char* flag, const char* v) {
+    const std::string range = v;
+    const size_t dash = range.find('-');
+    if (dash == std::string::npos) {
+      RejectFlagValue(flag, v, "A-B");
     }
+    seed_lo = FlagUint(flag, range.substr(0, dash).c_str());
+    seed_hi = FlagUint(flag, range.substr(dash + 1).c_str());
+    spec.seed.reset();  // the later of --seed and --seeds wins
+  });
+  flags.Add("--epoch", "N", "fault-plan epoch (default 1)", FlagSet::Uint(&base.epoch));
+  flags.Add("--horizon-us", "US", "submission window in microseconds (default 600)",
+            FlagSet::Micros(&base.horizon));
+  flags.Add("--crashes", "N", "node crashes (default 1)", FlagSet::Uint(&base.faults.crashes));
+  flags.Add("--handoffs", "N", "planned lease handoffs (default 0)",
+            FlagSet::Uint(&base.faults.planned_handoffs));
+  flags.Add("--storms", "N", "NIC-index eviction storms (default 2)",
+            FlagSet::Uint(&base.faults.eviction_storms));
+  flags.Add("--stalls", "N", "commit-log back-pressure windows (default 1)",
+            FlagSet::Uint(&base.faults.stall_windows));
+  flags.Add("--drop", "P", "per-frame drop probability (default 0.01)",
+            FlagSet::Probability(&base.faults.drop_prob));
+  flags.Add("--dup", "P", "per-frame duplicate probability (default 0.01)",
+            FlagSet::Probability(&base.faults.dup_prob));
+  flags.Add("--delay", "P", "per-frame delay probability (default 0.02)",
+            FlagSet::Probability(&base.faults.delay_prob));
+  flags.Add("--log-capacity", "N", "commit-log ring records per node (default 65536)",
+            FlagSet::Uint(&log_capacity));
+  flags.Add("--drop-type", "NAME", "drop every message of this type that --drop-node sends",
+            [&](const char* flag, const char* v) {
+              if (!net::ParseMsgSelector(v, &base.faults.typed_drop)) {
+                RejectFlagValue(flag, v, "a message type, such as validate or validate_reply");
+              }
+              if (base.faults.typed_drop_node < 0) {
+                base.faults.typed_drop_node = 0;
+              }
+            });
+  flags.Add("--drop-node", "N", "sender of --drop-type's drops (default 0)",
+            FlagSet::Uint(&base.faults.typed_drop_node));
+  flags.Add("--timeline", nullptr, "append each seed's windowed time series and fault dips",
+            FlagSet::On(&base.timeline));
+  flags.Add("--timeline-window-us", "US",
+            "timeline and --metrics window in microseconds (default 50)",
+            FlagSet::Micros(&base.timeline_window, 1));
+  flags.Parse(argc, argv);
+
+  if (spec.workload == "ycsb") {
+    base.workload = chaos::ChaosWorkload::kYcsb;
+  } else if (spec.workload != "bank") {
+    std::fprintf(stderr, "unknown --workload %s (bank|ycsb)\n", spec.workload.c_str());
+    return 2;
+  }
+  if (spec.seed) {
+    seed_lo = seed_hi = *spec.seed;
   }
   if (seed_hi < seed_lo) {
     std::fprintf(stderr, "empty seed range\n");
     return 2;
   }
-
-  xenic::harness::SweepExecutor ex(
-      xenic::harness::SweepExecutor::ParseJobsFlag(argc, argv));
-
-  std::vector<std::function<ChaosVerdict()>> tasks;
-  for (uint64_t s = seed_lo; s <= seed_hi; ++s) {
-    ChaosConfig config = base;
-    config.seed = s;
-    tasks.push_back([config] { return RunChaos(config); });
+  base.system = spec.System();
+  base.system.log_capacity = log_capacity;
+  base.retry_aborts = spec.retry_policy.has_value();
+  spec.ApplyTo(&base.retry);
+  if (spec.detect_us) {
+    // The default 8us is almost instant; realistic lease timeouts are tens
+    // of microseconds, which is exactly the availability gap planned
+    // handoff closes.
+    base.faults.detection_delay = *spec.detect_us * sim::kNsPerUs;
   }
-  const std::vector<ChaosVerdict> verdicts = ex.Map(tasks);
+  base.metrics = spec.metrics;
+  base.slo = spec.slo;
+
+  harness::SweepExecutor ex(spec.jobs);
+
+  std::vector<std::function<chaos::ChaosVerdict()>> tasks;
+  for (uint64_t s = seed_lo; s <= seed_hi; ++s) {
+    chaos::ChaosConfig config = base;
+    config.seed = s;
+    tasks.push_back([config] { return chaos::RunChaos(config); });
+  }
+  const std::vector<chaos::ChaosVerdict> verdicts = ex.Map(tasks);
 
   bool all_ok = true;
-  for (const ChaosVerdict& v : verdicts) {
+  for (const chaos::ChaosVerdict& v : verdicts) {
     std::fputs(v.Summary().c_str(), stdout);
     if (base.timeline) {
       std::fputs(v.Timeline().c_str(), stdout);

@@ -11,120 +11,91 @@
 // any divergence means tracing perturbed the simulation, breaking the
 // observability layer's zero-interference contract. --trace PATH also
 // exercises the Chrome trace-event export end to end.
+//
+// --help lists the flags (harness::FlagSet). The observer flags need
+// --point-check, and --trace cannot be combined with --txn-attrib there:
+// both exit 2, like an unknown flag.
 
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/workload/smallbank.h"
-#include "src/workload/ycsb.h"
 
 int main(int argc, char** argv) {
   using namespace xenic;
   using namespace xenic::bench;
 
+  const uint32_t nodes = 3;
+  harness::RunSpec spec;
+  spec.nodes = nodes;  // fixed; Validate checks --replicas against it
+  spec.workload = "smallbank";
   bool point_check = false;
-  std::string workload_name = "smallbank";
-  uint32_t replication = 3;
-  uint32_t quorum = 0;  // 0 = historical wait-for-all commit
-  // This tool's own flags are consumed here; the rest go to BenchOptions,
-  // which rejects anything it does not know.
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--point-check") == 0) {
-      point_check = true;
-    } else if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc) {
-      workload_name = argv[++i];
-    } else if (std::strncmp(argv[i], "--workload=", 11) == 0) {
-      workload_name = argv[i] + 11;
-    } else if (std::strcmp(argv[i], "--replicas") == 0 && i + 1 < argc) {
-      replication = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strncmp(argv[i], "--replicas=", 11) == 0) {
-      replication = static_cast<uint32_t>(std::strtoul(argv[i] + 11, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--quorum") == 0 && i + 1 < argc) {
-      quorum = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strncmp(argv[i], "--quorum=", 9) == 0) {
-      quorum = static_cast<uint32_t>(std::strtoul(argv[i] + 9, nullptr, 10));
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  const int rest_argc = static_cast<int>(rest.size());
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(rest_argc, rest.data()));
-  const BenchOptions opts = BenchOptions::Parse(rest_argc, rest.data());
-  if (workload_name != "smallbank" && workload_name != "ycsb") {
-    std::fprintf(stderr, "unknown --workload '%s' (smallbank|ycsb)\n", workload_name.c_str());
+  // The observers attach to --point-check's runs; --slo and --latency-hist
+  // have nothing to read there.
+  harness::FlagSet flags(
+      &spec,
+      harness::kFlagReplicas | harness::kFlagQuorum | harness::kFlagWorkload |
+          harness::kFlagJobs | harness::kFlagSeed | harness::kRetryFlags |
+          harness::kXenicFeatureFlags |
+          (harness::kObserverFlags & ~(harness::kFlagSlo | harness::kFlagLatencyHist)),
+      "workloads: smallbank | ycsb (the determinism matrix)\n");
+  flags.Add("--point-check", nullptr, "one point per system, printing every simulated scalar",
+            harness::FlagSet::On(&point_check));
+  flags.Parse(argc, argv);
+  if (spec.workload != "smallbank" && spec.workload != "ycsb") {
+    std::fprintf(stderr, "unknown --workload '%s' (smallbank|ycsb)\n", spec.workload.c_str());
     return 2;
   }
-
-  const uint32_t nodes = 3;
-  auto make_wl = [&]() -> std::unique_ptr<workload::Workload> {
-    if (workload_name == "ycsb") {
-      workload::Ycsb::Options wo;
-      wo.num_nodes = nodes;
-      wo.keys_per_node = 20000;
-      wo.zipf_theta = 0.9;
-      return std::make_unique<workload::Ycsb>(wo);
-    }
-    workload::Smallbank::Options wo;
-    wo.num_nodes = nodes;
-    wo.accounts_per_node = 20000;
-    return std::make_unique<workload::Smallbank>(wo);
-  };
+  if (!point_check && spec.Observed()) {
+    std::fprintf(stderr, "observer flags need --point-check; the sweep prints only its table\n");
+    return 2;
+  }
+  if (!spec.trace_path.empty() && spec.txn_attrib) {
+    // Both need the engine's single trace slot on the Xenic run.
+    std::fprintf(stderr, "--trace and --txn-attrib cannot be combined; run them separately\n");
+    return 2;
+  }
+  auto make_wl = [&] { return harness::MakeWorkload(spec.workload, nodes, 20000); };
 
   RunConfig rc;
   rc.seed = 7;
   rc.warmup = 100 * sim::kNsPerUs;
   rc.measure = 400 * sim::kNsPerUs;
+  spec.ApplyTo(&rc);
 
-  std::vector<SystemConfig> cfgs;
-  SystemConfig xenic_cfg;
-  xenic_cfg.kind = SystemConfig::Kind::kXenic;
-  xenic_cfg.num_nodes = nodes;
-  xenic_cfg.replication = replication;
-  xenic_cfg.quorum = quorum;
-  cfgs.push_back(xenic_cfg);
-  SystemConfig drtmh;
-  drtmh.kind = SystemConfig::Kind::kBaseline;
-  drtmh.mode = baseline::BaselineMode::kDrtmH;
-  drtmh.num_nodes = nodes;
-  drtmh.replication = replication;
-  drtmh.quorum = quorum;
-  cfgs.push_back(drtmh);
+  // The point-check runs all five systems; the sweep Xenic and DrTM+H.
+  std::vector<SystemConfig> cfgs = Figure8Systems(nodes, spec.replicas);
+  for (SystemConfig& c : cfgs) {
+    c.quorum = spec.quorum;
+  }
+  spec.ApplyTo(&cfgs);
 
   if (point_check) {
     // One point per system (all five), observability attached per flags for
     // the first (Xenic). Every printed value is simulation-derived, so the
     // output must be byte-identical with tracing on or off -- and across
     // any refactor of the message send paths (transport-layer invariance).
-    std::vector<SystemConfig> all = Figure8Systems(nodes);
-    for (SystemConfig& c : all) {
-      c.replication = replication;
-      c.quorum = quorum;
-    }
-    ApplyContentionOptions(opts, &rc, &all);
     obs::TraceRecorder rec;
-    for (size_t ci = 0; ci < all.size(); ++ci) {
+    for (size_t ci = 0; ci < cfgs.size(); ++ci) {
       auto wl = make_wl();
-      auto system = harness::BuildSystem(all[ci], *wl);
+      auto system = harness::BuildSystem(cfgs[ci], *wl);
       harness::LoadWorkload(*system, *wl);
       RunConfig r = rc;
       r.contexts_per_node = 16;
-      r.collect_resources = ci == 0 && opts.attrib;
-      r.trace = (ci == 0 && !opts.trace_path.empty()) ? &rec : nullptr;
+      r.collect_resources = ci == 0 && spec.attrib;
+      r.trace = (ci == 0 && !spec.trace_path.empty()) ? &rec : nullptr;
       // --txn-attrib: per-system critical-path collection. The point-check
       // line must stay byte-identical with this attached (enforced by
       // check_determinism.sh); the waterfall prints after it.
       obs::TxnTraceSink txn_sink;
-      r.txn_trace = (opts.txn_attrib && r.trace == nullptr) ? &txn_sink : nullptr;
+      r.txn_trace = spec.txn_attrib ? &txn_sink : nullptr;
       // --metrics: windowed sampling on the first system (Xenic). The
       // point-check line must stay byte-identical with this attached
       // (enforced by the metrics section of check_determinism.sh); the
       // "metrics "-prefixed series print after it.
       obs::MetricRegistry reg;
-      r.metrics = (ci == 0 && opts.metrics) ? &reg : nullptr;
-      r.metrics_window = opts.metrics_window_us * sim::kNsPerUs;
+      r.metrics = (ci == 0 && spec.metrics) ? &reg : nullptr;
+      r.metrics_window = spec.metrics_window_us * sim::kNsPerUs;
       RunResult res = harness::RunWorkload(*system, *wl, r);
       std::printf("point-check[%s]: committed=%llu aborted=%llu counted=%llu median_ns=%llu "
                   "p99_ns=%llu max_ns=%llu sim_events=%llu window_ns=%llu\n",
@@ -139,13 +110,13 @@ int main(int argc, char** argv) {
       if (r.metrics != nullptr) {
         std::printf("%s", reg.Lines("metrics ").c_str());
       }
-      if (opts.msg_breakdown) {
+      if (spec.msg_breakdown) {
         PrintMsgBreakdown(system->Name(), res);
       }
-      if (opts.abort_breakdown) {
+      if (spec.abort_breakdown) {
         PrintAbortBreakdown(system->Name() + " abort breakdown", res);
       }
-      if (ci == 0 && opts.attrib) {
+      if (ci == 0 && spec.attrib) {
         const obs::BottleneckReport report = obs::Attribute(res.resources);
         std::printf("%s", obs::RenderAttribution(report, "point-check attribution").c_str());
       }
@@ -161,22 +132,23 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(txn_sink.late_spans()));
       }
     }
-    if (!opts.trace_path.empty()) {
-      if (!rec.WriteJson(opts.trace_path)) {
-        std::fprintf(stderr, "failed to write %s\n", opts.trace_path.c_str());
+    if (!spec.trace_path.empty()) {
+      if (!rec.WriteJson(spec.trace_path)) {
+        std::fprintf(stderr, "failed to write %s\n", spec.trace_path.c_str());
         return 1;
       }
-      std::fprintf(stderr, "wrote %s (%zu events, %zu tracks)\n", opts.trace_path.c_str(),
+      std::fprintf(stderr, "wrote %s (%zu events, %zu tracks)\n", spec.trace_path.c_str(),
                    rec.num_events(), rec.num_tracks());
     }
     return 0;
   }
 
   const std::vector<uint32_t> loads = {4, 16, 48};
-  ApplyContentionOptions(opts, &rc, &cfgs);
+  cfgs.resize(2);
+  SweepExecutor ex(spec.jobs);
   std::vector<Curve> curves = RunSweeps(cfgs, make_wl, loads, rc, ex);
   // PrintCurves emits only simulation-derived values (no wall-clock), so
   // the output is byte-comparable across --jobs settings.
-  PrintCurves("Determinism check: " + workload_name + ", fixed seed", curves);
+  PrintCurves("Determinism check: " + spec.workload + ", fixed seed", curves);
   return 0;
 }
