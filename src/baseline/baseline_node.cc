@@ -7,14 +7,11 @@ namespace xenic::baseline {
 
 namespace {
 
-constexpr sim::Tick kHostInitCost = 100;
-constexpr sim::Tick kHostKeyCost = 60;
+using txn::kHostFinishBase;
+using txn::kHostInitCost;
+using txn::kHostKeyCost;
+
 constexpr sim::Tick kRpcHandlerPerKey = 100;
-constexpr sim::Tick kHostFinishBase = 80;
-constexpr sim::Tick kWorkerPollCost = 80;
-constexpr sim::Tick kWorkerRecordCost = 150;
-constexpr sim::Tick kWorkerWriteCost = 120;
-constexpr int kWorkerBatch = 16;
 
 bool ContainsKey(const std::vector<KeyRef>& v, const KeyRef& k) {
   return std::find(v.begin(), v.end(), k) != v.end();
@@ -47,7 +44,8 @@ BaselineNode::BaselineNode(nicmodel::RdmaNic* nic, sim::Resource* host_cores,
       repl_(repl),
       mode_(mode),
       peers_(peers),
-      transport_(nic, &stats_.messages, &stats_.by_type) {}
+      transport_(nic, &stats_.messages, &stats_.by_type),
+      drain_(nic->engine(), store, {.cores = host_cores}) {}
 
 store::TxnId BaselineNode::Submit(TxnRequest req, CommitCallback done) {
   auto st = std::make_unique<TxnState>();
@@ -1097,58 +1095,9 @@ BaselineNode::TxnState* BaselineNode::FindState(store::TxnId id) {
 }
 
 void BaselineNode::StartWorkers(uint32_t count, sim::Tick poll_interval) {
-  workers_running_ = true;
-  for (uint32_t w = 0; w < count; ++w) {
-    const sim::Tick offset = poll_interval * (w + 1) / count;
-    nic_->engine()->ScheduleAfter(offset,
-                                  [this, w, poll_interval] { WorkerTick(w, poll_interval); });
-  }
+  drain_.Start(count, poll_interval);
 }
 
-void BaselineNode::StopWorkers() { workers_running_ = false; }
-
-void BaselineNode::WorkerTick(uint32_t worker, sim::Tick interval) {
-  if (!workers_running_) {
-    return;
-  }
-  // Ambient poll: see XenicNode::WorkerTick -- keeps attribution sinks'
-  // zero-id counters measuring lost context, not infrastructure ticks.
-  nic_->engine()->set_trace_ctx(sim::kAmbientTraceCtx);
-  host_cores_->Submit(kWorkerPollCost, [this, worker, interval] {
-    int applied = 0;
-    sim::Tick extra = 0;
-    while (applied < kWorkerBatch) {
-      const store::LogRecord* rec = store_->log().Peek();
-      if (rec == nullptr) {
-        break;
-      }
-      const uint64_t lsn = rec->lsn;
-      extra += kWorkerRecordCost;
-      for (const auto& w : rec->writes) {
-        extra += kWorkerWriteCost;
-        if (w.table < store_->num_tables()) {
-          if (w.is_delete) {
-            store_->table(w.table).Erase(w.key);
-          } else {
-            store_->table(w.table).Apply(w.key, w.value, w.seq);
-          }
-        } else if (worker_apply_hook_) {
-          extra += worker_apply_hook_(w);
-        }
-      }
-      store_->log().PopApplied();
-      store_->log().Reclaim(lsn + 1);
-      applied++;
-    }
-    sim::Engine* engine = nic_->engine();
-    if (extra > 0) {
-      host_cores_->Submit(extra, [this, engine, worker, interval] {
-        engine->ScheduleAfter(interval, [this, worker, interval] { WorkerTick(worker, interval); });
-      });
-    } else {
-      engine->ScheduleAfter(interval, [this, worker, interval] { WorkerTick(worker, interval); });
-    }
-  });
-}
+void BaselineNode::StopWorkers() { drain_.Stop(); }
 
 }  // namespace xenic::baseline

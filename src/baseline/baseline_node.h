@@ -28,6 +28,7 @@
 #include "src/baseline/baseline_store.h"
 #include "src/net/transport.h"
 #include "src/nicmodel/rdma_nic.h"
+#include "src/repl/log_drain.h"
 #include "src/repl/replication_group.h"
 #include "src/sim/resource.h"
 #include "src/txn/types.h"
@@ -63,10 +64,12 @@ class BaselineNode {
   // can link retries of the same logical transaction in traces.
   store::TxnId Submit(TxnRequest req, CommitCallback done);
 
+  // Host worker threads draining the commit log (repl::LogDrain).
   void StartWorkers(uint32_t count, sim::Tick poll_interval);
   void StopWorkers();
-  using WorkerApplyHook = std::function<sim::Tick(const store::LogWrite&)>;
-  void set_worker_apply_hook(WorkerApplyHook hook) { worker_apply_hook_ = std::move(hook); }
+  void set_worker_apply_hook(repl::LogDrain::ApplyHook hook) {
+    drain_.set_apply_hook(std::move(hook));
+  }
 
   store::NodeId id() const { return nic_->id(); }
   BaselineStore& store() { return *store_; }
@@ -122,8 +125,6 @@ class BaselineNode {
   TxnState* FindState(store::TxnId id);
   std::vector<store::LogWrite> ShardWrites(const TxnState& st, store::NodeId shard) const;
 
-  void WorkerTick(uint32_t worker, sim::Tick interval);
-
   nicmodel::RdmaNic* nic_;
   sim::Resource* host_cores_;
   BaselineStore* store_;
@@ -135,8 +136,7 @@ class BaselineNode {
   uint64_t next_txn_seq_ = 1;
   TxnStats stats_;
   net::RdmaTransport transport_;
-  WorkerApplyHook worker_apply_hook_;
-  bool workers_running_ = false;
+  repl::LogDrain drain_;
 };
 
 }  // namespace xenic::baseline

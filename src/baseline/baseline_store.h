@@ -94,7 +94,7 @@ class ChainedStore {
 };
 
 // One node's baseline datastore: tables + host-memory replication log.
-class BaselineStore {
+class BaselineStore final : public store::LogApplyTarget {
  public:
   struct TableSpec {
     TableId id = 0;
@@ -106,8 +106,13 @@ class BaselineStore {
 
   ChainedStore& table(TableId id) { return *tables_.at(id); }
   const ChainedStore& table(TableId id) const { return *tables_.at(id); }
-  size_t num_tables() const { return tables_.size(); }
-  store::CommitLog& log() { return log_; }
+  size_t num_tables() const override { return tables_.size(); }
+  store::CommitLog& log() override { return log_; }
+
+  // The log drain's store step: upsert or erase each write. Baselines keep
+  // no NIC cache, pending-read index or tombstones, and never gate.
+  store::ApplyOutcome ApplyLogRecord(const store::LogRecord& record,
+                                     bool stability_gate) override;
 
  private:
   std::vector<std::unique_ptr<ChainedStore>> tables_;

@@ -69,6 +69,14 @@ struct PerfModel {
   double total_bandwidth_bytes_per_ns() const { return link_bytes_per_ns * nic_ports; }
 };
 
+// Time that `host_cost` ns of host-calibrated work takes on a core whose
+// per-thread speed is `speed_ratio` times a host thread's, truncated to
+// whole ns. With arm_multithread_ratio this is the NIC ARM cost of shipped
+// execution logic and of the NIC log drain's steps.
+inline sim::Tick ScaledCost(sim::Tick host_cost, double speed_ratio) {
+  return static_cast<sim::Tick>(static_cast<double>(host_cost) / speed_ratio);
+}
+
 // Off-path SmartNIC configuration (paper sections 3.1 and 4.3.4): the SoC
 // sits behind an internal switch with no low-level host-memory interface,
 // so SoC<->host traffic pays network-stack costs. Calibrated from the

@@ -89,14 +89,14 @@ class CommitLog {
   uint64_t next_lsn() const { return next_lsn_; }
   uint64_t appended() const { return next_lsn_; }
 
-  // Quorum-applied truncation support (repl::LogApplier): a replicated kLog
-  // record may only be applied -- and thus reclaimed -- once its
-  // transaction's commit point is known. The coordinator's kLogCommit
-  // notification (or recovery roll-forward) marks it; sweep-aborted
-  // transactions are tombstoned at the Datastore level instead.
+  // Quorum-applied truncation support (the stability-gated NIC log drain,
+  // repl::LogDrain): a replicated kLog record may only be applied -- and
+  // thus reclaimed -- once its transaction's commit point is known. The
+  // coordinator's kLogCommit notification (or recovery roll-forward) marks
+  // it; sweep-aborted transactions are tombstoned at the Datastore level
+  // instead.
   void MarkStable(TxnId txn) { stable_.insert(txn); }
   bool IsStable(TxnId txn) const { return stable_.count(txn) > 0; }
-  size_t stable_marks() const { return stable_.size(); }
 
  private:
   size_t capacity_;
@@ -106,8 +106,33 @@ class CommitLog {
   uint64_t base_lsn_ = 0;
   // Transactions whose commit point is known (see MarkStable). Bounded by
   // the transactions of one run; only consulted by the stability-gated NIC
-  // applier, so the default host-worker path never reads it.
+  // drain, so the default host-worker path never reads it.
   std::unordered_set<TxnId> stable_;
+};
+
+// What a store's log step did with one record (LogApplyTarget).
+enum class ApplyOutcome : uint8_t {
+  kApplied,  // the record's table writes are applied
+  kDropped,  // tombstoned: consumed without applying
+  kWait,     // not applicable yet: an unstable kLog record under the gate
+};
+
+// The store side of the commit-log drain (repl::LogDrain): the log it
+// drains, and what one record does to the tables. The drain owns the
+// rest -- polling, batching, costs, the workload hook for writes to
+// tables at or past num_tables(), and popping and reclaiming each record
+// the step did not leave waiting.
+class LogApplyTarget {
+ public:
+  virtual CommitLog& log() = 0;
+  virtual size_t num_tables() const = 0;
+  // Apply `record`'s writes to tables below num_tables(). With
+  // `stability_gate` set, a kLog record whose commit point is not yet
+  // known (CommitLog::IsStable) is left for a later poll.
+  virtual ApplyOutcome ApplyLogRecord(const LogRecord& record, bool stability_gate) = 0;
+
+ protected:
+  ~LogApplyTarget() = default;
 };
 
 }  // namespace xenic::store

@@ -102,44 +102,49 @@ void Datastore::ClearPending(const LogRecord& record) {
   }
 }
 
-std::vector<ApplyAck> Datastore::ApplyNext() {
-  const LogRecord* record = log_.Peek();
-  if (record == nullptr) {
-    return {};
-  }
-  auto acks = ApplyRecord(*record);
-  ClearPending(*record);
-  log_.PopApplied();
-  return acks;
+void Datastore::AckHostApplied(TableId table, Key key) {
+  auto& t = *tables_[table];
+  const size_t seg = t.SegmentOfKey(key);
+  indexes_[table]->OnHostApplied(key, t.SegmentMaxDisp(seg), t.SegmentHasOverflow(seg));
 }
 
-std::vector<ApplyAck> Datastore::ApplyRecord(const LogRecord& record) {
-  std::vector<ApplyAck> acks;
+ApplyOutcome Datastore::ApplyLogRecord(const LogRecord& record, bool stability_gate) {
   if (IsTombstoned(record.txn)) {
-    records_applied_++;  // consumed, writes dropped
-    return acks;
+    // Epoch-aborted transaction: drop the record. A commit record pinned
+    // its cached objects until host apply, and the cached values were
+    // never (and will never be) applied here, so unpin and invalidate.
+    for (const auto& w : record.writes) {
+      if (w.table < tables_.size()) {
+        AckHostApplied(w.table, w.key);
+        indexes_[w.table]->Invalidate(w.key);
+      }
+    }
+    ClearPending(record);
+    return ApplyOutcome::kDropped;
   }
-  acks.reserve(record.writes.size());
+  if (stability_gate && record.type == LogRecordType::kLog && !log_.IsStable(record.txn)) {
+    // Commit point not yet known: the record may belong to a transaction
+    // that aborts after replication. Wait for the coordinator's kLogCommit
+    // (or a sweep's tombstone) to resolve it.
+    return ApplyOutcome::kWait;
+  }
   for (const auto& w : record.writes) {
     if (w.table >= tables_.size()) {
-      continue;  // workload-managed write: applied through the worker hook
+      continue;  // workload-managed write: the drain's apply hook takes it
     }
-    auto& t = *tables_.at(w.table);
+    auto& t = *tables_[w.table];
     if (w.is_delete) {
       t.Erase(w.key);  // NotFound tolerated: replayed record
     } else {
-      Status s = t.Apply(w.key, w.value, w.seq);
-      assert(s.ok());
-      (void)s;
+      t.Apply(w.key, w.value, w.seq);
     }
-    const size_t seg = t.SegmentOfKey(w.key);
-    acks.push_back(ApplyAck{w.table, w.key, t.SegmentMaxDisp(seg), t.SegmentHasOverflow(seg)});
+    AckHostApplied(w.table, w.key);
   }
   if (record.type == LogRecordType::kLog) {
     NoteLogApplied(record.txn, record.shard);
   }
-  records_applied_++;
-  return acks;
+  ClearPending(record);
+  return ApplyOutcome::kApplied;
 }
 
 void Datastore::TombstoneTxn(TxnId txn) {

@@ -35,17 +35,7 @@ struct TableSpec {
   uint16_t segment_slots = 8;
 };
 
-// Per-key feedback produced when the host applies a log record; piggybacked
-// on host-to-NIC traffic so the NIC can unpin cache entries and refresh its
-// d_i hints.
-struct ApplyAck {
-  TableId table = 0;
-  Key key = 0;
-  uint16_t segment_disp = 0;
-  bool has_overflow = false;
-};
-
-class Datastore {
+class Datastore final : public LogApplyTarget {
  public:
   Datastore(const std::vector<TableSpec>& specs, const NicIndex::Options& nic_options,
             size_t log_capacity_records = 1 << 16);
@@ -54,8 +44,8 @@ class Datastore {
   const RobinhoodTable& table(TableId id) const { return *tables_.at(id); }
   NicIndex& index(TableId id) { return *indexes_.at(id); }
   const NicIndex& index(TableId id) const { return *indexes_.at(id); }
-  CommitLog& log() { return log_; }
-  size_t num_tables() const { return tables_.size(); }
+  CommitLog& log() override { return log_; }
+  size_t num_tables() const override { return tables_.size(); }
 
   // Bulk-load helper (database population); keeps NIC hints in sync.
   Status Load(TableId table, Key key, const Value& value, Seq seq = 1);
@@ -72,16 +62,15 @@ class Datastore {
   std::optional<LookupResult> FreshLookup(TableId table, Key key) const;
   std::optional<Seq> FreshSeq(TableId table, Key key) const;
 
-  // Remove a record's writes from the pending index (call after applying).
-  void ClearPending(const LogRecord& record);
   size_t pending_writes() const { return pending_.size(); }
 
-  // Host worker: apply the next pending log record to the tables. Returns
-  // the acks to feed back to the NIC (empty when the log is drained).
-  std::vector<ApplyAck> ApplyNext();
-
-  // Apply one record directly (recovery replay path).
-  std::vector<ApplyAck> ApplyRecord(const LogRecord& record);
+  // The log drain's store step (repl::LogDrain). A tombstoned record is
+  // dropped, its writes' NIC cache entries unpinned and invalidated.
+  // Otherwise each write lands in its table and is acked to the NIC
+  // (unpin + refresh the segment's hint, piggybacked on host-to-NIC
+  // traffic), and a kLog record is noted applied (NoteLogApplied). Either
+  // way the record's writes leave the pending-read index.
+  ApplyOutcome ApplyLogRecord(const LogRecord& record, bool stability_gate) override;
 
   // Recovery/abort: mark `txn`'s log records dead on this node. Existing
   // records stay buffered (the ring's lsn accounting is untouched) but their
@@ -102,9 +91,6 @@ class Datastore {
   // one shard looks incomplete and gets discarded, resurrecting the old
   // version of its writes on the promoted primary (a lost update).
   void NoteLogApplied(TxnId txn, NodeId shard) { applied_log_.emplace(txn, shard); }
-  bool HasAppliedLog(TxnId txn, NodeId shard) const {
-    return applied_log_.count({txn, shard}) > 0;
-  }
   // Shards of `txn` whose records this node applied, in shard order.
   std::vector<NodeId> AppliedShardsOf(TxnId txn) const {
     std::vector<NodeId> out;
@@ -114,8 +100,6 @@ class Datastore {
     }
     return out;
   }
-
-  uint64_t records_applied() const { return records_applied_; }
 
  private:
   struct PendingWrite {
@@ -127,11 +111,15 @@ class Datastore {
   static uint64_t PendingKey(TableId table, Key key) {
     return (static_cast<uint64_t>(table) << 48) ^ key;
   }
+  // Remove a record's writes from the pending index.
+  void ClearPending(const LogRecord& record);
+  // Ack one host-side write to the NIC index: unpin the key and refresh
+  // its segment's displacement hint.
+  void AckHostApplied(TableId table, Key key);
 
   std::vector<std::unique_ptr<RobinhoodTable>> tables_;
   std::vector<std::unique_ptr<NicIndex>> indexes_;
   CommitLog log_;
-  uint64_t records_applied_ = 0;
   // (table, key) -> stack of committed-but-unapplied writes, newest last.
   std::unordered_map<uint64_t, std::vector<PendingWrite>> pending_;
   // Transactions whose records must not be applied on this node (epoch

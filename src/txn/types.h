@@ -28,6 +28,12 @@ using store::TableId;
 using store::TxnId;
 using store::Value;
 
+// Host-core costs (ns) that Xenic and the baselines charge alike: starting
+// a transaction, touching one local key, and reporting an outcome.
+constexpr sim::Tick kHostInitCost = 100;
+constexpr sim::Tick kHostKeyCost = 60;
+constexpr sim::Tick kHostFinishBase = 80;
+
 struct KeyRef {
   TableId table = 0;
   Key key = 0;
@@ -151,9 +157,10 @@ struct XenicFeatures {
   // Off by default: changes event schedules, so the golden chaos
   // transcript and all existing seeds stay byte-identical.
   bool hot_key_fastpath = false;
-  // NIC-ARM-hosted continuous backup apply (repl::LogApplier): replicated
-  // LOG records are applied by the NIC ARM cores once their commit point
-  // is known (kLogCommit stability gate) instead of by host workers.
+  // NIC-ARM-hosted continuous backup apply (repl::LogDrain on the NIC
+  // cores): replicated LOG records are applied by the NIC ARM cores once
+  // their commit point is known (kLogCommit stability gate) instead of by
+  // host workers.
   // Off by default: adds kLogCommit traffic and changes event schedules,
   // so the golden chaos transcript and all existing seeds stay identical.
   bool nic_log_apply = false;

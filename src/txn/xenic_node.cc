@@ -7,11 +7,6 @@ namespace xenic::txn {
 
 namespace {
 
-// Host-core costs (ns) for transaction initiation and local data access.
-constexpr sim::Tick kHostInitCost = 100;
-constexpr sim::Tick kHostKeyCost = 60;
-constexpr sim::Tick kHostFinishBase = 80;
-
 // NIC-core handler costs: per-message base plus per-key work. The base
 // matches the measured minimal-RPC handler (section 3.3).
 constexpr sim::Tick kNicOpBase = 150;
@@ -38,12 +33,6 @@ constexpr size_t kRemoteQueueCap = 2;
 constexpr uint64_t kLocalRank = 0;
 constexpr uint64_t kRemoteRank = 1;
 
-// Robinhood worker costs.
-constexpr sim::Tick kWorkerPollCost = 80;
-constexpr sim::Tick kWorkerRecordCost = 150;
-constexpr sim::Tick kWorkerWriteCost = 120;
-constexpr int kWorkerBatch = 16;
-
 bool ContainsKey(const std::vector<KeyRef>& v, const KeyRef& k) {
   return std::find(v.begin(), v.end(), k) != v.end();
 }
@@ -62,6 +51,19 @@ std::vector<KeyRef> KeyUnion(const std::vector<KeyRef>& reads, const std::vector
   return keys;
 }
 
+// The commit log drains through host Robinhood workers, or through NIC-ARM
+// appliers -- slower per step, held to stable kLog records, and staggered
+// inside the poll interval -- under features.nic_log_apply.
+repl::LogDrain::Options DrainOptions(nicmodel::SmartNic* nic, const XenicFeatures& features) {
+  if (!features.nic_log_apply) {
+    return {.cores = &nic->host_cores()};
+  }
+  return {.cores = &nic->nic_cores(),
+          .speed_ratio = nic->model().arm_multithread_ratio,
+          .stagger_pad = 1,
+          .stability_gate = true};
+}
+
 }  // namespace
 
 XenicNode::XenicNode(nicmodel::SmartNic* nic, store::Datastore* ds, const ClusterMap* map,
@@ -73,15 +75,21 @@ XenicNode::XenicNode(nicmodel::SmartNic* nic, store::Datastore* ds, const Cluste
       features_(features),
       peers_(peers),
       repl_(repl),
-      transport_(nic, &crashed_, &stats_.messages, &stats_.by_type) {}
+      drain_(nic->engine(), ds, DrainOptions(nic, *features)),
+      transport_(nic, &crashed_, &stats_.messages, &stats_.by_type) {
+  if (features->nic_log_apply) {
+    drain_.set_record_hook([this](const store::LogRecord&) { stats_.nic_log_applied++; });
+  } else {
+    drain_.set_record_hook([this](const store::LogRecord& rec) { TraceInstant("apply", rec.txn); });
+  }
+}
 
 sim::Tick XenicNode::NicOpCost(size_t n_keys) const {
   return kNicOpBase + kNicKeyCost * static_cast<sim::Tick>(n_keys);
 }
 
 sim::Tick XenicNode::NicExecCost(sim::Tick host_cost) const {
-  return static_cast<sim::Tick>(static_cast<double>(host_cost) /
-                                nic_->model().arm_multithread_ratio);
+  return net::ScaledCost(host_cost, nic_->model().arm_multithread_ratio);
 }
 
 std::optional<store::NicIndex::RemoteObject> XenicNode::LookupAccum(
@@ -2313,39 +2321,10 @@ void XenicNode::StartWorkers(uint32_t count, sim::Tick poll_interval) {
   if (crashed_) {
     return;  // dead nodes stay dead
   }
-  if (features_->nic_log_apply) {
-    // Replication subsystem: the commit log is drained by NIC-ARM applier
-    // contexts (repl::LogApplier) instead of host Robinhood workers. Same
-    // loop and batch shape; the cycles land on the NIC cores and kLog
-    // records wait for the coordinator's stability notice.
-    if (applier_ == nullptr) {
-      applier_ = std::make_unique<repl::LogApplier>(nic_, ds_, &stats_.nic_log_applied);
-    }
-    applier_->set_apply_hook(worker_apply_hook_);
-    applier_->Start(count, poll_interval);
-    return;
-  }
-  workers_running_ = true;
-  // Bump the generation so stale ticks from a previous start/stop cycle
-  // die instead of doubling the worker pool on restart.
-  worker_epoch_++;
-  const uint64_t epoch = worker_epoch_;
-  workers_ = count;
-  for (uint32_t w = 0; w < count; ++w) {
-    // Stagger the workers across the poll interval.
-    nic_->engine()->ScheduleAfter(
-        poll_interval * (w + 1) / count,
-        [this, w, poll_interval, epoch] { WorkerTick(w, poll_interval, epoch); });
-  }
+  drain_.Start(count, poll_interval);
 }
 
-void XenicNode::StopWorkers() {
-  workers_running_ = false;
-  worker_epoch_++;
-  if (applier_ != nullptr) {
-    applier_->Stop();
-  }
-}
+void XenicNode::StopWorkers() { drain_.Stop(); }
 
 void XenicNode::TracePhase(const char* name, sim::Tick start, sim::Tick end, TxnId txn) {
   sim::TraceSink* t = nic_->engine()->trace();
@@ -2369,89 +2348,6 @@ void XenicNode::TraceInstant(const char* name, TxnId txn) {
     trace_track_ = t->RegisterTrack("txn_phases", "n" + std::to_string(id()));
   }
   t->Instant(trace_track_, name, nic_->engine()->now(), txn);
-}
-
-void XenicNode::WorkerTick(uint32_t worker, sim::Tick interval, uint64_t epoch) {
-  if (!workers_running_ || crashed_ || epoch != worker_epoch_) {
-    return;
-  }
-  // Charge the poll, then apply up to a batch of records (charging the
-  // apply work before the next poll). The poll is ambient infrastructure,
-  // not any transaction's work: mark it so attribution sinks don't count
-  // its host_cores span as a lost-context anomaly (obs::TxnTraceSink).
-  nic_->engine()->set_trace_ctx(sim::kAmbientTraceCtx);
-  nic_->HostCompute(kWorkerPollCost, [this, worker, interval, epoch] {
-    if (!workers_running_ || crashed_ || epoch != worker_epoch_) {
-      return;
-    }
-    int applied = 0;
-    sim::Tick extra = 0;
-    while (applied < kWorkerBatch) {
-      const store::LogRecord* rec = ds_->log().Peek();
-      if (rec == nullptr) {
-        break;
-      }
-      const uint64_t lsn = rec->lsn;
-      if (ds_->IsTombstoned(rec->txn)) {
-        // Epoch-aborted transaction: consume the record without applying.
-        // Any NIC-side state from the append must be torn down too -- a
-        // commit record pinned its cached objects until host apply, and
-        // the cached values were never (and will never be) applied here.
-        for (const auto& w : rec->writes) {
-          if (w.table < ds_->num_tables()) {
-            auto& t = ds_->table(w.table);
-            const size_t seg = t.SegmentOfKey(w.key);
-            ds_->index(w.table).OnHostApplied(w.key, t.SegmentMaxDisp(seg),
-                                              t.SegmentHasOverflow(seg));
-            ds_->index(w.table).Invalidate(w.key);
-          }
-        }
-        ds_->ClearPending(*rec);
-        ds_->log().PopApplied();
-        ds_->log().Reclaim(lsn + 1);
-        applied++;
-        continue;
-      }
-      extra += kWorkerRecordCost;
-      TraceInstant("apply", rec->txn);
-      for (const auto& w : rec->writes) {
-        extra += kWorkerWriteCost;
-        if (w.table < ds_->num_tables()) {
-          auto& t = ds_->table(w.table);
-          if (w.is_delete) {
-            t.Erase(w.key);
-          } else {
-            t.Apply(w.key, w.value, w.seq);
-          }
-          const size_t seg = t.SegmentOfKey(w.key);
-          // Ack piggybacked on host-to-NIC traffic: unpin + refresh hint.
-          ds_->index(w.table).OnHostApplied(w.key, t.SegmentMaxDisp(seg),
-                                            t.SegmentHasOverflow(seg));
-        } else if (worker_apply_hook_) {
-          extra += worker_apply_hook_(w);
-        }
-      }
-      if (rec->type == store::LogRecordType::kLog) {
-        ds_->NoteLogApplied(rec->txn, rec->shard);
-      }
-      ds_->ClearPending(*rec);
-      ds_->log().PopApplied();
-      ds_->log().Reclaim(lsn + 1);
-      applied++;
-    }
-    if (extra > 0) {
-      // Charge the apply work before the next poll.
-      nic_->HostCompute(extra, [this, worker, interval, epoch] {
-        nic_->engine()->ScheduleAfter(interval, [this, worker, interval, epoch] {
-          WorkerTick(worker, interval, epoch);
-        });
-      });
-    } else {
-      nic_->engine()->ScheduleAfter(interval, [this, worker, interval, epoch] {
-        WorkerTick(worker, interval, epoch);
-      });
-    }
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -2495,11 +2391,7 @@ void XenicNode::DropParked() {
 
 void XenicNode::Crash() {
   crashed_ = true;
-  workers_running_ = false;
-  worker_epoch_++;
-  if (applier_ != nullptr) {
-    applier_->Stop();  // the NIC cores die with the node
-  }
+  drain_.Stop();  // host workers or NIC appliers die with the node
   // Parked lock requests die with the node. A remote request's reply is
   // never sent, which is exactly what a request lost with the node looks
   // like to the coordinator (recovery's wedged-txn sweep resolves it);

@@ -42,7 +42,7 @@
 #include "src/common/histogram.h"
 #include "src/net/transport.h"
 #include "src/nicmodel/smart_nic.h"
-#include "src/repl/log_applier.h"
+#include "src/repl/log_drain.h"
 #include "src/repl/replication_group.h"
 #include "src/sim/slot_table.h"
 #include "src/store/commit_log.h"
@@ -69,16 +69,18 @@ class XenicNode {
   // closed-loop runner links retry attempts through it.
   TxnId Submit(TxnRequest req, CommitCallback done);
 
-  // Start `count` Robinhood worker threads polling the commit log every
-  // `poll_interval` ns (paper step 7).
+  // Start `count` contexts draining the commit log every `poll_interval`
+  // ns (paper step 7): host Robinhood workers, or NIC-ARM appliers under
+  // features.nic_log_apply (repl::LogDrain).
   void StartWorkers(uint32_t count, sim::Tick poll_interval);
   void StopWorkers();
 
   // Workload hook: applies log writes whose table id is outside the
   // Robinhood datastore (workload-managed structures, e.g. TPC-C B+trees
   // replicated to backups). Returns extra host ns to charge.
-  using WorkerApplyHook = std::function<sim::Tick(const store::LogWrite&)>;
-  void set_worker_apply_hook(WorkerApplyHook hook) { worker_apply_hook_ = std::move(hook); }
+  void set_worker_apply_hook(repl::LogDrain::ApplyHook hook) {
+    drain_.set_apply_hook(std::move(hook));
+  }
 
   // Per-phase latency breakdown for distributed transactions (EXECUTE /
   // VALIDATE / LOG as seen by the coordinator NIC).
@@ -479,10 +481,6 @@ class XenicNode {
   // unlock).
   void ApplyCommitAtNic(TxnId txn, const std::vector<store::LogWrite>& writes);
 
-  // Robinhood worker iteration. `epoch` guards against stale ticks after a
-  // stop/start cycle (chaos back-pressure windows restart workers).
-  void WorkerTick(uint32_t worker, sim::Tick interval, uint64_t epoch);
-
   // NIC-core cost helpers.
   sim::Tick NicOpCost(size_t n_keys) const;
   sim::Tick NicExecCost(sim::Tick host_cost) const;
@@ -514,10 +512,9 @@ class XenicNode {
   std::vector<NodeId> validate_shards_;
   std::vector<NodeId> log_round_shards_;
   std::vector<NodeId> commit_round_shards_;
-  // NIC-ARM log applier (features.nic_log_apply): replaces the host
-  // Robinhood workers for this node's commit log. Created on first
-  // StartWorkers with the feature armed.
-  std::unique_ptr<repl::LogApplier> applier_;
+  // This node's commit-log drain: host Robinhood workers, or NIC-ARM
+  // appliers under features.nic_log_apply. Crash() stops it for good.
+  repl::LogDrain drain_;
   std::unordered_map<TxnId, StatePtr> txns_;
   // Commit outcomes this coordinator reported (recovery oracle; see
   // HasReportedCommit). Lost with the node on a crash, like any host state.
@@ -535,11 +532,7 @@ class XenicNode {
   KeyWaitQueue waiters_;
   net::Transport transport_;
   PhaseBreakdown phases_;
-  WorkerApplyHook worker_apply_hook_;
-  bool workers_running_ = false;
   bool crashed_ = false;
-  uint32_t workers_ = 0;
-  uint64_t worker_epoch_ = 0;
   // Cached trace registration (lazily refreshed when a new sink appears).
   sim::TraceSink* trace_sink_ = nullptr;
   uint32_t trace_track_ = 0;

@@ -46,23 +46,28 @@ TEST(DatastoreTest, LoadWarmsNicCacheByDefault) {
 TEST(DatastoreTest, ApplyLogRecordUpdatesTables) {
   Datastore ds(TwoTables(), {});
   ASSERT_TRUE(ds.Load(0, 1, Value(16, 1)).ok());
+  // The primary NIC's commit pins its cached copy until the host applies.
+  ds.index(0).ApplyCommit(1, Value(16, 9), 2);
+  ASSERT_EQ(ds.index(0).pinned_objects(), 1u);
   LogRecord rec;
   rec.type = LogRecordType::kCommit;
   rec.txn = MakeTxnId(0, 1);
   rec.writes.push_back(LogWrite{0, 1, 2, Value(16, 9), false});
   rec.writes.push_back(LogWrite{0, 55, 1, Value(16, 3), false});  // insert
-  auto lsn = ds.log().Append(rec);
-  ASSERT_TRUE(lsn.ok());
-  auto acks = ds.ApplyNext();
-  ASSERT_EQ(acks.size(), 2u);
+  ASSERT_TRUE(ds.log().Append(rec).ok());
+  EXPECT_EQ(ds.ApplyLogRecord(*ds.log().Peek(), /*stability_gate=*/false),
+            ApplyOutcome::kApplied);
   EXPECT_EQ(ds.table(0).Lookup(1)->value, Value(16, 9));
   EXPECT_EQ(ds.table(0).GetSeq(1).value(), 2u);
   EXPECT_EQ(ds.table(0).Lookup(55)->value, Value(16, 3));
-  EXPECT_EQ(ds.records_applied(), 1u);
-  // Acks carry hint data for each written key's segment.
-  for (const auto& a : acks) {
-    EXPECT_EQ(a.table, 0);
-  }
+  // The apply acks the NIC: the pin is released, and the hints stay good
+  // enough for a one-DMA remote read of the inserted key.
+  EXPECT_EQ(ds.index(0).pinned_objects(), 0u);
+  NicIndex::LookupStats s;
+  auto r = ds.index(0).LookupRemote(55, &s);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->value, Value(16, 3));
+  EXPECT_EQ(s.dma_reads, 1u);
 }
 
 TEST(DatastoreTest, ApplyDeleteRemovesKey) {
@@ -70,14 +75,8 @@ TEST(DatastoreTest, ApplyDeleteRemovesKey) {
   ASSERT_TRUE(ds.Load(0, 7, Value(16, 1)).ok());
   LogRecord rec;
   rec.writes.push_back(LogWrite{0, 7, 0, Value{}, true});
-  ds.log().Append(rec);
-  ds.ApplyNext();
+  EXPECT_EQ(ds.ApplyLogRecord(rec, /*stability_gate=*/false), ApplyOutcome::kApplied);
   EXPECT_FALSE(ds.table(0).Contains(7));
-}
-
-TEST(DatastoreTest, ApplyNextOnEmptyLogReturnsEmpty) {
-  Datastore ds(TwoTables(), {});
-  EXPECT_TRUE(ds.ApplyNext().empty());
 }
 
 TEST(DatastoreTest, LargeValueTableRoundTrip) {
