@@ -250,7 +250,9 @@ inline harness::RunSpec ParseBenchFlags(int argc, char** argv, uint64_t shared =
 }
 
 // Abort-reason table (--abort-breakdown) from the protocol-level counters.
-// "unattributed" covers nodes that do not classify aborts (the baselines).
+// Every coordinator tallies each abort under its reason
+// (txn::TxnStats::Count), so "unattributed" shows only counters that
+// disagree.
 inline void PrintAbortBreakdown(const std::string& title, const RunResult& r) {
   const txn::TxnStats& s = r.txn_stats;
   if (s.aborted == 0 && s.app_aborted == 0) {

@@ -51,13 +51,7 @@ void BaselineCluster::StopWorkers() {
 txn::TxnStats BaselineCluster::TotalStats() const {
   txn::TxnStats total;
   for (const auto& n : nodes_) {
-    const txn::TxnStats& s = n->stats();
-    total.committed += s.committed;
-    total.aborted += s.aborted;
-    total.app_aborted += s.app_aborted;
-    total.remote_rounds += s.remote_rounds;
-    total.messages += s.messages;
-    total.by_type.Merge(s.by_type);
+    total.Merge(n->stats());
   }
   return total;
 }

@@ -7,14 +7,24 @@ namespace xenic::baseline {
 
 namespace {
 
-using txn::kHostFinishBase;
+using txn::AbortReason;
+using txn::ContainsKey;
 using txn::kHostInitCost;
 using txn::kHostKeyCost;
 
 constexpr sim::Tick kRpcHandlerPerKey = 100;
 
-bool ContainsKey(const std::vector<KeyRef>& v, const KeyRef& k) {
-  return std::find(v.begin(), v.end(), k) != v.end();
+// A DrTM+R lock word refused because the version moved (bit 0 clear, so no
+// lock); a refused word is 0 when the lock was held.
+constexpr uint64_t kLockWordStale = 2;
+
+// VALIDATE's check of one read key: its version moved or a writer holds
+// it.
+bool ValidationFails(const ChainedStore& table, Key key, store::Seq expected) {
+  const auto* o = table.Lookup(key);
+  const store::Seq cur = o != nullptr ? o->seq : 0;
+  const store::TxnId owner = o != nullptr ? o->lock_owner : store::kNoTxn;
+  return cur != expected || owner != store::kNoTxn;
 }
 
 }  // namespace
@@ -49,18 +59,10 @@ BaselineNode::BaselineNode(nicmodel::RdmaNic* nic, sim::Resource* host_cores,
 
 store::TxnId BaselineNode::Submit(TxnRequest req, CommitCallback done) {
   auto st = std::make_unique<TxnState>();
-  st->id = store::MakeTxnId(id(), next_txn_seq_++);
-  st->req = std::move(req);
-  st->done = std::move(done);
-  st->read_keys = st->req.reads;
-  st->write_keys = st->req.writes;
-  st->reads.resize(st->read_keys.size());
-  st->write_seqs.assign(st->write_keys.size(), 0);
-  st->writes.resize(st->write_keys.size());
+  st->Init(store::MakeTxnId(id(), next_txn_seq_++), std::move(req), std::move(done));
   st->write_locked.assign(st->write_keys.size(), false);
-  TxnState* raw = st.get();
-  txns_[raw->id] = std::move(st);
-  const store::TxnId txn = raw->id;
+  const store::TxnId txn = st->id;
+  txns_[txn] = std::move(st);
   // Everything downstream (host work, RDMA verbs, replies) inherits this
   // causal context through the engine's event wrapper, so every span the
   // transaction touches carries its id.
@@ -75,66 +77,6 @@ store::TxnId BaselineNode::Submit(TxnRequest req, CommitCallback done) {
 
 void BaselineNode::ExecutePhase(TxnState* st) {
   stats_.remote_rounds++;
-  const uint32_t rbase = st->exec_read_base;
-  const uint32_t wbase = st->exec_write_base;
-
-  if (mode_ == BaselineMode::kFasst) {
-    // Consolidated per-shard RPCs: one request reads and locks everything
-    // this shard holds.
-    struct Group {
-      store::NodeId shard;
-      std::vector<uint32_t> reads;
-      std::vector<uint32_t> writes;
-    };
-    std::vector<Group> groups;
-    auto group_of = [&](store::NodeId p) -> Group& {
-      for (auto& g : groups) {
-        if (g.shard == p) {
-          return g;
-        }
-      }
-      groups.push_back(Group{p, {}, {}});
-      return groups.back();
-    };
-    for (uint32_t i = rbase; i < st->read_keys.size(); ++i) {
-      group_of(map_->PrimaryOf(st->read_keys[i].table, st->read_keys[i].key)).reads.push_back(i);
-    }
-    for (uint32_t i = wbase; i < st->write_keys.size(); ++i) {
-      group_of(map_->PrimaryOf(st->write_keys[i].table, st->write_keys[i].key))
-          .writes.push_back(i);
-    }
-    st->pending = static_cast<uint32_t>(groups.size());
-    if (st->pending == 0) {
-      AfterExecuteRound(st);
-      return;
-    }
-    const store::TxnId txn = st->id;
-    for (auto& g : groups) {
-      FasstExecuteShard(st, g.shard, std::move(g.reads), std::move(g.writes), [this, txn] {
-        TxnState* st = FindState(txn);
-        if (st == nullptr) {
-          return;
-        }
-        if (--st->pending == 0) {
-          if (st->abort) {
-            AbortCleanup(st, TxnOutcome::kAborted);
-          } else {
-            AfterExecuteRound(st);
-          }
-        }
-      });
-    }
-    return;
-  }
-
-  // One-sided modes: the execution phase issues reads only; write locks
-  // are acquired after execution completes (FaRM/DrTM phase order).
-  (void)wbase;
-  st->pending = static_cast<uint32_t>(st->read_keys.size() - rbase);
-  if (st->pending == 0) {
-    AfterExecuteRound(st);
-    return;
-  }
   const store::TxnId txn = st->id;
   auto one_done = [this, txn] {
     TxnState* st = FindState(txn);
@@ -149,7 +91,30 @@ void BaselineNode::ExecutePhase(TxnState* st) {
       }
     }
   };
-  for (uint32_t i = rbase; i < st->read_keys.size(); ++i) {
+
+  if (mode_ == BaselineMode::kFasst) {
+    // Consolidated per-shard RPCs: one request reads and locks everything
+    // this shard holds.
+    const size_t groups = st->GroupByShard(*map_, &shard_groups_);
+    st->pending = static_cast<uint32_t>(groups);
+    if (st->pending == 0) {
+      AfterExecuteRound(st);
+      return;
+    }
+    for (size_t g = 0; g < groups; ++g) {
+      FasstExecuteShard(st, shard_groups_[g], one_done);
+    }
+    return;
+  }
+
+  // One-sided modes: the execution phase issues reads only; write locks
+  // are acquired after execution completes (FaRM/DrTM phase order).
+  st->pending = static_cast<uint32_t>(st->read_keys.size() - st->new_read_base);
+  if (st->pending == 0) {
+    AfterExecuteRound(st);
+    return;
+  }
+  for (uint32_t i = st->new_read_base; i < st->read_keys.size(); ++i) {
     ReadOneKey(st, i, one_done);
   }
 }
@@ -193,7 +158,7 @@ void BaselineNode::ReadOneKey(TxnState* st, uint32_t read_idx, sim::Engine::Call
       }
       if (const auto* o = store_->table(k.table).Lookup(k.key)) {
         if (o->lock_owner != store::kNoTxn && o->lock_owner != txn) {
-          st->abort = true;
+          st->Abort(AbortReason::kLockExecute);
         } else {
           st->reads[read_idx] = ReadResult{true, o->seq, o->value};
         }
@@ -229,13 +194,12 @@ void BaselineNode::ReadOneKey(TxnState* st, uint32_t read_idx, sim::Engine::Call
       return;
     }
     if (h->found && h->lock != store::kNoTxn && h->lock != txn) {
-      st->abort = true;
+      st->Abort(AbortReason::kLockExecute);
     } else if (h->found) {
       st->reads[read_idx] = ReadResult{true, h->seq, std::move(h->value)};
     }
     done();
   };
-
   if (mode_ == BaselineMode::kDrtmHNC) {
     // No address cache: traverse the chain, one roundtrip per bucket. The
     // final read carries the object. Each hop is a counted READ message
@@ -269,7 +233,7 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Cal
 
   // Version check at lock time for keys read optimistically during
   // execution: the value the write was computed from must still be
-  // current, else abort.
+  // current, else abort (a read-write gap).
   bool has_expected = false;
   store::Seq expected = 0;
   for (size_t i = 0; i < st->read_keys.size(); ++i) {
@@ -293,13 +257,13 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Cal
         const store::Seq cur = o != nullptr ? o->seq : 0;
         if (has_expected && cur != expected) {
           table.Unlock(k.key, txn);
-          st->abort = true;
+          st->Abort(AbortReason::kGap);
         } else {
           st->write_locked[write_idx] = true;
           st->write_seqs[write_idx] = cur;
         }
       } else {
-        st->abort = true;
+        st->Abort(AbortReason::kLockExecute);
       }
       done();
     });
@@ -319,7 +283,7 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Cal
           const auto* o = table.Lookup(key);
           const store::Seq cur = o != nullptr ? o->seq : 0;
           if (has_expected && cur != expected) {
-            return 0;
+            return kLockWordStale;
           }
           if (!table.TryLock(key, txn)) {
             return 0;
@@ -332,7 +296,7 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Cal
             return;
           }
           if ((word & 1u) == 0) {
-            st->abort = true;
+            st->Abort(word == kLockWordStale ? AbortReason::kGap : AbortReason::kLockExecute);
           } else {
             st->write_locked[write_idx] = true;
             st->write_seqs[write_idx] = static_cast<store::Seq>(word >> 1);
@@ -343,9 +307,10 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Cal
     return;
   }
 
-  // DrTM+H (both variants): lock via RPC, version-checked in the handler.
+  // DrTM+H (both variants): lock via RPC, version-checked in the handler,
+  // which returns why it refused.
   struct Holder {
-    bool ok = false;
+    AbortReason refused = AbortReason::kLockExecute;
     store::Seq seq = 0;
   };
   auto h = std::make_shared<Holder>();
@@ -356,8 +321,9 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Cal
                 const store::Seq cur = o != nullptr ? o->seq : 0;
                 if (has_expected && cur != expected) {
                   table.Unlock(key, txn);
+                  h->refused = AbortReason::kGap;
                 } else {
-                  h->ok = true;
+                  h->refused = AbortReason::kNone;
                   h->seq = cur;
                 }
               }
@@ -367,28 +333,27 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Cal
               if (st == nullptr) {
                 return;
               }
-              if (h->ok) {
+              if (h->refused == AbortReason::kNone) {
                 st->write_locked[write_idx] = true;
                 st->write_seqs[write_idx] = h->seq;
               } else {
-                st->abort = true;
+                st->Abort(h->refused);
               }
               done();
             },
             txn);
 }
 
-void BaselineNode::FasstExecuteShard(TxnState* st, store::NodeId shard,
-                                     std::vector<uint32_t> read_idx,
-                                     std::vector<uint32_t> write_idx,
+void BaselineNode::FasstExecuteShard(TxnState* st, const txn::ShardGroup& group,
                                      sim::Engine::Callback done) {
   const store::TxnId txn = st->id;
-  const size_t n_keys = read_idx.size() + write_idx.size();
+  const store::NodeId shard = group.primary;
+  const size_t n_keys = group.read_idx.size() + group.write_idx.size();
 
   if (shard == id()) {
     host_cores_->Submit(
         kHostKeyCost * static_cast<sim::Tick>(n_keys),
-        [this, txn, read_idx = std::move(read_idx), write_idx = std::move(write_idx),
+        [this, txn, read_idx = group.read_idx, write_idx = group.write_idx,
          done = std::move(done)]() mutable {
           TxnState* st = FindState(txn);
           if (st == nullptr) {
@@ -409,20 +374,20 @@ void BaselineNode::FasstExecuteShard(TxnState* st, store::NodeId shard,
               }
               if (stale) {
                 store_->table(k.table).Unlock(k.key, txn);
-                st->abort = true;
+                st->Abort(AbortReason::kGap);
               } else {
                 st->write_locked[i] = true;
                 st->write_seqs[i] = cur;
               }
             } else {
-              st->abort = true;
+              st->Abort(AbortReason::kLockExecute);
             }
           }
           for (uint32_t i : read_idx) {
             const KeyRef k = st->read_keys[i];
             if (const auto* o = store_->table(k.table).Lookup(k.key)) {
               if (o->lock_owner != store::kNoTxn && o->lock_owner != txn) {
-                st->abort = true;
+                st->Abort(AbortReason::kLockExecute);
               } else {
                 st->reads[i] = ReadResult{true, o->seq, o->value};
               }
@@ -435,16 +400,22 @@ void BaselineNode::FasstExecuteShard(TxnState* st, store::NodeId shard,
 
   BaselineNode* target = (*peers_)[shard];
 
+  // What the handler found; `refused` is the first cause of a refusal.
   struct Holder {
-    bool abort = false;
+    AbortReason refused = AbortReason::kNone;
     std::vector<std::pair<uint32_t, ReadResult>> reads;
     std::vector<std::pair<uint32_t, store::Seq>> seqs;
     std::vector<KeyRef> locked;
+    void Refuse(AbortReason reason) {
+      if (refused == AbortReason::kNone) {
+        refused = reason;
+      }
+    }
   };
   auto h = std::make_shared<Holder>();
-  uint32_t req_bytes = net::wire::ExecuteReq(read_idx.size(), write_idx.size());
+  uint32_t req_bytes = net::wire::ExecuteReq(group.read_idx.size(), group.write_idx.size());
   uint32_t resp_bytes = 32;
-  for (uint32_t i : read_idx) {
+  for (uint32_t i : group.read_idx) {
     resp_bytes += static_cast<uint32_t>(
         target->store_->table(st->read_keys[i].table).value_size());
   }
@@ -460,10 +431,10 @@ void BaselineNode::FasstExecuteShard(TxnState* st, store::NodeId shard,
   };
   std::vector<std::pair<uint32_t, KeyRef>> rkeys;
   std::vector<WKey> wkeys;
-  for (uint32_t i : read_idx) {
+  for (uint32_t i : group.read_idx) {
     rkeys.emplace_back(i, st->read_keys[i]);
   }
-  for (uint32_t i : write_idx) {
+  for (uint32_t i : group.write_idx) {
     WKey w{i, st->write_keys[i], false, 0};
     for (size_t r = 0; r < st->read_keys.size(); ++r) {
       if (st->read_keys[r] == w.key && st->reads[r].found) {
@@ -487,25 +458,25 @@ void BaselineNode::FasstExecuteShard(TxnState* st, store::NodeId shard,
             const store::Seq cur = o != nullptr ? o->seq : 0;
             if (w.has_expected && cur != w.expected) {
               target->store_->table(k.table).Unlock(k.key, txn);
-              h->abort = true;
+              h->Refuse(AbortReason::kGap);
             } else {
               h->locked.push_back(k);
               h->seqs.emplace_back(i, cur);
             }
           } else {
-            h->abort = true;
+            h->Refuse(AbortReason::kLockExecute);
           }
         }
         for (const auto& [i, k] : rkeys) {
           if (const auto* o = target->store_->table(k.table).Lookup(k.key)) {
             if (o->lock_owner != store::kNoTxn && o->lock_owner != txn) {
-              h->abort = true;
+              h->Refuse(AbortReason::kLockExecute);
             } else {
               h->reads.emplace_back(i, ReadResult{true, o->seq, o->value});
             }
           }
         }
-        if (h->abort) {
+        if (h->refused != AbortReason::kNone) {
           // All-or-nothing at this shard: release what we took.
           for (const auto& k : h->locked) {
             target->store_->table(k.table).Unlock(k.key, txn);
@@ -518,8 +489,8 @@ void BaselineNode::FasstExecuteShard(TxnState* st, store::NodeId shard,
         if (st == nullptr) {
           return;
         }
-        if (h->abort) {
-          st->abort = true;
+        if (h->refused != AbortReason::kNone) {
+          st->Abort(h->refused);
         } else {
           for (auto& [i, r] : h->reads) {
             st->reads[i] = std::move(r);
@@ -536,17 +507,18 @@ void BaselineNode::FasstExecuteShard(TxnState* st, store::NodeId shard,
 
 void BaselineNode::AfterExecuteRound(TxnState* st) {
   const store::TxnId txn = st->id;
-  RunExecuteLogic(st, [this, txn] {
+  host_cores_->Submit(st->req.exec_cost, [this, txn] {
     TxnState* st = FindState(txn);
     if (st == nullptr) {
       return;
     }
+    st->AppRound();
+    st->write_locked.resize(st->write_keys.size(), false);
     if (st->app_abort) {
       AbortCleanup(st, TxnOutcome::kAppAborted);
       return;
     }
-    if (st->exec_read_base < st->read_keys.size() ||
-        st->exec_write_base < st->write_keys.size()) {
+    if (st->HasNewKeys()) {
       st->round++;
       ExecutePhase(st);
       return;
@@ -560,65 +532,18 @@ void BaselineNode::AfterExecuteRound(TxnState* st) {
   });
 }
 
-void BaselineNode::RunExecuteLogic(TxnState* st, sim::Engine::Callback next) {
-  const store::TxnId txn = st->id;
-  host_cores_->Submit(st->req.exec_cost, [this, txn, next = std::move(next)]() mutable {
-    TxnState* st = FindState(txn);
-    if (st == nullptr) {
-      return;
-    }
-    std::vector<KeyRef> add_reads;
-    std::vector<KeyRef> add_writes;
-    bool abort_flag = false;
-    ExecRound er;
-    er.round = st->round;
-    er.read_keys = &st->read_keys;
-    er.reads = &st->reads;
-    er.write_keys = &st->write_keys;
-    er.writes = &st->writes;
-    er.add_reads = &add_reads;
-    er.add_writes = &add_writes;
-    er.abort = &abort_flag;
-    if (st->req.execute) {
-      st->req.execute(er);
-    }
-    st->app_abort = abort_flag;
-    st->exec_read_base = static_cast<uint32_t>(st->read_keys.size());
-    st->exec_write_base = static_cast<uint32_t>(st->write_keys.size());
-    for (const auto& k : add_reads) {
-      st->read_keys.push_back(k);
-      st->reads.emplace_back();
-    }
-    for (const auto& k : add_writes) {
-      st->write_keys.push_back(k);
-      st->write_seqs.push_back(0);
-      st->writes.emplace_back();
-      st->write_locked.push_back(false);
-    }
-    next();
-  });
-}
-
 void BaselineNode::ValidatePhase(TxnState* st) {
-  std::vector<std::pair<uint32_t, KeyRef>> checks;
-  std::vector<store::NodeId> involved;
-  for (uint32_t i = 0; i < st->read_keys.size(); ++i) {
-    const auto& k = st->read_keys[i];
-    const store::NodeId p = map_->PrimaryOf(k.table, k.key);
-    if (std::find(involved.begin(), involved.end(), p) == involved.end()) {
-      involved.push_back(p);
-    }
-    if (!ContainsKey(st->write_keys, k)) {
-      checks.emplace_back(i, k);
-    }
-  }
+  std::vector<store::NodeId>& shards = validate_shards_;
+  const uint32_t checks = st->ValidateShards(*map_, &shards);
 
   // Atomic-snapshot shortcuts: a single-key read, or (FaSST) a read-only
   // single-shard transaction whose reads happened inside one RPC handler.
+  // (With no writes every read is checked, so `shards` is every shard the
+  // transaction read.)
   const bool atomic = st->round == 0 && st->write_keys.empty() &&
                       (st->read_keys.size() <= 1 ||
-                       (mode_ == BaselineMode::kFasst && involved.size() == 1));
-  if (checks.empty() || atomic) {
+                       (mode_ == BaselineMode::kFasst && shards.size() == 1));
+  if (checks == 0 || atomic) {
     if (st->write_keys.empty() && st->req.local_log_writes.empty()) {
       ReportAndFinish(st, TxnOutcome::kCommitted);
       EraseState(st->id);
@@ -651,59 +576,42 @@ void BaselineNode::ValidatePhase(TxnState* st) {
   };
 
   if (mode_ == BaselineMode::kFasst) {
-    // Per-shard validation RPCs.
-    struct Group {
-      store::NodeId shard;
-      std::vector<std::pair<uint32_t, KeyRef>> checks;
-    };
-    std::vector<Group> groups;
-    for (auto& [i, k] : checks) {
-      const store::NodeId p = map_->PrimaryOf(k.table, k.key);
-      auto it = std::find_if(groups.begin(), groups.end(),
-                             [&](const Group& g) { return g.shard == p; });
-      if (it == groups.end()) {
-        groups.push_back(Group{p, {}});
-        it = groups.end() - 1;
+    // Per-shard validation RPCs, in first-check order. Each is charged as
+    // if it carried no checks, pinned: the historical code passed
+    // `checks.size()` alongside a lambda whose init-capture moved the
+    // checks in the same call, and argument evaluation order ran the move
+    // first. Golden transcripts encode that timing.
+    st->pending = static_cast<uint32_t>(shards.size());
+    for (store::NodeId shard : shards) {
+      std::vector<std::pair<KeyRef, store::Seq>> expect;
+      for (uint32_t i = 0; i < st->read_keys.size(); ++i) {
+        const KeyRef& k = st->read_keys[i];
+        if (map_->PrimaryOf(k.table, k.key) == shard && !ContainsKey(st->write_keys, k)) {
+          expect.emplace_back(k, st->reads[i].seq);
+        }
       }
-      it->checks.emplace_back(i, k);
-    }
-    st->pending = static_cast<uint32_t>(groups.size());
-    for (auto& g : groups) {
-      if (g.shard == id()) {
+      if (shard == id()) {
         host_cores_->Submit(
-            kHostKeyCost * static_cast<sim::Tick>(g.checks.size()),
-            [this, txn, checks = std::move(g.checks), one_done]() mutable {
+            0, [this, txn, expect = std::move(expect), one_done]() mutable {
               TxnState* st = FindState(txn);
               if (st == nullptr) {
                 return;
               }
-              for (const auto& [i, k] : checks) {
-                const auto* o = store_->table(k.table).Lookup(k.key);
-                const store::Seq cur = o != nullptr ? o->seq : 0;
-                const store::TxnId owner = o != nullptr ? o->lock_owner : store::kNoTxn;
-                if (cur != st->reads[i].seq || owner != store::kNoTxn) {
-                  st->abort = true;
+              for (const auto& [k, seq] : expect) {
+                if (ValidationFails(store_->table(k.table), k.key, seq)) {
+                  st->Abort(AbortReason::kValidate);
                 }
               }
               one_done();
             });
         continue;
       }
-      BaselineNode* target = (*peers_)[g.shard];
+      BaselineNode* target = (*peers_)[shard];
       auto ok = std::make_shared<bool>(true);
-      std::vector<std::pair<KeyRef, store::Seq>> handler_checks;
-      for (const auto& [i, k] : g.checks) {
-        handler_checks.emplace_back(k, st->reads[i].seq);
-      }
-      transport_.Rpc(net::MsgType::kValidate, g.shard,
-                net::wire::ValidateReq(handler_checks.size()), 16,
-                kRpcHandlerPerKey * static_cast<sim::Tick>(handler_checks.size()),
-                [target, ok, handler_checks = std::move(handler_checks)] {
-                  for (const auto& [k, expected] : handler_checks) {
-                    const auto* o = target->store_->table(k.table).Lookup(k.key);
-                    const store::Seq cur = o != nullptr ? o->seq : 0;
-                    const store::TxnId owner = o != nullptr ? o->lock_owner : store::kNoTxn;
-                    if (cur != expected || owner != store::kNoTxn) {
+      transport_.Rpc(net::MsgType::kValidate, shard, net::wire::ValidateReq(0), 16, 0,
+                [target, ok, expect = std::move(expect)] {
+                  for (const auto& [k, seq] : expect) {
+                    if (ValidationFails(target->store_->table(k.table), k.key, seq)) {
                       *ok = false;
                     }
                   }
@@ -714,7 +622,7 @@ void BaselineNode::ValidatePhase(TxnState* st) {
                     return;
                   }
                   if (!*ok) {
-                    st->abort = true;
+                    st->Abort(AbortReason::kValidate);
                   }
                   one_done();
                 },
@@ -725,50 +633,40 @@ void BaselineNode::ValidatePhase(TxnState* st) {
 
   // One-sided modes: re-read each key's header (address known from the
   // execute phase, so one roundtrip each).
-  st->pending = static_cast<uint32_t>(checks.size());
-  for (const auto& [i, k] : checks) {
+  st->pending = checks;
+  for (uint32_t i = 0; i < st->read_keys.size(); ++i) {
+    const KeyRef k = st->read_keys[i];
+    if (ContainsKey(st->write_keys, k)) {
+      continue;
+    }
+    const store::Seq seq = st->reads[i].seq;
     const store::NodeId shard = map_->PrimaryOf(k.table, k.key);
     if (shard == id()) {
-      const uint32_t idx = i;
-      const KeyRef key = k;
-      host_cores_->Submit(kHostKeyCost, [this, txn, idx, key, one_done]() mutable {
+      host_cores_->Submit(kHostKeyCost, [this, txn, k, seq, one_done]() mutable {
         TxnState* st = FindState(txn);
         if (st == nullptr) {
           return;
         }
-        const auto* o = store_->table(key.table).Lookup(key.key);
-        const store::Seq cur = o != nullptr ? o->seq : 0;
-        const store::TxnId owner = o != nullptr ? o->lock_owner : store::kNoTxn;
-        if (cur != st->reads[idx].seq || owner != store::kNoTxn) {
-          st->abort = true;
+        if (ValidationFails(store_->table(k.table), k.key, seq)) {
+          st->Abort(AbortReason::kValidate);
         }
         one_done();
       });
       continue;
     }
-    BaselineNode* target = (*peers_)[shard];
-    ChainedStore& table = target->store_->table(k.table);
-    struct Holder {
-      store::Seq seq = 0;
-      store::TxnId lock = store::kNoTxn;
-    };
-    auto h = std::make_shared<Holder>();
-    const uint32_t idx = i;
-    const Key key = k.key;
+    ChainedStore& table = (*peers_)[shard]->store_->table(k.table);
+    auto stale = std::make_shared<bool>(false);
     transport_.Read(net::MsgType::kValidate, shard, 16,
-               [&table, key, h] {
-                 if (const auto* o = table.Lookup(key)) {
-                   h->seq = o->seq;
-                   h->lock = o->lock_owner;
-                 }
+               [&table, key = k.key, seq, stale] {
+                 *stale = ValidationFails(table, key, seq);
                },
-               [this, txn, idx, h, one_done]() mutable {
+               [this, txn, stale, one_done]() mutable {
                  TxnState* st = FindState(txn);
                  if (st == nullptr) {
                    return;
                  }
-                 if (h->seq != st->reads[idx].seq || h->lock != store::kNoTxn) {
-                   st->abort = true;
+                 if (*stale) {
+                   st->Abort(AbortReason::kValidate);
                  }
                  one_done();
                },
@@ -776,148 +674,63 @@ void BaselineNode::ValidatePhase(TxnState* st) {
   }
 }
 
-std::vector<store::LogWrite> BaselineNode::ShardWrites(const TxnState& st,
-                                                       store::NodeId shard) const {
-  std::vector<store::LogWrite> out;
-  for (size_t i = 0; i < st.write_keys.size(); ++i) {
-    const auto& k = st.write_keys[i];
-    if (map_->PrimaryOf(k.table, k.key) != shard) {
-      continue;
-    }
-    store::LogWrite w;
-    w.table = k.table;
-    w.key = k.key;
-    w.seq = st.write_seqs[i] + 1;
-    w.value = st.writes[i].value;
-    w.is_delete = st.writes[i].is_delete;
-    out.push_back(std::move(w));
-  }
-  if (shard == id()) {
-    for (const auto& w : st.req.local_log_writes) {
-      out.push_back(w);
-    }
-  }
-  return out;
-}
-
 void BaselineNode::LogPhase(TxnState* st) {
-  std::vector<store::NodeId> shards;
-  for (const auto& k : st->write_keys) {
-    const store::NodeId p = map_->PrimaryOf(k.table, k.key);
-    if (std::find(shards.begin(), shards.end(), p) == shards.end()) {
-      shards.push_back(p);
-    }
-  }
-  if (!st->req.local_log_writes.empty() &&
-      std::find(shards.begin(), shards.end(), id()) == shards.end()) {
-    shards.push_back(id());
-  }
-
-  const store::TxnId txn = st->id;
-  uint32_t pending = 0;
-  struct Send {
-    store::NodeId backup;
-    store::NodeId shard;
-    store::LogRecord rec;
-  };
-  std::vector<Send> sends;
-  for (store::NodeId shard : shards) {
-    store::LogRecord rec;
-    rec.type = store::LogRecordType::kLog;
-    rec.txn = txn;
-    rec.writes = ShardWrites(*st, shard);
-    for (store::NodeId backup : repl_->BackupsOf(shard)) {
-      sends.push_back(Send{backup, shard, rec});
-      pending++;
-    }
-  }
-  if (pending == 0) {
+  std::vector<store::NodeId>& shards = log_shards_;
+  st->WrittenShards(*map_, id(), &shards);
+  if (st->log_acks.Expect(repl_, shards) == 0) {
     ReportAndFinish(st, TxnOutcome::kCommitted);
     CommitPhase(st);
     return;
   }
   stats_.remote_rounds++;
 
-  const bool quorum = repl_->QuorumArmed();
-  std::function<void(store::NodeId)> one_done;
-  if (quorum) {
-    // Quorum commit point: fire once every written shard collected its
-    // required ack count; stragglers keep draining log_pending so the
-    // bookkeeping stays honest, but log_done makes them no-ops. The
-    // commit-phase counter st->pending is never shared with LOG acks here.
-    st->log_pending = pending;
-    st->log_done = false;
-    st->log_needed.clear();
-    for (store::NodeId shard : shards) {
-      st->log_needed[shard] = repl_->AcksRequired(shard);
+  const store::TxnId txn = st->id;
+  for (store::NodeId shard : shards) {
+    store::LogRecord rec;
+    rec.type = store::LogRecordType::kLog;
+    rec.txn = txn;
+    st->ShardWrites(*map_, shard, id(), &rec.writes);
+    const auto bytes = static_cast<uint32_t>(rec.ByteSize());
+    for (store::NodeId backup : repl_->BackupsOf(shard)) {
+      BaselineNode* target = (*peers_)[backup];
+      auto append = [target, rec]() mutable {
+        auto r = target->store_->log().Append(std::move(rec));
+        assert(r.ok() && "baseline backup log overflow");
+        (void)r;
+      };
+      auto acked = [this, txn, backup, shard] { OnLogAck(txn, backup, shard); };
+      if (mode_ == BaselineMode::kFasst) {
+        transport_.Rpc(net::MsgType::kLog, backup, bytes, 16, kRpcHandlerPerKey,
+                       std::move(append), std::move(acked), txn);
+      } else {
+        // One-sided WRITE into the backup's message log (FaRM-style).
+        transport_.Write(net::MsgType::kLog, backup, bytes, std::move(append),
+                         std::move(acked), txn);
+      }
     }
-    one_done = [this, txn](store::NodeId shard) {
-      TxnState* st = FindState(txn);
-      if (st == nullptr) {
-        return;
-      }
-      assert(st->log_pending > 0);
-      st->log_pending--;
-      auto it = st->log_needed.find(shard);
-      if (it != st->log_needed.end() && it->second > 0) {
-        it->second--;
-      }
-      if (st->log_done) {
-        return;
-      }
-      for (const auto& [s, needed] : st->log_needed) {
-        if (needed > 0) {
-          return;
-        }
-      }
-      st->log_done = true;
-      ReportAndFinish(st, TxnOutcome::kCommitted);
-      CommitPhase(st);
-    };
-  } else {
-    st->pending = pending;
-    one_done = [this, txn](store::NodeId shard) {
-      (void)shard;
-      TxnState* st = FindState(txn);
-      if (st == nullptr) {
-        return;
-      }
-      if (--st->pending > 0) {
-        return;
-      }
-      ReportAndFinish(st, TxnOutcome::kCommitted);
-      CommitPhase(st);
-    };
   }
+  if (st->log_acks.Met()) {
+    // Quorum of one: the commit point is the fan-out itself.
+    st->log_acks.Clear();
+    ReportAndFinish(st, TxnOutcome::kCommitted);
+    CommitPhase(st);
+  }
+}
 
-  for (auto& s : sends) {
-    const auto bytes = static_cast<uint32_t>(s.rec.ByteSize());
-    BaselineNode* target = (*peers_)[s.backup];
-    auto append = [target, rec = std::move(s.rec)]() mutable {
-      auto r = target->store_->log().Append(std::move(rec));
-      assert(r.ok() && "baseline backup log overflow");
-      (void)r;
-    };
-    auto acked = [one_done, shard = s.shard] { one_done(shard); };
-    if (mode_ == BaselineMode::kFasst) {
-      transport_.Rpc(net::MsgType::kLog, s.backup, bytes, 16, kRpcHandlerPerKey,
-                     std::move(append), std::move(acked), txn);
-    } else {
-      // One-sided WRITE into the backup's message log (FaRM-style).
-      transport_.Write(net::MsgType::kLog, s.backup, bytes, std::move(append),
-                       std::move(acked), txn);
-    }
+void BaselineNode::OnLogAck(store::TxnId txn, store::NodeId backup, store::NodeId shard) {
+  TxnState* st = FindState(txn);
+  // The commit point: every written shard's record is at as many backups
+  // as the quorum needs (every live backup by default). CommitPhase may
+  // reuse st->pending, since stragglers are ignored from here on.
+  if (st != nullptr && st->log_acks.Ack(backup, shard)) {
+    ReportAndFinish(st, TxnOutcome::kCommitted);
+    CommitPhase(st);
   }
 }
 
 void BaselineNode::CommitPhase(TxnState* st) {
-  std::vector<store::NodeId> shards;
-  for (const auto& k : st->write_keys) {
-    const store::NodeId p = map_->PrimaryOf(k.table, k.key);
-    if (std::find(shards.begin(), shards.end(), p) == shards.end()) {
-      shards.push_back(p);
-    }
-  }
+  std::vector<store::NodeId>& shards = commit_shards_;
+  st->WrittenShards(*map_, id(), &shards);
   const store::TxnId txn = st->id;
   st->pending = 0;
 
@@ -931,13 +744,9 @@ void BaselineNode::CommitPhase(TxnState* st) {
     }
   };
 
-  if (shards.empty()) {
-    EraseState(txn);
-    return;
-  }
-
   for (store::NodeId shard : shards) {
-    std::vector<store::LogWrite> writes = ShardWrites(*st, shard);
+    std::vector<store::LogWrite> writes;
+    st->ShardWrites(*map_, shard, id(), &writes);
     // Strip workload-managed writes: primaries apply only table writes
     // (host_finish already handled workload structures locally).
     std::erase_if(writes, [this](const store::LogWrite& w) {
@@ -946,17 +755,12 @@ void BaselineNode::CommitPhase(TxnState* st) {
     if (writes.empty()) {
       continue;
     }
-
     if (shard == id()) {
       st->pending++;
       host_cores_->Submit(kHostKeyCost * static_cast<sim::Tick>(writes.size()),
                           [this, txn, writes, one_done]() mutable {
                             for (const auto& w : writes) {
-                              if (w.is_delete) {
-                                store_->table(w.table).Erase(w.key);
-                              } else {
-                                store_->table(w.table).Apply(w.key, w.value, w.seq);
-                              }
+                              store_->ApplyWrite(w);
                               store_->table(w.table).Unlock(w.key, txn);
                             }
                             one_done();
@@ -971,13 +775,7 @@ void BaselineNode::CommitPhase(TxnState* st) {
         st->pending++;
         const auto bytes = static_cast<uint32_t>(24 + w.value.size());
         transport_.Write(net::MsgType::kCommit, shard, bytes,
-                    [target, w] {
-                      if (w.is_delete) {
-                        target->store_->table(w.table).Erase(w.key);
-                      } else {
-                        target->store_->table(w.table).Apply(w.key, w.value, w.seq);
-                      }
-                    },
+                    [target, w] { target->store_->ApplyWrite(w); },
                     [this, shard, target, w, txn, one_done]() mutable {
                       transport_.Write(net::MsgType::kUnlock, shard, 8,
                                   [target, w, txn] {
@@ -1000,11 +798,7 @@ void BaselineNode::CommitPhase(TxnState* st) {
               kRpcHandlerPerKey * static_cast<sim::Tick>(writes.size()),
               [target, writes, txn] {
                 for (const auto& w : writes) {
-                  if (w.is_delete) {
-                    target->store_->table(w.table).Erase(w.key);
-                  } else {
-                    target->store_->table(w.table).Apply(w.key, w.value, w.seq);
-                  }
+                  target->store_->ApplyWrite(w);
                   target->store_->table(w.table).Unlock(w.key, txn);
                 }
               },
@@ -1018,43 +812,38 @@ void BaselineNode::CommitPhase(TxnState* st) {
 
 void BaselineNode::AbortCleanup(TxnState* st, TxnOutcome outcome) {
   const store::TxnId txn = st->id;
-  // Release every lock we hold, grouped per shard.
-  struct Group {
-    store::NodeId shard;
-    std::vector<KeyRef> keys;
-  };
-  std::vector<Group> groups;
+  // Release every lock we hold: one message per shard, in first-locked
+  // order (DrTM+R: one unlock WRITE per key).
+  std::vector<store::NodeId> shards;
   for (size_t i = 0; i < st->write_keys.size(); ++i) {
-    if (!st->write_locked[i]) {
-      continue;
+    if (st->write_locked[i]) {
+      txn::AddShard(&shards, map_->PrimaryOf(st->write_keys[i].table, st->write_keys[i].key));
     }
-    const auto& k = st->write_keys[i];
-    const store::NodeId p = map_->PrimaryOf(k.table, k.key);
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [&](const Group& g) { return g.shard == p; });
-    if (it == groups.end()) {
-      groups.push_back(Group{p, {}});
-      it = groups.end() - 1;
-    }
-    it->keys.push_back(k);
   }
-  for (auto& g : groups) {
-    if (g.shard == id()) {
-      for (const auto& k : g.keys) {
+  for (store::NodeId shard : shards) {
+    std::vector<KeyRef> keys;
+    for (size_t i = 0; i < st->write_keys.size(); ++i) {
+      const KeyRef& k = st->write_keys[i];
+      if (st->write_locked[i] && map_->PrimaryOf(k.table, k.key) == shard) {
+        keys.push_back(k);
+      }
+    }
+    if (shard == id()) {
+      for (const auto& k : keys) {
         store_->table(k.table).Unlock(k.key, txn);
       }
       continue;
     }
-    BaselineNode* target = (*peers_)[g.shard];
+    BaselineNode* target = (*peers_)[shard];
     if (mode_ == BaselineMode::kDrtmR) {
-      for (const auto& k : g.keys) {
-        transport_.Write(net::MsgType::kUnlock, g.shard, 8,
+      for (const auto& k : keys) {
+        transport_.Write(net::MsgType::kUnlock, shard, 8,
                     [target, k, txn] { target->store_->table(k.table).Unlock(k.key, txn); },
                     [] {}, txn);
       }
     } else {
-      transport_.Rpc(net::MsgType::kUnlock, g.shard, 32, 8, kRpcHandlerPerKey,
-                [target, keys = g.keys, txn] {
+      transport_.Rpc(net::MsgType::kUnlock, shard, 32, 8, kRpcHandlerPerKey,
+                [target, keys = std::move(keys), txn] {
                   for (const auto& k : keys) {
                     target->store_->table(k.table).Unlock(k.key, txn);
                   }
@@ -1067,24 +856,10 @@ void BaselineNode::AbortCleanup(TxnState* st, TxnOutcome outcome) {
 }
 
 void BaselineNode::ReportAndFinish(TxnState* st, TxnOutcome outcome) {
-  if (outcome == TxnOutcome::kCommitted) {
-    stats_.committed++;
-  } else if (outcome == TxnOutcome::kAppAborted) {
-    stats_.app_aborted++;
-  } else {
-    stats_.aborted++;
-  }
-  auto done = std::move(st->done);
-  st->done = nullptr;
-  auto host_finish = st->req.host_finish;
+  stats_.Count(outcome, st->abort_reason);
   // Same contract as Xenic: the outcome is reported at the commit point;
   // post-commit local structure maintenance is deferred host work.
-  host_cores_->Submit(kHostFinishBase,
-                      [done = std::move(done), outcome]() mutable { done(outcome); });
-  if (host_finish && outcome == TxnOutcome::kCommitted) {
-    host_cores_->Submit(st->req.host_finish_cost,
-                        [host_finish = std::move(host_finish)]() mutable { host_finish(); });
-  }
+  st->TakeReport(outcome).Run(host_cores_);
 }
 
 void BaselineNode::EraseState(store::TxnId id) { txns_.erase(id); }

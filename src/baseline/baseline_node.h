@@ -13,14 +13,13 @@
 //                  movement, retaining DrTM+H's OCC protocol.
 //
 // All four share the OCC + primary-backup commit protocol of section 2.2.1
-// and operate on the ChainedStore (the DrTM+H data structure). Execution
-// logic always runs on the host.
+// -- its per-transaction bookkeeping is the transaction core Xenic runs
+// too (txn::TxnCore, txn::LogAcks) -- and operate on the ChainedStore (the
+// DrTM+H data structure). Execution logic always runs on the host.
 
 #ifndef SRC_BASELINE_BASELINE_NODE_H_
 #define SRC_BASELINE_BASELINE_NODE_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -31,13 +30,13 @@
 #include "src/repl/log_drain.h"
 #include "src/repl/replication_group.h"
 #include "src/sim/resource.h"
+#include "src/txn/txn_core.h"
 #include "src/txn/types.h"
 
 namespace xenic::baseline {
 
 using txn::ClusterMap;
 using txn::CommitCallback;
-using txn::ExecRound;
 using txn::KeyRef;
 using txn::ReadResult;
 using txn::TxnOutcome;
@@ -80,28 +79,10 @@ class BaselineNode {
   BaselineMode mode() const { return mode_; }
 
  private:
-  struct TxnState {
-    store::TxnId id = store::kNoTxn;
-    TxnRequest req;
-    CommitCallback done;
-    std::vector<KeyRef> read_keys;
-    std::vector<KeyRef> write_keys;
-    std::vector<ReadResult> reads;
-    std::vector<store::Seq> write_seqs;
-    std::vector<WriteIntent> writes;
+  // Per-transaction coordinator state: the shared transaction core plus
+  // which write keys this coordinator holds locked.
+  struct TxnState : txn::TxnCore {
     std::vector<bool> write_locked;  // per write key
-    int round = 0;
-    uint32_t pending = 0;
-    bool abort = false;
-    bool app_abort = false;
-    uint32_t exec_read_base = 0;
-    uint32_t exec_write_base = 0;
-    // Quorum-mode LOG accounting (repl::ReplicationGroup::QuorumArmed).
-    // Separate from `pending`, which CommitPhase reuses for its own acks:
-    // quorum stragglers must never touch the commit-phase counter.
-    std::map<store::NodeId, uint32_t> log_needed;  // shard -> acks still required
-    uint32_t log_pending = 0;                      // fan-out sends not yet acked
-    bool log_done = false;                         // commit point already fired
   };
   using StatePtr = std::unique_ptr<TxnState>;
 
@@ -112,18 +93,19 @@ class BaselineNode {
   // optimistically (FaRM-style lock-with-version-check).
   void LockPhase(TxnState* st);
   void LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Callback done);
-  void FasstExecuteShard(TxnState* st, store::NodeId shard, std::vector<uint32_t> read_idx,
-                         std::vector<uint32_t> write_idx, sim::Engine::Callback done);
+  void FasstExecuteShard(TxnState* st, const txn::ShardGroup& group,
+                         sim::Engine::Callback done);
+  // Run the round's application logic on the host, then pick the next
+  // phase.
   void AfterExecuteRound(TxnState* st);
-  void RunExecuteLogic(TxnState* st, sim::Engine::Callback next);
   void ValidatePhase(TxnState* st);
   void LogPhase(TxnState* st);
+  void OnLogAck(store::TxnId txn, store::NodeId backup, store::NodeId shard);
   void CommitPhase(TxnState* st);
   void AbortCleanup(TxnState* st, TxnOutcome outcome);
   void ReportAndFinish(TxnState* st, TxnOutcome outcome);
   void EraseState(store::TxnId id);
   TxnState* FindState(store::TxnId id);
-  std::vector<store::LogWrite> ShardWrites(const TxnState& st, store::NodeId shard) const;
 
   nicmodel::RdmaNic* nic_;
   sim::Resource* host_cores_;
@@ -133,6 +115,12 @@ class BaselineNode {
   BaselineMode mode_;
   std::vector<BaselineNode*>* peers_;
   std::unordered_map<store::TxnId, StatePtr> txns_;
+  // Scratch reused by every call (capacity kept): FaSST's shard groups and
+  // the shard lists of ValidatePhase, LogPhase and CommitPhase.
+  std::vector<txn::ShardGroup> shard_groups_;
+  std::vector<store::NodeId> validate_shards_;
+  std::vector<store::NodeId> log_shards_;
+  std::vector<store::NodeId> commit_shards_;
   uint64_t next_txn_seq_ = 1;
   TxnStats stats_;
   net::RdmaTransport transport_;

@@ -145,16 +145,19 @@ BaselineStore::BaselineStore(const std::vector<TableSpec>& specs) {
 store::ApplyOutcome BaselineStore::ApplyLogRecord(const store::LogRecord& record,
                                                   bool /*stability_gate*/) {
   for (const auto& w : record.writes) {
-    if (w.table >= tables_.size()) {
-      continue;  // workload-managed write: the drain's apply hook takes it
-    }
-    if (w.is_delete) {
-      tables_[w.table]->Erase(w.key);
-    } else {
-      tables_[w.table]->Apply(w.key, w.value, w.seq);
+    if (w.table < tables_.size()) {  // else workload-managed: the drain's apply hook takes it
+      ApplyWrite(w);
     }
   }
   return store::ApplyOutcome::kApplied;
+}
+
+void BaselineStore::ApplyWrite(const store::LogWrite& w) {
+  if (w.is_delete) {
+    tables_[w.table]->Erase(w.key);
+  } else {
+    tables_[w.table]->Apply(w.key, w.value, w.seq);
+  }
 }
 
 }  // namespace xenic::baseline

@@ -106,6 +106,8 @@ class BaselineStore final : public store::LogApplyTarget {
 
   ChainedStore& table(TableId id) { return *tables_.at(id); }
   const ChainedStore& table(TableId id) const { return *tables_.at(id); }
+  // Upsert or erase one logged write to a table this store holds.
+  void ApplyWrite(const store::LogWrite& w);
   size_t num_tables() const override { return tables_.size(); }
   store::CommitLog& log() override { return log_; }
 

@@ -375,6 +375,72 @@ struct TxnStats {
   uint64_t replica_reads = 0;        // read-only txns served from backup state
   uint64_t replica_read_fallback = 0;  // freshness fence failed -> distributed
 
+  // Tally one reported outcome; a retryable abort also under its reason
+  // (kNone counts as other).
+  void Count(TxnOutcome outcome, AbortReason reason) {
+    if (outcome == TxnOutcome::kCommitted) {
+      committed++;
+      return;
+    }
+    if (outcome == TxnOutcome::kAppAborted) {
+      app_aborted++;
+      return;
+    }
+    aborted++;
+    switch (reason) {
+      case AbortReason::kLockExecute:
+        abort_lock_execute++;
+        break;
+      case AbortReason::kLockLocal:
+        abort_lock_local++;
+        break;
+      case AbortReason::kLockShip:
+        abort_lock_ship++;
+        break;
+      case AbortReason::kValidate:
+        abort_validate++;
+        break;
+      case AbortReason::kGap:
+        abort_gap++;
+        break;
+      case AbortReason::kWounded:
+        abort_wounded++;
+        break;
+      case AbortReason::kEpochFence:
+        abort_epoch_fence++;
+        break;
+      default:
+        abort_other++;
+        break;
+    }
+  }
+  // Adds another node's counters (cluster totals).
+  void Merge(const TxnStats& s) {
+    committed += s.committed;
+    aborted += s.aborted;
+    app_aborted += s.app_aborted;
+    local_fastpath += s.local_fastpath;
+    shipped_multihop += s.shipped_multihop;
+    remote_rounds += s.remote_rounds;
+    messages += s.messages;
+    by_type.Merge(s.by_type);
+    abort_lock_execute += s.abort_lock_execute;
+    abort_lock_local += s.abort_lock_local;
+    abort_lock_ship += s.abort_lock_ship;
+    abort_validate += s.abort_validate;
+    abort_gap += s.abort_gap;
+    abort_wounded += s.abort_wounded;
+    abort_epoch_fence += s.abort_epoch_fence;
+    abort_other += s.abort_other;
+    hot_path += s.hot_path;
+    hot_waits += s.hot_waits;
+    hot_remote_parks += s.hot_remote_parks;
+    cc_waits += s.cc_waits;
+    cc_wounds += s.cc_wounds;
+    nic_log_applied += s.nic_log_applied;
+    replica_reads += s.replica_reads;
+    replica_read_fallback += s.replica_read_fallback;
+  }
   void Reset() { *this = TxnStats{}; }
 };
 

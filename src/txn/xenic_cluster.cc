@@ -57,31 +57,7 @@ void XenicCluster::StopWorkers() {
 TxnStats XenicCluster::TotalStats() const {
   TxnStats total;
   for (const auto& n : nodes_) {
-    const TxnStats& s = n->stats();
-    total.committed += s.committed;
-    total.aborted += s.aborted;
-    total.app_aborted += s.app_aborted;
-    total.local_fastpath += s.local_fastpath;
-    total.shipped_multihop += s.shipped_multihop;
-    total.remote_rounds += s.remote_rounds;
-    total.messages += s.messages;
-    total.by_type.Merge(s.by_type);
-    total.abort_lock_execute += s.abort_lock_execute;
-    total.abort_lock_local += s.abort_lock_local;
-    total.abort_lock_ship += s.abort_lock_ship;
-    total.abort_validate += s.abort_validate;
-    total.abort_gap += s.abort_gap;
-    total.abort_wounded += s.abort_wounded;
-    total.abort_epoch_fence += s.abort_epoch_fence;
-    total.abort_other += s.abort_other;
-    total.hot_path += s.hot_path;
-    total.hot_waits += s.hot_waits;
-    total.hot_remote_parks += s.hot_remote_parks;
-    total.cc_waits += s.cc_waits;
-    total.cc_wounds += s.cc_wounds;
-    total.nic_log_applied += s.nic_log_applied;
-    total.replica_reads += s.replica_reads;
-    total.replica_read_fallback += s.replica_read_fallback;
+    total.Merge(n->stats());
   }
   return total;
 }

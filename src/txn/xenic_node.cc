@@ -33,10 +33,6 @@ constexpr size_t kRemoteQueueCap = 2;
 constexpr uint64_t kLocalRank = 0;
 constexpr uint64_t kRemoteRank = 1;
 
-bool ContainsKey(const std::vector<KeyRef>& v, const KeyRef& k) {
-  return std::find(v.begin(), v.end(), k) != v.end();
-}
-
 // read ∪ write without duplicates, in first-seen order: the locked-local
 // path's lock set.
 std::vector<KeyRef> KeyUnion(const std::vector<KeyRef>& reads, const std::vector<KeyRef>& writes) {
@@ -129,14 +125,7 @@ TxnId XenicNode::Submit(TxnRequest req, CommitCallback done) {
     return 0;  // the application died with the node; no outcome is reported
   }
   auto st = std::make_unique<TxnState>();
-  st->id = store::MakeTxnId(id(), next_txn_seq_++);
-  st->req = std::move(req);
-  st->done = std::move(done);
-  st->read_keys = st->req.reads;
-  st->write_keys = st->req.writes;
-  st->reads.resize(st->read_keys.size());
-  st->write_seqs.assign(st->write_keys.size(), 0);
-  st->writes.resize(st->write_keys.size());
+  st->Init(store::MakeTxnId(id(), next_txn_seq_++), std::move(req), std::move(done));
   st->map_version = map_->version;
   const TxnId id = st->id;
   // Root of this transaction's causal event chain: everything scheduled
@@ -238,7 +227,7 @@ void XenicNode::HostReadOnlyPath(StatePtr st, NodeId shard) {
       }
       std::vector<KeyRef> add_reads;
       std::vector<KeyRef> add_writes;
-      if (RunAppRound(st, round++, &add_reads, &add_writes)) {
+      if (st->RunAppRound(round++, &add_reads, &add_writes)) {
         app_abort = true;
         break;
       }
@@ -259,18 +248,14 @@ void XenicNode::HostReadOnlyPath(StatePtr st, NodeId shard) {
         EscalateToDistributed(txn);
         return;
       }
-      AppendKeys(st, add_reads, add_writes);
+      st->AppendKeys(add_reads, add_writes);
     }
     auto done = std::move(st->done);
-    if (app_abort) {
-      stats_.app_aborted++;
-    } else {
-      stats_.committed++;
-      if (replica) {
-        stats_.replica_reads++;
-      }
-    }
     const TxnOutcome outcome = app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kCommitted;
+    stats_.Count(outcome, AbortReason::kNone);
+    if (replica && !app_abort) {
+      stats_.replica_reads++;
+    }
     EraseState(txn);
     done(outcome);
   });
@@ -335,7 +320,7 @@ void XenicNode::LocalWritePath(StatePtr st) {
       }
       std::vector<KeyRef> add_reads;
       std::vector<KeyRef> add_writes;
-      if (RunAppRound(st, round++, &add_reads, &add_writes)) {
+      if (st->RunAppRound(round++, &add_reads, &add_writes)) {
         app_abort = true;
         break;
       }
@@ -353,7 +338,7 @@ void XenicNode::LocalWritePath(StatePtr st) {
         EscalateToDistributed(txn);
         return;
       }
-      AppendKeys(st, add_reads, add_writes);
+      st->AppendKeys(add_reads, add_writes);
     }
     if (app_abort) {
       AbortCleanup(st, TxnOutcome::kAppAborted);
@@ -378,7 +363,7 @@ void XenicNode::LocalWritePath(StatePtr st) {
         uint8_t contention = 0;
         if (!LockAll(st->id, st->write_keys, &contention)) {
           st->contention_hint = std::max(st->contention_hint, contention);
-          st->abort_reason = AbortReason::kLockLocal;
+          st->Abort(AbortReason::kLockLocal);
           AbortCleanup(st, TxnOutcome::kAborted);
           return;
         }
@@ -414,7 +399,7 @@ void XenicNode::LocalWritePath(StatePtr st) {
             return;
           }
           if (!ok) {
-            st->abort_reason = AbortReason::kValidate;
+            st->Abort(AbortReason::kValidate);
             AbortCleanup(st, TxnOutcome::kAborted);
             return;
           }
@@ -497,9 +482,7 @@ void XenicNode::LockedLocalAcquire(TxnId txn, uint32_t parks) {
     // The policy says abort, or (OCC) a conflict on a cold key or a queue
     // that is not making progress: a normal abort, and the submitter's
     // retry policy decides.
-    if (st->abort_reason == AbortReason::kNone) {
-      st->abort_reason = AbortReason::kLockLocal;
-    }
+    st->Abort(AbortReason::kLockLocal);
     AbortCleanup(st, TxnOutcome::kAborted);
     return;
   }
@@ -532,7 +515,7 @@ void XenicNode::LockedExecute(TxnState* st) {
     }
     std::vector<KeyRef> add_reads;
     std::vector<KeyRef> add_writes;
-    if (RunAppRound(st, st->round++, &add_reads, &add_writes)) {
+    if (st->RunAppRound(st->round++, &add_reads, &add_writes)) {
       AbortCleanup(st, TxnOutcome::kAppAborted);
       return;
     }
@@ -565,13 +548,11 @@ void XenicNode::LockedExecute(TxnState* st) {
       return ContainsKey(st->read_keys, k) || ContainsKey(st->write_keys, k);
     });
     const auto read_base = static_cast<uint32_t>(st->read_keys.size());
-    AppendKeys(st, add_reads, add_writes);
+    st->AppendKeys(add_reads, add_writes);
     uint8_t contention = 0;
     if (!new_keys.empty() && !LockAll(txn, new_keys, &contention)) {
       st->contention_hint = std::max(st->contention_hint, contention);
-      if (st->abort_reason == AbortReason::kNone) {
-        st->abort_reason = AbortReason::kLockLocal;
-      }
+      st->Abort(AbortReason::kLockLocal);
       AbortCleanup(st, TxnOutcome::kAborted);
       return;
     }
@@ -601,14 +582,7 @@ void XenicNode::EscalateToDistributed(TxnId txn) {
     return;
   }
   // Reset the optimistic local progress and restart through the NIC.
-  st->read_keys = st->req.reads;
-  st->write_keys = st->req.writes;
-  st->reads.assign(st->read_keys.size(), ReadResult{});
-  st->write_seqs.assign(st->write_keys.size(), 0);
-  st->writes.assign(st->write_keys.size(), WriteIntent{});
-  st->round = 0;
-  st->new_exec_read_base = 0;
-  st->new_exec_write_base = 0;
+  st->ResetKeys();
   const uint32_t bytes = net::wire::TxnDescriptor(st->read_keys.size(), st->write_keys.size(),
                                                   st->req.external_bytes);
   nic_->HostToNic(bytes, [this, txn] { CoordStartOnNic(txn); });
@@ -675,35 +649,6 @@ bool XenicNode::ShipEligible(const TxnState& st, NodeId* remote_out) const {
   return true;
 }
 
-size_t XenicNode::GroupByShard(const TxnState& st, bool new_only) {
-  size_t n = 0;
-  auto group_of = [&](NodeId p) -> ShardGroup& {
-    for (size_t g = 0; g < n; ++g) {
-      if (shard_groups_[g].primary == p) {
-        return shard_groups_[g];
-      }
-    }
-    if (n == shard_groups_.size()) {
-      shard_groups_.emplace_back();
-    }
-    ShardGroup& g = shard_groups_[n++];
-    g.primary = p;
-    g.read_idx.clear();
-    g.write_idx.clear();
-    return g;
-  };
-  const uint32_t rbase = new_only ? st.new_exec_read_base : 0;
-  const uint32_t wbase = new_only ? st.new_exec_write_base : 0;
-  for (uint32_t i = rbase; i < st.read_keys.size(); ++i) {
-    group_of(map_->PrimaryOf(st.read_keys[i].table, st.read_keys[i].key)).read_idx.push_back(i);
-  }
-  for (uint32_t i = wbase; i < st.write_keys.size(); ++i) {
-    group_of(map_->PrimaryOf(st.write_keys[i].table, st.write_keys[i].key))
-        .write_idx.push_back(i);
-  }
-  return n;
-}
-
 void XenicNode::ExecutePhase(TxnState* st) {
   stats_.remote_rounds++;
   if (Cc2pl()) {
@@ -713,7 +658,7 @@ void XenicNode::ExecutePhase(TxnState* st) {
     st->cc_read_locks = true;
     st->lock_all = true;
   }
-  const size_t groups = GroupByShard(*st, /*new_only=*/st->round > 0);
+  const size_t groups = st->GroupByShard(*map_, &shard_groups_);
 
   // Without the combined "smart" remote operations, each read is its own
   // request and write locks move to a separate post-execution round (the
@@ -824,11 +769,8 @@ void XenicNode::OnExecuteResp(ExecSlot req) {
       st->locked_shards.push_back(shard);
     }
   } else {
-    st->abort = true;
+    st->Abort(AbortReason::kLockExecute);
     st->contention_hint = std::max(st->contention_hint, req->contention);
-    if (st->abort_reason == AbortReason::kNone) {
-      st->abort_reason = AbortReason::kLockExecute;
-    }
   }
   // Free the slot now: AfterExecuteRound can start the next round, which
   // acquires from the same table.
@@ -854,9 +796,7 @@ bool XenicNode::CheckReadWriteGap(TxnState* st) {
     for (size_t i = 0; i < st->read_keys.size(); ++i) {
       if (st->read_keys[i] == st->write_keys[j] && st->reads[i].found &&
           st->reads[i].seq != st->write_seqs[j]) {
-        if (st->abort_reason == AbortReason::kNone) {
-          st->abort_reason = AbortReason::kGap;
-        }
+        st->Abort(AbortReason::kGap);
         AbortCleanup(st, TxnOutcome::kAborted);
         return false;
       }
@@ -881,8 +821,7 @@ void XenicNode::OnExecuteLogicDone(TxnId txn) {
     AbortCleanup(st, TxnOutcome::kAppAborted);
     return;
   }
-  if (st->new_exec_read_base < st->read_keys.size() ||
-      st->new_exec_write_base < st->write_keys.size()) {
+  if (st->HasNewKeys()) {
     // Execution added keys: another EXECUTE round (multi-shot).
     st->round++;
     ExecutePhase(st);
@@ -929,11 +868,8 @@ void XenicNode::OnLockResp(ExecSlot req) {
       st->locked_shards.push_back(shard);
     }
   } else {
-    st->abort = true;
+    st->Abort(AbortReason::kLockExecute);
     st->contention_hint = std::max(st->contention_hint, req->contention);
-    if (st->abort_reason == AbortReason::kNone) {
-      st->abort_reason = AbortReason::kLockExecute;
-    }
   }
   req.Reset();
   assert(st->pending > 0);
@@ -955,43 +891,7 @@ void XenicNode::ExecuteLogic(TxnId txn) {
   if (st == nullptr || crashed_) {
     return;
   }
-  std::vector<KeyRef> add_reads;
-  std::vector<KeyRef> add_writes;
-  st->app_abort = RunAppRound(st, st->round, &add_reads, &add_writes);
-  st->new_exec_read_base = static_cast<uint32_t>(st->read_keys.size());
-  st->new_exec_write_base = static_cast<uint32_t>(st->write_keys.size());
-  AppendKeys(st, add_reads, add_writes);
-}
-
-bool XenicNode::RunAppRound(TxnState* st, int round, std::vector<KeyRef>* add_reads,
-                            std::vector<KeyRef>* add_writes) {
-  bool abort = false;
-  ExecRound er;
-  er.round = round;
-  er.read_keys = &st->read_keys;
-  er.reads = &st->reads;
-  er.write_keys = &st->write_keys;
-  er.writes = &st->writes;
-  er.add_reads = add_reads;
-  er.add_writes = add_writes;
-  er.abort = &abort;
-  if (st->req.execute) {
-    st->req.execute(er);
-  }
-  return abort;
-}
-
-void XenicNode::AppendKeys(TxnState* st, const std::vector<KeyRef>& add_reads,
-                           const std::vector<KeyRef>& add_writes) {
-  for (const auto& k : add_reads) {
-    st->read_keys.push_back(k);
-    st->reads.emplace_back();
-  }
-  for (const auto& k : add_writes) {
-    st->write_keys.push_back(k);
-    st->write_seqs.push_back(0);
-    st->writes.emplace_back();
-  }
+  st->AppRound();
 }
 
 void XenicNode::RunExecuteLogic(TxnState* st) {
@@ -1042,9 +942,7 @@ void XenicNode::ValidatePhase(TxnState* st) {
     // be racing us on those keys right now. OCC's VALIDATE would catch the
     // torn read; 2PL has no second look, so fence on the map version.
     if (st->map_version != map_->version) {
-      if (st->abort_reason == AbortReason::kNone) {
-        st->abort_reason = AbortReason::kEpochFence;
-      }
+      st->Abort(AbortReason::kEpochFence);
       AbortCleanup(st, TxnOutcome::kAborted);
       return;
     }
@@ -1059,18 +957,7 @@ void XenicNode::ValidatePhase(TxnState* st) {
   // Keys to validate: read-set keys that are not written (written keys are
   // locked since EXECUTE), one request per primary in first-check order.
   std::vector<NodeId>& shards = validate_shards_;
-  shards.clear();
-  uint32_t checks = 0;
-  for (const auto& k : st->read_keys) {
-    if (ContainsKey(st->write_keys, k)) {
-      continue;
-    }
-    checks++;
-    const NodeId p = map_->PrimaryOf(k.table, k.key);
-    if (std::find(shards.begin(), shards.end(), p) == shards.end()) {
-      shards.push_back(p);
-    }
-  }
+  const uint32_t checks = st->ValidateShards(*map_, &shards);
 
   // Single-shard, single-round transactions read atomically inside one
   // EXECUTE handler; with the combined operations enabled, read-only ones
@@ -1132,11 +1019,8 @@ void XenicNode::OnValidateResp(TxnId id, bool ok, uint8_t contention) {
     return;
   }
   if (!ok) {
-    st->abort = true;
+    st->Abort(AbortReason::kValidate);
     st->contention_hint = std::max(st->contention_hint, contention);
-    if (st->abort_reason == AbortReason::kNone) {
-      st->abort_reason = AbortReason::kValidate;
-    }
   }
   assert(st->pending > 0);
   if (--st->pending > 0) {
@@ -1154,47 +1038,7 @@ void XenicNode::OnValidateResp(TxnId id, bool ok, uint8_t contention) {
   LogPhase(st);
 }
 
-void XenicNode::WrittenShards(const TxnState& st, NodeId coord,
-                              std::vector<NodeId>* out) const {
-  out->clear();
-  for (const auto& k : st.write_keys) {
-    const NodeId p = map_->PrimaryOf(k.table, k.key);
-    if (std::find(out->begin(), out->end(), p) == out->end()) {
-      out->push_back(p);
-    }
-  }
-  if (!st.req.local_log_writes.empty() &&
-      std::find(out->begin(), out->end(), coord) == out->end()) {
-    out->push_back(coord);
-  }
-}
-
-void XenicNode::ShardWrites(const TxnState& st, NodeId shard,
-                            std::vector<store::LogWrite>* out) const {
-  out->clear();
-  size_t n = shard == id() ? st.req.local_log_writes.size() : 0;
-  for (const auto& k : st.write_keys) {
-    n += map_->PrimaryOf(k.table, k.key) == shard ? 1 : 0;
-  }
-  out->reserve(n);
-  for (size_t i = 0; i < st.write_keys.size(); ++i) {
-    const auto& k = st.write_keys[i];
-    if (map_->PrimaryOf(k.table, k.key) != shard) {
-      continue;
-    }
-    store::LogWrite& w = out->emplace_back();
-    w.table = k.table;
-    w.key = k.key;
-    w.seq = st.write_seqs[i] + 1;
-    w.value = st.writes[i].value;
-    w.is_delete = st.writes[i].is_delete;
-  }
-  if (shard == id()) {
-    out->insert(out->end(), st.req.local_log_writes.begin(), st.req.local_log_writes.end());
-  }
-}
-
-void XenicNode::SendLogRecords(const XenicNode& coordinator, const TxnState& st, NodeId shard,
+void XenicNode::SendLogRecords(NodeId coord, const TxnState& st, NodeId shard,
                                uint32_t total_shards) {
   const auto backups = repl_->BackupsOf(shard);
   size_t left = backups.size();
@@ -1206,10 +1050,10 @@ void XenicNode::SendLogRecords(const XenicNode& coordinator, const TxnState& st,
   rec.txn = st.id;
   rec.total_shards = total_shards;
   rec.shard = shard;
-  coordinator.ShardWrites(st, shard, &rec.writes);
+  st.ShardWrites(*map_, shard, coord, &rec.writes);
   for (NodeId backup : backups) {
     LogSlot req = log_reqs_.AcquireHandle();
-    req->coord = coordinator.id();
+    req->coord = coord;
     // Copied for every backup but the last, which takes the record itself.
     if (--left > 0) {
       req->record = rec;
@@ -1235,138 +1079,47 @@ void XenicNode::LogPhase(TxnState* st) {
   }
   // One LOG record per written shard, sent to each of that shard's backups.
   std::vector<NodeId>& shards = log_round_shards_;
-  WrittenShards(*st, id(), &shards);
-
-  uint32_t pending = 0;
-  for (NodeId shard : shards) {
-    pending += static_cast<uint32_t>(repl_->BackupsOf(shard).size());
-  }
-  if (pending == 0) {
+  st->WrittenShards(*map_, id(), &shards);
+  if (st->log_acks.Expect(repl_, shards) == 0) {
     // Replication factor 1: commit point reached immediately.
     ReportAndFinish(st, TxnOutcome::kCommitted);
     CommitPhase(st);
     return;
   }
-  st->pending = pending;
   st->logs_sent = true;
-  st->log_waiting.clear();
-  st->log_shards.clear();
-  st->log_needed.clear();
-  st->log_waiting.reserve(pending);
-  // Wait-for-all leaves log_shards empty: per-shard attribution unused.
-  const bool quorum = repl_->QuorumArmed();
-  for (NodeId shard : shards) {
-    for (NodeId backup : repl_->BackupsOf(shard)) {
-      st->log_waiting.push_back(backup);
-      if (quorum) {
-        st->log_shards.push_back(shard);
-      }
-    }
-  }
-  if (quorum) {
-    for (NodeId shard : shards) {
-      st->log_needed[shard] = repl_->AcksRequired(shard);
-    }
-  }
   stats_.remote_rounds++;
   for (NodeId shard : shards) {
-    SendLogRecords(*this, *st, shard, static_cast<uint32_t>(shards.size()));
+    SendLogRecords(id(), *st, shard, static_cast<uint32_t>(shards.size()));
   }
-  if (!st->log_needed.empty()) {
-    bool met = true;
-    for (const auto& [shard, needed] : st->log_needed) {
-      if (needed > 0) {
-        met = false;
-        break;
-      }
-    }
-    if (met) {
-      // Quorum of one (the primary's own copy suffices): the commit point
-      // is reached the moment the fan-out is on the wire. Clearing the
-      // waiting lists turns every eventual ack into a late-arrival no-op.
-      st->log_waiting.clear();
-      st->log_shards.clear();
-      st->log_needed.clear();
-      ReportAndFinish(st, TxnOutcome::kCommitted);
-      CommitPhase(st);
-    }
+  if (st->log_acks.Met()) {
+    // Quorum of one (the primary's own copy suffices): the commit point is
+    // reached the moment the fan-out is on the wire. Clearing the tracker
+    // turns every eventual ack into a late-arrival no-op.
+    st->log_acks.Clear();
+    ReportAndFinish(st, TxnOutcome::kCommitted);
+    CommitPhase(st);
   }
 }
 
-void XenicNode::OnLogAck(TxnId id, bool ok, NodeId from) {
+void XenicNode::OnLogAck(TxnId id, NodeId from, NodeId shard) {
   TxnState* st = FindState(id);
   if (st == nullptr || crashed_) {
     return;
   }
-  // Consume one expected ack from `from`. If none is listed, an epoch sweep
-  // already synthesized it (the sender was declared failed) or the quorum
-  // commit point already fired: ignore the late arrival instead of
-  // double-counting.
-  auto it = std::find(st->log_waiting.begin(), st->log_waiting.end(), from);
-  if (it == st->log_waiting.end()) {
-    return;
-  }
-  const size_t idx = static_cast<size_t>(it - st->log_waiting.begin());
-  st->log_waiting.erase(it);
-  if (!st->log_shards.empty()) {
-    // Quorum mode: retire this ack against its shard's remaining count.
-    const NodeId shard = st->log_shards[idx];
-    st->log_shards.erase(st->log_shards.begin() + static_cast<ptrdiff_t>(idx));
-    auto ni = st->log_needed.find(shard);
-    if (ni != st->log_needed.end() && ni->second > 0) {
-      ni->second--;
-    }
-  }
-  if (!ok) {
-    st->abort = true;
-    if (st->abort_reason == AbortReason::kNone) {
-      st->abort_reason = AbortReason::kOther;
-    }
-  }
-  assert(st->pending > 0);
-  --st->pending;
-  if (!st->log_needed.empty()) {
-    // Quorum mode. An abort still waits for the full fan-out to drain (the
-    // cleanup must not race stragglers); a commit fires as soon as every
-    // written shard has its required ack count.
-    if (st->abort) {
-      if (st->pending > 0) {
-        return;
-      }
-      AbortCleanup(st, TxnOutcome::kAborted);
-      return;
-    }
-    for (const auto& [shard, needed] : st->log_needed) {
-      if (needed > 0) {
-        return;  // some shard below quorum: keep waiting
-      }
-    }
-    // Commit point: every written shard reached its quorum. Stragglers hit
-    // the late-arrival ignore path above; CommitPhase may safely reuse
-    // st->pending for its own ack counting.
-    st->log_waiting.clear();
-    st->log_shards.clear();
-    st->log_needed.clear();
+  // The commit point: every written shard holds its record at as many
+  // backups as the quorum needs (every live backup by default), and on the
+  // shipped path the executor reported back. Report to the application,
+  // then apply at the primaries in the background; CommitPhase may reuse
+  // st->pending, since stragglers are ignored from here on.
+  if (st->log_acks.Ack(from, shard)) {
     ReportAndFinish(st, TxnOutcome::kCommitted);
     CommitPhase(st);
-    return;
   }
-  if (st->pending > 0) {
-    return;
-  }
-  if (st->abort) {
-    AbortCleanup(st, TxnOutcome::kAborted);
-    return;
-  }
-  // Commit point: all backups hold the record. Report to the application,
-  // then apply at the primaries in the background.
-  ReportAndFinish(st, TxnOutcome::kCommitted);
-  CommitPhase(st);
 }
 
 void XenicNode::CommitPhase(TxnState* st) {
   std::vector<NodeId>& shards = commit_round_shards_;
-  WrittenShards(*st, id(), &shards);
+  st->WrittenShards(*map_, id(), &shards);
   if (features_->nic_log_apply && st->logs_sent) {
     // Stability notice for the NIC appliers: each backup parks a LOG
     // record until it learns the transaction reached its commit point
@@ -1389,10 +1142,7 @@ void XenicNode::CommitPhase(TxnState* st) {
     // coordinator's key isn't updated). Those shards get a release-only
     // COMMIT; shards already present from the write set are unaffected.
     for (const auto& k : st->read_keys) {
-      const NodeId p = map_->PrimaryOf(k.table, k.key);
-      if (std::find(shards.begin(), shards.end(), p) == shards.end()) {
-        shards.push_back(p);
-      }
+      AddShard(&shards, map_->PrimaryOf(k.table, k.key));
     }
   }
   st->pending = static_cast<uint32_t>(shards.size());
@@ -1406,7 +1156,7 @@ void XenicNode::CommitPhase(TxnState* st) {
     CommitRequest& r = *req;
     r.txn = txn;
     r.coord = id();
-    ShardWrites(*st, shard, &r.writes);
+    st->ShardWrites(*map_, shard, id(), &r.writes);
     // The primary's COMMIT record covers datastore writes only:
     // workload-managed writes are applied by host_finish on the
     // coordinator and by the worker hook at backups (via LOG records).
@@ -1466,59 +1216,17 @@ void XenicNode::ReportAndFinish(TxnState* st, TxnOutcome outcome) {
     TracePhase("LOG", st->phase_start, now, st->id);
     TracePhase("txn", st->coord_start, now, st->id);
   }
+  stats_.Count(outcome, st->abort_reason);
   if (outcome == TxnOutcome::kCommitted) {
-    stats_.committed++;
     reported_committed_.insert(st->id);
-  } else if (outcome == TxnOutcome::kAppAborted) {
-    stats_.app_aborted++;
-  } else {
-    stats_.aborted++;
-    switch (st->abort_reason) {
-      case AbortReason::kLockExecute:
-        stats_.abort_lock_execute++;
-        break;
-      case AbortReason::kLockLocal:
-        stats_.abort_lock_local++;
-        break;
-      case AbortReason::kLockShip:
-        stats_.abort_lock_ship++;
-        break;
-      case AbortReason::kValidate:
-        stats_.abort_validate++;
-        break;
-      case AbortReason::kGap:
-        stats_.abort_gap++;
-        break;
-      case AbortReason::kWounded:
-        stats_.abort_wounded++;
-        break;
-      case AbortReason::kEpochFence:
-        stats_.abort_epoch_fence++;
-        break;
-      default:
-        stats_.abort_other++;
-        break;
-    }
   }
-  auto done = std::move(st->done);
-  st->done = nullptr;
-  const TxnResult result(outcome, st->contention_hint);
-  const sim::Tick finish_cost = st->req.host_finish_cost;
-  auto host_finish = st->req.host_finish;
-  nic_->NicToHost(net::wire::Descriptor(), [this, finish_cost, host_finish = std::move(host_finish),
-                                     done = std::move(done), result]() mutable {
-    // The commit point was the log acks; the application learns the
-    // outcome now. Post-commit local work (B+tree maintenance etc.) is
-    // deferred host work off the latency path, serialized behind this
-    // completion on the host thread pool.
-    nic_->HostCompute(kHostFinishBase, [done = std::move(done), result]() mutable {
-      done(result);
-    });
-    if (host_finish && result.outcome == TxnOutcome::kCommitted) {
-      nic_->HostCompute(finish_cost,
-                        [host_finish = std::move(host_finish)]() mutable { host_finish(); });
-    }
-  });
+  // The commit point was the log acks; the application learns the outcome
+  // once the report crosses to the host.
+  nic_->NicToHost(net::wire::Descriptor(),
+                  [cores = &nic_->host_cores(),
+                   report = st->TakeReport(TxnResult(outcome, st->contention_hint))]() mutable {
+                    std::move(report).Run(cores);
+                  });
 }
 
 void XenicNode::ReleaseOrphanedLocks(TxnId txn, NodeId shard, std::vector<KeyRef> keys) {
@@ -1607,7 +1315,7 @@ void XenicNode::ShippedPath(TxnState* st, NodeId remote) {
   uint8_t contention = 0;
   if (!LockAll(txn, local_keys, &contention)) {
     st->contention_hint = std::max(st->contention_hint, contention);
-    st->abort_reason = AbortReason::kLockShip;
+    st->Abort(AbortReason::kLockShip);
     AbortCleanup(st, TxnOutcome::kAborted);
     return;
   }
@@ -1629,36 +1337,14 @@ void XenicNode::ShippedPath(TxnState* st, NodeId remote) {
         st->read_keys.size(), st->write_keys.size(), st->req.external_bytes,
         ValueBytes(st->reads), st->req.local_log_writes.size(),
         ValueBytes(st->req.local_log_writes));
-    // Expected completion signals: one EXEC result plus one ack per backup
-    // of every written shard (counted at the remote executor, which knows
-    // the final shard set -- precomputed here since shipping fixes the key
-    // set).
+    // Expected completion signals: the EXEC result, which the commit point
+    // always needs, plus the LOG acks of every written shard (sent by the
+    // remote executor, which knows the final shard set -- precomputed here
+    // since shipping fixes the key set).
     std::vector<NodeId> shards;
-    WrittenShards(*st, id(), &shards);
-    st->pending = 1;  // EXEC result
-    st->log_waiting.assign(1, kShipExecSignal);
-    st->log_shards.clear();
-    st->log_needed.clear();
-    for (NodeId s : shards) {
-      for (NodeId b : repl_->BackupsOf(s)) {
-        st->pending++;
-        st->log_waiting.push_back(b);
-      }
-    }
-    if (repl_->QuorumArmed()) {
-      // Lockstep shard attribution: the EXEC result is modeled as a
-      // pseudo-shard requiring exactly one signal, so the quorum test in
-      // OnLogAck cannot commit before the executor reports back.
-      st->log_shards.assign(1, kShipExecSignal);
-      st->log_needed[kShipExecSignal] = 1;
-      for (NodeId s : shards) {
-        for (NodeId b : repl_->BackupsOf(s)) {
-          (void)b;
-          st->log_shards.push_back(s);
-        }
-        st->log_needed[s] = repl_->AcksRequired(s);
-      }
-    }
+    st->WrittenShards(*map_, id(), &shards);
+    st->log_acks.Expect(repl_, shards);
+    st->log_acks.Expect(kShipExecSignal, kShipExecSignal);
 
     XenicNode* server = (*peers_)[remote];
     transport_.Send(
@@ -1752,7 +1438,7 @@ void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
           }
         std::vector<KeyRef> add_reads;
         std::vector<KeyRef> add_writes;
-        const bool app_abort = RunAppRound(st, 0, &add_reads, &add_writes);
+        const bool app_abort = st->RunAppRound(0, &add_reads, &add_writes);
         assert(add_reads.empty() && add_writes.empty() &&
                "shipped transactions must be single-round (allow_ship misuse)");
         if (app_abort) {
@@ -1773,10 +1459,10 @@ void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
         // LOG fan-out to all backups of all written shards; acks go
         // straight to the coordinator NIC (the multi-hop pattern).
         std::vector<NodeId> shards;
-        WrittenShards(*st, coord, &shards);
+        st->WrittenShards(*map_, coord, &shards);
         st->logs_sent = true;
         for (NodeId shard : shards) {
-          SendLogRecords(*coordinator, *st, shard, static_cast<uint32_t>(shards.size()));
+          SendLogRecords(coord, *st, shard, static_cast<uint32_t>(shards.size()));
         }
 
         // EXEC result back to the coordinator (write values for its local
@@ -1785,7 +1471,8 @@ void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
             net::wire::ExecResult(st->writes.size(), ValueBytes(st->writes));
         transport_.Send(
             net::MsgType::kExecReply, coord, result_bytes,
-            [coordinator, txn] { coordinator->OnLogAck(txn, true, kShipExecSignal); }, txn);
+            [coordinator, txn] { coordinator->OnLogAck(txn, kShipExecSignal, kShipExecSignal); },
+            txn);
         });
       });
     };
@@ -1800,8 +1487,8 @@ void XenicNode::OnShipFailure(TxnId txn, uint8_t contention) {
   }
   st->contention_hint = std::max(st->contention_hint, contention);
   const TxnOutcome outcome = st->app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kAborted;
-  if (outcome == TxnOutcome::kAborted && st->abort_reason == AbortReason::kNone) {
-    st->abort_reason = AbortReason::kLockShip;
+  if (outcome == TxnOutcome::kAborted) {
+    st->Abort(AbortReason::kLockShip);
   }
   AbortCleanup(st, outcome);
 }
@@ -1951,10 +1638,7 @@ void XenicNode::ServeWound(TxnId victim) {
       // point (logs out): a wound must not undo a commit decision.
       return;
     }
-    if (st->abort_reason == AbortReason::kNone) {
-      st->abort_reason = AbortReason::kWounded;
-    }
-    st->abort = true;
+    st->Abort(AbortReason::kWounded);
     // Abort NOW rather than lazily flagging: the victim may itself be
     // parked on a lock the wounder holds, and only an immediate release
     // breaks that cycle. In-flight responses tolerate the erased state
@@ -2218,13 +1902,16 @@ void XenicNode::ServeLog(LogSlot req) {
     }
     XenicNode* coord = (*peers_)[req->coord];
     const TxnId txn = req->record.txn;
+    const NodeId shard = req->record.shard;
     store::LogRecord record = std::move(req->record);
     req.Reset();
-    AppendWhenSpace(std::move(record), sim::InlineCallback([this, coord, txn] {
+    AppendWhenSpace(std::move(record), sim::InlineCallback([this, coord, txn, shard] {
       const NodeId from = id();
-      transport_.SendAck(
-          net::MsgType::kLog, coord->id(),
-          sim::InlineCallback([coord, txn, from] { coord->OnLogAck(txn, true, from); }), txn);
+      transport_.SendAck(net::MsgType::kLog, coord->id(),
+                         sim::InlineCallback([coord, txn, from, shard] {
+                           coord->OnLogAck(txn, from, shard);
+                         }),
+                         txn);
     }));
   }));
 }
@@ -2445,14 +2132,14 @@ std::vector<XenicNode::WedgedTxn> XenicNode::WedgedOn(NodeId failed, bool backup
       // Reconstruct the LOG fan-out (one record per written shard) so the
       // sweep can check which live backups already hold or applied it.
       std::vector<NodeId> shards;
-      WrittenShards(*st, id(), &shards);
+      st->WrittenShards(*map_, id(), &shards);
       for (NodeId shard : shards) {
         store::LogRecord rec;
         rec.type = store::LogRecordType::kLog;
         rec.txn = tid;
         rec.total_shards = static_cast<uint32_t>(shards.size());
         rec.shard = shard;
-        ShardWrites(*st, shard, &rec.writes);
+        st->ShardWrites(*map_, shard, id(), &rec.writes);
         w.records.emplace_back(shard, std::move(rec));
       }
     }
@@ -2466,11 +2153,14 @@ size_t XenicNode::ForceCommitWedged(TxnId txn, NodeId failed) {
   if (st == nullptr || crashed_ || st->done == nullptr) {
     return 0;
   }
+  // One ack per record the failed node holds, each for its own shard.
   size_t synthesized = 0;
-  while (FindState(txn) == st &&
-         std::find(st->log_waiting.begin(), st->log_waiting.end(), failed) !=
-             st->log_waiting.end()) {
-    OnLogAck(txn, true, failed);
+  while (FindState(txn) == st) {
+    const std::optional<NodeId> shard = st->log_acks.AwaitedFrom(failed);
+    if (!shard) {
+      break;
+    }
+    OnLogAck(txn, failed, *shard);
     synthesized++;
   }
   return synthesized;

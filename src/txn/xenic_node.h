@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -50,6 +49,7 @@
 #include "src/txn/cc_policy.h"
 #include "src/txn/hot_key_sketch.h"
 #include "src/txn/key_wait_queue.h"
+#include "src/txn/txn_core.h"
 #include "src/txn/types.h"
 
 namespace xenic::txn {
@@ -174,50 +174,16 @@ class XenicNode {
   void DropParked();
 
  private:
-  // ---- Per-transaction coordinator state (lives on the coordinator NIC).
-  struct ShardGroup {
-    NodeId primary = 0;
-    std::vector<uint32_t> read_idx;   // indexes into TxnState::read_keys
-    std::vector<uint32_t> write_idx;  // indexes into TxnState::write_keys
-  };
-  struct TxnState {
-    TxnId id = store::kNoTxn;
-    TxnRequest req;
-    CommitCallback done;
-    // Current key/read/write views (grow across execution rounds).
-    std::vector<KeyRef> read_keys;
-    std::vector<KeyRef> write_keys;
-    std::vector<ReadResult> reads;      // aligned with read_keys
-    std::vector<Seq> write_seqs;        // current seq per write key
-    std::vector<WriteIntent> writes;    // aligned with write_keys (after exec)
-    int round = 0;
-    uint32_t pending = 0;     // outstanding responses in the current phase
-    bool abort = false;
-    bool app_abort = false;
+  // ---- Per-transaction coordinator state (lives on the coordinator NIC):
+  // the shared transaction core plus what only Xenic's paths keep.
+  struct TxnState : TxnCore {
     std::vector<NodeId> locked_shards;  // primaries holding our locks
     bool local_locked = false;          // shipped path: local keys locked
     bool lock_all = false;              // shipped path: read keys locked too
-    uint32_t new_exec_read_base = 0;    // first read index of current round
-    uint32_t new_exec_write_base = 0;
     sim::Tick coord_start = 0;          // distributed path: NIC start time
     sim::Tick phase_start = 0;          // current phase start time
-    // LOG phase: which senders we are still waiting on, one entry per
-    // expected ack (a backup id, or kShipExecSignal for the shipped path's
-    // EXEC result). Kept in lockstep with `pending` so an epoch sweep can
-    // synthesize a dead backup's acks exactly once -- a late real ack whose
-    // sender is no longer listed is ignored instead of double-counted.
-    std::vector<NodeId> log_waiting;
-    // Quorum replication only (repl::ReplicationGroup::QuorumArmed): the
-    // shard each outstanding ack replicates (lockstep with log_waiting;
-    // kShipExecSignal entries carry the sentinel itself) and the per-shard
-    // ack counts still required before the commit point may fire. Both
-    // stay empty at the default wait-for-all quorum, keeping that path
-    // byte-identical.
-    std::vector<NodeId> log_shards;
-    std::map<NodeId, uint32_t> log_needed;
     bool logs_sent = false;             // LOG fan-out happened
     uint8_t contention_hint = 0;        // max sketch level across conflicts
-    AbortReason abort_reason = AbortReason::kNone;  // first abort cause wins
     // 2PL (CcPolicyKind != kOcc): read-set keys are locked at EVERY shard
     // that acknowledged EXECUTE, so commit/abort must release them there
     // (under OCC only the local/shipped paths lock reads -- see lock_all).
@@ -234,7 +200,8 @@ class XenicNode {
     uint64_t park_id = 0;
   };
 
-  // Sentinel "sender" for the shipped path's EXEC-result completion signal.
+  // Sentinel sender and shard of the shipped path's EXEC-result completion
+  // signal, which the commit point waits for like a LOG ack.
   static constexpr NodeId kShipExecSignal = static_cast<NodeId>(-1);
 
   // ---- In-flight requests of the four remote rounds (paper 4.2), each
@@ -343,7 +310,9 @@ class XenicNode {
   void ValidatePhase(TxnState* st);
   void OnValidateResp(TxnId id, bool ok, uint8_t contention);
   void LogPhase(TxnState* st);
-  void OnLogAck(TxnId id, bool ok, NodeId from);
+  // The ack `from` sent for `shard`'s LOG record (or the shipped path's
+  // EXEC result, kShipExecSignal for both).
+  void OnLogAck(TxnId id, NodeId from, NodeId shard);
   void OnShipFailure(TxnId id, uint8_t contention = 0);
   void CommitPhase(TxnState* st);
   void OnCommitAck(TxnId id);
@@ -352,21 +321,10 @@ class XenicNode {
   void EraseState(TxnId id);
   TxnState* FindState(TxnId id);
 
-  // Group the transaction's current keys by primary shard into
-  // shard_groups_[0, n); returns n.
-  size_t GroupByShard(const TxnState& st, bool new_only);
-  // The primaries of the write set in first-write order, plus `coord` when
-  // the transaction carries workload-managed log writes (they replicate
-  // with the coordinator's shard), into `out` (cleared first).
-  void WrittenShards(const TxnState& st, NodeId coord, std::vector<NodeId>* out) const;
-  // Collect the write set of one shard as (key, intent, new seq) triples
-  // into `out` (cleared first).
-  void ShardWrites(const TxnState& st, NodeId shard, std::vector<store::LogWrite>* out) const;
   // Send `shard`'s LOG record of `st` to each of the shard's live backups,
-  // from this node; `coordinator` built the transaction and collects the
-  // acks (it is this node except on the shipped path).
-  void SendLogRecords(const XenicNode& coordinator, const TxnState& st, NodeId shard,
-                      uint32_t total_shards);
+  // from this node; `coord` built the transaction and collects the acks (it
+  // is this node except on the shipped path).
+  void SendLogRecords(NodeId coord, const TxnState& st, NodeId shard, uint32_t total_shards);
 
   // ---- Server-side handlers (invoked on this node by peers' closures).
   void ServeExecute(ExecSlot req);
@@ -445,17 +403,6 @@ class XenicNode {
   // passed its commit point (logs sent / outcome reported) or is gone.
   void ServeWound(TxnId victim);
 
-  // ---- Application execution helpers.
-  // Run round `round` of the application's logic over `st`'s current key
-  // sets; keys it adds land in `add_reads`/`add_writes`. Returns whether
-  // the application aborted.
-  static bool RunAppRound(TxnState* st, int round, std::vector<KeyRef>* add_reads,
-                          std::vector<KeyRef>* add_writes);
-  // Append added keys to `st`'s read and write sets, growing the aligned
-  // result vectors with them.
-  static void AppendKeys(TxnState* st, const std::vector<KeyRef>& add_reads,
-                         const std::vector<KeyRef>& add_writes);
-
   // Charge `stats` worth of DMA reads, then `done`.
   void ChargeDmaReads(const store::NicIndex::LookupStats& stats, sim::Engine::Callback done);
 
@@ -505,9 +452,9 @@ class XenicNode {
   sim::SlotTable<PendingAppend> appends_;
   sim::SlotTable<DmaFanIn> fan_ins_;
   // Scratch reused by every call (capacity kept): ExecutePhase's shard
-  // groups (GroupByShard) and the shard lists of ValidatePhase, LogPhase
-  // and CommitPhase. Each is used by one phase only, and no phase reads
-  // its list after calling into another.
+  // groups (TxnCore::GroupByShard) and the shard lists of ValidatePhase,
+  // LogPhase and CommitPhase. Each is used by one phase only, and no phase
+  // reads its list after calling into another.
   std::vector<ShardGroup> shard_groups_;
   std::vector<NodeId> validate_shards_;
   std::vector<NodeId> log_round_shards_;

@@ -134,12 +134,12 @@ std::vector<TableDef> Tpcc::Tables() const {
 void Tpcc::Load(const LoadFn& load) {
   Rng rng(0xC0FFEE);
   const uint32_t init_orders = options_.initial_orders_per_district;
+  std::vector<uint64_t> line_items;
   for (uint64_t w = 1; w <= total_warehouses_; ++w) {
     load(kWarehouse, WKey(w), WarehouseRow());
     for (uint64_t item = 1; item <= options_.items; ++item) {
       load(kStock, SKey(w, item), StockRow(static_cast<int64_t>(10 + rng.NextBounded(91))));
     }
-    const NodeId primary = NodeOfWarehouse(w);
     // Replica chain for the local (B+tree) tables mirrors the Robinhood
     // replication: primary + the next replication-1 nodes. We conservatively
     // populate every node's replica structures for warehouses it may back
@@ -159,6 +159,12 @@ void Tpcc::Load(const LoadFn& load) {
         const uint64_t c = 1 + rng.NextBounded(options_.customers_per_district);
         const uint64_t ol_cnt = 5 + rng.NextBounded(6);
         const bool undelivered = o > init_orders * 7 / 10;
+        // Each line's item is drawn once, so every node's copy of the
+        // order is the same.
+        line_items.clear();
+        for (uint64_t l = 1; l <= ol_cnt; ++l) {
+          line_items.push_back(1 + rng.NextBounded(options_.items));
+        }
         for (uint32_t n = 0; n < options_.num_nodes; ++n) {
           LocalState& ls = *locals_[n];
           ls.orders.Put(OrderKey(dkey, o), OrderRow(c, ol_cnt, !undelivered));
@@ -166,7 +172,7 @@ void Tpcc::Load(const LoadFn& load) {
             ls.new_orders.Put(OrderKey(dkey, o), Value(8, 0));
           }
           for (uint64_t l = 1; l <= ol_cnt; ++l) {
-            const uint64_t item = 1 + rng.NextBounded(options_.items);
+            const uint64_t item = line_items[l - 1];
             ls.order_lines.Put(OlKey(dkey, o, l),
                                OrderLineRow(item, w, 5, item_price_[item] * 5));
           }

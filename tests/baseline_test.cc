@@ -213,6 +213,49 @@ TEST_P(BaselineModeTest, BalanceConservationUnderConcurrency) {
   EXPECT_GT(c.TotalStats().committed, 50u);
 }
 
+TEST_P(BaselineModeTest, ContendedAbortsAreAllAttributed) {
+  // Four hot accounts on three nodes: lock conflicts, version gaps and
+  // validation failures all happen, and each abort is tallied under the
+  // reason of the check that caught it.
+  txn::HashPartitioner part(3);
+  BaselineCluster c(Opts(GetParam()), &part);
+  Rng rng(11);
+  constexpr int kAccounts = 4;
+  for (int i = 1; i <= kAccounts; ++i) {
+    c.LoadReplicated(kBank, static_cast<store::Key>(i), Balance(1000));
+  }
+  c.StartWorkers();
+
+  int completed = 0;
+  std::function<void(store::NodeId, int)> run_one = [&](store::NodeId n, int left) {
+    if (left == 0) {
+      completed++;
+      return;
+    }
+    const auto from = static_cast<store::Key>(1 + rng.NextBounded(kAccounts));
+    auto to = static_cast<store::Key>(1 + rng.NextBounded(kAccounts));
+    while (to == from) {
+      to = static_cast<store::Key>(1 + rng.NextBounded(kAccounts));
+    }
+    c.node(n).Submit(MakeTransfer(from, to, 1),
+                     [&, n, left](TxnOutcome) { run_one(n, left - 1); });
+  };
+  for (uint32_t n = 0; n < c.size(); ++n) {
+    for (int k = 0; k < 4; ++k) {
+      run_one(n, 20);
+    }
+  }
+  Quiesce(c, [&] { return completed == static_cast<int>(c.size()) * 4; });
+
+  const txn::TxnStats s = c.TotalStats();
+  EXPECT_GT(s.aborted, 0u);
+  EXPECT_EQ(s.aborted, s.abort_lock_execute + s.abort_lock_local + s.abort_lock_ship +
+                           s.abort_validate + s.abort_gap + s.abort_wounded +
+                           s.abort_epoch_fence + s.abort_other);
+  EXPECT_EQ(s.abort_other, 0u);
+  EXPECT_GT(s.abort_lock_execute, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModes, BaselineModeTest,
                          ::testing::Values(BaselineMode::kDrtmH, BaselineMode::kDrtmHNC,
                                            BaselineMode::kFasst, BaselineMode::kDrtmR),

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <unordered_set>
 
 #include "src/common/rng.h"
@@ -18,6 +20,15 @@ struct Param {
   uint64_t budget;
   bool cache_values;
 };
+
+std::string Name(const Param& p) {
+  return "dm" + std::to_string(p.dm) + "_budget" + std::to_string(p.budget / 1024) + "k" +
+         (p.cache_values ? "_cached" : "_meta");
+}
+
+// Without a PrintTo gtest prints the parameter's raw bytes, padding
+// included, into the ctest name, so the name would vary by build and run.
+void PrintTo(const Param& p, std::ostream* os) { *os << Name(p); }
 
 class NicIndexChurnTest : public ::testing::TestWithParam<Param> {};
 
@@ -111,9 +122,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, NicIndexChurnTest,
                                            Param{0, 0, false}, Param{8, 8192, true},
                                            Param{32, 64 * 1024, true}),
                          [](const ::testing::TestParamInfo<Param>& info) {
-                           return "dm" + std::to_string(info.param.dm) + "_budget" +
-                                  std::to_string(info.param.budget / 1024) + "k" +
-                                  (info.param.cache_values ? "_cached" : "_meta");
+                           return Name(info.param);
                          });
 
 }  // namespace

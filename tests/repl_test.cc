@@ -201,6 +201,64 @@ TEST(ReplQuorumRecoveryTest, Replication5SubQuorumDiscards) {
   EXPECT_EQ(r.discarded, 1u);
 }
 
+// ------------------------------------------------ quorum ack attribution --
+
+bool HoldsRecord(XenicCluster& c, store::NodeId node, store::TxnId txn, store::NodeId shard) {
+  for (const auto& rec : c.datastore(node).log().Snapshot()) {
+    if (rec.type == store::LogRecordType::kLog && rec.txn == txn && rec.shard == shard) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ReplQuorumAckTest, EachShardReachesItsQuorumWithItsOwnAcks) {
+  // Five nodes, three copies, quorum 2: each written shard needs one
+  // backup ack. Shards 0 and 1 share backup 2 (0 -> {1, 2}, 1 -> {2, 3}).
+  // Shard 0's record is large, so node 2 appends and acks shard 1's record
+  // first; node 1's LOG acks are held back. Shard 0 can then reach its
+  // quorum only through node 2's ack for shard 0, which node 2 sends after
+  // appending that record: when the application hears the commit, node 2
+  // must hold it. Crediting node 2's shard-1 ack to shard 0 would report
+  // the commit while node 2 is still appending.
+  constexpr store::TableId kBig = 1;
+  XenicClusterOptions o = Opts(5, 3, 2);
+  o.tables.push_back(store::TableSpec{kBig, "big", 10, 1024, 8, 8});
+  HashPartitioner part(5);
+  XenicCluster c(o, &part);
+  TxnRequest req;
+  for (store::Key k = 1; req.writes.size() < 64; ++k) {
+    if (c.map().PrimaryOf(kBig, k) == 0) {
+      req.writes.push_back({kBig, k});
+    }
+  }
+  req.writes.push_back({kBank, KeyOn(c, 1)});
+  for (const auto& w : req.writes) {
+    c.LoadReplicated(w.table, w.key, Value(w.table == kBig ? 1024 : 16, 0));
+  }
+  req.allow_ship = false;
+  req.execute = [](ExecRound& er) {
+    for (size_t i = 0; i < er.writes->size(); ++i) {
+      (*er.writes)[i].value = Value((*er.write_keys)[i].table == kBig ? 1024 : 16, 1);
+    }
+  };
+  net::Transport::TypedFault hold;
+  hold.match = {net::MsgType::kAck, net::MsgType::kLog};
+  hold.retransmit_delay = 500 * sim::kNsPerUs;
+  c.node(1).transport().set_typed_fault(hold);
+
+  bool done = false;
+  store::TxnId txn = 0;
+  txn = c.node(4).Submit(std::move(req), [&](TxnOutcome oc) {
+    EXPECT_EQ(oc, TxnOutcome::kCommitted);
+    EXPECT_TRUE(HoldsRecord(c, 2, txn, 0)) << "commit reported before shard 0's quorum";
+    EXPECT_TRUE(HoldsRecord(c, 2, txn, 1));
+    done = true;
+  });
+  c.engine().RunFor(1000 * sim::kNsPerUs);
+  EXPECT_TRUE(done);
+}
+
 // ----------------------------------------------------- NIC log applier --
 
 TEST(NicLogApplierTest, ContinuouslyAppliesBackupState) {

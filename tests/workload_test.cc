@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "src/workload/retwis.h"
 #include "src/workload/smallbank.h"
@@ -210,6 +212,32 @@ TEST(TpccTest, StandardModeMostlyLocal) {
   }
   // ~1% per item x ~10 items => ~10% remote new-orders (paper 5.3).
   EXPECT_NEAR(static_cast<double>(remote_orders) / n, 0.10, 0.05);
+}
+
+TEST(TpccTest, LoadMirrorsTheSameOrdersOnEveryNode) {
+  // Load fills every node's order history so a promoted backup sees the
+  // primary's state: each node must hold the same orders and order lines.
+  Tpcc::Options o;
+  o.num_nodes = 3;
+  o.warehouses_per_node = 2;
+  Tpcc wl(o);
+  wl.Load([](store::TableId, store::Key, const store::Value&) {});
+  auto dump = [](const btree::BTree& t) {
+    std::vector<std::pair<store::Key, store::Value>> rows;
+    t.Scan(0, ~store::Key{0}, [&](store::Key k, const store::Value& v) {
+      rows.emplace_back(k, v);
+      return true;
+    });
+    return rows;
+  };
+  const auto orders = dump(wl.local(0).orders);
+  const auto lines = dump(wl.local(0).order_lines);
+  ASSERT_FALSE(orders.empty());
+  ASSERT_GT(lines.size(), orders.size());
+  for (store::NodeId n = 1; n < o.num_nodes; ++n) {
+    EXPECT_EQ(dump(wl.local(n).orders), orders) << "node " << n;
+    EXPECT_EQ(dump(wl.local(n).order_lines), lines) << "node " << n;
+  }
 }
 
 TEST(TpccTest, FullMixProportions) {

@@ -42,12 +42,14 @@ fi
 # Replication fan-out ownership: backup enumeration for LOG fan-out, ack
 # counting, and recovery completeness lives in src/repl/ReplicationGroup.
 # The protocol layers must route every backup walk through the group
-# (repl_->BackupsOf / cluster.repl().BackupsOf); a bare map-level
+# (repl_->BackupsOf, repl->BackupsOf where the group is passed in as it is
+# to txn::LogAcks, or cluster.repl().BackupsOf); a bare map-level
 # BackupsOf( in these files means a private copy of the fan-out logic
 # crept back in.
 hits=$(grep -n "BackupsOf(" \
-  src/txn/xenic_node.cc src/baseline/baseline_node.cc src/txn/recovery.cc 2>/dev/null \
-  | grep -v "repl_->BackupsOf(\|repl()\.BackupsOf(" || true)
+  src/txn/xenic_node.cc src/baseline/baseline_node.cc src/txn/recovery.cc \
+  src/txn/txn_core.cc 2>/dev/null \
+  | grep -v "repl_\?->BackupsOf(\|repl()\.BackupsOf(" || true)
 if [[ -n "$hits" ]]; then
   echo "FAIL: raw BackupsOf fan-out outside repl::ReplicationGroup:" >&2
   echo "$hits" >&2

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench/bench_common.h"
 #include "src/common/output_file.h"
 #include "src/common/table_printer.h"
 #include "src/harness/run_spec.h"
@@ -145,30 +146,8 @@ int main(int argc, char** argv) {
   tp.AddRow({"NIC utilization", TablePrinter::Fmt(r.nic_utilization * 100, 1) + " %"});
   std::printf("%s", tp.Render("xenic_sim").c_str());
   if (spec.abort_breakdown) {
-    const txn::TxnStats& s = r.txn_stats;
-    const double denom = s.aborted > 0 ? static_cast<double>(s.aborted) : 1.0;
-    const uint64_t attributed = s.abort_lock_execute + s.abort_lock_local + s.abort_lock_ship +
-                                s.abort_validate + s.abort_gap + s.abort_other;
-    TablePrinter ab({"Reason", "Aborts", "Share%"});
-    auto row = [&](const char* name, uint64_t n) {
-      if (n > 0) {
-        ab.AddRow({name, TablePrinter::Fmt(n),
-                   TablePrinter::Fmt(static_cast<double>(n) / denom * 100, 1)});
-      }
-    };
-    row("lock-conflict (execute)", s.abort_lock_execute);
-    row("lock-conflict (local)", s.abort_lock_local);
-    row("lock-conflict (shipped)", s.abort_lock_ship);
-    row("validation-failure", s.abort_validate);
-    row("read-write-gap", s.abort_gap);
-    row("other", s.abort_other);
-    row("unattributed", s.aborted - attributed);
-    ab.AddRow({"total retryable", TablePrinter::Fmt(s.aborted), TablePrinter::Fmt(100.0, 1)});
-    std::printf("\n%s", ab.Render("abort breakdown").c_str());
-    std::printf("app-aborts: %llu; hot-path txns: %llu (parked %llu times)\n",
-                static_cast<unsigned long long>(s.app_aborted),
-                static_cast<unsigned long long>(s.hot_path),
-                static_cast<unsigned long long>(s.hot_waits));
+    std::printf("\n");
+    bench::PrintAbortBreakdown("abort breakdown", r);
   }
   if (spec.attrib) {
     const obs::BottleneckReport report = obs::Attribute(r.resources);
