@@ -145,9 +145,10 @@ int main(int argc, char** argv) {
         peak_ctx[pi][ti] = curves[pi][ti].points[static_cast<size_t>(peak)].contexts;
         tasks.push_back([&, pi, ti] {
           obs::TxnTraceSink sink;
-          RunResult r = RerunPoint(cell_system(kPolicies[pi]), make_wl(kThetas[ti]),
-                                   base_rc, peak_ctx[pi][ti],
-                                   /*collect_resources=*/false, /*trace=*/nullptr, &sink);
+          RunConfig rc = base_rc;
+          rc.txn_trace = &sink;
+          RunResult r = RerunPoint(cell_system(kPolicies[pi]), make_wl(kThetas[ti]), rc,
+                                   peak_ctx[pi][ti]);
           attribs[pi][ti] = obs::AggregateTailAttribution(std::move(r.txn_paths));
         });
       }

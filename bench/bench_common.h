@@ -15,14 +15,11 @@
 
 #include "src/common/output_file.h"
 #include "src/common/table_printer.h"
+#include "src/harness/observers.h"
 #include "src/harness/run_spec.h"
 #include "src/harness/runner.h"
 #include "src/harness/sweep.h"
-#include "src/obs/attribution.h"
 #include "src/obs/critical_path.h"
-#include "src/obs/metrics.h"
-#include "src/obs/slo.h"
-#include "src/obs/trace_recorder.h"
 #include "src/obs/txn_trace.h"
 
 namespace xenic::bench {
@@ -127,33 +124,6 @@ inline std::vector<Curve> RunSweeps(const std::vector<SystemConfig>& cfgs,
   return curves;
 }
 
-// Run one system across the load sweep. A fresh workload instance is built
-// for the system (workloads hold per-node local state). NOTE: unlike
-// RunSweeps, the system instance is shared across the sweep's load points
-// (database state carries over), so this path cannot be parallelized.
-inline Curve RunSweep(const SystemConfig& cfg,
-                      const std::function<std::unique_ptr<workload::Workload>()>& make_workload,
-                      const std::vector<uint32_t>& loads, RunConfig rc) {
-  auto wl = make_workload();
-  auto system = harness::BuildSystem(cfg, *wl);
-  harness::LoadWorkload(*system, *wl);
-  Curve curve;
-  curve.system = system->Name();
-  for (uint32_t contexts : loads) {
-    rc.contexts_per_node = contexts;
-    CurvePoint p;
-    p.contexts = contexts;
-    p.result = harness::RunWorkload(*system, *wl, rc);
-    curve.points.push_back(std::move(p));
-    std::fprintf(stderr, "  [%s] contexts=%u tput=%s/srv median=%.1fus abort=%.1f%%\n",
-                 curve.system.c_str(), contexts,
-                 TablePrinter::FmtOps(curve.points.back().result.tput_per_server).c_str(),
-                 curve.points.back().result.MedianLatencyUs(),
-                 curve.points.back().result.abort_rate * 100);
-  }
-  return curve;
-}
-
 // Print the full curves plus the paper-style comparison summary (peak
 // throughput factor and median latency reduction vs the best alternative).
 // Set XENIC_BENCH_CSV=1 to also emit plot-ready CSV.
@@ -244,251 +214,68 @@ inline constexpr uint64_t kBenchFlags = harness::kFlagJobs | harness::kFlagSeed 
 inline harness::RunSpec ParseBenchFlags(int argc, char** argv, uint64_t shared = kBenchFlags) {
   harness::RunSpec spec;
   const bool observers = (shared & harness::kObserverFlags) != 0;
-  harness::FlagSet(&spec, shared, observers ? "observers rerun each system's peak point\n" : "")
+  harness::FlagSet(&spec, shared, observers ? "observers rerun each system's peak point once\n" : "")
       .Parse(argc, argv);
   return spec;
 }
 
-// Abort-reason table (--abort-breakdown) from the protocol-level counters.
-// Every coordinator tallies each abort under its reason
-// (txn::TxnStats::Count), so "unattributed" shows only counters that
-// disagree.
-inline void PrintAbortBreakdown(const std::string& title, const RunResult& r) {
-  const txn::TxnStats& s = r.txn_stats;
-  if (s.aborted == 0 && s.app_aborted == 0) {
-    std::printf("%s: no aborts in measurement window\n\n", title.c_str());
-    return;
-  }
-  const double denom = s.aborted > 0 ? static_cast<double>(s.aborted) : 1.0;
-  const uint64_t attributed = s.abort_lock_execute + s.abort_lock_local + s.abort_lock_ship +
-                              s.abort_validate + s.abort_gap + s.abort_wounded +
-                              s.abort_epoch_fence + s.abort_other;
-  TablePrinter tp({"Reason", "Aborts", "Share%"});
-  auto row = [&](const char* name, uint64_t n) {
-    if (n == 0) {
-      return;
-    }
-    tp.AddRow({name, TablePrinter::Fmt(n),
-               TablePrinter::Fmt(static_cast<double>(n) / denom * 100, 1)});
-  };
-  row("lock-conflict (execute)", s.abort_lock_execute);
-  row("lock-conflict (local)", s.abort_lock_local);
-  row("lock-conflict (shipped)", s.abort_lock_ship);
-  row("validation-failure", s.abort_validate);
-  row("read-write-gap", s.abort_gap);
-  row("wounded (WOUND_WAIT)", s.abort_wounded);
-  row("epoch-fence (2PL recovery)", s.abort_epoch_fence);
-  row("other", s.abort_other);
-  row("unattributed", s.aborted - attributed);
-  tp.AddRow({"total retryable", TablePrinter::Fmt(s.aborted), TablePrinter::Fmt(100.0, 1)});
-  std::printf("%s", tp.Render(title).c_str());
-  std::printf("app-aborts (non-retryable): %llu; hot-path txns: %llu (parked %llu times); "
-              "remote lock parks: %llu\n",
-              static_cast<unsigned long long>(s.app_aborted),
-              static_cast<unsigned long long>(s.hot_path),
-              static_cast<unsigned long long>(s.hot_waits),
-              static_cast<unsigned long long>(s.hot_remote_parks));
-  if (s.cc_waits > 0 || s.cc_wounds > 0) {
-    std::printf("cc: lock waits %llu; wounds sent %llu\n",
-                static_cast<unsigned long long>(s.cc_waits),
-                static_cast<unsigned long long>(s.cc_wounds));
-  }
-  std::printf("\n");
-}
-
-// Per-message-type traffic table (--msg-breakdown): one row per MsgType the
-// system actually sent during the measurement window, from the transport
-// layer's counters. Per-txn columns normalize by committed transactions.
-inline void PrintMsgBreakdown(const std::string& system, const RunResult& r) {
-  const net::MsgCounters& bt = r.txn_stats.by_type;
-  if (bt.TotalMsgs() == 0) {
-    std::printf("%s: no messages in measurement window\n\n", system.c_str());
-    return;
-  }
-  const double txns =
-      r.committed > 0 ? static_cast<double>(r.committed) : 1.0;
-  TablePrinter tp({"Type", "Msgs", "Bytes", "Msgs/txn", "Bytes/txn"});
-  for (uint32_t t = 0; t < net::kNumMsgTypes; ++t) {
-    const auto type = static_cast<net::MsgType>(t);
-    if (bt.MsgCount(type) == 0) {
-      continue;
-    }
-    tp.AddRow({net::MsgTypeName(type), TablePrinter::Fmt(bt.MsgCount(type)),
-               TablePrinter::Fmt(bt.ByteCount(type)),
-               TablePrinter::Fmt(static_cast<double>(bt.MsgCount(type)) / txns, 2),
-               TablePrinter::Fmt(static_cast<double>(bt.ByteCount(type)) / txns, 1)});
-  }
-  tp.AddRow({"total", TablePrinter::Fmt(bt.TotalMsgs()), TablePrinter::Fmt(bt.TotalBytes()),
-             TablePrinter::Fmt(static_cast<double>(bt.TotalMsgs()) / txns, 2),
-             TablePrinter::Fmt(static_cast<double>(bt.TotalBytes()) / txns, 1)});
-  std::printf("%s\n", tp.Render(system + " message breakdown").c_str());
-}
-
-// Rerun one (system, load) point with observability attached.
+// Rerun one (system, load) point; `rc` carries the observers to attach.
 inline RunResult RerunPoint(const SystemConfig& cfg, const WorkloadFactory& make_workload,
-                            const RunConfig& rc, uint32_t contexts, bool collect_resources,
-                            sim::TraceSink* trace, obs::TxnTraceSink* txn_trace = nullptr) {
+                            RunConfig rc, uint32_t contexts) {
   auto wl = make_workload();
   auto system = harness::BuildSystem(cfg, *wl);
   harness::LoadWorkload(*system, *wl);
-  RunConfig r = rc;
-  r.contexts_per_node = contexts;
-  r.collect_resources = collect_resources;
-  r.trace = trace;
-  r.txn_trace = txn_trace;
-  return harness::RunWorkload(*system, *wl, r);
+  rc.contexts_per_node = contexts;
+  return harness::RunWorkload(*system, *wl, rc);
 }
 
-// Post-sweep observability pass: each observer flag reruns each system's
-// peak point with its sink attached. The reruns reuse the sweep's exact
+// Post-sweep observer pass (harness::Observers): each system's peak point is
+// rerun at most once, with every requested observer attached, through a
+// SweepExecutor of --jobs workers. The reruns reuse the sweep's exact
 // RunConfig, so (by the determinism contract) they reproduce the printed
-// point exactly. No-op without observer flags.
+// point. The systems' sections print in system order -- the latency
+// histogram lists every point of the curve -- and <slug>.report.json holds
+// their entries. No-op without observer flags.
 inline void FinishBench(const harness::RunSpec& opts, const std::string& slug,
                         const std::vector<SystemConfig>& cfgs,
                         const WorkloadFactory& make_workload, const RunConfig& rc,
                         const std::vector<Curve>& curves) {
-  // One system's entry in a {"bench":...,"systems":[...]} export.
-  auto add_system = [](std::string* json, const std::string& system, uint32_t contexts,
-                       const char* key, const std::string& value) {
-    *json += std::string(json->back() == '[' ? "" : ",") + "{\"system\":\"" + system +
-             "\",\"contexts\":" + std::to_string(contexts) + ",\"" + key + "\":" + value + "}";
-  };
-  if (opts.msg_breakdown) {
-    for (const auto& c : curves) {
-      const int peak = c.PeakIndex();
-      if (peak < 0) {
-        continue;
-      }
-      const CurvePoint& p = c.points[static_cast<size_t>(peak)];
-      PrintMsgBreakdown(c.system + " @ contexts=" + std::to_string(p.contexts), p.result);
+  if (!opts.Observed()) {
+    return;
+  }
+  const size_t n = std::min(cfgs.size(), curves.size());
+  std::vector<std::unique_ptr<harness::Observers>> observers;
+  std::vector<RunResult> reruns(n);
+  std::vector<std::function<void()>> tasks;
+  for (size_t i = 0; i < n; ++i) {
+    observers.push_back(std::make_unique<harness::Observers>(opts, /*trace=*/i == 0));
+    const int peak = curves[i].PeakIndex();
+    if (peak >= 0 && observers[i]->NeedsRun()) {
+      tasks.push_back([&, i, peak] {
+        RunConfig r = rc;
+        observers[i]->AttachTo(&r);
+        reruns[i] = RerunPoint(cfgs[i], make_workload, r,
+                               curves[i].points[static_cast<size_t>(peak)].contexts);
+      });
     }
   }
-  if (opts.abort_breakdown) {
-    for (const auto& c : curves) {
-      const int peak = c.PeakIndex();
-      if (peak < 0) {
-        continue;
-      }
-      const CurvePoint& p = c.points[static_cast<size_t>(peak)];
-      PrintAbortBreakdown(c.system + " abort breakdown @ contexts=" + std::to_string(p.contexts),
-                          p.result);
+  SweepExecutor(opts.jobs).RunAll(tasks);
+
+  harness::RunReport report{slug};
+  for (size_t i = 0; i < n; ++i) {
+    const int peak = curves[i].PeakIndex();
+    if (peak < 0) {
+      continue;
     }
-  }
-  if (opts.attrib) {
-    std::string json = "{\"bench\":\"" + slug + "\",\"systems\":[";
-    for (size_t i = 0; i < cfgs.size() && i < curves.size(); ++i) {
-      const int peak = curves[i].PeakIndex();
-      if (peak < 0) {
-        continue;
-      }
-      const uint32_t contexts = curves[i].points[static_cast<size_t>(peak)].contexts;
-      RunResult r = RerunPoint(cfgs[i], make_workload, rc, contexts,
-                               /*collect_resources=*/true, /*trace=*/nullptr);
-      const obs::BottleneckReport report = obs::Attribute(r.resources);
-      std::printf("%s", obs::RenderAttribution(
-                            report, curves[i].system + " bottleneck attribution @ contexts=" +
-                                        std::to_string(contexts))
-                            .c_str());
-      std::printf("\n");
-      add_system(&json, curves[i].system, contexts, "attribution", obs::AttributionJson(report));
+    const CurvePoint& p = curves[i].points[static_cast<size_t>(peak)];
+    std::vector<harness::Observers::LatencyPoint> points;
+    for (const CurvePoint& q : curves[i].points) {
+      points.push_back({q.contexts, &q.result.latency});
     }
-    json += "]}";
-    WriteOutputFile(slug + ".attrib.json", json);
+    observers[i]->Print(curves[i].system, p.contexts,
+                        observers[i]->NeedsRun() ? reruns[i] : p.result, &report, points);
   }
-  if (opts.latency_hist) {
-    for (const auto& c : curves) {
-      for (const auto& p : c.points) {
-        std::printf("latency-hist [%s] contexts=%u n=%llu:", c.system.c_str(), p.contexts,
-                    static_cast<unsigned long long>(p.result.latency.count()));
-        p.result.latency.VisitBuckets([](uint64_t midpoint, uint64_t count) {
-          std::printf(" %llu:%llu", static_cast<unsigned long long>(midpoint),
-                      static_cast<unsigned long long>(count));
-        });
-        std::printf("\n");
-      }
-    }
-    std::printf("\n");
-  }
-  if (opts.metrics || !opts.slo.empty()) {
-    // Windowed-metrics pass: rerun each system's peak point with a
-    // MetricRegistry attached (observer-only, so it reproduces the printed
-    // point exactly) and export the series. SLO objectives, when given,
-    // are evaluated per system over the same windows.
-    std::string json = "{\"bench\":\"" + slug + "\",\"systems\":[";
-    std::string om;  // OpenMetrics exposition (first system's registry)
-    for (size_t i = 0; i < cfgs.size() && i < curves.size(); ++i) {
-      const int peak = curves[i].PeakIndex();
-      if (peak < 0) {
-        continue;
-      }
-      const uint32_t contexts = curves[i].points[static_cast<size_t>(peak)].contexts;
-      obs::MetricRegistry reg;
-      RunConfig r = rc;
-      r.metrics = &reg;
-      r.metrics_window = opts.metrics_window_us * sim::kNsPerUs;
-      RerunPoint(cfgs[i], make_workload, r, contexts,
-                 /*collect_resources=*/false, /*trace=*/nullptr);
-      if (opts.metrics) {
-        std::printf("%s", reg.Lines("metrics [" + curves[i].system + "] ").c_str());
-      }
-      std::string slo_json;
-      if (!opts.slo.empty()) {
-        const obs::SloReport report = obs::EvaluateSlo(
-            opts.slo, obs::SloInputsFromSeries(reg.series(), reg.FindCounter("txn_committed"),
-                                          reg.FindCounter("txn_aborted"),
-                                          reg.FindHistogram("txn_latency_ns")));
-        std::printf("%s", report.Lines("slo [" + curves[i].system + "] ").c_str());
-        slo_json = report.Json();
-      }
-      add_system(&json, curves[i].system, contexts, "metrics", reg.Json(slug, slo_json));
-      if (om.empty()) {
-        om = reg.OpenMetrics("xenic", {{"system", curves[i].system}});
-      }
-    }
-    json += "]}";
-    WriteOutputFile(slug + ".metrics.json", json);
-    WriteOutputFile(slug + ".metrics.om", om);
-  }
-  if (opts.txn_attrib) {
-    std::string json = "{\"bench\":\"" + slug + "\",\"systems\":[";
-    for (size_t i = 0; i < cfgs.size() && i < curves.size(); ++i) {
-      const int peak = curves[i].PeakIndex();
-      if (peak < 0) {
-        continue;
-      }
-      const uint32_t contexts = curves[i].points[static_cast<size_t>(peak)].contexts;
-      obs::TxnTraceSink sink;
-      RunResult r = RerunPoint(cfgs[i], make_workload, rc, contexts,
-                               /*collect_resources=*/false, /*trace=*/nullptr, &sink);
-      const obs::TailAttribution attrib = obs::AggregateTailAttribution(std::move(r.txn_paths));
-      std::printf("%s", obs::RenderTxnWaterfall(
-                            attrib, curves[i].system + " critical-path waterfall @ contexts=" +
-                                        std::to_string(contexts))
-                            .c_str());
-      std::printf("txn-trace audit: zero_id_spans=%llu orphan_instants=%llu late_spans=%llu\n\n",
-                  static_cast<unsigned long long>(sink.zero_id_spans()),
-                  static_cast<unsigned long long>(sink.orphan_instants()),
-                  static_cast<unsigned long long>(sink.late_spans()));
-      add_system(&json, curves[i].system, contexts, "txn_attrib", obs::TxnAttribJson(attrib));
-    }
-    json += "]}";
-    WriteOutputFile(slug + ".txnattrib.json", json);
-  }
-  if (!opts.trace_path.empty() && !curves.empty()) {
-    const int peak = curves[0].PeakIndex();
-    if (peak >= 0) {
-      const uint32_t contexts = curves[0].points[static_cast<size_t>(peak)].contexts;
-      obs::TraceRecorder rec;
-      RerunPoint(cfgs[0], make_workload, rc, contexts, /*collect_resources=*/false, &rec);
-      if (rec.WriteJson(opts.trace_path)) {
-        std::fprintf(stderr, "wrote %s (%zu events, %zu tracks; %s @ contexts=%u)\n",
-                     opts.trace_path.c_str(), rec.num_events(), rec.num_tracks(),
-                     curves[0].system.c_str(), contexts);
-      } else {
-        std::fprintf(stderr, "failed to write %s\n", opts.trace_path.c_str());
-      }
-    }
-  }
+  report.Write(slug);
 }
 
 // Standard 6-node 3-replica system configs for the Figure 8 benches.

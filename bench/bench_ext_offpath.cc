@@ -31,32 +31,23 @@ int main(int argc, char** argv) {
   const std::vector<uint32_t> loads = {2, 16, 64, 128};
   spec.ApplyTo(&rc);
 
-  std::vector<Curve> curves;
-  {
-    SystemConfig on_path;
-    on_path.kind = SystemConfig::Kind::kXenic;
-    on_path.num_nodes = nodes;
-    spec.ApplyTo(&on_path);
-    curves.push_back(RunSweep(on_path, make_wl, loads, rc));
-    curves.back().system = "Xenic (on-path NIC)";
-  }
-  {
-    SystemConfig off_path;
-    off_path.kind = SystemConfig::Kind::kXenic;
-    off_path.num_nodes = nodes;
-    off_path.perf = net::OffPathPerfModel();
-    spec.ApplyTo(&off_path);
-    curves.push_back(RunSweep(off_path, make_wl, loads, rc));
-    curves.back().system = "Xenic (off-path NIC)";
-  }
-  {
-    SystemConfig drtmh;
-    drtmh.kind = SystemConfig::Kind::kBaseline;
-    drtmh.mode = baseline::BaselineMode::kDrtmH;
-    drtmh.num_nodes = nodes;
-    curves.push_back(RunSweep(drtmh, make_wl, loads, rc));
-    curves.back().system = "DrTM+H (RDMA NIC)";
-  }
+  SystemConfig on_path;
+  on_path.kind = SystemConfig::Kind::kXenic;
+  on_path.num_nodes = nodes;
+  SystemConfig off_path = on_path;
+  off_path.perf = net::OffPathPerfModel();
+  std::vector<SystemConfig> cfgs = {on_path, off_path};
+  spec.ApplyTo(&cfgs);
+  SystemConfig drtmh;
+  drtmh.kind = SystemConfig::Kind::kBaseline;
+  drtmh.mode = baseline::BaselineMode::kDrtmH;
+  drtmh.num_nodes = nodes;
+  cfgs.push_back(drtmh);
+  SweepExecutor ex(spec.jobs);
+  std::vector<Curve> curves = RunSweeps(cfgs, make_wl, loads, rc, ex);
+  curves[0].system = "Xenic (on-path NIC)";
+  curves[1].system = "Xenic (off-path NIC)";
+  curves[2].system = "DrTM+H (RDMA NIC)";
 
   PrintCurves("Extension: on-path vs off-path SmartNIC (Smallbank)", curves);
   std::printf("Paper 4.3.4: \"if the SmartNIC hardware does not show latency reduction\n"

@@ -140,9 +140,9 @@ int main(int argc, char** argv) {
       peak_contexts[vi] = curves[vi].points[static_cast<size_t>(peak)].contexts;
       tasks.push_back([&, vi] {
         obs::TxnTraceSink sink;
-        RunResult r = RerunPoint(variant_system(kVariants[vi]), make_wl,
-                                 variant_rc(kVariants[vi]), peak_contexts[vi],
-                                 /*collect_resources=*/false, /*trace=*/nullptr, &sink);
+        RunConfig rc = variant_rc(kVariants[vi]);
+        rc.txn_trace = &sink;
+        RunResult r = RerunPoint(variant_system(kVariants[vi]), make_wl, rc, peak_contexts[vi]);
         attribs[vi] = obs::AggregateTailAttribution(std::move(r.txn_paths));
       });
     }

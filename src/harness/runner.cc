@@ -3,11 +3,40 @@
 #include <cassert>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 
 namespace xenic::harness {
 
 namespace {
+
+// Feeds every span and instant to both of a run's sinks, the Chrome trace
+// and the per-transaction critical-path collector, so the two observers
+// share the engine's single trace slot. Each sink keeps its own track ids.
+class TeeSink : public sim::TraceSink {
+ public:
+  TeeSink(sim::TraceSink* a, sim::TraceSink* b) : a_(a), b_(b) {}
+
+  uint32_t RegisterTrack(const std::string& process, const std::string& track) override {
+    tracks_.push_back({a_->RegisterTrack(process, track), b_->RegisterTrack(process, track)});
+    return static_cast<uint32_t>(tracks_.size() - 1);
+  }
+  void Span(uint32_t track, const char* name, sim::Tick start, sim::Tick end,
+            uint64_t id) override {
+    a_->Span(tracks_[track].first, name, start, end, id);
+    b_->Span(tracks_[track].second, name, start, end, id);
+  }
+  void Instant(uint32_t track, const char* name, sim::Tick at, uint64_t id) override {
+    a_->Instant(tracks_[track].first, name, at, id);
+    b_->Instant(tracks_[track].second, name, at, id);
+  }
+
+ private:
+  sim::TraceSink* a_;
+  sim::TraceSink* b_;
+  std::vector<std::pair<uint32_t, uint32_t>> tracks_;
+};
 
 struct Shared {
   SystemAdapter* system = nullptr;
@@ -20,7 +49,7 @@ struct Shared {
   uint64_t commits = 0;
   uint64_t aborts = 0;
   Histogram latency;
-  // Non-null only while RunConfig::txn_trace is the attached engine sink.
+  // RunConfig::txn_trace, attached alone or through the tee.
   obs::TxnTraceSink* txn_sink = nullptr;
   std::vector<obs::BucketBreakdown> txn_paths;
   // Windowed metric feeds (non-null only with RunConfig::metrics). Push
@@ -145,15 +174,15 @@ RunResult RunWorkload(SystemAdapter& system, workload::Workload& workload,
   if (config.collect_resources) {
     system.ForEachResource([&monitor](const obs::ResourceRef& ref) { monitor.Track(ref); });
   }
-  sim::TraceSink* sink = config.trace != nullptr
-                             ? config.trace
-                             : static_cast<sim::TraceSink*>(config.txn_trace);
+  std::optional<TeeSink> tee;
+  sim::TraceSink* sink = config.trace != nullptr ? config.trace : config.txn_trace;
+  if (config.trace != nullptr && config.txn_trace != nullptr) {
+    sink = &tee.emplace(config.trace, config.txn_trace);
+  }
   if (sink != nullptr) {
     system.engine().set_trace(sink);
-    if (config.trace == nullptr) {
-      sh->txn_sink = config.txn_trace;
-    }
   }
+  sh->txn_sink = config.txn_trace;
 
   // Windowed metric sources. Registration order is the export order, so it
   // is fixed here once: push counters, the TxnStats breakdown, the
@@ -249,6 +278,11 @@ RunResult RunWorkload(SystemAdapter& system, workload::Workload& workload,
   sh->measuring = false;
 
   RunResult result;
+  result.sim_events = system.engine().events_executed() - events_before;
+  result.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
+  result.sim_events_per_sec =
+      result.wall_seconds > 0 ? static_cast<double>(result.sim_events) / result.wall_seconds : 0;
   result.txn_stats = system.TotalStats();
   // Per-type message conservation (the --msg-breakdown law), promoted from
   // a test-only check to an always-on debug assertion: transport bumps the
@@ -282,12 +316,6 @@ RunResult RunWorkload(SystemAdapter& system, workload::Workload& workload,
     system.engine().set_trace(nullptr);
   }
   result.txn_paths = std::move(sh->txn_paths);
-
-  result.sim_events = system.engine().events_executed() - events_before;
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  result.sim_events_per_sec =
-      result.wall_seconds > 0 ? static_cast<double>(result.sim_events) / result.wall_seconds : 0;
   return result;
 }
 

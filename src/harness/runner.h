@@ -40,8 +40,8 @@ struct RunConfig {
   // Attach this sink to the engine for the run (spans for every resource
   // service interval, txn phase, etc.); detached before returning.
   sim::TraceSink* trace = nullptr;
-  // Per-transaction critical-path collection: when set (and `trace` is
-  // not), this sink is attached instead and the runner extracts a
+  // Per-transaction critical-path collection: this sink is attached too
+  // (through a tee when `trace` is set) and the runner extracts a
   // BucketBreakdown for every counted committed transaction into
   // RunResult::txn_paths, linking retries via the redo bucket.
   obs::TxnTraceSink* txn_trace = nullptr;
@@ -74,10 +74,12 @@ struct RunResult {
   // breakdown maintained by the transport layer.
   txn::TxnStats txn_stats;
 
-  // Simulator self-performance: events executed over the whole run (warmup
-  // + measure + drain) and the host wall-clock rate at which the engine
-  // dispatched them. Diagnostic only -- never feeds a simulated metric, so
-  // results stay bit-deterministic.
+  // Simulator self-performance: events executed over warmup + measure,
+  // taken when the measurement window closes (the teardown's stop and
+  // drain are not counted, so the count depends on the run alone), and the
+  // host wall-clock rate at which the engine dispatched them. Diagnostic
+  // only -- never feeds a simulated metric, so results stay
+  // bit-deterministic.
   uint64_t sim_events = 0;
   double wall_seconds = 0;
   double sim_events_per_sec = 0;

@@ -212,44 +212,15 @@ void XenicNode::HostReadOnlyPath(StatePtr st, NodeId shard) {
       EscalateToDistributed(txn);
       return;
     }
-    bool app_abort = false;
-    int round = 0;
-    while (true) {
-      for (size_t i = 0; i < st->read_keys.size(); ++i) {
-        if (st->reads[i].found) {
-          continue;
-        }
-        const auto& k = st->read_keys[i];
-        auto r = ds_->FreshLookup(k.table, k.key);
-        if (r) {
-          st->reads[i] = ReadResult{true, r->seq, std::move(r->value)};
-        }
+    const HostExec exec = ExecuteOnHost(st, shard);
+    if (exec == HostExec::kEscalate) {
+      if (replica) {
+        stats_.replica_read_fallback++;
       }
-      std::vector<KeyRef> add_reads;
-      std::vector<KeyRef> add_writes;
-      if (st->RunAppRound(round++, &add_reads, &add_writes)) {
-        app_abort = true;
-        break;
-      }
-      assert(add_writes.empty() && "read-only transaction added writes");
-      if (add_reads.empty()) {
-        break;
-      }
-      bool same_shard = true;
-      for (const auto& k : add_reads) {
-        same_shard &= map_->PrimaryOf(k.table, k.key) == shard;
-      }
-      if (!same_shard) {
-        // Execution discovered keys off the shard: restart on the
-        // distributed path (from the original key set; nothing was locked).
-        if (replica) {
-          stats_.replica_read_fallback++;
-        }
-        EscalateToDistributed(txn);
-        return;
-      }
-      st->AppendKeys(add_reads, add_writes);
+      EscalateToDistributed(txn);
+      return;
     }
+    const bool app_abort = exec == HostExec::kAppAbort;
     auto done = std::move(st->done);
     const TxnOutcome outcome = app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kCommitted;
     stats_.Count(outcome, AbortReason::kNone);
@@ -259,6 +230,47 @@ void XenicNode::HostReadOnlyPath(StatePtr st, NodeId shard) {
     EraseState(txn);
     done(outcome);
   });
+}
+
+XenicNode::HostExec XenicNode::ExecuteOnHost(TxnState* st, NodeId shard) {
+  const bool read_only = st->write_keys.empty() && st->req.local_log_writes.empty();
+  for (int round = 0;; ++round) {
+    for (size_t i = 0; i < st->read_keys.size(); ++i) {
+      if (st->reads[i].found) {
+        continue;
+      }
+      const auto& k = st->read_keys[i];
+      auto r = ds_->FreshLookup(k.table, k.key);
+      if (r) {
+        st->reads[i] = ReadResult{true, r->seq, std::move(r->value)};
+      }
+    }
+    for (size_t i = 0; i < st->write_keys.size(); ++i) {
+      if (st->write_seqs[i] == 0) {
+        const auto& k = st->write_keys[i];
+        st->write_seqs[i] = ds_->FreshSeq(k.table, k.key).value_or(0);
+      }
+    }
+    std::vector<KeyRef> add_reads;
+    std::vector<KeyRef> add_writes;
+    if (st->RunAppRound(round, &add_reads, &add_writes)) {
+      return HostExec::kAppAbort;
+    }
+    assert((!read_only || add_writes.empty()) && "read-only transaction added writes");
+    if (add_reads.empty() && add_writes.empty()) {
+      return HostExec::kDone;
+    }
+    // Keys off the shard: restart on the distributed path (from the
+    // original key set; nothing was locked).
+    for (const auto* added : {&add_reads, &add_writes}) {
+      for (const auto& k : *added) {
+        if (map_->PrimaryOf(k.table, k.key) != shard) {
+          return HostExec::kEscalate;
+        }
+      }
+    }
+    st->AppendKeys(add_reads, add_writes);
+  }
 }
 
 bool XenicNode::ReplicaReadEligible(const TxnState& st, NodeId* shard_out) const {
@@ -299,50 +311,15 @@ void XenicNode::LocalWritePath(StatePtr st) {
     if (st == nullptr || crashed_) {
       return;
     }
-    bool app_abort = false;
-    int round = 0;
-    while (true) {
-      for (size_t i = 0; i < st->read_keys.size(); ++i) {
-        if (st->reads[i].found) {
-          continue;
-        }
-        const auto& k = st->read_keys[i];
-        auto r = ds_->FreshLookup(k.table, k.key);
-        if (r) {
-          st->reads[i] = ReadResult{true, r->seq, std::move(r->value)};
-        }
-      }
-      for (size_t i = 0; i < st->write_keys.size(); ++i) {
-        if (st->write_seqs[i] == 0) {
-          const auto& k = st->write_keys[i];
-          st->write_seqs[i] = ds_->FreshSeq(k.table, k.key).value_or(0);
-        }
-      }
-      std::vector<KeyRef> add_reads;
-      std::vector<KeyRef> add_writes;
-      if (st->RunAppRound(round++, &add_reads, &add_writes)) {
-        app_abort = true;
-        break;
-      }
-      if (add_reads.empty() && add_writes.empty()) {
-        break;
-      }
-      bool all_local = true;
-      for (const auto& k : add_reads) {
-        all_local &= map_->PrimaryOf(k.table, k.key) == id();
-      }
-      for (const auto& k : add_writes) {
-        all_local &= map_->PrimaryOf(k.table, k.key) == id();
-      }
-      if (!all_local) {
+    switch (ExecuteOnHost(st, id())) {
+      case HostExec::kEscalate:
         EscalateToDistributed(txn);
         return;
-      }
-      st->AppendKeys(add_reads, add_writes);
-    }
-    if (app_abort) {
-      AbortCleanup(st, TxnOutcome::kAppAborted);
-      return;
+      case HostExec::kAppAbort:
+        AbortCleanup(st, TxnOutcome::kAppAborted);
+        return;
+      case HostExec::kDone:
+        break;
     }
 
     // Ship the transaction state to the local NIC: acquire write locks and

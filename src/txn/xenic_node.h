@@ -276,6 +276,14 @@ class XenicNode {
   // otherwise it escalates to the normal distributed path.
   bool ReplicaReadEligible(const TxnState& st, NodeId* shard_out) const;
   void LocalWritePath(StatePtr st);
+  // The host-execution loop both local paths share: each round reads the
+  // missing values and write seqs fresh from the local tables, then runs
+  // the application; it ends when a round adds no keys (kDone), the
+  // application aborts (kAppAbort), or a round adds a key off `shard`
+  // (kEscalate: nothing was locked, so the caller restarts the transaction
+  // on the distributed path).
+  enum class HostExec { kDone, kAppAbort, kEscalate };
+  HostExec ExecuteOnHost(TxnState* st, NodeId shard);
   void CoordStartOnNic(TxnId id);
   // A local fast-path execution discovered remote keys: restart the
   // transaction through the distributed path.

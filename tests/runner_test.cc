@@ -1,9 +1,12 @@
 // Harness runner behavior: warmup exclusion, retry accounting, counted
-// (tag-filtered) throughput, and determinism for a fixed seed.
+// (tag-filtered) throughput, determinism for a fixed seed, and the two trace
+// sinks sharing one run.
 
 #include <gtest/gtest.h>
 
 #include "src/harness/runner.h"
+#include "src/obs/trace_recorder.h"
+#include "src/obs/txn_trace.h"
 #include "src/workload/smallbank.h"
 
 namespace xenic::harness {
@@ -100,6 +103,58 @@ TEST(RunnerTest, UtilizationWithinBounds) {
   EXPECT_LE(r.nic_utilization, 1.01);
   EXPECT_GE(r.wire_utilization, 0.0);
   EXPECT_LE(r.wire_utilization, 1.05);
+}
+
+// Both sinks on one run (the engine's one trace slot holds a tee): the run
+// is the plain run, the critical paths are those of a txn_trace-only run,
+// and the trace is that of a trace-only run.
+TEST(RunnerTest, TraceAndTxnTraceShareOneRun) {
+  auto run = [](sim::TraceSink* trace, obs::TxnTraceSink* txn_trace) {
+    auto wl = MakeWl();
+    auto sys = BuildSystem(Cfg(), *wl);
+    LoadWorkload(*sys, *wl);
+    RunConfig rc;
+    rc.contexts_per_node = 8;
+    rc.warmup = 50 * sim::kNsPerUs;
+    rc.measure = 200 * sim::kNsPerUs;
+    rc.trace = trace;
+    rc.txn_trace = txn_trace;
+    return RunWorkload(*sys, *wl, rc);
+  };
+  const RunResult plain = run(nullptr, nullptr);
+  obs::TraceRecorder trace_only;
+  run(&trace_only, nullptr);
+  obs::TxnTraceSink txn_only_sink;
+  const RunResult txn_only = run(nullptr, &txn_only_sink);
+  obs::TraceRecorder rec;
+  obs::TxnTraceSink sink;
+  const RunResult both = run(&rec, &sink);
+
+  EXPECT_EQ(both.committed, plain.committed);
+  EXPECT_EQ(both.aborted, plain.aborted);
+  EXPECT_EQ(both.sim_events, plain.sim_events);
+  EXPECT_EQ(both.measure_window, plain.measure_window);
+  EXPECT_EQ(both.latency.count(), plain.latency.count());
+  EXPECT_EQ(both.latency.Median(), plain.latency.Median());
+  EXPECT_EQ(both.latency.P99(), plain.latency.P99());
+  EXPECT_EQ(both.latency.max(), plain.latency.max());
+  EXPECT_DOUBLE_EQ(both.tput_per_server, plain.tput_per_server);
+  EXPECT_EQ(both.txn_stats.messages, plain.txn_stats.messages);
+
+  ASSERT_FALSE(txn_only.txn_paths.empty());
+  ASSERT_EQ(both.txn_paths.size(), txn_only.txn_paths.size());
+  for (size_t i = 0; i < both.txn_paths.size(); ++i) {
+    EXPECT_EQ(both.txn_paths[i].total_ns, txn_only.txn_paths[i].total_ns) << i;
+    for (int b = 0; b < obs::kNumBuckets; ++b) {
+      EXPECT_EQ(both.txn_paths[i].ns[b], txn_only.txn_paths[i].ns[b]) << i << " bucket " << b;
+    }
+  }
+  EXPECT_EQ(sink.zero_id_spans(), txn_only_sink.zero_id_spans());
+  EXPECT_EQ(sink.orphan_instants(), txn_only_sink.orphan_instants());
+  EXPECT_EQ(sink.late_spans(), txn_only_sink.late_spans());
+
+  EXPECT_GT(rec.num_events(), 0u);
+  EXPECT_EQ(rec.ToJson(), trace_only.ToJson());
 }
 
 }  // namespace

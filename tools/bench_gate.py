@@ -21,7 +21,7 @@ metric:
                  unclassified. Unclassified keys never gate -- the gate
                  must not fail because a bench grew a new diagnostic.
 
-Wall-clock-derived rates (events_per_sec, *_wall_ms, engine_speedup) gate
+Wall-clock-derived rates (events_per_sec, *_wall_ms, *speedup) gate
 with a much looser tolerance (default 60%): they measure the host, not the
 simulation, and jitter run to run. Simulation-derived metrics are
 deterministic, so the default 5% tolerance only absorbs intentional

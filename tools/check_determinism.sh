@@ -177,6 +177,29 @@ if grep -q "orphan_instants=[1-9]" "$parallel"; then
 fi
 echo "determinism OK: --txn-attrib is observer-only ($waterfalls waterfalls emitted)"
 
+# --- --trace and --txn-attrib on one run: the tee is observer-only too ---
+# The engine's one trace slot holds a tee of both sinks. The combined run
+# must exit 0, print the plain run's scalars and the --txn-attrib-only
+# run's waterfalls (its whole stdout), and write the --trace-only run's
+# trace byte for byte.
+combined=$(mktemp)
+combined_json=$(mktemp --suffix=.trace.json)
+trap 'rm -f "$serial" "$parallel" "$trace_json" "$combined" "$combined_json"' EXIT
+"$BIN" --point-check --trace "$combined_json" --txn-attrib >"$combined" 2>/dev/null
+if ! diff -u <(grep "^point-check" "$serial") <(grep "^point-check" "$combined"); then
+  echo "FAIL: --trace with --txn-attrib perturbed the simulation (point-check scalars differ)" >&2
+  exit 1
+fi
+if ! diff -u "$parallel" "$combined"; then
+  echo "FAIL: --trace with --txn-attrib changed the waterfalls of --txn-attrib alone" >&2
+  exit 1
+fi
+if ! cmp "$trace_json" "$combined_json"; then
+  echo "FAIL: --trace with --txn-attrib wrote another trace than --trace alone" >&2
+  exit 1
+fi
+echo "determinism OK: --trace and --txn-attrib share one run (scalars, waterfalls, trace)"
+
 # --- Retry-policy matrix: every policy obeys the full contract ---
 # For each backoff policy: (a) two identical point-check runs must be
 # byte-identical (run-to-run determinism), (b) attaching --txn-attrib must
@@ -253,11 +276,11 @@ if ! diff -u "$serial" <(grep -v "^metrics " "$parallel"); then
   echo "FAIL: --metrics perturbed the simulation (point-check output differs)" >&2
   exit 1
 fi
-if ! grep -q "^metrics net_conservation_violations" "$parallel"; then
+if ! grep -q "^metrics \[[^]]*\] net_conservation_violations" "$parallel"; then
   echo "FAIL: net_conservation_violations gauge missing from --metrics output" >&2
   exit 1
 fi
-if grep "^metrics net_conservation_violations" "$parallel" | grep -q "[1-9]"; then
+if grep "^metrics \[[^]]*\] net_conservation_violations" "$parallel" | grep -q "[1-9]"; then
   echo "FAIL: per-type message conservation violated under --metrics" >&2
   exit 1
 fi

@@ -5,16 +5,18 @@
 // leaked state between supposedly independent simulations, which would
 // break every figure bench's reproducibility guarantee.
 //
-// --point-check mode runs ONE Xenic point and prints every
+// --point-check mode runs ONE point per system and prints every
 // simulation-derived scalar (commit counts, latency quantiles, event
-// count). check_determinism.sh runs it with and without --trace and diffs:
-// any divergence means tracing perturbed the simulation, breaking the
-// observability layer's zero-interference contract. --trace PATH also
-// exercises the Chrome trace-event export end to end.
+// count). check_determinism.sh runs it with and without the observers and
+// diffs: any divergence means an observer perturbed the simulation,
+// breaking the observability layer's zero-interference contract. The
+// observers attach through harness::Observers, as in xenicsim and the
+// benches: each prints its sections after its system's line, --trace PATH
+// records the first system (exercising the Chrome trace-event export end
+// to end), and point_check.report.json holds every system's entry.
 //
 // --help lists the flags (harness::FlagSet). The observer flags need
-// --point-check, and --trace cannot be combined with --txn-attrib there:
-// both exit 2, like an unknown flag.
+// --point-check: without it they exit 2, like an unknown flag.
 
 #include <string>
 #include <vector>
@@ -30,14 +32,12 @@ int main(int argc, char** argv) {
   spec.nodes = nodes;  // fixed; Validate checks --replicas against it
   spec.workload = "smallbank";
   bool point_check = false;
-  // The observers attach to --point-check's runs; --slo and --latency-hist
-  // have nothing to read there.
+  // The observers attach to --point-check's runs.
   harness::FlagSet flags(
       &spec,
       harness::kFlagReplicas | harness::kFlagQuorum | harness::kFlagWorkload |
           harness::kFlagJobs | harness::kFlagSeed | harness::kRetryFlags |
-          harness::kXenicFeatureFlags |
-          (harness::kObserverFlags & ~(harness::kFlagSlo | harness::kFlagLatencyHist)),
+          harness::kXenicFeatureFlags | harness::kObserverFlags,
       "workloads: smallbank | ycsb (the determinism matrix)\n");
   flags.Add("--point-check", nullptr, "one point per system, printing every simulated scalar",
             harness::FlagSet::On(&point_check));
@@ -48,11 +48,6 @@ int main(int argc, char** argv) {
   }
   if (!point_check && spec.Observed()) {
     std::fprintf(stderr, "observer flags need --point-check; the sweep prints only its table\n");
-    return 2;
-  }
-  if (!spec.trace_path.empty() && spec.txn_attrib) {
-    // Both need the engine's single trace slot on the Xenic run.
-    std::fprintf(stderr, "--trace and --txn-attrib cannot be combined; run them separately\n");
     return 2;
   }
   auto make_wl = [&] { return harness::MakeWorkload(spec.workload, nodes, 20000); };
@@ -71,32 +66,20 @@ int main(int argc, char** argv) {
   spec.ApplyTo(&cfgs);
 
   if (point_check) {
-    // One point per system (all five), observability attached per flags for
-    // the first (Xenic). Every printed value is simulation-derived, so the
-    // output must be byte-identical with tracing on or off -- and across
+    // One point per system (all five), every requested observer attached
+    // to each. Every printed scalar is simulation-derived, so the output
+    // must be byte-identical with the observers on or off -- and across
     // any refactor of the message send paths (transport-layer invariance).
-    obs::TraceRecorder rec;
+    harness::RunReport report{"point_check"};
     for (size_t ci = 0; ci < cfgs.size(); ++ci) {
       auto wl = make_wl();
       auto system = harness::BuildSystem(cfgs[ci], *wl);
       harness::LoadWorkload(*system, *wl);
+      harness::Observers observers(spec, /*trace=*/ci == 0);
       RunConfig r = rc;
       r.contexts_per_node = 16;
-      r.collect_resources = ci == 0 && spec.attrib;
-      r.trace = (ci == 0 && !spec.trace_path.empty()) ? &rec : nullptr;
-      // --txn-attrib: per-system critical-path collection. The point-check
-      // line must stay byte-identical with this attached (enforced by
-      // check_determinism.sh); the waterfall prints after it.
-      obs::TxnTraceSink txn_sink;
-      r.txn_trace = spec.txn_attrib ? &txn_sink : nullptr;
-      // --metrics: windowed sampling on the first system (Xenic). The
-      // point-check line must stay byte-identical with this attached
-      // (enforced by the metrics section of check_determinism.sh); the
-      // "metrics "-prefixed series print after it.
-      obs::MetricRegistry reg;
-      r.metrics = (ci == 0 && spec.metrics) ? &reg : nullptr;
-      r.metrics_window = spec.metrics_window_us * sim::kNsPerUs;
-      RunResult res = harness::RunWorkload(*system, *wl, r);
+      observers.AttachTo(&r);
+      const RunResult res = harness::RunWorkload(*system, *wl, r);
       std::printf("point-check[%s]: committed=%llu aborted=%llu counted=%llu median_ns=%llu "
                   "p99_ns=%llu max_ns=%llu sim_events=%llu window_ns=%llu\n",
                   system->Name().c_str(), static_cast<unsigned long long>(res.committed),
@@ -107,40 +90,12 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(res.latency.max()),
                   static_cast<unsigned long long>(res.sim_events),
                   static_cast<unsigned long long>(res.measure_window));
-      if (r.metrics != nullptr) {
-        std::printf("%s", reg.Lines("metrics ").c_str());
-      }
-      if (spec.msg_breakdown) {
-        PrintMsgBreakdown(system->Name(), res);
-      }
-      if (spec.abort_breakdown) {
-        PrintAbortBreakdown(system->Name() + " abort breakdown", res);
-      }
-      if (ci == 0 && spec.attrib) {
-        const obs::BottleneckReport report = obs::Attribute(res.resources);
-        std::printf("%s", obs::RenderAttribution(report, "point-check attribution").c_str());
-      }
-      if (r.txn_trace != nullptr) {
-        const obs::TailAttribution attrib =
-            obs::AggregateTailAttribution(std::move(res.txn_paths));
-        std::printf("%s", obs::RenderTxnWaterfall(
-                              attrib, system->Name() + " critical-path waterfall")
-                              .c_str());
-        std::printf("txn-trace audit: zero_id_spans=%llu orphan_instants=%llu late_spans=%llu\n",
-                    static_cast<unsigned long long>(txn_sink.zero_id_spans()),
-                    static_cast<unsigned long long>(txn_sink.orphan_instants()),
-                    static_cast<unsigned long long>(txn_sink.late_spans()));
-      }
+      observers.Print(system->Name(), r.contexts_per_node, res, &report);
     }
-    if (!spec.trace_path.empty()) {
-      if (!rec.WriteJson(spec.trace_path)) {
-        std::fprintf(stderr, "failed to write %s\n", spec.trace_path.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "wrote %s (%zu events, %zu tracks)\n", spec.trace_path.c_str(),
-                   rec.num_events(), rec.num_tracks());
+    if (spec.Observed()) {
+      report.Write("point_check");
     }
-    return 0;
+    return report.trace_failed ? 1 : 0;
   }
 
   const std::vector<uint32_t> loads = {4, 16, 48};

@@ -9,28 +9,21 @@
 //
 // Prints a one-run summary (throughput per server, latency percentiles,
 // abort rate, resource utilization); --csv emits a machine-readable line.
-// --attrib adds the per-resource bottleneck-attribution table; --trace
-// writes the run as Chrome trace-event JSON (about:tracing / Perfetto).
+// The observer flags (--attrib, --txn-attrib, --trace and the rest) attach
+// to the run through harness::Observers, print their sections after the
+// summary, and write xenicsim.report.json.
 //
 // Flags go through harness::FlagSet, as in every front-end: `--flag V` and
 // `--flag=V` both work, and --help lists them. An unknown flag, a value that
 // does not parse completely, a zero --contexts or --measure-us, a spec that
-// harness::Validate rejects, an unknown --workload, and --trace together
-// with --txn-attrib (each needs the engine's single trace slot) exit 2.
+// harness::Validate rejects, and an unknown --workload exit 2.
 
 #include <cstdio>
 #include <string>
 
-#include "bench/bench_common.h"
-#include "src/common/output_file.h"
 #include "src/common/table_printer.h"
+#include "src/harness/observers.h"
 #include "src/harness/run_spec.h"
-#include "src/obs/attribution.h"
-#include "src/obs/critical_path.h"
-#include "src/obs/metrics.h"
-#include "src/obs/slo.h"
-#include "src/obs/trace_recorder.h"
-#include "src/obs/txn_trace.h"
 
 int main(int argc, char** argv) {
   using namespace xenic;
@@ -46,9 +39,7 @@ int main(int argc, char** argv) {
       harness::kFlagSystem | harness::kFlagNodes | harness::kFlagReplicas |
           harness::kFlagQuorum | harness::kFlagHotKeyPath | harness::kFlagAdaptiveDma |
           harness::kFlagNicLogApply | harness::kFlagReplicaReads | harness::kFlagWorkload |
-          harness::kFlagSeed | harness::kRetryFlags | harness::kFlagAttrib |
-          harness::kFlagTxnAttrib | harness::kFlagAbortBreakdown | harness::kFlagMetrics |
-          harness::kFlagMetricsWindowUs | harness::kFlagSlo | harness::kFlagTrace,
+          harness::kFlagSeed | harness::kRetryFlags | harness::kObserverFlags,
       "workloads: smallbank | retwis | tpcc | tpcc-no | ycsb (default smallbank)\n");
   flags.Add("--contexts", "C", "closed-loop contexts per node (default 32)",
             harness::FlagSet::Uint(&contexts, 1));
@@ -59,20 +50,12 @@ int main(int argc, char** argv) {
   flags.Add("--csv", nullptr, "print one CSV line instead of the table",
             harness::FlagSet::On(&csv));
   flags.Parse(argc, argv);
-  if (!spec.trace_path.empty() && spec.txn_attrib) {
-    // Both need the engine's single trace slot.
-    std::fprintf(stderr, "--trace and --txn-attrib cannot be combined; run them separately\n");
-    return 2;
-  }
   auto wl = harness::MakeWorkload(spec.workload, spec.nodes, scale);
   if (wl == nullptr) {
     std::fprintf(stderr, "unknown --workload '%s' (smallbank|retwis|tpcc|tpcc-no|ycsb)\n",
                  spec.workload.c_str());
     return 2;
   }
-  // Objectives are evaluated over the metric windows.
-  const bool metrics = spec.metrics || !spec.slo.empty();
-
   const harness::SystemConfig cfg = spec.System();
   auto system = harness::BuildSystem(cfg, *wl);
   std::fprintf(stderr, "loading %s...\n", wl->Name().c_str());
@@ -83,46 +66,11 @@ int main(int argc, char** argv) {
   rc.warmup = 150 * sim::kNsPerUs;
   rc.measure = measure_us * sim::kNsPerUs;
   spec.ApplyTo(&rc);
-  obs::TraceRecorder rec;
-  obs::TxnTraceSink txn_sink;
-  obs::MetricRegistry reg;
-  rc.metrics = metrics ? &reg : nullptr;
-  rc.metrics_window = spec.metrics_window_us * sim::kNsPerUs;
-  rc.collect_resources = spec.attrib;
-  rc.trace = spec.trace_path.empty() ? nullptr : &rec;
-  rc.txn_trace = spec.txn_attrib ? &txn_sink : nullptr;
+  harness::Observers observers(spec, /*trace=*/true);
+  observers.AttachTo(&rc);
   std::fprintf(stderr, "running %s on %s (%u nodes, %u contexts/node)...\n", wl->Name().c_str(),
                system->Name().c_str(), spec.nodes, contexts);
   harness::RunResult r = harness::RunWorkload(*system, *wl, rc);
-
-  if (!spec.trace_path.empty()) {
-    if (rec.WriteJson(spec.trace_path)) {
-      std::fprintf(stderr, "wrote %s (%zu events, %zu tracks)\n", spec.trace_path.c_str(),
-                   rec.num_events(), rec.num_tracks());
-    } else {
-      std::fprintf(stderr, "failed to write %s\n", spec.trace_path.c_str());
-      return 1;
-    }
-  }
-
-  if (metrics) {
-    // "metrics " / "slo " prefixes keep the default output strippable (the
-    // check_determinism.sh idiom); the JSON and OpenMetrics twins go to
-    // files next to the txn-attrib export.
-    std::printf("%s", reg.Lines("metrics ").c_str());
-    std::string slo_json;
-    if (!spec.slo.empty()) {
-      const obs::SloReport report = obs::EvaluateSlo(
-          spec.slo, obs::SloInputsFromSeries(reg.series(), reg.FindCounter("txn_committed"),
-                                        reg.FindCounter("txn_aborted"),
-                                        reg.FindHistogram("txn_latency_ns")));
-      std::printf("%s", report.Lines("slo ").c_str());
-      slo_json = report.Json();
-    }
-    WriteOutputFile("xenicsim.metrics.json",
-                    reg.Json("xenic_sim." + spec.system + "." + spec.workload, slo_json));
-    WriteOutputFile("xenicsim.metrics.om", reg.OpenMetrics());
-  }
 
   if (csv) {
     std::printf("system,workload,nodes,contexts,tput_per_server,median_us,p99_us,abort_rate,"
@@ -131,36 +79,25 @@ int main(int argc, char** argv) {
                 wl->Name().c_str(), spec.nodes, contexts, r.tput_per_server, r.MedianLatencyUs(),
                 r.P99LatencyUs(), r.abort_rate, r.wire_utilization, r.host_utilization,
                 r.nic_utilization);
+  } else {
+    TablePrinter tp({"Metric", "Value"});
+    tp.AddRow({"System", system->Name()});
+    tp.AddRow({"Workload", wl->Name()});
+    tp.AddRow({"Throughput/server", TablePrinter::FmtOps(r.tput_per_server) + " txn/s"});
+    tp.AddRow({"Median latency", TablePrinter::Fmt(r.MedianLatencyUs(), 1) + " us"});
+    tp.AddRow({"P99 latency", TablePrinter::Fmt(r.P99LatencyUs(), 1) + " us"});
+    tp.AddRow({"Abort rate", TablePrinter::Fmt(r.abort_rate * 100, 2) + " %"});
+    tp.AddRow({"Wire utilization", TablePrinter::Fmt(r.wire_utilization * 100, 1) + " %"});
+    tp.AddRow({"Host utilization", TablePrinter::Fmt(r.host_utilization * 100, 1) + " %"});
+    tp.AddRow({"NIC utilization", TablePrinter::Fmt(r.nic_utilization * 100, 1) + " %"});
+    std::printf("%s", tp.Render("xenic_sim").c_str());
+  }
+  if (!spec.Observed()) {
     return 0;
   }
-
-  TablePrinter tp({"Metric", "Value"});
-  tp.AddRow({"System", system->Name()});
-  tp.AddRow({"Workload", wl->Name()});
-  tp.AddRow({"Throughput/server", TablePrinter::FmtOps(r.tput_per_server) + " txn/s"});
-  tp.AddRow({"Median latency", TablePrinter::Fmt(r.MedianLatencyUs(), 1) + " us"});
-  tp.AddRow({"P99 latency", TablePrinter::Fmt(r.P99LatencyUs(), 1) + " us"});
-  tp.AddRow({"Abort rate", TablePrinter::Fmt(r.abort_rate * 100, 2) + " %"});
-  tp.AddRow({"Wire utilization", TablePrinter::Fmt(r.wire_utilization * 100, 1) + " %"});
-  tp.AddRow({"Host utilization", TablePrinter::Fmt(r.host_utilization * 100, 1) + " %"});
-  tp.AddRow({"NIC utilization", TablePrinter::Fmt(r.nic_utilization * 100, 1) + " %"});
-  std::printf("%s", tp.Render("xenic_sim").c_str());
-  if (spec.abort_breakdown) {
-    std::printf("\n");
-    bench::PrintAbortBreakdown("abort breakdown", r);
-  }
-  if (spec.attrib) {
-    const obs::BottleneckReport report = obs::Attribute(r.resources);
-    std::printf("\n%s", obs::RenderAttribution(report, "bottleneck attribution").c_str());
-  }
-  if (spec.txn_attrib) {
-    const obs::TailAttribution attrib = obs::AggregateTailAttribution(std::move(r.txn_paths));
-    std::printf("\n%s", obs::RenderTxnWaterfall(attrib, "critical-path waterfall").c_str());
-    std::printf("txn-trace audit: zero_id_spans=%llu orphan_instants=%llu late_spans=%llu\n",
-                static_cast<unsigned long long>(txn_sink.zero_id_spans()),
-                static_cast<unsigned long long>(txn_sink.orphan_instants()),
-                static_cast<unsigned long long>(txn_sink.late_spans()));
-    WriteOutputFile("xenicsim.txnattrib.json", obs::TxnAttribJson(attrib));
-  }
-  return 0;
+  std::printf("\n");
+  harness::RunReport report{"xenic_sim." + spec.system + "." + spec.workload};
+  observers.Print(system->Name(), contexts, r, &report);
+  report.Write("xenicsim");
+  return report.trace_failed ? 1 : 0;
 }
