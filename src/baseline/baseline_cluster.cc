@@ -30,6 +30,10 @@ BaselineCluster::BaselineCluster(const BaselineClusterOptions& options,
 void BaselineCluster::LoadReplicated(store::TableId table, store::Key key,
                                      const store::Value& value, store::Seq seq) {
   const store::NodeId primary = map_.PrimaryOf(table, key);
+  stores_[primary]->table(table).Prefetch(key);
+  for (store::NodeId b : repl_.BackupsOf(primary)) {
+    stores_[b]->table(table).Prefetch(key);
+  }
   stores_[primary]->table(table).Insert(key, value, seq);
   for (store::NodeId b : repl_.BackupsOf(primary)) {
     stores_[b]->table(table).Insert(key, value, seq);

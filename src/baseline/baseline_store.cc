@@ -12,21 +12,18 @@ ChainedStore::ChainedStore(const Options& options)
     num_buckets_ *= 2;
   }
   mask_ = num_buckets_ - 1;
-  buckets_.resize(num_buckets_);
-  for (auto& b : buckets_) {
-    b.slots.resize(bucket_slots_);
-  }
+  slots_.resize(num_buckets_ * bucket_slots_);
+  next_.assign(num_buckets_, kNoBucket);
 }
 
 const ChainedStore::Object* ChainedStore::Lookup(Key key) const {
-  const Bucket* b = &buckets_[HomeBucket(key)];
-  while (b != nullptr) {
-    for (const auto& s : b->slots) {
-      if (s.occupied && s.key == key) {
-        return &s;
+  for (size_t b = HomeBucket(key); b != kNoBucket; b = next_[b]) {
+    const Object* slots = Slots(b);
+    for (uint32_t i = 0; i < bucket_slots_; ++i) {
+      if (slots[i].occupied && slots[i].key == key) {
+        return &slots[i];
       }
     }
-    b = NextBucket(*b);
   }
   return nullptr;
 }
@@ -39,29 +36,27 @@ xenic::Status ChainedStore::Insert(Key key, const Value& value, Seq seq) {
   if (Lookup(key) != nullptr) {
     return xenic::Status::AlreadyExists();
   }
-  bool in_main = true;
-  size_t idx = HomeBucket(key);
+  size_t b = HomeBucket(key);
   while (true) {
-    Bucket& b = in_main ? buckets_[idx] : chain_pool_[idx];
-    for (auto& s : b.slots) {
-      if (!s.occupied) {
-        s = Object{key, seq, store::kNoTxn, value, true};
+    Object* slots = Slots(b);
+    for (uint32_t i = 0; i < bucket_slots_; ++i) {
+      if (!slots[i].occupied) {
+        slots[i] = Object{key, store::kNoTxn, value, seq, true};
         size_++;
         return xenic::Status::Ok();
       }
     }
-    if (b.next < 0) {
-      const auto new_idx = static_cast<int32_t>(chain_pool_.size());
-      chain_pool_.emplace_back();
-      chain_pool_.back().slots.resize(bucket_slots_);
-      chain_pool_.back().slots[0] = Object{key, seq, store::kNoTxn, value, true};
+    if (next_[b] == kNoBucket) {
+      // Chain a fresh bucket and take its first slot.
+      const auto chained = static_cast<uint32_t>(next_.size());
+      next_.push_back(kNoBucket);
+      chain_slots_.resize(chain_slots_.size() + bucket_slots_);
+      next_[b] = chained;
+      Slots(chained)[0] = Object{key, store::kNoTxn, value, seq, true};
       size_++;
-      Bucket& prev = in_main ? buckets_[idx] : chain_pool_[idx];
-      prev.next = new_idx;
       return xenic::Status::Ok();
     }
-    in_main = false;
-    idx = static_cast<size_t>(b.next);
+    b = next_[b];
   }
 }
 
@@ -116,17 +111,16 @@ void ChainedStore::Unlock(Key key, TxnId txn) {
 ChainedStore::LookupPlan ChainedStore::PlanLookup(Key key) const {
   LookupPlan plan;
   plan.roundtrips = 0;
-  const Bucket* b = &buckets_[HomeBucket(key)];
-  while (b != nullptr) {
+  for (size_t b = HomeBucket(key); b != kNoBucket; b = next_[b]) {
     plan.roundtrips++;
     plan.bytes += static_cast<uint64_t>(bucket_slots_) * object_bytes();
-    for (const auto& s : b->slots) {
-      if (s.occupied && s.key == key) {
+    const Object* slots = Slots(b);
+    for (uint32_t i = 0; i < bucket_slots_; ++i) {
+      if (slots[i].occupied && slots[i].key == key) {
         plan.found = true;
         return plan;
       }
     }
-    b = NextBucket(*b);
   }
   return plan;
 }

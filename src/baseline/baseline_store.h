@@ -42,15 +42,17 @@ class ChainedStore {
 
   struct Object {
     Key key = 0;
-    Seq seq = 0;
     TxnId lock_owner = store::kNoTxn;
     Value value;
+    Seq seq = 0;
     bool occupied = false;
   };
 
   xenic::Status Insert(Key key, const Value& value, Seq seq = 1);
   xenic::Status Apply(Key key, const Value& value, Seq seq);  // upsert
   xenic::Status Erase(Key key);
+  // Start fetching `key`'s home bucket (a bulk load's next touch).
+  void Prefetch(Key key) const { __builtin_prefetch(&slots_[HomeBucket(key) * bucket_slots_]); }
   const Object* Lookup(Key key) const;
   Object* LookupMutable(Key key);
 
@@ -74,22 +76,28 @@ class ChainedStore {
   uint32_t object_bytes() const { return 24 + static_cast<uint32_t>(value_size_); }
 
  private:
-  struct Bucket {
-    std::vector<Object> slots;
-    int32_t next = -1;
-  };
+  static constexpr uint32_t kNoBucket = ~0u;
 
+  // Buckets are numbered main first, then chained: bucket b < num_buckets_
+  // owns slots_[b * bucket_slots_, (b + 1) * bucket_slots_), and chained
+  // bucket num_buckets_ + c owns the same range of chain_slots_ at c.
+  // next_[b] is b's chained successor, or kNoBucket.
   size_t HomeBucket(Key key) const { return store::HashKey(key) & mask_; }
-  const Bucket* NextBucket(const Bucket& b) const {
-    return b.next < 0 ? nullptr : &chain_pool_[static_cast<size_t>(b.next)];
+  Object* Slots(size_t bucket) {
+    return bucket < num_buckets_ ? &slots_[bucket * bucket_slots_]
+                                 : &chain_slots_[(bucket - num_buckets_) * bucket_slots_];
+  }
+  const Object* Slots(size_t bucket) const {
+    return const_cast<ChainedStore*>(this)->Slots(bucket);
   }
 
   size_t num_buckets_;
   size_t mask_;
   uint32_t bucket_slots_;
   size_t value_size_;
-  std::vector<Bucket> buckets_;
-  std::vector<Bucket> chain_pool_;
+  std::vector<Object> slots_;
+  std::vector<Object> chain_slots_;
+  std::vector<uint32_t> next_;
   size_t size_ = 0;
 };
 

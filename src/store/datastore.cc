@@ -43,26 +43,19 @@ Result<uint64_t> Datastore::Append(LogRecord record) {
   }
   // Only COMMIT records make writes visible to host readers at this node:
   // LOG records target the backup tables, which local transactions never
-  // read. Index commit-record writes for FreshLookup.
-  const bool index_pending = record.type == LogRecordType::kCommit;
-  std::vector<LogWrite> writes;
-  if (index_pending) {
-    writes = record.writes;  // keep a copy; the record moves into the log
-  }
-  auto result = log_.Append(std::move(record));
-  if (!result.ok()) {
-    return result;
-  }
-  if (index_pending) {
-    for (auto& w : writes) {
+  // read. Index commit-record writes for FreshLookup under the lsn the
+  // append assigns; the pending entries share the record's values. A full
+  // ring rejects the append and indexes nothing.
+  if (record.type == LogRecordType::kCommit && !log_.Full()) {
+    for (const auto& w : record.writes) {
       if (w.table >= tables_.size()) {
         continue;  // workload-managed writes are not host-table state
       }
       pending_[PendingKey(w.table, w.key)].push_back(
-          PendingWrite{*result, w.seq, std::move(w.value), w.is_delete});
+          PendingWrite{log_.next_lsn(), w.seq, w.value, w.is_delete});
     }
   }
-  return result;
+  return log_.Append(std::move(record));
 }
 
 std::optional<LookupResult> Datastore::FreshLookup(TableId table, Key key) const {

@@ -49,6 +49,14 @@ class Datastore final : public LogApplyTarget {
 
   // Bulk-load helper (database population); keeps NIC hints in sync.
   Status Load(TableId table, Key key, const Value& value, Seq seq = 1);
+  // Start fetching what Load(table, key, ...) touches first: the key's
+  // home slot, its segment's displacement bound and its NIC index entry.
+  // A loader that prefetches every replica before loading the first one
+  // overlaps the replicas' cache misses. No state changes.
+  void PrefetchLoad(TableId table, Key key) const {
+    tables_[table]->Prefetch(key);
+    indexes_[table]->Prefetch(key);
+  }
 
   // NIC side: append a record to the host log, maintaining the host's
   // pending-write index (the log lives in host memory, so host readers can

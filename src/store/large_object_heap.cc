@@ -23,8 +23,7 @@ void LargeObjectHeap::Free(Handle h) {
   live_--;
   live_bytes_ -= slots_[h].value.size();
   slots_[h].live = false;
-  slots_[h].value.clear();
-  slots_[h].value.shrink_to_fit();
+  slots_[h].value = Value();
   free_list_.push_back(h);
 }
 

@@ -13,7 +13,12 @@ NicIndex::NicIndex(const RobinhoodTable* host, const Options& options)
 
 NicIndex::CachedObject* NicIndex::Find(Key key) {
   IndexEntry& entry = entries_[host_->SegmentOfKey(key)];
-  for (auto& obj : entry.objects) {
+  for (auto& obj : entry.ways) {
+    if (obj.valid && obj.key == key) {
+      return &obj;
+    }
+  }
+  for (auto& obj : entry.overflow) {
     if (obj.valid && obj.key == key) {
       return &obj;
     }
@@ -33,17 +38,20 @@ NicIndex::CachedObject* NicIndex::Ensure(Key key) {
   EvictUntilWithinBudget();
   IndexEntry& entry = entries_[host_->SegmentOfKey(key)];
   CachedObject* slot = nullptr;
-  for (auto& obj : entry.objects) {
-    if (!obj.valid) {
-      slot = &obj;
+  for (size_t i = 0; i < entry.positions(); ++i) {
+    if (!entry.at(i).valid) {
+      slot = &entry.at(i);
       break;
     }
   }
   if (slot == nullptr) {
-    // Allocate another position; positions beyond `ways_per_entry` model
-    // the entry's chained overflow pages.
-    entry.objects.emplace_back();
-    slot = &entry.objects.back();
+    // Every position is taken: add an overflow position. The first one
+    // reserves a page of kInlineWays positions, so a segment that outgrows
+    // its ways allocates once.
+    if (entry.overflow.empty()) {
+      entry.overflow.reserve(kInlineWays);
+    }
+    slot = &entry.overflow.emplace_back();
   }
   *slot = CachedObject{};
   slot->key = key;
@@ -53,8 +61,7 @@ NicIndex::CachedObject* NicIndex::Ensure(Key key) {
   return slot;
 }
 
-void NicIndex::Release(IndexEntry& entry, CachedObject& obj) {
-  (void)entry;
+void NicIndex::Release(CachedObject& obj) {
   assert(obj.valid);
   cached_bytes_ -= CostOf(obj);
   cached_objects_--;
@@ -69,22 +76,22 @@ void NicIndex::EvictUntilWithinBudget() {
   const size_t max_sweep = 2 * entries_.size() + 16;
   while (cached_bytes_ > options_.memory_budget && sweep < max_sweep) {
     IndexEntry& entry = entries_[clock_segment_];
-    if (clock_way_ >= entry.objects.size()) {
+    if (clock_way_ >= entry.positions()) {
       clock_way_ = 0;
       clock_segment_ = (clock_segment_ + 1) % entries_.size();
       sweep++;
       continue;
     }
-    CachedObject& obj = entry.objects[clock_way_];
+    CachedObject& obj = entry.at(clock_way_);
     clock_way_++;
     if (!obj.valid || obj.pin_count > 0 || obj.lock_owner != kNoTxn) {
       continue;
     }
-    if (obj.ref != 0) {
-      obj.ref = 0;  // second-chance
+    if (obj.ref) {
+      obj.ref = false;  // second-chance
       continue;
     }
-    Release(entry, obj);
+    Release(obj);
     evictions_++;
   }
 }
@@ -93,7 +100,7 @@ std::optional<NicIndex::RemoteObject> NicIndex::LookupRemote(Key key, LookupStat
   LookupStats local;
   LookupStats* st = stats != nullptr ? stats : &local;
   if (CachedObject* obj = Find(key); obj != nullptr && obj->has_value) {
-    obj->ref = 1;
+    obj->ref = true;
     st->cache_hit = true;
     st->found = true;
     return RemoteObject{obj->value, obj->seq, obj->lock_owner, true};
@@ -105,7 +112,7 @@ std::optional<NicIndex::RemoteObject> NicIndex::ReadMetadata(Key key, LookupStat
   LookupStats local;
   LookupStats* st = stats != nullptr ? stats : &local;
   if (CachedObject* obj = Find(key); obj != nullptr && (obj->has_value || obj->seq != 0)) {
-    obj->ref = 1;
+    obj->ref = true;
     st->cache_hit = true;
     st->found = true;
     return RemoteObject{Value{}, obj->seq, obj->lock_owner, true};
@@ -154,7 +161,7 @@ std::optional<NicIndex::RemoteObject> NicIndex::MissPath(Key key, bool want_valu
       cached_bytes_ -= CostOf(*obj);
       obj->value = out.value;
       cached_bytes_ += CostOf(*obj);
-      obj->ref = 1;
+      obj->ref = true;
       EvictUntilWithinBudget();
     }
     st->found = true;
@@ -203,18 +210,18 @@ std::optional<NicIndex::RemoteObject> NicIndex::MissPath(Key key, bool want_valu
   // Not in the table region; consult the segment's overflow page when the
   // host side has one.
   if (entry.has_overflow || host_->SegmentHasOverflow(segment)) {
-    auto bucket = host_->ReadOverflow(segment);
+    const auto& bucket = host_->ReadOverflow(segment);
     st->dma_reads++;
     st->objects_read += static_cast<uint32_t>(bucket.size());
     for (const auto& e : bucket) {
       st->bytes_read += sizeof(SlotHeader) + e.value.size();
     }
-    for (auto& e : bucket) {
+    for (const auto& e : bucket) {
       if (e.key == key) {
         RemoteObject out;
         out.seq = e.seq;
         if (want_value) {
-          out.value = std::move(e.value);
+          out.value = e.value;
         }
         if (CachedObject* meta = Find(key)) {
           out.lock_owner = meta->lock_owner;
@@ -274,7 +281,7 @@ void NicIndex::ApplyCommit(Key key, const Value& value, Seq seq) {
   cached_bytes_ += CostOf(*obj);
   obj->has_value = true;
   obj->seq = seq;
-  obj->ref = 1;
+  obj->ref = true;
   if (obj->pin_count == 0) {
     pinned_objects_++;
   }
@@ -300,6 +307,14 @@ void NicIndex::UpdateHint(size_t segment, uint16_t disp, bool has_overflow) {
   entry.has_overflow = entry.has_overflow || has_overflow;
 }
 
+void NicIndex::Prefetch(Key key) const {
+  const auto* bytes = reinterpret_cast<const char*>(&entries_[host_->SegmentOfKey(key)]);
+  for (size_t off = 0; off < sizeof(IndexEntry); off += 64) {
+    __builtin_prefetch(bytes + off);
+  }
+  __builtin_prefetch(bytes + sizeof(IndexEntry) - 1);
+}
+
 void NicIndex::SyncHintsFromHost() {
   for (size_t seg = 0; seg < entries_.size(); ++seg) {
     entries_[seg].d_hint = std::min<uint16_t>(host_->SegmentMaxDisp(seg), dm_);
@@ -322,14 +337,13 @@ void NicIndex::Invalidate(Key key) {
     }
     if (obj->has_value) {
       cached_bytes_ -= CostOf(*obj);
-      obj->value.clear();
+      obj->value = Value();
       obj->has_value = false;
       obj->seq = 0;
       cached_bytes_ += CostOf(*obj);
     }
     if (obj->lock_owner == kNoTxn && obj->pin_count == 0) {
-      IndexEntry& entry = entries_[host_->SegmentOfKey(key)];
-      Release(entry, *obj);
+      Release(*obj);
     }
   }
 }
@@ -337,7 +351,8 @@ void NicIndex::Invalidate(Key key) {
 std::vector<NicIndex::CachedEntry> NicIndex::CachedEntries() const {
   std::vector<CachedEntry> out;
   for (const auto& entry : entries_) {
-    for (const auto& obj : entry.objects) {
+    for (size_t i = 0; i < entry.positions(); ++i) {
+      const CachedObject& obj = entry.at(i);
       if (obj.valid && obj.has_value) {
         out.push_back(CachedEntry{obj.key, obj.seq, &obj.value, obj.pin_count > 0,
                                   obj.lock_owner != kNoTxn});
@@ -350,7 +365,8 @@ std::vector<NicIndex::CachedEntry> NicIndex::CachedEntries() const {
 std::vector<NicIndex::LockedKey> NicIndex::LockedKeys() const {
   std::vector<LockedKey> out;
   for (const auto& entry : entries_) {
-    for (const auto& obj : entry.objects) {
+    for (size_t i = 0; i < entry.positions(); ++i) {
+      const CachedObject& obj = entry.at(i);
       if (obj.valid && obj.lock_owner != kNoTxn) {
         out.push_back(LockedKey{obj.key, obj.lock_owner});
       }

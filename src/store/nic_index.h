@@ -1,8 +1,9 @@
 // SmartNIC caching index over the host Robinhood table (paper section 4.1.3).
 //
 // NIC DRAM holds, per host-table segment, an index entry containing:
-//   * a small cache of objects homed in that segment (fixed "ways" plus
-//     chained overflow pages),
+//   * a small cache of objects homed in that segment: four fixed ways
+//     stored in the entry, then overflow positions allocated only when a
+//     segment outgrows them (the entry's chained overflow pages),
 //   * transaction metadata (lock owner, version) for objects touched by
 //     ongoing transactions,
 //   * the highest known displacement d_i of keys homed in the segment and
@@ -19,6 +20,7 @@
 #ifndef SRC_STORE_NIC_INDEX_H_
 #define SRC_STORE_NIC_INDEX_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -32,7 +34,6 @@ namespace xenic::store {
 class NicIndex {
  public:
   struct Options {
-    size_t ways_per_entry = 4;   // fixed cache positions per index entry
     uint16_t hint_slack = 1;     // k: slots read beyond d_i (paper picks 1)
     uint64_t memory_budget = 0;  // bytes of NIC DRAM for cached objects; 0 = unlimited
     bool cache_values = true;    // admit looked-up values (Table 2 turns this off)
@@ -96,6 +97,9 @@ class NicIndex {
   // --- Hint maintenance. ---
 
   void UpdateHint(size_t segment, uint16_t disp, bool has_overflow);
+  // Start fetching `key`'s index entry (a bulk load's next touch). No
+  // state changes.
+  void Prefetch(Key key) const;
   // Bootstrap all hints from the host table (rack bring-up / recovery).
   void SyncHintsFromHost();
   uint16_t HintOf(size_t segment) const { return entries_[segment].d_hint; }
@@ -138,26 +142,38 @@ class NicIndex {
  private:
   struct CachedObject {
     Key key = 0;
-    Seq seq = 0;
     TxnId lock_owner = kNoTxn;
-    uint16_t pin_count = 0;
-    uint8_t ref = 0;       // CLOCK reference bit
-    bool valid = false;
-    bool has_value = false;
     Value value;
+    Seq seq = 0;
+    uint16_t pin_count = 0;
+    bool ref : 1 = false;  // CLOCK reference bit
+    bool valid : 1 = false;
+    bool has_value : 1 = false;
   };
+  static_assert(sizeof(CachedObject) == 32);
 
+  // An entry's cache positions in order: the inline ways, then the
+  // overflow positions. Positions are never removed, so a position index
+  // is stable; Ensure reuses the first free one.
+  static constexpr size_t kInlineWays = 4;
   struct IndexEntry {
+    std::array<CachedObject, kInlineWays> ways;
+    std::vector<CachedObject> overflow;
     uint16_t d_hint = 0;
     bool has_overflow = false;
-    std::vector<CachedObject> objects;  // first `ways` inline, rest = overflow pages
+
+    size_t positions() const { return kInlineWays + overflow.size(); }
+    CachedObject& at(size_t i) { return i < kInlineWays ? ways[i] : overflow[i - kInlineWays]; }
+    const CachedObject& at(size_t i) const {
+      return i < kInlineWays ? ways[i] : overflow[i - kInlineWays];
+    }
   };
 
   CachedObject* Find(Key key);
   const CachedObject* Find(Key key) const;
   // Find-or-create a cache slot for `key` (evicting if over budget).
   CachedObject* Ensure(Key key);
-  void Release(IndexEntry& entry, CachedObject& obj);
+  void Release(CachedObject& obj);
   uint64_t CostOf(const CachedObject& obj) const { return 48 + obj.value.size(); }
   void EvictUntilWithinBudget();
 

@@ -23,23 +23,17 @@ RobinhoodTable::RobinhoodTable(const Options& options)
       segment_slots_(options.segment_slots),
       num_segments_((capacity_ + options.segment_slots - 1) / options.segment_slots),
       data_(new uint8_t[capacity_ * slot_size_]()),
+      scratch_(new uint8_t[slot_size_]),
       overflow_(num_segments_),
       seg_max_disp_(num_segments_, 0) {
   assert(options.segment_slots > 0);
 }
 
-RobinhoodTable::Element RobinhoodTable::LoadElement(size_t slot) const {
-  Element e;
-  e.header = Header(slot);
-  e.value_area.assign(SlotPtr(slot) + sizeof(SlotHeader), SlotPtr(slot) + slot_size_);
-  return e;
-}
-
-void RobinhoodTable::StoreElement(size_t slot, const Element& e, uint16_t disp) {
-  SlotHeader h = e.header;
+void RobinhoodTable::StoreSlot(size_t slot, const uint8_t* bytes, uint16_t disp) {
+  std::memcpy(SlotPtr(slot), bytes, slot_size_);
+  SlotHeader h = Header(slot);
   h.disp = disp;
   WriteHeader(slot, h);
-  std::memcpy(SlotPtr(slot) + sizeof(SlotHeader), e.value_area.data(), inline_area_);
   NoteDisp(h.key, disp);
   if (swap_step_hook_) {
     swap_step_hook_();
@@ -51,15 +45,27 @@ void RobinhoodTable::ClearSlot(size_t slot) {
   WriteHeader(slot, h);
 }
 
-uint16_t RobinhoodTable::EncodeValueArea(const Value& value, std::vector<uint8_t>& area) {
-  area.assign(inline_area_, 0);
-  if (large_values_) {
-    LargeObjectHeap::Handle handle = heap_.Alloc(value);
-    std::memcpy(area.data(), &handle, sizeof(handle));
-    return kSlotOccupied | kSlotLargeValue;
+void RobinhoodTable::CopyInline(uint8_t* area, const Value& value) const {
+  if (!value.empty()) {
+    std::memcpy(area, value.data(), std::min(value.size(), inline_area_));
   }
-  std::memcpy(area.data(), value.data(), std::min(value.size(), inline_area_));
-  return kSlotOccupied;
+}
+
+void RobinhoodTable::EncodeScratch(Key key, Seq seq, const Value& value) {
+  SlotHeader h{};
+  h.key = key;
+  h.seq = seq;
+  h.flags = kSlotOccupied;
+  uint8_t* area = scratch_.get() + sizeof(SlotHeader);
+  std::memset(area, 0, inline_area_);
+  if (large_values_) {
+    const LargeObjectHeap::Handle handle = heap_.Alloc(value);
+    std::memcpy(area, &handle, sizeof(handle));
+    h.flags |= kSlotLargeValue;
+  } else {
+    CopyInline(area, value);
+  }
+  std::memcpy(scratch_.get(), &h, sizeof(h));
 }
 
 void RobinhoodTable::FreeSlotPayload(size_t slot) {
@@ -102,6 +108,9 @@ std::optional<size_t> RobinhoodTable::FindSlot(Key key) const {
 }
 
 std::optional<size_t> RobinhoodTable::FindOverflow(Key key, size_t& segment_out) const {
+  if (size_overflow_ == 0) {
+    return std::nullopt;  // skips the bucket array's cache line
+  }
   const size_t seg = SegmentOfKey(key);
   const auto& bucket = overflow_[seg];
   for (size_t i = 0; i < bucket.size(); ++i) {
@@ -124,6 +133,11 @@ std::optional<LookupResult> RobinhoodTable::Lookup(Key key) const {
     return LookupResult{e.value, e.seq};
   }
   return std::nullopt;
+}
+
+bool RobinhoodTable::Contains(Key key) const {
+  size_t seg = 0;
+  return FindSlot(key).has_value() || FindOverflow(key, seg).has_value();
 }
 
 std::optional<Seq> RobinhoodTable::GetSeq(Key key) const {
@@ -170,7 +184,7 @@ Status RobinhoodTable::InsertInternal(Key key, const Value& value, Seq seq) {
   // Phase 1: read-only probe collecting the swap chain. `carried_home`
   // tracks the home of the element currently being carried so the overflow
   // terminal files it under the right segment.
-  std::vector<size_t> chain;
+  chain_.clear();
   size_t pos = home;
   size_t carried_home = home;
   uint16_t carried_disp = 0;
@@ -188,7 +202,7 @@ Status RobinhoodTable::InsertInternal(Key key, const Value& value, Seq seq) {
       break;  // empty terminal at pos
     }
     if (h.disp < carried_disp) {
-      chain.push_back(pos);
+      chain_.push_back(pos);
       carried_home = (pos - h.disp) & mask_;
       carried_disp = h.disp;
     }
@@ -196,65 +210,55 @@ Status RobinhoodTable::InsertInternal(Key key, const Value& value, Seq seq) {
     ++carried_disp;
   }
   total_probe_slots_ += probes;
-  total_swaps_ += chain.size();
+  total_swaps_ += chain_.size();
+
+  if (to_overflow && chain_.empty()) {
+    // No resident is less displaced: the new element itself overflows.
+    overflow_[SegmentOfSlot(home)].push_back(OverflowEntry{key, seq, value});
+    size_overflow_++;
+    if (swap_step_hook_) {
+      swap_step_hook_();
+    }
+    return Status::Ok();
+  }
 
   // Build the new element (allocates in the heap for large-value tables).
-  Element fresh;
-  fresh.header.key = key;
-  fresh.header.seq = seq;
-  fresh.header.disp = 0;
-  fresh.header.flags = EncodeValueArea(value, fresh.value_area);
+  EncodeScratch(key, seq, value);
 
   // Phase 2: apply from the terminal backwards (the copy list). Each move
   // writes the destination before the source slot is overwritten by the
   // previous element in the chain, so a concurrent DMA region read always
   // finds every committed key (paper: DMA-consistent swapping).
+  size_t dest = pos;
   if (to_overflow) {
-    // The carried element (last displaced resident, or the fresh element
-    // when no swap happened) is appended to its home segment's overflow.
-    if (chain.empty()) {
-      overflow_[SegmentOfSlot(home)].push_back(OverflowEntry{key, seq, value});
-      size_overflow_++;
-      if (swap_step_hook_) {
-        swap_step_hook_();
-      }
-      return Status::Ok();
-    }
-    const size_t last = chain.back();
-    Element displaced = LoadElement(last);
+    // The last displaced resident goes to its home segment's overflow.
+    const size_t last = chain_.back();
     SlotView view(SlotPtr(last), inline_area_);
     Value displaced_value = DecodeValue(view);
     if (view.large_value()) {
       heap_.Free(view.large_handle());
     }
     overflow_[SegmentOfSlot(carried_home)].push_back(
-        OverflowEntry{displaced.header.key, displaced.header.seq, std::move(displaced_value)});
+        OverflowEntry{view.key(), view.seq(), std::move(displaced_value)});
     size_overflow_++;
     if (swap_step_hook_) {
       swap_step_hook_();
     }
-    // Shift the remaining chain: element at chain[i-1] moves into chain[i].
-    for (size_t i = chain.size() - 1; i > 0; --i) {
-      Element moving = LoadElement(chain[i - 1]);
-      const size_t moving_home = (chain[i - 1] - moving.header.disp) & mask_;
-      StoreElement(chain[i], moving, static_cast<uint16_t>((chain[i] - moving_home) & mask_));
-    }
-    StoreElement(chain.front(), fresh, static_cast<uint16_t>((chain.front() - home) & mask_));
-    // Note: size_table_ unchanged (one element entered the table, one left
-    // to overflow).
-    return Status::Ok();
+    // The rest of the chain shifts into the freed slot; size_table_ is
+    // unchanged (one element entered the table, one left to overflow).
+    dest = last;
+    chain_.pop_back();
   }
-
-  // Empty terminal at `pos`.
-  size_t dest = pos;
-  for (size_t i = chain.size(); i > 0; --i) {
-    Element moving = LoadElement(chain[i - 1]);
-    const size_t moving_home = (chain[i - 1] - moving.header.disp) & mask_;
-    StoreElement(dest, moving, static_cast<uint16_t>((dest - moving_home) & mask_));
-    dest = chain[i - 1];
+  for (size_t i = chain_.size(); i > 0; --i) {
+    const size_t from = chain_[i - 1];
+    const size_t moving_home = (from - Header(from).disp) & mask_;
+    StoreSlot(dest, SlotPtr(from), static_cast<uint16_t>((dest - moving_home) & mask_));
+    dest = from;
   }
-  StoreElement(dest, fresh, static_cast<uint16_t>((dest - home) & mask_));
-  size_table_++;
+  StoreSlot(dest, scratch_.get(), static_cast<uint16_t>((dest - home) & mask_));
+  if (!to_overflow) {
+    size_table_++;
+  }
   return Status::Ok();
 }
 
@@ -265,8 +269,7 @@ Status RobinhoodTable::Update(Key key, const Value& value) {
       SlotView view(SlotPtr(*slot), inline_area_);
       heap_.Update(view.large_handle(), value);
     } else {
-      std::memcpy(SlotPtr(*slot) + sizeof(SlotHeader), value.data(),
-                  std::min(value.size(), inline_area_));
+      CopyInline(SlotPtr(*slot) + sizeof(SlotHeader), value);
     }
     h.seq++;
     WriteHeader(*slot, h);
@@ -289,8 +292,7 @@ Status RobinhoodTable::Apply(Key key, const Value& value, Seq seq) {
       SlotView view(SlotPtr(*slot), inline_area_);
       heap_.Update(view.large_handle(), value);
     } else {
-      std::memcpy(SlotPtr(*slot) + sizeof(SlotHeader), value.data(),
-                  std::min(value.size(), inline_area_));
+      CopyInline(SlotPtr(*slot) + sizeof(SlotHeader), value);
     }
     h.seq = seq;
     WriteHeader(*slot, h);
@@ -355,11 +357,8 @@ Status RobinhoodTable::Erase(Key key) {
         continue;
       }
       // Re-insert the overflow entry at the hole.
-      Element pulled;
-      pulled.header.key = bucket[i].key;
-      pulled.header.seq = bucket[i].seq;
-      pulled.header.flags = EncodeValueArea(bucket[i].value, pulled.value_area);
-      StoreElement(s, pulled, d);
+      EncodeScratch(bucket[i].key, bucket[i].seq, bucket[i].value);
+      StoreSlot(s, scratch_.get(), d);
       bucket.erase(bucket.begin() + static_cast<ptrdiff_t>(i));
       size_overflow_--;
       size_table_++;
@@ -376,8 +375,7 @@ Status RobinhoodTable::Erase(Key key) {
     if ((th.flags & kSlotOccupied) == 0 || th.disp == 0) {
       break;
     }
-    Element moving = LoadElement(t);
-    StoreElement(hole, moving, static_cast<uint16_t>(th.disp - 1));
+    StoreSlot(hole, SlotPtr(t), static_cast<uint16_t>(th.disp - 1));
     ClearSlot(t);
     hole = t;
     t = Advance(t);
@@ -418,10 +416,6 @@ std::optional<size_t> RobinhoodTable::FindInRegion(const std::vector<uint8_t>& r
     }
   }
   return std::nullopt;
-}
-
-std::vector<RobinhoodTable::OverflowEntry> RobinhoodTable::ReadOverflow(size_t segment) const {
-  return overflow_[segment];
 }
 
 }  // namespace xenic::store

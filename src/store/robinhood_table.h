@@ -113,7 +113,7 @@ class RobinhoodTable {
   Status Erase(Key key);
 
   std::optional<LookupResult> Lookup(Key key) const;
-  bool Contains(Key key) const { return Lookup(key).has_value(); }
+  bool Contains(Key key) const;
   std::optional<Seq> GetSeq(Key key) const;
 
   // Every stored key, table slots in slot order then overflow buckets in
@@ -143,10 +143,18 @@ class RobinhoodTable {
   // slightly larger read, never a missed key).
   uint16_t SegmentMaxDisp(size_t segment) const { return seg_max_disp_[segment]; }
   bool SegmentHasOverflow(size_t segment) const {
-    return segment < overflow_.size() && !overflow_[segment].empty();
+    return size_overflow_ != 0 && segment < overflow_.size() && !overflow_[segment].empty();
   }
   // Recompute exact per-segment displacement bounds (maintenance sweep).
   void TightenHints();
+
+  // Start fetching the cache lines an insert of `key` touches first: its
+  // home slot and its segment's displacement bound. No state changes.
+  void Prefetch(Key key) const {
+    const size_t home = HomeSlot(key);
+    __builtin_prefetch(SlotPtr(home));
+    __builtin_prefetch(&seg_max_disp_[SegmentOfSlot(home)]);
+  }
 
   // --- DMA-visible surface. ---
 
@@ -168,9 +176,11 @@ class RobinhoodTable {
     Seq seq;
     Value value;
   };
-  // Snapshot of a segment's overflow bucket (what a DMA read of the
+  // A segment's overflow bucket, read in place (what a DMA read of the
   // overflow page returns).
-  std::vector<OverflowEntry> ReadOverflow(size_t segment) const;
+  const std::vector<OverflowEntry>& ReadOverflow(size_t segment) const {
+    return overflow_[segment];
+  }
 
   // Large-object heap (second-hop DMA reads).
   const LargeObjectHeap& heap() const { return heap_; }
@@ -198,18 +208,16 @@ class RobinhoodTable {
   bool Occupied(size_t slot) const { return (Header(slot).flags & kSlotOccupied) != 0; }
   size_t Advance(size_t slot) const { return (slot + 1) & mask_; }
 
-  // Write a full element into a slot (header + inline value area).
-  struct Element {
-    SlotHeader header;
-    std::vector<uint8_t> value_area;  // slot_size - sizeof(SlotHeader) bytes
-  };
-  Element LoadElement(size_t slot) const;
-  void StoreElement(size_t slot, const Element& e, uint16_t disp);
+  // Copy a full slot image (header + inline value area) into `slot`,
+  // setting its displacement. `bytes` is another slot or the scratch slot.
+  void StoreSlot(size_t slot, const uint8_t* bytes, uint16_t disp);
   void ClearSlot(size_t slot);
 
-  // Encode a logical value into a slot's inline area, allocating in the
-  // heap when the table uses large values. Returns flags to set.
-  uint16_t EncodeValueArea(const Value& value, std::vector<uint8_t>& area);
+  // Copy a value's leading bytes into an inline value area.
+  void CopyInline(uint8_t* area, const Value& value) const;
+  // Encode a new element into the scratch slot, placing the value in the
+  // heap when the table uses large values.
+  void EncodeScratch(Key key, Seq seq, const Value& value);
   void FreeSlotPayload(size_t slot);
 
   // Find the table slot holding `key`, if any.
@@ -231,6 +239,10 @@ class RobinhoodTable {
   size_t num_segments_;
 
   std::unique_ptr<uint8_t[]> data_;
+  // One slot image that Robinhood inserts and overflow pulls build the new
+  // element in, and the insert's swap chain; both reused by every insert.
+  std::unique_ptr<uint8_t[]> scratch_;
+  std::vector<size_t> chain_;
   std::vector<std::vector<OverflowEntry>> overflow_;
   std::vector<uint16_t> seg_max_disp_;
   LargeObjectHeap heap_;

@@ -3,10 +3,15 @@
 #ifndef SRC_STORE_TYPES_H_
 #define SRC_STORE_TYPES_H_
 
+#include <algorithm>
+#include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <new>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "src/common/rng.h"
 
@@ -20,16 +25,110 @@ using TxnId = uint64_t;  // (node index << 40) | sequence number
 
 constexpr TxnId kNoTxn = 0;
 
-// Value bytes. Values are small (4-660 B in the paper's workloads); a
-// vector keeps the code simple and the copies honest (the simulator moves
-// real bytes on every modeled DMA).
-using Value = std::vector<uint8_t>;
+// Value bytes: an 8-byte copy-on-write handle to one heap block holding
+// the size and the bytes. Values are small (4-660 B in the paper's
+// workloads) but travel far: one loaded row sits in three replicas' host
+// tables and NIC caches, and one written value rides the coordinator's
+// write set, every LOG and COMMIT record and the pending-read index. A
+// copy shares the block and reads never change it; mutable_data(), the
+// only writer, first detaches a shared block, so a write through one copy
+// never shows through another. Wire and DMA sizes are computed from
+// size(), so sharing moves no modeled number. The reference count is
+// atomic, as in std::shared_ptr, because sweep points run on parallel
+// threads. An empty value holds no block.
+class Value {
+ public:
+  Value() noexcept = default;
+  Value(size_t size, uint8_t fill) : block_(Block::Make(size)) {
+    if (block_ != nullptr) {
+      std::memset(block_->bytes(), fill, size);
+    }
+  }
+  template <std::forward_iterator It>
+  Value(It first, It last) : block_(Block::Make(static_cast<size_t>(std::distance(first, last)))) {
+    if (block_ != nullptr) {
+      std::copy(first, last, block_->bytes());
+    }
+  }
+  Value(const Value& other) noexcept : block_(other.block_) {
+    if (block_ != nullptr) {
+      ++block_->refs;
+    }
+  }
+  Value(Value&& other) noexcept : block_(std::exchange(other.block_, nullptr)) {}
+  Value& operator=(const Value& other) noexcept {
+    Value(other).swap(*this);
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    Value(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~Value() { Release(block_); }
+
+  void swap(Value& other) noexcept { std::swap(block_, other.block_); }
+
+  const uint8_t* data() const { return block_ != nullptr ? block_->bytes() : nullptr; }
+  size_t size() const { return block_ != nullptr ? block_->size : 0; }
+  bool empty() const { return block_ == nullptr; }
+  uint8_t operator[](size_t i) const {
+    assert(i < size());
+    return data()[i];
+  }
+  const uint8_t* begin() const { return data(); }
+  const uint8_t* end() const { return data() + size(); }
+  // Handles sharing this value's block (0 when empty).
+  uint32_t use_count() const {
+    return block_ != nullptr ? block_->refs.load() : 0;
+  }
+
+  // The one writer: detaches a shared block (copying its bytes) so the
+  // caller owns the bytes it is about to change.
+  uint8_t* mutable_data() {
+    if (block_ != nullptr && block_->refs.load() != 1) {
+      Value(begin(), end()).swap(*this);
+    }
+    return block_ != nullptr ? block_->bytes() : nullptr;
+  }
+
+  friend bool operator==(const Value& a, const Value& b) {
+    return a.block_ == b.block_ ||
+           (a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0);
+  }
+
+ private:
+  struct Block {
+    std::atomic<uint32_t> refs;
+    uint32_t size;
+    uint8_t* bytes() { return reinterpret_cast<uint8_t*>(this + 1); }
+
+    static Block* Make(size_t size) {
+      if (size == 0) {
+        return nullptr;
+      }
+      assert(size <= UINT32_MAX);
+      return new (::operator new(sizeof(Block) + size)) Block{{1}, static_cast<uint32_t>(size)};
+    }
+  };
+  static_assert(sizeof(Block) == 8);
+
+  static void Release(Block* b) {
+    if (b != nullptr && --b->refs == 0) {
+      b->~Block();
+      ::operator delete(b);
+    }
+  }
+
+  Block* block_ = nullptr;
+};
+static_assert(sizeof(Value) == 8);
 
 inline Value MakeValue(size_t size, uint8_t fill) { return Value(size, fill); }
 
 // Encode a uint64 into the first 8 bytes of a value (workload payloads).
 inline void PutU64(Value& v, size_t offset, uint64_t x) {
-  std::memcpy(v.data() + offset, &x, sizeof(x));
+  assert(offset + sizeof(x) <= v.size());
+  std::memcpy(v.mutable_data() + offset, &x, sizeof(x));
 }
 inline uint64_t GetU64(const Value& v, size_t offset) {
   uint64_t x = 0;

@@ -36,6 +36,10 @@ XenicCluster::~XenicCluster() {
 void XenicCluster::LoadReplicated(store::TableId table, store::Key key,
                                   const store::Value& value, store::Seq seq) {
   const NodeId primary = map_.PrimaryOf(table, key);
+  stores_[primary]->PrefetchLoad(table, key);
+  for (NodeId b : repl_.BackupsOf(primary)) {
+    stores_[b]->PrefetchLoad(table, key);
+  }
   stores_[primary]->Load(table, key, value, seq);
   for (NodeId b : repl_.BackupsOf(primary)) {
     stores_[b]->Load(table, key, value, seq);

@@ -41,9 +41,10 @@ std::vector<TableDef> Smallbank::Tables() const {
 }
 
 void Smallbank::Load(const LoadFn& load) {
+  const Value initial = Bal(kInitialBalance);  // shared by every account
   for (uint64_t a = 0; a < total_accounts_; ++a) {
-    load(kSavings, a, Bal(kInitialBalance));
-    load(kChecking, a, Bal(kInitialBalance));
+    load(kSavings, a, initial);
+    load(kChecking, a, initial);
   }
 }
 

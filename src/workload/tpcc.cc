@@ -12,7 +12,7 @@ using store::GetU64;
 using store::PutI64;
 using store::PutU64;
 
-// Row field offsets (values are byte vectors; fields are u64/i64 slots).
+// Row field offsets (fields are u64/i64 slots of the value's bytes).
 // WAREHOUSE: [0] w_ytd.
 // DISTRICT:  [0] d_ytd, [8] d_next_o_id.
 // CUSTOMER:  [0] c_balance, [8] c_ytd_payment, [16] c_payment_cnt,
@@ -66,8 +66,9 @@ Value MakeOrderPack(uint64_t dkey, uint64_t c, const std::vector<Value>& lines) 
   PutU64(v, 0, dkey);
   PutU64(v, 8, c);
   PutU64(v, 16, lines.size());
+  uint8_t* out = v.mutable_data();
   for (size_t i = 0; i < lines.size(); ++i) {
-    std::copy(lines[i].begin(), lines[i].end(), v.begin() + 24 + static_cast<ptrdiff_t>(32 * i));
+    std::copy(lines[i].begin(), lines[i].end(), out + 24 + 32 * i);
   }
   return v;
 }
@@ -134,11 +135,22 @@ std::vector<TableDef> Tpcc::Tables() const {
 void Tpcc::Load(const LoadFn& load) {
   Rng rng(0xC0FFEE);
   const uint32_t init_orders = options_.initial_orders_per_district;
-  std::vector<uint64_t> line_items;
+  // Every distinct initial row is built once and shared by all the keys
+  // (and replicas) that start with it; a transaction's write replaces a
+  // row, it never edits one in place.
+  const Value warehouse = WarehouseRow();
+  const Value district = DistrictRow(init_orders + 1);
+  const Value customer = CustomerRow(0);
+  const Value new_order(8, 0);
+  std::vector<Value> stock;  // indexed by initial quantity, 10..100
+  for (int64_t q = 0; q <= 100; ++q) {
+    stock.push_back(StockRow(q));
+  }
+  std::vector<Value> line_rows;
   for (uint64_t w = 1; w <= total_warehouses_; ++w) {
-    load(kWarehouse, WKey(w), WarehouseRow());
+    load(kWarehouse, WKey(w), warehouse);
     for (uint64_t item = 1; item <= options_.items; ++item) {
-      load(kStock, SKey(w, item), StockRow(static_cast<int64_t>(10 + rng.NextBounded(91))));
+      load(kStock, SKey(w, item), stock[10 + rng.NextBounded(91)]);
     }
     // Replica chain for the local (B+tree) tables mirrors the Robinhood
     // replication: primary + the next replication-1 nodes. We conservatively
@@ -146,9 +158,9 @@ void Tpcc::Load(const LoadFn& load) {
     // up; the hook keeps them in sync afterwards.
     for (uint64_t d = 1; d <= options_.districts_per_warehouse; ++d) {
       const uint64_t dkey = DKey(w, d);
-      load(kDistrict, dkey, DistrictRow(init_orders + 1));
+      load(kDistrict, dkey, district);
       for (uint64_t c = 1; c <= options_.customers_per_district; ++c) {
-        load(kCustomer, CKey(w, d, c), CustomerRow(0));
+        load(kCustomer, CKey(w, d, c), customer);
       }
       for (uint32_t n = 0; n < options_.num_nodes; ++n) {
         locals_[n]->next_o[dkey] = init_orders + 1;
@@ -159,22 +171,21 @@ void Tpcc::Load(const LoadFn& load) {
         const uint64_t c = 1 + rng.NextBounded(options_.customers_per_district);
         const uint64_t ol_cnt = 5 + rng.NextBounded(6);
         const bool undelivered = o > init_orders * 7 / 10;
-        // Each line's item is drawn once, so every node's copy of the
-        // order is the same.
-        line_items.clear();
+        // Each order's rows are built once and every node's copy shares them.
+        const Value order = OrderRow(c, ol_cnt, !undelivered);
+        line_rows.clear();
         for (uint64_t l = 1; l <= ol_cnt; ++l) {
-          line_items.push_back(1 + rng.NextBounded(options_.items));
+          const uint64_t item = 1 + rng.NextBounded(options_.items);
+          line_rows.push_back(OrderLineRow(item, w, 5, item_price_[item] * 5));
         }
         for (uint32_t n = 0; n < options_.num_nodes; ++n) {
           LocalState& ls = *locals_[n];
-          ls.orders.Put(OrderKey(dkey, o), OrderRow(c, ol_cnt, !undelivered));
+          ls.orders.Put(OrderKey(dkey, o), order);
           if (undelivered) {
-            ls.new_orders.Put(OrderKey(dkey, o), Value(8, 0));
+            ls.new_orders.Put(OrderKey(dkey, o), new_order);
           }
           for (uint64_t l = 1; l <= ol_cnt; ++l) {
-            const uint64_t item = line_items[l - 1];
-            ls.order_lines.Put(OlKey(dkey, o, l),
-                               OrderLineRow(item, w, 5, item_price_[item] * 5));
+            ls.order_lines.Put(OlKey(dkey, o, l), line_rows[l - 1]);
           }
         }
       }

@@ -34,8 +34,9 @@ std::vector<TableDef> Ycsb::Tables() const {
 }
 
 void Ycsb::Load(const LoadFn& load) {
+  const Value initial = Payload(options_.value_size, 0);  // shared by every key
   for (uint64_t k = 0; k < total_keys_; ++k) {
-    load(kMain, k, Payload(options_.value_size, 0));
+    load(kMain, k, initial);
   }
 }
 

@@ -3,74 +3,24 @@
 // must not allocate at all; and XenicNode's remote transaction rounds,
 // whose remaining allocations are the data a transaction carries.
 //
-// This executable replaces the global operator new with a counting one.
-// Each test first runs its scenario a few times, which sizes the
-// components' slot tables, the frame pool and the engine's calendar wheel,
-// and then runs it once more inside a counted window. The callbacks under
+// This executable replaces the global operator new with a counting one
+// (alloc_counter.h). Each test first runs its scenario a few times, which
+// sizes the components' slot tables, the frame pool and the engine's
+// calendar wheel, and then runs it once more inside a counted window. The callbacks under
 // test capture at most 32 bytes, so they stay inline in SmallCallback.
 // gtest assertions allocate, so they stay outside the counted window.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "src/nicmodel/rdma_nic.h"
 #include "src/nicmodel/smart_nic.h"
 #include "src/sim/resource.h"
 #include "src/txn/xenic_cluster.h"
-
-namespace {
-
-uint64_t g_allocs = 0;
-
-void* CountedAlloc(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* CountedAlignedAlloc(std::size_t n, std::align_val_t align) {
-  ++g_allocs;
-  void* p = nullptr;
-  const std::size_t a = static_cast<std::size_t>(align) < sizeof(void*)
-                            ? sizeof(void*)
-                            : static_cast<std::size_t>(align);
-  if (posix_memalign(&p, a, n == 0 ? 1 : n) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return CountedAlloc(n); }
-void* operator new[](std::size_t n) { return CountedAlloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) { return CountedAlignedAlloc(n, a); }
-void* operator new[](std::size_t n, std::align_val_t a) { return CountedAlignedAlloc(n, a); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
-  return std::malloc(n == 0 ? 1 : n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
-  return std::malloc(n == 0 ? 1 : n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace xenic {
 namespace {
@@ -99,9 +49,9 @@ uint64_t AllocsAfterWarmup(Round&& round) {
   for (int i = 0; i < kWarmupRounds; ++i) {
     round();
   }
-  const uint64_t before = g_allocs;
+  const uint64_t before = OperatorNewCalls();
   round();
-  return g_allocs - before;
+  return OperatorNewCalls() - before;
 }
 
 TEST(HotPathAllocTest, ResourceGrantsImmediateAndQueued) {
@@ -256,10 +206,10 @@ struct TxnFixture {
       txn::CommitCallback done = [&committed](txn::TxnResult res) {
         committed = res.outcome == txn::TxnOutcome::kCommitted;
       };
-      const uint64_t before = g_allocs;
+      const uint64_t before = OperatorNewCalls();
       cluster->node(0).Submit(std::move(r), std::move(done));
       cluster->engine().RunFor(100 * sim::kNsPerUs);
-      best = std::min(best, g_allocs - before);
+      best = std::min(best, OperatorNewCalls() - before);
       EXPECT_TRUE(committed);
     }
     return best;
@@ -278,11 +228,12 @@ txn::TxnRequest ReadOnly(const std::vector<store::Key>& keys) {
   return req;
 }
 
-TEST(HotPathAllocTest, RemoteReadKeyCostsOnlyItsValueCopy) {
+TEST(HotPathAllocTest, RemoteReadKeyAllocatesNothing) {
   // One EXECUTE round at node 1 that commits on its snapshot. Per read key
-  // the server copies the value out of its NIC index (one allocation); the
-  // reply moves it into the coordinator's read set. Everything else -- the
-  // request slot's vectors, the DMA fan-in, the reply -- is reused.
+  // the server shares the value's block out of its NIC index, and the
+  // reply moves that handle into the coordinator's read set, so another
+  // key costs no allocation. Everything else -- the request slot's
+  // vectors, the DMA fan-in, the reply -- is reused.
   TxnFixture f(2, 1);
   const std::vector<store::Key> keys = f.LoadOn(1, 4);
   for (int i = 0; i < kWarmupRounds; ++i) {
@@ -294,7 +245,7 @@ TEST(HotPathAllocTest, RemoteReadKeyCostsOnlyItsValueCopy) {
   for (size_t n = 2; n <= keys.size(); ++n) {
     const uint64_t cur =
         f.Allocs(ReadOnly({keys.begin(), keys.begin() + static_cast<ptrdiff_t>(n)}));
-    EXPECT_EQ(cur, prev + 1) << n << " keys";
+    EXPECT_EQ(cur, prev) << n << " keys";
     prev = cur;
   }
 }
@@ -303,12 +254,14 @@ TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
   // A read-modify-write of one key on each of nodes 1 and 2 (replication
   // 2): two EXECUTEs, one LOG per shard to its backup, two COMMITs. What
   // still allocates is the data the transaction carries, not the protocol:
-  // the TxnState and its six vectors plus its entry in the state table;
-  // the two value copies read at the servers and the two written by the
-  // transaction; each LOG record (vector and value); the COMMIT slots'
-  // value copies and each server's commit-record copy; the log appends'
-  // pending-index copies; the reported-commit entry; and the host log
-  // workers' applies.
+  // the TxnState, its five key-set vectors and its entry in the state
+  // table; the locked-shard list, grown once per shard; the two values the
+  // transaction writes; the LOG ack set and each LOG record's write
+  // vector; each backup's applied-record entry; the reported-commit entry
+  // and the outcome report; each server's commit-record write vector; and
+  // each commit write's pending-index entry (map node and vector). No
+  // value is copied: reads, LOG and COMMIT records and the pending index
+  // share the blocks.
   TxnFixture f(3, 2);
   const store::Key a = f.LoadOn(1, 1)[0];
   const store::Key b = f.LoadOn(2, 1)[0];
@@ -324,7 +277,7 @@ TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
   for (int i = 0; i < kWarmupRounds; ++i) {
     f.Allocs(req);
   }
-  EXPECT_LE(f.Allocs(req), 36u);
+  EXPECT_LE(f.Allocs(req), 24u);
 }
 
 }  // namespace

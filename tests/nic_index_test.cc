@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "src/common/rng.h"
 
 namespace xenic::store {
@@ -235,6 +238,83 @@ TEST(NicIndexTest, EvictionRespectsBudgetAndPins) {
   auto r = f.index->LookupRemote(keys[0], &s);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->value, V(2, 64));
+}
+
+TEST(NicIndexTest, OverflowPositionsKeepPositionOrderUnderEviction) {
+  // Six keys homed in segment 0 take its four inline ways and two overflow
+  // positions; then a budget of six 16-byte objects (64 B each) makes every
+  // admission evict one object. The expected victims and orders are a
+  // hand-computed trace of the CLOCK hand, which walks positions in order
+  // (inline ways, then overflow) from segment 0, skipping locked and
+  // pinned objects and clearing set reference bits.
+  NicIndex::Options opts;
+  opts.memory_budget = 6 * 64;
+  Fixture f(/*dm=*/8, /*value_size=*/16, opts);
+  auto keys_in = [&](size_t segment, size_t n) {
+    std::vector<Key> out;
+    for (Key k = 0; out.size() < n; ++k) {
+      if (f.host->SegmentOfKey(k) == segment) {
+        out.push_back(k);
+      }
+    }
+    return out;
+  };
+  const std::vector<Key> a = keys_in(0, 8);
+  const std::vector<Key> b = keys_in(1, 5);
+  NicIndex& index = *f.index;
+  // Admits `key` and checks the eviction it causes, if any.
+  auto admit = [&](Key key, uint8_t fill, std::optional<Key> victim) {
+    const uint64_t before = index.evictions();
+    index.AdmitOnLoad(key, V(fill), 1);
+    EXPECT_EQ(index.evictions(), before + (victim ? 1 : 0)) << "admitting " << key;
+    if (victim) {
+      EXPECT_FALSE(index.IsCached(*victim)) << "admitting " << key;
+    }
+  };
+
+  for (size_t i = 0; i < 6; ++i) {
+    admit(a[i], static_cast<uint8_t>(i), std::nullopt);  // positions 0-5
+  }
+  ASSERT_TRUE(index.AcquireLock(a[1], 7).ok());
+  index.ApplyCommit(a[2], V(20), 2);              // pinned, reference bit set
+  ASSERT_TRUE(index.LookupRemote(a[3], nullptr).has_value());  // reference bit set
+
+  admit(b[0], 30, a[0]);
+  admit(b[1], 31, a[4]);  // skips locked a1, pinned a2, clears a3's bit
+  admit(b[2], 32, a[5]);
+  index.OnHostApplied(a[2], 0, false);
+  admit(a[6], 6, b[0]);  // takes segment 0's first free position, 0
+  admit(a[7], 7, b[1]);  // takes overflow position 4
+  ASSERT_TRUE(index.AcquireLock(b[3], 9).ok());  // metadata only: 48 B
+  // Ensure's make-room pass evicts b2; the admission then walks past the
+  // rest of segment 1 and every empty segment back to a6.
+  {
+    const uint64_t before = index.evictions();
+    index.AdmitOnLoad(b[4], V(34), 1);
+    EXPECT_EQ(index.evictions(), before + 2);
+    EXPECT_FALSE(index.IsCached(b[2]));
+    EXPECT_FALSE(index.IsCached(a[6]));
+  }
+
+  EXPECT_EQ(index.evictions(), 7u);
+  EXPECT_EQ(index.cached_objects(), 6u);
+  EXPECT_EQ(index.cached_bytes(), 5u * 64 + 48);
+  const std::vector<NicIndex::CachedEntry> cached = index.CachedEntries();
+  const std::vector<Key> want_cached = {a[1], a[2], a[3], a[7], b[4]};
+  ASSERT_EQ(cached.size(), want_cached.size());
+  for (size_t i = 0; i < cached.size(); ++i) {
+    EXPECT_EQ(cached[i].key, want_cached[i]) << i;
+  }
+  EXPECT_TRUE(cached[0].locked);
+  EXPECT_EQ(*cached[1].value, V(20));
+  EXPECT_EQ(cached[1].seq, 2u);
+  EXPECT_FALSE(cached[1].pinned);
+  const std::vector<NicIndex::LockedKey> locked = index.LockedKeys();
+  ASSERT_EQ(locked.size(), 2u);
+  EXPECT_EQ(locked[0].key, a[1]);
+  EXPECT_EQ(locked[0].owner, 7u);
+  EXPECT_EQ(locked[1].key, b[3]);
+  EXPECT_EQ(locked[1].owner, 9u);
 }
 
 TEST(NicIndexTest, CacheDisabledNeverAdmits) {

@@ -34,9 +34,10 @@ TEST_P(RobinhoodChurnTest, MatchesOracleUnderChurn) {
   const size_t target = static_cast<size_t>(p.occupancy * t.capacity());
 
   auto random_value = [&] {
-    Value v(p.value_size);
-    for (auto& b : v) {
-      b = static_cast<uint8_t>(rng.Next());
+    Value v(p.value_size, 0);
+    uint8_t* bytes = v.mutable_data();
+    for (size_t i = 0; i < v.size(); ++i) {
+      bytes[i] = static_cast<uint8_t>(rng.Next());
     }
     return v;
   };

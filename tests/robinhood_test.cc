@@ -234,6 +234,20 @@ TEST(RobinhoodTest, LargeValuesIndirectThroughHeap) {
   EXPECT_EQ(t.heap().live_objects(), 0u);
 }
 
+TEST(RobinhoodTest, LargeValuesHeapHoldsExactlyTheTableSlots) {
+  // With Dm = 2 many inserts overflow, some directly (no resident to swap
+  // with) and some by displacing a resident. Overflowed objects keep their
+  // value in the bucket, so the heap holds one object per table slot.
+  RobinhoodTable t(SmallOpts(8, 300, 2));
+  Rng rng(3);
+  while (t.size() < 200) {
+    (void)t.Insert(rng.Next(), V(static_cast<uint8_t>(t.size()), 300));
+  }
+  ASSERT_GT(t.overflow_size(), 0u);
+  EXPECT_EQ(t.heap().live_objects(), t.size() - t.overflow_size());
+  EXPECT_EQ(t.heap().live_bytes(), 300u * (t.size() - t.overflow_size()));
+}
+
 TEST(RobinhoodTest, LargeValueVisibleThroughRegionRead) {
   RobinhoodTable t(SmallOpts(10, 600, 8));
   Value big(600, 0x11);

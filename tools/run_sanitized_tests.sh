@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the tree with AddressSanitizer + UndefinedBehaviorSanitizer and runs
-# the tier-1 test suite plus one short chaos schedule under it. The chaos
-# harness stresses exactly the paths sanitizers are good at catching --
-# crash teardown, log reclamation, NIC-index eviction -- so a seed runs here
-# even though the full chaos matrix would be too slow when instrumented.
+# the tier-1 test suite plus one short chaos schedule under it, on Xenic and
+# on DrTM+H. The chaos harness stresses exactly the paths sanitizers are
+# good at catching -- crash teardown, log reclamation, NIC-index eviction --
+# so a seed runs here even though the full chaos matrix would be too slow
+# when instrumented.
 #
 # Usage: tools/run_sanitized_tests.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -21,6 +22,8 @@ export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" -LE chaos
 
 # One instrumented chaos schedule: crash + recovery + storms + wire faults.
+# The DrTM+H run puts the baselines' ChainedStore under the sanitizers too.
 "$BUILD_DIR"/tools/chaos_runner --seed 1 --horizon-us 300
+"$BUILD_DIR"/tools/chaos_runner --seed 1 --system drtmh --horizon-us 300
 
 echo "sanitized run OK"
