@@ -1,9 +1,6 @@
 #include "src/chaos/fault_plan.h"
 
-#include "src/repl/failover.h"
-
 #include <algorithm>
-#include <cassert>
 
 namespace xenic::chaos {
 
@@ -63,13 +60,7 @@ FaultInjector::FaultInjector(harness::SystemAdapter& system, const FaultSpec& sp
       spec_(spec),
       seed_(seed),
       epoch_(epoch),
-      wire_rng_(ScrambleKey(PlanSeed(seed, epoch))) {
-  if (txn::XenicCluster* cluster = system_.xenic_cluster()) {
-    manager_ = std::make_unique<txn::ClusterManager>(&cluster->engine(), cluster->size(),
-                                                     spec_.detection_delay);
-    base_partitioner_ = cluster->map().partitioner;
-  }
-}
+      wire_rng_(ScrambleKey(PlanSeed(seed, epoch))) {}
 
 bool FaultInjector::NodeCrashed(store::NodeId n) const {
   if (txn::XenicCluster* cluster = system_.xenic_cluster()) {
@@ -137,7 +128,7 @@ void FaultInjector::Fire(const FaultEvent& ev) {
 
 void FaultInjector::CrashNode(store::NodeId victim) {
   txn::XenicCluster* cluster = system_.xenic_cluster();
-  if (cluster == nullptr || manager_ == nullptr) {
+  if (cluster == nullptr) {
     stats_.crashes_skipped++;  // baseline systems have no crash support
     return;
   }
@@ -147,78 +138,28 @@ void FaultInjector::CrashNode(store::NodeId victim) {
   }
   // Keep a quorum: enough survivors for the configured commit point (and
   // for the recovery scan to read from), and at least one live backup of
-  // the victim for DetectAndRecover to promote.
-  uint32_t live = 0;
-  for (store::NodeId n = 0; n < cluster->size(); ++n) {
-    live += cluster->node(n).crashed() ? 0 : 1;
-  }
-  if (!cluster->repl().CrashAllowed(live)) {
+  // the victim for the failover to promote.
+  if (!cluster->repl().CrashAllowed(static_cast<uint32_t>(cluster->LiveNodes().size()))) {
     stats_.crashes_skipped++;
     return;
   }
-  bool has_live_backup = false;
-  for (store::NodeId b : cluster->repl().BackupsOf(victim)) {
-    has_live_backup |= !cluster->node(b).crashed();
-  }
-  if (!has_live_backup) {
+  if (!cluster->FirstLiveBackup(victim)) {
     stats_.crashes_skipped++;  // replication 1 (or all backups dead)
     return;
   }
   cluster->node(victim).Crash();
-  manager_->MarkFailed(victim);
   stats_.crashes++;
   system_.engine().ScheduleAfter(spec_.detection_delay,
                                  [this, victim] { DetectAndRecover(victim); });
 }
 
 void FaultInjector::DetectAndRecover(store::NodeId victim) {
-  txn::XenicCluster* cluster = system_.xenic_cluster();
-  // Promote the first live backup of the failed primary.
-  store::NodeId promoted = victim;
-  for (store::NodeId b : cluster->repl().BackupsOf(victim)) {
-    if (!cluster->node(b).crashed()) {
-      promoted = b;
-      break;
-    }
-  }
-  assert(promoted != victim && "no live backup to promote");
-
-  // Order matters: resolve wedged transactions at live coordinators first
-  // (commit the provably-replicated, abort + tombstone the rest), then
-  // recover the failed shard and the failed coordinator's leftovers against
-  // the pre-failure map, and only then swap the remap in.
-  txn::EpochSweepReport sweep = txn::SweepWedgedTxns(*cluster, victim);
-  stats_.sweep_committed += sweep.committed;
-  stats_.sweep_aborted += sweep.aborted;
-
-  txn::RecoveryReport shard =
-      txn::RecoverShard(*cluster, victim, promoted, sweep.committed_txns);
-  stats_.rolled_forward += shard.rolled_forward;
-  stats_.discarded += shard.discarded;
-
-  txn::CoordinatorSweepReport coord = txn::RecoverCoordinatorLocks(*cluster, victim);
-  stats_.rolled_forward += coord.rolled_forward;
-  stats_.discarded += coord.discarded;
-  stats_.locks_released += coord.locks_released;
-
-  // Re-replicate while the map still routes the victim's keys here: the
-  // recovered state (backup base + the eager-applied in-doubt tail) is
-  // now authoritative at `promoted`, and fan-out for these shards will
-  // follow promoted's OWN backup chain from the flip on -- a chain that
-  // never held the base snapshot.
-  repl::TransferShardState(*cluster, promoted, victim, promoted);
-
-  // Chain-collapsing insert: a promotion chain ending at `victim` (an
-  // earlier handoff or crash that moved a shard HERE) must follow the new
-  // primary, or the one-hop routing table keeps sending that shard to the
-  // dead node.
-  repl::RecordPromotion(&promotions_, victim, promoted);
-  remapped_ = std::make_unique<txn::RemappedPartitioner>(base_partitioner_, promotions_);
-  cluster->mutable_map().partitioner = remapped_.get();
-  // Evict the dead node from the membership view last: the sweep and the
-  // recovery scans above reason about the pre-failure replica chains, but
-  // from here on LOG fan-out must not wait on the dead backup's ack.
-  cluster->mutable_map().MarkFailed(victim);
+  const txn::CrashReport r = txn::CrashFailover(*system_.xenic_cluster(), victim);
+  stats_.sweep_committed += r.sweep_committed;
+  stats_.sweep_aborted += r.sweep_aborted;
+  stats_.rolled_forward += r.rolled_forward + r.coord_rolled_forward;
+  stats_.discarded += r.discarded + r.coord_discarded;
+  stats_.locks_released += r.locks_released;
 }
 
 void FaultInjector::PlannedHandoffAt(store::NodeId victim) {
@@ -227,8 +168,7 @@ void FaultInjector::PlannedHandoffAt(store::NodeId victim) {
     stats_.handoffs_skipped++;  // baseline systems have no handoff support
     return;
   }
-  repl::HandoffReport r = repl::PlannedHandoff(*cluster, victim, base_partitioner_,
-                                               &promotions_, &remapped_);
+  const txn::HandoffReport r = txn::PlannedHandoff(*cluster, victim);
   if (!r.performed) {
     stats_.handoffs_skipped++;
     return;

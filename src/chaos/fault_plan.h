@@ -17,15 +17,12 @@
 //    nothing (the simulator's message closures are single-shot, which
 //    models receiver-side transport dedup).
 //  - A crash is fail-stop: the node's NIC state (locks, in-flight work) is
-//    gone; detection fires after `detection_delay` and runs the epoch
-//    sweep, shard recovery, coordinator-lock recovery, and the partitioner
-//    remap, in that order.
+//    gone; detection fires after `detection_delay` and runs the crash
+//    failover (txn::CrashFailover).
 
 #ifndef SRC_CHAOS_FAULT_PLAN_H_
 #define SRC_CHAOS_FAULT_PLAN_H_
 
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -47,7 +44,7 @@ struct FaultSpec {
   uint32_t crashes = 0;           // fail-stop node crashes (with recovery)
   uint32_t eviction_storms = 0;   // NIC-index cache wipe on one node
   uint32_t stall_windows = 0;     // commit-log back-pressure: workers stopped
-  // Planned lease handoffs (repl::PlannedHandoff): the victim stays live,
+  // Planned lease handoffs (txn::PlannedHandoff): the victim stays live,
   // its primary role moves to an up-to-date backup with no sweep or scan.
   uint32_t planned_handoffs = 0;
   sim::Tick stall_duration = 60 * sim::kNsPerUs;
@@ -87,10 +84,10 @@ struct FaultPlan {
 
 // Arms a plan against a running system: schedules the planned events on the
 // sim engine and installs per-frame fault hooks on every wire channel.
-// Crash events drive the full recovery pipeline (ClusterManager::MarkFailed,
-// epoch sweep, RecoverShard, RecoverCoordinatorLocks, RemappedPartitioner
-// promotion) and are skipped for baseline systems, which have no crash
-// support -- wire faults, stalls, and storms apply everywhere.
+// Crash events run txn::CrashFailover after the detection delay, and
+// handoffs run txn::PlannedHandoff; both are skipped for baseline systems,
+// which have no failover support -- wire faults, stalls, and storms apply
+// everywhere.
 class FaultInjector {
  public:
   struct Stats {
@@ -104,7 +101,7 @@ class FaultInjector {
     uint64_t handoff_stragglers = 0;  // in-flight txns aborted by handoffs
     uint64_t sweep_committed = 0;
     uint64_t sweep_aborted = 0;
-    uint64_t rolled_forward = 0;  // RecoverShard + coordinator sweep
+    uint64_t rolled_forward = 0;  // shard recovery + coordinator sweep
     uint64_t discarded = 0;
     uint64_t locks_released = 0;
     uint64_t typed_drops = 0;  // messages hit by the typed-drop fault
@@ -140,11 +137,7 @@ class FaultInjector {
   FaultPlan plan_;
   Rng wire_rng_;
   Stats stats_;
-  std::unique_ptr<txn::ClusterManager> manager_;  // Xenic systems only
-  net::Transport* typed_target_ = nullptr;        // typed-drop hook location
-  std::map<store::NodeId, store::NodeId> promotions_;
-  std::unique_ptr<txn::RemappedPartitioner> remapped_;
-  const txn::Partitioner* base_partitioner_ = nullptr;
+  net::Transport* typed_target_ = nullptr;  // typed-drop hook location
 };
 
 }  // namespace xenic::chaos

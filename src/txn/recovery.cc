@@ -2,42 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
+#include <vector>
+
+#include "src/net/message.h"
 
 namespace xenic::txn {
-
-ClusterManager::ClusterManager(sim::Engine* engine, uint32_t num_nodes,
-                               sim::Tick lease_duration)
-    : engine_(engine),
-      lease_duration_(lease_duration),
-      lease_expiry_(num_nodes, lease_duration),
-      failed_(num_nodes, false) {}
-
-void ClusterManager::RenewLease(NodeId node) {
-  if (!failed_[node]) {
-    lease_expiry_[node] = engine_->now() + lease_duration_;
-  }
-}
-
-bool ClusterManager::IsAlive(NodeId node) const {
-  return !failed_[node] && lease_expiry_[node] > engine_->now();
-}
-
-std::vector<NodeId> ClusterManager::ExpiredLeases() const {
-  std::vector<NodeId> out;
-  for (NodeId n = 0; n < lease_expiry_.size(); ++n) {
-    if (!failed_[n] && lease_expiry_[n] <= engine_->now()) {
-      out.push_back(n);
-    }
-  }
-  return out;
-}
-
-void ClusterManager::MarkFailed(NodeId node) {
-  if (!failed_[node]) {
-    failed_[node] = true;
-    epoch_++;
-  }
-}
 
 namespace {
 
@@ -58,14 +28,12 @@ struct TxnLogState {
   std::map<NodeId, ShardRecord> shards;  // keyed by the shard's primary
 };
 
-std::vector<NodeId> LiveNodes(XenicCluster& cluster, NodeId failed) {
-  std::vector<NodeId> out;
-  for (NodeId n = 0; n < cluster.size(); ++n) {
-    if (n != failed && !cluster.node(n).crashed()) {
-      out.push_back(n);
-    }
-  }
-  return out;
+// The log evidence of one failover, by transaction. Collected once; a step
+// that tombstones a transaction erases it, as a fresh scan would skip it.
+using Evidence = std::map<store::TxnId, TxnLogState>;
+
+bool Contains(const std::vector<NodeId>& nodes, NodeId n) {
+  return std::find(nodes.begin(), nodes.end(), n) != nodes.end();
 }
 
 // Which shard a record belongs to: the primary of its first write under the
@@ -78,9 +46,9 @@ NodeId ShardOfRecord(const ClusterMap& map, const store::LogRecord& rec) {
 // Scan every live node's log for unacknowledged LOG records, grouped by
 // transaction. Tombstoned records (epoch-aborted transactions) are dead and
 // excluded.
-std::map<store::TxnId, TxnLogState> CollectInFlight(XenicCluster& cluster, const ClusterMap& map,
-                                                    const std::vector<NodeId>& live) {
-  std::map<store::TxnId, TxnLogState> out;
+Evidence CollectEvidence(XenicCluster& cluster, const std::vector<NodeId>& live) {
+  const ClusterMap& map = cluster.map();
+  Evidence out;
   for (NodeId n : live) {
     auto& ds = cluster.datastore(n);
     for (const auto& rec : ds.log().Snapshot()) {
@@ -105,11 +73,8 @@ std::map<store::TxnId, TxnLogState> CollectInFlight(XenicCluster& cluster, const
   // versions on the promoted primary.
   for (auto& [txn, t] : out) {
     for (NodeId n : live) {
-      const auto& ds = cluster.datastore(n);
-      for (NodeId shard : ds.AppliedShardsOf(txn)) {
-        auto [it, inserted] = t.shards.try_emplace(shard);
-        (void)inserted;
-        it->second.appliers.push_back(n);
+      for (NodeId shard : cluster.datastore(n).AppliedShardsOf(txn)) {
+        t.shards[shard].appliers.push_back(n);
       }
     }
   }
@@ -147,27 +112,18 @@ bool AppliedAt(const store::Datastore& ds, const store::LogRecord& rec) {
 // at the default wait-for-all quorum this reduces to "every live backup
 // holds or applied it"). Exactly then may the coordinator have collected
 // its LOG acks and reported commit.
-bool IsComplete(XenicCluster& cluster, const TxnLogState& t,
-                const std::vector<NodeId>& live) {
+bool IsComplete(XenicCluster& cluster, const TxnLogState& t, const std::vector<NodeId>& live) {
   if (t.shards.size() < t.total_shards) {
     return false;
   }
   for (const auto& [shard, sr] : t.shards) {
     size_t evidence = 0;
     for (NodeId b : cluster.repl().BackupsOf(shard)) {
-      const bool is_live = std::find(live.begin(), live.end(), b) != live.end();
-      if (!is_live) {
-        // The dead backup's copy is unobservable: it may have acked before
-        // dying, so count it toward the coordinator's quorum (roll-forward
-        // of a maybe-reported transaction is the safe direction).
-        evidence++;
-        continue;
-      }
-      const bool holds =
-          std::find(sr.holders.begin(), sr.holders.end(), b) != sr.holders.end() ||
-          std::find(sr.appliers.begin(), sr.appliers.end(), b) != sr.appliers.end() ||
-          AppliedAt(cluster.datastore(b), sr.record);
-      if (holds) {
+      // The dead backup's copy is unobservable: it may have acked before
+      // dying, so count it toward the coordinator's quorum (roll-forward of
+      // a maybe-reported transaction is the safe direction).
+      if (!Contains(live, b) || Contains(sr.holders, b) || Contains(sr.appliers, b) ||
+          AppliedAt(cluster.datastore(b), sr.record)) {
         evidence++;
       }
     }
@@ -178,127 +134,143 @@ bool IsComplete(XenicCluster& cluster, const TxnLogState& t,
   return true;
 }
 
-// Apply one write at `ds` if newer, refreshing the NIC index so cached
-// copies and location hints cannot go stale.
-void ApplyRecoveredWrite(store::Datastore& ds, const store::LogWrite& w) {
+// The one seq-guarded recovery write: apply `w` at `ds` only if it is newer
+// than what `ds` holds, then drop the NIC's cached copy and refresh the
+// segment hint so lookups refill from the host table. Returns whether it
+// wrote.
+bool WriteIfNewer(store::Datastore& ds, const store::LogWrite& w) {
   if (w.table >= ds.num_tables()) {
-    return;  // workload-managed state is rebuilt by workload-level recovery
+    return false;  // workload-managed state is rebuilt by workload-level recovery
   }
   auto& t = ds.table(w.table);
-  const auto current = t.GetSeq(w.key).value_or(0);
-  if (w.seq > current) {
-    if (w.is_delete) {
-      t.Erase(w.key);
-    } else {
-      t.Apply(w.key, w.value, w.seq);
-    }
-    ds.index(w.table).Invalidate(w.key);
-    const size_t seg = t.SegmentOfKey(w.key);
-    ds.index(w.table).UpdateHint(seg, t.SegmentMaxDisp(seg), t.SegmentHasOverflow(seg));
+  if (w.seq <= t.GetSeq(w.key).value_or(0)) {
+    return false;
   }
+  if (w.is_delete) {
+    t.Erase(w.key);
+  } else {
+    t.Apply(w.key, w.value, w.seq);
+  }
+  ds.index(w.table).Invalidate(w.key);
+  const size_t seg = t.SegmentOfKey(w.key);
+  ds.index(w.table).UpdateHint(seg, t.SegmentMaxDisp(seg), t.SegmentHasOverflow(seg));
+  return true;
 }
 
-}  // namespace
+// The promoted node's NIC cache was never maintained by the commit
+// protocol for the shard it takes over (a backup's NIC serves no lookups):
+// drop those entries so lookups refill from the host tables. Returns
+// entries dropped.
+size_t DropCachedShard(XenicCluster& cluster, NodeId promoted, NodeId shard) {
+  size_t dropped = 0;
+  auto& ds = cluster.datastore(promoted);
+  for (store::TableId t = 0; t < ds.num_tables(); ++t) {
+    for (const auto& e : ds.index(t).CachedEntries()) {
+      if (cluster.map().PrimaryOf(t, e.key) == shard) {
+        ds.index(t).Invalidate(e.key);
+        dropped++;
+      }
+    }
+  }
+  return dropped;
+}
 
-EpochSweepReport SweepWedgedTxns(XenicCluster& cluster, NodeId failed) {
-  EpochSweepReport report;
-  const ClusterMap& map = cluster.map();
-  const std::vector<NodeId> live = LiveNodes(cluster, failed);
+// Abort a wedged transaction across the cluster, exactly once: tombstone
+// its records on every live node (no backup may apply them, and no
+// recovery scan may roll them forward), release its keys at their
+// primaries (shipped transactions lock read keys at the remote executor
+// without recording it, so sweep the full key set -- ReleaseLock is
+// owner-checked), then abort it at its coordinator.
+void AbortEverywhere(XenicCluster& cluster, const std::vector<NodeId>& live, XenicNode& coord,
+                     const XenicNode::WedgedTxn& w) {
+  for (NodeId m : live) {
+    cluster.datastore(m).TombstoneTxn(w.id);
+  }
+  for (NodeId m : live) {
+    auto& ds = cluster.datastore(m);
+    for (const auto& k : w.keys) {
+      if (k.table < ds.num_tables() && cluster.map().PrimaryOf(k.table, k.key) == m) {
+        ds.index(k.table).ReleaseLock(k.key, w.id);
+      }
+    }
+  }
+  coord.ForceAbortWedged(w.id);
+}
+
+// Epoch-change sweep: every live coordinator's wedged transactions --
+// unreported in-flight transactions involving the failed node -- are
+// resolved exactly once. A transaction whose own LOG records are complete
+// (IsComplete) is committed by synthesizing the dead node's acks; anything
+// pre-LOG, or with too few copies at live backups (in flight or
+// back-pressured), aborts. Returns the committed transactions.
+std::vector<store::TxnId> SweepWedgedTxns(XenicCluster& cluster, NodeId failed,
+                                          const std::vector<NodeId>& live, Evidence& ev,
+                                          CrashReport* report) {
+  std::vector<store::TxnId> committed;
   for (NodeId n : live) {
     XenicNode& node = cluster.node(n);
-    for (const auto& w : node.WedgedOn(failed)) {
-      // Commit iff the fan-out demonstrably reached the commit point for
-      // every written shard: enough copies among live backups (dead
-      // backups count conservatively -- their ack may have been the one
-      // that completed the quorum) that only the dead node's acks are
-      // missing, and the commit decision is forced. Anything pre-LOG, or
-      // with too few records at live backups (in-flight or
-      // back-pressured), aborts.
-      bool complete = w.logs_sent && !w.records.empty();
-      for (const auto& [shard, rec] : w.records) {
-        if (!complete) {
-          break;
-        }
-        size_t evidence = 0;
-        for (NodeId b : cluster.repl().BackupsOf(shard)) {
-          if (std::find(live.begin(), live.end(), b) == live.end()) {
-            evidence++;  // unobservable dead backup: counted for commit
-            continue;
-          }
-          bool holds = AppliedAt(cluster.datastore(b), rec);
-          if (!holds) {
-            for (const auto& r : cluster.datastore(b).log().Snapshot()) {
-              if (r.txn == w.id && !r.writes.empty() && ShardOfRecord(map, r) == shard) {
-                holds = true;
-                break;
-              }
+    for (auto& w : node.WedgedOn(failed)) {
+      bool complete = false;
+      if (w.logs_sent && !w.records.empty()) {
+        // The coordinator knows every written shard, including one whose
+        // only copies died with the failed node.
+        TxnLogState t;
+        t.total_shards = static_cast<uint32_t>(w.records.size());
+        const auto found = ev.find(w.id);
+        for (auto& [shard, rec] : w.records) {
+          ShardRecord& sr = t.shards[shard];
+          sr.record = std::move(rec);
+          if (found != ev.end()) {
+            if (auto it = found->second.shards.find(shard); it != found->second.shards.end()) {
+              sr.holders = it->second.holders;
+              sr.appliers = it->second.appliers;
             }
           }
-          if (holds) {
-            evidence++;
-          }
         }
-        if (evidence < cluster.repl().CompletenessThreshold(shard)) {
-          complete = false;
-        }
+        complete = IsComplete(cluster, t, live);
       }
       if (complete) {
-        report.acks_synthesized += node.ForceCommitWedged(w.id, failed);
-        report.committed++;
-        report.committed_txns.push_back(w.id);
+        report->acks_synthesized += node.ForceCommitWedged(w.id, failed);
+        report->sweep_committed++;
+        committed.push_back(w.id);
       } else {
-        // Abort decision is made exactly once, here: tombstone any records
-        // the transaction already replicated (live backups must never
-        // apply them, and the recovery scan must not roll them forward),
-        // release its locks cluster-wide (shipped transactions lock read
-        // keys at the remote executor without recording it, so sweep the
-        // full key set -- ReleaseLock is owner-checked), then abort.
-        for (NodeId m : live) {
-          cluster.datastore(m).TombstoneTxn(w.id);
-        }
-        for (NodeId m : live) {
-          auto& ds = cluster.datastore(m);
-          for (const auto& k : w.keys) {
-            if (k.table < ds.num_tables() && map.PrimaryOf(k.table, k.key) == m) {
-              ds.index(k.table).ReleaseLock(k.key, w.id);
-            }
-          }
-        }
-        node.ForceAbortWedged(w.id);
-        report.aborted++;
+        AbortEverywhere(cluster, live, node, w);
+        ev.erase(w.id);
+        report->sweep_aborted++;
       }
     }
   }
-  return report;
+  return committed;
 }
 
-RecoveryReport RecoverShard(XenicCluster& cluster, NodeId failed, NodeId promoted,
-                            const std::vector<store::TxnId>& known_committed) {
-  RecoveryReport report;
+// Promote `promoted` (a backup) to primary for the shards of `failed`:
+// rebuild lock state at the new primary from the in-doubt records of those
+// shards, then roll forward transactions whose LOG records reached every
+// surviving replica of every written shard (the coordinator may have
+// reported commit) and discard the rest, releasing locks and tombstoning
+// the discarded records so no surviving backup applies them later.
+// `known_committed` lists transactions the sweep decided to commit (their
+// coordinator is live and was unwedged by synthesizing the dead node's
+// acks): they are rolled forward regardless of what the log scan alone can
+// prove.
+void RecoverShard(XenicCluster& cluster, NodeId failed, NodeId promoted,
+                  const std::vector<NodeId>& live, Evidence& ev,
+                  const std::vector<store::TxnId>& known_committed, CrashReport* report) {
   const ClusterMap& map = cluster.map();
-  const auto backups = cluster.repl().BackupsOf(failed);
-  assert(std::find(backups.begin(), backups.end(), promoted) != backups.end() &&
+  assert(cluster.repl().IsBackupOf(promoted, failed) &&
          "promoted node must be a backup of the failed primary");
 
-  const std::vector<NodeId> live = LiveNodes(cluster, failed);
-
-  // Collect the cluster-wide in-flight log state, then restrict attention
-  // to transactions with a record on the failed shard.
-  std::map<store::TxnId, TxnLogState> all_in_flight = CollectInFlight(cluster, map, live);
-  struct Found {
-    store::LogRecord record;
-    size_t copies = 0;
-    bool complete = false;
+  struct InDoubt {
+    store::TxnId txn;
+    const store::LogRecord* record;  // into `ev`
+    bool complete;
   };
-  std::map<store::TxnId, Found> in_flight;
-  for (const auto& [txn, state] : all_in_flight) {
+  std::vector<InDoubt> in_doubt;
+  for (const auto& [txn, state] : ev) {
     auto it = state.shards.find(failed);
     if (it == state.shards.end()) {
       continue;
     }
-    Found f;
-    f.record = it->second.record;
-    f.copies = it->second.holders.size();
     // Three sources of commit evidence, in order of strength: the log scan
     // itself (a record on every live backup of every written shard), the
     // epoch sweep's forced-commit list, and -- for transactions whose
@@ -307,88 +279,72 @@ RecoveryReport RecoverShard(XenicCluster& cluster, NodeId failed, NodeId promote
     // reclaimed on some shards before the failure (no trace left for the
     // scan) while a stalled backup still holds the failed shard's record.
     const NodeId coord = store::TxnNode(txn);
-    const bool coord_says_committed =
-        coord < cluster.size() && !cluster.node(coord).crashed() &&
-        cluster.node(coord).HasReportedCommit(txn);
-    f.complete = IsComplete(cluster, state, live) ||
-                 std::find(known_committed.begin(), known_committed.end(), txn) !=
-                     known_committed.end() ||
-                 coord_says_committed;
-    report.records_scanned += f.copies;
-    in_flight.emplace(txn, std::move(f));
+    const bool coord_says_committed = coord < cluster.size() &&
+                                      !cluster.node(coord).crashed() &&
+                                      cluster.node(coord).HasReportedCommit(txn);
+    const bool complete =
+        IsComplete(cluster, state, live) ||
+        std::find(known_committed.begin(), known_committed.end(), txn) !=
+            known_committed.end() ||
+        coord_says_committed;
+    report->records_scanned += it->second.holders.size();
+    in_doubt.push_back({txn, &it->second.record, complete});
   }
 
-  // The promoted node's NIC cache was never maintained by the commit
-  // protocol for the failed shard (backups' NICs serve no lookups):
-  // invalidate every cached value of that shard so lookups refill from the
-  // recovered host table.
-  auto& promoted_ds = cluster.datastore(promoted);
-  for (store::TableId t = 0; t < promoted_ds.num_tables(); ++t) {
-    for (const auto& e : promoted_ds.index(t).CachedEntries()) {
-      if (map.PrimaryOf(t, e.key) == failed) {
-        promoted_ds.index(t).Invalidate(e.key);
-      }
-    }
-  }
+  DropCachedShard(cluster, promoted, failed);
 
   // Rebuild lock state at the new primary before serving (4.2.1: "lock
   // state is reconstructed ... Once all locks are set, the shard can serve
   // new transactions").
-  XenicNode& new_primary = cluster.node(promoted);
   std::vector<store::LogRecord> records;
-  records.reserve(in_flight.size());
-  for (auto& [txn, f] : in_flight) {
-    records.push_back(f.record);
+  records.reserve(in_doubt.size());
+  for (const InDoubt& d : in_doubt) {
+    records.push_back(*d.record);
   }
-  report.locks_rebuilt = new_primary.RebuildLocksFromLog(records);
+  report->locks_rebuilt = cluster.node(promoted).RebuildLocksFromLog(records);
 
-  // Reconcile: a transaction whose LOG records reached every surviving
-  // replica of every written shard may have been reported committed -- roll
-  // it forward; anything else never committed and is discarded (and
-  // tombstoned so no survivor's worker applies it later).
-  for (auto& [txn, f] : in_flight) {
-    auto& ds = cluster.datastore(promoted);
-    for (const auto& w : f.record.writes) {
-      if (w.table >= ds.num_tables()) {
+  auto& ds = cluster.datastore(promoted);
+  for (const InDoubt& d : in_doubt) {
+    for (const auto& w : d.record->writes) {
+      if (w.table >= ds.num_tables() || map.PrimaryOf(w.table, w.key) != failed) {
         continue;
       }
-      if (map.PrimaryOf(w.table, w.key) != failed) {
-        continue;
+      if (d.complete) {
+        WriteIfNewer(ds, w);
       }
-      if (f.complete) {
-        ApplyRecoveredWrite(ds, w);
-      }
-      ds.index(w.table).ReleaseLock(w.key, txn);
+      ds.index(w.table).ReleaseLock(w.key, d.txn);
     }
-    if (f.complete) {
+    if (d.complete) {
       // Mark the commit stable at every survivor: with the NIC applier
       // armed (features.nic_log_apply) a kLog record is parked until its
       // transaction's commit point is known, and the dead coordinator can
       // no longer say so. Recovery is the stability authority here.
       for (NodeId n : live) {
-        cluster.datastore(n).log().MarkStable(txn);
+        cluster.datastore(n).log().MarkStable(d.txn);
       }
-      report.rolled_forward++;
+      report->rolled_forward++;
     } else {
       for (NodeId n : live) {
-        cluster.datastore(n).TombstoneTxn(txn);
+        cluster.datastore(n).TombstoneTxn(d.txn);
       }
-      report.discarded++;
+      ev.erase(d.txn);
+      report->discarded++;
     }
   }
-  return report;
 }
 
-CoordinatorSweepReport RecoverCoordinatorLocks(XenicCluster& cluster, NodeId failed) {
-  CoordinatorSweepReport report;
-  const ClusterMap& map = cluster.map();
-  const std::vector<NodeId> live = LiveNodes(cluster, failed);
-  std::map<store::TxnId, TxnLogState> in_flight = CollectInFlight(cluster, map, live);
-
+// Coordinator-failure sweep: transactions coordinated by `failed` can leave
+// locks (EXECUTE acquires them eagerly) and replicated-but-unapplied LOG
+// records at live primaries. Complete transactions are rolled forward at
+// the live primaries (with NIC caches refreshed), incomplete ones are
+// tombstoned; either way every lock such a transaction holds is released.
+void RecoverCoordinatorLocks(XenicCluster& cluster, NodeId failed,
+                             const std::vector<NodeId>& live, const Evidence& ev,
+                             CrashReport* report) {
   // Candidates: transactions coordinated by the failed node that left
-  // either orphaned locks (EXECUTE locks eagerly) or replicated records.
+  // either orphaned locks or replicated records.
   std::map<store::TxnId, bool> candidates;  // txn -> has log records
-  for (const auto& [txn, state] : in_flight) {
+  for (const auto& [txn, state] : ev) {
     (void)state;
     if (store::TxnNode(txn) == failed) {
       candidates[txn] = true;
@@ -399,26 +355,23 @@ CoordinatorSweepReport RecoverCoordinatorLocks(XenicCluster& cluster, NodeId fai
     for (store::TableId t = 0; t < ds.num_tables(); ++t) {
       for (const auto& lk : ds.index(t).LockedKeys()) {
         if (store::TxnNode(lk.owner) == failed) {
-          candidates.try_emplace(lk.owner, in_flight.count(lk.owner) > 0);
+          candidates.try_emplace(lk.owner, ev.count(lk.owner) > 0);
         }
       }
     }
   }
 
   for (const auto& [txn, has_records] : candidates) {
-    report.txns_swept++;
-    const bool complete =
-        has_records && IsComplete(cluster, in_flight.at(txn), live);
-    if (complete) {
+    report->coord_swept++;
+    if (has_records && IsComplete(cluster, ev.at(txn), live)) {
       // The dead coordinator may have reported commit: finish its job at
       // every live primary (the failed shard itself is RecoverShard's).
-      for (const auto& [shard, sr] : in_flight.at(txn).shards) {
-        if (shard == failed ||
-            std::find(live.begin(), live.end(), shard) == live.end()) {
+      for (const auto& [shard, sr] : ev.at(txn).shards) {
+        if (shard == failed || !Contains(live, shard)) {
           continue;
         }
         for (const auto& w : sr.record.writes) {
-          ApplyRecoveredWrite(cluster.datastore(shard), w);
+          WriteIfNewer(cluster.datastore(shard), w);
         }
       }
       // The dead coordinator never sent its stability notices; unblock any
@@ -426,12 +379,12 @@ CoordinatorSweepReport RecoverCoordinatorLocks(XenicCluster& cluster, NodeId fai
       for (NodeId n : live) {
         cluster.datastore(n).log().MarkStable(txn);
       }
-      report.rolled_forward++;
+      report->coord_rolled_forward++;
     } else {
       for (NodeId n : live) {
         cluster.datastore(n).TombstoneTxn(txn);
       }
-      report.discarded++;
+      report->coord_discarded++;
     }
     // Either way, every lock the transaction holds at a live node dies.
     for (NodeId n : live) {
@@ -440,12 +393,126 @@ CoordinatorSweepReport RecoverCoordinatorLocks(XenicCluster& cluster, NodeId fai
         for (const auto& lk : ds.index(t).LockedKeys()) {
           if (lk.owner == txn) {
             ds.index(t).ReleaseLock(lk.key, txn);
-            report.locks_released++;
+            report->locks_released++;
           }
         }
       }
     }
   }
+}
+
+// Re-replication after a primary-role move. LOG fan-out follows the
+// SERVING node's backup chain, so when a shard moves to `to_primary` its
+// backups start receiving the shard's records -- but they never held its
+// base snapshot. This copies every entry of
+// `holder`'s host tables whose key currently routes to `routed` (the
+// pre-flip serving node) into `to_primary` and each of its live backups.
+// Without it a SECOND failure of the new serving node would promote a
+// backup with only the post-move tail of the shard. Returns entries copied.
+size_t TransferShardState(XenicCluster& cluster, NodeId holder, NodeId routed,
+                          NodeId to_primary) {
+  std::vector<NodeId> targets;
+  targets.push_back(to_primary);
+  for (NodeId b : cluster.repl().BackupsOf(to_primary)) {
+    targets.push_back(b);
+  }
+  size_t copied = 0;
+  auto& src = cluster.datastore(holder);
+  for (store::TableId t = 0; t < src.num_tables(); ++t) {
+    for (store::Key k : src.table(t).Keys()) {
+      if (cluster.map().PrimaryOf(t, k) != routed) {
+        continue;
+      }
+      const auto entry = src.table(t).Lookup(k);
+      if (!entry) {
+        continue;
+      }
+      const store::LogWrite w{t, k, entry->seq, entry->value, false};
+      for (NodeId n : targets) {
+        if (n != holder && !cluster.node(n).crashed() && WriteIfNewer(cluster.datastore(n), w)) {
+          copied++;
+        }
+      }
+    }
+  }
+  return copied;
+}
+
+}  // namespace
+
+CrashReport CrashFailover(XenicCluster& cluster, NodeId failed) {
+  CrashReport report;
+  report.promoted = cluster.FirstLiveBackup(failed);
+  assert(report.promoted.has_value() && "no live backup to promote");
+  const NodeId promoted = *report.promoted;
+  const std::vector<NodeId> live = cluster.LiveNodes();
+  Evidence ev = CollectEvidence(cluster, live);
+
+  // Order matters: resolve wedged transactions at live coordinators first
+  // (commit the provably replicated, abort and tombstone the rest), then
+  // recover the failed shard and the failed coordinator's leftovers against
+  // the pre-failure map, and only then move the routing.
+  const std::vector<store::TxnId> committed = SweepWedgedTxns(cluster, failed, live, ev, &report);
+  RecoverShard(cluster, failed, promoted, live, ev, committed, &report);
+  RecoverCoordinatorLocks(cluster, failed, live, ev, &report);
+
+  // Re-replicate while the map still routes the failed node's keys here:
+  // the recovered state (backup base plus the rolled-forward in-doubt
+  // tail) is now authoritative at `promoted`.
+  TransferShardState(cluster, promoted, failed, promoted);
+  cluster.MoveShards(failed, promoted);
+  // Evict the dead node from the membership view last: the sweep and the
+  // recovery steps above reason about the pre-failure replica chains, but
+  // from here on LOG fan-out must not wait on the dead backup's ack.
+  cluster.Evict(failed);
+  return report;
+}
+
+HandoffReport PlannedHandoff(XenicCluster& cluster, NodeId from) {
+  HandoffReport report;
+  if (cluster.node(from).crashed()) {
+    return report;  // a dead node's lease cannot be handed off, only swept
+  }
+  const std::optional<NodeId> promoted = cluster.FirstLiveBackup(from);
+  if (!promoted) {
+    return report;
+  }
+  const std::vector<NodeId> live = cluster.LiveNodes();
+
+  // Straggler sweep, pure abort. A transaction still in flight against the
+  // departing primary could otherwise complete after the routing flip and
+  // address its COMMIT (or a shipped execution's late-arriving acks) to the
+  // new primary, leaking locks at the old one -- which, unlike in crash
+  // recovery, stays alive to honor them. Only transactions whose PRIMARY
+  // role is moving are touched (backup_touch=false): `from` keeps acking as
+  // a backup. These transactions have not reported, so the abort is clean.
+  for (NodeId n : live) {
+    XenicNode& node = cluster.node(n);
+    for (const auto& w : node.WedgedOn(from, /*backup_touch=*/false)) {
+      AbortEverywhere(cluster, live, node, w);
+      report.stragglers_aborted++;
+    }
+  }
+
+  report.cache_invalidated = DropCachedShard(cluster, *promoted, from);
+  // Re-replicate before the flip. The departing primary is alive and
+  // authoritative, so it copies its entries for every key it serves.
+  report.records_transferred = TransferShardState(cluster, from, from, *promoted);
+
+  // The lease itself crosses the wire (accounting; the flip below is
+  // synchronous, modeling a new primary that serves the instant its lease
+  // is valid -- the paper's planned reconfiguration has no detection or
+  // scan delay).
+  XenicNode* server = &cluster.node(*promoted);
+  cluster.node(from).transport().Send(
+      net::MsgType::kLeaseHandoff, *promoted, net::wire::LeaseHandoff(),
+      [server, from] { server->ServeLeaseHandoff(from); }, 0);
+
+  // `from` stays in the membership view (live coordinator, live backup);
+  // only the primary role moves.
+  cluster.MoveShards(from, *promoted);
+  report.performed = true;
+  report.promoted = *promoted;
   return report;
 }
 

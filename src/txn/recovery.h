@@ -1,126 +1,80 @@
-// Reconfiguration and recovery (paper section 4.2.1).
+// Reconfiguration and recovery (paper section 4.2.1): the one failover
+// module. XenicCluster owns the routing and the membership view; the two
+// verbs below are the only code that changes them.
 //
-// Xenic adopts FaRM's recovery design: a lease-based cluster manager
-// detects failures; when a primary fails, a backup is promoted, lock state
-// (which lives only in SmartNIC memory) is reconstructed from the
-// transactions found in the surviving replicas' logs, and each in-flight
-// transaction is either rolled forward (its LOG record reached every
-// surviving replica, so the coordinator may have reported commit) or
-// discarded. Only then does the shard serve new transactions.
+// A crash failover assumes the worst: the failed node's state is gone. It
+// resolves the transactions wedged on the failed node at live
+// coordinators, promotes the node's first live backup, rebuilds lock state
+// (which lives only in SmartNIC memory) from the transactions found in the
+// surviving replicas' logs, rolls each in-doubt transaction forward (its
+// LOG records reached enough surviving replicas that the coordinator may
+// have reported commit) or discards it, sweeps the dead coordinator's
+// locks, re-replicates, moves the routing and evicts the node. Only then
+// does the shard serve new transactions.
+//
+// A planned handoff (maintenance drain, rebalance, rolling upgrade) moves a
+// live node's primary role to its first live backup. The departing node
+// stays live as a coordinator and backup, so LOG fan-out keeps counting its
+// acks: there is no log scan and no eviction, and only the transactions in
+// flight against the moving primary role are aborted (they retry on the new
+// routing).
+//
+// Both verbs are built from one copy of each shared step (recovery.cc).
 
 #ifndef SRC_TXN_RECOVERY_H_
 #define SRC_TXN_RECOVERY_H_
 
-#include <map>
-#include <vector>
+#include <optional>
 
-#include "src/sim/engine.h"
 #include "src/txn/xenic_cluster.h"
 
 namespace xenic::txn {
 
-// Lease-based membership service (the paper uses Zookeeper; the manager is
-// off the critical path either way).
-class ClusterManager {
- public:
-  ClusterManager(sim::Engine* engine, uint32_t num_nodes, sim::Tick lease_duration);
-
-  void RenewLease(NodeId node);
-  bool IsAlive(NodeId node) const;
-  // Nodes whose lease has expired as of now.
-  std::vector<NodeId> ExpiredLeases() const;
-  // Declare a node failed, bumping the configuration epoch.
-  void MarkFailed(NodeId node);
-  uint64_t epoch() const { return epoch_; }
-
- private:
-  sim::Engine* engine_;
-  sim::Tick lease_duration_;
-  std::vector<sim::Tick> lease_expiry_;
-  std::vector<bool> failed_;
-  uint64_t epoch_ = 1;
-};
-
-// Partitioner wrapper routing a failed node's shards to promoted backups.
-class RemappedPartitioner : public Partitioner {
- public:
-  RemappedPartitioner(const Partitioner* base, const std::map<NodeId, NodeId>& promotions)
-      : base_(base) {
-    // Flatten the promotion map into a node-id-indexed routing table: this
-    // sits on every post-failover PrimaryOf, so the hot path is one bounds
-    // check and one vector load instead of a tree lookup.
-    for (const auto& [from, to] : promotions) {
-      if (from >= table_.size()) {
-        const size_t old = table_.size();
-        table_.resize(static_cast<size_t>(from) + 1);
-        for (size_t n = old; n < table_.size(); ++n) {
-          table_[n] = static_cast<NodeId>(n);  // identity for untouched shards
-        }
-      }
-      table_[from] = to;
-    }
-  }
-
-  NodeId PrimaryOf(TableId table, Key key) const override {
-    const NodeId p = base_->PrimaryOf(table, key);
-    return p < table_.size() ? table_[p] : p;
-  }
-
- private:
-  const Partitioner* base_;
-  std::vector<NodeId> table_;  // identity except promoted entries
-};
-
-// Epoch-change sweep (run at failure detection, before RecoverShard): every
-// live coordinator's wedged transactions -- unreported in-flight
-// transactions involving the failed node -- are resolved exactly once. A
-// transaction whose LOG fan-out already reached (or was applied by) every
-// live backup of every written shard is committed by synthesizing the dead
-// node's acks; anything else is aborted, its records tombstoned on all live
-// nodes and its locks released cluster-wide.
-struct EpochSweepReport {
-  size_t committed = 0;
-  size_t aborted = 0;
+// What one crash failover did.
+struct CrashReport {
+  // The backup that took over the failed node's shards.
+  std::optional<NodeId> promoted;
+  // Wedged-transaction sweep at live coordinators: a transaction whose LOG
+  // fan-out reached the commit point for every written shard is committed
+  // by synthesizing the dead node's acks; anything else is aborted, its
+  // records tombstoned on all live nodes and its locks released.
+  size_t sweep_committed = 0;
+  size_t sweep_aborted = 0;
   size_t acks_synthesized = 0;
-  std::vector<store::TxnId> committed_txns;  // feed to RecoverShard
-};
-EpochSweepReport SweepWedgedTxns(XenicCluster& cluster, NodeId failed);
-
-struct RecoveryReport {
-  size_t records_scanned = 0;
+  // Shard recovery at the promoted backup.
+  size_t records_scanned = 0;  // live copies of the shard's in-doubt records
   size_t locks_rebuilt = 0;
-  size_t rolled_forward = 0;  // transactions applied at the new primary
-  size_t discarded = 0;       // incomplete transactions dropped
-};
-
-// Promote `promoted` (a backup) to primary for the shards of `failed`:
-// scan surviving replicas' logs for unacknowledged records touching those
-// shards, rebuild lock state at the new primary, then roll forward
-// transactions whose LOG records reached every surviving replica of every
-// written shard (the coordinator may have reported commit) and discard the
-// rest, releasing locks and tombstoning the discarded records so no
-// surviving backup applies them later.
-// `known_committed` lists transactions a preceding SweepWedgedTxns already
-// decided to commit (their coordinator is live and was unwedged by
-// synthesizing the dead node's acks): they are rolled forward regardless of
-// what the log scan alone can prove.
-RecoveryReport RecoverShard(XenicCluster& cluster, NodeId failed, NodeId promoted,
-                            const std::vector<store::TxnId>& known_committed = {});
-
-// Coordinator-failure sweep: transactions coordinated by `failed` can leave
-// locks (EXECUTE acquires them eagerly) and replicated-but-unapplied LOG
-// records at live primaries. Completeness is decided with the same global
-// rule as RecoverShard: complete transactions are rolled forward at the
-// live primaries (with NIC caches refreshed), incomplete ones are
-// tombstoned; either way every orphaned lock owned by a failed-coordinator
-// transaction is released.
-struct CoordinatorSweepReport {
-  size_t txns_swept = 0;
+  size_t rolled_forward = 0;  // in-doubt transactions applied at the new primary
+  size_t discarded = 0;       // in-doubt transactions dropped
+  // The dead coordinator's transactions: the locks they left at live
+  // primaries and the records they replicated.
+  size_t coord_swept = 0;
+  size_t coord_rolled_forward = 0;
+  size_t coord_discarded = 0;
   size_t locks_released = 0;
-  size_t rolled_forward = 0;
-  size_t discarded = 0;
 };
-CoordinatorSweepReport RecoverCoordinatorLocks(XenicCluster& cluster, NodeId failed);
+
+// Run at failure detection, after `failed`'s XenicNode::Crash(). `failed`
+// must have a live backup.
+CrashReport CrashFailover(XenicCluster& cluster, NodeId failed);
+
+// What one planned handoff did.
+struct HandoffReport {
+  bool performed = false;
+  NodeId promoted = 0;
+  // In-flight transactions wedged on the departing primary role at the
+  // flip, aborted so none can commit against stale routing.
+  size_t stragglers_aborted = 0;
+  // NIC cache entries of the moved shards dropped at the new primary.
+  size_t cache_invalidated = 0;
+  // Host-table entries copied to the new serving node's backup set.
+  size_t records_transferred = 0;
+};
+
+// Hand `from`'s primary role to its first live backup. Returns
+// performed=false, and does nothing, if `from` has crashed or has no live
+// backup.
+HandoffReport PlannedHandoff(XenicCluster& cluster, NodeId from);
 
 }  // namespace xenic::txn
 

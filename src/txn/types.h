@@ -294,14 +294,6 @@ struct ClusterMap {
   };
 
   BackupView BackupsOf(NodeId primary) const { return BackupView(this, primary); }
-  bool IsReplicaOf(NodeId node, NodeId primary) const {
-    for (uint32_t i = 0; i < replication; ++i) {
-      if ((primary + i) % num_nodes == node) {
-        return true;
-      }
-    }
-    return false;
-  }
 };
 
 // Summed value payload of a read-result set (wire:: formulas take scalar

@@ -3,7 +3,7 @@
 namespace xenic::txn {
 
 XenicCluster::XenicCluster(const XenicClusterOptions& options, const Partitioner* partitioner)
-    : options_(options), repl_(&map_, options.quorum) {
+    : options_(options), remap_(partitioner, options.num_nodes), repl_(&map_, options.quorum) {
   map_.num_nodes = options.num_nodes;
   map_.replication = options.replication;
   map_.partitioner = partitioner;
@@ -44,6 +44,31 @@ void XenicCluster::LoadReplicated(store::TableId table, store::Key key,
   for (NodeId b : repl_.BackupsOf(primary)) {
     stores_[b]->Load(table, key, value, seq);
   }
+}
+
+std::vector<NodeId> XenicCluster::LiveNodes() const {
+  std::vector<NodeId> out;
+  for (NodeId n = 0; n < size(); ++n) {
+    if (!nodes_[n]->crashed()) {
+      out.push_back(n);
+    }
+  }
+  return out;
+}
+
+std::optional<NodeId> XenicCluster::FirstLiveBackup(NodeId node) const {
+  for (NodeId b : repl_.BackupsOf(node)) {
+    if (!nodes_[b]->crashed()) {
+      return b;
+    }
+  }
+  return std::nullopt;
+}
+
+void XenicCluster::MoveShards(NodeId from, NodeId to) {
+  remap_.Move(from, to);
+  map_.partitioner = &remap_;
+  map_.version++;
 }
 
 void XenicCluster::StartWorkers() {

@@ -6,6 +6,7 @@
 #define SRC_TXN_XENIC_CLUSTER_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/nicmodel/smart_nic.h"
@@ -15,6 +16,39 @@
 #include "src/txn/xenic_node.h"
 
 namespace xenic::txn {
+
+// Routes each base shard (the workload partitioner's node id) to the node
+// that serves it now. XenicCluster owns one and installs it on the first
+// move, so until a failover PrimaryOf pays no extra hop.
+class RemappedPartitioner : public Partitioner {
+ public:
+  RemappedPartitioner(const Partitioner* base, uint32_t num_nodes) : base_(base) {
+    for (NodeId n = 0; n < num_nodes; ++n) {
+      serving_.push_back(n);
+    }
+  }
+
+  NodeId PrimaryOf(TableId table, Key key) const override {
+    const NodeId p = base_->PrimaryOf(table, key);
+    return p < serving_.size() ? serving_[p] : p;
+  }
+  bool Serves(NodeId node) const {
+    return std::find(serving_.begin(), serving_.end(), node) != serving_.end();
+  }
+  // Every base shard `from` serves moves to `to`.
+  void Move(NodeId from, NodeId to) {
+    for (NodeId& s : serving_) {
+      if (s == from) {
+        s = to;
+      }
+    }
+    serving_[from] = to;
+  }
+
+ private:
+  const Partitioner* base_;
+  std::vector<NodeId> serving_;  // base shard -> serving node
+};
 
 struct XenicClusterOptions {
   uint32_t num_nodes = 6;
@@ -48,12 +82,22 @@ class XenicCluster {
   store::Datastore& datastore(NodeId id) { return *stores_[id]; }
   nicmodel::SmartNic& nic(NodeId id) { return fabric_->node(id); }
   const ClusterMap& map() const { return map_; }
-  // Recovery: lets a reconfiguration swap in a RemappedPartitioner after a
-  // node failure (every node routes through this shared map).
-  ClusterMap& mutable_map() { return map_; }
   const repl::ReplicationGroup& repl() const { return repl_; }
   uint32_t size() const { return options_.num_nodes; }
   const XenicClusterOptions& options() const { return options_; }
+
+  // Membership and routing. Every node routes through the one shared map;
+  // only the failover verbs (src/txn/recovery.h) change it.
+  // Nodes that have not crashed, in id order.
+  std::vector<NodeId> LiveNodes() const;
+  // The first backup in `node`'s chain that has not crashed.
+  std::optional<NodeId> FirstLiveBackup(NodeId node) const;
+  // Move the primary role of every shard `from` serves to `to`, and bump
+  // the map version so 2PL transactions fence on the move.
+  void MoveShards(NodeId from, NodeId to);
+  // Drop a crashed node from the membership view: LOG fan-out stops
+  // waiting on its acks.
+  void Evict(NodeId node) { map_.MarkFailed(node); }
 
   // Load a key into its primary and all backup replicas (tables stay in
   // sync across the replica chain, as after a quiesced run).
@@ -70,6 +114,7 @@ class XenicCluster {
  private:
   XenicClusterOptions options_;
   ClusterMap map_;
+  RemappedPartitioner remap_;
   repl::ReplicationGroup repl_;
   std::vector<std::unique_ptr<store::Datastore>> stores_;
   std::vector<std::unique_ptr<XenicNode>> nodes_;

@@ -1973,7 +1973,7 @@ void XenicNode::ServeLeaseHandoff(NodeId from) {
   if (crashed_) {
     return;
   }
-  (void)from;  // the routing flip itself happens in repl::PlannedHandoff
+  (void)from;  // the routing flip itself happens in txn::PlannedHandoff
   nic_->NicCompute(NicOpCost(0), [] {});
 }
 
@@ -2031,11 +2031,6 @@ size_t XenicNode::RebuildLocksFromLog(const std::vector<store::LogRecord>& unack
     }
   }
   return locked;
-}
-
-void XenicNode::ClearNicState() {
-  txns_.clear();
-  waiters_.Clear();
 }
 
 XenicNode::ParkedSlots XenicNode::parked_slots() const {

@@ -106,8 +106,6 @@ class XenicNode {
   // Rebuild NIC lock state for in-flight transactions found in the log
   // (called on a backup promoted to primary). Returns keys re-locked.
   size_t RebuildLocksFromLog(const std::vector<store::LogRecord>& unacked);
-  // Drop all transaction state (simulates NIC lock-state loss on failure).
-  void ClearNicState();
 
   // Fail-stop this node: no submissions, no served requests, no outbound
   // messages, workers halt. In-flight engine events targeting the node
@@ -146,7 +144,7 @@ class XenicNode {
   // live acks arrive -- for a sweep-verified-complete transaction they are
   // already in flight.
   size_t ForceCommitWedged(TxnId txn, NodeId failed);
-  // Planned failover (repl::PlannedHandoff): the departing primary's lease
+  // Planned failover (txn::PlannedHandoff): the departing primary's lease
   // lands here. State transfer already happened through the replicated
   // log; this just charges the NIC handler for installing the lease.
   void ServeLeaseHandoff(NodeId from);

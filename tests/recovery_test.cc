@@ -1,7 +1,6 @@
-// Recovery tests (paper 4.2.1): lease-based failure detection, backup
-// promotion with lock-state reconstruction, roll-forward/discard decisions
-// from surviving logs, and post-recovery routing via the remapped
-// partitioner.
+// Recovery tests (paper 4.2.1): the crash failover's backup promotion with
+// lock-state reconstruction, roll-forward/discard decisions from surviving
+// logs, and post-recovery routing through the cluster's remap.
 
 #include <gtest/gtest.h>
 
@@ -42,35 +41,10 @@ store::Key KeyOn(const XenicCluster& c, store::NodeId node, uint64_t salt = 0) {
   }
 }
 
-TEST(ClusterManagerTest, LeasesExpireAndRenew) {
-  sim::Engine eng;
-  ClusterManager mgr(&eng, 3, 1000);
-  EXPECT_TRUE(mgr.IsAlive(0));
-  eng.RunUntil(500);
-  mgr.RenewLease(0);
-  eng.RunUntil(1200);
-  EXPECT_TRUE(mgr.IsAlive(0));   // renewed at 500 -> expires 1500
-  EXPECT_FALSE(mgr.IsAlive(1));  // never renewed
-  auto expired = mgr.ExpiredLeases();
-  EXPECT_EQ(expired.size(), 2u);
-}
-
-TEST(ClusterManagerTest, MarkFailedBumpsEpochOnce) {
-  sim::Engine eng;
-  ClusterManager mgr(&eng, 3, 1000);
-  const uint64_t e0 = mgr.epoch();
-  mgr.MarkFailed(1);
-  EXPECT_EQ(mgr.epoch(), e0 + 1);
-  mgr.MarkFailed(1);
-  EXPECT_EQ(mgr.epoch(), e0 + 1);
-  EXPECT_FALSE(mgr.IsAlive(1));
-  mgr.RenewLease(1);  // failed nodes cannot renew
-  EXPECT_FALSE(mgr.IsAlive(1));
-}
-
 TEST(RemappedPartitionerTest, RoutesFailedShards) {
   HashPartitioner base(4);
-  RemappedPartitioner remap(&base, {{2, 3}});
+  RemappedPartitioner remap(&base, 4);
+  remap.Move(2, 3);
   for (store::Key k = 0; k < 1000; ++k) {
     const store::NodeId orig = base.PrimaryOf(0, k);
     const store::NodeId now = remap.PrimaryOf(0, k);
@@ -101,7 +75,9 @@ TEST(RecoveryTest, RollsForwardCompleteTransactions) {
   }
 
   const store::NodeId promoted = c.map().BackupsOf(failed)[0];
-  RecoveryReport report = RecoverShard(c, failed, promoted);
+  c.node(failed).Crash();
+  const CrashReport report = CrashFailover(c, failed);
+  EXPECT_EQ(report.promoted, promoted);
   EXPECT_EQ(report.rolled_forward, 1u);
   EXPECT_EQ(report.discarded, 0u);
   EXPECT_GE(report.locks_rebuilt, 1u);
@@ -136,17 +112,31 @@ TEST(RecoveryTest, DiscardsIncompleteTransactions) {
   const auto backups = c.map().BackupsOf(failed);
   ASSERT_TRUE(c.datastore(backups[0]).log().Append(rec).ok());
 
-  RecoveryReport report = RecoverShard(c, failed, backups[0]);
+  const store::NodeId promoted = backups[0];
+  c.node(failed).Crash();
+  const CrashReport report = CrashFailover(c, failed);
   EXPECT_EQ(report.rolled_forward, 0u);
   EXPECT_EQ(report.discarded, 1u);
-  auto r = c.datastore(backups[0]).table(kBank).Lookup(key);
+  auto r = c.datastore(promoted).table(kBank).Lookup(key);
   EXPECT_EQ(GetI64(r->value, 0), 100);  // old value preserved
-  EXPECT_FALSE(c.datastore(backups[0]).index(kBank).IsLocked(key));
+  EXPECT_FALSE(c.datastore(promoted).index(kBank).IsLocked(key));
+}
+
+// A read-modify-write transfer of `amt` from `from` to `to`.
+TxnRequest Transfer(store::Key from, store::Key to, int64_t amt) {
+  TxnRequest req;
+  req.reads = {{kBank, from}, {kBank, to}};
+  req.writes = {{kBank, from}, {kBank, to}};
+  req.execute = [amt](ExecRound& er) {
+    (*er.writes)[0].value = Balance(GetI64((*er.reads)[0].value, 0) - amt);
+    (*er.writes)[1].value = Balance(GetI64((*er.reads)[1].value, 0) + amt);
+  };
+  return req;
 }
 
 TEST(RecoveryTest, EndToEndPromotionServesNewTransactions) {
-  // Run real traffic, "fail" a node, promote, remap, and keep running
-  // against the promoted primary.
+  // Run real traffic, crash a node, fail over, and keep running against the
+  // promoted primary.
   HashPartitioner part(4);
   XenicClusterOptions opts = Opts();
   XenicCluster c(opts, &part);
@@ -158,35 +148,31 @@ TEST(RecoveryTest, EndToEndPromotionServesNewTransactions) {
   c.StartWorkers();
 
   // Commit one transfer before the failure.
-  bool done = false;
-  TxnRequest req;
-  req.reads = {{kBank, a}, {kBank, b}};
-  req.writes = {{kBank, a}, {kBank, b}};
-  req.execute = [](ExecRound& er) {
-    (*er.writes)[0].value = Balance(GetI64((*er.reads)[0].value, 0) - 50);
-    (*er.writes)[1].value = Balance(GetI64((*er.reads)[1].value, 0) + 50);
+  auto run = [&](TxnRequest req) {
+    bool done = false;
+    c.node(0).Submit(std::move(req), [&](TxnOutcome o) {
+      done = true;
+      EXPECT_EQ(o, TxnOutcome::kCommitted);
+    });
+    for (int i = 0; i < 1000 && !done; ++i) {
+      c.engine().RunFor(10 * sim::kNsPerUs);
+    }
+    EXPECT_TRUE(done);
+    c.engine().RunFor(500 * sim::kNsPerUs);
   };
-  c.node(0).Submit(std::move(req), [&](TxnOutcome o) {
-    done = true;
-    EXPECT_EQ(o, TxnOutcome::kCommitted);
-  });
-  for (int i = 0; i < 1000 && !done; ++i) {
-    c.engine().RunFor(10 * sim::kNsPerUs);
-  }
-  c.engine().RunFor(500 * sim::kNsPerUs);
+  run(Transfer(a, b, 50));
 
-  // Failure detection + promotion.
-  ClusterManager mgr(&c.engine(), 4, 1000);
-  mgr.MarkFailed(failed);
   const store::NodeId promoted = c.map().BackupsOf(failed)[0];
-  RecoverShard(c, failed, promoted);
+  c.node(failed).Crash();
+  CrashFailover(c, failed);
   EXPECT_EQ(GetI64(c.datastore(promoted).table(kBank).Lookup(a)->value, 0), 450);
 
-  // New transactions route to the promoted primary. (The coordinator map
-  // is swapped via the remapped partitioner in a real reconfiguration; we
-  // verify the promoted replica serves consistent data.)
-  RemappedPartitioner remap(&part, {{failed, promoted}});
-  EXPECT_EQ(remap.PrimaryOf(kBank, a), promoted);
+  // New transactions route to the promoted primary and commit there.
+  EXPECT_EQ(c.map().PrimaryOf(kBank, a), promoted);
+  EXPECT_EQ(c.map().PrimaryOf(kBank, b), 0u);
+  run(Transfer(a, b, 50));
+  EXPECT_EQ(GetI64(c.datastore(promoted).table(kBank).Lookup(a)->value, 0), 400);
+  EXPECT_EQ(GetI64(c.datastore(0).table(kBank).Lookup(b)->value, 0), 600);
 
   c.StopWorkers();
   c.engine().Run();
@@ -215,18 +201,6 @@ TxnOutcome RunRecordedRmw(XenicCluster& c, chaos::HistoryRecorder& recorder,
   return out.value_or(TxnOutcome::kAborted);
 }
 
-// Crash `failed` mid-protocol and run the full recovery pipeline the chaos
-// injector uses; leaves the cluster routing through `remap`.
-RecoveryReport CrashAndRecover(XenicCluster& c, store::NodeId failed,
-                               store::NodeId promoted, RemappedPartitioner& remap) {
-  c.node(failed).Crash();
-  const EpochSweepReport sweep = SweepWedgedTxns(c, failed);
-  const RecoveryReport report = RecoverShard(c, failed, promoted, sweep.committed_txns);
-  RecoverCoordinatorLocks(c, failed);
-  c.mutable_map().partitioner = &remap;
-  c.mutable_map().MarkFailed(failed);
-  return report;
-}
 
 TEST(RecoveryTest, CrashBetweenLogAndAckRollsForwardUnderTheChecker) {
   // The coordinator reached the commit point -- LOG records on BOTH
@@ -257,8 +231,8 @@ TEST(RecoveryTest, CrashBetweenLogAndAckRollsForwardUnderTheChecker) {
   }
 
   const store::NodeId promoted = c.map().BackupsOf(failed)[0];
-  RemappedPartitioner remap(&part, {{failed, promoted}});
-  const RecoveryReport report = CrashAndRecover(c, failed, promoted, remap);
+  c.node(failed).Crash();
+  const CrashReport report = CrashFailover(c, failed);
   EXPECT_EQ(report.rolled_forward, 1u);
   EXPECT_EQ(report.discarded, 0u);
 
@@ -303,8 +277,8 @@ TEST(RecoveryTest, CrashBeforeFullReplicationDiscardsUnderTheChecker) {
   ASSERT_TRUE(c.datastore(backups[0]).log().Append(staged).ok());
 
   const store::NodeId promoted = backups[0];
-  RemappedPartitioner remap(&part, {{failed, promoted}});
-  const RecoveryReport report = CrashAndRecover(c, failed, promoted, remap);
+  c.node(failed).Crash();
+  const CrashReport report = CrashFailover(c, failed);
   EXPECT_EQ(report.rolled_forward, 0u);
   EXPECT_EQ(report.discarded, 1u);
 

@@ -7,11 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <memory>
-
 #include "src/chaos/chaos_run.h"
-#include "src/repl/failover.h"
 #include "src/txn/recovery.h"
 
 namespace xenic::repl {
@@ -22,7 +18,10 @@ using store::PutI64;
 using store::Value;
 using txn::ExecRound;
 using txn::HashPartitioner;
-using txn::RecoveryReport;
+using txn::CrashFailover;
+using txn::CrashReport;
+using txn::HandoffReport;
+using txn::PlannedHandoff;
 using txn::TxnOutcome;
 using txn::TxnRequest;
 using txn::XenicCluster;
@@ -133,9 +132,9 @@ TEST(ReplicationGroupTest, IsBackupOfWalksChainAndSkipsFailed) {
     EXPECT_TRUE(rg.IsBackupOf(b, 2));
   }
   EXPECT_FALSE(rg.IsBackupOf(2, 2));
-  // BackupsOf is a view: hold the node id, not the view, across MarkFailed.
+  // BackupsOf is a view: hold the node id, not the view, across an eviction.
   const store::NodeId first = backups[0];
-  c.mutable_map().MarkFailed(first);
+  c.Evict(first);
   EXPECT_FALSE(rg.IsBackupOf(first, 2));
   EXPECT_EQ(backups.size(), 1u);
 }
@@ -151,9 +150,9 @@ store::LogRecord LogRec(store::TxnId txn, store::Key key, int64_t v) {
 }
 
 // Shared scenario: a LOG record reached `copies` of the failed primary's
-// backups before the crash. Returns the recovery report.
-RecoveryReport RecoverWithCopies(uint32_t nodes, uint32_t repl, uint32_t quorum,
-                                 size_t copies) {
+// backups before the crash. Returns the crash failover's report.
+CrashReport RecoverWithCopies(uint32_t nodes, uint32_t repl, uint32_t quorum,
+                              size_t copies) {
   HashPartitioner part(nodes);
   XenicCluster c(Opts(nodes, repl, quorum), &part);
   const store::NodeId failed = 1;
@@ -166,13 +165,16 @@ RecoveryReport RecoverWithCopies(uint32_t nodes, uint32_t repl, uint32_t quorum,
   for (size_t i = 0; i < copies; ++i) {
     EXPECT_TRUE(c.datastore(backups[i]).log().Append(LogRec(txn, key, 150)).ok());
   }
-  return RecoverShard(c, failed, backups[0]);
+  c.node(failed).Crash();
+  const CrashReport r = CrashFailover(c, failed);
+  EXPECT_EQ(r.promoted, backups[0]);
+  return r;
 }
 
 TEST(ReplQuorumRecoveryTest, Replication3QuorumButNotAllRollsForward) {
   // quorum 2 of 3: the coordinator commits after ONE backup ack, so a
   // single surviving copy proves the transaction may have reported.
-  RecoveryReport r = RecoverWithCopies(4, 3, 2, 1);
+  CrashReport r = RecoverWithCopies(4, 3, 2, 1);
   EXPECT_EQ(r.rolled_forward, 1u);
   EXPECT_EQ(r.discarded, 0u);
 }
@@ -180,7 +182,7 @@ TEST(ReplQuorumRecoveryTest, Replication3QuorumButNotAllRollsForward) {
 TEST(ReplQuorumRecoveryTest, Replication3WaitForAllDiscardsSingleCopy) {
   // Same single-copy evidence, but at wait-for-all the commit point needs
   // both backups: the record must be discarded.
-  RecoveryReport r = RecoverWithCopies(4, 3, 0, 1);
+  CrashReport r = RecoverWithCopies(4, 3, 0, 1);
   EXPECT_EQ(r.rolled_forward, 0u);
   EXPECT_EQ(r.discarded, 1u);
 }
@@ -188,7 +190,7 @@ TEST(ReplQuorumRecoveryTest, Replication3WaitForAllDiscardsSingleCopy) {
 TEST(ReplQuorumRecoveryTest, Replication5QuorumButNotAllRollsForward) {
   // quorum 3 of 5 (2 backup acks): two surviving copies out of four
   // backups reach the commit point.
-  RecoveryReport r = RecoverWithCopies(6, 5, 3, 2);
+  CrashReport r = RecoverWithCopies(6, 5, 3, 2);
   EXPECT_EQ(r.rolled_forward, 1u);
   EXPECT_EQ(r.discarded, 0u);
 }
@@ -196,7 +198,7 @@ TEST(ReplQuorumRecoveryTest, Replication5QuorumButNotAllRollsForward) {
 TEST(ReplQuorumRecoveryTest, Replication5SubQuorumDiscards) {
   // One copy is sub-quorum at quorum 3: the coordinator cannot have
   // collected its acks, so recovery discards.
-  RecoveryReport r = RecoverWithCopies(6, 5, 3, 1);
+  CrashReport r = RecoverWithCopies(6, 5, 3, 1);
   EXPECT_EQ(r.rolled_forward, 0u);
   EXPECT_EQ(r.discarded, 1u);
 }
@@ -391,10 +393,8 @@ TEST(PlannedFailoverTest, HandoffFlipsRoutingWithoutCrash) {
   const store::Key key = KeyOn(c, 1);
   c.LoadReplicated(kBank, key, Balance(100));
 
-  std::map<store::NodeId, store::NodeId> promotions;
-  std::unique_ptr<txn::RemappedPartitioner> remapped;
   const uint64_t v0 = c.map().version;
-  HandoffReport r = PlannedHandoff(c, 1, &part, &promotions, &remapped);
+  HandoffReport r = PlannedHandoff(c, 1);
   ASSERT_TRUE(r.performed);
   EXPECT_EQ(r.promoted, c.repl().BackupsOf(1)[0]);
   EXPECT_EQ(c.map().PrimaryOf(kBank, key), r.promoted);
@@ -423,13 +423,11 @@ TEST(PlannedFailoverTest, ChainedHandoffsFollowTheLease) {
   XenicCluster c(Opts(4, 3), &part);
   const store::Key k1 = KeyOn(c, 1);
 
-  std::map<store::NodeId, store::NodeId> promotions;
-  std::unique_ptr<txn::RemappedPartitioner> remapped;
-  HandoffReport r1 = PlannedHandoff(c, 1, &part, &promotions, &remapped);
+  HandoffReport r1 = PlannedHandoff(c, 1);
   ASSERT_TRUE(r1.performed);
   // Hand off the promoted node too: shard 1's keys must follow the lease
   // to the SECOND promotion, not dangle at the first.
-  HandoffReport r2 = PlannedHandoff(c, r1.promoted, &part, &promotions, &remapped);
+  HandoffReport r2 = PlannedHandoff(c, r1.promoted);
   ASSERT_TRUE(r2.performed);
   EXPECT_NE(r2.promoted, r1.promoted);
   EXPECT_EQ(c.map().PrimaryOf(kBank, k1), r2.promoted);
@@ -440,9 +438,7 @@ TEST(PlannedFailoverTest, RefusesWithoutLiveBackup) {
   XenicCluster c(Opts(4, 2), &part);  // one backup per shard
   const store::NodeId backup = c.repl().BackupsOf(1)[0];
   c.node(backup).Crash();
-  std::map<store::NodeId, store::NodeId> promotions;
-  std::unique_ptr<txn::RemappedPartitioner> remapped;
-  HandoffReport r = PlannedHandoff(c, 1, &part, &promotions, &remapped);
+  HandoffReport r = PlannedHandoff(c, 1);
   EXPECT_FALSE(r.performed);
 }
 
