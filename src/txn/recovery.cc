@@ -442,25 +442,29 @@ size_t TransferShardState(XenicCluster& cluster, NodeId holder, NodeId routed,
 
 CrashReport CrashFailover(XenicCluster& cluster, NodeId failed) {
   CrashReport report;
-  report.promoted = cluster.FirstLiveBackup(failed);
-  assert(report.promoted.has_value() && "no live backup to promote");
-  const NodeId promoted = *report.promoted;
+  assert(cluster.FirstLiveBackup(failed).has_value() && "no live backup to promote");
+  if (cluster.Serves(failed)) {
+    report.promoted = cluster.FirstLiveBackup(failed);
+  }
   const std::vector<NodeId> live = cluster.LiveNodes();
   Evidence ev = CollectEvidence(cluster, live);
 
   // Order matters: resolve wedged transactions at live coordinators first
   // (commit the provably replicated, abort and tombstone the rest), then
-  // recover the failed shard and the failed coordinator's leftovers against
-  // the pre-failure map, and only then move the routing.
+  // recover the failed shards and the failed coordinator's leftovers
+  // against the pre-failure map, and only then move the routing.
   const std::vector<store::TxnId> committed = SweepWedgedTxns(cluster, failed, live, ev, &report);
-  RecoverShard(cluster, failed, promoted, live, ev, committed, &report);
+  if (report.promoted) {
+    RecoverShard(cluster, failed, *report.promoted, live, ev, committed, &report);
+  }
   RecoverCoordinatorLocks(cluster, failed, live, ev, &report);
-
-  // Re-replicate while the map still routes the failed node's keys here:
-  // the recovered state (backup base plus the rolled-forward in-doubt
-  // tail) is now authoritative at `promoted`.
-  TransferShardState(cluster, promoted, failed, promoted);
-  cluster.MoveShards(failed, promoted);
+  if (report.promoted) {
+    // Re-replicate while the map still routes the failed node's keys here:
+    // the recovered state (backup base plus the rolled-forward in-doubt
+    // tail) is now authoritative at the promoted node.
+    TransferShardState(cluster, *report.promoted, failed, *report.promoted);
+    cluster.MoveShards(failed, *report.promoted);
+  }
   // Evict the dead node from the membership view last: the sweep and the
   // recovery steps above reason about the pre-failure replica chains, but
   // from here on LOG fan-out must not wait on the dead backup's ack.
@@ -470,8 +474,10 @@ CrashReport CrashFailover(XenicCluster& cluster, NodeId failed) {
 
 HandoffReport PlannedHandoff(XenicCluster& cluster, NodeId from) {
   HandoffReport report;
-  if (cluster.node(from).crashed()) {
-    return report;  // a dead node's lease cannot be handed off, only swept
+  if (cluster.node(from).crashed() || !cluster.Serves(from)) {
+    // A dead node's lease cannot be handed off, only swept, and a node
+    // that serves no shard holds no lease.
+    return report;
   }
   const std::optional<NodeId> promoted = cluster.FirstLiveBackup(from);
   if (!promoted) {

@@ -32,7 +32,8 @@ namespace xenic::txn {
 
 // What one crash failover did.
 struct CrashReport {
-  // The backup that took over the failed node's shards.
+  // The backup that took over the failed node's shards; none if the failed
+  // node served no shard (an earlier failover moved its own away).
   std::optional<NodeId> promoted;
   // Wedged-transaction sweep at live coordinators: a transaction whose LOG
   // fan-out reached the commit point for every written shard is committed
@@ -55,7 +56,9 @@ struct CrashReport {
 };
 
 // Run at failure detection, after `failed`'s XenicNode::Crash(). `failed`
-// must have a live backup.
+// must have a live backup. A node that serves no shard still has its
+// wedged transactions swept, its coordinator locks swept and its
+// membership evicted, but nothing is recovered or moved.
 CrashReport CrashFailover(XenicCluster& cluster, NodeId failed);
 
 // What one planned handoff did.
@@ -71,9 +74,9 @@ struct HandoffReport {
   size_t records_transferred = 0;
 };
 
-// Hand `from`'s primary role to its first live backup. Returns
-// performed=false, and does nothing, if `from` has crashed or has no live
-// backup.
+// Hand the shards `from` serves to its first live backup. Returns
+// performed=false, and does nothing, if `from` has crashed, serves no
+// shard, or has no live backup.
 HandoffReport PlannedHandoff(XenicCluster& cluster, NodeId from);
 
 }  // namespace xenic::txn

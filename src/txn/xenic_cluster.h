@@ -5,6 +5,7 @@
 #ifndef SRC_TXN_XENIC_CLUSTER_H_
 #define SRC_TXN_XENIC_CLUSTER_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -35,14 +36,10 @@ class RemappedPartitioner : public Partitioner {
   bool Serves(NodeId node) const {
     return std::find(serving_.begin(), serving_.end(), node) != serving_.end();
   }
-  // Every base shard `from` serves moves to `to`.
+  // Every base shard `from` serves moves to `to`. A base shard `from` no
+  // longer serves stays where it is.
   void Move(NodeId from, NodeId to) {
-    for (NodeId& s : serving_) {
-      if (s == from) {
-        s = to;
-      }
-    }
-    serving_[from] = to;
+    std::replace(serving_.begin(), serving_.end(), from, to);
   }
 
  private:
@@ -92,6 +89,8 @@ class XenicCluster {
   std::vector<NodeId> LiveNodes() const;
   // The first backup in `node`'s chain that has not crashed.
   std::optional<NodeId> FirstLiveBackup(NodeId node) const;
+  // Whether any shard routes to `node`.
+  bool Serves(NodeId node) const { return remap_.Serves(node); }
   // Move the primary role of every shard `from` serves to `to`, and bump
   // the map version so 2PL transactions fence on the move.
   void MoveShards(NodeId from, NodeId to);

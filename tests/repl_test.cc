@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/chaos/chaos_run.h"
 #include "src/txn/recovery.h"
 
@@ -431,6 +433,45 @@ TEST(PlannedFailoverTest, ChainedHandoffsFollowTheLease) {
   ASSERT_TRUE(r2.performed);
   EXPECT_NE(r2.promoted, r1.promoted);
   EXPECT_EQ(c.map().PrimaryOf(kBank, k1), r2.promoted);
+}
+
+// A departing node moves the shards it serves, not its base shard. After
+// handoffs 1->2 and 2->3, node 1 serves nothing: handing it off again must
+// not send shard 1 back to node 2, which stopped receiving shard 1's
+// records at the second handoff.
+TEST(PlannedFailoverTest, HandoffOfANodeServingNothingIsSkipped) {
+  HashPartitioner part(4);
+  XenicCluster c(Opts(4, 3), &part);
+  const store::Key k1 = KeyOn(c, 1);
+  ASSERT_TRUE(PlannedHandoff(c, 1).performed);
+  ASSERT_TRUE(PlannedHandoff(c, 2).performed);
+  ASSERT_EQ(c.map().PrimaryOf(kBank, k1), 3u);
+  const uint64_t version = c.map().version;
+
+  const HandoffReport r = PlannedHandoff(c, 1);
+  EXPECT_FALSE(r.performed);
+  EXPECT_EQ(c.map().PrimaryOf(kBank, k1), 3u);
+  EXPECT_EQ(c.map().version, version);
+}
+
+// The crash of a node that serves no shard sweeps and evicts it, but
+// promotes nobody and moves no shard.
+TEST(PlannedFailoverTest, CrashOfANodeServingNothingLeavesRoutingUnchanged) {
+  HashPartitioner part(4);
+  XenicCluster c(Opts(4, 3), &part);
+  ASSERT_TRUE(PlannedHandoff(c, 1).performed);
+  std::vector<store::NodeId> before;
+  for (store::Key k = 0; k < 64; ++k) {
+    before.push_back(c.map().PrimaryOf(kBank, k));
+  }
+
+  c.node(1).Crash();
+  const CrashReport r = CrashFailover(c, 1);
+  EXPECT_FALSE(r.promoted.has_value());
+  EXPECT_TRUE(c.map().IsFailed(1));
+  for (store::Key k = 0; k < 64; ++k) {
+    EXPECT_EQ(c.map().PrimaryOf(kBank, k), before[k]) << "key " << k;
+  }
 }
 
 TEST(PlannedFailoverTest, RefusesWithoutLiveBackup) {
