@@ -157,6 +157,17 @@ bool WriteIfNewer(store::Datastore& ds, const store::LogWrite& w) {
   return true;
 }
 
+// The roll-forward step: apply the writes of a committed record that land
+// on `shard` at the node taking the shard over.
+void RollForward(store::Datastore& ds, const ClusterMap& map, const store::LogRecord& rec,
+                 NodeId shard) {
+  for (const auto& w : rec.writes) {
+    if (w.table < ds.num_tables() && map.PrimaryOf(w.table, w.key) == shard) {
+      WriteIfNewer(ds, w);
+    }
+  }
+}
+
 // The promoted node's NIC cache was never maintained by the commit
 // protocol for the shard it takes over (a backup's NIC serves no lookups):
 // drop those entries so lookups refill from the host tables. Returns
@@ -305,14 +316,13 @@ void RecoverShard(XenicCluster& cluster, NodeId failed, NodeId promoted,
 
   auto& ds = cluster.datastore(promoted);
   for (const InDoubt& d : in_doubt) {
+    if (d.complete) {
+      RollForward(ds, map, *d.record, failed);
+    }
     for (const auto& w : d.record->writes) {
-      if (w.table >= ds.num_tables() || map.PrimaryOf(w.table, w.key) != failed) {
-        continue;
+      if (w.table < ds.num_tables() && map.PrimaryOf(w.table, w.key) == failed) {
+        ds.index(w.table).ReleaseLock(w.key, d.txn);
       }
-      if (d.complete) {
-        WriteIfNewer(ds, w);
-      }
-      ds.index(w.table).ReleaseLock(w.key, d.txn);
     }
     if (d.complete) {
       // Mark the commit stable at every survivor: with the NIC applier
@@ -497,6 +507,17 @@ HandoffReport PlannedHandoff(XenicCluster& cluster, NodeId from) {
     for (const auto& w : node.WedgedOn(from, /*backup_touch=*/false)) {
       AbortEverywhere(cluster, live, node, w);
       report.stragglers_aborted++;
+    }
+  }
+
+  // Roll the promoted node forward. Its log drain may be stalled, leaving
+  // LOG records of committed transactions unapplied, and the transfer below
+  // copies only the departing primary's host tables. With the stragglers
+  // tombstoned, what remains in its log for the moving shards is committed.
+  auto& promoted_ds = cluster.datastore(*promoted);
+  for (const auto& rec : promoted_ds.log().Snapshot()) {
+    if (rec.type == store::LogRecordType::kLog && !promoted_ds.IsTombstoned(rec.txn)) {
+      RollForward(promoted_ds, cluster.map(), rec, from);
     }
   }
 

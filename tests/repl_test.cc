@@ -474,6 +474,34 @@ TEST(PlannedFailoverTest, CrashOfANodeServingNothingLeavesRoutingUnchanged) {
   }
 }
 
+// The promoted node may hold LOG records of committed transactions that
+// its stalled drain has not applied; the departing primary's host table
+// need not have them either. The handoff rolls them forward before the
+// flip, so the first read through the new routing sees the committed
+// version.
+TEST(PlannedFailoverTest, HandoffRollsThePromotedNodeForward) {
+  HashPartitioner part(4);
+  XenicCluster c(Opts(4, 3), &part);  // workers never start: every drain is stalled
+  const store::Key key = KeyOn(c, 1);
+  c.LoadReplicated(kBank, key, Balance(100));
+  const store::NodeId promoted = c.repl().BackupsOf(1)[0];
+  ASSERT_TRUE(c.datastore(promoted).log().Append(LogRec(store::MakeTxnId(0, 42), key, 150)).ok());
+  ASSERT_TRUE(PlannedHandoff(c, 1).performed);
+
+  int64_t got = 0;
+  TxnRequest req;
+  req.reads = {{kBank, key}};
+  req.execute = [&got](ExecRound& er) { got = GetI64((*er.reads)[0].value, 0); };
+  bool done = false;
+  c.node(0).Submit(std::move(req), [&](TxnOutcome oc) {
+    EXPECT_EQ(oc, TxnOutcome::kCommitted);
+    done = true;
+  });
+  c.engine().RunFor(200 * sim::kNsPerUs);
+  ASSERT_TRUE(done);
+  EXPECT_EQ(got, 150);
+}
+
 TEST(PlannedFailoverTest, RefusesWithoutLiveBackup) {
   HashPartitioner part(4);
   XenicCluster c(Opts(4, 2), &part);  // one backup per shard
