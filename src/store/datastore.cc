@@ -128,6 +128,11 @@ ApplyOutcome Datastore::ApplyLogRecord(const LogRecord& record, bool stability_g
     auto& t = *tables_[w.table];
     if (w.is_delete) {
       t.Erase(w.key);  // NotFound tolerated: replayed record
+    } else if (record.type == LogRecordType::kLog && t.GetSeq(w.key).value_or(0) >= w.seq) {
+      // A replayed LOG write: recovery already rolled it forward, or a
+      // newer version landed first. Applying it would move the key back,
+      // and its ack would drop the pin of the newer COMMIT.
+      continue;
     } else {
       t.Apply(w.key, w.value, w.seq);
     }

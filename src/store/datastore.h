@@ -76,8 +76,10 @@ class Datastore final : public LogApplyTarget {
   // dropped, its writes' NIC cache entries unpinned and invalidated.
   // Otherwise each write lands in its table and is acked to the NIC
   // (unpin + refresh the segment's hint, piggybacked on host-to-NIC
-  // traffic), and a kLog record is noted applied (NoteLogApplied). Either
-  // way the record's writes leave the pending-read index.
+  // traffic), and a kLog record is noted applied (NoteLogApplied). A kLog
+  // write whose key already holds the same or a newer seq is skipped, ack
+  // included: a replay never moves a key backwards. Either way the
+  // record's writes leave the pending-read index.
   ApplyOutcome ApplyLogRecord(const LogRecord& record, bool stability_gate) override;
 
   // Recovery/abort: mark `txn`'s log records dead on this node. Existing

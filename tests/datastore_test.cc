@@ -79,6 +79,31 @@ TEST(DatastoreTest, ApplyDeleteRemovesKey) {
   EXPECT_FALSE(ds.table(0).Contains(7));
 }
 
+TEST(DatastoreTest, ReplayedLogRecordNeverMovesAKeyBackwards) {
+  Datastore ds(TwoTables(), {});
+  ASSERT_TRUE(ds.Load(0, 1, Value(16, 1)).ok());
+  LogRecord older;
+  older.type = LogRecordType::kLog;
+  older.txn = MakeTxnId(1, 1);
+  older.writes.push_back(LogWrite{0, 1, 2, Value(16, 2), false});
+  LogRecord newer = older;
+  newer.txn = MakeTxnId(1, 2);
+  newer.writes[0] = LogWrite{0, 1, 3, Value(16, 3), false};
+  ASSERT_EQ(ds.ApplyLogRecord(newer, /*stability_gate=*/false), ApplyOutcome::kApplied);
+  // A newer COMMIT pins its cached copy until its own record applies.
+  ds.index(0).ApplyCommit(1, Value(16, 4), 4);
+  ASSERT_EQ(ds.index(0).pinned_objects(), 1u);
+
+  for (const LogRecord* replay : {&older, &newer}) {
+    EXPECT_EQ(ds.ApplyLogRecord(*replay, /*stability_gate=*/false), ApplyOutcome::kApplied);
+    EXPECT_EQ(ds.table(0).Lookup(1)->value, Value(16, 3));
+    EXPECT_EQ(ds.table(0).GetSeq(1).value(), 3u);
+    EXPECT_EQ(ds.index(0).pinned_objects(), 1u);
+  }
+  // The replay is still recorded as applied (recovery's receipt evidence).
+  EXPECT_EQ(ds.AppliedShardsOf(older.txn).size(), 1u);
+}
+
 TEST(DatastoreTest, LargeValueTableRoundTrip) {
   NicIndex::Options no;
   no.admit_on_load = false;
