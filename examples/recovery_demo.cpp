@@ -108,8 +108,9 @@ int main() {
     std::printf("  shard recovery: scanned %zu log records, rebuilt %zu locks, rolled "
                 "forward %zu txns, discarded %zu\n",
                 r.records_scanned, r.locks_rebuilt, r.rolled_forward, r.discarded);
-    std::printf("  dead coordinator: swept %zu txns, released %zu locks\n", r.coord_swept,
-                r.locks_released);
+    std::printf("  dead coordinator: swept %zu txns, rolled forward %zu, discarded %zu, "
+                "released %zu locks\n",
+                r.coord_swept, r.coord_rolled_forward, r.coord_discarded, r.locks_released);
   });
   engine.RunUntil(kHorizon);
   engine.RunFor(200 * sim::kNsPerUs);

@@ -139,7 +139,7 @@ ApplyOutcome Datastore::ApplyLogRecord(const LogRecord& record, bool stability_g
     AckHostApplied(w.table, w.key);
   }
   if (record.type == LogRecordType::kLog) {
-    NoteLogApplied(record.txn, record.shard);
+    NoteLogApplied(record.txn, record.shard, record.total_shards);
   }
   ClearPending(record);
   return ApplyOutcome::kApplied;

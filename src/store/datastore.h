@@ -9,6 +9,7 @@
 #ifndef SRC_STORE_DATASTORE_H_
 #define SRC_STORE_DATASTORE_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -100,13 +101,21 @@ class Datastore final : public LogApplyTarget {
   // committed transaction whose record was reclaimed on every replica of
   // one shard looks incomplete and gets discarded, resurrecting the old
   // version of its writes on the promoted primary (a lost update).
-  void NoteLogApplied(TxnId txn, NodeId shard) { applied_log_.emplace(txn, shard); }
-  // Shards of `txn` whose records this node applied, in shard order.
-  std::vector<NodeId> AppliedShardsOf(TxnId txn) const {
+  // The record's total_shards is kept too, so a transaction whose records
+  // were all applied and reclaimed can still be judged complete.
+  void NoteLogApplied(TxnId txn, NodeId shard, uint32_t total_shards) {
+    applied_log_.insert(AppliedLog{txn, shard, total_shards});
+  }
+  // Shards of `txn` whose records this node applied, in shard order. Raises
+  // `*total_shards`, if given, to the records' total_shards.
+  std::vector<NodeId> AppliedShardsOf(TxnId txn, uint32_t* total_shards = nullptr) const {
     std::vector<NodeId> out;
-    for (auto it = applied_log_.lower_bound({txn, 0});
-         it != applied_log_.end() && it->first == txn; ++it) {
-      out.push_back(it->second);
+    for (auto it = applied_log_.lower_bound(AppliedLog{txn, 0, 0});
+         it != applied_log_.end() && it->txn == txn; ++it) {
+      out.push_back(it->shard);
+      if (total_shards != nullptr) {
+        *total_shards = std::max(*total_shards, it->total_shards);
+      }
     }
     return out;
   }
@@ -138,7 +147,15 @@ class Datastore final : public LogApplyTarget {
   std::unordered_set<TxnId> tombstoned_;
   // Applied LOG records, keyed (txn, shard); see NoteLogApplied. Ordered so
   // AppliedShardsOf can range-scan one transaction deterministically.
-  std::set<std::pair<TxnId, NodeId>> applied_log_;
+  struct AppliedLog {
+    TxnId txn;
+    NodeId shard;
+    uint32_t total_shards;  // fills the key's padding: no extra bytes
+    bool operator<(const AppliedLog& o) const {
+      return txn != o.txn ? txn < o.txn : shard < o.shard;
+    }
+  };
+  std::set<AppliedLog> applied_log_;
 };
 
 }  // namespace xenic::store

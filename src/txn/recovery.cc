@@ -43,6 +43,16 @@ NodeId ShardOfRecord(const ClusterMap& map, const store::LogRecord& rec) {
   return map.PrimaryOf(rec.writes.front().table, rec.writes.front().key);
 }
 
+// Fold the applied-record indexes of the live nodes into `t`.
+void AddAppliers(XenicCluster& cluster, store::TxnId txn, const std::vector<NodeId>& live,
+                 TxnLogState* t) {
+  for (NodeId n : live) {
+    for (NodeId shard : cluster.datastore(n).AppliedShardsOf(txn, &t->total_shards)) {
+      t->shards[shard].appliers.push_back(n);
+    }
+  }
+}
+
 // Scan every live node's log for unacknowledged LOG records, grouped by
 // transaction. Tombstoned records (epoch-aborted transactions) are dead and
 // excluded.
@@ -72,11 +82,7 @@ Evidence CollectEvidence(XenicCluster& cluster, const std::vector<NodeId>& live)
   // total_shards") and gets discarded -- resurrecting pre-transaction
   // versions on the promoted primary.
   for (auto& [txn, t] : out) {
-    for (NodeId n : live) {
-      for (NodeId shard : cluster.datastore(n).AppliedShardsOf(txn)) {
-        t.shards[shard].appliers.push_back(n);
-      }
-    }
+    AddAppliers(cluster, txn, live, &t);
   }
   return out;
 }
@@ -373,15 +379,39 @@ void RecoverCoordinatorLocks(XenicCluster& cluster, NodeId failed,
 
   for (const auto& [txn, has_records] : candidates) {
     report->coord_swept++;
-    if (has_records && IsComplete(cluster, ev.at(txn), live)) {
+    // A transaction whose records were all applied and reclaimed left only
+    // the applied-record indexes (and its locks) behind.
+    TxnLogState applied;
+    if (!has_records) {
+      AddAppliers(cluster, txn, live, &applied);
+    }
+    const TxnLogState& t = has_records ? ev.at(txn) : applied;
+    if (IsComplete(cluster, t, live)) {
       // The dead coordinator may have reported commit: finish its job at
       // every live primary (the failed shard itself is RecoverShard's).
-      for (const auto& [shard, sr] : ev.at(txn).shards) {
+      for (const auto& [shard, sr] : t.shards) {
         if (shard == failed || !Contains(live, shard)) {
           continue;
         }
+        auto& ds = cluster.datastore(shard);
         for (const auto& w : sr.record.writes) {
-          WriteIfNewer(cluster.datastore(shard), w);
+          WriteIfNewer(ds, w);
+        }
+        if (sr.record.writes.empty() && !sr.appliers.empty()) {
+          // No copy of the record is left, but a backup applied it, and the
+          // keys the transaction still locks here have no newer writer:
+          // take their values from that backup.
+          auto& backup = cluster.datastore(sr.appliers.front());
+          for (store::TableId tb = 0; tb < ds.num_tables(); ++tb) {
+            for (const auto& lk : ds.index(tb).LockedKeys()) {
+              if (lk.owner != txn) {
+                continue;
+              }
+              if (const auto entry = backup.table(tb).Lookup(lk.key)) {
+                WriteIfNewer(ds, store::LogWrite{tb, lk.key, entry->seq, entry->value, false});
+              }
+            }
+          }
         }
       }
       // The dead coordinator never sent its stability notices; unblock any

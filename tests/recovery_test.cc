@@ -122,6 +122,44 @@ TEST(RecoveryTest, DiscardsIncompleteTransactions) {
   EXPECT_FALSE(c.datastore(promoted).index(kBank).IsLocked(key));
 }
 
+TEST(RecoveryTest, RollsForwardADeadCoordinatorsFullyAppliedTransaction) {
+  // The coordinator (node 2) reached its commit point and crashed before
+  // its COMMITs left: its locks stand at the live primaries, and every live
+  // backup already applied and reclaimed its LOG records, so only the
+  // applied-record indexes are left. The write must reach the primaries.
+  HashPartitioner part(4);
+  XenicCluster c(Opts(), &part);
+  const store::NodeId failed = 2;
+  const store::Key a = KeyOn(c, 0);  // backups 1, 2
+  const store::Key b = KeyOn(c, 3);  // backups 0, 1
+  c.LoadReplicated(kBank, a, Balance(100));
+  c.LoadReplicated(kBank, b, Balance(100));
+  const store::TxnId txn = store::MakeTxnId(failed, 5);
+  ASSERT_TRUE(c.datastore(0).index(kBank).AcquireLock(a, txn).ok());
+  ASSERT_TRUE(c.datastore(3).index(kBank).AcquireLock(b, txn).ok());
+  store::LogRecord on_a;
+  on_a.type = store::LogRecordType::kLog;
+  on_a.txn = txn;
+  on_a.total_shards = 2;
+  on_a.shard = 0;
+  on_a.writes.push_back(store::LogWrite{kBank, a, 2, Balance(90), false});
+  store::LogRecord on_b = on_a;
+  on_b.shard = 3;
+  on_b.writes[0] = store::LogWrite{kBank, b, 2, Balance(110), false};
+  c.datastore(1).ApplyLogRecord(on_a, /*stability_gate=*/false);
+  c.datastore(0).ApplyLogRecord(on_b, /*stability_gate=*/false);
+  c.datastore(1).ApplyLogRecord(on_b, /*stability_gate=*/false);
+
+  c.node(failed).Crash();
+  const CrashReport report = CrashFailover(c, failed);
+  EXPECT_EQ(report.coord_rolled_forward, 1u);
+  EXPECT_EQ(report.coord_discarded, 0u);
+  EXPECT_EQ(GetI64(c.datastore(0).table(kBank).Lookup(a)->value, 0), 90);
+  EXPECT_EQ(GetI64(c.datastore(3).table(kBank).Lookup(b)->value, 0), 110);
+  EXPECT_FALSE(c.datastore(0).index(kBank).IsLocked(a));
+  EXPECT_FALSE(c.datastore(3).index(kBank).IsLocked(b));
+}
+
 // A read-modify-write transfer of `amt` from `from` to `to`.
 TxnRequest Transfer(store::Key from, store::Key to, int64_t amt) {
   TxnRequest req;
