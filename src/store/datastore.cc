@@ -105,11 +105,15 @@ ApplyOutcome Datastore::ApplyLogRecord(const LogRecord& record, bool stability_g
   if (IsTombstoned(record.txn)) {
     // Epoch-aborted transaction: drop the record. A commit record pinned
     // its cached objects until host apply, and the cached values were
-    // never (and will never be) applied here, so unpin and invalidate.
-    for (const auto& w : record.writes) {
-      if (w.table < tables_.size()) {
-        AckHostApplied(w.table, w.key);
-        indexes_[w.table]->Invalidate(w.key);
+    // never (and will never be) applied here, so unpin and invalidate. A
+    // LOG record pinned nothing: acking it would drop the pin of whatever
+    // COMMIT holds the key now.
+    if (record.type == LogRecordType::kCommit) {
+      for (const auto& w : record.writes) {
+        if (w.table < tables_.size()) {
+          AckHostApplied(w.table, w.key);
+          indexes_[w.table]->Invalidate(w.key);
+        }
       }
     }
     ClearPending(record);

@@ -104,6 +104,27 @@ TEST(DatastoreTest, ReplayedLogRecordNeverMovesAKeyBackwards) {
   EXPECT_EQ(ds.AppliedShardsOf(older.txn).size(), 1u);
 }
 
+TEST(DatastoreTest, TombstonedLogRecordKeepsTheCommitPin) {
+  Datastore ds(TwoTables(), {});
+  ASSERT_TRUE(ds.Load(0, 1, Value(16, 1)).ok());
+  LogRecord aborted;
+  aborted.type = LogRecordType::kLog;
+  aborted.txn = MakeTxnId(1, 1);
+  aborted.writes.push_back(LogWrite{0, 1, 2, Value(16, 2), false});
+  ds.TombstoneTxn(aborted.txn);
+  // The key's current COMMIT pins its cached copy until its record applies.
+  ds.index(0).ApplyCommit(1, Value(16, 3), 2);
+  EXPECT_EQ(ds.ApplyLogRecord(aborted, /*stability_gate=*/false), ApplyOutcome::kDropped);
+  EXPECT_EQ(ds.index(0).pinned_objects(), 1u);
+  EXPECT_EQ(ds.index(0).CachedSeq(1), 2u);
+
+  // A tombstoned COMMIT record took that pin itself: dropping it unpins.
+  LogRecord commit = aborted;
+  commit.type = LogRecordType::kCommit;
+  EXPECT_EQ(ds.ApplyLogRecord(commit, /*stability_gate=*/false), ApplyOutcome::kDropped);
+  EXPECT_EQ(ds.index(0).pinned_objects(), 0u);
+}
+
 TEST(DatastoreTest, LargeValueTableRoundTrip) {
   NicIndex::Options no;
   no.admit_on_load = false;
