@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Builds the tree with AddressSanitizer + UndefinedBehaviorSanitizer and runs
-# the tier-1 test suite plus one short chaos schedule under it, on Xenic and
-# on DrTM+H. The chaos harness stresses exactly the paths sanitizers are
-# good at catching -- crash teardown, log reclamation, NIC-index eviction --
-# so a seed runs here even though the full chaos matrix would be too slow
-# when instrumented.
+# the tier-1 test suite plus a few short chaos schedules under it: one on
+# Xenic and one on DrTM+H, and two failover schedules. The chaos harness
+# stresses exactly the paths sanitizers are good at catching -- crash
+# teardown, log reclamation, NIC-index eviction, routing moves -- so seeds
+# run here even though the full chaos matrix would be too slow when
+# instrumented.
 #
 # Usage: tools/run_sanitized_tests.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -25,5 +26,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" -LE chaos
 # The DrTM+H run puts the baselines' ChainedStore under the sanitizers too.
 "$BUILD_DIR"/tools/chaos_runner --seed 1 --horizon-us 300
 "$BUILD_DIR"/tools/chaos_runner --seed 1 --system drtmh --horizon-us 300
+
+# Planned handoffs under the sanitizers (ctest above skips the chaos label,
+# so no handoff schedule runs otherwise): three handoffs with the NIC log
+# applier, and a crash after two handoffs. Both died with SIGSEGV when a
+# departing node's promotion moved a shard it no longer served.
+"$BUILD_DIR"/tools/chaos_runner --seed 30 --crashes 0 --handoffs 3 --nic-log-apply
+"$BUILD_DIR"/tools/chaos_runner --seed 342 --crashes 1 --handoffs 2
 
 echo "sanitized run OK"
