@@ -163,6 +163,38 @@ bool WriteIfNewer(store::Datastore& ds, const store::LogWrite& w) {
   return true;
 }
 
+// Roll a dead coordinator's committed writes forward at a live primary that
+// keeps serving. A key whose last COMMIT is still pending in the log there
+// has a pinned cached copy and a pending-index entry that shadow the host
+// table, and that record's apply would overwrite the table: such writes go
+// through the commit path instead, as a COMMIT record behind the pending
+// one, applied at the NIC (or, with the log ring full, the table as before).
+void RollForwardAtPrimary(store::Datastore& ds, store::TxnId txn,
+                          const std::vector<store::LogWrite>& writes) {
+  store::LogRecord commit;
+  commit.type = store::LogRecordType::kCommit;
+  commit.txn = txn;
+  const bool can_append = !ds.log().Full();
+  for (const auto& w : writes) {
+    if (w.table >= ds.num_tables()) {
+      continue;
+    }
+    const std::optional<store::Seq> fresh = ds.FreshSeq(w.table, w.key);
+    if (!can_append || fresh == ds.table(w.table).GetSeq(w.key)) {
+      WriteIfNewer(ds, w);
+    } else if (w.seq > fresh.value_or(0)) {
+      commit.writes.push_back(w);
+    }
+  }
+  if (commit.writes.empty()) {
+    return;
+  }
+  for (const auto& w : commit.writes) {
+    ds.index(w.table).ApplyCommit(w.key, w.value, w.seq);
+  }
+  ds.Append(std::move(commit));
+}
+
 // The roll-forward step: apply the writes of a committed record that land
 // on `shard` at the node taking the shard over.
 void RollForward(store::Datastore& ds, const ClusterMap& map, const store::LogRecord& rec,
@@ -393,14 +425,12 @@ void RecoverCoordinatorLocks(XenicCluster& cluster, NodeId failed,
         if (shard == failed || !Contains(live, shard)) {
           continue;
         }
-        auto& ds = cluster.datastore(shard);
-        for (const auto& w : sr.record.writes) {
-          WriteIfNewer(ds, w);
-        }
-        if (sr.record.writes.empty() && !sr.appliers.empty()) {
+        std::vector<store::LogWrite> writes = sr.record.writes;
+        if (writes.empty() && !sr.appliers.empty()) {
           // No copy of the record is left, but a backup applied it, and the
           // keys the transaction still locks here have no newer writer:
           // take their values from that backup.
+          auto& ds = cluster.datastore(shard);
           auto& backup = cluster.datastore(sr.appliers.front());
           for (store::TableId tb = 0; tb < ds.num_tables(); ++tb) {
             for (const auto& lk : ds.index(tb).LockedKeys()) {
@@ -408,11 +438,12 @@ void RecoverCoordinatorLocks(XenicCluster& cluster, NodeId failed,
                 continue;
               }
               if (const auto entry = backup.table(tb).Lookup(lk.key)) {
-                WriteIfNewer(ds, store::LogWrite{tb, lk.key, entry->seq, entry->value, false});
+                writes.push_back(store::LogWrite{tb, lk.key, entry->seq, entry->value, false});
               }
             }
           }
         }
+        RollForwardAtPrimary(cluster.datastore(shard), txn, writes);
       }
       // The dead coordinator never sent its stability notices; unblock any
       // armed NIC appliers still parked on this transaction's records.
@@ -482,9 +513,10 @@ size_t TransferShardState(XenicCluster& cluster, NodeId holder, NodeId routed,
 
 CrashReport CrashFailover(XenicCluster& cluster, NodeId failed) {
   CrashReport report;
-  assert(cluster.FirstLiveBackup(failed).has_value() && "no live backup to promote");
+  const std::optional<NodeId> backup = cluster.FirstLiveBackup(failed);
+  assert(backup.has_value() && "no live backup to promote");
   if (cluster.Serves(failed)) {
-    report.promoted = cluster.FirstLiveBackup(failed);
+    report.promoted = backup;
   }
   const std::vector<NodeId> live = cluster.LiveNodes();
   Evidence ev = CollectEvidence(cluster, live);

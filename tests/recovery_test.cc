@@ -160,6 +160,46 @@ TEST(RecoveryTest, RollsForwardADeadCoordinatorsFullyAppliedTransaction) {
   EXPECT_FALSE(c.datastore(3).index(kBank).IsLocked(b));
 }
 
+TEST(RecoveryTest, DeadCoordinatorRollForwardSurvivesAPendingCommit) {
+  // Node 0 holds an earlier transaction's COMMIT in its log, not yet
+  // applied (its cached copy pinned). The dead coordinator's transaction
+  // then locked the key and reached its commit point at node 0's backups.
+  // Rolling it forward must leave its version in place once the earlier
+  // COMMIT applies.
+  HashPartitioner part(4);
+  XenicCluster c(Opts(), &part);
+  const store::NodeId failed = 2;
+  const store::Key a = KeyOn(c, 0);  // backups 1, 2
+  c.LoadReplicated(kBank, a, Balance(100));
+  store::LogRecord earlier;
+  earlier.type = store::LogRecordType::kCommit;
+  earlier.txn = store::MakeTxnId(1, 4);
+  earlier.writes.push_back(store::LogWrite{kBank, a, 2, Balance(80), false});
+  c.datastore(0).index(kBank).ApplyCommit(a, Balance(80), 2);
+  ASSERT_TRUE(c.datastore(0).Append(earlier).ok());
+  const store::TxnId txn = store::MakeTxnId(failed, 5);
+  ASSERT_TRUE(c.datastore(0).index(kBank).AcquireLock(a, txn).ok());
+  store::LogRecord rec;
+  rec.type = store::LogRecordType::kLog;
+  rec.txn = txn;
+  rec.shard = 0;
+  rec.writes.push_back(store::LogWrite{kBank, a, 3, Balance(70), false});
+  c.datastore(1).ApplyLogRecord(rec, /*stability_gate=*/false);
+
+  c.node(failed).Crash();
+  const CrashReport report = CrashFailover(c, failed);
+  EXPECT_EQ(report.coord_rolled_forward, 1u);
+  c.StartWorkers();
+  c.engine().RunFor(100 * sim::kNsPerUs);
+  const auto r = c.datastore(0).table(kBank).Lookup(a);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->seq, 3u);
+  EXPECT_EQ(GetI64(r->value, 0), 70);
+  EXPECT_EQ(c.datastore(0).index(kBank).pinned_objects(), 0u);
+  c.StopWorkers();
+  c.engine().Run();
+}
+
 // A read-modify-write transfer of `amt` from `from` to `to`.
 TxnRequest Transfer(store::Key from, store::Key to, int64_t amt) {
   TxnRequest req;
