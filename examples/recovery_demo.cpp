@@ -91,6 +91,14 @@ int main() {
     }
   }
 
+  // Node 2's first backup stops applying its log for a while (commit-log
+  // back-pressure), so at detection it still holds LOG records of node 2's
+  // shard that recovery must rebuild locks for and roll forward or discard.
+  constexpr store::NodeId kBackup = 3;
+  engine.ScheduleAt(kCrashAt - 20 * sim::kNsPerUs, [&] { cluster.node(kBackup).StopWorkers(); });
+  engine.ScheduleAt(kCrashAt + 40 * sim::kNsPerUs, [&] {
+    cluster.node(kBackup).StartWorkers(options.workers_per_node, options.worker_poll_interval);
+  });
   engine.ScheduleAt(kCrashAt, [&] {
     std::printf("phase 1: %d transfers committed; node %u crashes at %llu us with %d "
                 "in flight\n",
@@ -103,8 +111,8 @@ int main() {
     failed_over = true;
     std::printf("phase 2: failover at %llu us promoted node %u\n",
                 static_cast<unsigned long long>(engine.now() / 1000), r.promoted.value());
-    std::printf("  wedged txns: committed %zu, aborted %zu\n", r.sweep_committed,
-                r.sweep_aborted);
+    std::printf("  wedged txns: committed %zu (%zu acks synthesized), aborted %zu\n",
+                r.sweep_committed, r.acks_synthesized, r.sweep_aborted);
     std::printf("  shard recovery: scanned %zu log records, rebuilt %zu locks, rolled "
                 "forward %zu txns, discarded %zu\n",
                 r.records_scanned, r.locks_rebuilt, r.rolled_forward, r.discarded);
