@@ -7,7 +7,6 @@ namespace xenic::baseline {
 
 namespace {
 
-using txn::AbortReason;
 using txn::ContainsKey;
 using txn::kHostInitCost;
 using txn::kHostKeyCost;
@@ -58,51 +57,37 @@ BaselineNode::BaselineNode(nicmodel::RdmaNic* nic, sim::Resource* host_cores,
       drain_(nic->engine(), store, {.cores = host_cores}) {}
 
 store::TxnId BaselineNode::Submit(TxnRequest req, CommitCallback done) {
-  auto st = std::make_unique<TxnState>();
+  TxnState* st = txns_.Acquire();
   st->Init(store::MakeTxnId(id(), next_txn_seq_++), std::move(req), std::move(done));
   st->write_locked.assign(st->write_keys.size(), false);
-  const store::TxnId txn = st->id;
-  txns_[txn] = std::move(st);
   // Everything downstream (host work, RDMA verbs, replies) inherits this
   // causal context through the engine's event wrapper, so every span the
   // transaction touches carries its id.
-  nic_->engine()->set_trace_ctx(txn);
-  host_cores_->Submit(kHostInitCost, [this, txn] {
-    TxnState* st = FindState(txn);
+  nic_->engine()->set_trace_ctx(st->id);
+  host_cores_->Submit(kHostInitCost, sim::InlineCallback([this, h = st->handle()] {
+    TxnState* st = FindState(h);
     assert(st != nullptr);
     ExecutePhase(st);
-  });
-  return txn;
+  }));
+  return st->id;
 }
 
 void BaselineNode::ExecutePhase(TxnState* st) {
   stats_.remote_rounds++;
-  const store::TxnId txn = st->id;
-  auto one_done = [this, txn] {
-    TxnState* st = FindState(txn);
-    if (st == nullptr) {
-      return;
-    }
-    if (--st->pending == 0) {
-      if (st->abort) {
-        AbortCleanup(st, TxnOutcome::kAborted);
-      } else {
-        AfterExecuteRound(st);
-      }
-    }
-  };
-
+  st->read_scratch.resize(st->read_keys.size());
   if (mode_ == BaselineMode::kFasst) {
     // Consolidated per-shard RPCs: one request reads and locks everything
     // this shard holds.
-    const size_t groups = st->GroupByShard(*map_, &shard_groups_);
+    st->write_scratch.resize(st->write_keys.size());
+    const size_t groups = st->GroupByShard(*map_, &st->groups);
+    st->group_refused.assign(groups, AbortReason::kNone);
     st->pending = static_cast<uint32_t>(groups);
     if (st->pending == 0) {
       AfterExecuteRound(st);
       return;
     }
-    for (size_t g = 0; g < groups; ++g) {
-      FasstExecuteShard(st, shard_groups_[g], one_done);
+    for (uint32_t g = 0; g < groups; ++g) {
+      FasstExecuteShard(st, g);
     }
     return;
   }
@@ -115,7 +100,17 @@ void BaselineNode::ExecutePhase(TxnState* st) {
     return;
   }
   for (uint32_t i = st->new_read_base; i < st->read_keys.size(); ++i) {
-    ReadOneKey(st, i, one_done);
+    ReadOneKey(st, i);
+  }
+}
+
+void BaselineNode::OnExecuteDone(TxnState* st) {
+  if (--st->pending == 0) {
+    if (st->abort) {
+      AbortCleanup(st, TxnOutcome::kAborted);
+    } else {
+      AfterExecuteRound(st);
+    }
   }
 }
 
@@ -126,137 +121,149 @@ void BaselineNode::LockPhase(TxnState* st) {
     return;
   }
   stats_.remote_rounds++;
-  const store::TxnId txn = st->id;
-  auto one_done = [this, txn] {
-    TxnState* st = FindState(txn);
-    if (st == nullptr) {
-      return;
-    }
-    if (--st->pending == 0) {
-      if (st->abort) {
-        AbortCleanup(st, TxnOutcome::kAborted);
-      } else {
-        ValidatePhase(st);
-      }
-    }
-  };
+  st->write_scratch.resize(st->write_keys.size());
   for (uint32_t i = 0; i < st->write_keys.size(); ++i) {
-    LockOneKey(st, i, one_done);
+    LockOneKey(st, i);
   }
 }
 
-void BaselineNode::ReadOneKey(TxnState* st, uint32_t read_idx, sim::Engine::Callback done) {
+void BaselineNode::OnLockDone(TxnState* st) {
+  if (--st->pending == 0) {
+    if (st->abort) {
+      AbortCleanup(st, TxnOutcome::kAborted);
+    } else {
+      ValidatePhase(st);
+    }
+  }
+}
+
+void BaselineNode::ReadOneKey(TxnState* st, uint32_t read_idx) {
   const KeyRef k = st->read_keys[read_idx];
   const store::NodeId shard = map_->PrimaryOf(k.table, k.key);
-  const store::TxnId txn = st->id;
 
   if (shard == id()) {
-    host_cores_->Submit(kHostKeyCost, [this, txn, read_idx, k, done = std::move(done)]() mutable {
-      TxnState* st = FindState(txn);
+    host_cores_->Submit(kHostKeyCost, sim::InlineCallback([this, h = st->handle(), read_idx] {
+      TxnState* st = FindState(h);
       if (st == nullptr) {
         return;
       }
+      const KeyRef k = st->read_keys[read_idx];
       if (const auto* o = store_->table(k.table).Lookup(k.key)) {
-        if (o->lock_owner != store::kNoTxn && o->lock_owner != txn) {
+        if (o->lock_owner != store::kNoTxn && o->lock_owner != h.txn) {
           st->Abort(AbortReason::kLockExecute);
         } else {
           st->reads[read_idx] = ReadResult{true, o->seq, o->value};
         }
       }
-      done();
-    });
+      OnExecuteDone(st);
+    }));
     return;
   }
 
-  BaselineNode* target = (*peers_)[shard];
-  ChainedStore& table = target->store_->table(k.table);
-  const uint32_t obj_bytes = table.object_bytes();
-
-  // Result holder filled by the target-side closure at access time.
-  struct Holder {
-    bool found = false;
-    store::Seq seq = 0;
-    store::TxnId lock = store::kNoTxn;
-    store::Value value;
-  };
-  auto h = std::make_shared<Holder>();
-  auto fetch = [&table, key = k.key, h] {
-    if (const auto* o = table.Lookup(key)) {
-      h->found = true;
-      h->seq = o->seq;
-      h->lock = o->lock_owner;
-      h->value = o->value;
-    }
-  };
-  auto finish = [this, txn, read_idx, h, done = std::move(done)]() mutable {
-    TxnState* st = FindState(txn);
-    if (st == nullptr) {
-      return;
-    }
-    if (h->found && h->lock != store::kNoTxn && h->lock != txn) {
-      st->Abort(AbortReason::kLockExecute);
-    } else if (h->found) {
-      st->reads[read_idx] = ReadResult{true, h->seq, std::move(h->value)};
-    }
-    done();
-  };
+  ReadScratch& rs = st->read_scratch[read_idx];
+  const ChainedStore& table = (*peers_)[shard]->store_->table(k.table);
   if (mode_ == BaselineMode::kDrtmHNC) {
     // No address cache: traverse the chain, one roundtrip per bucket. The
     // final read carries the object. Each hop is a counted READ message
     // (the extra roundtrips are exactly what the NC ablation measures).
     const auto plan = table.PlanLookup(k.key);
     const uint32_t hops = std::max<uint32_t>(1, plan.roundtrips);
-    const uint32_t bucket_bytes = static_cast<uint32_t>(plan.bytes / hops);
-    // Build the hop chain back-to-front (the roundtrip count is known up
-    // front); a self-capturing shared function here would be a reference
-    // cycle leaking once per remote read.
-    sim::Engine::Callback chain = [this, shard, bucket_bytes, txn, fetch,
-                                   finish = std::move(finish)]() mutable {
-      transport_.Read(net::MsgType::kRead, shard, bucket_bytes, fetch, std::move(finish), txn);
-    };
-    for (uint32_t i = 1; i < hops; ++i) {
-      chain = [this, shard, bucket_bytes, txn, next = std::move(chain)]() mutable {
-        transport_.Read(net::MsgType::kRead, shard, bucket_bytes, std::move(next), txn);
-      };
-    }
-    chain();
-    return;
+    rs.hops_left = hops - 1;
+    rs.hop_bytes = static_cast<uint32_t>(plan.bytes / hops);
+  } else {
+    // Cached remote address: one READ of the object.
+    rs.hops_left = 0;
+    rs.hop_bytes = table.object_bytes();
   }
-  // Cached remote address: one READ of the object.
-  transport_.Read(net::MsgType::kRead, shard, obj_bytes, fetch, std::move(finish), txn);
+  ReadHop(st, read_idx);
 }
 
-void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Callback done) {
+void BaselineNode::ReadHop(TxnState* st, uint32_t read_idx) {
+  ReadScratch& rs = st->read_scratch[read_idx];
+  const KeyRef k = st->read_keys[read_idx];
+  const store::NodeId shard = map_->PrimaryOf(k.table, k.key);
+  const Handle h = st->handle();
+  if (rs.hops_left > 0) {
+    rs.hops_left--;
+    transport_.Read(net::MsgType::kRead, shard, rs.hop_bytes,
+                    sim::InlineCallback([this, h, read_idx] {
+                      if (TxnState* st = FindState(h)) {
+                        ReadHop(st, read_idx);
+                      }
+                    }),
+                    h.txn);
+    return;
+  }
+  const ChainedStore* table = &(*peers_)[shard]->store_->table(k.table);
+  transport_.Read(
+      net::MsgType::kRead, shard, rs.hop_bytes,
+      sim::InlineCallback([this, table, h, read_idx] {
+        // At the target: what the READ returns, parked for the completion.
+        TxnState* st = FindState(h);
+        if (st == nullptr) {
+          return;
+        }
+        ReadScratch& rs = st->read_scratch[read_idx];
+        const auto* o = table->Lookup(st->read_keys[read_idx].key);
+        rs.found = o != nullptr;
+        if (o != nullptr) {
+          rs.seq = o->seq;
+          rs.lock = o->lock_owner;
+          rs.value = o->value;
+        }
+      }),
+      sim::InlineCallback([this, h, read_idx] {
+        if (TxnState* st = FindState(h)) {
+          OnReadDone(st, read_idx);
+        }
+      }),
+      h.txn);
+}
+
+void BaselineNode::OnReadDone(TxnState* st, uint32_t read_idx) {
+  ReadScratch& rs = st->read_scratch[read_idx];
+  store::Value value = std::move(rs.value);
+  if (rs.found && rs.lock != store::kNoTxn && rs.lock != st->id) {
+    st->Abort(AbortReason::kLockExecute);
+  } else if (rs.found) {
+    st->reads[read_idx] = ReadResult{true, rs.seq, std::move(value)};
+  }
+  OnExecuteDone(st);
+}
+
+void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx) {
   const KeyRef k = st->write_keys[write_idx];
   const store::NodeId shard = map_->PrimaryOf(k.table, k.key);
-  const store::TxnId txn = st->id;
+  const Handle h = st->handle();
 
   // Version check at lock time for keys read optimistically during
   // execution: the value the write was computed from must still be
   // current, else abort (a read-write gap).
-  bool has_expected = false;
-  store::Seq expected = 0;
+  WriteScratch& ws = st->write_scratch[write_idx];
+  ws.has_expected = false;
+  ws.expected = 0;
   for (size_t i = 0; i < st->read_keys.size(); ++i) {
     if (st->read_keys[i] == k) {
-      has_expected = true;
-      expected = st->reads[i].seq;
+      ws.has_expected = true;
+      ws.expected = st->reads[i].seq;
       break;
     }
   }
 
   if (shard == id()) {
-    host_cores_->Submit(kHostKeyCost, [this, txn, write_idx, k, has_expected, expected,
-                                       done = std::move(done)]() mutable {
-      TxnState* st = FindState(txn);
+    host_cores_->Submit(kHostKeyCost, sim::InlineCallback([this, h, write_idx] {
+      TxnState* st = FindState(h);
       if (st == nullptr) {
         return;
       }
+      const KeyRef k = st->write_keys[write_idx];
+      const WriteScratch& ws = st->write_scratch[write_idx];
       ChainedStore& table = store_->table(k.table);
-      if (table.TryLock(k.key, txn)) {
+      if (table.TryLock(k.key, h.txn)) {
         const auto* o = table.Lookup(k.key);
         const store::Seq cur = o != nullptr ? o->seq : 0;
-        if (has_expected && cur != expected) {
-          table.Unlock(k.key, txn);
+        if (ws.has_expected && cur != ws.expected) {
+          table.Unlock(k.key, h.txn);
           st->Abort(AbortReason::kGap);
         } else {
           st->write_locked[write_idx] = true;
@@ -265,13 +272,12 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Cal
       } else {
         st->Abort(AbortReason::kLockExecute);
       }
-      done();
-    });
+      OnLockDone(st);
+    }));
     return;
   }
 
-  BaselineNode* target = (*peers_)[shard];
-  ChainedStore& table = target->store_->table(k.table);
+  ChainedStore* table = &(*peers_)[shard]->store_->table(k.table);
 
   if (mode_ == BaselineMode::kDrtmR) {
     // One-sided ATOMIC CAS on the versioned lock word (DrTM encodes the
@@ -279,19 +285,21 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Cal
     // version); bit 0 of the result = acquired.
     transport_.Atomic(
         net::MsgType::kLock, shard,
-        [&table, key = k.key, txn, has_expected, expected]() -> uint64_t {
-          const auto* o = table.Lookup(key);
+        sim::InlineCallback<uint64_t()>([table, key = k.key, txn = h.txn,
+                                         has_expected = ws.has_expected,
+                                         expected = ws.expected]() -> uint64_t {
+          const auto* o = table->Lookup(key);
           const store::Seq cur = o != nullptr ? o->seq : 0;
           if (has_expected && cur != expected) {
             return kLockWordStale;
           }
-          if (!table.TryLock(key, txn)) {
+          if (!table->TryLock(key, txn)) {
             return 0;
           }
           return (static_cast<uint64_t>(cur) << 1) | 1u;
-        },
-        [this, txn, write_idx, done = std::move(done)](uint64_t word) mutable {
-          TxnState* st = FindState(txn);
+        }),
+        sim::InlineCallback<void(uint64_t)>([this, h, write_idx](uint64_t word) {
+          TxnState* st = FindState(h);
           if (st == nullptr) {
             return;
           }
@@ -301,67 +309,70 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Cal
             st->write_locked[write_idx] = true;
             st->write_seqs[write_idx] = static_cast<store::Seq>(word >> 1);
           }
-          done();
-        },
-        txn);
+          OnLockDone(st);
+        }),
+        h.txn);
     return;
   }
 
   // DrTM+H (both variants): lock via RPC, version-checked in the handler,
   // which returns why it refused.
-  struct Holder {
-    AbortReason refused = AbortReason::kLockExecute;
-    store::Seq seq = 0;
-  };
-  auto h = std::make_shared<Holder>();
-  transport_.Rpc(net::MsgType::kLock, shard, 32, 16, kRpcHandlerPerKey,
-            [&table, key = k.key, txn, has_expected, expected, h] {
-              if (table.TryLock(key, txn)) {
-                const auto* o = table.Lookup(key);
-                const store::Seq cur = o != nullptr ? o->seq : 0;
-                if (has_expected && cur != expected) {
-                  table.Unlock(key, txn);
-                  h->refused = AbortReason::kGap;
-                } else {
-                  h->refused = AbortReason::kNone;
-                  h->seq = cur;
-                }
-              }
-            },
-            [this, txn, write_idx, h, done = std::move(done)]() mutable {
-              TxnState* st = FindState(txn);
-              if (st == nullptr) {
-                return;
-              }
-              if (h->refused == AbortReason::kNone) {
-                st->write_locked[write_idx] = true;
-                st->write_seqs[write_idx] = h->seq;
-              } else {
-                st->Abort(h->refused);
-              }
-              done();
-            },
-            txn);
+  transport_.Rpc(
+      net::MsgType::kLock, shard, 32, 16, kRpcHandlerPerKey,
+      sim::InlineCallback([this, table, h, write_idx] {
+        TxnState* st = FindState(h);
+        if (st == nullptr) {
+          return;
+        }
+        const Key key = st->write_keys[write_idx].key;
+        WriteScratch& ws = st->write_scratch[write_idx];
+        ws.refused = AbortReason::kLockExecute;
+        if (table->TryLock(key, h.txn)) {
+          const auto* o = table->Lookup(key);
+          const store::Seq cur = o != nullptr ? o->seq : 0;
+          if (ws.has_expected && cur != ws.expected) {
+            table->Unlock(key, h.txn);
+            ws.refused = AbortReason::kGap;
+          } else {
+            ws.refused = AbortReason::kNone;
+            ws.seq = cur;
+          }
+        }
+      }),
+      sim::InlineCallback([this, h, write_idx] {
+        TxnState* st = FindState(h);
+        if (st == nullptr) {
+          return;
+        }
+        const WriteScratch& ws = st->write_scratch[write_idx];
+        if (ws.refused == AbortReason::kNone) {
+          st->write_locked[write_idx] = true;
+          st->write_seqs[write_idx] = ws.seq;
+        } else {
+          st->Abort(ws.refused);
+        }
+        OnLockDone(st);
+      }),
+      h.txn);
 }
 
-void BaselineNode::FasstExecuteShard(TxnState* st, const txn::ShardGroup& group,
-                                     sim::Engine::Callback done) {
-  const store::TxnId txn = st->id;
-  const store::NodeId shard = group.primary;
-  const size_t n_keys = group.read_idx.size() + group.write_idx.size();
+void BaselineNode::FasstExecuteShard(TxnState* st, uint32_t group) {
+  const txn::ShardGroup& g = st->groups[group];
+  const store::NodeId shard = g.primary;
+  const size_t n_keys = g.read_idx.size() + g.write_idx.size();
+  const Handle h = st->handle();
 
   if (shard == id()) {
     host_cores_->Submit(
-        kHostKeyCost * static_cast<sim::Tick>(n_keys),
-        [this, txn, read_idx = group.read_idx, write_idx = group.write_idx,
-         done = std::move(done)]() mutable {
-          TxnState* st = FindState(txn);
+        kHostKeyCost * static_cast<sim::Tick>(n_keys), sim::InlineCallback([this, h, group] {
+          TxnState* st = FindState(h);
           if (st == nullptr) {
             return;
           }
-          for (uint32_t i : write_idx) {
+          const txn::ShardGroup& g = st->groups[group];
+          for (uint32_t i : g.write_idx) {
             const KeyRef k = st->write_keys[i];
-            if (store_->table(k.table).TryLock(k.key, txn)) {
+            if (store_->table(k.table).TryLock(k.key, h.txn)) {
               const auto* o = store_->table(k.table).Lookup(k.key);
               const store::Seq cur = o != nullptr ? o->seq : 0;
               bool stale = false;
@@ -373,7 +384,7 @@ void BaselineNode::FasstExecuteShard(TxnState* st, const txn::ShardGroup& group,
                 }
               }
               if (stale) {
-                store_->table(k.table).Unlock(k.key, txn);
+                store_->table(k.table).Unlock(k.key, h.txn);
                 st->Abort(AbortReason::kGap);
               } else {
                 st->write_locked[i] = true;
@@ -383,132 +394,144 @@ void BaselineNode::FasstExecuteShard(TxnState* st, const txn::ShardGroup& group,
               st->Abort(AbortReason::kLockExecute);
             }
           }
-          for (uint32_t i : read_idx) {
+          for (uint32_t i : g.read_idx) {
             const KeyRef k = st->read_keys[i];
             if (const auto* o = store_->table(k.table).Lookup(k.key)) {
-              if (o->lock_owner != store::kNoTxn && o->lock_owner != txn) {
+              if (o->lock_owner != store::kNoTxn && o->lock_owner != h.txn) {
                 st->Abort(AbortReason::kLockExecute);
               } else {
                 st->reads[i] = ReadResult{true, o->seq, o->value};
               }
             }
           }
-          done();
-        });
+          OnExecuteDone(st);
+        }));
     return;
   }
 
   BaselineNode* target = (*peers_)[shard];
-
-  // What the handler found; `refused` is the first cause of a refusal.
-  struct Holder {
-    AbortReason refused = AbortReason::kNone;
-    std::vector<std::pair<uint32_t, ReadResult>> reads;
-    std::vector<std::pair<uint32_t, store::Seq>> seqs;
-    std::vector<KeyRef> locked;
-    void Refuse(AbortReason reason) {
-      if (refused == AbortReason::kNone) {
-        refused = reason;
-      }
-    }
-  };
-  auto h = std::make_shared<Holder>();
-  uint32_t req_bytes = net::wire::ExecuteReq(group.read_idx.size(), group.write_idx.size());
+  uint32_t req_bytes = net::wire::ExecuteReq(g.read_idx.size(), g.write_idx.size());
   uint32_t resp_bytes = 32;
-  for (uint32_t i : group.read_idx) {
+  for (uint32_t i : g.read_idx) {
     resp_bytes += static_cast<uint32_t>(
         target->store_->table(st->read_keys[i].table).value_size());
   }
 
-  // Snapshot key lists for the handler closure. Write keys read in an
-  // EARLIER round carry the expected version for a lock-time check (keys
-  // read in this same RPC are read+locked atomically by the handler).
-  struct WKey {
-    uint32_t idx;
-    KeyRef key;
-    bool has_expected;
-    store::Seq expected;
-  };
-  std::vector<std::pair<uint32_t, KeyRef>> rkeys;
-  std::vector<WKey> wkeys;
-  for (uint32_t i : group.read_idx) {
-    rkeys.emplace_back(i, st->read_keys[i]);
+  // Write keys read in an EARLIER round carry the expected version for a
+  // lock-time check (keys read in this same RPC are read+locked atomically
+  // by the handler).
+  for (uint32_t i : g.read_idx) {
+    st->read_scratch[i].found = false;
   }
-  for (uint32_t i : group.write_idx) {
-    WKey w{i, st->write_keys[i], false, 0};
+  for (uint32_t i : g.write_idx) {
+    WriteScratch& ws = st->write_scratch[i];
+    ws.has_expected = false;
+    ws.expected = 0;
+    ws.locked = false;
     for (size_t r = 0; r < st->read_keys.size(); ++r) {
-      if (st->read_keys[r] == w.key && st->reads[r].found) {
-        w.has_expected = true;
-        w.expected = st->reads[r].seq;
+      if (st->read_keys[r] == st->write_keys[i] && st->reads[r].found) {
+        ws.has_expected = true;
+        ws.expected = st->reads[r].seq;
         break;
       }
     }
-    wkeys.push_back(w);
   }
 
   transport_.Rpc(
       net::MsgType::kExecute, shard, req_bytes, resp_bytes,
       kRpcHandlerPerKey * static_cast<sim::Tick>(n_keys),
-      [target, txn, h, rkeys = std::move(rkeys), wkeys = std::move(wkeys)] {
-        for (const auto& w : wkeys) {
-          const auto& k = w.key;
-          const uint32_t i = w.idx;
-          if (target->store_->table(k.table).TryLock(k.key, txn)) {
-            const auto* o = target->store_->table(k.table).Lookup(k.key);
-            const store::Seq cur = o != nullptr ? o->seq : 0;
-            if (w.has_expected && cur != w.expected) {
-              target->store_->table(k.table).Unlock(k.key, txn);
-              h->Refuse(AbortReason::kGap);
-            } else {
-              h->locked.push_back(k);
-              h->seqs.emplace_back(i, cur);
-            }
-          } else {
-            h->Refuse(AbortReason::kLockExecute);
-          }
+      sim::InlineCallback([this, target, h, group] {
+        if (TxnState* st = FindState(h)) {
+          FasstServeShard(target, st, group);
         }
-        for (const auto& [i, k] : rkeys) {
-          if (const auto* o = target->store_->table(k.table).Lookup(k.key)) {
-            if (o->lock_owner != store::kNoTxn && o->lock_owner != txn) {
-              h->Refuse(AbortReason::kLockExecute);
-            } else {
-              h->reads.emplace_back(i, ReadResult{true, o->seq, o->value});
-            }
-          }
+      }),
+      sim::InlineCallback([this, h, group] {
+        if (TxnState* st = FindState(h)) {
+          OnFasstShardDone(st, group);
         }
-        if (h->refused != AbortReason::kNone) {
-          // All-or-nothing at this shard: release what we took.
-          for (const auto& k : h->locked) {
-            target->store_->table(k.table).Unlock(k.key, txn);
-          }
-          h->locked.clear();
-        }
-      },
-      [this, txn, h, done = std::move(done)]() mutable {
-        TxnState* st = FindState(txn);
-        if (st == nullptr) {
-          return;
-        }
-        if (h->refused != AbortReason::kNone) {
-          st->Abort(h->refused);
-        } else {
-          for (auto& [i, r] : h->reads) {
-            st->reads[i] = std::move(r);
-          }
-          for (auto& [i, s] : h->seqs) {
-            st->write_seqs[i] = s;
-            st->write_locked[i] = true;
-          }
-        }
-        done();
-      },
-      txn);
+      }),
+      h.txn);
+}
+
+void BaselineNode::FasstServeShard(BaselineNode* target, TxnState* st, uint32_t group) {
+  const txn::ShardGroup& g = st->groups[group];
+  const store::TxnId txn = st->id;
+  // The first cause of a refusal.
+  AbortReason& refused = st->group_refused[group];
+  auto refuse = [&refused](AbortReason reason) {
+    if (refused == AbortReason::kNone) {
+      refused = reason;
+    }
+  };
+  for (uint32_t i : g.write_idx) {
+    const KeyRef k = st->write_keys[i];
+    WriteScratch& ws = st->write_scratch[i];
+    ChainedStore& table = target->store_->table(k.table);
+    if (table.TryLock(k.key, txn)) {
+      const auto* o = table.Lookup(k.key);
+      const store::Seq cur = o != nullptr ? o->seq : 0;
+      if (ws.has_expected && cur != ws.expected) {
+        table.Unlock(k.key, txn);
+        refuse(AbortReason::kGap);
+      } else {
+        ws.locked = true;
+        ws.seq = cur;
+      }
+    } else {
+      refuse(AbortReason::kLockExecute);
+    }
+  }
+  for (uint32_t i : g.read_idx) {
+    const KeyRef k = st->read_keys[i];
+    if (const auto* o = target->store_->table(k.table).Lookup(k.key)) {
+      if (o->lock_owner != store::kNoTxn && o->lock_owner != txn) {
+        refuse(AbortReason::kLockExecute);
+      } else {
+        ReadScratch& rs = st->read_scratch[i];
+        rs.found = true;
+        rs.seq = o->seq;
+        rs.value = o->value;
+      }
+    }
+  }
+  if (refused != AbortReason::kNone) {
+    // All-or-nothing at this shard: release what we took.
+    for (uint32_t i : g.write_idx) {
+      WriteScratch& ws = st->write_scratch[i];
+      if (ws.locked) {
+        const KeyRef k = st->write_keys[i];
+        target->store_->table(k.table).Unlock(k.key, txn);
+        ws.locked = false;
+      }
+    }
+  }
+}
+
+void BaselineNode::OnFasstShardDone(TxnState* st, uint32_t group) {
+  const txn::ShardGroup& g = st->groups[group];
+  if (st->group_refused[group] != AbortReason::kNone) {
+    st->Abort(st->group_refused[group]);
+  } else {
+    for (uint32_t i : g.read_idx) {
+      ReadScratch& rs = st->read_scratch[i];
+      if (rs.found) {
+        st->reads[i] = ReadResult{true, rs.seq, std::move(rs.value)};
+      }
+    }
+    for (uint32_t i : g.write_idx) {
+      const WriteScratch& ws = st->write_scratch[i];
+      if (ws.locked) {
+        st->write_seqs[i] = ws.seq;
+        st->write_locked[i] = true;
+      }
+    }
+  }
+  OnExecuteDone(st);
 }
 
 void BaselineNode::AfterExecuteRound(TxnState* st) {
-  const store::TxnId txn = st->id;
-  host_cores_->Submit(st->req.exec_cost, [this, txn] {
-    TxnState* st = FindState(txn);
+  host_cores_->Submit(st->req.exec_cost, sim::InlineCallback([this, h = st->handle()] {
+    TxnState* st = FindState(h);
     if (st == nullptr) {
       return;
     }
@@ -529,7 +552,7 @@ void BaselineNode::AfterExecuteRound(TxnState* st) {
     } else {
       LockPhase(st);
     }
-  });
+  }));
 }
 
 void BaselineNode::ValidatePhase(TxnState* st) {
@@ -546,7 +569,7 @@ void BaselineNode::ValidatePhase(TxnState* st) {
   if (checks == 0 || atomic) {
     if (st->write_keys.empty() && st->req.local_log_writes.empty()) {
       ReportAndFinish(st, TxnOutcome::kCommitted);
-      EraseState(st->id);
+      EraseState(st);
       return;
     }
     LogPhase(st);
@@ -554,26 +577,10 @@ void BaselineNode::ValidatePhase(TxnState* st) {
   }
 
   stats_.remote_rounds++;
-  const store::TxnId txn = st->id;
-  auto one_done = [this, txn] {
-    TxnState* st = FindState(txn);
-    if (st == nullptr) {
-      return;
-    }
-    if (--st->pending > 0) {
-      return;
-    }
-    if (st->abort) {
-      AbortCleanup(st, TxnOutcome::kAborted);
-      return;
-    }
-    if (st->write_keys.empty() && st->req.local_log_writes.empty()) {
-      ReportAndFinish(st, TxnOutcome::kCommitted);
-      EraseState(txn);
-      return;
-    }
-    LogPhase(st);
-  };
+  const Handle h = st->handle();
+  for (ReadScratch& rs : st->read_scratch) {
+    rs.stale = false;
+  }
 
   if (mode_ == BaselineMode::kFasst) {
     // Per-shard validation RPCs, in first-check order. Each is charged as
@@ -583,50 +590,41 @@ void BaselineNode::ValidatePhase(TxnState* st) {
     // first. Golden transcripts encode that timing.
     st->pending = static_cast<uint32_t>(shards.size());
     for (store::NodeId shard : shards) {
-      std::vector<std::pair<KeyRef, store::Seq>> expect;
-      for (uint32_t i = 0; i < st->read_keys.size(); ++i) {
-        const KeyRef& k = st->read_keys[i];
-        if (map_->PrimaryOf(k.table, k.key) == shard && !ContainsKey(st->write_keys, k)) {
-          expect.emplace_back(k, st->reads[i].seq);
-        }
-      }
       if (shard == id()) {
-        host_cores_->Submit(
-            0, [this, txn, expect = std::move(expect), one_done]() mutable {
-              TxnState* st = FindState(txn);
-              if (st == nullptr) {
-                return;
-              }
-              for (const auto& [k, seq] : expect) {
-                if (ValidationFails(store_->table(k.table), k.key, seq)) {
-                  st->Abort(AbortReason::kValidate);
-                }
-              }
-              one_done();
-            });
+        host_cores_->Submit(0, sim::InlineCallback([this, h, shard] {
+          TxnState* st = FindState(h);
+          if (st == nullptr) {
+            return;
+          }
+          if (FasstValidateShard(st, shard, this)) {
+            st->Abort(AbortReason::kValidate);
+          }
+          OnValidateDone(st);
+        }));
         continue;
       }
-      BaselineNode* target = (*peers_)[shard];
-      auto ok = std::make_shared<bool>(true);
       transport_.Rpc(net::MsgType::kValidate, shard, net::wire::ValidateReq(0), 16, 0,
-                [target, ok, expect = std::move(expect)] {
-                  for (const auto& [k, seq] : expect) {
-                    if (ValidationFails(target->store_->table(k.table), k.key, seq)) {
-                      *ok = false;
-                    }
-                  }
-                },
-                [this, txn, ok, one_done]() mutable {
-                  TxnState* st = FindState(txn);
-                  if (st == nullptr) {
-                    return;
-                  }
-                  if (!*ok) {
-                    st->Abort(AbortReason::kValidate);
-                  }
-                  one_done();
-                },
-                txn);
+                     sim::InlineCallback([this, h, shard] {
+                       if (TxnState* st = FindState(h)) {
+                         FasstValidateShard(st, shard, (*peers_)[shard]);
+                       }
+                     }),
+                     sim::InlineCallback([this, h, shard] {
+                       TxnState* st = FindState(h);
+                       if (st == nullptr) {
+                         return;
+                       }
+                       for (uint32_t i = 0; i < st->read_keys.size(); ++i) {
+                         const KeyRef& k = st->read_keys[i];
+                         if (st->read_scratch[i].stale &&
+                             map_->PrimaryOf(k.table, k.key) == shard) {
+                           st->Abort(AbortReason::kValidate);
+                           break;
+                         }
+                       }
+                       OnValidateDone(st);
+                     }),
+                     h.txn);
     }
     return;
   }
@@ -639,39 +637,70 @@ void BaselineNode::ValidatePhase(TxnState* st) {
     if (ContainsKey(st->write_keys, k)) {
       continue;
     }
-    const store::Seq seq = st->reads[i].seq;
     const store::NodeId shard = map_->PrimaryOf(k.table, k.key);
     if (shard == id()) {
-      host_cores_->Submit(kHostKeyCost, [this, txn, k, seq, one_done]() mutable {
-        TxnState* st = FindState(txn);
+      host_cores_->Submit(kHostKeyCost, sim::InlineCallback([this, h, i] {
+        TxnState* st = FindState(h);
         if (st == nullptr) {
           return;
         }
-        if (ValidationFails(store_->table(k.table), k.key, seq)) {
+        const KeyRef k = st->read_keys[i];
+        if (ValidationFails(store_->table(k.table), k.key, st->reads[i].seq)) {
           st->Abort(AbortReason::kValidate);
         }
-        one_done();
-      });
+        OnValidateDone(st);
+      }));
       continue;
     }
-    ChainedStore& table = (*peers_)[shard]->store_->table(k.table);
-    auto stale = std::make_shared<bool>(false);
+    const ChainedStore* table = &(*peers_)[shard]->store_->table(k.table);
     transport_.Read(net::MsgType::kValidate, shard, 16,
-               [&table, key = k.key, seq, stale] {
-                 *stale = ValidationFails(table, key, seq);
-               },
-               [this, txn, stale, one_done]() mutable {
-                 TxnState* st = FindState(txn);
-                 if (st == nullptr) {
-                   return;
-                 }
-                 if (*stale) {
-                   st->Abort(AbortReason::kValidate);
-                 }
-                 one_done();
-               },
-               txn);
+                    sim::InlineCallback([this, table, h, i] {
+                      if (TxnState* st = FindState(h)) {
+                        st->read_scratch[i].stale =
+                            ValidationFails(*table, st->read_keys[i].key, st->reads[i].seq);
+                      }
+                    }),
+                    sim::InlineCallback([this, h, i] {
+                      TxnState* st = FindState(h);
+                      if (st == nullptr) {
+                        return;
+                      }
+                      if (st->read_scratch[i].stale) {
+                        st->Abort(AbortReason::kValidate);
+                      }
+                      OnValidateDone(st);
+                    }),
+                    h.txn);
   }
+}
+
+bool BaselineNode::FasstValidateShard(TxnState* st, store::NodeId shard, BaselineNode* at) {
+  bool failed = false;
+  for (uint32_t i = 0; i < st->read_keys.size(); ++i) {
+    const KeyRef& k = st->read_keys[i];
+    if (map_->PrimaryOf(k.table, k.key) == shard && !ContainsKey(st->write_keys, k) &&
+        ValidationFails(at->store_->table(k.table), k.key, st->reads[i].seq)) {
+      st->read_scratch[i].stale = true;
+      failed = true;
+    }
+  }
+  return failed;
+}
+
+void BaselineNode::OnValidateDone(TxnState* st) {
+  if (--st->pending > 0) {
+    return;
+  }
+  if (st->abort) {
+    AbortCleanup(st, TxnOutcome::kAborted);
+    return;
+  }
+  if (st->write_keys.empty() && st->req.local_log_writes.empty()) {
+    ReportAndFinish(st, TxnOutcome::kCommitted);
+    EraseState(st);
+    return;
+  }
+  LogPhase(st);
 }
 
 void BaselineNode::LogPhase(TxnState* st) {
@@ -684,28 +713,32 @@ void BaselineNode::LogPhase(TxnState* st) {
   }
   stats_.remote_rounds++;
 
-  const store::TxnId txn = st->id;
+  const Handle h = st->handle();
   for (store::NodeId shard : shards) {
     store::LogRecord rec;
     rec.type = store::LogRecordType::kLog;
-    rec.txn = txn;
+    rec.txn = h.txn;
     st->ShardWrites(*map_, shard, id(), &rec.writes);
     const auto bytes = static_cast<uint32_t>(rec.ByteSize());
-    for (store::NodeId backup : repl_->BackupsOf(shard)) {
-      BaselineNode* target = (*peers_)[backup];
-      auto append = [target, rec]() mutable {
-        auto r = target->store_->log().Append(std::move(rec));
+    const auto backups = repl_->BackupsOf(shard);
+    for (auto it = backups.begin(); it != backups.end();) {
+      const store::NodeId backup = *it;
+      // Each backup appends its own copy; the last one takes the record.
+      const uint32_t slot =
+          ++it == backups.end() ? log_records_.Put(std::move(rec)) : log_records_.Put(rec);
+      auto append = sim::InlineCallback([this, backup, slot] {
+        auto r = (*peers_)[backup]->store_->log().Append(log_records_.Take(slot));
         assert(r.ok() && "baseline backup log overflow");
         (void)r;
-      };
-      auto acked = [this, txn, backup, shard] { OnLogAck(txn, backup, shard); };
+      });
+      auto acked = sim::InlineCallback([this, h, backup, shard] { OnLogAck(h, backup, shard); });
       if (mode_ == BaselineMode::kFasst) {
         transport_.Rpc(net::MsgType::kLog, backup, bytes, 16, kRpcHandlerPerKey,
-                       std::move(append), std::move(acked), txn);
+                       std::move(append), std::move(acked), h.txn);
       } else {
         // One-sided WRITE into the backup's message log (FaRM-style).
         transport_.Write(net::MsgType::kLog, backup, bytes, std::move(append),
-                         std::move(acked), txn);
+                         std::move(acked), h.txn);
       }
     }
   }
@@ -717,8 +750,8 @@ void BaselineNode::LogPhase(TxnState* st) {
   }
 }
 
-void BaselineNode::OnLogAck(store::TxnId txn, store::NodeId backup, store::NodeId shard) {
-  TxnState* st = FindState(txn);
+void BaselineNode::OnLogAck(Handle h, store::NodeId backup, store::NodeId shard) {
+  TxnState* st = FindState(h);
   // The commit point: every written shard's record is at as many backups
   // as the quorum needs (every live backup by default). CommitPhase may
   // reuse st->pending, since stragglers are ignored from here on.
@@ -731,21 +764,13 @@ void BaselineNode::OnLogAck(store::TxnId txn, store::NodeId backup, store::NodeI
 void BaselineNode::CommitPhase(TxnState* st) {
   std::vector<store::NodeId>& shards = commit_shards_;
   st->WrittenShards(*map_, id(), &shards);
-  const store::TxnId txn = st->id;
+  const Handle h = st->handle();
   st->pending = 0;
 
-  auto one_done = [this, txn] {
-    TxnState* st = FindState(txn);
-    if (st == nullptr) {
-      return;
-    }
-    if (--st->pending == 0) {
-      EraseState(txn);
-    }
-  };
-
   for (store::NodeId shard : shards) {
-    std::vector<store::LogWrite> writes;
+    const uint32_t slot = commit_sets_.Acquire();
+    CommitSet& set = commit_sets_[slot];
+    std::vector<store::LogWrite>& writes = set.writes;
     st->ShardWrites(*map_, shard, id(), &writes);
     // Strip workload-managed writes: primaries apply only table writes
     // (host_finish already handled workload structures locally).
@@ -753,60 +778,87 @@ void BaselineNode::CommitPhase(TxnState* st) {
       return w.table >= store_->num_tables();
     });
     if (writes.empty()) {
+      commit_sets_.Release(slot);
       continue;
     }
     if (shard == id()) {
       st->pending++;
+      set.refs = 1;
       host_cores_->Submit(kHostKeyCost * static_cast<sim::Tick>(writes.size()),
-                          [this, txn, writes, one_done]() mutable {
-                            for (const auto& w : writes) {
+                          sim::InlineCallback([this, h, slot] {
+                            for (const auto& w : commit_sets_[slot].writes) {
                               store_->ApplyWrite(w);
-                              store_->table(w.table).Unlock(w.key, txn);
+                              store_->table(w.table).Unlock(w.key, h.txn);
                             }
-                            one_done();
-                          });
+                            UnrefCommitSet(slot);
+                            OnCommitDone(h);
+                          }));
       continue;
     }
 
-    BaselineNode* target = (*peers_)[shard];
     if (mode_ == BaselineMode::kDrtmR) {
       // One-sided: per key, WRITE the new value then WRITE the unlock.
-      for (const auto& w : writes) {
+      set.refs = static_cast<uint32_t>(writes.size());
+      for (uint32_t j = 0; j < writes.size(); ++j) {
         st->pending++;
-        const auto bytes = static_cast<uint32_t>(24 + w.value.size());
-        transport_.Write(net::MsgType::kCommit, shard, bytes,
-                    [target, w] { target->store_->ApplyWrite(w); },
-                    [this, shard, target, w, txn, one_done]() mutable {
-                      transport_.Write(net::MsgType::kUnlock, shard, 8,
-                                  [target, w, txn] {
-                                    target->store_->table(w.table).Unlock(w.key, txn);
-                                  },
-                                  one_done, txn);
-                    },
-                    txn);
+        const auto bytes = static_cast<uint32_t>(24 + writes[j].value.size());
+        transport_.Write(
+            net::MsgType::kCommit, shard, bytes,
+            sim::InlineCallback([this, shard, slot, j] {
+              (*peers_)[shard]->store_->ApplyWrite(commit_sets_[slot].writes[j]);
+            }),
+            sim::InlineCallback([this, h, shard, slot, j] {
+              transport_.Write(net::MsgType::kUnlock, shard, 8,
+                               sim::InlineCallback([this, txn = h.txn, shard, slot, j] {
+                                 const store::LogWrite& w = commit_sets_[slot].writes[j];
+                                 (*peers_)[shard]->store_->table(w.table).Unlock(w.key, txn);
+                                 UnrefCommitSet(slot);
+                               }),
+                               sim::InlineCallback([this, h] { OnCommitDone(h); }), h.txn);
+            }),
+            h.txn);
       }
       continue;
     }
 
     // DrTM+H / FaSST: one commit RPC per shard.
     st->pending++;
+    set.refs = 1;
     uint32_t bytes = 32;
     for (const auto& w : writes) {
       bytes += 24 + static_cast<uint32_t>(w.value.size());
     }
     transport_.Rpc(net::MsgType::kCommit, shard, bytes, 16,
-              kRpcHandlerPerKey * static_cast<sim::Tick>(writes.size()),
-              [target, writes, txn] {
-                for (const auto& w : writes) {
-                  target->store_->ApplyWrite(w);
-                  target->store_->table(w.table).Unlock(w.key, txn);
-                }
-              },
-              one_done, txn);
+                   kRpcHandlerPerKey * static_cast<sim::Tick>(writes.size()),
+                   sim::InlineCallback([this, txn = h.txn, shard, slot] {
+                     BaselineStore* target = (*peers_)[shard]->store_;
+                     for (const auto& w : commit_sets_[slot].writes) {
+                       target->ApplyWrite(w);
+                       target->table(w.table).Unlock(w.key, txn);
+                     }
+                     UnrefCommitSet(slot);
+                   }),
+                   sim::InlineCallback([this, h] { OnCommitDone(h); }), h.txn);
   }
 
   if (st->pending == 0) {
-    EraseState(txn);
+    EraseState(st);
+  }
+}
+
+void BaselineNode::OnCommitDone(Handle h) {
+  TxnState* st = FindState(h);
+  if (st == nullptr) {
+    return;
+  }
+  if (--st->pending == 0) {
+    EraseState(st);
+  }
+}
+
+void BaselineNode::UnrefCommitSet(uint32_t slot) {
+  if (--commit_sets_[slot].refs == 0) {
+    commit_sets_.Release(slot);
   }
 }
 
@@ -814,14 +866,17 @@ void BaselineNode::AbortCleanup(TxnState* st, TxnOutcome outcome) {
   const store::TxnId txn = st->id;
   // Release every lock we hold: one message per shard, in first-locked
   // order (DrTM+R: one unlock WRITE per key).
-  std::vector<store::NodeId> shards;
+  std::vector<store::NodeId>& shards = abort_shards_;
+  shards.clear();
   for (size_t i = 0; i < st->write_keys.size(); ++i) {
     if (st->write_locked[i]) {
       txn::AddShard(&shards, map_->PrimaryOf(st->write_keys[i].table, st->write_keys[i].key));
     }
   }
   for (store::NodeId shard : shards) {
-    std::vector<KeyRef> keys;
+    const uint32_t slot = unlock_sets_.Acquire();
+    std::vector<KeyRef>& keys = unlock_sets_[slot];
+    keys.clear();
     for (size_t i = 0; i < st->write_keys.size(); ++i) {
       const KeyRef& k = st->write_keys[i];
       if (st->write_locked[i] && map_->PrimaryOf(k.table, k.key) == shard) {
@@ -832,27 +887,31 @@ void BaselineNode::AbortCleanup(TxnState* st, TxnOutcome outcome) {
       for (const auto& k : keys) {
         store_->table(k.table).Unlock(k.key, txn);
       }
+      unlock_sets_.Release(slot);
       continue;
     }
     BaselineNode* target = (*peers_)[shard];
     if (mode_ == BaselineMode::kDrtmR) {
       for (const auto& k : keys) {
-        transport_.Write(net::MsgType::kUnlock, shard, 8,
-                    [target, k, txn] { target->store_->table(k.table).Unlock(k.key, txn); },
-                    [] {}, txn);
+        transport_.Write(net::MsgType::kUnlock, shard, 8, sim::InlineCallback([target, k, txn] {
+                           target->store_->table(k.table).Unlock(k.key, txn);
+                         }),
+                         sim::InlineCallback([] {}), txn);
       }
+      unlock_sets_.Release(slot);
     } else {
       transport_.Rpc(net::MsgType::kUnlock, shard, 32, 8, kRpcHandlerPerKey,
-                [target, keys = std::move(keys), txn] {
-                  for (const auto& k : keys) {
-                    target->store_->table(k.table).Unlock(k.key, txn);
-                  }
-                },
-                [] {}, txn);
+                     sim::InlineCallback([this, target, txn, slot] {
+                       for (const auto& k : unlock_sets_[slot]) {
+                         target->store_->table(k.table).Unlock(k.key, txn);
+                       }
+                       unlock_sets_.Release(slot);
+                     }),
+                     sim::InlineCallback([] {}), txn);
     }
   }
   ReportAndFinish(st, outcome);
-  EraseState(txn);
+  EraseState(st);
 }
 
 void BaselineNode::ReportAndFinish(TxnState* st, TxnOutcome outcome) {
@@ -860,13 +919,6 @@ void BaselineNode::ReportAndFinish(TxnState* st, TxnOutcome outcome) {
   // Same contract as Xenic: the outcome is reported at the commit point;
   // post-commit local structure maintenance is deferred host work.
   st->TakeReport(outcome).Run(host_cores_);
-}
-
-void BaselineNode::EraseState(store::TxnId id) { txns_.erase(id); }
-
-BaselineNode::TxnState* BaselineNode::FindState(store::TxnId id) {
-  auto it = txns_.find(id);
-  return it == txns_.end() ? nullptr : it->second.get();
 }
 
 void BaselineNode::StartWorkers(uint32_t count, sim::Tick poll_interval) {

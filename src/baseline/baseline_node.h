@@ -16,12 +16,21 @@
 // -- its per-transaction bookkeeping is the transaction core Xenic runs
 // too (txn::TxnCore, txn::LogAcks) -- and operate on the ChainedStore (the
 // DrTM+H data structure). Execution logic always runs on the host.
+//
+// Allocation: coordinator states live in a txn::TxnPool and are reused, so
+// their vectors keep their capacity. A verb's result (a read's object, a
+// lock's answer, a validation verdict) is parked in the state's per-key
+// scratch at the target and applied by the completion; each phase step is
+// a method called with the state, and every verb and host closure captures
+// only the node, the state's handle and a few indexes, so it stays inline
+// in SmallCallback (sim::InlineCallback). LOG records, COMMIT write sets
+// and unlock key sets are parked in node-owned slot tables. What a
+// transaction still allocates is its data: each LOG record's write vector
+// (one per backup), the TxnRequest's own vectors and the outcome report.
 
 #ifndef SRC_BASELINE_BASELINE_NODE_H_
 #define SRC_BASELINE_BASELINE_NODE_H_
 
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/baseline/baseline_store.h"
@@ -30,6 +39,7 @@
 #include "src/repl/log_drain.h"
 #include "src/repl/replication_group.h"
 #include "src/sim/resource.h"
+#include "src/sim/slot_table.h"
 #include "src/txn/txn_core.h"
 #include "src/txn/types.h"
 
@@ -79,33 +89,81 @@ class BaselineNode {
   BaselineMode mode() const { return mode_; }
 
  private:
-  // Per-transaction coordinator state: the shared transaction core plus
-  // which write keys this coordinator holds locked.
-  struct TxnState : txn::TxnCore {
-    std::vector<bool> write_locked;  // per write key
+  using AbortReason = txn::AbortReason;
+  using Handle = txn::TxnHandle;
+
+  // What a verb on one read key found, parked until its completion applies
+  // it (aligned with read_keys).
+  struct ReadScratch {
+    bool found = false;  // EXECUTE: the object exists (FaSST: and is readable)
+    bool stale = false;  // VALIDATE: its version moved or a writer holds it
+    uint32_t hops_left = 0;  // remote read: bucket READs before the object's
+    uint32_t hop_bytes = 0;  // bytes of each of its READs
+    store::Seq seq = 0;
+    store::TxnId lock = store::kNoTxn;
+    store::Value value;
   };
-  using StatePtr = std::unique_ptr<TxnState>;
+  // One write key's lock: the version it must still have and the answer
+  // (aligned with write_keys).
+  struct WriteScratch {
+    bool has_expected = false;
+    bool locked = false;  // FaSST: taken by the shard RPC
+    store::Seq expected = 0;
+    store::Seq seq = 0;  // the version under the lock
+    AbortReason refused = AbortReason::kNone;  // DrTM+H lock RPC
+  };
+  // Per-transaction coordinator state: the shared transaction core, which
+  // write keys this coordinator holds locked, and the verbs' scratch.
+  struct TxnState : txn::PooledTxn {
+    std::vector<bool> write_locked;  // per write key
+    std::vector<ReadScratch> read_scratch;
+    std::vector<WriteScratch> write_scratch;
+    // FaSST: this round's shard RPCs and the first cause each refused.
+    std::vector<txn::ShardGroup> groups;
+    std::vector<AbortReason> group_refused;
+  };
+  // One shard's COMMIT writes, freed when `refs` closures are done with
+  // them (DrTM+R: one per key).
+  struct CommitSet {
+    std::vector<store::LogWrite> writes;
+    uint32_t refs = 0;
+  };
 
   void ExecutePhase(TxnState* st);
-  void ReadOneKey(TxnState* st, uint32_t read_idx, sim::Engine::Callback done);
+  void ReadOneKey(TxnState* st, uint32_t read_idx);
+  // One remote READ of a read key: a bucket hop, or the object itself.
+  void ReadHop(TxnState* st, uint32_t read_idx);
+  void OnReadDone(TxnState* st, uint32_t read_idx);
+  void OnExecuteDone(TxnState* st);
   // Lock phase (non-FaSST modes): after execution, lock the write set; the
   // lock operation revalidates the version for keys that were read
   // optimistically (FaRM-style lock-with-version-check).
   void LockPhase(TxnState* st);
-  void LockOneKey(TxnState* st, uint32_t write_idx, sim::Engine::Callback done);
-  void FasstExecuteShard(TxnState* st, const txn::ShardGroup& group,
-                         sim::Engine::Callback done);
+  void LockOneKey(TxnState* st, uint32_t write_idx);
+  void OnLockDone(TxnState* st);
+  void FasstExecuteShard(TxnState* st, uint32_t group);
+  // The FaSST shard RPC's handler at `target`, and its completion.
+  void FasstServeShard(BaselineNode* target, TxnState* st, uint32_t group);
+  void OnFasstShardDone(TxnState* st, uint32_t group);
   // Run the round's application logic on the host, then pick the next
   // phase.
   void AfterExecuteRound(TxnState* st);
   void ValidatePhase(TxnState* st);
+  // FaSST: VALIDATE's checks of the read keys on `shard` against `at`'s
+  // tables, in read-set order. Marks each key that fails stale and returns
+  // whether one did.
+  bool FasstValidateShard(TxnState* st, store::NodeId shard, BaselineNode* at);
+  void OnValidateDone(TxnState* st);
   void LogPhase(TxnState* st);
-  void OnLogAck(store::TxnId txn, store::NodeId backup, store::NodeId shard);
+  void OnLogAck(Handle h, store::NodeId backup, store::NodeId shard);
   void CommitPhase(TxnState* st);
+  void OnCommitDone(Handle h);
+  // Drop one closure's claim on a parked COMMIT write set.
+  void UnrefCommitSet(uint32_t slot);
   void AbortCleanup(TxnState* st, TxnOutcome outcome);
   void ReportAndFinish(TxnState* st, TxnOutcome outcome);
-  void EraseState(store::TxnId id);
-  TxnState* FindState(store::TxnId id);
+  void EraseState(TxnState* st) { txns_.Release(st); }
+  TxnState* FindState(Handle h) { return txns_.Find(h); }
 
   nicmodel::RdmaNic* nic_;
   sim::Resource* host_cores_;
@@ -114,13 +172,19 @@ class BaselineNode {
   const repl::ReplicationGroup* repl_;
   BaselineMode mode_;
   std::vector<BaselineNode*>* peers_;
-  std::unordered_map<store::TxnId, StatePtr> txns_;
-  // Scratch reused by every call (capacity kept): FaSST's shard groups and
-  // the shard lists of ValidatePhase, LogPhase and CommitPhase.
-  std::vector<txn::ShardGroup> shard_groups_;
+  txn::TxnPool<TxnState> txns_;
+  // Parked for the closures that deliver them: LOG records until the
+  // backup appends them, COMMIT write sets until applied (reused in
+  // place), and unlock key sets until released (reused in place).
+  sim::SlotTable<store::LogRecord> log_records_;
+  sim::SlotTable<CommitSet> commit_sets_;
+  sim::SlotTable<std::vector<KeyRef>> unlock_sets_;
+  // Scratch reused by every call (capacity kept): the shard lists of
+  // ValidatePhase, LogPhase, CommitPhase and AbortCleanup.
   std::vector<store::NodeId> validate_shards_;
   std::vector<store::NodeId> log_shards_;
   std::vector<store::NodeId> commit_shards_;
+  std::vector<store::NodeId> abort_shards_;
   uint64_t next_txn_seq_ = 1;
   TxnStats stats_;
   net::RdmaTransport transport_;

@@ -15,8 +15,11 @@
 // moves from initiator to target and back, and each of its events captures
 // only {this, slot}. Once the table has grown to the peak number of verbs
 // in flight, Read, Write and Rpc make no heap allocation beyond what the
-// caller's callbacks themselves carry. Atomic still wraps its typed
-// closures (one shared result word plus two spilled callbacks).
+// caller's callbacks themselves carry, and the baseline coordinator's carry
+// none: they capture a transaction handle and an index and fit inline
+// (BaselineNode parks each verb's result in its pooled transaction state).
+// Atomic still wraps its typed closures, inline or not, in one shared
+// result word plus two spilled callbacks.
 
 #ifndef SRC_NICMODEL_RDMA_NIC_H_
 #define SRC_NICMODEL_RDMA_NIC_H_

@@ -31,7 +31,9 @@
 // request cleared with its queue) cannot leak the slot. A Handle
 // re-indexes the table on every access, so it stays valid across an
 // acquire that grows the table; references taken through it do not. Every
-// Handle must be destroyed before its table.
+// Handle must be destroyed before its table. An owner whose continuations
+// always run, and may outlive the table at teardown, reuses in place by
+// index instead: Acquire, then Release when done, like Put and Take.
 
 #ifndef SRC_SIM_SLOT_TABLE_H_
 #define SRC_SIM_SLOT_TABLE_H_
@@ -117,7 +119,8 @@ class SlotTable {
   // A free slot under a Handle, its entry as the slot's last user left it.
   Handle AcquireHandle() { return Handle(this, Acquire()); }
 
- private:
+  // A free slot, its entry as the slot's last user left it; freed by
+  // Release.
   uint32_t Acquire() {
     if (free_.empty()) {
       slots_.emplace_back();
@@ -134,19 +137,20 @@ class SlotTable {
     free_.push_back(slot);
   }
 
+ private:
   std::vector<T> slots_;
   std::vector<uint32_t> free_;
 };
 
-// An event continuation that must stay inline in a SmallCallback. A capture
-// that outgrows the inline buffer (anything beyond {this, slot} and a few
-// scalars) fails to compile here instead of silently heap-allocating on
-// every hop.
-template <typename Fn>
-SmallCallback InlineCallback(Fn&& fn) {
-  static_assert(sizeof(std::decay_t<Fn>) <= SmallCallback::kInlineSize,
+// An event continuation that must stay inline in a SmallCallback (or, with
+// `Sig`, a SmallFunction<Sig>). A capture that outgrows the inline buffer
+// (anything beyond {this, slot} and a few scalars) fails to compile here
+// instead of silently heap-allocating on every hop.
+template <typename Sig = void(), typename Fn>
+SmallFunction<Sig> InlineCallback(Fn&& fn) {
+  static_assert(sizeof(std::decay_t<Fn>) <= SmallFunction<Sig>::kInlineSize,
                 "parked continuation outgrew SmallCallback's inline buffer");
-  return SmallCallback(std::forward<Fn>(fn));
+  return SmallFunction<Sig>(std::forward<Fn>(fn));
 }
 
 }  // namespace xenic::sim

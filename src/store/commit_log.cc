@@ -29,6 +29,11 @@ void CommitLog::PopApplied() {
 void CommitLog::Reclaim(uint64_t upto) {
   while (!records_.empty() && records_.front().lsn < upto) {
     assert(applied_ > 0 && "reclaiming a record the host has not applied");
+    std::vector<LogWrite>& writes = records_.front().writes;
+    if (spare_writes_.size() < kSpareWrites && writes.capacity() > 0) {
+      writes.clear();
+      spare_writes_.push_back(std::move(writes));
+    }
     records_.pop_front();
     applied_--;
     base_lsn_++;

@@ -74,7 +74,20 @@ class CommitLog {
   void PopApplied();
 
   // NIC side: reclaim all records with lsn < `upto` (host acked them).
+  // Keeps up to kSpareWrites of their write vectors, emptied, for
+  // SpareWrites.
   void Reclaim(uint64_t upto);
+
+  // NIC side: an empty write vector for a record about to be built, with a
+  // reclaimed record's capacity when one is spare.
+  std::vector<LogWrite> SpareWrites() {
+    if (spare_writes_.empty()) {
+      return {};
+    }
+    std::vector<LogWrite> writes = std::move(spare_writes_.back());
+    spare_writes_.pop_back();
+    return writes;
+  }
 
   // Recovery: snapshot every unreclaimed record (applied-but-unacked and
   // pending alike) -- the state a recovery scan reads from host memory.
@@ -108,6 +121,8 @@ class CommitLog {
   // the transactions of one run; only consulted by the stability-gated NIC
   // drain, so the default host-worker path never reads it.
   std::unordered_set<TxnId> stable_;
+  static constexpr size_t kSpareWrites = 64;
+  std::vector<std::vector<LogWrite>> spare_writes_;
 };
 
 // What a store's log step did with one record (LogApplyTarget).

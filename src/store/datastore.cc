@@ -51,8 +51,17 @@ Result<uint64_t> Datastore::Append(LogRecord record) {
       if (w.table >= tables_.size()) {
         continue;  // workload-managed writes are not host-table state
       }
-      pending_[PendingKey(w.table, w.key)].push_back(
-          PendingWrite{log_.next_lsn(), w.seq, w.value, w.is_delete});
+      const uint64_t key = PendingKey(w.table, w.key);
+      auto it = pending_.find(key);
+      if (it == pending_.end() && !spare_pending_.empty()) {
+        PendingIndex::node_type entry = std::move(spare_pending_.back());
+        spare_pending_.pop_back();
+        entry.key() = key;
+        it = pending_.insert(std::move(entry)).position;
+      } else if (it == pending_.end()) {
+        it = pending_.try_emplace(key).first;
+      }
+      it->second.push_back(PendingWrite{log_.next_lsn(), w.seq, w.value, w.is_delete});
     }
   }
   return log_.Append(std::move(record));
@@ -90,7 +99,7 @@ void Datastore::ClearPending(const LogRecord& record) {
                                [&](const PendingWrite& p) { return p.lsn == record.lsn; }),
                 stack.end());
     if (stack.empty()) {
-      pending_.erase(it);
+      spare_pending_.push_back(pending_.extract(it));
     }
   }
 }

@@ -140,7 +140,12 @@ class Datastore final : public LogApplyTarget {
   std::vector<std::unique_ptr<NicIndex>> indexes_;
   CommitLog log_;
   // (table, key) -> stack of committed-but-unapplied writes, newest last.
-  std::unordered_map<uint64_t, std::vector<PendingWrite>> pending_;
+  // Only looked up, never iterated, so its order cannot reach a schedule.
+  using PendingIndex = std::unordered_map<uint64_t, std::vector<PendingWrite>>;
+  PendingIndex pending_;
+  // Entries extracted from pending_ when their stack emptied, kept for the
+  // next key (stack capacity kept): a warm index allocates nothing.
+  std::vector<PendingIndex::node_type> spare_pending_;
   // Transactions whose records must not be applied on this node (epoch
   // aborts). Only ever holds txns aborted across an epoch change, so it
   // stays small.

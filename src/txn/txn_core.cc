@@ -63,6 +63,11 @@ void TxnCore::Init(TxnId txn, TxnRequest request, CommitCallback callback) {
   id = txn;
   req = std::move(request);
   done = std::move(callback);
+  pending = 0;
+  abort = false;
+  app_abort = false;
+  abort_reason = AbortReason::kNone;
+  log_acks.Clear();
   ResetKeys();
 }
 

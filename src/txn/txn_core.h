@@ -10,12 +10,17 @@
 //    shards and their log writes, and the host-side outcome report.
 //  * LogAcks counts a LOG round's acks against the shard each ack
 //    replicates, and says when the commit point is reached.
+//  * TxnPool keeps coordinator states for reuse behind TxnHandles (a slot
+//    plus the txn id), so a finished state's vectors keep their capacity
+//    and a late continuation of a finished transaction finds nothing.
 
 #ifndef SRC_TXN_TXN_CORE_H_
 #define SRC_TXN_TXN_CORE_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -103,7 +108,9 @@ struct TxnCore {
   uint32_t new_write_base = 0;
   LogAcks log_acks;
 
-  // Take ownership of a submission; the key sets start as the request's.
+  // Take ownership of a submission; the key sets start as the request's
+  // and the abort state and ack tracker start clear (a pooled state
+  // arrives as its last transaction left it).
   void Init(TxnId txn, TxnRequest request, CommitCallback callback);
   // Restart from the request's key sets, round 0.
   void ResetKeys();
@@ -163,6 +170,64 @@ struct TxnCore {
     void Run(sim::Resource* host_cores) &&;
   };
   Report TakeReport(TxnResult result);
+};
+
+// A pooled transaction state's name: its TxnPool slot plus its id. Ids are
+// never reused, so once the transaction is released its handles resolve to
+// null, even after another transaction has taken the slot.
+struct TxnHandle {
+  uint32_t slot = 0;
+  TxnId txn = store::kNoTxn;
+};
+
+// A TxnCore that lives in a TxnPool.
+struct PooledTxn : TxnCore {
+  uint32_t slot = 0;  // set by the pool
+  TxnHandle handle() const { return {slot, id}; }
+};
+
+// Coordinator states kept for reuse; State derives from PooledTxn. A
+// released state keeps its vectors' capacity for the next transaction, and
+// every state keeps its address while the pool lives (a deque), so a
+// State* stays valid across Acquires until its transaction is released. A
+// continuation that outlives the current event holds the state's handle()
+// and resolves it with Find.
+template <typename State>
+class TxnPool {
+ public:
+  // A free state as its last transaction left it (id kNoTxn): the caller
+  // Init()s it.
+  State* Acquire() {
+    if (free_.empty()) {
+      State& st = states_.emplace_back();
+      st.slot = static_cast<uint32_t>(states_.size() - 1);
+      return &st;
+    }
+    State* st = &states_[free_.back()];
+    free_.pop_back();
+    return st;
+  }
+
+  // The state `h` names, or nullptr once its transaction was released.
+  State* Find(TxnHandle h) {
+    assert(h.slot < states_.size());
+    State& st = states_[h.slot];
+    return h.txn != store::kNoTxn && st.id == h.txn ? &st : nullptr;
+  }
+
+  // Free `st`'s slot; every handle of its transaction now resolves to null.
+  void Release(State* st) {
+    assert(st->id != store::kNoTxn);
+    st->id = store::kNoTxn;
+    free_.push_back(st->slot);
+  }
+
+  // States acquired and not yet released.
+  size_t live() const { return states_.size() - free_.size(); }
+
+ private:
+  std::deque<State> states_;
+  std::vector<uint32_t> free_;
 };
 
 }  // namespace xenic::txn

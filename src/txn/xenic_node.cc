@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace xenic::txn {
 
@@ -1823,7 +1824,7 @@ void XenicNode::ServeValidate(ValidateSlot req) {
   }));
 }
 
-void XenicNode::AppendWhenSpace(store::LogRecord record, sim::Engine::Callback appended) {
+void XenicNode::AppendWhenSpace(store::LogRecord record, AppendedFn appended) {
   if (crashed_) {
     return;  // the DMA target is gone; retry loops die with the node
   }
@@ -1843,10 +1844,12 @@ void XenicNode::TryAppend(uint32_t slot) {
     return;
   }
   const auto bytes = static_cast<uint32_t>(appends_[slot].record.ByteSize());
-  // The record becomes host-visible when the DMA completes: append then,
-  // in the same event as the caller's continuation, so the host workers
-  // can never observe the record before the NIC's own bookkeeping (cache
-  // pinning) is in place.
+  // The record becomes host-visible when the DMA completes: the caller's
+  // continuation runs then, with the record, and the append follows in the
+  // same event, so the host workers can never observe the record before
+  // the NIC's own bookkeeping (cache pinning) is in place. The append
+  // schedules nothing, and no continuation reads the log or its pending
+  // index, so their order within the event moves nothing.
   nic_->DmaWrite(bytes, sim::InlineCallback([this, slot] {
     if (crashed_) {
       appends_.Take(slot);
@@ -1857,10 +1860,10 @@ void XenicNode::TryAppend(uint32_t slot) {
       return;
     }
     PendingAppend a = appends_.Take(slot);
+    a.appended(a.record);
     auto result = ds_->Append(std::move(a.record));
     assert(result.ok());
     (void)result;
-    a.appended();
   }));
 }
 
@@ -1882,14 +1885,15 @@ void XenicNode::ServeLog(LogSlot req) {
     const NodeId shard = req->record.shard;
     store::LogRecord record = std::move(req->record);
     req.Reset();
-    AppendWhenSpace(std::move(record), sim::InlineCallback([this, coord, txn, shard] {
+    auto ack = [this, coord, txn, shard](const store::LogRecord&) {
       const NodeId from = id();
       transport_.SendAck(net::MsgType::kLog, coord->id(),
                          sim::InlineCallback([coord, txn, from, shard] {
                            coord->OnLogAck(txn, from, shard);
                          }),
                          txn);
-    }));
+    };
+    AppendWhenSpace(std::move(record), sim::InlineCallback<void(const store::LogRecord&)>(ack));
   }));
 }
 
@@ -1924,24 +1928,28 @@ void XenicNode::ServeCommit(CommitSlot req) {
     if (crashed_) {
       return;
     }
+    // The record takes the writes; the request slot keeps a reclaimed
+    // record's buffer for its next COMMIT.
     store::LogRecord rec;
     rec.type = store::LogRecordType::kCommit;
     rec.txn = req->txn;
     rec.shard = id();
-    rec.writes = req->writes;
+    rec.writes = std::exchange(req->writes, ds_->log().SpareWrites());
     // The commit record is applied by the host workers; cache entries are
     // updated and pinned now, and locks release once the DMA completes.
-    AppendWhenSpace(std::move(rec), sim::InlineCallback([this, req = std::move(req)]() mutable {
+    auto commit = [this, req = std::move(req)](const store::LogRecord& rec) mutable {
       const TxnId txn = req->txn;
       for (const auto& k : req->release_keys) {
         ReleaseOne(txn, k);
       }
-      ApplyCommitAtNic(txn, req->writes);
+      ApplyCommitAtNic(txn, rec.writes);
       XenicNode* coord = (*peers_)[req->coord];
       req.Reset();
       transport_.SendAck(net::MsgType::kCommit, coord->id(),
                          sim::InlineCallback([coord, txn] { coord->OnCommitAck(txn); }), txn);
-    }));
+    };
+    AppendWhenSpace(std::move(rec),
+                    sim::InlineCallback<void(const store::LogRecord&)>(std::move(commit)));
   }));
 }
 

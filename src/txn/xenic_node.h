@@ -247,9 +247,10 @@ class XenicNode {
   using LogSlot = sim::SlotTable<LogRequest>::Handle;
   using CommitSlot = sim::SlotTable<CommitRequest>::Handle;
   // Node-owned parking for AppendWhenSpace and the ChargeDmaReads fan-in.
+  using AppendedFn = sim::SmallFunction<void(const store::LogRecord&)>;
   struct PendingAppend {
     store::LogRecord record;
-    sim::Engine::Callback appended;
+    AppendedFn appended;
   };
   struct DmaFanIn {
     uint32_t remaining = 0;
@@ -426,8 +427,9 @@ class XenicNode {
                      store::NicIndex::LookupStats* agg);
 
   // Append a record to the host log via DMA write, waiting (back-pressure)
-  // while the bounded ring is full; `appended` runs after the DMA lands.
-  void AppendWhenSpace(store::LogRecord record, sim::Engine::Callback appended);
+  // while the bounded ring is full. When the DMA lands, `appended` runs
+  // with the record and then the record is appended, in the same event.
+  void AppendWhenSpace(store::LogRecord record, AppendedFn appended);
   void TryAppend(uint32_t slot);
 
   // Commit application at the primary NIC for `writes` (cache update, pin,

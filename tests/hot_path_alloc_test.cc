@@ -1,7 +1,8 @@
 // Allocation checks for the simulator's hot paths: resource grants,
 // SmartNIC DMA, PCIe crossings and Ethernet frames, and RDMA verbs, which
-// must not allocate at all; and XenicNode's remote transaction rounds,
-// whose remaining allocations are the data a transaction carries.
+// must not allocate at all; and the remote transaction rounds of XenicNode
+// and of BaselineNode in each mode, whose remaining allocations are the
+// data a transaction carries.
 //
 // This executable replaces the global operator new with a counting one
 // (alloc_counter.h). Each test first runs its scenario a few times, which
@@ -16,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/baseline/baseline_cluster.h"
 #include "src/nicmodel/rdma_nic.h"
 #include "src/nicmodel/smart_nic.h"
 #include "src/sim/resource.h"
@@ -164,15 +166,32 @@ TEST(HotPathAllocTest, RdmaReadWriteRpcRoundTrips) {
   EXPECT_EQ(at_target, 3u * (kWarmupRounds + 1));
 }
 
-// --- txn layer: XenicNode's EXECUTE, VALIDATE, LOG and COMMIT rounds ----
+// --- txn layer: the coordinators' EXECUTE, VALIDATE, LOG and COMMIT rounds
 
+txn::XenicClusterOptions XenicOptions(uint32_t nodes, uint32_t replication) {
+  txn::XenicClusterOptions o;
+  o.num_nodes = nodes;
+  o.replication = replication;
+  o.tables = {store::TableSpec{0, "t", 10, 16, 8, 8}};
+  return o;
+}
+
+baseline::BaselineClusterOptions BaselineOptions(baseline::BaselineMode mode) {
+  baseline::BaselineClusterOptions o;
+  o.num_nodes = 3;
+  o.replication = 2;
+  o.mode = mode;
+  o.tables = {baseline::BaselineStore::TableSpec{0, 10, 16}};
+  return o;
+}
+
+// A cluster (txn::XenicCluster or baseline::BaselineCluster) whose node 0
+// coordinates the transactions under test.
+template <typename Cluster>
 struct TxnFixture {
-  TxnFixture(uint32_t nodes, uint32_t replication) : part(nodes) {
-    txn::XenicClusterOptions o;
-    o.num_nodes = nodes;
-    o.replication = replication;
-    o.tables = {store::TableSpec{0, "t", 10, 16, 8, 8}};
-    cluster = std::make_unique<txn::XenicCluster>(o, &part);
+  template <typename Options>
+  explicit TxnFixture(const Options& o) : part(o.num_nodes) {
+    cluster = std::make_unique<Cluster>(o, &part);
     PrimeWheel(cluster->engine());
     cluster->StartWorkers();
   }
@@ -216,8 +235,11 @@ struct TxnFixture {
   }
 
   txn::HashPartitioner part;
-  std::unique_ptr<txn::XenicCluster> cluster;
+  std::unique_ptr<Cluster> cluster;
 };
+
+using XenicFixture = TxnFixture<txn::XenicCluster>;
+using BaselineFixture = TxnFixture<baseline::BaselineCluster>;
 
 txn::TxnRequest ReadOnly(const std::vector<store::Key>& keys) {
   txn::TxnRequest req;
@@ -234,7 +256,7 @@ TEST(HotPathAllocTest, RemoteReadKeyAllocatesNothing) {
   // reply moves that handle into the coordinator's read set, so another
   // key costs no allocation. Everything else -- the request slot's
   // vectors, the DMA fan-in, the reply -- is reused.
-  TxnFixture f(2, 1);
+  XenicFixture f(XenicOptions(2, 1));
   const std::vector<store::Key> keys = f.LoadOn(1, 4);
   for (int i = 0; i < kWarmupRounds; ++i) {
     for (size_t n = 1; n <= keys.size(); ++n) {
@@ -250,19 +272,10 @@ TEST(HotPathAllocTest, RemoteReadKeyAllocatesNothing) {
   }
 }
 
-TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
-  // A read-modify-write of one key on each of nodes 1 and 2 (replication
-  // 2): two EXECUTEs, one LOG per shard to its backup, two COMMITs. What
-  // still allocates is the data the transaction carries, not the protocol:
-  // the TxnState, its five key-set vectors and its entry in the state
-  // table; the locked-shard list, grown once per shard; the two values the
-  // transaction writes; the LOG ack set and each LOG record's write
-  // vector; each backup's applied-record entry; the reported-commit entry
-  // and the outcome report; each server's commit-record write vector; and
-  // each commit write's pending-index entry (map node and vector). No
-  // value is copied: reads, LOG and COMMIT records and the pending index
-  // share the blocks.
-  TxnFixture f(3, 2);
+// A read-modify-write of one key on each of nodes 1 and 2, coordinated
+// by node 0.
+template <typename Fixture>
+txn::TxnRequest TwoShardReadWrite(Fixture& f) {
   const store::Key a = f.LoadOn(1, 1)[0];
   const store::Key b = f.LoadOn(2, 1)[0];
   txn::TxnRequest req;
@@ -277,7 +290,53 @@ TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
   for (int i = 0; i < kWarmupRounds; ++i) {
     f.Allocs(req);
   }
-  EXPECT_LE(f.Allocs(req), 24u);
+  return req;
+}
+
+TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
+  // Replication 2: two EXECUTEs, one LOG per shard to its backup, two
+  // COMMITs. What still allocates is the data the transaction carries, not
+  // the protocol: the TxnState, its five key-set vectors and its entry in
+  // the state table; the locked-shard list, grown once per shard; the two
+  // values the transaction writes; the LOG ack set and each LOG record's
+  // write vector; each backup's applied-record entry; and the
+  // reported-commit entry and the outcome report. No value is copied:
+  // reads, LOG and COMMIT records and the pending index share the blocks.
+  // A COMMIT record takes the request's writes, whose slot keeps a
+  // reclaimed record's buffer, and the pending index reuses its entries.
+  XenicFixture f(XenicOptions(3, 2));
+  const txn::TxnRequest req = TwoShardReadWrite(f);
+  EXPECT_LE(f.Allocs(req), 18u);
+}
+
+void ExpectBaselineBudget(baseline::BaselineMode mode, uint64_t budget) {
+  BaselineFixture f(BaselineOptions(mode));
+  const txn::TxnRequest req = TwoShardReadWrite(f);
+  EXPECT_LE(f.Allocs(req), budget) << baseline::BaselineModeName(mode);
+}
+
+// The same transaction on the baselines. The TxnState comes from the
+// node's pool with its vectors and its verbs' scratch, every verb and host
+// closure stays inline, and COMMIT write sets are reused in place. What
+// still allocates is the data the transaction carries: the two values it
+// writes and each shard's LOG record write vector (one backup each at
+// replication 2).
+TEST(HotPathAllocTest, DrtmHTwoShardReadWriteTxnAllocationBudget) {
+  ExpectBaselineBudget(baseline::BaselineMode::kDrtmH, 4);
+}
+
+TEST(HotPathAllocTest, DrtmHNCTwoShardReadWriteTxnAllocationBudget) {
+  ExpectBaselineBudget(baseline::BaselineMode::kDrtmHNC, 4);
+}
+
+TEST(HotPathAllocTest, FasstTwoShardReadWriteTxnAllocationBudget) {
+  ExpectBaselineBudget(baseline::BaselineMode::kFasst, 4);
+}
+
+// DrTM+R adds its two lock CASes: RdmaNic::Atomic still wraps the typed
+// closures, a shared result word plus two spilled callbacks per CAS.
+TEST(HotPathAllocTest, DrtmRTwoShardReadWriteTxnAllocationBudget) {
+  ExpectBaselineBudget(baseline::BaselineMode::kDrtmR, 10);
 }
 
 }  // namespace

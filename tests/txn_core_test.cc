@@ -2,7 +2,8 @@
 // (src/txn/txn_core.h): the LOG-ack tracker's per-(sender, shard)
 // accounting at the default wait-for-all quorum and under a quorum, and
 // the key-set steps -- app rounds, shard grouping, written shards and
-// their log writes, the first-cause abort reason -- plus the outcome tally.
+// their log writes, the first-cause abort reason -- plus the outcome tally,
+// and the pool of reusable states behind handles.
 
 #include <gtest/gtest.h>
 
@@ -229,6 +230,78 @@ TEST(TxnCoreTest, FirstAbortCauseWinsAndIsTallied) {
   EXPECT_EQ(stats.abort_other, 1u);
   EXPECT_EQ(stats.app_aborted, 1u);
   EXPECT_EQ(stats.committed, 1u);
+}
+
+struct PooledState : PooledTxn {
+  std::vector<uint32_t> scratch;
+};
+
+TxnRequest ReadsOf(std::vector<Key> keys) {
+  TxnRequest req;
+  for (Key k : keys) {
+    req.reads.push_back({0, k});
+  }
+  return req;
+}
+
+TEST(TxnPoolTest, HandleOfAReleasedTransactionResolvesToNullAfterItsSlotIsReused) {
+  TxnPool<PooledState> pool;
+  PooledState* aborted = pool.Acquire();
+  aborted->Init(101, ReadsOf({1, 2, 3}), nullptr);
+  aborted->scratch.assign(8, 0);
+  const TxnHandle late = aborted->handle();
+  ASSERT_EQ(pool.Find(late), aborted);
+
+  // The transaction aborts while one of its verbs is still in flight; the
+  // verb's completion holds `late`.
+  pool.Release(aborted);
+  EXPECT_EQ(pool.Find(late), nullptr);
+  EXPECT_EQ(pool.live(), 0u);
+
+  // The next transaction takes the same slot, at the same address, with
+  // its vectors' capacity kept. The late completion still finds nothing,
+  // so it cannot touch the new transaction.
+  PooledState* next = pool.Acquire();
+  EXPECT_EQ(next, aborted);
+  next->Init(102, ReadsOf({4}), nullptr);
+  EXPECT_EQ(next->handle().slot, late.slot);
+  EXPECT_EQ(pool.Find(late), nullptr);
+  EXPECT_EQ(pool.Find(next->handle()), next);
+  EXPECT_GE(next->read_keys.capacity(), 3u);
+  EXPECT_GE(next->scratch.capacity(), 8u);
+
+  // A second live state gets its own slot; states keep their addresses.
+  PooledState* other = pool.Acquire();
+  other->Init(103, ReadsOf({5}), nullptr);
+  EXPECT_NE(other, next);
+  EXPECT_EQ(pool.Find(next->handle()), next);
+  EXPECT_EQ(pool.live(), 2u);
+}
+
+TEST(TxnPoolTest, InitClearsWhatTheLastTransactionLeft) {
+  Cluster c(0);
+  TxnPool<PooledState> pool;
+  PooledState* st = pool.Acquire();
+  st->Init(101, ReadsOf({1, 2}), nullptr);
+  st->AppRound();
+  st->round = 2;
+  st->pending = 3;
+  st->Abort(AbortReason::kValidate);
+  st->app_abort = true;
+  st->log_acks.Expect(&c.repl, {0});
+  pool.Release(st);
+
+  st = pool.Acquire();
+  st->Init(102, ReadsOf({3}), nullptr);
+  EXPECT_EQ(st->read_keys, (std::vector<KeyRef>{{0, 3}}));
+  EXPECT_EQ(st->reads.size(), 1u);
+  EXPECT_EQ(st->round, 0);
+  EXPECT_EQ(st->pending, 0u);
+  EXPECT_FALSE(st->abort);
+  EXPECT_FALSE(st->app_abort);
+  EXPECT_EQ(st->abort_reason, AbortReason::kNone);
+  EXPECT_TRUE(st->log_acks.Met());
+  EXPECT_FALSE(st->log_acks.AwaitedFrom(1).has_value());
 }
 
 }  // namespace
