@@ -1,6 +1,5 @@
 #include "src/store/datastore.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace xenic::store {
@@ -51,56 +50,33 @@ Result<uint64_t> Datastore::Append(LogRecord record) {
       if (w.table >= tables_.size()) {
         continue;  // workload-managed writes are not host-table state
       }
-      const uint64_t key = PendingKey(w.table, w.key);
-      auto it = pending_.find(key);
-      if (it == pending_.end() && !spare_pending_.empty()) {
-        PendingIndex::node_type entry = std::move(spare_pending_.back());
-        spare_pending_.pop_back();
-        entry.key() = key;
-        it = pending_.insert(std::move(entry)).position;
-      } else if (it == pending_.end()) {
-        it = pending_.try_emplace(key).first;
-      }
-      it->second.push_back(PendingWrite{log_.next_lsn(), w.seq, w.value, w.is_delete});
+      pending_.Push(PendingKey(w.table, w.key),
+                    PendingIndex::Write{log_.next_lsn(), w.seq, w.value, w.is_delete});
     }
   }
   return log_.Append(std::move(record));
 }
 
 std::optional<LookupResult> Datastore::FreshLookup(TableId table, Key key) const {
-  auto it = pending_.find(PendingKey(table, key));
-  if (it != pending_.end() && !it->second.empty()) {
-    const PendingWrite& w = it->second.back();
-    if (w.is_delete) {
+  if (const PendingIndex::Write* w = pending_.Newest(PendingKey(table, key))) {
+    if (w->is_delete) {
       return std::nullopt;
     }
-    return LookupResult{w.value, w.seq};
+    return LookupResult{w->value, w->seq};
   }
   return tables_.at(table)->Lookup(key);
 }
 
 std::optional<Seq> Datastore::FreshSeq(TableId table, Key key) const {
-  auto it = pending_.find(PendingKey(table, key));
-  if (it != pending_.end() && !it->second.empty()) {
-    const PendingWrite& w = it->second.back();
-    return w.is_delete ? std::optional<Seq>{} : std::optional<Seq>{w.seq};
+  if (const PendingIndex::Write* w = pending_.Newest(PendingKey(table, key))) {
+    return w->is_delete ? std::optional<Seq>{} : std::optional<Seq>{w->seq};
   }
   return tables_.at(table)->GetSeq(key);
 }
 
 void Datastore::ClearPending(const LogRecord& record) {
   for (const auto& w : record.writes) {
-    auto it = pending_.find(PendingKey(w.table, w.key));
-    if (it == pending_.end()) {
-      continue;
-    }
-    auto& stack = it->second;
-    stack.erase(std::remove_if(stack.begin(), stack.end(),
-                               [&](const PendingWrite& p) { return p.lsn == record.lsn; }),
-                stack.end());
-    if (stack.empty()) {
-      spare_pending_.push_back(pending_.extract(it));
-    }
+    pending_.Erase(PendingKey(w.table, w.key), record.lsn);
   }
 }
 

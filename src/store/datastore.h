@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -22,6 +21,7 @@
 #include "src/common/status.h"
 #include "src/store/commit_log.h"
 #include "src/store/nic_index.h"
+#include "src/store/pending_index.h"
 #include "src/store/robinhood_table.h"
 #include "src/store/types.h"
 
@@ -121,12 +121,6 @@ class Datastore final : public LogApplyTarget {
   }
 
  private:
-  struct PendingWrite {
-    uint64_t lsn;
-    Seq seq;
-    Value value;
-    bool is_delete;
-  };
   static uint64_t PendingKey(TableId table, Key key) {
     return (static_cast<uint64_t>(table) << 48) ^ key;
   }
@@ -139,13 +133,8 @@ class Datastore final : public LogApplyTarget {
   std::vector<std::unique_ptr<RobinhoodTable>> tables_;
   std::vector<std::unique_ptr<NicIndex>> indexes_;
   CommitLog log_;
-  // (table, key) -> stack of committed-but-unapplied writes, newest last.
-  // Only looked up, never iterated, so its order cannot reach a schedule.
-  using PendingIndex = std::unordered_map<uint64_t, std::vector<PendingWrite>>;
+  // (table, key) -> committed-but-unapplied writes, newest last.
   PendingIndex pending_;
-  // Entries extracted from pending_ when their stack emptied, kept for the
-  // next key (stack capacity kept): a warm index allocates nothing.
-  std::vector<PendingIndex::node_type> spare_pending_;
   // Transactions whose records must not be applied on this node (epoch
   // aborts). Only ever holds txns aborted across an epoch change, so it
   // stays small.

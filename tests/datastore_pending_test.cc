@@ -1,10 +1,16 @@
 // Tests for the Datastore pending-writes index: host-local reads must
 // observe committed-but-unapplied log writes (read-your-log), LOG records
-// must NOT leak into local reads, and application clears entries.
+// must NOT leak into local reads, and application clears entries. The
+// flat PendingIndex underneath is checked against a reference map.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <vector>
+
 #include "src/store/datastore.h"
+#include "src/store/pending_index.h"
 
 namespace xenic::store {
 namespace {
@@ -113,6 +119,63 @@ TEST(DatastorePendingTest, WorkloadManagedWritesSkipped) {
   rec.writes.push_back(LogWrite{200, 1, 1, Value(8, 1), false});  // table id 200
   ASSERT_TRUE(ds.Append(std::move(rec)).ok());
   EXPECT_EQ(ds.pending_writes(), 0u);
+}
+
+// Random pushes and erases -- stacked writes, two writes of one key in one
+// record, erases of records out of log order (tombstones), growth, and
+// erases that shift probe runs back -- against a map of per-key vectors.
+TEST(PendingIndexTest, MatchesAReferenceMap) {
+  struct Ref {
+    uint64_t lsn;
+    Seq seq;
+  };
+  std::map<uint64_t, std::vector<Ref>> ref;
+  PendingIndex index;
+  std::mt19937_64 rng(7);
+  uint64_t next_lsn = 0;
+  for (int op = 0; op < 200000; ++op) {
+    // Few keys early on, so runs collide and shift; more later, so the
+    // table grows through several doublings.
+    const uint64_t key = rng() % (op < 100000 ? 64 : 4096);
+    const uint64_t roll = rng() % 10;
+    if (roll < 5) {
+      const uint64_t lsn = next_lsn++;
+      const int copies = roll == 0 ? 2 : 1;
+      for (int c = 0; c < copies; ++c) {
+        const Seq seq = static_cast<Seq>(rng());
+        index.Push(key, PendingIndex::Write{lsn, seq, Value(8, 1), false});
+        ref[key].push_back(Ref{lsn, seq});
+      }
+    } else if (roll < 9) {
+      auto it = ref.find(key);
+      uint64_t lsn = next_lsn;  // matches nothing
+      if (it != ref.end()) {
+        // Usually the oldest (log order), sometimes any (a tombstone).
+        lsn = roll < 8 ? it->second.front().lsn
+                       : it->second[rng() % it->second.size()].lsn;
+        std::erase_if(it->second, [lsn](const Ref& r) { return r.lsn == lsn; });
+        if (it->second.empty()) {
+          ref.erase(it);
+        }
+      }
+      index.Erase(key, lsn);
+    }
+    const uint64_t probe = rng() % 4096;
+    const PendingIndex::Write* w = index.Newest(probe);
+    auto it = ref.find(probe);
+    ASSERT_EQ(w != nullptr, it != ref.end()) << "op " << op << " key " << probe;
+    if (w != nullptr) {
+      ASSERT_EQ(w->lsn, it->second.back().lsn) << "op " << op;
+      ASSERT_EQ(w->seq, it->second.back().seq) << "op " << op;
+    }
+    ASSERT_EQ(index.size(), ref.size()) << "op " << op;
+  }
+  // Every key the reference holds is still reachable.
+  for (const auto& [key, writes] : ref) {
+    const PendingIndex::Write* w = index.Newest(key);
+    ASSERT_NE(w, nullptr) << key;
+    EXPECT_EQ(w->lsn, writes.back().lsn);
+  }
 }
 
 }  // namespace

@@ -303,7 +303,8 @@ TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
   // reported-commit entry and the outcome report. No value is copied:
   // reads, LOG and COMMIT records and the pending index share the blocks.
   // A COMMIT record takes the request's writes, whose slot keeps a
-  // reclaimed record's buffer, and the pending index reuses its entries.
+  // reclaimed record's buffer, and the pending index holds each write in
+  // a slot of its flat table.
   XenicFixture f(XenicOptions(3, 2));
   const txn::TxnRequest req = TwoShardReadWrite(f);
   EXPECT_LE(f.Allocs(req), 18u);
