@@ -127,15 +127,6 @@ void BaselineNode::LockPhase(TxnState* st) {
   }
 }
 
-void BaselineNode::OnLockDone(TxnState* st) {
-  if (--st->pending == 0) {
-    if (st->abort) {
-      AbortCleanup(st, TxnOutcome::kAborted);
-    } else {
-      ValidatePhase(st);
-    }
-  }
-}
 
 void BaselineNode::ReadOneKey(TxnState* st, uint32_t read_idx) {
   const KeyRef k = st->read_keys[read_idx];
@@ -143,19 +134,10 @@ void BaselineNode::ReadOneKey(TxnState* st, uint32_t read_idx) {
 
   if (shard == id()) {
     host_cores_->Submit(kHostKeyCost, sim::InlineCallback([this, h = st->handle(), read_idx] {
-      TxnState* st = FindState(h);
-      if (st == nullptr) {
-        return;
+      if (TxnState* st = FindState(h)) {
+        FetchRead(store_->table(st->read_keys[read_idx].table), st, read_idx);
+        OnReadDone(st, read_idx);
       }
-      const KeyRef k = st->read_keys[read_idx];
-      if (const auto* o = store_->table(k.table).Lookup(k.key)) {
-        if (o->lock_owner != store::kNoTxn && o->lock_owner != h.txn) {
-          st->Abort(AbortReason::kLockExecute);
-        } else {
-          st->reads[read_idx] = ReadResult{true, o->seq, o->value};
-        }
-      }
-      OnExecuteDone(st);
     }));
     return;
   }
@@ -195,29 +177,29 @@ void BaselineNode::ReadHop(TxnState* st, uint32_t read_idx) {
     return;
   }
   const ChainedStore* table = &(*peers_)[shard]->store_->table(k.table);
-  transport_.Read(
-      net::MsgType::kRead, shard, rs.hop_bytes,
-      sim::InlineCallback([this, table, h, read_idx] {
-        // At the target: what the READ returns, parked for the completion.
-        TxnState* st = FindState(h);
-        if (st == nullptr) {
-          return;
-        }
-        ReadScratch& rs = st->read_scratch[read_idx];
-        const auto* o = table->Lookup(st->read_keys[read_idx].key);
-        rs.found = o != nullptr;
-        if (o != nullptr) {
-          rs.seq = o->seq;
-          rs.lock = o->lock_owner;
-          rs.value = o->value;
-        }
-      }),
-      sim::InlineCallback([this, h, read_idx] {
-        if (TxnState* st = FindState(h)) {
-          OnReadDone(st, read_idx);
-        }
-      }),
-      h.txn);
+  transport_.Read(net::MsgType::kRead, shard, rs.hop_bytes,
+                  sim::InlineCallback([this, table, h, read_idx] {
+                    if (TxnState* st = FindState(h)) {
+                      FetchRead(*table, st, read_idx);
+                    }
+                  }),
+                  sim::InlineCallback([this, h, read_idx] {
+                    if (TxnState* st = FindState(h)) {
+                      OnReadDone(st, read_idx);
+                    }
+                  }),
+                  h.txn);
+}
+
+void BaselineNode::FetchRead(const ChainedStore& table, TxnState* st, uint32_t read_idx) {
+  ReadScratch& rs = st->read_scratch[read_idx];
+  const auto* o = table.Lookup(st->read_keys[read_idx].key);
+  rs.found = o != nullptr;
+  if (o != nullptr) {
+    rs.seq = o->seq;
+    rs.lock = o->lock_owner;
+    rs.value = o->value;
+  }
 }
 
 void BaselineNode::OnReadDone(TxnState* st, uint32_t read_idx) {
@@ -252,27 +234,10 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx) {
 
   if (shard == id()) {
     host_cores_->Submit(kHostKeyCost, sim::InlineCallback([this, h, write_idx] {
-      TxnState* st = FindState(h);
-      if (st == nullptr) {
-        return;
+      if (TxnState* st = FindState(h)) {
+        LockAt(store_->table(st->write_keys[write_idx].table), st, write_idx);
+        OnLockReply(st, write_idx);
       }
-      const KeyRef k = st->write_keys[write_idx];
-      const WriteScratch& ws = st->write_scratch[write_idx];
-      ChainedStore& table = store_->table(k.table);
-      if (table.TryLock(k.key, h.txn)) {
-        const auto* o = table.Lookup(k.key);
-        const store::Seq cur = o != nullptr ? o->seq : 0;
-        if (ws.has_expected && cur != ws.expected) {
-          table.Unlock(k.key, h.txn);
-          st->Abort(AbortReason::kGap);
-        } else {
-          st->write_locked[write_idx] = true;
-          st->write_seqs[write_idx] = cur;
-        }
-      } else {
-        st->Abort(AbortReason::kLockExecute);
-      }
-      OnLockDone(st);
     }));
     return;
   }
@@ -303,13 +268,14 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx) {
           if (st == nullptr) {
             return;
           }
+          WriteScratch& ws = st->write_scratch[write_idx];
           if ((word & 1u) == 0) {
-            st->Abort(word == kLockWordStale ? AbortReason::kGap : AbortReason::kLockExecute);
+            ws.refused = word == kLockWordStale ? AbortReason::kGap : AbortReason::kLockExecute;
           } else {
-            st->write_locked[write_idx] = true;
-            st->write_seqs[write_idx] = static_cast<store::Seq>(word >> 1);
+            ws.refused = AbortReason::kNone;
+            ws.seq = static_cast<store::Seq>(word >> 1);
           }
-          OnLockDone(st);
+          OnLockReply(st, write_idx);
         }),
         h.txn);
     return;
@@ -317,43 +283,52 @@ void BaselineNode::LockOneKey(TxnState* st, uint32_t write_idx) {
 
   // DrTM+H (both variants): lock via RPC, version-checked in the handler,
   // which returns why it refused.
-  transport_.Rpc(
-      net::MsgType::kLock, shard, 32, 16, kRpcHandlerPerKey,
-      sim::InlineCallback([this, table, h, write_idx] {
-        TxnState* st = FindState(h);
-        if (st == nullptr) {
-          return;
-        }
-        const Key key = st->write_keys[write_idx].key;
-        WriteScratch& ws = st->write_scratch[write_idx];
-        ws.refused = AbortReason::kLockExecute;
-        if (table->TryLock(key, h.txn)) {
-          const auto* o = table->Lookup(key);
-          const store::Seq cur = o != nullptr ? o->seq : 0;
-          if (ws.has_expected && cur != ws.expected) {
-            table->Unlock(key, h.txn);
-            ws.refused = AbortReason::kGap;
-          } else {
-            ws.refused = AbortReason::kNone;
-            ws.seq = cur;
-          }
-        }
-      }),
-      sim::InlineCallback([this, h, write_idx] {
-        TxnState* st = FindState(h);
-        if (st == nullptr) {
-          return;
-        }
-        const WriteScratch& ws = st->write_scratch[write_idx];
-        if (ws.refused == AbortReason::kNone) {
-          st->write_locked[write_idx] = true;
-          st->write_seqs[write_idx] = ws.seq;
-        } else {
-          st->Abort(ws.refused);
-        }
-        OnLockDone(st);
-      }),
-      h.txn);
+  transport_.Rpc(net::MsgType::kLock, shard, 32, 16, kRpcHandlerPerKey,
+                 sim::InlineCallback([this, table, h, write_idx] {
+                   if (TxnState* st = FindState(h)) {
+                     LockAt(*table, st, write_idx);
+                   }
+                 }),
+                 sim::InlineCallback([this, h, write_idx] {
+                   if (TxnState* st = FindState(h)) {
+                     OnLockReply(st, write_idx);
+                   }
+                 }),
+                 h.txn);
+}
+
+void BaselineNode::LockAt(ChainedStore& table, TxnState* st, uint32_t write_idx) {
+  const Key key = st->write_keys[write_idx].key;
+  WriteScratch& ws = st->write_scratch[write_idx];
+  ws.refused = AbortReason::kLockExecute;
+  if (table.TryLock(key, st->id)) {
+    const auto* o = table.Lookup(key);
+    const store::Seq cur = o != nullptr ? o->seq : 0;
+    if (ws.has_expected && cur != ws.expected) {
+      table.Unlock(key, st->id);
+      ws.refused = AbortReason::kGap;
+    } else {
+      ws.refused = AbortReason::kNone;
+      ws.seq = cur;
+    }
+  }
+}
+
+void BaselineNode::OnLockReply(TxnState* st, uint32_t write_idx) {
+  const WriteScratch& ws = st->write_scratch[write_idx];
+  if (ws.refused == AbortReason::kNone) {
+    st->write_locked[write_idx] = true;
+    st->write_seqs[write_idx] = ws.seq;
+  } else {
+    st->Abort(ws.refused);
+  }
+  if (--st->pending == 0) {
+    if (st->abort) {
+      AbortCleanup(st, TxnOutcome::kAborted);
+    } else {
+      ValidatePhase(st);
+    }
+  }
 }
 
 void BaselineNode::FasstExecuteShard(TxnState* st, uint32_t group) {
@@ -578,9 +553,6 @@ void BaselineNode::ValidatePhase(TxnState* st) {
 
   stats_.remote_rounds++;
   const Handle h = st->handle();
-  for (ReadScratch& rs : st->read_scratch) {
-    rs.stale = false;
-  }
 
   if (mode_ == BaselineMode::kFasst) {
     // Per-shard validation RPCs, in first-check order. Each is charged as
@@ -592,37 +564,23 @@ void BaselineNode::ValidatePhase(TxnState* st) {
     for (store::NodeId shard : shards) {
       if (shard == id()) {
         host_cores_->Submit(0, sim::InlineCallback([this, h, shard] {
-          TxnState* st = FindState(h);
-          if (st == nullptr) {
-            return;
+          if (TxnState* st = FindState(h)) {
+            FasstValidateAt(this, st, shard);
+            OnFasstValidateDone(st, shard);
           }
-          if (FasstValidateShard(st, shard, this)) {
-            st->Abort(AbortReason::kValidate);
-          }
-          OnValidateDone(st);
         }));
         continue;
       }
       transport_.Rpc(net::MsgType::kValidate, shard, net::wire::ValidateReq(0), 16, 0,
                      sim::InlineCallback([this, h, shard] {
                        if (TxnState* st = FindState(h)) {
-                         FasstValidateShard(st, shard, (*peers_)[shard]);
+                         FasstValidateAt((*peers_)[shard], st, shard);
                        }
                      }),
                      sim::InlineCallback([this, h, shard] {
-                       TxnState* st = FindState(h);
-                       if (st == nullptr) {
-                         return;
+                       if (TxnState* st = FindState(h)) {
+                         OnFasstValidateDone(st, shard);
                        }
-                       for (uint32_t i = 0; i < st->read_keys.size(); ++i) {
-                         const KeyRef& k = st->read_keys[i];
-                         if (st->read_scratch[i].stale &&
-                             map_->PrimaryOf(k.table, k.key) == shard) {
-                           st->Abort(AbortReason::kValidate);
-                           break;
-                         }
-                       }
-                       OnValidateDone(st);
                      }),
                      h.txn);
     }
@@ -640,15 +598,10 @@ void BaselineNode::ValidatePhase(TxnState* st) {
     const store::NodeId shard = map_->PrimaryOf(k.table, k.key);
     if (shard == id()) {
       host_cores_->Submit(kHostKeyCost, sim::InlineCallback([this, h, i] {
-        TxnState* st = FindState(h);
-        if (st == nullptr) {
-          return;
+        if (TxnState* st = FindState(h)) {
+          CheckAt(store_->table(st->read_keys[i].table), st, i);
+          OnCheckDone(st, i);
         }
-        const KeyRef k = st->read_keys[i];
-        if (ValidationFails(store_->table(k.table), k.key, st->reads[i].seq)) {
-          st->Abort(AbortReason::kValidate);
-        }
-        OnValidateDone(st);
       }));
       continue;
     }
@@ -656,35 +609,50 @@ void BaselineNode::ValidatePhase(TxnState* st) {
     transport_.Read(net::MsgType::kValidate, shard, 16,
                     sim::InlineCallback([this, table, h, i] {
                       if (TxnState* st = FindState(h)) {
-                        st->read_scratch[i].stale =
-                            ValidationFails(*table, st->read_keys[i].key, st->reads[i].seq);
+                        CheckAt(*table, st, i);
                       }
                     }),
                     sim::InlineCallback([this, h, i] {
-                      TxnState* st = FindState(h);
-                      if (st == nullptr) {
-                        return;
+                      if (TxnState* st = FindState(h)) {
+                        OnCheckDone(st, i);
                       }
-                      if (st->read_scratch[i].stale) {
-                        st->Abort(AbortReason::kValidate);
-                      }
-                      OnValidateDone(st);
                     }),
                     h.txn);
   }
 }
 
-bool BaselineNode::FasstValidateShard(TxnState* st, store::NodeId shard, BaselineNode* at) {
-  bool failed = false;
+void BaselineNode::CheckAt(const ChainedStore& table, TxnState* st, uint32_t read_idx) {
+  st->read_scratch[read_idx].stale =
+      ValidationFails(table, st->read_keys[read_idx].key, st->reads[read_idx].seq);
+}
+
+void BaselineNode::OnCheckDone(TxnState* st, uint32_t read_idx) {
+  if (st->read_scratch[read_idx].stale) {
+    st->Abort(AbortReason::kValidate);
+  }
+  OnValidateDone(st);
+}
+
+void BaselineNode::FasstValidateAt(BaselineNode* at, TxnState* st, store::NodeId shard) {
+  for (uint32_t i = 0; i < st->read_keys.size(); ++i) {
+    const KeyRef& k = st->read_keys[i];
+    if (map_->PrimaryOf(k.table, k.key) == shard && !ContainsKey(st->write_keys, k)) {
+      st->read_scratch[i].stale = ValidationFails(at->store_->table(k.table), k.key,
+                                                  st->reads[i].seq);
+    }
+  }
+}
+
+void BaselineNode::OnFasstValidateDone(TxnState* st, store::NodeId shard) {
   for (uint32_t i = 0; i < st->read_keys.size(); ++i) {
     const KeyRef& k = st->read_keys[i];
     if (map_->PrimaryOf(k.table, k.key) == shard && !ContainsKey(st->write_keys, k) &&
-        ValidationFails(at->store_->table(k.table), k.key, st->reads[i].seq)) {
-      st->read_scratch[i].stale = true;
-      failed = true;
+        st->read_scratch[i].stale) {
+      st->Abort(AbortReason::kValidate);
+      break;
     }
   }
-  return failed;
+  OnValidateDone(st);
 }
 
 void BaselineNode::OnValidateDone(TxnState* st) {

@@ -20,13 +20,15 @@
 // Allocation: coordinator states live in a txn::TxnPool and are reused, so
 // their vectors keep their capacity. A verb's result (a read's object, a
 // lock's answer, a validation verdict) is parked in the state's per-key
-// scratch at the target and applied by the completion; each phase step is
-// a method called with the state, and every verb and host closure captures
+// scratch at the target and applied by the completion (a key on this node
+// runs both steps in one host job); each phase step is a method called
+// with the state, and every verb and host closure captures
 // only the node, the state's handle and a few indexes, so it stays inline
 // in SmallCallback (sim::InlineCallback). LOG records, COMMIT write sets
 // and unlock key sets are parked in node-owned slot tables. What a
-// transaction still allocates is its data: each LOG record's write vector
-// (one per backup), the TxnRequest's own vectors and the outcome report.
+// transaction still allocates is its data: the values it writes and each
+// LOG record's write vector (one per backup). DrTM+R's lock CAS adds
+// RdmaNic::Atomic's own wrappers.
 
 #ifndef SRC_BASELINE_BASELINE_NODE_H_
 #define SRC_BASELINE_BASELINE_NODE_H_
@@ -129,10 +131,13 @@ class BaselineNode {
     uint32_t refs = 0;
   };
 
+  // Each verb on one key is a step at the key's primary, which parks its
+  // answer in the state, and a completion step at the coordinator.
   void ExecutePhase(TxnState* st);
   void ReadOneKey(TxnState* st, uint32_t read_idx);
   // One remote READ of a read key: a bucket hop, or the object itself.
   void ReadHop(TxnState* st, uint32_t read_idx);
+  void FetchRead(const ChainedStore& table, TxnState* st, uint32_t read_idx);
   void OnReadDone(TxnState* st, uint32_t read_idx);
   void OnExecuteDone(TxnState* st);
   // Lock phase (non-FaSST modes): after execution, lock the write set; the
@@ -140,7 +145,8 @@ class BaselineNode {
   // optimistically (FaRM-style lock-with-version-check).
   void LockPhase(TxnState* st);
   void LockOneKey(TxnState* st, uint32_t write_idx);
-  void OnLockDone(TxnState* st);
+  void LockAt(ChainedStore& table, TxnState* st, uint32_t write_idx);
+  void OnLockReply(TxnState* st, uint32_t write_idx);
   void FasstExecuteShard(TxnState* st, uint32_t group);
   // The FaSST shard RPC's handler at `target`, and its completion.
   void FasstServeShard(BaselineNode* target, TxnState* st, uint32_t group);
@@ -149,10 +155,13 @@ class BaselineNode {
   // phase.
   void AfterExecuteRound(TxnState* st);
   void ValidatePhase(TxnState* st);
+  // One-sided modes: VALIDATE's check of one read key.
+  void CheckAt(const ChainedStore& table, TxnState* st, uint32_t read_idx);
+  void OnCheckDone(TxnState* st, uint32_t read_idx);
   // FaSST: VALIDATE's checks of the read keys on `shard` against `at`'s
-  // tables, in read-set order. Marks each key that fails stale and returns
-  // whether one did.
-  bool FasstValidateShard(TxnState* st, store::NodeId shard, BaselineNode* at);
+  // tables, and their verdict.
+  void FasstValidateAt(BaselineNode* at, TxnState* st, store::NodeId shard);
+  void OnFasstValidateDone(TxnState* st, store::NodeId shard);
   void OnValidateDone(TxnState* st);
   void LogPhase(TxnState* st);
   void OnLogAck(Handle h, store::NodeId backup, store::NodeId shard);
