@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds the tree with AddressSanitizer + UndefinedBehaviorSanitizer and runs
 # the tier-1 test suite plus a few short chaos schedules under it: one on
-# Xenic and one on DrTM+H, and two failover schedules. The chaos harness
-# stresses exactly the paths sanitizers are good at catching -- crash
+# Xenic, one on each baseline mode, and two failover schedules. The chaos
+# harness stresses exactly the paths sanitizers are good at catching -- crash
 # teardown, log reclamation, NIC-index eviction, routing moves -- so seeds
 # run here even though the full chaos matrix would be too slow when
 # instrumented.
@@ -23,9 +23,15 @@ export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" -LE chaos
 
 # One instrumented chaos schedule: crash + recovery + storms + wire faults.
-# The DrTM+H run puts the baselines' ChainedStore under the sanitizers too.
+# The DrTM+H run puts the baselines' ChainedStore under the sanitizers too;
+# the other three modes cover FaSST's shard and validation RPCs, DrTM+R's
+# CAS locks and one-sided commit, and DrTM+H NC's bucket-hop reads, each
+# parking its results in the pooled transaction state.
 "$BUILD_DIR"/tools/chaos_runner --seed 1 --horizon-us 300
 "$BUILD_DIR"/tools/chaos_runner --seed 1 --system drtmh --horizon-us 300
+for system in fasst drtmr drtmh-nc; do
+  "$BUILD_DIR"/tools/chaos_runner --seed 8 --system "$system"
+done
 
 # Planned handoffs under the sanitizers (ctest above skips the chaos label,
 # so no handoff schedule runs otherwise): three handoffs with the NIC log
