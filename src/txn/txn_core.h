@@ -222,9 +222,6 @@ class TxnPool {
     free_.push_back(st->slot);
   }
 
-  // States acquired and not yet released.
-  size_t live() const { return states_.size() - free_.size(); }
-
  private:
   std::deque<State> states_;
   std::vector<uint32_t> free_;

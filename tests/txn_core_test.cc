@@ -256,7 +256,6 @@ TEST(TxnPoolTest, HandleOfAReleasedTransactionResolvesToNullAfterItsSlotIsReused
   // verb's completion holds `late`.
   pool.Release(aborted);
   EXPECT_EQ(pool.Find(late), nullptr);
-  EXPECT_EQ(pool.live(), 0u);
 
   // The next transaction takes the same slot, at the same address, with
   // its vectors' capacity kept. The late completion still finds nothing,
@@ -275,7 +274,7 @@ TEST(TxnPoolTest, HandleOfAReleasedTransactionResolvesToNullAfterItsSlotIsReused
   other->Init(103, ReadsOf({5}), nullptr);
   EXPECT_NE(other, next);
   EXPECT_EQ(pool.Find(next->handle()), next);
-  EXPECT_EQ(pool.live(), 2u);
+  EXPECT_EQ(pool.Find(other->handle()), other);
 }
 
 TEST(TxnPoolTest, InitClearsWhatTheLastTransactionLeft) {
