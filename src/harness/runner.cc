@@ -80,7 +80,12 @@ void RunContext(std::shared_ptr<Shared> sh, store::NodeId node) {
     // travels through a box filled in below. The callback can never fire
     // before Submit returns (all completion paths go through engine
     // events), so the box is always populated by the time it is read.
-    auto id_box = std::make_shared<uint64_t>(0);
+    // Only the per-transaction trace reads the id, so only a traced run
+    // makes the box.
+    std::shared_ptr<uint64_t> id_box;
+    if (sh->txn_sink != nullptr) {
+      id_box = std::make_shared<uint64_t>(0);
+    }
     const sim::Tick attempt_start = sh->system->engine().now();
     const uint64_t id = sh->system->Submit(
         node, std::move(copy),
@@ -98,7 +103,7 @@ void RunContext(std::shared_ptr<Shared> sh, store::NodeId node) {
                 sh->m_aborted->Add(eng.now());
               }
             }
-            if (sh->txn_sink != nullptr && *id_box != 0) {
+            if (id_box != nullptr && *id_box != 0) {
               // Aborted attempt: its spans are not replayed into the
               // retry's tree; the lost time shows up as the redo bucket.
               sh->txn_sink->Discard(*id_box);
@@ -136,7 +141,7 @@ void RunContext(std::shared_ptr<Shared> sh, store::NodeId node) {
               }
             }
           }
-          if (sh->txn_sink != nullptr && *id_box != 0) {
+          if (id_box != nullptr && *id_box != 0) {
             if (counted) {
               obs::TxnTree tree;
               sh->txn_sink->Extract(*id_box, &tree);
@@ -148,7 +153,9 @@ void RunContext(std::shared_ptr<Shared> sh, store::NodeId node) {
           }
           RunContext(sh, node);
         });
-    *id_box = id;
+    if (id_box != nullptr) {
+      *id_box = id;
+    }
   };
   attempt(attempt, std::move(req), 0);
 }

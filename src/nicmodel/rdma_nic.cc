@@ -36,10 +36,8 @@ void RdmaNic::Write(NodeId dst, uint32_t bytes, sim::Engine::Callback at_target,
 
 void RdmaNic::Atomic(NodeId dst, sim::SmallFunction<uint64_t()> op,
                      sim::SmallFunction<void(uint64_t)> done) {
-  auto result = std::make_shared<uint64_t>(0);
-  Read(
-      dst, 8, [op = std::move(op), result]() mutable { *result = op(); },
-      [result, done = std::move(done)]() mutable { done(*result); });
+  // Timed as an 8-byte READ.
+  Post(Verb{id_, dst, 0, 8, 0, /*rpc=*/false, {}, {}, std::move(op), std::move(done)});
 }
 
 void RdmaNic::Rpc(NodeId dst, uint32_t req_bytes, uint32_t resp_bytes, sim::Tick handler_cost,
@@ -84,6 +82,11 @@ void RdmaNic::HandleOneSided(uint32_t v) {
       if (at_target) {
         at_target();
       }
+      if (fabric_->verbs_[v].op) {
+        sim::SmallFunction<uint64_t()> op = std::move(fabric_->verbs_[v].op);
+        const uint64_t result = op();
+        fabric_->verbs_[v].result = result;
+      }
       SendResponse(v);
     }));
   }));
@@ -103,6 +106,14 @@ void RdmaNic::Complete(uint32_t v) {
     // the initiator's poll.
     const sim::Tick extra = fabric_->verbs_[v].rpc ? model_.rdma_target_dma : 0;
     engine_->ScheduleAfter(model_.rdma_completion_poll + extra, sim::InlineCallback([this, v] {
+      if (fabric_->verbs_[v].op_done) {
+        // ATOMIC: the slot keeps the result until the host polls it.
+        host_cores_->Submit(model_.rdma_init_cost / 2, sim::InlineCallback([this, v] {
+          Verb verb = fabric_->verbs_.Take(v);
+          verb.op_done(verb.result);
+        }));
+        return;
+      }
       Verb verb = fabric_->verbs_.Take(v);
       host_cores_->Submit(model_.rdma_init_cost / 2, std::move(verb.done));
     }));

@@ -18,8 +18,7 @@
 // caller's callbacks themselves carry, and the baseline coordinator's carry
 // none: they capture a transaction handle and an index and fit inline
 // (BaselineNode parks each verb's result in its pooled transaction state).
-// Atomic still wraps its typed closures, inline or not, in one shared
-// result word plus two spilled callbacks.
+// Atomic parks its typed closures and the result word in the same slot.
 
 #ifndef SRC_NICMODEL_RDMA_NIC_H_
 #define SRC_NICMODEL_RDMA_NIC_H_
@@ -94,6 +93,11 @@ class RdmaNic {
     bool rpc;                 // two-sided: the target host runs `at_target`
     sim::Engine::Callback at_target;  // memory effect or RPC handler (may be empty)
     sim::Engine::Callback done;
+    // ATOMIC (set instead of at_target and done): `op` runs at the target,
+    // its `result` rides back to `op_done`.
+    sim::SmallFunction<uint64_t()> op = {};
+    sim::SmallFunction<void(uint64_t)> op_done = {};
+    uint64_t result = 0;
   };
 
   // Initiator: verb post (host, doorbell-batched) + NIC pipeline + wire.

@@ -151,6 +151,7 @@ inline TxnId MakeTxnId(NodeId node, uint64_t seq) {
   return (static_cast<TxnId>(node + 1) << 40) | (seq & ((1ull << 40) - 1));
 }
 inline NodeId TxnNode(TxnId id) { return static_cast<NodeId>(id >> 40) - 1; }
+inline uint64_t TxnSeq(TxnId id) { return id & ((1ull << 40) - 1); }
 
 }  // namespace xenic::store
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <utility>
 
 namespace xenic::txn {
@@ -125,18 +126,15 @@ TxnId XenicNode::Submit(TxnRequest req, CommitCallback done) {
   if (crashed_) {
     return 0;  // the application died with the node; no outcome is reported
   }
-  auto st = std::make_unique<TxnState>();
-  st->Init(store::MakeTxnId(id(), next_txn_seq_++), std::move(req), std::move(done));
-  st->map_version = map_->version;
-  const TxnId id = st->id;
+  TxnState* st = NewState(std::move(req), std::move(done));
   // Root of this transaction's causal event chain: everything scheduled
   // from here on (host compute, NIC hops, DMA, wire) inherits the id.
-  nic_->engine()->set_trace_ctx(id);
-  SubmitOnHost(std::move(st));
-  return id;
+  nic_->engine()->set_trace_ctx(st->id);
+  SubmitOnHost(st);
+  return st->id;
 }
 
-void XenicNode::SubmitOnHost(StatePtr st) {
+void XenicNode::SubmitOnHost(TxnState* st) {
   bool all_local = true;
   for (const auto& k : st->read_keys) {
     all_local &= map_->PrimaryOf(k.table, k.key) == id();
@@ -146,12 +144,12 @@ void XenicNode::SubmitOnHost(StatePtr st) {
   }
 
   if (all_local && st->write_keys.empty() && st->req.local_log_writes.empty()) {
-    HostReadOnlyPath(std::move(st), id());
+    HostReadOnlyPath(st, id());
     return;
   }
   if (all_local) {
     if (!LockedLocalPath(st)) {
-      LocalWritePath(std::move(st));
+      LocalWritePath(st);
     }
     return;
   }
@@ -162,16 +160,14 @@ void XenicNode::SubmitOnHost(StatePtr st) {
   // fence, without any wire round trip.
   NodeId replica_shard = 0;
   if (ReplicaReadEligible(*st, &replica_shard)) {
-    HostReadOnlyPath(std::move(st), replica_shard);
+    HostReadOnlyPath(st, replica_shard);
     return;
   }
 
   // Distributed: ship the transaction state to the coordinator-side NIC.
   const TxnId txn = st->id;
-  TxnState* raw = st.get();
-  txns_[txn] = std::move(st);
-  const uint32_t bytes = net::wire::TxnDescriptor(raw->read_keys.size(), raw->write_keys.size(),
-                                                  raw->req.external_bytes);
+  const uint32_t bytes = net::wire::TxnDescriptor(st->read_keys.size(), st->write_keys.size(),
+                                                  st->req.external_bytes);
   nic_->HostCompute(kHostInitCost, [this, txn, bytes] {
     nic_->HostToNic(bytes, [this, txn] { CoordStartOnNic(txn); });
   });
@@ -181,7 +177,7 @@ void XenicNode::SubmitOnHost(StatePtr st) {
 // Local fast paths (paper 4.2.4).
 // ---------------------------------------------------------------------------
 
-void XenicNode::HostReadOnlyPath(StatePtr st, NodeId shard) {
+void XenicNode::HostReadOnlyPath(TxnState* st, NodeId shard) {
   const bool replica = shard != id();
   if (!replica) {
     stats_.local_fastpath++;
@@ -189,12 +185,9 @@ void XenicNode::HostReadOnlyPath(StatePtr st, NodeId shard) {
   // All reads and execution rounds happen on the host against the local
   // tables within one charged block: atomic, so no validation is needed,
   // and no NIC or wire work is charged.
-  TxnState* raw = st.get();
-  const TxnId txn = raw->id;
-  txns_[txn] = std::move(st);
-
-  sim::Tick cost = kHostInitCost + raw->req.exec_cost;
-  cost += kHostKeyCost * static_cast<sim::Tick>(raw->read_keys.size());
+  const TxnId txn = st->id;
+  sim::Tick cost = kHostInitCost + st->req.exec_cost;
+  cost += kHostKeyCost * static_cast<sim::Tick>(st->read_keys.size());
   nic_->HostCompute(cost, [this, txn, shard, replica] {
     TxnState* st = FindState(txn);
     if (st == nullptr || crashed_) {
@@ -296,17 +289,14 @@ bool XenicNode::ReplicaReadEligible(const TxnState& st, NodeId* shard_out) const
   return true;
 }
 
-void XenicNode::LocalWritePath(StatePtr st) {
+void XenicNode::LocalWritePath(TxnState* st) {
   stats_.local_fastpath++;
-  TxnState* raw = st.get();
-  const TxnId txn = raw->id;
-  txns_[txn] = std::move(st);
-
+  const TxnId txn = st->id;
   // Optimistic host execution: read local values + run all rounds in one
   // charged block, producing the write set.
-  sim::Tick cost = kHostInitCost + raw->req.exec_cost;
+  sim::Tick cost = kHostInitCost + st->req.exec_cost;
   cost += kHostKeyCost *
-          static_cast<sim::Tick>(raw->read_keys.size() + raw->write_keys.size());
+          static_cast<sim::Tick>(st->read_keys.size() + st->write_keys.size());
   nic_->HostCompute(cost, [this, txn] {
     TxnState* st = FindState(txn);
     if (st == nullptr || crashed_) {
@@ -400,7 +390,7 @@ void XenicNode::LocalWritePath(StatePtr st) {
 // hold-and-wait, so no deadlock) until the holder's release wakes them.
 // ---------------------------------------------------------------------------
 
-bool XenicNode::LockedLocalPath(StatePtr& st) {
+bool XenicNode::LockedLocalPath(TxnState* st) {
   if (Cc2pl()) {
     stats_.local_fastpath++;
   } else {
@@ -416,13 +406,11 @@ bool XenicNode::LockedLocalPath(StatePtr& st) {
     st->hot_key = *hot;
     stats_.hot_path++;
   }
-  TxnState* raw = st.get();
-  const TxnId txn = raw->id;
-  txns_[txn] = std::move(st);
+  const TxnId txn = st->id;
   // Same host->NIC handoff as the local write path, minus the optimistic
   // host execution: the work happens on the NIC under locks.
-  const uint32_t bytes = net::wire::TxnDescriptor(raw->read_keys.size(), raw->write_keys.size(),
-                                                  raw->req.external_bytes);
+  const uint32_t bytes = net::wire::TxnDescriptor(st->read_keys.size(), st->write_keys.size(),
+                                                  st->req.external_bytes);
   nic_->HostCompute(kHostInitCost, [this, txn, bytes] {
     nic_->HostToNic(bytes, [this, txn] {
       TxnState* st = FindState(txn);
@@ -1018,27 +1006,19 @@ void XenicNode::OnValidateResp(TxnId id, bool ok, uint8_t contention) {
 
 void XenicNode::SendLogRecords(NodeId coord, const TxnState& st, NodeId shard,
                                uint32_t total_shards) {
-  const auto backups = repl_->BackupsOf(shard);
-  size_t left = backups.size();
-  if (left == 0) {
-    return;
-  }
-  store::LogRecord rec;
-  rec.type = store::LogRecordType::kLog;
-  rec.txn = st.id;
-  rec.total_shards = total_shards;
-  rec.shard = shard;
-  st.ShardWrites(*map_, shard, coord, &rec.writes);
-  for (NodeId backup : backups) {
+  for (NodeId backup : repl_->BackupsOf(shard)) {
+    // Each backup's record is built in its request slot, whose write
+    // vector keeps the capacity ServeLog handed it.
     LogSlot req = log_reqs_.AcquireHandle();
     req->coord = coord;
-    // Copied for every backup but the last, which takes the record itself.
-    if (--left > 0) {
-      req->record = rec;
-    } else {
-      req->record = std::move(rec);
-    }
-    const uint32_t bytes = net::wire::LogAppend(req->record.ByteSize());
+    store::LogRecord& rec = req->record;
+    rec.type = store::LogRecordType::kLog;
+    rec.txn = st.id;
+    rec.lsn = 0;
+    rec.total_shards = total_shards;
+    rec.shard = shard;
+    st.ShardWrites(*map_, shard, coord, &rec.writes);
+    const uint32_t bytes = net::wire::LogAppend(rec.ByteSize());
     XenicNode* server = (*peers_)[backup];
     transport_.Send(net::MsgType::kLog, backup, bytes,
                     sim::InlineCallback([server, req = std::move(req)]() mutable {
@@ -1196,29 +1176,54 @@ void XenicNode::ReportAndFinish(TxnState* st, TxnOutcome outcome) {
   }
   stats_.Count(outcome, st->abort_reason);
   if (outcome == TxnOutcome::kCommitted) {
-    reported_committed_.insert(st->id);
+    const uint64_t seq = store::TxnSeq(st->id);
+    if (seq / 64 >= reported_committed_.size()) {
+      reported_committed_.resize(seq / 64 + 1);
+    }
+    reported_committed_[seq / 64] |= uint64_t{1} << (seq % 64);
   }
   // The commit point was the log acks; the application learns the outcome
   // once the report crosses to the host.
-  nic_->NicToHost(net::wire::Descriptor(),
-                  [cores = &nic_->host_cores(),
-                   report = st->TakeReport(TxnResult(outcome, st->contention_hint))]() mutable {
-                    std::move(report).Run(cores);
-                  });
+  const uint32_t report = reports_.Put(st->TakeReport(TxnResult(outcome, st->contention_hint)));
+  nic_->NicToHost(net::wire::Descriptor(), sim::InlineCallback([this, report] {
+                    reports_.Take(report).Run(&nic_->host_cores());
+                  }));
 }
 
-void XenicNode::ReleaseOrphanedLocks(TxnId txn, NodeId shard, std::vector<KeyRef> keys) {
+bool XenicNode::HasReportedCommit(TxnId txn) const {
+  if (store::TxnNode(txn) != id()) {
+    return false;
+  }
+  const uint64_t seq = store::TxnSeq(txn);
+  return seq / 64 < reported_committed_.size() &&
+         (reported_committed_[seq / 64] & uint64_t{1} << (seq % 64)) != 0;
+}
+
+void XenicNode::ReleaseOrphanedLocks(TxnId txn, NodeId shard, const std::vector<KeyRef>& keys) {
   if (keys.empty()) {
     return;
   }
+  ReleaseSlot req = NewReleaseRequest(txn);
+  req->keys.assign(keys.begin(), keys.end());
+  SendRelease(shard, std::move(req));
+}
+
+XenicNode::ReleaseSlot XenicNode::NewReleaseRequest(TxnId txn) {
+  ReleaseSlot req = release_reqs_.AcquireHandle();
+  req->txn = txn;
+  req->keys.clear();
+  return req;
+}
+
+void XenicNode::SendRelease(NodeId shard, ReleaseSlot req) {
+  const TxnId txn = req->txn;
+  const uint32_t bytes = net::wire::KeyList(req->keys.size());
   XenicNode* server = (*peers_)[shard];
-  const uint32_t bytes = net::wire::KeyList(keys.size());
-  transport_.Send(
-      net::MsgType::kRelease, shard, bytes,
-      [server, txn, keys = std::move(keys)]() mutable {
-        server->ServeRelease(txn, std::move(keys));
-      },
-      txn);
+  transport_.Send(net::MsgType::kRelease, shard, bytes,
+                  sim::InlineCallback([server, req = std::move(req)]() mutable {
+                    server->ServeRelease(std::move(req));
+                  }),
+                  txn);
 }
 
 void XenicNode::AbortCleanup(TxnState* st, TxnOutcome outcome) {
@@ -1229,7 +1234,8 @@ void XenicNode::AbortCleanup(TxnState* st, TxnOutcome outcome) {
   // Release locks at every shard that acknowledged EXECUTE (or the local
   // lock set for local/shipped paths).
   for (NodeId shard : st->locked_shards) {
-    std::vector<KeyRef> keys;
+    ReleaseSlot req = NewReleaseRequest(txn);
+    std::vector<KeyRef>& keys = req->keys;
     for (const auto& k : st->write_keys) {
       if (map_->PrimaryOf(k.table, k.key) == shard) {
         keys.push_back(k);
@@ -1242,27 +1248,58 @@ void XenicNode::AbortCleanup(TxnState* st, TxnOutcome outcome) {
         }
       }
     }
-    if (keys.empty()) {
-      continue;
+    if (!keys.empty()) {
+      SendRelease(shard, std::move(req));
     }
-    XenicNode* server = (*peers_)[shard];
-    const uint32_t bytes = net::wire::KeyList(keys.size());
-    transport_.Send(
-        net::MsgType::kRelease, shard, bytes,
-        [server, txn, keys = std::move(keys)]() mutable {
-          server->ServeRelease(txn, std::move(keys));
-        },
-        txn);
   }
   ReportAndFinish(st, outcome);
   EraseState(txn);
 }
 
-void XenicNode::EraseState(TxnId id) { txns_.erase(id); }
+void XenicNode::TxnState::Init(TxnId txn, TxnRequest request, CommitCallback callback) {
+  TxnCore::Init(txn, std::move(request), std::move(callback));
+  locked_shards.clear();
+  local_locked = false;
+  lock_all = false;
+  coord_start = 0;
+  phase_start = 0;
+  logs_sent = false;
+  contention_hint = 0;
+  cc_read_locks = false;
+  map_version = 0;
+  hot_key = {};
+  park_key = {};
+  park_id = 0;
+}
+
+XenicNode::TxnState* XenicNode::NewState(TxnRequest req, CommitCallback done) {
+  TxnState* st = pool_.Acquire();
+  st->Init(store::MakeTxnId(id(), next_txn_seq_++), std::move(req), std::move(done));
+  st->map_version = map_->version;
+  if (spare_nodes_.empty()) {
+    txns_.emplace(st->id, st);
+    return st;
+  }
+  StateIndex::node_type node = std::move(spare_nodes_.back());
+  spare_nodes_.pop_back();
+  node.key() = st->id;
+  node.mapped() = st;
+  txns_.insert(std::move(node));
+  return st;
+}
+
+void XenicNode::EraseState(TxnId id) {
+  StateIndex::node_type node = txns_.extract(id);
+  if (node.empty()) {
+    return;
+  }
+  pool_.Release(node.mapped());
+  spare_nodes_.push_back(std::move(node));
+}
 
 XenicNode::TxnState* XenicNode::FindState(TxnId id) {
   auto it = txns_.find(id);
-  return it == txns_.end() ? nullptr : it->second.get();
+  return it == txns_.end() ? nullptr : it->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -1883,7 +1920,10 @@ void XenicNode::ServeLog(LogSlot req) {
     XenicNode* coord = (*peers_)[req->coord];
     const TxnId txn = req->record.txn;
     const NodeId shard = req->record.shard;
+    // The append takes the record; the request slot keeps a reclaimed
+    // record's buffer for its next LOG.
     store::LogRecord record = std::move(req->record);
+    req->record.writes = ds_->log().SpareWrites();
     req.Reset();
     auto ack = [this, coord, txn, shard](const store::LogRecord&) {
       const NodeId from = id();
@@ -1953,16 +1993,20 @@ void XenicNode::ServeCommit(CommitSlot req) {
   }));
 }
 
-void XenicNode::ServeRelease(TxnId txn, std::vector<KeyRef> keys) {
+void XenicNode::ServeRelease(ReleaseSlot req) {
   if (crashed_) {
     return;
   }
-  nic_->NicCompute(NicOpCost(keys.size()), [this, txn, keys = std::move(keys)] {
+  // NicOpCost(0), pinned like ServeExecute's: the historical code passed
+  // `NicOpCost(keys.size())` alongside a lambda that moved `keys` in the
+  // same call, so release handlers have always been charged the base op
+  // cost only.
+  nic_->NicCompute(NicOpCost(0), sim::InlineCallback([this, req = std::move(req)] {
     if (crashed_) {
       return;
     }
-    UnlockAll(txn, keys);
-  });
+    UnlockAll(req->txn, req->keys);
+  }));
 }
 
 void XenicNode::ServeLogCommit(TxnId txn) {
@@ -2043,8 +2087,8 @@ size_t XenicNode::RebuildLocksFromLog(const std::vector<store::LogRecord>& unack
 
 XenicNode::ParkedSlots XenicNode::parked_slots() const {
   ParkedSlots p;
-  p.requests =
-      exec_reqs_.live() + validate_reqs_.live() + log_reqs_.live() + commit_reqs_.live();
+  p.requests = exec_reqs_.live() + validate_reqs_.live() + log_reqs_.live() +
+               commit_reqs_.live() + release_reqs_.live();
   p.appends = appends_.live();
   p.fan_ins = fan_ins_.live();
   return p;

@@ -33,9 +33,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/histogram.h"
@@ -109,8 +107,9 @@ class XenicNode {
 
   // Fail-stop this node: no submissions, no served requests, no outbound
   // messages, workers halt. In-flight engine events targeting the node
-  // become no-ops. Coordinator state is kept (not freed) so that raw
-  // TxnState pointers held by in-flight shipped executions stay valid.
+  // become no-ops. Coordinator states stay indexed (Coordinates), so that
+  // shipped executions in flight can still match the raw TxnState pointers
+  // they hold.
   void Crash();
   bool crashed() const { return crashed_; }
 
@@ -137,8 +136,8 @@ class XenicNode {
   // Recovery consults live coordinators before discarding an in-doubt
   // record: a reported commit must always be rolled forward, even when the
   // log-scan evidence is incomplete (records already applied and reclaimed
-  // elsewhere leave no trace to enumerate).
-  bool HasReportedCommit(TxnId txn) const { return reported_committed_.count(txn) > 0; }
+  // elsewhere leave no trace to enumerate). False for another node's txn.
+  bool HasReportedCommit(TxnId txn) const;
   // Synthesize the LOG acks the failed node will never send. Returns the
   // number synthesized; the transaction commits once (and if) the remaining
   // live acks arrive -- for a sweep-verified-complete transaction they are
@@ -154,9 +153,9 @@ class XenicNode {
   void ForceAbortWedged(TxnId txn);
 
   // Slots this node holds for work in flight: requests it sent (EXECUTE,
-  // VALIDATE, LOG and COMMIT), log appends, and DMA fan-ins. Every request
-  // either completes or is dropped with its slot freed, so a quiesced live
-  // node holds none (the chaos run audits this).
+  // VALIDATE, LOG, COMMIT and lock releases), log appends, and DMA
+  // fan-ins. Every request either completes or is dropped with its slot
+  // freed, so a quiesced live node holds none (the chaos run audits this).
   struct ParkedSlots {
     size_t requests = 0;
     size_t appends = 0;
@@ -166,6 +165,10 @@ class XenicNode {
   // Coordinator states alive at this node (finished transactions free
   // theirs).
   size_t live_txns() const { return txns_.size(); }
+  // Whether `txn` still resolves to a coordinator state here: from its
+  // submission until it finishes. A crashed node keeps the states it had
+  // in flight, so shipped executions elsewhere can still check theirs.
+  bool Coordinates(TxnId txn) const { return txns_.count(txn) > 0; }
   // Destroy every continuation parked at this node (the lock-wait queue,
   // appends, fan-ins). Those hold slot handles into other nodes' request tables, so
   // XenicCluster calls this on every node before it destroys any.
@@ -173,8 +176,13 @@ class XenicNode {
 
  private:
   // ---- Per-transaction coordinator state (lives on the coordinator NIC):
-  // the shared transaction core plus what only Xenic's paths keep.
-  struct TxnState : TxnCore {
+  // the shared transaction core plus what only Xenic's paths keep. States
+  // come from a txn::TxnPool and keep their vectors' capacity.
+  struct TxnState : PooledTxn {
+    // TxnCore::Init, plus a clean slate for Xenic's fields (a pooled state
+    // arrives as its last transaction left it).
+    void Init(TxnId txn, TxnRequest request, CommitCallback callback);
+
     std::vector<NodeId> locked_shards;  // primaries holding our locks
     bool local_locked = false;          // shipped path: local keys locked
     bool lock_all = false;              // shipped path: read keys locked too
@@ -242,10 +250,16 @@ class XenicNode {
     std::vector<store::LogWrite> writes;
     std::vector<KeyRef> release_keys;
   };
+  // An abort's (or an orphaned grant's) lock release at one shard.
+  struct ReleaseRequest {
+    TxnId txn = store::kNoTxn;
+    std::vector<KeyRef> keys;
+  };
   using ExecSlot = sim::SlotTable<ExecRequest>::Handle;
   using ValidateSlot = sim::SlotTable<ValidateRequest>::Handle;
   using LogSlot = sim::SlotTable<LogRequest>::Handle;
   using CommitSlot = sim::SlotTable<CommitRequest>::Handle;
+  using ReleaseSlot = sim::SlotTable<ReleaseRequest>::Handle;
   // Node-owned parking for AppendWhenSpace and the ChargeDmaReads fan-in.
   using AppendedFn = sim::SmallFunction<void(const store::LogRecord&)>;
   struct PendingAppend {
@@ -257,16 +271,14 @@ class XenicNode {
     sim::Engine::Callback done;
   };
 
-  using StatePtr = std::unique_ptr<TxnState>;
-
   // ---- Coordinator-side phases.
-  void SubmitOnHost(StatePtr st);
+  void SubmitOnHost(TxnState* st);
   // A read-only transaction whose read set lives on one shard held here,
   // run on the host against the local tables: the local fast path (paper
   // 4.2.4) when `shard` is this node's own, else a replica read. It
   // escalates to the distributed path if execution adds a key off the
   // shard.
-  void HostReadOnlyPath(StatePtr st, NodeId shard);
+  void HostReadOnlyPath(TxnState* st, NodeId shard);
   // Replica read (features.replica_reads): a single-shard read-only
   // transaction whose shard this node backs is served from the local
   // NIC-applied backup tables iff the freshness fence holds at serve time
@@ -274,7 +286,7 @@ class XenicNode {
   // so the tables are a stable prefix of the shard's commit order);
   // otherwise it escalates to the normal distributed path.
   bool ReplicaReadEligible(const TxnState& st, NodeId* shard_out) const;
-  void LocalWritePath(StatePtr st);
+  void LocalWritePath(TxnState* st);
   // The host-execution loop both local paths share: each round reads the
   // missing values and write seqs fresh from the local tables, then runs
   // the application; it ends when a round adds no keys (kDone), the
@@ -304,7 +316,11 @@ class XenicNode {
   // A lock grant arrived for a transaction that no longer exists (the epoch
   // sweep resolved it while the response was in flight): release the
   // orphaned locks at their shard.
-  void ReleaseOrphanedLocks(TxnId txn, NodeId shard, std::vector<KeyRef> keys);
+  void ReleaseOrphanedLocks(TxnId txn, NodeId shard, const std::vector<KeyRef>& keys);
+  // A cleared release slot for `txn`; SendRelease sends it to `shard` once
+  // its keys are filled in.
+  ReleaseSlot NewReleaseRequest(TxnId txn);
+  void SendRelease(NodeId shard, ReleaseSlot req);
   // Version-gap check for keys both read and written; aborts and returns
   // false on a mismatch.
   bool CheckReadWriteGap(TxnState* st);
@@ -325,6 +341,10 @@ class XenicNode {
   void OnCommitAck(TxnId id);
   void ReportAndFinish(TxnState* st, TxnOutcome outcome);
   void AbortCleanup(TxnState* st, TxnOutcome outcome);
+  // A pooled state for a new submission, initialized and indexed under its
+  // fresh id.
+  TxnState* NewState(TxnRequest req, CommitCallback done);
+  // Drop `id` from the index and return its state to the pool.
   void EraseState(TxnId id);
   TxnState* FindState(TxnId id);
 
@@ -350,7 +370,7 @@ class XenicNode {
   // them. Fire-and-forget; no reply.
   void ServeLogCommit(TxnId txn);
   void ServeCommit(CommitSlot req);
-  void ServeRelease(TxnId txn, std::vector<KeyRef> keys);
+  void ServeRelease(ReleaseSlot req);
   void ServeShipExec(TxnId txn, NodeId coord, TxnState* coord_state);
 
   // Lock all given keys in the NIC index; on conflict release those taken
@@ -372,7 +392,7 @@ class XenicNode {
   // LogPhase/CommitPhase -- no validation, hence no redo. A denied lock
   // either aborts or waits in waiters_ holding zero locks: under 2PL as the
   // policy says (CcMayWait), under OCC only on the hot key.
-  bool LockedLocalPath(StatePtr& st);  // true = routed (state consumed)
+  bool LockedLocalPath(TxnState* st);  // true = routed
   void LockedLocalAcquire(TxnId txn, uint32_t parks);
   void LockedExecute(TxnState* st);
 
@@ -457,8 +477,12 @@ class XenicNode {
   sim::SlotTable<ValidateRequest> validate_reqs_;
   sim::SlotTable<LogRequest> log_reqs_;
   sim::SlotTable<CommitRequest> commit_reqs_;
+  sim::SlotTable<ReleaseRequest> release_reqs_;
   sim::SlotTable<PendingAppend> appends_;
   sim::SlotTable<DmaFanIn> fan_ins_;
+  // Outcome reports crossing to the host (ReportAndFinish), parked so the
+  // NicToHost delivery captures only a slot.
+  sim::SlotTable<TxnCore::Report> reports_;
   // Scratch reused by every call (capacity kept): ExecutePhase's shard
   // groups (TxnCore::GroupByShard) and the shard lists of ValidatePhase,
   // LogPhase and CommitPhase. Each is used by one phase only, and no phase
@@ -470,10 +494,24 @@ class XenicNode {
   // This node's commit-log drain: host Robinhood workers, or NIC-ARM
   // appliers under features.nic_log_apply. Crash() stops it for good.
   repl::LogDrain drain_;
-  std::unordered_map<TxnId, StatePtr> txns_;
+  // Coordinator states, reused across transactions, and the index from a
+  // live transaction's id to its state. Continuations name a transaction
+  // by its id and look it up here, so a finished transaction's stragglers
+  // find nothing even after its state serves another transaction. The
+  // index recycles its map nodes (EraseState extracts one into
+  // spare_nodes_, NewState re-keys and reinserts it), so it allocates
+  // nothing per transaction and iterates exactly as a map that erased and
+  // emplaced would: WedgedOn walks it, and the recovery transcripts pin
+  // that order.
+  TxnPool<TxnState> pool_;
+  using StateIndex = std::unordered_map<TxnId, TxnState*>;
+  StateIndex txns_;
+  std::vector<StateIndex::node_type> spare_nodes_;
   // Commit outcomes this coordinator reported (recovery oracle; see
-  // HasReportedCommit). Lost with the node on a crash, like any host state.
-  std::unordered_set<TxnId> reported_committed_;
+  // HasReportedCommit): bit `seq` stands for this node's txn id of that
+  // sequence number, so one bit per submitted transaction. Lost with the
+  // node on a crash, like any host state.
+  std::vector<uint64_t> reported_committed_;
   uint64_t next_txn_seq_ = 1;
   TxnStats stats_;
   // Per-shard conflict sketch feeding contention hints and hot-key routing.

@@ -1,6 +1,8 @@
 #include "src/workload/retwis.h"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 
 namespace xenic::workload {
 
@@ -49,52 +51,47 @@ TxnRequest Retwis::NextTxn(NodeId coordinator, Rng& rng) {
   req.external_bytes = 8;
   req.allow_ship = true;
 
-  auto pick_distinct = [&](size_t n) {
-    std::vector<Key> keys;
-    while (keys.size() < n) {
+  // Distinct keys, drawn in order into fixed scratch.
+  std::array<Key, kMaxKeys> keys{};
+  size_t n = 0;
+  auto pick_distinct = [&](size_t count) {
+    assert(count <= kMaxKeys);
+    n = 0;
+    while (n < count) {
       const Key k = PickKey(rng);
-      if (std::find(keys.begin(), keys.end(), k) == keys.end()) {
-        keys.push_back(k);
+      if (std::find(keys.begin(), keys.begin() + n, k) == keys.begin() + n) {
+        keys[n++] = k;
       }
     }
-    return keys;
+  };
+  auto add = [&](std::vector<txn::KeyRef>* set, size_t from, size_t to) {
+    set->reserve(to - from);
+    for (size_t i = from; i < to; ++i) {
+      set->push_back({kStore, keys[i]});
+    }
   };
   const uint64_t stamp = rng.Next();
 
   switch (type) {
-    case kAddUser: {
-      auto keys = pick_distinct(3);
-      req.reads = {{kStore, keys[0]}};
-      for (Key k : keys) {
-        req.writes.push_back({kStore, k});
-      }
+    case kAddUser:
+      pick_distinct(3);
+      add(&req.reads, 0, 1);
+      add(&req.writes, 0, n);
       break;
-    }
-    case kFollow: {
-      auto keys = pick_distinct(2);
-      for (Key k : keys) {
-        req.reads.push_back({kStore, k});
-        req.writes.push_back({kStore, k});
-      }
+    case kFollow:
+      pick_distinct(2);
+      add(&req.reads, 0, n);
+      add(&req.writes, 0, n);
       break;
-    }
-    case kPostTweet: {
-      auto keys = pick_distinct(5);
-      for (size_t i = 0; i < 3; ++i) {
-        req.reads.push_back({kStore, keys[i]});
-      }
-      for (Key k : keys) {
-        req.writes.push_back({kStore, k});
-      }
+    case kPostTweet:
+      pick_distinct(5);
+      add(&req.reads, 0, 3);
+      add(&req.writes, 0, n);
       break;
-    }
-    case kGetTimeline: {
-      auto keys = pick_distinct(rng.NextRange(1, 10));
-      for (Key k : keys) {
-        req.reads.push_back({kStore, k});
-      }
+    case kGetTimeline:
+      pick_distinct(rng.NextRange(1, kMaxKeys));
+      add(&req.reads, 0, n);
       break;
-    }
     default:
       break;
   }

@@ -36,6 +36,8 @@ class Retwis : public Workload {
 
   static constexpr TableId kStore = 0;
   static constexpr size_t kValueSize = 64;
+  // The most keys one transaction touches (GetTimeline's top).
+  static constexpr size_t kMaxKeys = 10;
 
   explicit Retwis(const Options& options);
 

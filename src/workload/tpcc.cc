@@ -1,6 +1,7 @@
 #include "src/workload/tpcc.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 namespace xenic::workload {
@@ -59,19 +60,17 @@ Value OrderLineRow(uint64_t item, uint64_t supply, uint64_t qty, int64_t amount)
   return v;
 }
 
-// Order-pack logical log record: [0] dkey, [8] c, [16] ol_cnt, then per
-// line a 32 B OrderLineRow-shaped block.
-Value MakeOrderPack(uint64_t dkey, uint64_t c, const std::vector<Value>& lines) {
-  Value v(24 + 32 * lines.size(), 0);
-  PutU64(v, 0, dkey);
-  PutU64(v, 8, c);
-  PutU64(v, 16, lines.size());
-  uint8_t* out = v.mutable_data();
-  for (size_t i = 0; i < lines.size(); ++i) {
-    std::copy(lines[i].begin(), lines[i].end(), out + 24 + 32 * i);
-  }
-  return v;
-}
+// A new-order line: the item, its supplying warehouse and the quantity.
+struct NewOrderLine {
+  uint64_t item;
+  uint64_t supply;
+  uint64_t qty;
+};
+constexpr size_t kMaxOrderLines = 15;
+struct NewOrderLines {
+  std::array<NewOrderLine, kMaxOrderLines> at;
+  size_t n = 0;
+};
 
 }  // namespace
 
@@ -222,15 +221,11 @@ TxnRequest Tpcc::BuildNewOrder(NodeId coordinator, Rng& rng) {
   const uint64_t c = 1 + rng.NextBounded(options_.customers_per_district);
   const uint64_t dkey = DKey(w, d);
   const uint64_t n_items = 5 + rng.NextBounded(11);  // 5..15
+  static_assert(5 + 10 <= kMaxOrderLines);
 
-  struct Line {
-    uint64_t item;
-    uint64_t supply;
-    uint64_t qty;
-  };
-  std::vector<Line> lines;
+  NewOrderLines lines{};
   for (uint64_t i = 0; i < n_items; ++i) {
-    Line line;
+    NewOrderLine line{};
     line.qty = 1 + rng.NextBounded(10);
     // Distinct (supply, item) pairs so the write set has no duplicates.
     for (int attempt = 0;; ++attempt) {
@@ -242,30 +237,43 @@ TxnRequest Tpcc::BuildNewOrder(NodeId coordinator, Rng& rng) {
       } else {
         line.supply = w;
       }
-      const bool dup = std::any_of(lines.begin(), lines.end(), [&](const Line& l) {
-        return l.item == line.item && l.supply == line.supply;
-      });
+      const bool dup =
+          std::any_of(lines.at.begin(), lines.at.begin() + lines.n, [&](const NewOrderLine& l) {
+            return l.item == line.item && l.supply == line.supply;
+          });
       if (!dup || attempt > 20) {
         break;
       }
     }
-    lines.push_back(line);
+    lines.at[lines.n++] = line;
   }
 
   TxnRequest req;
   req.tag = kNewOrder;
   req.exec_cost = 800;
-  req.external_bytes = static_cast<uint32_t>(16 + 8 * lines.size());
+  req.external_bytes = static_cast<uint32_t>(16 + 8 * lines.n);
   req.allow_ship = true;
+  req.reads.reserve(2 + lines.n);
+  req.writes.reserve(1 + lines.n);
   req.reads.push_back({kDistrict, dkey});
   req.reads.push_back({kCustomer, CKey(w, d, c)});
   req.writes.push_back({kDistrict, dkey});
-  std::vector<Value> ol_rows;
-  for (const auto& l : lines) {
+  // Local B+tree work: ORDER / NEW-ORDER / ORDER-LINE rows, replicated to
+  // backups via a compact logical record: [0] dkey, [8] c, [16] ol_cnt,
+  // then per line a 32 B OrderLineRow-shaped block.
+  Value pack(24 + 32 * lines.n, 0);
+  PutU64(pack, 0, dkey);
+  PutU64(pack, 8, c);
+  PutU64(pack, 16, lines.n);
+  for (size_t i = 0; i < lines.n; ++i) {
+    const NewOrderLine& l = lines.at[i];
     req.reads.push_back({kStock, SKey(l.supply, l.item)});
     req.writes.push_back({kStock, SKey(l.supply, l.item)});
-    ol_rows.push_back(OrderLineRow(l.item, l.supply, l.qty,
-                                   item_price_[l.item] * static_cast<int64_t>(l.qty)));
+    const size_t row = 24 + 32 * i;
+    PutU64(pack, row, l.item);
+    PutU64(pack, row + 8, l.supply);
+    PutU64(pack, row + 16, l.qty);
+    PutI64(pack, row + 24, item_price_[l.item] * static_cast<int64_t>(l.qty));
   }
 
   const uint64_t home_w = w;
@@ -279,31 +287,27 @@ TxnRequest Tpcc::BuildNewOrder(NodeId coordinator, Rng& rng) {
     PutU64(dist, 8, GetU64(dist, 8) + 1);
     (*er.writes)[0].value = std::move(dist);
     // Stock rows.
-    for (size_t i = 0; i < lines.size(); ++i) {
+    for (size_t i = 0; i < lines.n; ++i) {
+      const auto qty = static_cast<int64_t>(lines.at[i].qty);
       Value s = (*er.reads)[2 + i].value;
       if (s.empty()) {
         *er.abort = true;
         return;
       }
       int64_t q = GetI64(s, 0);
-      q = q - static_cast<int64_t>(lines[i].qty) >= 10
-              ? q - static_cast<int64_t>(lines[i].qty)
-              : q - static_cast<int64_t>(lines[i].qty) + 91;
+      q = q - qty >= 10 ? q - qty : q - qty + 91;
       PutI64(s, 0, q);
-      PutI64(s, 8, GetI64(s, 8) + static_cast<int64_t>(lines[i].qty));  // s_ytd
-      PutI64(s, 16, GetI64(s, 16) + 1);                                  // s_order_cnt
-      if (lines[i].supply != home_w) {
+      PutI64(s, 8, GetI64(s, 8) + qty);   // s_ytd
+      PutI64(s, 16, GetI64(s, 16) + 1);  // s_order_cnt
+      if (lines.at[i].supply != home_w) {
         PutI64(s, 24, GetI64(s, 24) + 1);  // s_remote_cnt
       }
       (*er.writes)[1 + i].value = std::move(s);
     }
   };
 
-  // Local B+tree work: ORDER / NEW-ORDER / ORDER-LINE rows, replicated to
-  // backups via a compact logical record.
-  Value pack = MakeOrderPack(dkey, c, ol_rows);
   req.local_log_writes.push_back(store::LogWrite{kOrderPack, dkey, 0, pack, false});
-  req.host_finish_cost = 3000 + 700 * static_cast<sim::Tick>(lines.size());
+  req.host_finish_cost = 3000 + 700 * static_cast<sim::Tick>(lines.n);
   LocalState* ls = locals_[coordinator].get();
   req.host_finish = [ls, pack = std::move(pack)] { ApplyOrderPack(*ls, pack); };
   return req;

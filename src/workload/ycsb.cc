@@ -1,6 +1,9 @@
 #include "src/workload/ycsb.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cassert>
 
 namespace xenic::workload {
 
@@ -18,7 +21,9 @@ Ycsb::Ycsb(const Options& options)
     : options_(options),
       total_keys_(options.keys_per_node * options.num_nodes),
       part_(options.num_nodes),
-      zipf_(total_keys_, options.zipf_theta) {}
+      zipf_(total_keys_, options.zipf_theta) {
+  assert(options.ops_per_txn <= kMaxOpsPerTxn);
+}
 
 std::vector<TableDef> Ycsb::Tables() const {
   // Per-node share (own shard + backed-up shards) with headroom; see the
@@ -54,11 +59,19 @@ bool Ycsb::NextOpIsRead() {
 
 TxnRequest Ycsb::NextTxn(NodeId coordinator, Rng& rng) {
   (void)coordinator;
-  std::vector<Key> keys;
-  while (keys.size() < options_.ops_per_txn) {
+  const size_t n = options_.ops_per_txn;
+  std::array<Key, kMaxOpsPerTxn> keys{};
+  for (size_t picked = 0; picked < n;) {
     const Key k = PickKey(rng);
-    if (std::find(keys.begin(), keys.end(), k) == keys.end()) {
-      keys.push_back(k);
+    if (std::find(keys.begin(), keys.begin() + picked, k) == keys.begin() + picked) {
+      keys[picked++] = k;
+    }
+  }
+  // Bit i set: op i is an update (a read-modify-write).
+  uint64_t updates = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (!NextOpIsRead()) {
+      updates |= uint64_t{1} << i;
     }
   }
 
@@ -66,22 +79,23 @@ TxnRequest Ycsb::NextTxn(NodeId coordinator, Rng& rng) {
   req.exec_cost = 80;
   req.external_bytes = 8;
   req.allow_ship = true;
-  std::vector<uint32_t> write_reads;  // read-set index of each write
-  for (const Key k : keys) {
-    const bool is_read = NextOpIsRead();
-    if (!is_read) {
-      write_reads.push_back(static_cast<uint32_t>(req.reads.size()));
-      req.writes.push_back({kMain, k});
+  // Update ops are RMW: the key is in the read set either way.
+  req.reads.reserve(n);
+  req.writes.reserve(static_cast<size_t>(std::popcount(updates)));
+  for (size_t i = 0; i < n; ++i) {
+    if ((updates >> i & 1) != 0) {
+      req.writes.push_back({kMain, keys[i]});
     }
-    // Update ops are RMW: the key is in the read set either way.
-    req.reads.push_back({kMain, k});
+    req.reads.push_back({kMain, keys[i]});
   }
   req.tag = req.writes.empty() ? 0 : 1;  // 0 == read-only, 1 == update txn
   const size_t vsize = options_.value_size;
-  req.execute = [vsize, write_reads = std::move(write_reads)](txn::ExecRound& er) {
-    for (size_t i = 0; i < write_reads.size(); ++i) {
-      const int64_t cur = store::GetI64((*er.reads)[write_reads[i]].value, 0);
-      (*er.writes)[i].value = Payload(vsize, cur + 1);
+  req.execute = [vsize, updates](txn::ExecRound& er) {
+    // Write i updates the read of the i-th set bit.
+    size_t w = 0;
+    for (uint64_t rest = updates; rest != 0; rest &= rest - 1) {
+      const int64_t cur = store::GetI64((*er.reads)[std::countr_zero(rest)].value, 0);
+      (*er.writes)[w++].value = Payload(vsize, cur + 1);
     }
   };
   return req;

@@ -31,11 +31,13 @@ class Ycsb : public Workload {
     uint64_t keys_per_node = 100000;
     double zipf_theta = 0.99;  // 0 == uniform
     double read_ratio = 0.5;   // fraction of ops that only read
-    uint32_t ops_per_txn = 4;  // distinct keys per transaction
+    uint32_t ops_per_txn = 4;  // distinct keys per transaction, at most kMaxOpsPerTxn
     size_t value_size = 64;
   };
 
   static constexpr TableId kMain = 0;
+  // One bit per op marks the updates in a 64-bit word.
+  static constexpr uint32_t kMaxOpsPerTxn = 64;
 
   explicit Ycsb(const Options& options);
 

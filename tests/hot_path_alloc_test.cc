@@ -2,7 +2,10 @@
 // SmartNIC DMA, PCIe crossings and Ethernet frames, and RDMA verbs, which
 // must not allocate at all; and the remote transaction rounds of XenicNode
 // and of BaselineNode in each mode, whose remaining allocations are the
-// data a transaction carries.
+// data a transaction carries. XenicPoolTest checks what pooling Xenic's
+// coordinator states must keep: a finished transaction's id stops
+// resolving, a crashed coordinator's states keep resolving, and the
+// reported-commit bitmap answers for the node's own ids only.
 //
 // This executable replaces the global operator new with a counting one
 // (alloc_counter.h). Each test first runs its scenario a few times, which
@@ -215,8 +218,9 @@ struct TxnFixture {
   // Operator new calls of one transaction submitted at node 0 and run
   // until it and its commit round (acks, log applies) have finished. The
   // request and the callback are built outside the counted window. Taken
-  // as the minimum of three runs: a growing hash set (the node's reported
-  // commits) rehashes now and then.
+  // as the minimum of three runs: a growing container now and then
+  // reallocates (Xenic's reported-commit bitmap gains a word every 64
+  // commits, each backup's applied-record index grows).
   uint64_t Allocs(const txn::TxnRequest& req) {
     uint64_t best = ~uint64_t{0};
     for (int i = 0; i < 3; ++i) {
@@ -296,18 +300,132 @@ txn::TxnRequest TwoShardReadWrite(Fixture& f) {
 TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
   // Replication 2: two EXECUTEs, one LOG per shard to its backup, two
   // COMMITs. What still allocates is the data the transaction carries, not
-  // the protocol: the TxnState, its five key-set vectors and its entry in
-  // the state table; the locked-shard list, grown once per shard; the two
-  // values the transaction writes; the LOG ack set and each LOG record's
-  // write vector; each backup's applied-record entry; and the
-  // reported-commit entry and the outcome report. No value is copied:
-  // reads, LOG and COMMIT records and the pending index share the blocks.
-  // A COMMIT record takes the request's writes, whose slot keeps a
-  // reclaimed record's buffer, and the pending index holds each write in
-  // a slot of its flat table.
+  // the protocol: the two values the transaction writes and each backup's
+  // applied-record entry. The TxnState comes from the node's pool with its
+  // key sets, locked-shard list and ack set, and its index entry reuses a
+  // recycled map node; the outcome report is parked in a node-owned slot
+  // and the reported commit is a bit. No value is copied: reads, LOG and
+  // COMMIT records and the pending index share the blocks. Each LOG record
+  // and COMMIT write set is built in its request slot, and the slot gets a
+  // reclaimed record's buffer back when the server takes the writes; the
+  // pending index holds each write in a slot of its flat table.
   XenicFixture f(XenicOptions(3, 2));
   const txn::TxnRequest req = TwoShardReadWrite(f);
-  EXPECT_LE(f.Allocs(req), 18u);
+  EXPECT_LE(f.Allocs(req), 4u);
+}
+
+// --- Xenic's pooled coordinator states and reported-commit bitmap
+
+TEST(XenicPoolTest, FinishedTxnStopsResolvingOnceItsStateIsReused) {
+  // One transaction at a time, so each submission takes the state (and
+  // the index node) the last one gave back: Submit allocates nothing, and
+  // the finished transaction's id no longer resolves although its state
+  // now serves the next one.
+  XenicFixture f(XenicOptions(3, 2));
+  const txn::TxnRequest req = TwoShardReadWrite(f);
+  txn::XenicNode& node = f.cluster->node(0);
+  auto done = [](txn::TxnResult) {};
+  txn::TxnRequest r = req;
+  const store::TxnId first = node.Submit(std::move(r), done);
+  EXPECT_TRUE(node.Coordinates(first));
+  f.cluster->engine().RunFor(100 * sim::kNsPerUs);
+  EXPECT_FALSE(node.Coordinates(first));
+  EXPECT_EQ(node.live_txns(), 0u);
+
+  r = req;
+  txn::CommitCallback cb = done;
+  const uint64_t before = OperatorNewCalls();
+  const store::TxnId second = node.Submit(std::move(r), std::move(cb));
+  const uint64_t allocs = OperatorNewCalls() - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_TRUE(node.Coordinates(second));
+  EXPECT_FALSE(node.Coordinates(first));
+  EXPECT_EQ(node.live_txns(), 1u);
+  f.cluster->engine().RunFor(100 * sim::kNsPerUs);
+  EXPECT_FALSE(node.Coordinates(second));
+  EXPECT_EQ(node.live_txns(), 0u);
+}
+
+TEST(XenicPoolTest, CrashedCoordinatorKeepsItsInFlightStates) {
+  // A shippable read-modify-write of a key on node 0 and one on node 1:
+  // node 0 locks its key and ships the execution to node 1, then crashes
+  // with the ship message on the wire. Node 1's shipped execution holds
+  // node 0's TxnState* and runs only while node 0 still resolves the
+  // transaction to that state (ServeShipExec's guard), so the crash must
+  // leave the states in flight indexed: node 1 executes and sends the LOG
+  // records.
+  XenicFixture f(XenicOptions(3, 2));
+  const store::Key a = f.LoadOn(0, 1)[0];
+  const store::Key b = f.LoadOn(1, 1)[0];
+  txn::TxnRequest req;
+  req.reads = {{0, a}, {0, b}};
+  req.writes = {{0, a}, {0, b}};
+  req.execute = [](txn::ExecRound& er) {
+    for (auto& w : *er.writes) {
+      w.value = store::Value(16, 1);
+    }
+  };
+  txn::XenicNode& coord = f.cluster->node(0);
+  txn::XenicNode& executor = f.cluster->node(1);
+  bool reported = false;
+  const store::TxnId txn =
+      coord.Submit(std::move(req), [&reported](txn::TxnResult) { reported = true; });
+  sim::Engine& e = f.cluster->engine();
+  while (coord.stats().by_type.MsgCount(net::MsgType::kShipExec) == 0 &&
+         e.now() < 100 * sim::kNsPerUs) {
+    e.RunFor(10);
+  }
+  ASSERT_EQ(coord.stats().by_type.MsgCount(net::MsgType::kShipExec), 1u);
+  const uint64_t logs_before = executor.stats().by_type.MsgCount(net::MsgType::kLog);
+  coord.Crash();
+  e.RunFor(100 * sim::kNsPerUs);
+  EXPECT_TRUE(coord.Coordinates(txn));
+  EXPECT_EQ(coord.live_txns(), 1u);
+  EXPECT_FALSE(reported);
+  EXPECT_GT(executor.stats().by_type.MsgCount(net::MsgType::kLog), logs_before);
+}
+
+TEST(XenicPoolTest, ReportedCommitsSurviveBitmapGrowth) {
+  // 300 transactions at node 0, every third aborted by its application:
+  // the reported-commit bitmap grows by several words, keeps every earlier
+  // bit, and answers only for node 0's own ids.
+  XenicFixture f(XenicOptions(3, 2));
+  const store::Key a = f.LoadOn(1, 1)[0];
+  txn::XenicNode& node = f.cluster->node(0);
+  std::vector<store::TxnId> committed;
+  std::vector<store::TxnId> app_aborted;
+  for (int i = 0; i < 300; ++i) {
+    const bool abort = i % 3 == 0;
+    txn::TxnRequest req;
+    req.reads = {{0, a}};
+    req.writes = {{0, a}};
+    req.allow_ship = false;
+    req.execute = [abort](txn::ExecRound& er) {
+      if (abort) {
+        *er.abort = true;
+        return;
+      }
+      (*er.writes)[0].value = store::Value(16, 1);
+    };
+    txn::TxnOutcome outcome = txn::TxnOutcome::kAborted;
+    const store::TxnId id =
+        node.Submit(std::move(req), [&outcome](txn::TxnResult res) { outcome = res.outcome; });
+    f.cluster->engine().RunFor(100 * sim::kNsPerUs);
+    ASSERT_EQ(outcome, abort ? txn::TxnOutcome::kAppAborted : txn::TxnOutcome::kCommitted);
+    (abort ? app_aborted : committed).push_back(id);
+  }
+  for (store::TxnId id : committed) {
+    EXPECT_TRUE(node.HasReportedCommit(id)) << id;
+    // The same sequence number at another coordinator.
+    EXPECT_FALSE(node.HasReportedCommit(store::MakeTxnId(1, store::TxnSeq(id)))) << id;
+    EXPECT_FALSE(f.cluster->node(1).HasReportedCommit(id)) << id;
+  }
+  for (store::TxnId id : app_aborted) {
+    EXPECT_FALSE(node.HasReportedCommit(id)) << id;
+  }
+  // Past every bit the node has set.
+  EXPECT_FALSE(node.HasReportedCommit(store::MakeTxnId(0, store::TxnSeq(committed.back()) + 1)));
+  EXPECT_FALSE(node.HasReportedCommit(store::MakeTxnId(0, 1u << 20)));
 }
 
 void ExpectBaselineBudget(baseline::BaselineMode mode, uint64_t budget) {
@@ -318,10 +436,11 @@ void ExpectBaselineBudget(baseline::BaselineMode mode, uint64_t budget) {
 
 // The same transaction on the baselines. The TxnState comes from the
 // node's pool with its vectors and its verbs' scratch, every verb and host
-// closure stays inline, and COMMIT write sets are reused in place. What
-// still allocates is the data the transaction carries: the two values it
-// writes and each shard's LOG record write vector (one backup each at
-// replication 2).
+// closure stays inline (DrTM+R's lock CAS parks its typed closures and
+// result word in the verb's slot), and COMMIT write sets are reused in
+// place. What still allocates is the data the transaction carries: the
+// two values it writes and each shard's LOG record write vector (one
+// backup each at replication 2).
 TEST(HotPathAllocTest, DrtmHTwoShardReadWriteTxnAllocationBudget) {
   ExpectBaselineBudget(baseline::BaselineMode::kDrtmH, 4);
 }
@@ -334,10 +453,8 @@ TEST(HotPathAllocTest, FasstTwoShardReadWriteTxnAllocationBudget) {
   ExpectBaselineBudget(baseline::BaselineMode::kFasst, 4);
 }
 
-// DrTM+R adds its two lock CASes: RdmaNic::Atomic still wraps the typed
-// closures, a shared result word plus two spilled callbacks per CAS.
 TEST(HotPathAllocTest, DrtmRTwoShardReadWriteTxnAllocationBudget) {
-  ExpectBaselineBudget(baseline::BaselineMode::kDrtmR, 10);
+  ExpectBaselineBudget(baseline::BaselineMode::kDrtmR, 4);
 }
 
 }  // namespace

@@ -11,9 +11,97 @@
 #include "src/workload/smallbank.h"
 #include "src/store/robinhood_table.h"
 #include "src/workload/tpcc.h"
+#include "src/workload/ycsb.h"
 
 namespace xenic::workload {
 namespace {
+
+// FNV-1a over everything `count` requests carry that a run reads: their
+// fields, key sets and log writes, and what each execute closure writes
+// for a fixed image of its reads (read i holds 656 bytes of value i + 1).
+uint64_t RequestsFingerprint(Workload& wl, uint32_t nodes, int count) {
+  uint64_t h = 14695981039346656037ull;
+  auto add = [&h](uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((x >> (8 * i)) & 0xff)) * 1099511628211ull;
+    }
+  };
+  auto add_value = [&](const Value& v) {
+    add(v.size());
+    for (uint8_t b : v) {
+      add(b);
+    }
+  };
+  Rng rng(7);
+  for (int i = 0; i < count; ++i) {
+    TxnRequest req = wl.NextTxn(static_cast<NodeId>(i % nodes), rng);
+    add(req.tag);
+    add(req.exec_cost);
+    add(req.external_bytes);
+    add(req.allow_ship);
+    add(req.host_finish_cost);
+    for (const auto* set : {&req.reads, &req.writes}) {
+      add(set->size());
+      for (const auto& k : *set) {
+        add(k.table);
+        add(k.key);
+      }
+    }
+    for (const auto& w : req.local_log_writes) {
+      add(w.table);
+      add(w.key);
+      add(w.seq);
+      add_value(w.value);
+      add(w.is_delete);
+    }
+    std::vector<txn::ReadResult> reads;
+    for (size_t r = 0; r < req.reads.size(); ++r) {
+      reads.push_back({true, static_cast<store::Seq>(r + 1), Value(656, static_cast<uint8_t>(r + 1))});
+    }
+    std::vector<txn::WriteIntent> writes(req.writes.size());
+    std::vector<txn::KeyRef> add_reads;
+    std::vector<txn::KeyRef> add_writes;
+    bool abort = false;
+    txn::ExecRound er{0, &req.reads, &reads, &req.writes, &writes, &add_reads, &add_writes, &abort};
+    req.execute(er);
+    add(abort);
+    add(add_reads.size());
+    add(add_writes.size());
+    for (const auto& w : writes) {
+      add_value(w.value);
+      add(w.is_delete);
+    }
+  }
+  return h;
+}
+
+// The builders draw the same random numbers in the same order and build
+// the same requests as when these fingerprints were recorded: a change
+// that moves one shows here before it moves a modeled number.
+TEST(RequestFingerprintTest, RetwisYcsbAndTpccNewOrderAreUnchanged) {
+  Retwis::Options ro;
+  ro.num_nodes = 3;
+  ro.keys_per_node = 1000;
+  Retwis retwis(ro);
+  EXPECT_EQ(RequestsFingerprint(retwis, 3, 2000), 7271276685527464890u);
+
+  Ycsb::Options yo;
+  yo.num_nodes = 3;
+  yo.keys_per_node = 1000;
+  yo.zipf_theta = 0.9;
+  Ycsb ycsb(yo);
+  EXPECT_EQ(RequestsFingerprint(ycsb, 3, 2000), 3859683478515385547u);
+
+  Tpcc::Options to;
+  to.num_nodes = 3;
+  to.warehouses_per_node = 2;
+  to.customers_per_district = 20;
+  to.items = 200;
+  to.new_order_only = true;
+  to.uniform_remote_items = true;
+  Tpcc tpcc(to);
+  EXPECT_EQ(RequestsFingerprint(tpcc, 3, 2000), 5391534778992147974u);
+}
 
 TEST(SmallbankTest, MixMatchesWeights) {
   Smallbank::Options o;

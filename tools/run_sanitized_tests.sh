@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds the tree with AddressSanitizer + UndefinedBehaviorSanitizer and runs
 # the tier-1 test suite plus a few short chaos schedules under it: one on
-# Xenic, one on each baseline mode, and two failover schedules. The chaos
+# Xenic, one on each baseline mode, the two lock-wait schedules, and two
+# failover schedules. The chaos
 # harness stresses exactly the paths sanitizers are good at catching -- crash
 # teardown, log reclamation, NIC-index eviction, routing moves -- so seeds
 # run here even though the full chaos matrix would be too slow when
@@ -32,6 +33,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" -LE chaos
 for system in fasst drtmr drtmh-nc; do
   "$BUILD_DIR"/tools/chaos_runner --seed 8 --system "$system"
 done
+
+# The two wait-schedule goldens' commands: WOUND_WAIT's age-ordered waits
+# and wounds, and OCC's hot-key parks with cwnd retries and adaptive DMA.
+# Both park waiters and ship executions that outlive their transaction's
+# pooled coordinator state.
+"$BUILD_DIR"/tools/chaos_runner --seed 5 --cc woundwait
+"$BUILD_DIR"/tools/chaos_runner --seed 6 --retry-policy cwnd --hot-key-path --adaptive-dma
 
 # Planned handoffs under the sanitizers (ctest above skips the chaos label,
 # so no handoff schedule runs otherwise): three handoffs with the NIC log
