@@ -1306,42 +1306,46 @@ XenicNode::TxnState* XenicNode::FindState(TxnId id) {
 // Multi-hop shipped execution (paper 4.2.3, Figure 7b).
 // ---------------------------------------------------------------------------
 
+void XenicNode::HomeKeys(const TxnState& st, std::vector<KeyRef>* keys,
+                         std::vector<uint32_t>* reads) const {
+  keys->clear();
+  reads->clear();
+  for (uint32_t i = 0; i < st.read_keys.size(); ++i) {
+    if (map_->PrimaryOf(st.read_keys[i].table, st.read_keys[i].key) == id()) {
+      keys->push_back(st.read_keys[i]);
+      reads->push_back(i);
+    }
+  }
+  for (const auto& k : st.write_keys) {
+    if (map_->PrimaryOf(k.table, k.key) == id() && !ContainsKey(*keys, k)) {
+      keys->push_back(k);
+    }
+  }
+}
+
 void XenicNode::ShippedPath(TxnState* st, NodeId remote) {
   stats_.shipped_multihop++;
   const TxnId txn = st->id;
 
   // Lock ALL local keys (reads included: the shipped path has no separate
   // validation phase) and read local read-set values.
-  std::vector<KeyRef> local_keys;
-  std::vector<uint32_t> local_reads;
-  for (uint32_t i = 0; i < st->read_keys.size(); ++i) {
-    if (map_->PrimaryOf(st->read_keys[i].table, st->read_keys[i].key) == id()) {
-      local_keys.push_back(st->read_keys[i]);
-      local_reads.push_back(i);
-    }
-  }
-  for (const auto& k : st->write_keys) {
-    if (map_->PrimaryOf(k.table, k.key) == id() && !ContainsKey(local_keys, k)) {
-      local_keys.push_back(k);
-    }
-  }
-
+  HomeKeys(*st, &ship_keys_, &ship_reads_);
   st->lock_all = true;
   uint8_t contention = 0;
-  if (!LockAll(txn, local_keys, &contention)) {
+  if (!LockAll(txn, ship_keys_, &contention)) {
     st->contention_hint = std::max(st->contention_hint, contention);
     st->Abort(AbortReason::kLockShip);
     AbortCleanup(st, TxnOutcome::kAborted);
     return;
   }
-  if (!local_keys.empty()) {
+  if (!ship_keys_.empty()) {
     st->local_locked = true;
     st->locked_shards.push_back(id());
   }
 
   // Read local read-set values and the current seqs of local write keys.
   store::NicIndex::LookupStats agg;
-  ReadLocalSets(st, local_reads, &agg);
+  ReadLocalSets(st, ship_reads_, &agg);
 
   ChargeDmaReads(agg, [this, txn, remote] {
     TxnState* st = FindState(txn);
@@ -1356,7 +1360,7 @@ void XenicNode::ShippedPath(TxnState* st, NodeId remote) {
     // always needs, plus the LOG acks of every written shard (sent by the
     // remote executor, which knows the final shard set -- precomputed here
     // since shipping fixes the key set).
-    std::vector<NodeId> shards;
+    std::vector<NodeId>& shards = log_round_shards_;
     st->WrittenShards(*map_, id(), &shards);
     st->log_acks.Expect(repl_, shards);
     st->log_acks.Expect(kShipExecSignal, kShipExecSignal);
@@ -1368,131 +1372,134 @@ void XenicNode::ShippedPath(TxnState* st, NodeId remote) {
   });
 }
 
+bool XenicNode::ShipLive(const ShipExecution& ship) {
+  return !crashed_ && (*peers_)[ship.coord]->FindState(ship.txn) == ship.st;
+}
+
 void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
-  XenicNode* coordinator = (*peers_)[coord];
-  // `st` is a raw pointer into the coordinator's state table. Before any
+  // `st` is a raw pointer into the coordinator's state pool. Before any
   // dereference, confirm this node is alive and the coordinator still owns
   // the transaction: a delayed delivery can arrive after an epoch change
-  // aborted (and freed) the state.
-  if (crashed_ || coordinator->FindState(txn) != st) {
+  // aborted the transaction (and its state went back to the pool).
+  if (crashed_ || (*peers_)[coord]->FindState(txn) != st) {
     return;
   }
   // Lock all keys homed here (reads and writes), read read-set values,
   // execute, then fan out LOG records to every backup with acks converging
   // at the coordinator NIC.
-  std::vector<KeyRef> my_keys;
-  std::vector<uint32_t> my_reads;
-  for (uint32_t i = 0; i < st->read_keys.size(); ++i) {
-    if (map_->PrimaryOf(st->read_keys[i].table, st->read_keys[i].key) == id()) {
-      my_keys.push_back(st->read_keys[i]);
-      my_reads.push_back(i);
-    }
-  }
-  for (const auto& k : st->write_keys) {
-    if (map_->PrimaryOf(k.table, k.key) == id() && !ContainsKey(my_keys, k)) {
-      my_keys.push_back(k);
-    }
-  }
-
-  auto my_keys_ptr = std::make_shared<std::vector<KeyRef>>(std::move(my_keys));
-  auto my_reads_ptr = std::make_shared<std::vector<uint32_t>>(std::move(my_reads));
-  // NicOpCost(0), not NicOpCost(my_keys_ptr->size()): the historical code
-  // passed `NicOpCost(my_keys.size())` alongside a lambda whose init-capture
+  ShipSlot ship = ship_execs_.AcquireHandle();
+  ship->txn = txn;
+  ship->coord = coord;
+  ship->st = st;
+  HomeKeys(*st, &ship->keys, &ship->reads);
+  // NicOpCost(0), not NicOpCost(keys.size()): the historical code passed
+  // `NicOpCost(my_keys.size())` alongside a lambda whose init-capture
   // moved `my_keys` in the same call, and argument evaluation order ran the
   // move first -- so shipped executions have always been charged the base op
   // cost only. Golden transcripts (including the pinned seed-3 schedule)
   // encode that timing; keep it explicit rather than re-derive it by
   // accident.
-  nic_->NicCompute(NicOpCost(0), [this, txn, coord, coordinator, st,
-                                  my_keys_ptr, my_reads_ptr]() {
-    // Lock attempt, re-entered after each remote hot-key park (recursion
-    // on a copy of itself, like the EXECUTE handler's read loop).
-    auto attempt = [this, txn, coord, coordinator, st, my_keys_ptr, my_reads_ptr](
-                       auto&& self, uint32_t parks) -> void {
-      if (crashed_) {
-        return;
-      }
-      nic_->engine()->set_trace_ctx(txn);
-      // After a park, a crashed coordinator still has the state in its
-      // table (crash keeps txns_ for exactly these in-flight pointers), so
-      // the FindState guard alone can't see the crash: check it directly
-      // rather than lock and execute for a node that will never commit.
-      if (coordinator->FindState(txn) != st || (parks > 0 && coordinator->crashed())) {
-        return;
-      }
-      uint8_t contention = 0;
-      KeyRef conflict{};
-      if (!LockAll(txn, *my_keys_ptr, &contention, &conflict)) {
-        if (MayParkRemote(txn, conflict, parks)) {
-          // Hot key: the shipped execution is parked behind the holder
-          // (zero locks held) instead of failing back to the coordinator.
-          WaitForLock(txn, conflict, /*local=*/false, [self, parks] { self(self, parks + 1); });
-          return;
-        }
-        transport_.SendAck(
-            net::MsgType::kShipExec, coord,
-            [coordinator, txn, contention] { coordinator->OnShipFailure(txn, contention); },
-            txn);
-        return;
-      }
+  nic_->NicCompute(NicOpCost(0), sim::InlineCallback([this, ship = std::move(ship)]() mutable {
+    ShipAttempt(std::move(ship), 0);
+  }));
+}
 
-      store::NicIndex::LookupStats agg;
-      ReadLocalSets(st, *my_reads_ptr, &agg);
+void XenicNode::ShipAttempt(ShipSlot ship, uint32_t parks) {
+  if (crashed_) {
+    return;
+  }
+  const TxnId txn = ship->txn;
+  nic_->engine()->set_trace_ctx(txn);
+  // After a park, a crashed coordinator still has the state in its index
+  // (a crash keeps it for exactly these in-flight executions), so the
+  // state check alone can't see the crash: check it directly rather than
+  // lock and execute for a node that will never commit.
+  XenicNode* coordinator = (*peers_)[ship->coord];
+  if (!ShipLive(*ship) || (parks > 0 && coordinator->crashed())) {
+    return;
+  }
+  uint8_t contention = 0;
+  KeyRef conflict{};
+  if (!LockAll(txn, ship->keys, &contention, &conflict)) {
+    if (MayParkRemote(txn, conflict, parks)) {
+      // Hot key: the shipped execution is parked behind the holder
+      // (zero locks held) instead of failing back to the coordinator.
+      WaitForLock(txn, conflict, /*local=*/false,
+                  sim::InlineCallback([this, ship = std::move(ship), parks]() mutable {
+                    ShipAttempt(std::move(ship), parks + 1);
+                  }));
+      return;
+    }
+    transport_.SendAck(
+        net::MsgType::kShipExec, ship->coord,
+        [coordinator, txn, contention] { coordinator->OnShipFailure(txn, contention); }, txn);
+    return;
+  }
 
-      ChargeDmaReads(agg, [this, txn, coord, coordinator, st, my_keys_ptr]() mutable {
-        if (crashed_ || coordinator->FindState(txn) != st) {
-          UnlockAll(txn, *my_keys_ptr);
-          return;
-        }
-        // Execute on this NIC.
-        nic_->NicCompute(NicExecCost(st->req.exec_cost), [this, txn, coord, coordinator,
-                                                          st, my_keys_ptr]() mutable {
-          if (crashed_ || coordinator->FindState(txn) != st) {
-            UnlockAll(txn, *my_keys_ptr);
-            return;
+  store::NicIndex::LookupStats agg;
+  ReadLocalSets(ship->st, ship->reads, &agg);
+  ChargeDmaReads(agg, sim::InlineCallback([this, ship = std::move(ship)]() mutable {
+    ShipExecute(std::move(ship));
+  }));
+}
+
+void XenicNode::ShipExecute(ShipSlot ship) {
+  if (!ShipLive(*ship)) {
+    UnlockAll(ship->txn, ship->keys);
+    return;
+  }
+  // Execute on this NIC.
+  const sim::Tick cost = NicExecCost(ship->st->req.exec_cost);
+  nic_->NicCompute(cost, sim::InlineCallback([this, ship = std::move(ship)]() mutable {
+    ShipFinish(std::move(ship));
+  }));
+}
+
+void XenicNode::ShipFinish(ShipSlot ship) {
+  const TxnId txn = ship->txn;
+  if (!ShipLive(*ship)) {
+    UnlockAll(txn, ship->keys);
+    return;
+  }
+  const NodeId coord = ship->coord;
+  XenicNode* coordinator = (*peers_)[coord];
+  TxnState* st = ship->st;
+  std::vector<KeyRef> add_reads;
+  std::vector<KeyRef> add_writes;
+  const bool app_abort = st->RunAppRound(0, &add_reads, &add_writes);
+  assert(add_reads.empty() && add_writes.empty() &&
+         "shipped transactions must be single-round (allow_ship misuse)");
+  if (app_abort) {
+    UnlockAll(txn, ship->keys);
+    transport_.SendAck(
+        net::MsgType::kShipExec, coord,
+        [coordinator, txn] {
+          TxnState* cst = coordinator->FindState(txn);
+          if (cst != nullptr) {
+            cst->app_abort = true;
           }
-        std::vector<KeyRef> add_reads;
-        std::vector<KeyRef> add_writes;
-        const bool app_abort = st->RunAppRound(0, &add_reads, &add_writes);
-        assert(add_reads.empty() && add_writes.empty() &&
-               "shipped transactions must be single-round (allow_ship misuse)");
-        if (app_abort) {
-          UnlockAll(txn, *my_keys_ptr);
-          transport_.SendAck(
-              net::MsgType::kShipExec, coord,
-              [coordinator, txn] {
-                TxnState* cst = coordinator->FindState(txn);
-                if (cst != nullptr) {
-                  cst->app_abort = true;
-                }
-                coordinator->OnShipFailure(txn);
-              },
-              txn);
-          return;
-        }
+          coordinator->OnShipFailure(txn);
+        },
+        txn);
+    return;
+  }
 
-        // LOG fan-out to all backups of all written shards; acks go
-        // straight to the coordinator NIC (the multi-hop pattern).
-        std::vector<NodeId> shards;
-        st->WrittenShards(*map_, coord, &shards);
-        st->logs_sent = true;
-        for (NodeId shard : shards) {
-          SendLogRecords(coord, *st, shard, static_cast<uint32_t>(shards.size()));
-        }
+  // LOG fan-out to all backups of all written shards; acks go straight to
+  // the coordinator NIC (the multi-hop pattern).
+  std::vector<NodeId>& shards = log_round_shards_;
+  st->WrittenShards(*map_, coord, &shards);
+  st->logs_sent = true;
+  for (NodeId shard : shards) {
+    SendLogRecords(coord, *st, shard, static_cast<uint32_t>(shards.size()));
+  }
 
-        // EXEC result back to the coordinator (write values for its local
-        // commit); counts as one of the pending completion signals.
-        const uint32_t result_bytes =
-            net::wire::ExecResult(st->writes.size(), ValueBytes(st->writes));
-        transport_.Send(
-            net::MsgType::kExecReply, coord, result_bytes,
-            [coordinator, txn] { coordinator->OnLogAck(txn, kShipExecSignal, kShipExecSignal); },
-            txn);
-        });
-      });
-    };
-    attempt(attempt, 0);
-  });
+  // EXEC result back to the coordinator (write values for its local
+  // commit); counts as one of the pending completion signals.
+  const uint32_t result_bytes = net::wire::ExecResult(st->writes.size(), ValueBytes(st->writes));
+  transport_.Send(
+      net::MsgType::kExecReply, coord, result_bytes,
+      [coordinator, txn] { coordinator->OnLogAck(txn, kShipExecSignal, kShipExecSignal); },
+      txn);
 }
 
 void XenicNode::OnShipFailure(TxnId txn, uint8_t contention) {
@@ -2088,7 +2095,7 @@ size_t XenicNode::RebuildLocksFromLog(const std::vector<store::LogRecord>& unack
 XenicNode::ParkedSlots XenicNode::parked_slots() const {
   ParkedSlots p;
   p.requests = exec_reqs_.live() + validate_reqs_.live() + log_reqs_.live() +
-               commit_reqs_.live() + release_reqs_.live();
+               commit_reqs_.live() + release_reqs_.live() + ship_execs_.live();
   p.appends = appends_.live();
   p.fan_ins = fan_ins_.live();
   return p;

@@ -153,9 +153,10 @@ class XenicNode {
   void ForceAbortWedged(TxnId txn);
 
   // Slots this node holds for work in flight: requests it sent (EXECUTE,
-  // VALIDATE, LOG, COMMIT and lock releases), log appends, and DMA
-  // fan-ins. Every request either completes or is dropped with its slot
-  // freed, so a quiesced live node holds none (the chaos run audits this).
+  // VALIDATE, LOG, COMMIT and lock releases) and shipped executions it
+  // serves, log appends, and DMA fan-ins. Every request either completes
+  // or is dropped with its slot freed, so a quiesced live node holds none
+  // (the chaos run audits this).
   struct ParkedSlots {
     size_t requests = 0;
     size_t appends = 0;
@@ -255,11 +256,23 @@ class XenicNode {
     TxnId txn = store::kNoTxn;
     std::vector<KeyRef> keys;
   };
+  // A shipped execution (paper 4.2.3) at its executor, parked in a slot
+  // the executor owns from ServeShipExec until it replies. `st` is the
+  // coordinator's state: every step first checks that the coordinator
+  // still resolves `txn` to it (ShipLive).
+  struct ShipExecution {
+    TxnId txn = store::kNoTxn;
+    NodeId coord = 0;
+    TxnState* st = nullptr;
+    std::vector<KeyRef> keys;     // keys homed here, locked together
+    std::vector<uint32_t> reads;  // read-set indexes homed here
+  };
   using ExecSlot = sim::SlotTable<ExecRequest>::Handle;
   using ValidateSlot = sim::SlotTable<ValidateRequest>::Handle;
   using LogSlot = sim::SlotTable<LogRequest>::Handle;
   using CommitSlot = sim::SlotTable<CommitRequest>::Handle;
   using ReleaseSlot = sim::SlotTable<ReleaseRequest>::Handle;
+  using ShipSlot = sim::SlotTable<ShipExecution>::Handle;
   // Node-owned parking for AppendWhenSpace and the ChargeDmaReads fan-in.
   using AppendedFn = sim::SmallFunction<void(const store::LogRecord&)>;
   struct PendingAppend {
@@ -372,6 +385,15 @@ class XenicNode {
   void ServeCommit(CommitSlot req);
   void ServeRelease(ReleaseSlot req);
   void ServeShipExec(TxnId txn, NodeId coord, TxnState* coord_state);
+  // The shipped execution's lock step, re-entered after each park, then
+  // its reads' DMA (ShipExecute), and execution with the LOG fan-out and
+  // the EXEC result (ShipFinish).
+  void ShipAttempt(ShipSlot ship, uint32_t parks);
+  void ShipExecute(ShipSlot ship);
+  void ShipFinish(ShipSlot ship);
+  // This node is alive and the coordinator still resolves the shipped
+  // transaction to the state it shipped.
+  bool ShipLive(const ShipExecution& ship);
 
   // Lock all given keys in the NIC index; on conflict release those taken
   // and return false. A conflict is recorded in the hot-key sketch; when
@@ -439,6 +461,13 @@ class XenicNode {
   std::optional<store::NicIndex::RemoteObject> LookupAccum(const KeyRef& k, bool fetch_value,
                                                            store::NicIndex::LookupStats* agg);
 
+  // The keys of `st` homed at this node -- its read keys, then its write
+  // keys not already listed -- into `keys`, and the indexes of those read
+  // keys into `reads` (both cleared first): what each half of the shipped
+  // path locks and reads.
+  void HomeKeys(const TxnState& st, std::vector<KeyRef>* keys,
+                std::vector<uint32_t>* reads) const;
+
   // Shipped/local execution prologue shared by ShippedPath and
   // ServeShipExec: fetch the values of the read-set indices in `read_idx`
   // and refresh the current seqs of write keys homed on this node, folding
@@ -471,26 +500,31 @@ class XenicNode {
   const XenicFeatures* features_;
   std::vector<XenicNode*>* peers_;
   const repl::ReplicationGroup* repl_;
-  // Requests this node sent, parked until they complete (declared before
-  // every container whose continuations hold handles into them).
+  // Requests this node sent, and shipped executions it serves, parked
+  // until they complete (declared before every container whose
+  // continuations hold handles into them).
   sim::SlotTable<ExecRequest> exec_reqs_;
   sim::SlotTable<ValidateRequest> validate_reqs_;
   sim::SlotTable<LogRequest> log_reqs_;
   sim::SlotTable<CommitRequest> commit_reqs_;
   sim::SlotTable<ReleaseRequest> release_reqs_;
+  sim::SlotTable<ShipExecution> ship_execs_;
   sim::SlotTable<PendingAppend> appends_;
   sim::SlotTable<DmaFanIn> fan_ins_;
   // Outcome reports crossing to the host (ReportAndFinish), parked so the
   // NicToHost delivery captures only a slot.
   sim::SlotTable<TxnCore::Report> reports_;
   // Scratch reused by every call (capacity kept): ExecutePhase's shard
-  // groups (TxnCore::GroupByShard) and the shard lists of ValidatePhase,
-  // LogPhase and CommitPhase. Each is used by one phase only, and no phase
-  // reads its list after calling into another.
+  // groups (TxnCore::GroupByShard), the shard lists of ValidatePhase,
+  // LogPhase (and the shipped path's LOG round) and CommitPhase, and the
+  // coordinator's home keys on the shipped path. Each is used by one phase
+  // only, and no phase reads its list after calling into another.
   std::vector<ShardGroup> shard_groups_;
   std::vector<NodeId> validate_shards_;
   std::vector<NodeId> log_round_shards_;
   std::vector<NodeId> commit_round_shards_;
+  std::vector<KeyRef> ship_keys_;
+  std::vector<uint32_t> ship_reads_;
   // This node's commit-log drain: host Robinhood workers, or NIC-ARM
   // appliers under features.nic_log_apply. Crash() stops it for good.
   repl::LogDrain drain_;

@@ -314,6 +314,33 @@ TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
   EXPECT_LE(f.Allocs(req), 4u);
 }
 
+TEST(HotPathAllocTest, ShippedTwoShardReadWriteTxnAllocationBudget) {
+  // The multi-hop shipped path (paper 4.2.3): a read-modify-write of a key
+  // on the coordinator and one on node 1 locks the local key, ships the
+  // execution to node 1, which locks, reads, executes and sends the LOG
+  // records, and commits like the EXECUTE pipeline. The executor parks the
+  // shipped execution in a slot it owns and the coordinator's home keys
+  // are node-owned scratch, so the same data allocates as above: the two
+  // written values and each backup's applied-record entry.
+  XenicFixture f(XenicOptions(3, 2));
+  const store::Key a = f.LoadOn(0, 1)[0];
+  const store::Key b = f.LoadOn(1, 1)[0];
+  txn::TxnRequest req;
+  req.reads = {{0, a}, {0, b}};
+  req.writes = {{0, a}, {0, b}};
+  req.execute = [](txn::ExecRound& er) {
+    for (auto& w : *er.writes) {
+      w.value = store::Value(16, 1);
+    }
+  };
+  for (int i = 0; i < kWarmupRounds; ++i) {
+    f.Allocs(req);
+  }
+  const uint64_t shipped = f.cluster->node(0).stats().shipped_multihop;
+  EXPECT_LE(f.Allocs(req), 4u);
+  EXPECT_EQ(f.cluster->node(0).stats().shipped_multihop, shipped + 3);
+}
+
 // --- Xenic's pooled coordinator states and reported-commit bitmap
 
 TEST(XenicPoolTest, FinishedTxnStopsResolvingOnceItsStateIsReused) {
