@@ -2,13 +2,13 @@
 // historical code passed `NicOpCost(reads.size() + writes.size())` alongside
 // a lambda whose init-captures moved `reads`/`writes` in the same call;
 // argument evaluation ran the moves first, so the handler was always charged
-// NicOpCost(0) -- the base cost, with no per-key term. The VALIDATE, LOG and
-// COMMIT handlers had the same shape (`checks`, `record`, `writes`). Every
-// golden transcript encodes that timing, so the cost is now written as an
-// explicit NicOpCost(0) in ServeExecute, ServeShipExec, ServeValidate,
-// ServeLog and ServeCommit. These tests fail if anyone "fixes" it back: a
-// remote request must cost the serving NIC the same core time whether it
-// carries one key or six.
+// NicOpCost(0) -- the base cost, with no per-key term. The VALIDATE, LOG,
+// COMMIT and RELEASE handlers had the same shape (`checks`, `record`,
+// `writes`, `keys`). Every golden transcript encodes that timing, so the
+// cost is now written as an explicit NicOpCost(0) in ServeExecute,
+// ServeShipExec, ServeValidate, ServeLog, ServeCommit and ServeRelease.
+// These tests fail if anyone "fixes" it back: a remote request must cost
+// the serving NIC the same core time whether it carries one key or six.
 
 #include <gtest/gtest.h>
 
@@ -117,8 +117,10 @@ TEST(ServeExecuteCostTest, CoordinatorSideStillScalesWithKeys) {
 // of a 3-node cluster (replication 2, so node 1's backup is node 2). The
 // transaction touches `n_keys` keys on node 1 -- read-only, or written
 // blind -- plus, for `extra_read`, one read on node 2, which makes a
-// read-only transaction validate.
-sim::Tick ServerBusyFor(size_t n_keys, bool write, bool extra_read, store::NodeId server) {
+// read-only transaction validate. With `app_abort` its application aborts
+// after EXECUTE, so the write locks are released.
+sim::Tick ServerBusyFor(size_t n_keys, bool write, bool extra_read, store::NodeId server,
+                        bool app_abort = false) {
   XenicClusterOptions o;
   o.num_nodes = 3;
   o.replication = 2;
@@ -141,14 +143,15 @@ sim::Tick ServerBusyFor(size_t n_keys, bool write, bool extra_read, store::NodeI
     req.reads.push_back({0, other[0]});
   }
   req.allow_ship = false;  // the standard EXECUTE/VALIDATE/LOG/COMMIT path
-  req.execute = [](ExecRound& er) {
+  req.execute = [app_abort](ExecRound& er) {
+    *er.abort = app_abort;
     for (auto& w : *er.writes) {
       w.value = store::Value(16, 1);
     }
   };
   bool done = false;
   cluster.node(0).Submit(std::move(req), [&](TxnOutcome out) {
-    EXPECT_EQ(out, TxnOutcome::kCommitted);
+    EXPECT_EQ(out, app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kCommitted);
     done = true;
   });
   for (int i = 0; i < 1000 && !done; ++i) {
@@ -174,6 +177,15 @@ TEST(ServeExecuteCostTest, RemoteLogChargesBaseCostOnly) {
   // Node 2, node 1's only backup, serves one LOG record carrying every write.
   const sim::Tick one = ServerBusyFor(1, /*write=*/true, /*extra_read=*/false, 2);
   const sim::Tick six = ServerBusyFor(6, /*write=*/true, /*extra_read=*/false, 2);
+  EXPECT_EQ(one, six);
+  EXPECT_GT(one, 0);
+}
+
+TEST(ServeExecuteCostTest, RemoteReleaseChargesBaseCostOnly) {
+  // Node 1 serves one EXECUTE (the write locks) and, once the application
+  // aborts, one RELEASE carrying every locked key.
+  const sim::Tick one = ServerBusyFor(1, /*write=*/true, /*extra_read=*/false, 1, /*app_abort=*/true);
+  const sim::Tick six = ServerBusyFor(6, /*write=*/true, /*extra_read=*/false, 1, /*app_abort=*/true);
   EXPECT_EQ(one, six);
   EXPECT_GT(one, 0);
 }
