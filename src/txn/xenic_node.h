@@ -468,10 +468,10 @@ class XenicNode {
   void HomeKeys(const TxnState& st, std::vector<KeyRef>* keys,
                 std::vector<uint32_t>* reads) const;
 
-  // Shipped/local execution prologue shared by ShippedPath and
-  // ServeShipExec: fetch the values of the read-set indices in `read_idx`
-  // and refresh the current seqs of write keys homed on this node, folding
-  // all DMA costs into `agg`.
+  // Shipped/local execution prologue shared by ShippedPath, ShipAttempt
+  // and the locked-local path: fetch the values of the read-set indices in
+  // `read_idx` and refresh the current seqs of write keys homed on this
+  // node, folding all DMA costs into `agg`.
   void ReadLocalSets(TxnState* st, const std::vector<uint32_t>& read_idx,
                      store::NicIndex::LookupStats* agg);
 
