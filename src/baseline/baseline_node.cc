@@ -886,7 +886,8 @@ void BaselineNode::ReportAndFinish(TxnState* st, TxnOutcome outcome) {
   stats_.Count(outcome, st->abort_reason);
   // Same contract as Xenic: the outcome is reported at the commit point;
   // post-commit local structure maintenance is deferred host work.
-  st->TakeReport(outcome).Run(host_cores_);
+  const uint32_t report = reports_.Put(st->TakeReport(outcome));
+  txn::TxnCore::Report::Run(&reports_, report, host_cores_);
 }
 
 void BaselineNode::StartWorkers(uint32_t count, sim::Tick poll_interval) {

@@ -24,8 +24,9 @@
 // runs both steps in one host job); each phase step is a method called
 // with the state, and every verb and host closure captures
 // only the node, the state's handle and a few indexes, so it stays inline
-// in SmallCallback (sim::InlineCallback). LOG records, COMMIT write sets
-// and unlock key sets are parked in node-owned slot tables. What a
+// in SmallCallback (sim::InlineCallback). LOG records, COMMIT write sets,
+// unlock key sets and outcome reports are parked in node-owned slot
+// tables; an abort's report hands the request back. What a
 // transaction still allocates is its data: the values it writes and each
 // LOG record's write vector (one per backup). DrTM+R's lock CAS adds
 // RdmaNic::Atomic's own wrappers.
@@ -188,6 +189,9 @@ class BaselineNode {
   sim::SlotTable<store::LogRecord> log_records_;
   sim::SlotTable<CommitSet> commit_sets_;
   sim::SlotTable<std::vector<KeyRef>> unlock_sets_;
+  // Outcome reports (ReportAndFinish), parked until the callback's host
+  // job runs, so that job captures only a slot.
+  sim::SlotTable<txn::TxnCore::Report> reports_;
   // Scratch reused by every call (capacity kept): the shard lists of
   // ValidatePhase, LogPhase, CommitPhase and AbortCleanup.
   std::vector<store::NodeId> validate_shards_;

@@ -383,11 +383,11 @@ ChaosVerdict RunChaos(const ChaosConfig& config) {
         verdict.failures.push_back(os.str());
       }
       const txn::XenicNode::ParkedSlots slots = cluster->node(n).parked_slots();
-      if (slots.requests + slots.appends + slots.fan_ins > 0) {
+      if (slots.requests + slots.appends + slots.fan_ins + slots.reports > 0) {
         std::ostringstream os;
         os << "leaked request slots: node " << n << " holds " << slots.requests
            << " requests, " << slots.appends << " appends, " << slots.fan_ins
-           << " DMA fan-ins at quiesce";
+           << " DMA fan-ins, " << slots.reports << " outcome reports at quiesce";
         verdict.failures.push_back(os.str());
       }
     }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace xenic::harness {
@@ -38,7 +39,30 @@ class TeeSink : public sim::TraceSink {
   std::vector<std::pair<uint32_t, uint32_t>> tracks_;
 };
 
+// One closed-loop application context: the logical transaction it runs,
+// its current attempt, and between attempts the request to retry.
+struct Context {
+  store::NodeId node = 0;
+  uint8_t tag = 0;
+  uint32_t tries = 0;
+  sim::Tick start = 0;          // the logical transaction's first attempt
+  sim::Tick attempt_start = 0;  // the current attempt
+  // The current attempt's txn id, which only the per-transaction trace
+  // reads. The system assigns it only when Submit returns; the callback
+  // can never fire before that (all completion paths go through engine
+  // events), so it is set by the time it is read.
+  uint64_t attempt_id = 0;
+  // An aborted attempt's request, handed back with the abort
+  // (TxnResult::request) and moved into the retry's Submit.
+  txn::TxnRequest request;
+};
+
+// A run's state. Callbacks hold its address, so it never moves.
 struct Shared {
+  Shared() = default;
+  Shared(const Shared&) = delete;
+  Shared& operator=(const Shared&) = delete;
+
   SystemAdapter* system = nullptr;
   workload::Workload* workload = nullptr;
   const RunConfig* config = nullptr;
@@ -49,6 +73,8 @@ struct Shared {
   uint64_t commits = 0;
   uint64_t aborts = 0;
   Histogram latency;
+  // Node-major: contexts_per_node entries for node 0, then node 1, ...
+  std::vector<Context> contexts;
   // RunConfig::txn_trace, attached alone or through the tee.
   obs::TxnTraceSink* txn_sink = nullptr;
   std::vector<obs::BucketBreakdown> txn_paths;
@@ -60,104 +86,111 @@ struct Shared {
   obs::WindowHistogram* m_latency = nullptr;
 };
 
-// One closed-loop application context.
-void RunContext(std::shared_ptr<Shared> sh, store::NodeId node) {
+// What an attempt's callback and a retry's backoff event capture. It is 16
+// trivially copyable bytes, so it fits std::function's local buffer and an
+// inline event callback: neither allocates. The system keeps the Shared
+// alive (SystemAdapter::Retain), so a callback that outlives its run finds
+// it stopped.
+struct ContextRef {
+  Shared* sh;
+  uint32_t index;
+  Context& ctx() const { return sh->contexts[index]; }
+};
+static_assert(std::is_trivially_copyable_v<ContextRef> && sizeof(ContextRef) <= 16);
+
+void OnOutcome(ContextRef ref, txn::TxnResult res);
+
+// Submits the context's current attempt.
+void Attempt(ContextRef ref, txn::TxnRequest req) {
+  Shared* sh = ref.sh;
+  Context& ctx = ref.ctx();
+  ctx.attempt_start = sh->system->engine().now();
+  ctx.attempt_id = 0;
+  const uint64_t id = sh->system->Submit(
+      ctx.node, std::move(req), [ref](txn::TxnResult res) { OnOutcome(ref, res); });
+  ctx.attempt_id = id;
+}
+
+// Starts the context's next logical transaction; the builder's request
+// moves into the first attempt.
+void StartTxn(ContextRef ref) {
+  Shared* sh = ref.sh;
   if (sh->stopped) {
     return;
   }
-  auto req = sh->workload->NextTxn(node, sh->rng);
-  const uint8_t tag = req.tag;
-  const sim::Tick start = sh->system->engine().now();
+  Context& ctx = ref.ctx();
+  txn::TxnRequest req = sh->workload->NextTxn(ctx.node, sh->rng);
+  ctx.tag = req.tag;
+  ctx.tries = 0;
+  ctx.start = sh->system->engine().now();
+  Attempt(ref, std::move(req));
+}
 
-  // Retry closure that recurses by passing a copy of itself along; a
-  // shared_ptr<function> capturing itself would be a reference cycle that
-  // leaks once per transaction.
-  auto attempt = [sh, node, tag, start](auto&& self, txn::TxnRequest r,
-                                        uint32_t tries) -> void {
-    txn::TxnRequest copy = r;
-    // The system assigns the attempt's txn id only when Submit returns,
-    // but the commit callback must be constructed first -- so the id
-    // travels through a box filled in below. The callback can never fire
-    // before Submit returns (all completion paths go through engine
-    // events), so the box is always populated by the time it is read.
-    // Only the per-transaction trace reads the id, so only a traced run
-    // makes the box.
-    std::shared_ptr<uint64_t> id_box;
-    if (sh->txn_sink != nullptr) {
-      id_box = std::make_shared<uint64_t>(0);
+void OnOutcome(ContextRef ref, txn::TxnResult res) {
+  Shared* sh = ref.sh;
+  if (sh->stopped) {
+    return;
+  }
+  Context& ctx = ref.ctx();
+  sim::Engine& eng = sh->system->engine();
+  const bool traced = sh->txn_sink != nullptr && ctx.attempt_id != 0;
+  if (res.outcome == txn::TxnOutcome::kAborted && ctx.tries < sh->config->retry.max_retries) {
+    if (ctx.tries == 0 && sh->measuring) {
+      sh->aborts++;
+      if (sh->m_aborted != nullptr) {
+        sh->m_aborted->Add(eng.now());
+      }
     }
-    const sim::Tick attempt_start = sh->system->engine().now();
-    const uint64_t id = sh->system->Submit(
-        node, std::move(copy),
-        [sh, node, tag, start, attempt_start, id_box, self, r = std::move(r),
-         tries](txn::TxnResult res) mutable {
-          if (sh->stopped) {
-            return;
-          }
-          sim::Engine& eng = sh->system->engine();
-          if (res.outcome == txn::TxnOutcome::kAborted &&
-              tries < sh->config->retry.max_retries) {
-            if (tries == 0 && sh->measuring) {
-              sh->aborts++;
-              if (sh->m_aborted != nullptr) {
-                sh->m_aborted->Add(eng.now());
-              }
-            }
-            if (id_box != nullptr && *id_box != 0) {
-              // Aborted attempt: its spans are not replayed into the
-              // retry's tree; the lost time shows up as the redo bucket.
-              sh->txn_sink->Discard(*id_box);
-            }
-            // Backoff per the configured policy, scaled by the contention
-            // hint the coordinator returned with the abort.
-            const sim::Tick backoff =
-                txn::RetryBackoff(sh->config->retry, tries, res.contention, sh->rng);
-            // Detached: this completion runs under the aborted attempt's
-            // trace context (the system sets it for the commit/abort
-            // path), and that id was just Discard()ed above -- a plain
-            // ScheduleAfter would re-attach the dead id to the wakeup and
-            // surface as late/orphan spans in TxnTraceSink.
-            eng.ScheduleDetachedAfter(
-                backoff, [sh, self = std::move(self), r = std::move(r),
-                          tries]() mutable {
-                  if (!sh->stopped) {
-                    self(self, std::move(r), tries + 1);
-                  }
-                });
-            return;
-          }
-          bool counted = false;
-          if (res.outcome == txn::TxnOutcome::kCommitted && sh->measuring) {
-            sh->commits++;
-            if (sh->m_committed != nullptr) {
-              sh->m_committed->Add(eng.now());
-            }
-            if (sh->workload->CountsForThroughput(tag)) {
-              counted = true;
-              sh->counted_commits++;
-              sh->latency.Record(eng.now() - start);
-              if (sh->m_latency != nullptr) {
-                sh->m_latency->Record(eng.now(), eng.now() - start);
-              }
-            }
-          }
-          if (id_box != nullptr && *id_box != 0) {
-            if (counted) {
-              obs::TxnTree tree;
-              sh->txn_sink->Extract(*id_box, &tree);
-              sh->txn_paths.push_back(obs::ExtractCriticalPath(
-                  tree, attempt_start, eng.now(), attempt_start - start));
-            } else {
-              sh->txn_sink->Discard(*id_box);
-            }
-          }
-          RunContext(sh, node);
-        });
-    if (id_box != nullptr) {
-      *id_box = id;
+    if (traced) {
+      // Aborted attempt: its spans are not replayed into the retry's
+      // tree; the lost time shows up as the redo bucket.
+      sh->txn_sink->Discard(ctx.attempt_id);
     }
-  };
-  attempt(attempt, std::move(req), 0);
+    // Backoff per the configured policy, scaled by the contention hint the
+    // coordinator returned with the abort.
+    const sim::Tick backoff =
+        txn::RetryBackoff(sh->config->retry, ctx.tries, res.contention, sh->rng);
+    assert(res.request != nullptr && "an abort hands its request back");
+    ctx.request = std::move(*res.request);
+    ctx.tries++;
+    // Detached: this completion runs under the aborted attempt's trace
+    // context (the system sets it for the commit/abort path), and that id
+    // was just Discard()ed above -- a plain ScheduleAfter would re-attach
+    // the dead id to the wakeup and surface as late/orphan spans in
+    // TxnTraceSink.
+    eng.ScheduleDetachedAfter(backoff, sim::InlineCallback([ref] {
+                                if (!ref.sh->stopped) {
+                                  Attempt(ref, std::move(ref.ctx().request));
+                                }
+                              }));
+    return;
+  }
+  bool counted = false;
+  if (res.outcome == txn::TxnOutcome::kCommitted && sh->measuring) {
+    sh->commits++;
+    if (sh->m_committed != nullptr) {
+      sh->m_committed->Add(eng.now());
+    }
+    if (sh->workload->CountsForThroughput(ctx.tag)) {
+      counted = true;
+      sh->counted_commits++;
+      sh->latency.Record(eng.now() - ctx.start);
+      if (sh->m_latency != nullptr) {
+        sh->m_latency->Record(eng.now(), eng.now() - ctx.start);
+      }
+    }
+  }
+  if (traced) {
+    if (counted) {
+      obs::TxnTree tree;
+      sh->txn_sink->Extract(ctx.attempt_id, &tree);
+      sh->txn_paths.push_back(obs::ExtractCriticalPath(tree, ctx.attempt_start, eng.now(),
+                                                       ctx.attempt_start - ctx.start));
+    } else {
+      sh->txn_sink->Discard(ctx.attempt_id);
+    }
+  }
+  StartTxn(ref);
 }
 
 }  // namespace
@@ -165,6 +198,7 @@ void RunContext(std::shared_ptr<Shared> sh, store::NodeId node) {
 RunResult RunWorkload(SystemAdapter& system, workload::Workload& workload,
                       const RunConfig& config) {
   auto sh = std::make_shared<Shared>();
+  system.Retain(sh);
   sh->system = &system;
   sh->workload = &workload;
   sh->config = &config;
@@ -254,11 +288,13 @@ RunResult RunWorkload(SystemAdapter& system, workload::Workload& workload,
     });
   }
 
+  sh->contexts.resize(static_cast<size_t>(system.num_nodes()) * config.contexts_per_node);
+  for (uint32_t i = 0; i < sh->contexts.size(); ++i) {
+    sh->contexts[i].node = i / config.contexts_per_node;
+  }
   system.StartWorkers();
-  for (uint32_t n = 0; n < system.num_nodes(); ++n) {
-    for (uint32_t c = 0; c < config.contexts_per_node; ++c) {
-      RunContext(sh, n);
-    }
+  for (uint32_t i = 0; i < sh->contexts.size(); ++i) {
+    StartTxn({sh.get(), i});
   }
 
   // Warmup.
@@ -304,7 +340,7 @@ RunResult RunWorkload(SystemAdapter& system, workload::Workload& workload,
                                 static_cast<double>(sh->commits + sh->aborts);
   result.tput_per_server = static_cast<double>(sh->counted_commits) /
                            (static_cast<double>(window) / 1e9) / system.num_nodes();
-  result.latency = sh->latency;
+  result.latency = std::move(sh->latency);
   result.wire_utilization = system.WireUtilization(window);
   result.dma_ops = system.DmaOps();
   result.dma_bytes = system.DmaBytes();

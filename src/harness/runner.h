@@ -105,6 +105,11 @@ struct RunResult {
   }
 };
 
+// The run's contexts live in one state that `system` retains
+// (SystemAdapter::Retain): attempts still in flight or backing off when the
+// run stops complete during a later run on the same system, and count
+// nowhere. An aborted attempt's request comes back with the abort
+// (TxnResult::request), and its retry resubmits it by move.
 RunResult RunWorkload(SystemAdapter& system, workload::Workload& workload,
                       const RunConfig& config);
 

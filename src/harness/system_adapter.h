@@ -8,6 +8,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/baseline/baseline_cluster.h"
 #include "src/obs/resource_stats.h"
@@ -59,6 +61,14 @@ class SystemAdapter {
   // recovery); null for systems of the other kind.
   virtual txn::XenicCluster* xenic_cluster() { return nullptr; }
   virtual baseline::BaselineCluster* baseline_cluster() { return nullptr; }
+
+  // Keep `state` alive until this system is destroyed. A run's callbacks
+  // name its state by raw pointer, and attempts still in flight when the
+  // run stops complete during a later run on the same system.
+  void Retain(std::shared_ptr<void> state) { retained_.push_back(std::move(state)); }
+
+ private:
+  std::vector<std::shared_ptr<void>> retained_;
 };
 
 // Configuration of the system under test.

@@ -7,13 +7,15 @@
 // unpin cache entries.
 //
 // The log is a bounded ring: Append fails with kCapacity when the host has
-// fallen behind, which back-pressures the NIC (tested explicitly).
+// fallen behind, which back-pressures the NIC (tested explicitly). Its
+// storage is a power-of-two array that doubles when full, up to the
+// capacity, so once it has grown to the peak backlog neither Append nor
+// Reclaim allocates.
 
 #ifndef SRC_STORE_COMMIT_LOG_H_
 #define SRC_STORE_COMMIT_LOG_H_
 
 #include <cstdint>
-#include <deque>
 #include <unordered_set>
 #include <vector>
 
@@ -68,7 +70,8 @@ class CommitLog {
   // NIC side: append a record via DMA write. kCapacity when the ring is full.
   Result<uint64_t> Append(LogRecord record);
 
-  // Host side: next unapplied record, or nullptr when drained.
+  // Host side: next unapplied record, or nullptr when drained. Valid until
+  // the next Append or Reclaim.
   const LogRecord* Peek() const;
   // Host side: mark the head record applied; it remains buffered until Ack.
   void PopApplied();
@@ -90,14 +93,13 @@ class CommitLog {
   }
 
   // Recovery: snapshot every unreclaimed record (applied-but-unacked and
-  // pending alike) -- the state a recovery scan reads from host memory.
-  std::vector<LogRecord> Snapshot() const {
-    return std::vector<LogRecord>(records_.begin(), records_.end());
-  }
+  // pending alike), oldest first -- the state a recovery scan reads from
+  // host memory.
+  std::vector<LogRecord> Snapshot() const;
 
-  bool Full() const { return records_.size() >= capacity_; }
-  size_t pending() const { return records_.size() - applied_; }
-  size_t unreclaimed() const { return records_.size(); }
+  bool Full() const { return size_ >= capacity_; }
+  size_t pending() const { return size_ - applied_; }
+  size_t unreclaimed() const { return size_; }
   size_t capacity() const { return capacity_; }
   uint64_t next_lsn() const { return next_lsn_; }
   uint64_t appended() const { return next_lsn_; }
@@ -112,11 +114,19 @@ class CommitLog {
   bool IsStable(TxnId txn) const { return stable_.count(txn) > 0; }
 
  private:
+  // The record `i` places after the oldest unreclaimed one.
+  LogRecord& At(size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+  const LogRecord& At(size_t i) const { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+  // Double the ring (to at least 16 slots, at most capacity_ rounded up to
+  // a power of two), moving the records to its front in order.
+  void Grow();
+
   size_t capacity_;
-  std::deque<LogRecord> records_;
+  std::vector<LogRecord> ring_;  // a power of two in size, or empty
+  size_t head_ = 0;              // slot of the oldest unreclaimed record
+  size_t size_ = 0;              // unreclaimed records
   size_t applied_ = 0;  // records at the front that are applied but unacked
   uint64_t next_lsn_ = 0;
-  uint64_t base_lsn_ = 0;
   // Transactions whose commit point is known (see MarkStable). Bounded by
   // the transactions of one run; only consulted by the stability-gated NIC
   // drain, so the default host-worker path never reads it.

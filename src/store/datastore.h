@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <set>
 #include <unordered_set>
 #include <utility>
 #include <string>
@@ -102,23 +101,12 @@ class Datastore final : public LogApplyTarget {
   // one shard looks incomplete and gets discarded, resurrecting the old
   // version of its writes on the promoted primary (a lost update).
   // The record's total_shards is kept too, so a transaction whose records
-  // were all applied and reclaimed can still be judged complete.
-  void NoteLogApplied(TxnId txn, NodeId shard, uint32_t total_shards) {
-    applied_log_.insert(AppliedLog{txn, shard, total_shards});
-  }
+  // were all applied and reclaimed can still be judged complete. A
+  // repeated (txn, shard) keeps its first total_shards.
+  void NoteLogApplied(TxnId txn, NodeId shard, uint32_t total_shards);
   // Shards of `txn` whose records this node applied, in shard order. Raises
   // `*total_shards`, if given, to the records' total_shards.
-  std::vector<NodeId> AppliedShardsOf(TxnId txn, uint32_t* total_shards = nullptr) const {
-    std::vector<NodeId> out;
-    for (auto it = applied_log_.lower_bound(AppliedLog{txn, 0, 0});
-         it != applied_log_.end() && it->txn == txn; ++it) {
-      out.push_back(it->shard);
-      if (total_shards != nullptr) {
-        *total_shards = std::max(*total_shards, it->total_shards);
-      }
-    }
-    return out;
-  }
+  std::vector<NodeId> AppliedShardsOf(TxnId txn, uint32_t* total_shards = nullptr) const;
 
  private:
   static uint64_t PendingKey(TableId table, Key key) {
@@ -139,17 +127,25 @@ class Datastore final : public LogApplyTarget {
   // aborts). Only ever holds txns aborted across an epoch change, so it
   // stays small.
   std::unordered_set<TxnId> tombstoned_;
-  // Applied LOG records, keyed (txn, shard); see NoteLogApplied. Ordered so
-  // AppliedShardsOf can range-scan one transaction deterministically.
+  // Applied LOG records, keyed (txn, shard); see NoteLogApplied. A flat
+  // open-addressing table probed linearly from the txn's hash, so every
+  // record of one transaction sits in the probe run from its home slot. It
+  // doubles at half full and never erases: it grows by one 16-byte entry
+  // per applied record (ROADMAP item 2's watermark would bound it). Slot
+  // order never reaches an answer: AppliedShardsOf sorts.
   struct AppliedLog {
-    TxnId txn;
-    NodeId shard;
-    uint32_t total_shards;  // fills the key's padding: no extra bytes
-    bool operator<(const AppliedLog& o) const {
-      return txn != o.txn ? txn < o.txn : shard < o.shard;
-    }
+    TxnId txn = kNoTxn;
+    NodeId shard = kFreeSlot;
+    uint32_t total_shards = 0;
   };
-  std::set<AppliedLog> applied_log_;
+  static constexpr NodeId kFreeSlot = static_cast<NodeId>(-1);  // no record's shard
+  size_t AppliedHome(TxnId txn) const {
+    return static_cast<size_t>((txn * 0x9E3779B97F4A7C15ull) >> applied_shift_);
+  }
+  void GrowApplied();
+  std::vector<AppliedLog> applied_log_;  // a power of two in size, or empty
+  uint32_t applied_shift_ = 64;          // 64 - log2(applied_log_.size())
+  size_t applied_size_ = 0;
 };
 
 }  // namespace xenic::store

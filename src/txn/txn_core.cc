@@ -196,16 +196,37 @@ uint32_t TxnCore::ValidateShards(const ClusterMap& map, std::vector<NodeId>* sha
 }
 
 TxnCore::Report TxnCore::TakeReport(TxnResult result) {
-  Report r{std::move(done), std::move(req.host_finish), req.host_finish_cost, result};
+  Report r{std::move(done), {}, result};
+  if (result.outcome == TxnOutcome::kAborted) {
+    r.request = std::move(req);
+  } else {
+    r.request.host_finish = std::move(req.host_finish);
+    r.request.host_finish_cost = req.host_finish_cost;
+  }
   done = nullptr;
   return r;
 }
 
-void TxnCore::Report::Run(sim::Resource* host_cores) && {
-  host_cores->Submit(kHostFinishBase, [done = std::move(done), result = result]() mutable {
-    done(result);
-  });
-  if (host_finish && result.outcome == TxnOutcome::kCommitted) {
+void TxnCore::Report::Run(sim::SlotTable<Report>* table, uint32_t slot,
+                          sim::Resource* host_cores) {
+  // Out of the slot before the first Submit: the deferred job captures it.
+  std::function<void()> host_finish;
+  Report& parked = (*table)[slot];
+  if (parked.result.outcome == TxnOutcome::kCommitted) {
+    host_finish = std::move(parked.request.host_finish);
+  }
+  const sim::Tick host_finish_cost = parked.request.host_finish_cost;
+  host_cores->Submit(kHostFinishBase, sim::InlineCallback([table, slot] {
+                       // Taken before the callback runs: it may submit, and
+                       // a later report may reuse the slot.
+                       Report r = table->Take(slot);
+                       TxnResult result = r.result;
+                       if (result.outcome == TxnOutcome::kAborted) {
+                         result.request = &r.request;
+                       }
+                       r.done(result);
+                     }));
+  if (host_finish) {
     host_cores->Submit(host_finish_cost,
                        [host_finish = std::move(host_finish)]() mutable { host_finish(); });
   }

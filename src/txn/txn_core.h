@@ -27,6 +27,7 @@
 
 #include "src/repl/replication_group.h"
 #include "src/sim/resource.h"
+#include "src/sim/slot_table.h"
 #include "src/txn/types.h"
 
 namespace xenic::txn {
@@ -161,13 +162,16 @@ struct TxnCore {
   // The application's side of the outcome, taken out of the core once.
   struct Report {
     CommitCallback done;
-    std::function<void()> host_finish;
-    sim::Tick host_finish_cost = 0;
+    // The whole request for kAborted, handed back to the callback through
+    // TxnResult::request; otherwise only host_finish and its cost.
+    TxnRequest request;
     TxnResult result;
-    // The callback gets the outcome after kHostFinishBase of host work on
-    // `host_cores`; a commit then runs the request's host_finish as
-    // deferred host work, off the latency path.
-    void Run(sim::Resource* host_cores) &&;
+    // Reports the report parked in `table`'s `slot`: the callback gets the
+    // outcome after kHostFinishBase of host work on `host_cores`, and a
+    // commit then runs the request's host_finish as deferred host work,
+    // off the latency path. The report stays parked until the callback's
+    // job runs, which takes it out of the table.
+    static void Run(sim::SlotTable<Report>* table, uint32_t slot, sim::Resource* host_cores);
   };
   Report TakeReport(TxnResult result);
 };

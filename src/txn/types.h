@@ -130,9 +130,14 @@ enum class CcPolicyKind : uint8_t {
 // (0..255) of the most contended key the transaction conflicted on, 0 when
 // no signal. Implicitly converts to/from TxnOutcome so callbacks that only
 // care about the outcome keep working unchanged.
+//
+// `request` hands an aborted attempt's request back, unchanged, so a retry
+// can move from it instead of keeping a copy. It is set for kAborted and
+// null for every other outcome, and it is valid only during the callback.
 struct TxnResult {
   TxnOutcome outcome = TxnOutcome::kCommitted;
   uint8_t contention = 0;
+  TxnRequest* request = nullptr;
 
   TxnResult() = default;
   TxnResult(TxnOutcome o) : outcome(o) {}  // NOLINT(google-explicit-constructor)

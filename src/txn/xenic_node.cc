@@ -1186,7 +1186,7 @@ void XenicNode::ReportAndFinish(TxnState* st, TxnOutcome outcome) {
   // once the report crosses to the host.
   const uint32_t report = reports_.Put(st->TakeReport(TxnResult(outcome, st->contention_hint)));
   nic_->NicToHost(net::wire::Descriptor(), sim::InlineCallback([this, report] {
-                    reports_.Take(report).Run(&nic_->host_cores());
+                    TxnCore::Report::Run(&reports_, report, &nic_->host_cores());
                   }));
 }
 
@@ -2096,6 +2096,7 @@ XenicNode::ParkedSlots XenicNode::parked_slots() const {
   ParkedSlots p;
   p.requests = exec_reqs_.live() + validate_reqs_.live() + log_reqs_.live() +
                commit_reqs_.live() + release_reqs_.live() + ship_execs_.live();
+  p.reports = reports_.live();
   p.appends = appends_.live();
   p.fan_ins = fan_ins_.live();
   return p;

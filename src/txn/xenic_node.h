@@ -154,13 +154,16 @@ class XenicNode {
 
   // Slots this node holds for work in flight: requests it sent (EXECUTE,
   // VALIDATE, LOG, COMMIT and lock releases) and shipped executions it
-  // serves, log appends, and DMA fan-ins. Every request either completes
-  // or is dropped with its slot freed, so a quiesced live node holds none
-  // (the chaos run audits this).
+  // serves, log appends, DMA fan-ins, and outcome reports not yet handed
+  // to the application. Every request either completes or is dropped with
+  // its slot freed, and a report stays parked only until its callback
+  // runs, so a quiesced live node holds none (the chaos run audits this;
+  // a report left at quiesce is a lost outcome).
   struct ParkedSlots {
     size_t requests = 0;
     size_t appends = 0;
     size_t fan_ins = 0;
+    size_t reports = 0;
   };
   ParkedSlots parked_slots() const;
   // Coordinator states alive at this node (finished transactions free
@@ -511,8 +514,9 @@ class XenicNode {
   sim::SlotTable<ShipExecution> ship_execs_;
   sim::SlotTable<PendingAppend> appends_;
   sim::SlotTable<DmaFanIn> fan_ins_;
-  // Outcome reports crossing to the host (ReportAndFinish), parked so the
-  // NicToHost delivery captures only a slot.
+  // Outcome reports crossing to the host (ReportAndFinish), parked until
+  // the callback's host job runs, so the NicToHost delivery and that job
+  // capture only a slot.
   sim::SlotTable<TxnCore::Report> reports_;
   // Scratch reused by every call (capacity kept): ExecutePhase's shard
   // groups (TxnCore::GroupByShard), the shard lists of ValidatePhase,

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <vector>
+
 namespace xenic::store {
 namespace {
 
@@ -136,6 +141,57 @@ TEST(DatastoreTest, LargeValueTableRoundTrip) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->value, big);
   EXPECT_EQ(s.dma_reads, 2u);
+}
+
+TEST(DatastoreTest, AppliedIndexMatchesAReferenceSet) {
+  // 200k notes against an ordered map from (txn, shard) to the pair's
+  // first total_shards. Few transactions early on, so notes repeat and several
+  // shards of one transaction share a probe run; ids then spread over
+  // every node's sequence space, so the table grows through several
+  // doublings and unrelated transactions collide.
+  struct Ref {
+    TxnId txn;
+    NodeId shard;
+    bool operator<(const Ref& o) const {
+      return txn != o.txn ? txn < o.txn : shard < o.shard;
+    }
+  };
+  std::map<Ref, uint32_t> ref;
+  Datastore ds(TwoTables(), {});
+  std::mt19937_64 rng(11);
+  auto draw_txn = [&rng](int op) {
+    const uint64_t seqs = op < 50000 ? 64 : 1 << 20;
+    return MakeTxnId(static_cast<NodeId>(rng() % 6), 1 + rng() % seqs);
+  };
+  for (int op = 0; op < 200000; ++op) {
+    const TxnId txn = draw_txn(op);
+    const NodeId shard = static_cast<NodeId>(rng() % 6);
+    const uint32_t total = 1 + static_cast<uint32_t>(rng() % 6);
+    ds.NoteLogApplied(txn, shard, total);
+    ref.emplace(Ref{txn, shard}, total);  // keeps the first total_shards
+
+    const TxnId probe = op % 2 == 0 ? txn : draw_txn(op);
+    std::vector<NodeId> want;
+    uint32_t want_total = 0;
+    for (auto it = ref.lower_bound(Ref{probe, 0}); it != ref.end() && it->first.txn == probe;
+         ++it) {
+      want.push_back(it->first.shard);
+      want_total = std::max(want_total, it->second);
+    }
+    uint32_t got_total = 0;
+    ASSERT_EQ(ds.AppliedShardsOf(probe, &got_total), want) << "op " << op;
+    ASSERT_EQ(got_total, want_total) << "op " << op;
+  }
+  // Every transaction the reference holds is still reachable.
+  for (auto it = ref.begin(); it != ref.end();) {
+    const TxnId txn = it->first.txn;
+    std::vector<NodeId> want;
+    for (; it != ref.end() && it->first.txn == txn; ++it) {
+      want.push_back(it->first.shard);
+    }
+    ASSERT_EQ(ds.AppliedShardsOf(txn), want) << txn;
+  }
+  EXPECT_TRUE(ds.AppliedShardsOf(MakeTxnId(7, 1)).empty());
 }
 
 }  // namespace

@@ -68,6 +68,7 @@ void ExpectNoParkedSlots(XenicCluster& c) {
     EXPECT_EQ(p.requests, 0u) << "node " << n;
     EXPECT_EQ(p.appends, 0u) << "node " << n;
     EXPECT_EQ(p.fan_ins, 0u) << "node " << n;
+    EXPECT_EQ(p.reports, 0u) << "node " << n;
   }
 }
 

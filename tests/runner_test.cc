@@ -4,10 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/harness/runner.h"
 #include "src/obs/trace_recorder.h"
 #include "src/obs/txn_trace.h"
 #include "src/workload/smallbank.h"
+#include "src/workload/ycsb.h"
 
 namespace xenic::harness {
 namespace {
@@ -155,6 +162,136 @@ TEST(RunnerTest, TraceAndTxnTraceShareOneRun) {
 
   EXPECT_GT(rec.num_events(), 0u);
   EXPECT_EQ(rec.ToJson(), trace_only.ToJson());
+}
+
+// Forwards every call to a real system and follows each attempt: the run
+// that submitted it, whether it is still outstanding, and what its
+// callback did.
+class AttemptLedger : public SystemAdapter {
+ public:
+  explicit AttemptLedger(std::unique_ptr<SystemAdapter> inner) : inner_(std::move(inner)) {}
+
+  // The next RunWorkload measures over (now + warmup, now + warmup +
+  // measure]; attempts submitted from now on are its own.
+  void BeginRun(sim::Tick warmup, sim::Tick measure) {
+    run_++;
+    measure_from_ = engine().now() + warmup;
+    stop_at_ = measure_from_ + measure;
+    outstanding_.assign(num_nodes(), 0);
+    max_outstanding_ = 0;
+    window_commits_ = 0;
+  }
+  // Callbacks delivered after their run stopped, and submissions made
+  // inside them or at any other time after the current run stopped.
+  uint64_t stragglers() const { return stragglers_; }
+  uint64_t late_submits() const { return late_submits_; }
+  // The current run's commits inside its measurement window, and the most
+  // of its attempts outstanding at one node at once.
+  uint64_t window_commits() const { return window_commits_; }
+  uint32_t max_outstanding() const { return max_outstanding_; }
+
+  uint64_t Submit(store::NodeId node, txn::TxnRequest req, txn::CommitCallback done) override {
+    const sim::Tick now = engine().now();
+    if (now > stop_at_) {
+      late_submits_++;
+    }
+    max_outstanding_ = std::max(max_outstanding_, ++outstanding_[node]);
+    return inner_->Submit(
+        node, std::move(req), [this, node, run = run_, done = std::move(done)](txn::TxnResult r) {
+          const sim::Tick now = engine().now();
+          if (run != run_ || now > stop_at_) {
+            stragglers_++;
+            done(r);
+            return;
+          }
+          outstanding_[node]--;
+          if (r.outcome == txn::TxnOutcome::kCommitted && now > measure_from_) {
+            window_commits_++;
+          }
+          done(r);
+        });
+  }
+
+  std::string Name() const override { return inner_->Name(); }
+  sim::Engine& engine() override { return inner_->engine(); }
+  uint32_t num_nodes() const override { return inner_->num_nodes(); }
+  void LoadReplicated(store::TableId t, store::Key k, const store::Value& v) override {
+    inner_->LoadReplicated(t, k, v);
+  }
+  void SetWorkerHook(store::NodeId node,
+                     std::function<sim::Tick(const store::LogWrite&)> hook) override {
+    inner_->SetWorkerHook(node, std::move(hook));
+  }
+  void StartWorkers() override { inner_->StartWorkers(); }
+  void StopWorkers() override { inner_->StopWorkers(); }
+  txn::TxnStats TotalStats() const override { return inner_->TotalStats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+  double WireUtilization(sim::Tick w) const override { return inner_->WireUtilization(w); }
+  double HostUtilization(sim::Tick w) const override { return inner_->HostUtilization(w); }
+  double NicUtilization(sim::Tick w) const override { return inner_->NicUtilization(w); }
+  uint64_t DmaOps() const override { return inner_->DmaOps(); }
+  uint64_t DmaBytes() const override { return inner_->DmaBytes(); }
+  void ForEachResource(const std::function<void(const obs::ResourceRef&)>& fn) override {
+    inner_->ForEachResource(fn);
+  }
+  void ForEachWireChannel(const std::function<void(sim::Channel&)>& fn) override {
+    inner_->ForEachWireChannel(fn);
+  }
+  void StopNodeWorkers(store::NodeId node) override { inner_->StopNodeWorkers(node); }
+  void StartNodeWorkers(store::NodeId node) override { inner_->StartNodeWorkers(node); }
+
+ private:
+  std::unique_ptr<SystemAdapter> inner_;
+  int run_ = 0;
+  sim::Tick measure_from_ = 0;
+  sim::Tick stop_at_ = 0;
+  std::vector<uint32_t> outstanding_;
+  uint32_t max_outstanding_ = 0;
+  uint64_t window_commits_ = 0;
+  uint64_t stragglers_ = 0;
+  uint64_t late_submits_ = 0;
+};
+
+// A run stops with attempts in flight and contexts in backoff: the former
+// complete during its teardown, and backoffs longer than the teardown wake
+// up during the next run on the same system. They belong to a stopped run,
+// so they count nowhere and start nothing: nothing is submitted between a
+// run's stop and the next run, every submission of the next run is one of
+// its own contexts', and each run counts exactly its own window's commits.
+TEST(RunnerTest, StoppedRunsStragglersCountNowhere) {
+  workload::Ycsb::Options wo;
+  wo.num_nodes = 3;
+  wo.keys_per_node = 50;
+  wo.zipf_theta = 0.9;
+  wo.ops_per_txn = 4;
+  workload::Ycsb wl(wo);
+  AttemptLedger sys(BuildSystem(Cfg(), wl));
+  LoadWorkload(sys, wl);
+  RunConfig rc;
+  rc.seed = 3;
+  rc.contexts_per_node = 8;
+  rc.warmup = 50 * sim::kNsPerUs;
+  rc.measure = 2000 * sim::kNsPerUs;
+  // Backoffs of 150 to 300 us, against the 200 us teardown.
+  rc.retry.backoff_base = 150 * sim::kNsPerUs;
+  sys.BeginRun(rc.warmup, rc.measure);
+  const RunResult first = RunWorkload(sys, wl, rc);
+  ASSERT_GT(first.aborted, 0u);
+  EXPECT_EQ(first.committed, sys.window_commits());
+  EXPECT_GT(sys.stragglers(), 0u) << "attempts in flight at the stop";
+  EXPECT_FALSE(sys.engine().idle()) << "backoffs that outlive the teardown";
+
+  rc.contexts_per_node = 1;
+  rc.retry = txn::RetryPolicyConfig{};
+  rc.warmup = 100 * sim::kNsPerUs;
+  rc.measure = 1000 * sim::kNsPerUs;
+  sys.BeginRun(rc.warmup, rc.measure);
+  const RunResult second = RunWorkload(sys, wl, rc);
+  EXPECT_EQ(sys.late_submits(), 0u);
+  EXPECT_LE(sys.max_outstanding(), rc.contexts_per_node);
+  EXPECT_GT(second.committed, 0u);
+  EXPECT_EQ(second.committed, sys.window_commits());
+  EXPECT_EQ(second.latency.count(), second.committed);  // YCSB counts every commit
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 # Builds the tree with AddressSanitizer + UndefinedBehaviorSanitizer and runs
 # the tier-1 test suite plus a few short chaos schedules under it: one on
 # Xenic, one on each baseline mode, the two lock-wait schedules, and two
-# failover schedules. The chaos
+# failover schedules; then two short closed-loop xenicsim runs. The chaos
 # harness stresses exactly the paths sanitizers are good at catching -- crash
 # teardown, log reclamation, NIC-index eviction, routing moves -- so seeds
 # run here even though the full chaos matrix would be too slow when
@@ -47,5 +47,17 @@ done
 # departing node's promotion moved a shard it no longer served.
 "$BUILD_DIR"/tools/chaos_runner --seed 30 --crashes 0 --handoffs 3 --nic-log-apply
 "$BUILD_DIR"/tools/chaos_runner --seed 342 --crashes 1 --handoffs 2
+
+# The closed-loop runner under the sanitizers: aborted attempts hand their
+# request back and retry from it, a traced run Discards each aborted
+# attempt's id, and both coordinators' outcome reports stay parked until
+# their callback runs. YCSB on Xenic with --txn-attrib, and on DrTM+H.
+# Output goes to a scratch directory: xenicsim writes its report there.
+tools_dir=$(cd "$BUILD_DIR"/tools && pwd)
+run_dir=$(mktemp -d)
+(cd "$run_dir" &&
+  "$tools_dir"/xenicsim --workload ycsb --txn-attrib --measure-us 300 >/dev/null &&
+  "$tools_dir"/xenicsim --system drtmh --workload ycsb --measure-us 300 >/dev/null)
+rm -rf "$run_dir"
 
 echo "sanitized run OK"
