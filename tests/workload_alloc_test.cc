@@ -81,10 +81,10 @@ TEST(WorkloadAllocTest, TpccNewOrderBuildsOnlyItsRequest) {
 // Runs `wl` on a three-node Xenic cluster through harness::RunWorkload: a
 // one-context low-load run first, as perfbench runs it, then a loaded run
 // of `contexts` per node whose result goes to `*loaded`; both measure for
-// `measure` after a 100 us warmup. Returns the loaded
-// run's operator new calls per committed transaction, which cover
-// everything perfbench's allocs_per_txn covers: the runner, the builder,
-// the coordinator and servers, the commit log and the written values.
+// `measure` after a 100 us warmup. Returns the loaded run's operator new
+// calls per committed transaction, which cover everything perfbench's
+// allocs_per_txn covers: the runner, the builder, the coordinator and
+// servers, the commit log and the written values.
 double LoadedRunAllocsPerCommit(workload::Workload& wl, uint32_t contexts, sim::Tick measure,
                                 uint64_t seed, harness::RunResult* loaded) {
   harness::SystemConfig sc;
@@ -112,9 +112,8 @@ TEST(WorkloadAllocTest, XenicRetwisRunAllocationsPerCommit) {
   // attempt copies a request or spills a closure; the commit log is a ring
   // and the applied-record index a flat table. What remains is the
   // builder's key sets, the written values and the structures that grow
-  // with the run. Measured: 8.56 (14.87 while the runner copied the
-  // request per attempt and the index was a std::set); the bound leaves
-  // about 10%.
+  // with the run. Measured: 8.56, against 14.87 before retries stopped
+  // allocating; the bound leaves about 10%.
   workload::Retwis::Options wo;
   wo.num_nodes = 3;
   wo.keys_per_node = 20000;
@@ -131,8 +130,8 @@ TEST(WorkloadAllocTest, XenicYcsbHotRunAllocationsPerCommit) {
   // two contexts per node, where about a quarter of the attempts abort and
   // retry. A retry moves the handed-back request into its Submit, and its
   // commit callback and backoff event capture only the run and a context
-  // index, so retries add no allocation. Measured: 5.02 (15.81 while the
-  // runner copied the request per attempt); the bound leaves about 10%.
+  // index, so retries add no allocation. Measured: 5.02, against 15.81
+  // before retries stopped allocating; the bound leaves about 10%.
   workload::Ycsb::Options wo;
   wo.num_nodes = 3;
   wo.keys_per_node = 500;
