@@ -306,11 +306,12 @@ TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
   // ring whose slots are reused. The TxnState comes from the node's pool
   // with its key sets, locked-shard list and ack set, and its index entry
   // reuses a recycled map node; the outcome report is parked in a
-  // node-owned slot and the reported commit is a bit. No value is copied: reads, LOG and
-  // COMMIT records and the pending index share the blocks. Each LOG record
-  // and COMMIT write set is built in its request slot, and the slot gets a
-  // reclaimed record's buffer back when the server takes the writes; the
-  // pending index holds each write in a slot of its flat table.
+  // node-owned slot and the reported commit is a bit. No value is copied:
+  // reads, LOG and COMMIT records and the pending index share the blocks.
+  // Each LOG record and COMMIT write set is built in its request slot, and
+  // the slot gets a reclaimed record's buffer back when the server takes
+  // the writes; the pending index holds each write in a slot of its flat
+  // table.
   XenicFixture f(XenicOptions(3, 2));
   const txn::TxnRequest req = TwoShardReadWrite(f);
   EXPECT_LE(f.Allocs(req), 2u);
@@ -490,8 +491,8 @@ TEST(HotPathAllocTest, DrtmRTwoShardReadWriteTxnAllocationBudget) {
 
 TEST(HotPathAllocTest, WarmAppliedIndexNoteAllocatesNothing) {
   // The index is a flat table that doubles at half full: 1,500 notes size
-  // it to 4,096 slots, so the next 500 -- new records, repeats and several
-  // shards of one transaction -- land in free slots of the same array.
+  // it to 4,096 slots, so the next 750 -- two shards of each of 250
+  // transactions and a repeat of each -- land in the same array.
   store::Datastore ds({store::TableSpec{0, "t", 8, 16, 8, 8}}, store::NicIndex::Options{});
   for (store::TxnId t = 1; t <= 1500; ++t) {
     ds.NoteLogApplied(store::MakeTxnId(t % 3, t), static_cast<store::NodeId>(t % 3), 1);
