@@ -3,15 +3,45 @@
 // NICs), VALIDATE (version checks), or LOG (backup replication)? Measured
 // at the coordinator NIC for Smallbank (small objects, 1-2 shards) and the
 // TPC-C new-order pattern (many shards, large stock rows), at low and high
-// load.
+// load, from the phase spans each coordinator emits on its trace lane.
+
+#include <map>
 
 #include "bench/bench_common.h"
 #include "src/workload/smallbank.h"
 #include "src/workload/tpcc.h"
 
+namespace {
+
+using namespace xenic;
+
+// A trace sink that keeps one duration histogram per span name on the
+// engine's `txn_phases` lanes (EXECUTE, VALIDATE, LOG, and `txn` for the
+// whole distributed transaction) and drops everything else.
+class PhaseSpans : public sim::TraceSink {
+ public:
+  uint32_t RegisterTrack(const std::string& process, const std::string& /*track*/) override {
+    phase_lane_.push_back(process == "txn_phases");
+    return static_cast<uint32_t>(phase_lane_.size() - 1);
+  }
+  void Span(uint32_t track, const char* name, sim::Tick start, sim::Tick end,
+            uint64_t /*id*/) override {
+    if (phase_lane_[track]) {
+      by_name_[name].Record(end - start);
+    }
+  }
+  void Instant(uint32_t, const char*, sim::Tick, uint64_t) override {}
+
+  const Histogram& operator[](const std::string& name) { return by_name_[name]; }
+
+ private:
+  std::vector<bool> phase_lane_;
+  std::map<std::string, Histogram> by_name_;
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  using namespace xenic;
   // A serial bench: --jobs is accepted for uniformity with the sweeps.
   bench::ParseBenchFlags(argc, argv, harness::kFlagJobs);
   const uint32_t nodes = 6;
@@ -26,8 +56,8 @@ int main(int argc, char** argv) {
   };
   for (const Case& c : {Case{"Smallbank", false, 2}, Case{"Smallbank", false, 96},
                         Case{"TPC-C NO", true, 2}, Case{"TPC-C NO", true, 96}}) {
-    // Build the cluster directly so the per-node phase histograms are
-    // reachable.
+    // Build the cluster directly so the phase sink can attach after
+    // warmup.
     std::unique_ptr<workload::Workload> wl;
     if (c.tpcc) {
       workload::Tpcc::Options wo;
@@ -77,27 +107,21 @@ int main(int argc, char** argv) {
       }
     }
     cluster.engine().RunFor(150 * sim::kNsPerUs);
-    for (uint32_t n = 0; n < nodes; ++n) {
-      cluster.node(n).phases() = txn::XenicNode::PhaseBreakdown{};
-    }
+    PhaseSpans spans;
+    cluster.engine().set_trace(&spans);
     cluster.engine().RunFor(800 * sim::kNsPerUs);
     stopped = true;
     cluster.StopWorkers();
+    // Transactions that commit during the drain count too.
     cluster.engine().RunFor(100 * sim::kNsPerUs);
+    cluster.engine().set_trace(nullptr);
 
-    txn::XenicNode::PhaseBreakdown agg;
-    for (uint32_t n = 0; n < nodes; ++n) {
-      agg.execute.Merge(cluster.node(n).phases().execute);
-      agg.validate.Merge(cluster.node(n).phases().validate);
-      agg.log.Merge(cluster.node(n).phases().log);
-      agg.total.Merge(cluster.node(n).phases().total);
-    }
     tp.AddRow({c.label, c.contexts <= 2 ? "low" : "high",
-               TablePrinter::Fmt(agg.execute.Mean() / 1e3, 1),
-               TablePrinter::Fmt(agg.validate.Mean() / 1e3, 1),
-               TablePrinter::Fmt(agg.log.Mean() / 1e3, 1),
-               TablePrinter::Fmt(agg.total.Mean() / 1e3, 1),
-               TablePrinter::Fmt(agg.total.count())});
+               TablePrinter::Fmt(spans["EXECUTE"].Mean() / 1e3, 1),
+               TablePrinter::Fmt(spans["VALIDATE"].Mean() / 1e3, 1),
+               TablePrinter::Fmt(spans["LOG"].Mean() / 1e3, 1),
+               TablePrinter::Fmt(spans["txn"].Mean() / 1e3, 1),
+               TablePrinter::Fmt(spans["txn"].count())});
     std::fprintf(stderr, "  %s load=%u done\n", c.label.c_str(), c.contexts);
   }
   std::printf("%s\n",

@@ -71,6 +71,7 @@ class ChainedStore {
   LookupPlan PlanLookup(Key key) const;
 
   size_t size() const { return size_; }
+  size_t num_buckets() const { return num_buckets_; }  // main buckets
   size_t value_size() const { return value_size_; }
   // Wire size of one object (header + value), for one-sided READ sizing.
   uint32_t object_bytes() const { return 24 + static_cast<uint32_t>(value_size_); }

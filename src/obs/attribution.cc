@@ -4,28 +4,11 @@
 #include <cstdio>
 
 #include "src/common/table_printer.h"
+#include "src/obs/trace_recorder.h"
 
 namespace xenic::obs {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 std::string FmtDouble(double v, int precision) {
   char buf[64];

@@ -4,12 +4,7 @@
 
 namespace xenic::obs {
 
-namespace {
-
-// Minimal JSON string escape: the names we emit are identifiers, but a
-// workload or resource name with a quote/backslash must not corrupt the
-// document.
-std::string Escape(const std::string& s) {
+std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -26,6 +21,8 @@ std::string Escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 // Ticks are integer ns; Chrome trace ts/dur are microseconds. Emit with ns
 // precision (3 decimals) to keep the trace exact.
@@ -92,17 +89,17 @@ std::string TraceRecorder::ToJson() const {
       pid_named[t.pid] = true;
       sep();
       out += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" + std::to_string(t.pid) +
-             ",\"tid\":0,\"args\":{\"name\":\"" + Escape(t.process) + "\"}}";
+             ",\"tid\":0,\"args\":{\"name\":\"" + JsonEscape(t.process) + "\"}}";
     }
     sep();
     out += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" + std::to_string(t.pid) +
-           ",\"tid\":" + std::to_string(t.tid) + ",\"args\":{\"name\":\"" + Escape(t.name) +
+           ",\"tid\":" + std::to_string(t.tid) + ",\"args\":{\"name\":\"" + JsonEscape(t.name) +
            "\"}}";
   }
   for (const Event& e : events_) {
     const Track& t = tracks_[e.track];
     sep();
-    out += "{\"name\":\"" + Escape(names_[e.name_id]) + "\",\"cat\":\"sim\",\"ph\":\"";
+    out += "{\"name\":\"" + JsonEscape(names_[e.name_id]) + "\",\"cat\":\"sim\",\"ph\":\"";
     out += e.instant ? 'i' : 'X';
     out += "\",\"ts\":";
     AppendUs(&out, e.start);

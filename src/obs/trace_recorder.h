@@ -23,6 +23,11 @@
 
 namespace xenic::obs {
 
+// Minimal JSON string escape for the documents src/obs writes: the names
+// are identifiers, but a workload or resource name with a quote or
+// backslash must not corrupt the document.
+std::string JsonEscape(const std::string& s);
+
 class TraceRecorder : public sim::TraceSink {
  public:
   uint32_t RegisterTrack(const std::string& process, const std::string& track) override;

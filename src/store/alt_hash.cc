@@ -105,80 +105,4 @@ std::optional<Seq> HopscotchTable::RemoteLookup(Key key, RemoteLookupStats* stat
   return std::nullopt;
 }
 
-ChainedTable::ChainedTable(const Options& options)
-    : num_buckets_((size_t{1} << options.capacity_log2) / options.bucket_slots),
-      mask_(0),
-      bucket_slots_(options.bucket_slots),
-      object_size_(options.object_size) {
-  // Round bucket count down to a power of two for mask addressing.
-  size_t n = 1;
-  while (n * 2 <= num_buckets_) {
-    n *= 2;
-  }
-  num_buckets_ = n;
-  mask_ = n - 1;
-  buckets_.resize(num_buckets_);
-  for (auto& b : buckets_) {
-    b.slots.resize(bucket_slots_);
-  }
-}
-
-Status ChainedTable::Insert(Key key, Seq seq) {
-  if (Contains(key)) {
-    return Status::AlreadyExists();
-  }
-  // Walk by (is_main, index) so appending to chain_pool_ cannot invalidate
-  // the cursor.
-  bool in_main = true;
-  size_t idx = HomeBucket(key);
-  while (true) {
-    Bucket& b = in_main ? buckets_[idx] : chain_pool_[idx];
-    for (auto& s : b.slots) {
-      if (!s.occupied) {
-        s = Slot{key, seq, true};
-        size_++;
-        return Status::Ok();
-      }
-    }
-    if (b.next < 0) {
-      const auto new_idx = static_cast<int32_t>(chain_pool_.size());
-      chain_pool_.emplace_back();
-      chain_pool_.back().slots.resize(bucket_slots_);
-      chain_pool_.back().slots[0] = Slot{key, seq, true};
-      chained_buckets_++;
-      size_++;
-      // Re-resolve after potential reallocation before linking.
-      Bucket& prev = in_main ? buckets_[idx] : chain_pool_[idx];
-      prev.next = new_idx;
-      return Status::Ok();
-    }
-    in_main = false;
-    idx = static_cast<size_t>(b.next);
-  }
-}
-
-bool ChainedTable::Contains(Key key) const {
-  RemoteLookupStats st;
-  return RemoteLookup(key, &st).has_value();
-}
-
-std::optional<Seq> ChainedTable::RemoteLookup(Key key, RemoteLookupStats* stats) const {
-  const Bucket* b = &buckets_[HomeBucket(key)];
-  while (true) {
-    stats->roundtrips++;
-    stats->objects_read += bucket_slots_;
-    stats->bytes_read += static_cast<uint64_t>(bucket_slots_) * object_size_;
-    for (const auto& s : b->slots) {
-      if (s.occupied && s.key == key) {
-        stats->found = true;
-        return s.seq;
-      }
-    }
-    if (b->next < 0) {
-      return std::nullopt;
-    }
-    b = &chain_pool_[b->next];
-  }
-}
-
 }  // namespace xenic::store

@@ -1,17 +1,14 @@
-// Baseline remote-access hash designs (paper section 4.1.4, Table 2).
+// FaRM's remote-access hash design (paper section 4.1.4, Table 2).
 //
-// * HopscotchTable — FaRM's design: any key lives within a fixed
-//   neighborhood of H slots from its home; a remote lookup reads the H-slot
-//   neighborhood in one roundtrip and falls back to an overflow chain read
-//   (a second roundtrip) when the key spilled.
-// * ChainedTable — DrTM+H's design: a closed array of B-slot buckets with
-//   linked overflow buckets; a remote lookup reads whole buckets along the
-//   chain, one roundtrip per bucket.
-//
-// Both report the same remote-lookup cost receipt as NicIndex so the
-// Table 2 bench compares all designs on equal footing. These tables hold
-// keys and versions only (object payloads are irrelevant to the lookup-cost
-// comparison; byte counts use a configurable object size).
+// HopscotchTable: any key lives within a fixed neighborhood of H slots from
+// its home; a remote lookup reads the H-slot neighborhood in one roundtrip
+// and falls back to an overflow chain read (a second roundtrip) when the
+// key spilled. It reports the same remote-lookup cost receipt as NicIndex
+// so the Table 2 bench compares the designs on equal footing, and holds
+// keys and versions only (object payloads are irrelevant to the
+// lookup-cost comparison; byte counts use a configurable object size).
+// DrTM+H's chained buckets are the baselines' own store,
+// baseline::ChainedStore, whose PlanLookup counts the same roundtrips.
 
 #ifndef SRC_STORE_ALT_HASH_H_
 #define SRC_STORE_ALT_HASH_H_
@@ -73,51 +70,6 @@ class HopscotchTable {
   std::vector<std::vector<Slot>> overflow_;
   size_t size_ = 0;
   size_t overflow_count_ = 0;
-};
-
-// DrTM+H-style chained bucket table.
-class ChainedTable {
- public:
-  struct Options {
-    size_t capacity_log2 = 16;  // total main-bucket slots
-    uint32_t bucket_slots = 4;  // B
-    size_t object_size = 32;
-  };
-
-  explicit ChainedTable(const Options& options);
-
-  Status Insert(Key key, Seq seq = 1);
-  bool Contains(Key key) const;
-
-  // Remote lookup: read B-object buckets along the chain, one roundtrip
-  // per bucket.
-  std::optional<Seq> RemoteLookup(Key key, RemoteLookupStats* stats) const;
-
-  size_t size() const { return size_; }
-  size_t num_buckets() const { return num_buckets_; }
-  size_t chained_buckets() const { return chained_buckets_; }
-
- private:
-  struct Slot {
-    Key key = 0;
-    Seq seq = 0;
-    bool occupied = false;
-  };
-  struct Bucket {
-    std::vector<Slot> slots;
-    int32_t next = -1;  // index into chain_pool_, -1 = end
-  };
-
-  size_t HomeBucket(Key key) const { return HashKey(key) & mask_; }
-
-  size_t num_buckets_;
-  size_t mask_;
-  uint32_t bucket_slots_;
-  size_t object_size_;
-  std::vector<Bucket> buckets_;
-  std::vector<Bucket> chain_pool_;
-  size_t size_ = 0;
-  size_t chained_buckets_ = 0;
 };
 
 }  // namespace xenic::store

@@ -36,7 +36,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/net/transport.h"
 #include "src/nicmodel/smart_nic.h"
 #include "src/repl/log_drain.h"
@@ -79,17 +78,6 @@ class XenicNode {
   void set_worker_apply_hook(repl::LogDrain::ApplyHook hook) {
     drain_.set_apply_hook(std::move(hook));
   }
-
-  // Per-phase latency breakdown for distributed transactions (EXECUTE /
-  // VALIDATE / LOG as seen by the coordinator NIC).
-  struct PhaseBreakdown {
-    Histogram execute;
-    Histogram validate;
-    Histogram log;
-    Histogram total;
-  };
-  const PhaseBreakdown& phases() const { return phases_; }
-  PhaseBreakdown& phases() { return phases_; }
 
   NodeId id() const { return nic_->id(); }
   store::Datastore& datastore() { return *ds_; }
@@ -188,16 +176,15 @@ class XenicNode {
     void Init(TxnId txn, TxnRequest request, CommitCallback callback);
 
     std::vector<NodeId> locked_shards;  // primaries holding our locks
-    bool local_locked = false;          // shipped path: local keys locked
-    bool lock_all = false;              // shipped path: read keys locked too
-    sim::Tick coord_start = 0;          // distributed path: NIC start time
-    sim::Tick phase_start = 0;          // current phase start time
-    bool logs_sent = false;             // LOG fan-out happened
-    uint8_t contention_hint = 0;        // max sketch level across conflicts
-    // 2PL (CcPolicyKind != kOcc): read-set keys are locked at EVERY shard
-    // that acknowledged EXECUTE, so commit/abort must release them there
-    // (under OCC only the local/shipped paths lock reads -- see lock_all).
-    bool cc_read_locks = false;
+    // The read keys are locked too, not only the write keys: at every shard
+    // in locked_shards, and on the shipped path at its executor. Set by
+    // 2PL's EXECUTE, the locked-local path and the shipped path; abort and
+    // COMMIT release the read keys where it is set.
+    bool reads_locked = false;
+    sim::Tick coord_start = 0;    // distributed path: NIC start time
+    sim::Tick phase_start = 0;    // current phase start time
+    bool logs_sent = false;       // LOG fan-out happened
+    uint8_t contention_hint = 0;  // max sketch level across conflicts
     // ClusterMap::version at submit time. 2PL commits fence on it: if the
     // membership changed while we ran, a lock granted by the evicted node
     // is gone and our "stable by construction" reads are not.
@@ -322,13 +309,15 @@ class XenicNode {
   // it once its reads and writes are filled in.
   ExecSlot NewExecRequest(const TxnState& st, NodeId shard, bool lock_only);
   void SendExecute(ExecSlot req);
+  // Every EXECUTE reply, a lock round's included: once the round's last
+  // reply is in, an EXECUTE round goes on to AfterExecuteRound and a lock
+  // round to validation.
   void OnExecuteResp(ExecSlot req);
   void AfterExecuteRound(TxnState* st);
   // Separate lock round used when smart_remote_ops is disabled (the
   // one-op-per-request ablation baseline): one LOCK request per write key,
   // issued after execution completes, DrTM-style.
   void LockRound(TxnState* st);
-  void OnLockResp(ExecSlot req);
   // A lock grant arrived for a transaction that no longer exists (the epoch
   // sweep resolved it while the response was in flight): release the
   // orphaned locks at their shard.
@@ -363,13 +352,26 @@ class XenicNode {
   // Drop `id` from the index and return its state to the pool.
   void EraseState(TxnId id);
   TxnState* FindState(TxnId id);
+  // The state of `id` while it can still make progress here: null once the
+  // transaction finished or this node crashed.
+  TxnState* Live(TxnId id) { return crashed_ ? nullptr : FindState(id); }
 
   // Send `shard`'s LOG record of `st` to each of the shard's live backups,
   // from this node; `coord` built the transaction and collects the acks (it
   // is this node except on the shipped path).
   void SendLogRecords(NodeId coord, const TxnState& st, NodeId shard, uint32_t total_shards);
 
+  // Send request `slot` to `dst`, whose `Serve` handler takes it on
+  // delivery.
+  template <auto Serve, typename Slot>
+  void SendSlot(net::MsgType type, NodeId dst, uint32_t bytes, Slot slot, TxnId txn);
+
   // ---- Server-side handlers (invoked on this node by peers' closures).
+  // The serve step each of them opens with: a crashed node drops the
+  // request; otherwise mark `hop` (if given) on the trace lane, charge the
+  // NIC-core serve cost, and run `step` unless the node crashed meanwhile.
+  template <typename Step>
+  void OnNic(const char* hop, TxnId txn, Step step);
   void ServeExecute(ExecSlot req);
   // EXECUTE's lock step, re-entered after each park.
   void ExecuteAttempt(ExecSlot req, uint32_t parks);
@@ -494,8 +496,13 @@ class XenicNode {
 
   // Emit a txn phase span / instant on this node's trace lane when an
   // engine trace sink is attached (pure recording; no simulation effect).
+  // PhaseLane returns the attached sink (null if none), registering the
+  // lane with a new one; EndPhase closes the distributed path's current
+  // phase `name` now and starts the next.
+  sim::TraceSink* PhaseLane();
   void TracePhase(const char* name, sim::Tick start, sim::Tick end, TxnId id);
   void TraceInstant(const char* name, TxnId id);
+  void EndPhase(TxnState* st, const char* name);
 
   nicmodel::SmartNic* nic_;
   store::Datastore* ds_;
@@ -562,7 +569,6 @@ class XenicNode {
   // graph acyclic).
   KeyWaitQueue waiters_;
   net::Transport transport_;
-  PhaseBreakdown phases_;
   bool crashed_ = false;
   // Cached trace registration (lazily refreshed when a new sink appears).
   sim::TraceSink* trace_sink_ = nullptr;

@@ -72,80 +72,5 @@ TEST(HopscotchTest, MissingKeyCounted) {
   EXPECT_EQ(s.roundtrips, 1u);
 }
 
-TEST(ChainedTest, InsertLookup) {
-  ChainedTable t({.capacity_log2 = 10, .bucket_slots = 4});
-  ASSERT_TRUE(t.Insert(42, 5).ok());
-  RemoteLookupStats s;
-  auto r = t.RemoteLookup(42, &s);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(*r, 5u);
-  EXPECT_EQ(s.roundtrips, 1u);
-  EXPECT_EQ(s.objects_read, 4u);
-}
-
-TEST(ChainedTest, DuplicateRejected) {
-  ChainedTable t({.capacity_log2 = 8});
-  ASSERT_TRUE(t.Insert(1).ok());
-  EXPECT_EQ(t.Insert(1).code(), StatusCode::kAlreadyExists);
-}
-
-TEST(ChainedTest, ChainsGrowAndStayFindable) {
-  ChainedTable t({.capacity_log2 = 12, .bucket_slots = 4});
-  Rng rng(3);
-  std::vector<Key> keys;
-  const size_t n = static_cast<size_t>(0.9 * (t.num_buckets() * 4));
-  for (size_t i = 0; i < n; ++i) {
-    const Key k = rng.Next();
-    ASSERT_TRUE(t.Insert(k).ok());
-    keys.push_back(k);
-  }
-  EXPECT_GT(t.chained_buckets(), 0u);
-  uint64_t rt = 0;
-  uint64_t objs = 0;
-  for (Key k : keys) {
-    RemoteLookupStats s;
-    ASSERT_TRUE(t.RemoteLookup(k, &s).has_value());
-    rt += s.roundtrips;
-    objs += s.objects_read;
-  }
-  const double mean_rt = static_cast<double>(rt) / keys.size();
-  const double mean_objs = static_cast<double>(objs) / keys.size();
-  // Paper Table 2 (B=4): 4.65 objects, 1.16 roundtrips at 90% occupancy.
-  EXPECT_GT(mean_rt, 1.05);
-  EXPECT_LT(mean_rt, 1.35);
-  EXPECT_GT(mean_objs, 4.0);
-  EXPECT_LT(mean_objs, 6.0);
-}
-
-TEST(ChainedTest, LargerBucketsFewerRoundtripsMoreObjects) {
-  Rng rng(4);
-  std::vector<Key> keys;
-  for (int i = 0; i < 14745; ++i) {  // 90% of 2^14 slots
-    keys.push_back(rng.Next());
-  }
-  double rt[2];
-  double objs[2];
-  int idx = 0;
-  for (uint32_t b : {4u, 16u}) {
-    ChainedTable t({.capacity_log2 = 14, .bucket_slots = b});
-    for (Key k : keys) {
-      ASSERT_TRUE(t.Insert(k).ok());
-    }
-    uint64_t total_rt = 0;
-    uint64_t total_objs = 0;
-    for (Key k : keys) {
-      RemoteLookupStats s;
-      ASSERT_TRUE(t.RemoteLookup(k, &s).has_value());
-      total_rt += s.roundtrips;
-      total_objs += s.objects_read;
-    }
-    rt[idx] = static_cast<double>(total_rt) / keys.size();
-    objs[idx] = static_cast<double>(total_objs) / keys.size();
-    idx++;
-  }
-  EXPECT_GT(rt[0], rt[1]);      // B=16 needs fewer roundtrips
-  EXPECT_LT(objs[0], objs[1]);  // ...but reads more objects
-}
-
 }  // namespace
 }  // namespace xenic::store

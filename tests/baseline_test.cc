@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/baseline/baseline_cluster.h"
 #include "src/common/rng.h"
 
@@ -312,6 +314,77 @@ TEST(ChainedStoreTest, PlanLookupCountsChainHops) {
     saw_multi |= plan.roundtrips > 1;
   }
   EXPECT_TRUE(saw_multi);
+}
+
+// The lookup cost Table 2 reports for DrTM+H: a one-sided traversal reads
+// whole B-object buckets, one roundtrip each.
+TEST(ChainedStoreTest, InsertLookup) {
+  ChainedStore s({.capacity_log2 = 10, .bucket_slots = 4, .value_size = 8});
+  ASSERT_TRUE(s.Insert(42, Value(8, 1), 5).ok());
+  EXPECT_EQ(s.Lookup(42)->seq, 5u);
+  const auto plan = s.PlanLookup(42);
+  EXPECT_TRUE(plan.found);
+  EXPECT_EQ(plan.roundtrips, 1u);
+  EXPECT_EQ(plan.bytes, 4u * s.object_bytes());
+}
+
+TEST(ChainedStoreTest, DuplicateRejected) {
+  ChainedStore s({.capacity_log2 = 8, .value_size = 8});
+  ASSERT_TRUE(s.Insert(1, Value(8, 1)).ok());
+  EXPECT_EQ(s.Insert(1, Value(8, 1)).code(), StatusCode::kAlreadyExists);
+}
+
+TEST(ChainedStoreTest, ChainsGrowAndStayFindable) {
+  ChainedStore s({.capacity_log2 = 12, .bucket_slots = 4, .value_size = 8});
+  Rng rng(3);
+  std::vector<store::Key> keys;
+  const size_t n = static_cast<size_t>(0.9 * (s.num_buckets() * 4));
+  for (size_t i = 0; i < n; ++i) {
+    const store::Key k = rng.Next();
+    ASSERT_TRUE(s.Insert(k, Value()).ok());
+    keys.push_back(k);
+  }
+  uint64_t rt = 0;
+  uint32_t longest = 0;
+  for (store::Key k : keys) {
+    const auto plan = s.PlanLookup(k);
+    ASSERT_TRUE(plan.found);
+    rt += plan.roundtrips;
+    longest = std::max(longest, plan.roundtrips);
+  }
+  EXPECT_GT(longest, 1u);  // some buckets chained
+  // Paper Table 2 (B=4): 4.65 objects, 1.16 roundtrips at 90% occupancy.
+  const double mean_rt = static_cast<double>(rt) / keys.size();
+  EXPECT_GT(mean_rt, 1.05);
+  EXPECT_LT(mean_rt, 1.35);
+}
+
+TEST(ChainedStoreTest, LargerBucketsFewerRoundtripsMoreObjects) {
+  Rng rng(4);
+  std::vector<store::Key> keys;
+  for (int i = 0; i < 14745; ++i) {  // 90% of 2^14 slots
+    keys.push_back(rng.Next());
+  }
+  double rt[2];
+  double objs[2];
+  int idx = 0;
+  for (uint32_t b : {4u, 16u}) {
+    ChainedStore s({.capacity_log2 = 14, .bucket_slots = b, .value_size = 8});
+    for (store::Key k : keys) {
+      ASSERT_TRUE(s.Insert(k, Value()).ok());
+    }
+    uint64_t total_rt = 0;
+    for (store::Key k : keys) {
+      const auto plan = s.PlanLookup(k);
+      ASSERT_TRUE(plan.found);
+      total_rt += plan.roundtrips;
+    }
+    rt[idx] = static_cast<double>(total_rt) / keys.size();
+    objs[idx] = rt[idx] * b;
+    idx++;
+  }
+  EXPECT_GT(rt[0], rt[1]);      // B=16 needs fewer roundtrips
+  EXPECT_LT(objs[0], objs[1]);  // ...but reads more objects
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 // NicOpCost(0) -- the base cost, with no per-key term. The VALIDATE, LOG,
 // COMMIT and RELEASE handlers had the same shape (`checks`, `record`,
 // `writes`, `keys`). Every golden transcript encodes that timing, so the
-// cost is now written as an explicit NicOpCost(0) in ServeExecute,
-// ServeShipExec, ServeValidate, ServeLog, ServeCommit and ServeRelease.
+// cost is now one named constant, kServeCost (the base cost), charged by
+// the serve step every XenicNode handler opens with and by ServeShipExec.
 // These tests fail if anyone "fixes" it back: a remote request must cost
 // the serving NIC the same core time whether it carries one key or six.
 
@@ -68,7 +68,7 @@ TEST(ServeExecuteCostTest, RemoteExecuteChargesBaseCostOnly) {
   const sim::Tick one = RemoteBusyFor(1);
   const sim::Tick six = RemoteBusyFor(6);
   // Combined ops let a single-shard read-only txn commit inside its one
-  // EXECUTE round, so the remote NIC busy time (the handler's NicOpCost(0)
+  // EXECUTE round, so the remote NIC busy time (the handler's kServeCost
   // plus fixed receive/reply costs, none key-dependent) must be identical:
   // a per-key term in the handler would separate the two by 5 * kNicKeyCost.
   EXPECT_EQ(one, six);

@@ -1,10 +1,14 @@
 // Path-level tests of the Xenic engine: message/hop accounting for the
 // multi-hop optimization, local-to-distributed escalation, locked-read
-// aborts, the no-smart-ops lock round, and read-your-log freshness of the
-// local fast path.
+// aborts, the no-smart-ops lock round, read-your-log freshness of the
+// local fast path, and the coordinator's phase spans.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "src/sim/trace.h"
 #include "src/txn/xenic_cluster.h"
 
 namespace xenic::txn {
@@ -216,6 +220,100 @@ TEST(XenicPathsTest, LocalPathReadsYourLog) {
   EXPECT_EQ(committed, 5);
   EXPECT_EQ(GetI64(c.datastore(0).table(kBank).Lookup(a)->value, 0), 50);
   EXPECT_EQ(GetI64(c.datastore(0).table(kBank).Lookup(b)->value, 0), 50);
+}
+
+// Records the spans on the engines' `txn_phases` lanes.
+class PhaseLaneSink : public sim::TraceSink {
+ public:
+  struct Phase {
+    std::string lane;
+    std::string name;
+    sim::Tick start;
+    sim::Tick end;
+    uint64_t id;
+  };
+
+  uint32_t RegisterTrack(const std::string& process, const std::string& track) override {
+    lanes_.push_back(process == "txn_phases" ? track : "");
+    return static_cast<uint32_t>(lanes_.size() - 1);
+  }
+  void Span(uint32_t track, const char* name, sim::Tick start, sim::Tick end,
+            uint64_t id) override {
+    if (!lanes_[track].empty()) {
+      spans.push_back({lanes_[track], name, start, end, id});
+    }
+  }
+  void Instant(uint32_t, const char*, sim::Tick, uint64_t) override {}
+
+  std::vector<Phase> spans;
+
+ private:
+  std::vector<std::string> lanes_;  // "" for lanes of other processes
+};
+
+// The phase spans are the record of where a distributed transaction's time
+// went (bench_ext_phases reads nothing else): on its coordinator's lane,
+// one span per phase, back to back, inside the transaction's own span. A
+// local fast-path transaction emits none.
+TEST(XenicPathsTest, DistributedTxnEmitsOneSpanPerPhase) {
+  HashPartitioner part(3);
+  XenicCluster c(Opts(), &part);
+  const store::Key l1 = KeyOn(c, 0);
+  const store::Key l2 = KeyOn(c, 0, 1);
+  const store::Key a = KeyOn(c, 1);
+  const store::Key r = KeyOn(c, 1, 1);
+  const store::Key b = KeyOn(c, 2);
+  for (store::Key k : {l1, l2, a, r, b}) {
+    c.LoadReplicated(kBank, k, Balance(100));
+  }
+  c.StartWorkers();
+  PhaseLaneSink sink;
+  c.engine().set_trace(&sink);
+
+  bool local_done = false;
+  c.node(0).Submit(Transfer(l1, l2, 5), [&](TxnOutcome out) {
+    EXPECT_EQ(out, TxnOutcome::kCommitted);
+    local_done = true;
+  });
+  for (int i = 0; i < 1000 && !local_done; ++i) {
+    c.engine().RunFor(10 * sim::kNsPerUs);
+  }
+  ASSERT_TRUE(local_done);
+  c.engine().RunFor(100 * sim::kNsPerUs);
+  EXPECT_EQ(c.node(0).stats().local_fastpath, 1u);
+  EXPECT_TRUE(sink.spans.empty());
+
+  // Two remote shards (not shippable), and a read-only key for VALIDATE to
+  // check.
+  TxnRequest req = Transfer(a, b, 5);
+  req.reads.push_back({kBank, r});
+  bool done = false;
+  const TxnId id = c.node(0).Submit(std::move(req), [&](TxnOutcome out) {
+    EXPECT_EQ(out, TxnOutcome::kCommitted);
+    done = true;
+  });
+  RunToDone(c, &done);
+  c.engine().set_trace(nullptr);
+
+  std::map<std::string, PhaseLaneSink::Phase> phases;
+  for (const auto& span : sink.spans) {
+    EXPECT_EQ(span.lane, "n0") << span.name;
+    EXPECT_EQ(span.id, id) << span.name;
+    EXPECT_TRUE(phases.emplace(span.name, span).second) << "second " << span.name << " span";
+  }
+  ASSERT_EQ(phases.size(), 4u);
+  const auto& execute = phases.at("EXECUTE");
+  const auto& validate = phases.at("VALIDATE");
+  const auto& log = phases.at("LOG");
+  const auto& txn = phases.at("txn");
+  EXPECT_EQ(execute.start, txn.start);
+  EXPECT_EQ(validate.start, execute.end);
+  EXPECT_EQ(log.start, validate.end);
+  EXPECT_EQ(log.end, txn.end);
+  // Each phase here is a real round trip.
+  for (const auto* phase : {&execute, &validate, &log}) {
+    EXPECT_LT(phase->start, phase->end) << phase->name;
+  }
 }
 
 }  // namespace

@@ -69,6 +69,17 @@ if [[ -n "$hits" ]]; then
   echo "$hits" >&2
   fail=1
 fi
+
+# One serve cost: every NIC handler of XenicNode charges the one pinned
+# serve constant through its serve step (DESIGN.md §12), so a handler that
+# spells out its own NicOpCost(0) is a copy of that step.
+hits=$(grep -n "NicOpCost(0)" src/txn/xenic_node.cc 2>/dev/null || true)
+if [[ -n "$hits" ]]; then
+  echo "FAIL: XenicNode handler charging NicOpCost(0) (use OnNic and kServeCost):" >&2
+  echo "$hits" >&2
+  fail=1
+fi
+
 for msg in log_commit lease_handoff; do
   if ! grep -q "\"$msg\"" src/net/transport.cc; then
     echo "FAIL: MsgType selector \"$msg\" missing from ParseMsgSelector" >&2

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Builds the tree with AddressSanitizer + UndefinedBehaviorSanitizer and runs
 # the tier-1 test suite plus a few short chaos schedules under it: one on
-# Xenic, one on each baseline mode, the two lock-wait schedules, and two
-# failover schedules; then two short closed-loop xenicsim runs. The chaos
-# harness stresses exactly the paths sanitizers are good at catching -- crash
-# teardown, log reclamation, NIC-index eviction, routing moves -- so seeds
-# run here even though the full chaos matrix would be too slow when
-# instrumented.
+# Xenic, one on each baseline mode, the lock-wait schedules of each 2PL
+# policy and of OCC's hot keys, and two failover schedules; then two short
+# closed-loop xenicsim runs. The chaos harness stresses exactly the paths
+# sanitizers are good at catching -- crash teardown, log reclamation,
+# NIC-index eviction, routing moves -- so seeds run here even though the
+# full chaos matrix would be too slow when instrumented.
 #
 # Usage: tools/run_sanitized_tests.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -37,8 +37,12 @@ done
 # The two wait-schedule goldens' commands: WOUND_WAIT's age-ordered waits
 # and wounds, and OCC's hot-key parks with cwnd retries and adaptive DMA.
 # Both park waiters and ship executions that outlive their transaction's
-# pooled coordinator state.
+# pooled coordinator state. NO_WAIT and WAIT_DIE run the same seed: a 2PL
+# transaction's read-lock flag decides which keys its aborts and commits
+# release, and each policy reaches those releases by its own conflicts.
 "$BUILD_DIR"/tools/chaos_runner --seed 5 --cc woundwait
+"$BUILD_DIR"/tools/chaos_runner --seed 5 --cc nowait
+"$BUILD_DIR"/tools/chaos_runner --seed 5 --cc waitdie
 "$BUILD_DIR"/tools/chaos_runner --seed 6 --retry-policy cwnd --hot-key-path --adaptive-dma
 
 # Planned handoffs under the sanitizers (ctest above skips the chaos label,
