@@ -49,15 +49,36 @@ Value OrderRow(uint64_t c, uint64_t ol_cnt, bool delivered) {
   return v;
 }
 
-// ORDER-LINE b+tree value: [0] item, [8] supply warehouse, [16] quantity,
-// [24] amount.
-Value OrderLineRow(uint64_t item, uint64_t supply, uint64_t qty, int64_t amount) {
-  Value v(32, 0);
-  PutU64(v, 0, item);
-  PutU64(v, 8, supply);
-  PutU64(v, 16, qty);
-  PutI64(v, 24, amount);
-  return v;
+// Order pack: [0] dkey, [8] c, [16] ol_cnt, then line l (1-based) at
+// PackLine(l): [0] item, [8] supply warehouse, [16] quantity, [24] amount.
+// The new-order builder and Load write one per order; it is the LOG
+// record's value and, shared, every node's ORDER-LINE entry.
+constexpr size_t PackLine(uint64_t l) { return 24 + 32 * (l - 1); }
+
+Value OrderPack(uint64_t dkey, uint64_t c, uint64_t ol_cnt) {
+  Value pack(24 + 32 * ol_cnt, 0);
+  PutU64(pack, 0, dkey);
+  PutU64(pack, 8, c);
+  PutU64(pack, 16, ol_cnt);
+  return pack;
+}
+
+void PutOrderLine(Value& pack, uint64_t l, uint64_t item, uint64_t supply, uint64_t qty,
+                  int64_t amount) {
+  const size_t row = PackLine(l);
+  PutU64(pack, row, item);
+  PutU64(pack, row + 8, supply);
+  PutU64(pack, row + 16, qty);
+  PutI64(pack, row + 24, amount);
+}
+
+// The sum of an order's line amounts.
+int64_t OrderTotal(const Value& pack) {
+  int64_t total = 0;
+  for (uint64_t l = 1; l <= GetU64(pack, 16); ++l) {
+    total += GetI64(pack, PackLine(l) + 24);
+  }
+  return total;
 }
 
 // A new-order line: the item, its supplying warehouse and the quantity.
@@ -98,7 +119,8 @@ store::NodeId Tpcc::TpccPartitioner::PrimaryOf(TableId table, Key key) const {
 Tpcc::Tpcc(const Options& options)
     : options_(options),
       total_warehouses_(options.num_nodes * options.warehouses_per_node),
-      part_(this) {
+      part_(this),
+      new_order_row_(8, 0) {
   for (uint32_t n = 0; n < options.num_nodes; ++n) {
     locals_.push_back(std::make_unique<LocalState>());
   }
@@ -140,12 +162,10 @@ void Tpcc::Load(const LoadFn& load) {
   const Value warehouse = WarehouseRow();
   const Value district = DistrictRow(init_orders + 1);
   const Value customer = CustomerRow(0);
-  const Value new_order(8, 0);
   std::vector<Value> stock;  // indexed by initial quantity, 10..100
   for (int64_t q = 0; q <= 100; ++q) {
     stock.push_back(StockRow(q));
   }
-  std::vector<Value> line_rows;
   for (uint64_t w = 1; w <= total_warehouses_; ++w) {
     load(kWarehouse, WKey(w), warehouse);
     for (uint64_t item = 1; item <= options_.items; ++item) {
@@ -170,22 +190,21 @@ void Tpcc::Load(const LoadFn& load) {
         const uint64_t c = 1 + rng.NextBounded(options_.customers_per_district);
         const uint64_t ol_cnt = 5 + rng.NextBounded(6);
         const bool undelivered = o > init_orders * 7 / 10;
-        // Each order's rows are built once and every node's copy shares them.
+        // Each order's row and pack are built once and every node's copy
+        // shares them.
         const Value order = OrderRow(c, ol_cnt, !undelivered);
-        line_rows.clear();
+        Value pack = OrderPack(dkey, c, ol_cnt);
         for (uint64_t l = 1; l <= ol_cnt; ++l) {
           const uint64_t item = 1 + rng.NextBounded(options_.items);
-          line_rows.push_back(OrderLineRow(item, w, 5, item_price_[item] * 5));
+          PutOrderLine(pack, l, item, w, 5, item_price_[item] * 5);
         }
         for (uint32_t n = 0; n < options_.num_nodes; ++n) {
           LocalState& ls = *locals_[n];
           ls.orders.Put(OrderKey(dkey, o), order);
           if (undelivered) {
-            ls.new_orders.Put(OrderKey(dkey, o), new_order);
+            ls.new_orders.Put(OrderKey(dkey, o), new_order_row_);
           }
-          for (uint64_t l = 1; l <= ol_cnt; ++l) {
-            ls.order_lines.Put(OlKey(dkey, o, l), line_rows[l - 1]);
-          }
+          ls.order_lines.Put(OrderKey(dkey, o), pack);
         }
       }
     }
@@ -258,22 +277,15 @@ TxnRequest Tpcc::BuildNewOrder(NodeId coordinator, Rng& rng) {
   req.reads.push_back({kDistrict, dkey});
   req.reads.push_back({kCustomer, CKey(w, d, c)});
   req.writes.push_back({kDistrict, dkey});
-  // Local B+tree work: ORDER / NEW-ORDER / ORDER-LINE rows, replicated to
-  // backups via a compact logical record: [0] dkey, [8] c, [16] ol_cnt,
-  // then per line a 32 B OrderLineRow-shaped block.
-  Value pack(24 + 32 * lines.n, 0);
-  PutU64(pack, 0, dkey);
-  PutU64(pack, 8, c);
-  PutU64(pack, 16, lines.n);
+  // Local B+tree work: ORDER / NEW-ORDER / ORDER-LINE entries, replicated
+  // to backups via a compact logical record, the order pack.
+  Value pack = OrderPack(dkey, c, lines.n);
   for (size_t i = 0; i < lines.n; ++i) {
     const NewOrderLine& l = lines.at[i];
     req.reads.push_back({kStock, SKey(l.supply, l.item)});
     req.writes.push_back({kStock, SKey(l.supply, l.item)});
-    const size_t row = 24 + 32 * i;
-    PutU64(pack, row, l.item);
-    PutU64(pack, row + 8, l.supply);
-    PutU64(pack, row + 16, l.qty);
-    PutI64(pack, row + 24, item_price_[l.item] * static_cast<int64_t>(l.qty));
+    PutOrderLine(pack, i + 1, l.item, l.supply, l.qty,
+                 item_price_[l.item] * static_cast<int64_t>(l.qty));
   }
 
   const uint64_t home_w = w;
@@ -309,7 +321,7 @@ TxnRequest Tpcc::BuildNewOrder(NodeId coordinator, Rng& rng) {
   req.local_log_writes.push_back(store::LogWrite{kOrderPack, dkey, 0, pack, false});
   req.host_finish_cost = 3000 + 700 * static_cast<sim::Tick>(lines.n);
   LocalState* ls = locals_[coordinator].get();
-  req.host_finish = [ls, pack = std::move(pack)] { ApplyOrderPack(*ls, pack); };
+  req.host_finish = [this, ls, pack = std::move(pack)] { ApplyOrderPack(*ls, pack); };
   return req;
 }
 
@@ -385,14 +397,9 @@ TxnRequest Tpcc::BuildOrderStatus(NodeId coordinator, Rng& rng) {
     while (cur && (cur->first >> 32) == dkey && scanned < 100) {
       if (GetU64(cur->second, 0) == c) {
         // Read its order lines.
-        const uint64_t o = cur->first & 0xFFFFFFFFull;
-        const uint64_t cnt = GetU64(cur->second, 8);
         int64_t total = 0;
-        for (uint64_t l = 1; l <= cnt; ++l) {
-          auto ol = ls->order_lines.Get(OlKey(dkey, o, l));
-          if (ol) {
-            total += GetI64(*ol, 24);
-          }
+        if (auto pack = ls->order_lines.Get(cur->first)) {
+          total = OrderTotal(*pack);
         }
         (void)total;
         break;
@@ -433,16 +440,9 @@ TxnRequest Tpcc::BuildDelivery(NodeId coordinator, Rng& rng) {
         return;
       }
       const uint64_t c = GetU64(*order, 0);
-      const uint64_t cnt = GetU64(*order, 8);
-      int64_t total = 0;
-      for (uint64_t l = 1; l <= cnt; ++l) {
-        auto ol = ls->order_lines.Get(OlKey(dkey, o, l));
-        if (ol) {
-          total += GetI64(*ol, 24);
-        }
-      }
+      auto pack = ls->order_lines.Get(OrderKey(dkey, o));
       scratch->first = o;
-      scratch->second = total;
+      scratch->second = pack ? OrderTotal(*pack) : 0;
       er.add_reads->push_back({kCustomer, CKey(wq, dq, c)});
       er.add_writes->push_back({kCustomer, CKey(wq, dq, c)});
       return;
@@ -471,18 +471,24 @@ TxnRequest Tpcc::BuildStockLevel(NodeId coordinator, Rng& rng) {
   const uint64_t dkey = DKey(w, d);
   LocalState* ls = locals_[coordinator].get();
 
-  // Collect distinct items from the last 20 orders' order lines (request
-  // build happens on the coordinator host, which owns these B+trees).
+  // Collect distinct items from the last 20 orders' order lines, in order
+  // and line order (request build happens on the coordinator host, which
+  // owns these B+trees).
   const uint64_t next_o = ls->next_o.count(dkey) != 0 ? ls->next_o[dkey] : 1;
   const uint64_t from_o = next_o > 20 ? next_o - 20 : 1;
   std::vector<uint64_t> items;
-  ls->order_lines.Scan(OlKey(dkey, from_o, 0), OlKey(dkey, next_o, 0),
-                       [&](store::Key, const Value& v) {
-                         const uint64_t item = GetU64(v, 0);
-                         if (std::find(items.begin(), items.end(), item) == items.end()) {
-                           items.push_back(item);
+  ls->order_lines.Scan(OrderKey(dkey, from_o), OrderKey(dkey, next_o) - 1,
+                       [&](store::Key, const Value& pack) {
+                         for (uint64_t l = 1; l <= GetU64(pack, 16); ++l) {
+                           const uint64_t item = GetU64(pack, PackLine(l));
+                           if (std::find(items.begin(), items.end(), item) == items.end()) {
+                             items.push_back(item);
+                           }
+                           if (items.size() >= 20) {
+                             return false;
+                           }
                          }
-                         return items.size() < 20;
+                         return true;
                        });
 
   TxnRequest req;
@@ -506,18 +512,12 @@ TxnRequest Tpcc::BuildStockLevel(NodeId coordinator, Rng& rng) {
   return req;
 }
 
-void Tpcc::ApplyOrderPack(LocalState& ls, const Value& pack) {
+void Tpcc::ApplyOrderPack(LocalState& ls, const Value& pack) const {
   const uint64_t dkey = GetU64(pack, 0);
-  const uint64_t c = GetU64(pack, 8);
-  const uint64_t cnt = GetU64(pack, 16);
   const uint64_t o = ls.next_o[dkey]++;
-  ls.orders.Put(OrderKey(dkey, o), OrderRow(c, cnt, false));
-  ls.new_orders.Put(OrderKey(dkey, o), Value(8, 0));
-  for (uint64_t l = 1; l <= cnt; ++l) {
-    Value row(pack.begin() + static_cast<ptrdiff_t>(24 + 32 * (l - 1)),
-              pack.begin() + static_cast<ptrdiff_t>(24 + 32 * l));
-    ls.order_lines.Put(OlKey(dkey, o, l), std::move(row));
-  }
+  ls.orders.Put(OrderKey(dkey, o), OrderRow(GetU64(pack, 8), GetU64(pack, 16), false));
+  ls.new_orders.Put(OrderKey(dkey, o), new_order_row_);
+  ls.order_lines.Put(OrderKey(dkey, o), pack);
 }
 
 void Tpcc::ApplyDeliveryPack(LocalState& ls, const Value& pack) {
@@ -536,7 +536,7 @@ void Tpcc::ApplyDeliveryPack(LocalState& ls, const Value& pack) {
 
 std::function<sim::Tick(const store::LogWrite&)> Tpcc::WorkerHook(NodeId node) {
   LocalState* ls = locals_[node].get();
-  return [ls](const store::LogWrite& w) -> sim::Tick {
+  return [this, ls](const store::LogWrite& w) -> sim::Tick {
     switch (w.table) {
       case kOrderPack: {
         ApplyOrderPack(*ls, w.value);

@@ -75,7 +75,6 @@ class Tpcc : public Workload {
   static Key CKey(uint64_t w, uint64_t d, uint64_t c) { return (DKey(w, d) << 20) | c; }
   static Key SKey(uint64_t w, uint64_t item) { return (w << 24) | item; }
   static Key OrderKey(uint64_t dkey, uint64_t o) { return (dkey << 32) | o; }
-  static Key OlKey(uint64_t dkey, uint64_t o, uint64_t l) { return (dkey << 40) | (o << 8) | l; }
 
   explicit Tpcc(const Options& options);
 
@@ -92,11 +91,14 @@ class Tpcc : public Workload {
   }
 
   // Per-node local state (primary B+trees plus replicas of backed-up
-  // shards). Exposed for consistency checks in tests.
+  // shards). Exposed for consistency checks in tests. An order's lines
+  // are its order pack, the block the new-order builder writes and every
+  // LOG record carries: each node's ORDER-LINE entry shares that block,
+  // and every NEW-ORDER entry shares one empty row.
   struct LocalState {
     btree::BTree orders;       // OrderKey -> {c, ol_cnt, delivered}
     btree::BTree new_orders;   // OrderKey -> {}
-    btree::BTree order_lines;  // OlKey -> {item, supply, qty, amount}
+    btree::BTree order_lines;  // OrderKey -> order pack {dkey, c, ol_cnt, lines}
     uint64_t history_count = 0;
     std::unordered_map<uint64_t, uint32_t> next_o;  // dkey -> next order id
   };
@@ -125,7 +127,7 @@ class Tpcc : public Workload {
   TxnRequest BuildStockLevel(NodeId coordinator, Rng& rng);
 
   // Shared primary/backup application of logical records.
-  static void ApplyOrderPack(LocalState& ls, const Value& pack);
+  void ApplyOrderPack(LocalState& ls, const Value& pack) const;
   static void ApplyDeliveryPack(LocalState& ls, const Value& pack);
 
   uint64_t HomeWarehouse(NodeId coordinator, Rng& rng) const;
@@ -135,6 +137,7 @@ class Tpcc : public Workload {
   TpccPartitioner part_;
   std::vector<std::unique_ptr<LocalState>> locals_;
   std::vector<int64_t> item_price_;  // replicated read-only catalog
+  Value new_order_row_;              // every NEW-ORDER entry's row
 };
 
 }  // namespace xenic::workload

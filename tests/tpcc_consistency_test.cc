@@ -4,9 +4,14 @@
 //   C2: d_next_o_id - initial == orders inserted for the district, and the
 //       workload's per-district order counter agrees with the table.
 //   C3: new_orders size == undelivered orders.
-//   C4: backup B+tree replicas converge to the primary's contents.
+//   C4: backup B+tree replicas converge to the primary's contents: the
+//       same order counter and, per district, the same ORDER, NEW-ORDER
+//       and ORDER-LINE entries (keys and bytes).
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "src/harness/runner.h"
 #include "src/workload/tpcc.h"
@@ -62,22 +67,47 @@ TEST(TpccConsistencyTest, FullMixInvariantsOnXenic) {
 
   // C4: replica B+trees converge. Every node holds replicas for the
   // warehouses it backs up; with full mirroring at load plus hook-applied
-  // deltas, the ORDER counts per district must agree across the replica
-  // chain.
+  // deltas, each district's order counter and its ORDER, NEW-ORDER and
+  // ORDER-LINE entries must agree across the replica chain.
+  auto district_rows = [](const btree::BTree& t, uint64_t dkey) {
+    std::vector<std::pair<store::Key, store::Value>> rows;
+    t.Scan(Tpcc::OrderKey(dkey, 0), Tpcc::OrderKey(dkey + 1, 0) - 1,
+           [&](store::Key k, const store::Value& v) {
+             rows.emplace_back(k, v);
+             return true;
+           });
+    return rows;
+  };
+  size_t orders_compared = 0;
   for (uint64_t w = 1; w <= wl.total_warehouses(); ++w) {
     const store::NodeId primary = wl.NodeOfWarehouse(w);
+    const Tpcc::LocalState& p = wl.local(primary);
     for (uint64_t d = 1; d <= wo.districts_per_warehouse; ++d) {
       const uint64_t dkey = Tpcc::DKey(w, d);
-      const uint32_t primary_next = wl.local(primary).next_o.at(dkey);
-      // Backups of this warehouse applied the same order packs.
+      const uint32_t primary_next = p.next_o.at(dkey);
+      const auto orders = district_rows(p.orders, dkey);
+      const auto new_orders = district_rows(p.new_orders, dkey);
+      const auto lines = district_rows(p.order_lines, dkey);
+      orders_compared += orders.size();
+      // Backups of this warehouse applied the same order and delivery packs.
       // (BackupsOf comes from the cluster map: primary+1, primary+2 ...)
       for (uint32_t i = 1; i < cfg.replication; ++i) {
         const store::NodeId b = (primary + i) % cfg.num_nodes;
-        EXPECT_EQ(wl.local(b).next_o.at(dkey), primary_next)
+        const Tpcc::LocalState& backup = wl.local(b);
+        EXPECT_EQ(backup.next_o.at(dkey), primary_next)
             << "w=" << w << " d=" << d << " backup " << b;
+        EXPECT_TRUE(district_rows(backup.orders, dkey) == orders)
+            << "ORDER differs: w=" << w << " d=" << d << " backup " << b;
+        EXPECT_TRUE(district_rows(backup.new_orders, dkey) == new_orders)
+            << "NEW-ORDER differs: w=" << w << " d=" << d << " backup " << b;
+        EXPECT_TRUE(district_rows(backup.order_lines, dkey) == lines)
+            << "ORDER-LINE differs: w=" << w << " d=" << d << " backup " << b;
       }
     }
   }
+  EXPECT_GT(orders_compared,
+            size_t{wl.total_warehouses()} * wo.districts_per_warehouse *
+                wo.initial_orders_per_district);
 }
 
 TEST(TpccConsistencyTest, YtdInvariantViaReadTransactions) {

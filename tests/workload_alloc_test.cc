@@ -1,7 +1,7 @@
 // Allocation checks above the transaction layer: the workload request
-// builders, and closed-loop Xenic Retwis and YCSB runs through
-// harness::RunWorkload -- small tier-1 stand-ins for perfbench's
-// allocs_per_txn on retwis and ycsb_hot.
+// builders, and closed-loop Xenic Retwis, YCSB and TPC-C new-order runs
+// through harness::RunWorkload -- small tier-1 stand-ins for perfbench's
+// allocs_per_txn on retwis, ycsb_hot and tpcc_no.
 //
 // This executable replaces the global operator new with a counting one
 // (alloc_counter.h). gtest assertions allocate, so they stay outside the
@@ -145,6 +145,30 @@ TEST(WorkloadAllocTest, XenicYcsbHotRunAllocationsPerCommit) {
   EXPECT_GT(r.abort_rate, 0.15) << "the run must exercise the retry path";
   RecordProperty("allocs_per_commit", std::to_string(per_commit));
   EXPECT_LE(per_commit, 5.5) << r.committed << " commits, abort rate " << r.abort_rate;
+}
+
+TEST(WorkloadAllocTest, XenicTpccNewOrderRunAllocationsPerCommit) {
+  // perfbench's tpcc_no in small: Figure 8a's new-order TPC-C with
+  // supplying warehouses uniform across the cluster. An order's lines are
+  // its order pack, one block that the LOG records, the coordinator's
+  // host_finish and every backup's log-apply hook share, so each replica
+  // adds one ORDER-LINE entry per order and copies no line; every
+  // NEW-ORDER entry shares one empty row. Measured: 33.6, against 71.7
+  // when each replica copied every line into a value of its own; the
+  // bound leaves about 10%.
+  workload::Tpcc::Options wo;
+  wo.num_nodes = 3;
+  wo.warehouses_per_node = 2;
+  wo.customers_per_district = 20;
+  wo.items = 200;
+  wo.new_order_only = true;
+  wo.uniform_remote_items = true;
+  workload::Tpcc wl(wo);
+  harness::RunResult r;
+  const double per_commit = LoadedRunAllocsPerCommit(wl, 8, 2000 * sim::kNsPerUs, 1, &r);
+  ASSERT_GT(r.committed, 1000u);
+  RecordProperty("allocs_per_commit", std::to_string(per_commit));
+  EXPECT_LE(per_commit, 37.0) << r.committed << " commits";
 }
 
 }  // namespace

@@ -18,7 +18,10 @@ namespace {
 
 // FNV-1a over everything `count` requests carry that a run reads: their
 // fields, key sets and log writes, and what each execute closure writes
-// for a fixed image of its reads (read i holds 656 bytes of value i + 1).
+// for a fixed image of its reads (read i holds 656 bytes of value i + 1),
+// round after round while a round adds keys (the added keys join the
+// hash). A request that does not abort then runs its host_finish, so the
+// workload state later builders read is the one its commits leave.
 uint64_t RequestsFingerprint(Workload& wl, uint32_t nodes, int count) {
   uint64_t h = 14695981039346656037ull;
   auto add = [&h](uint64_t x) {
@@ -55,21 +58,42 @@ uint64_t RequestsFingerprint(Workload& wl, uint32_t nodes, int count) {
       add(w.is_delete);
     }
     std::vector<txn::ReadResult> reads;
-    for (size_t r = 0; r < req.reads.size(); ++r) {
-      reads.push_back({true, static_cast<store::Seq>(r + 1), Value(656, static_cast<uint8_t>(r + 1))});
-    }
-    std::vector<txn::WriteIntent> writes(req.writes.size());
+    std::vector<txn::WriteIntent> writes;
     std::vector<txn::KeyRef> add_reads;
     std::vector<txn::KeyRef> add_writes;
     bool abort = false;
-    txn::ExecRound er{0, &req.reads, &reads, &req.writes, &writes, &add_reads, &add_writes, &abort};
-    req.execute(er);
-    add(abort);
-    add(add_reads.size());
-    add(add_writes.size());
-    for (const auto& w : writes) {
-      add_value(w.value);
-      add(w.is_delete);
+    for (int round = 0;; ++round) {
+      for (size_t r = reads.size(); r < req.reads.size(); ++r) {
+        reads.push_back(
+            {true, static_cast<store::Seq>(r + 1), Value(656, static_cast<uint8_t>(r + 1))});
+      }
+      writes.resize(req.writes.size());
+      add_reads.clear();
+      add_writes.clear();
+      txn::ExecRound er{round,   &req.reads,  &reads,      &req.writes,
+                        &writes, &add_reads, &add_writes, &abort};
+      req.execute(er);
+      add(abort);
+      add(add_reads.size());
+      add(add_writes.size());
+      for (const auto* added : {&add_reads, &add_writes}) {
+        for (const auto& k : *added) {
+          add(k.table);
+          add(k.key);
+        }
+      }
+      for (const auto& w : writes) {
+        add_value(w.value);
+        add(w.is_delete);
+      }
+      if (abort || (add_reads.empty() && add_writes.empty())) {
+        break;
+      }
+      req.reads.insert(req.reads.end(), add_reads.begin(), add_reads.end());
+      req.writes.insert(req.writes.end(), add_writes.begin(), add_writes.end());
+    }
+    if (!abort && req.host_finish) {
+      req.host_finish();
     }
   }
   return h;
@@ -101,6 +125,22 @@ TEST(RequestFingerprintTest, RetwisYcsbAndTpccNewOrderAreUnchanged) {
   to.uniform_remote_items = true;
   Tpcc tpcc(to);
   EXPECT_EQ(RequestsFingerprint(tpcc, 3, 2000), 5391534778992147974u);
+}
+
+// The full TPC-C mix on loaded B+trees: StockLevel's read set comes from
+// the last 20 orders' lines, OrderStatus and Delivery sum an order's line
+// amounts (Delivery's sum lands in the customer row its second round
+// writes), and every new order's host_finish feeds the orders that later
+// builders scan.
+TEST(RequestFingerprintTest, TpccFullMixOnLoadedTreesIsUnchanged) {
+  Tpcc::Options to;
+  to.num_nodes = 3;
+  to.warehouses_per_node = 2;
+  to.customers_per_district = 20;
+  to.items = 200;
+  Tpcc tpcc(to);
+  tpcc.Load([](store::TableId, store::Key, const store::Value&) {});
+  EXPECT_EQ(RequestsFingerprint(tpcc, 3, 4000), 782751781435643639u);
 }
 
 TEST(SmallbankTest, MixMatchesWeights) {
@@ -305,6 +345,8 @@ TEST(TpccTest, StandardModeMostlyLocal) {
 TEST(TpccTest, LoadMirrorsTheSameOrdersOnEveryNode) {
   // Load fills every node's order history so a promoted backup sees the
   // primary's state: each node must hold the same orders and order lines.
+  // An order's lines are one entry, its order pack, under the order's key,
+  // and every node's mirror shares the pack's block.
   Tpcc::Options o;
   o.num_nodes = 3;
   o.warehouses_per_node = 2;
@@ -321,10 +363,20 @@ TEST(TpccTest, LoadMirrorsTheSameOrdersOnEveryNode) {
   const auto orders = dump(wl.local(0).orders);
   const auto lines = dump(wl.local(0).order_lines);
   ASSERT_FALSE(orders.empty());
-  ASSERT_GT(lines.size(), orders.size());
+  ASSERT_EQ(lines.size(), orders.size());
+  for (size_t i = 0; i < orders.size(); ++i) {
+    const uint64_t ol_cnt = store::GetU64(orders[i].second, 8);
+    ASSERT_EQ(lines[i].first, orders[i].first);
+    EXPECT_EQ(store::GetU64(lines[i].second, 16), ol_cnt) << "order " << i;
+    EXPECT_EQ(lines[i].second.size(), 24 + 32 * ol_cnt) << "order " << i;
+  }
   for (store::NodeId n = 1; n < o.num_nodes; ++n) {
     EXPECT_EQ(dump(wl.local(n).orders), orders) << "node " << n;
-    EXPECT_EQ(dump(wl.local(n).order_lines), lines) << "node " << n;
+    const auto mirror = dump(wl.local(n).order_lines);
+    EXPECT_EQ(mirror, lines) << "node " << n;
+    for (size_t i = 0; i < mirror.size() && i < lines.size(); ++i) {
+      EXPECT_EQ(mirror[i].second.data(), lines[i].second.data()) << "node " << n << " order " << i;
+    }
   }
 }
 
@@ -368,6 +420,15 @@ TEST(TpccTest, OrderPackApplication) {
   EXPECT_EQ(wl.local(0).next_o[dkey], before + 1);
   EXPECT_TRUE(wl.local(0).orders.Contains(Tpcc::OrderKey(dkey, before)));
   EXPECT_TRUE(wl.local(0).new_orders.Contains(Tpcc::OrderKey(dkey, before)));
+  // The order's lines are the pack itself: the entry shares its block.
+  const auto lines = wl.local(0).order_lines.Get(Tpcc::OrderKey(dkey, before));
+  ASSERT_TRUE(lines.has_value());
+  EXPECT_EQ(lines->data(), pack.value.data());
+  // So does the coordinator's: its host_finish applies the same pack.
+  req.host_finish();
+  const auto coordinator_lines = wl.local(0).order_lines.Get(Tpcc::OrderKey(dkey, before + 1));
+  ASSERT_TRUE(coordinator_lines.has_value());
+  EXPECT_EQ(coordinator_lines->data(), pack.value.data());
 }
 
 TEST(TpccTest, DeliveryPackPopsOldest) {
