@@ -125,6 +125,8 @@ std::optional<NicIndex::RemoteObject> NicIndex::MissPath(Key key, bool want_valu
   const size_t segment = host_->SegmentOfKey(key);
   IndexEntry& entry = entries_[segment];
   const size_t home = host_->HomeSlot(key);
+  // Costs use the logical slot (RobinhoodTable::slot_size()), not the
+  // bytes of the slots the read copies.
   const size_t slot_size = host_->slot_size();
 
   // First DMA read: displacement range [0, d_hint + k], capped at Dm - 1.
@@ -136,18 +138,17 @@ std::optional<NicIndex::RemoteObject> NicIndex::MissPath(Key key, bool want_valu
   st->bytes_read += first_span * slot_size;
 
   // Completes a lookup that located the key at displacement `disp`, with
-  // `view` pointing at the slot bytes inside the region just read.
+  // `view` pointing at the slot inside the region just read.
   auto finish = [&](const SlotView& view, size_t disp) {
     RemoteObject out;
     out.seq = view.seq();
     if (want_value) {
+      out.value = view.value();
       if (view.large_value()) {
-        // Second hop: single-object DMA read from the large-object heap.
-        out.value = host_->heap().Get(view.large_handle());
+        // Second hop: a single-object DMA read of the value the slot
+        // points at.
         st->dma_reads++;
         st->bytes_read += out.value.size();
-      } else {
-        out.value = host_->DecodeValue(view);
       }
     }
     entry.d_hint = std::max<uint16_t>(entry.d_hint, static_cast<uint16_t>(disp));
@@ -169,24 +170,23 @@ std::optional<NicIndex::RemoteObject> NicIndex::MissPath(Key key, bool want_valu
   };
 
   if (auto offset = host_->FindInRegion(region_buf_, home, key)) {
-    return finish(host_->ViewInRegion(region_buf_, *offset), *offset);
+    return finish(RobinhoodTable::ViewInRegion(region_buf_, *offset), *offset);
   }
   // Stale-hint case: a concurrent host insert moved the key past
   // d_hint + k. With a displacement limit, one second adjacent read covers
   // the remaining range up to Dm; without a limit, read adjacent chunks
   // until the key or an empty slot (a Robinhood probe run cannot continue
   // past an empty slot) appears.
-  uint32_t scanned = first_span;
-  bool hit_empty = false;
-  {
-    const size_t slots = region_buf_.size() / slot_size;
-    for (size_t i = 0; i < slots; ++i) {
-      if (!host_->ViewInRegion(region_buf_, i).occupied()) {
-        hit_empty = true;
-        break;
+  auto region_has_empty = [&] {
+    for (size_t i = 0; i < RobinhoodTable::RegionSlots(region_buf_); ++i) {
+      if (!RobinhoodTable::ViewInRegion(region_buf_, i).occupied()) {
+        return true;
       }
     }
-  }
+    return false;
+  };
+  uint32_t scanned = first_span;
+  bool hit_empty = region_has_empty();
   while (!hit_empty && scanned < dm_) {
     const uint32_t chunk =
         std::min<uint32_t>(dm_ - scanned, std::max<uint32_t>(first_span, 16));
@@ -195,15 +195,9 @@ std::optional<NicIndex::RemoteObject> NicIndex::MissPath(Key key, bool want_valu
     st->objects_read += chunk;
     st->bytes_read += chunk * slot_size;
     if (auto off = host_->FindInRegion(region_buf_, home + scanned, key)) {
-      return finish(host_->ViewInRegion(region_buf_, *off), *off + scanned);
+      return finish(RobinhoodTable::ViewInRegion(region_buf_, *off), *off + scanned);
     }
-    const size_t slots = region_buf_.size() / slot_size;
-    for (size_t i = 0; i < slots; ++i) {
-      if (!host_->ViewInRegion(region_buf_, i).occupied()) {
-        hit_empty = true;
-        break;
-      }
-    }
+    hit_empty = region_has_empty();
     scanned += chunk;
   }
 

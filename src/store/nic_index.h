@@ -12,10 +12,13 @@
 //
 // The index is a pure data structure: every remote lookup executes
 // synchronously against the host table's DMA-visible surface (ReadRegion /
-// ReadOverflow / heap) and returns a cost receipt (DMA reads issued, slots
-// and bytes read, cache hit or miss). The NIC runtime converts receipts
-// into simulated DMA latency and batching behaviour; benches aggregate them
-// directly for Table 2.
+// ReadOverflow) and returns a cost receipt (DMA reads issued, slots and
+// bytes read, cache hit or miss). A hit and a miss both serve the object's
+// shared block, the one the host slot holds; the receipt prices a miss by
+// the table's logical slot_size() and, for a large-value table, a second
+// single-object read. The NIC runtime converts receipts into simulated DMA
+// latency and batching behaviour; benches aggregate them directly for
+// Table 2.
 
 #ifndef SRC_STORE_NIC_INDEX_H_
 #define SRC_STORE_NIC_INDEX_H_
@@ -45,7 +48,7 @@ class NicIndex {
 
   // Cost receipt for one remote operation.
   struct LookupStats {
-    uint32_t dma_reads = 0;      // region + overflow + large-object reads
+    uint32_t dma_reads = 0;      // region + overflow + large-value reads
     uint32_t objects_read = 0;   // host slots / overflow entries scanned
     uint64_t bytes_read = 0;     // DMA payload bytes
     bool cache_hit = false;
@@ -177,8 +180,8 @@ class NicIndex {
   uint64_t CostOf(const CachedObject& obj) const { return 48 + obj.value.size(); }
   void EvictUntilWithinBudget();
 
-  // Shared miss path; when want_value is false the large-object hop is
-  // skipped (VALIDATE only needs the version).
+  // Shared miss path; when want_value is false a large value's second
+  // read is skipped (VALIDATE only needs the version).
   std::optional<RemoteObject> MissPath(Key key, bool want_value, LookupStats* stats);
 
   const RobinhoodTable* host_;

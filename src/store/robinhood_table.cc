@@ -17,70 +17,37 @@ RobinhoodTable::RobinhoodTable(const Options& options)
       mask_(capacity_ - 1),
       value_size_(options.value_size),
       large_values_(options.value_size > kInlineValueLimit),
-      inline_area_(large_values_ ? sizeof(LargeObjectHeap::Handle) : options.value_size),
-      slot_size_(sizeof(SlotHeader) + inline_area_),
+      // A large value's logical slot holds an 8-byte pointer to it.
+      slot_size_(sizeof(SlotHeader) + (large_values_ ? sizeof(uint64_t) : options.value_size)),
       max_displacement_(options.max_displacement == 0 ? kUnlimitedDisp : options.max_displacement),
       segment_slots_(options.segment_slots),
       num_segments_((capacity_ + options.segment_slots - 1) / options.segment_slots),
-      data_(new uint8_t[capacity_ * slot_size_]()),
-      scratch_(new uint8_t[slot_size_]),
-      overflow_(num_segments_),
+      slots_(new Slot[capacity_]()),
       seg_max_disp_(num_segments_, 0) {
   assert(options.segment_slots > 0);
 }
 
-void RobinhoodTable::StoreSlot(size_t slot, const uint8_t* bytes, uint16_t disp) {
-  std::memcpy(SlotPtr(slot), bytes, slot_size_);
-  SlotHeader h = Header(slot);
-  h.disp = disp;
-  WriteHeader(slot, h);
-  NoteDisp(h.key, disp);
+void RobinhoodTable::StoreSlot(size_t slot, Slot from, uint16_t disp) {
+  from.header.disp = disp;
+  NoteDisp(from.header.key, disp);
+  slots_[slot] = std::move(from);
   if (swap_step_hook_) {
     swap_step_hook_();
   }
 }
 
-void RobinhoodTable::ClearSlot(size_t slot) {
-  SlotHeader h{};
-  WriteHeader(slot, h);
+Slot RobinhoodTable::NewSlot(Key key, Seq seq, Value value) const {
+  const uint16_t flags = kSlotOccupied | (large_values_ ? kSlotLargeValue : 0);
+  return Slot{SlotHeader{key, 0, flags, seq}, std::move(value)};
 }
 
-void RobinhoodTable::CopyInline(uint8_t* area, const Value& value) const {
-  if (!value.empty()) {
-    std::memcpy(area, value.data(), std::min(value.size(), inline_area_));
+Value RobinhoodTable::Stored(const Value& value) const {
+  if (large_values_ || value.size() == value_size_) {
+    return value;
   }
-}
-
-void RobinhoodTable::EncodeScratch(Key key, Seq seq, const Value& value) {
-  SlotHeader h{};
-  h.key = key;
-  h.seq = seq;
-  h.flags = kSlotOccupied;
-  uint8_t* area = scratch_.get() + sizeof(SlotHeader);
-  std::memset(area, 0, inline_area_);
-  if (large_values_) {
-    const LargeObjectHeap::Handle handle = heap_.Alloc(value);
-    std::memcpy(area, &handle, sizeof(handle));
-    h.flags |= kSlotLargeValue;
-  } else {
-    CopyInline(area, value);
-  }
-  std::memcpy(scratch_.get(), &h, sizeof(h));
-}
-
-void RobinhoodTable::FreeSlotPayload(size_t slot) {
-  const SlotHeader h = Header(slot);
-  if ((h.flags & kSlotLargeValue) != 0) {
-    SlotView view(SlotPtr(slot), inline_area_);
-    heap_.Free(view.large_handle());
-  }
-}
-
-Value RobinhoodTable::DecodeValue(const SlotView& view) const {
-  if (view.large_value()) {
-    return heap_.Get(view.large_handle());
-  }
-  return Value(view.value_bytes(), view.value_bytes() + value_size_);
+  Value out(value_size_, 0);
+  std::copy_n(value.data(), std::min(value.size(), value_size_), out.mutable_data());
+  return out;
 }
 
 void RobinhoodTable::NoteDisp(Key key, uint16_t disp) {
@@ -92,7 +59,7 @@ std::optional<size_t> RobinhoodTable::FindSlot(Key key) const {
   const size_t home = HomeSlot(key);
   size_t pos = home;
   for (uint16_t d = 0; d < max_displacement_; ++d) {
-    const SlotHeader h = Header(pos);
+    const SlotHeader& h = slots_[pos].header;
     if ((h.flags & kSlotOccupied) == 0) {
       return std::nullopt;
     }
@@ -107,46 +74,56 @@ std::optional<size_t> RobinhoodTable::FindSlot(Key key) const {
   return std::nullopt;
 }
 
-std::optional<size_t> RobinhoodTable::FindOverflow(Key key, size_t& segment_out) const {
+const RobinhoodTable::OverflowEntry* RobinhoodTable::FindOverflow(Key key) const {
   if (size_overflow_ == 0) {
-    return std::nullopt;  // skips the bucket array's cache line
+    return nullptr;  // skips the bucket map
   }
-  const size_t seg = SegmentOfKey(key);
-  const auto& bucket = overflow_[seg];
-  for (size_t i = 0; i < bucket.size(); ++i) {
-    if (bucket[i].key == key) {
-      segment_out = seg;
-      return i;
+  for (const OverflowEntry& e : ReadOverflow(SegmentOfKey(key))) {
+    if (e.key == key) {
+      return &e;
     }
   }
-  return std::nullopt;
+  return nullptr;
+}
+
+const std::vector<RobinhoodTable::OverflowEntry>& RobinhoodTable::ReadOverflow(
+    size_t segment) const {
+  static const std::vector<OverflowEntry> kNone;
+  const auto it = overflow_.find(segment);
+  return it != overflow_.end() ? it->second : kNone;
+}
+
+void RobinhoodTable::RemoveOverflow(const OverflowEntry* e) {
+  const auto it = overflow_.find(SegmentOfKey(e->key));  // filed under its home segment
+  assert(it != overflow_.end());
+  auto& bucket = it->second;
+  bucket.erase(bucket.begin() + (e - bucket.data()));
+  if (bucket.empty()) {
+    overflow_.erase(it);
+  }
+  size_overflow_--;
 }
 
 std::optional<LookupResult> RobinhoodTable::Lookup(Key key) const {
   if (auto slot = FindSlot(key)) {
-    SlotView view(SlotPtr(*slot), inline_area_);
-    return LookupResult{DecodeValue(view), view.seq()};
+    return LookupResult{slots_[*slot].value, slots_[*slot].header.seq};
   }
-  size_t seg = 0;
-  if (auto idx = FindOverflow(key, seg)) {
-    const auto& e = overflow_[seg][*idx];
-    return LookupResult{e.value, e.seq};
+  if (const OverflowEntry* e = FindOverflow(key)) {
+    return LookupResult{e->value, e->seq};
   }
   return std::nullopt;
 }
 
 bool RobinhoodTable::Contains(Key key) const {
-  size_t seg = 0;
-  return FindSlot(key).has_value() || FindOverflow(key, seg).has_value();
+  return FindSlot(key).has_value() || FindOverflow(key) != nullptr;
 }
 
 std::optional<Seq> RobinhoodTable::GetSeq(Key key) const {
   if (auto slot = FindSlot(key)) {
-    return Header(*slot).seq;
+    return slots_[*slot].header.seq;
   }
-  size_t seg = 0;
-  if (auto idx = FindOverflow(key, seg)) {
-    return overflow_[seg][*idx].seq;
+  if (const OverflowEntry* e = FindOverflow(key)) {
+    return e->seq;
   }
   return std::nullopt;
 }
@@ -155,12 +132,12 @@ std::vector<Key> RobinhoodTable::Keys() const {
   std::vector<Key> out;
   out.reserve(size());
   for (size_t s = 0; s < capacity_; ++s) {
-    if (Occupied(s)) {
-      out.push_back(Header(s).key);
+    if ((slots_[s].header.flags & kSlotOccupied) != 0) {
+      out.push_back(slots_[s].header.key);
     }
   }
   for (const auto& bucket : overflow_) {
-    for (const auto& e : bucket) {
+    for (const auto& e : bucket.second) {
       out.push_back(e.key);
     }
   }
@@ -196,7 +173,7 @@ Status RobinhoodTable::InsertInternal(Key key, const Value& value, Seq seq) {
       to_overflow = true;
       break;
     }
-    const SlotHeader h = Header(pos);
+    const SlotHeader& h = slots_[pos].header;
     ++probes;
     if ((h.flags & kSlotOccupied) == 0) {
       break;  // empty terminal at pos
@@ -214,7 +191,7 @@ Status RobinhoodTable::InsertInternal(Key key, const Value& value, Seq seq) {
 
   if (to_overflow && chain_.empty()) {
     // No resident is less displaced: the new element itself overflows.
-    overflow_[SegmentOfSlot(home)].push_back(OverflowEntry{key, seq, value});
+    overflow_[SegmentOfSlot(home)].push_back(OverflowEntry{key, seq, Stored(value)});
     size_overflow_++;
     if (swap_step_hook_) {
       swap_step_hook_();
@@ -222,8 +199,8 @@ Status RobinhoodTable::InsertInternal(Key key, const Value& value, Seq seq) {
     return Status::Ok();
   }
 
-  // Build the new element (allocates in the heap for large-value tables).
-  EncodeScratch(key, seq, value);
+  // Build the new element in the scratch slot.
+  Slot scratch = NewSlot(key, seq, Stored(value));
 
   // Phase 2: apply from the terminal backwards (the copy list). Each move
   // writes the destination before the source slot is overwritten by the
@@ -233,13 +210,9 @@ Status RobinhoodTable::InsertInternal(Key key, const Value& value, Seq seq) {
   if (to_overflow) {
     // The last displaced resident goes to its home segment's overflow.
     const size_t last = chain_.back();
-    SlotView view(SlotPtr(last), inline_area_);
-    Value displaced_value = DecodeValue(view);
-    if (view.large_value()) {
-      heap_.Free(view.large_handle());
-    }
+    const Slot& displaced = slots_[last];
     overflow_[SegmentOfSlot(carried_home)].push_back(
-        OverflowEntry{view.key(), view.seq(), std::move(displaced_value)});
+        OverflowEntry{displaced.header.key, displaced.header.seq, displaced.value});
     size_overflow_++;
     if (swap_step_hook_) {
       swap_step_hook_();
@@ -251,68 +224,49 @@ Status RobinhoodTable::InsertInternal(Key key, const Value& value, Seq seq) {
   }
   for (size_t i = chain_.size(); i > 0; --i) {
     const size_t from = chain_[i - 1];
-    const size_t moving_home = (from - Header(from).disp) & mask_;
-    StoreSlot(dest, SlotPtr(from), static_cast<uint16_t>((dest - moving_home) & mask_));
+    const size_t moving_home = (from - slots_[from].header.disp) & mask_;
+    StoreSlot(dest, slots_[from], static_cast<uint16_t>((dest - moving_home) & mask_));
     dest = from;
   }
-  StoreSlot(dest, scratch_.get(), static_cast<uint16_t>((dest - home) & mask_));
+  StoreSlot(dest, std::move(scratch), static_cast<uint16_t>((dest - home) & mask_));
   if (!to_overflow) {
     size_table_++;
   }
   return Status::Ok();
 }
 
-Status RobinhoodTable::Update(Key key, const Value& value) {
+Seq* RobinhoodTable::Overwrite(Key key, const Value& value) {
   if (auto slot = FindSlot(key)) {
-    SlotHeader h = Header(*slot);
-    if ((h.flags & kSlotLargeValue) != 0) {
-      SlotView view(SlotPtr(*slot), inline_area_);
-      heap_.Update(view.large_handle(), value);
-    } else {
-      CopyInline(SlotPtr(*slot) + sizeof(SlotHeader), value);
-    }
-    h.seq++;
-    WriteHeader(*slot, h);
-    return Status::Ok();
+    slots_[*slot].value = Stored(value);
+    return &slots_[*slot].header.seq;
   }
-  size_t seg = 0;
-  if (auto idx = FindOverflow(key, seg)) {
-    auto& e = overflow_[seg][*idx];
-    e.value = value;
-    e.seq++;
-    return Status::Ok();
+  if (auto* e = const_cast<OverflowEntry*>(FindOverflow(key))) {
+    e->value = Stored(value);
+    return &e->seq;
   }
-  return Status::NotFound();
+  return nullptr;
+}
+
+Status RobinhoodTable::Update(Key key, const Value& value) {
+  Seq* seq = Overwrite(key, value);
+  if (seq == nullptr) {
+    return Status::NotFound();
+  }
+  ++*seq;
+  return Status::Ok();
 }
 
 Status RobinhoodTable::Apply(Key key, const Value& value, Seq seq) {
-  if (auto slot = FindSlot(key)) {
-    SlotHeader h = Header(*slot);
-    if ((h.flags & kSlotLargeValue) != 0) {
-      SlotView view(SlotPtr(*slot), inline_area_);
-      heap_.Update(view.large_handle(), value);
-    } else {
-      CopyInline(SlotPtr(*slot) + sizeof(SlotHeader), value);
-    }
-    h.seq = seq;
-    WriteHeader(*slot, h);
-    return Status::Ok();
-  }
-  size_t seg = 0;
-  if (auto idx = FindOverflow(key, seg)) {
-    auto& e = overflow_[seg][*idx];
-    e.value = value;
-    e.seq = seq;
+  if (Seq* stored = Overwrite(key, value)) {
+    *stored = seq;
     return Status::Ok();
   }
   return InsertInternal(key, value, seq);
 }
 
 Status RobinhoodTable::Erase(Key key) {
-  size_t seg = 0;
-  if (auto idx = FindOverflow(key, seg)) {
-    overflow_[seg].erase(overflow_[seg].begin() + static_cast<ptrdiff_t>(*idx));
-    size_overflow_--;
+  if (const OverflowEntry* e = FindOverflow(key)) {
+    RemoveOverflow(e);
     return Status::Ok();
   }
   auto slot = FindSlot(key);
@@ -320,9 +274,8 @@ Status RobinhoodTable::Erase(Key key) {
     return Status::NotFound();
   }
   const size_t s = *slot;
-  const uint16_t old_disp = Header(s).disp;
-  FreeSlotPayload(s);
-  ClearSlot(s);
+  const uint16_t old_disp = slots_[s].header.disp;
+  slots_[s] = Slot{};
   size_table_--;
 
   // Try to pull a qualifying overflow element over the hole. An element
@@ -336,8 +289,7 @@ Status RobinhoodTable::Erase(Key key) {
   const size_t seg_count =
       size_overflow_ == 0 ? 0 : (span + segment_slots_ - 1) / segment_slots_ + 1;
   for (size_t k = 0; k < seg_count; ++k) {
-    const size_t cand_seg = (first_seg + k) % num_segments_;
-    auto& bucket = overflow_[cand_seg];
+    const auto& bucket = ReadOverflow((first_seg + k) % num_segments_);
     for (size_t i = 0; i < bucket.size(); ++i) {
       const size_t h = HomeSlot(bucket[i].key);
       const auto d = static_cast<uint16_t>((s - h) & mask_);
@@ -347,7 +299,7 @@ Status RobinhoodTable::Erase(Key key) {
       bool path_ok = true;
       size_t t = h;
       for (uint16_t pd = 0; pd < d; ++pd, t = Advance(t)) {
-        const SlotHeader th = Header(t);
+        const SlotHeader& th = slots_[t].header;
         if ((th.flags & kSlotOccupied) == 0 || th.disp < pd) {
           path_ok = false;
           break;
@@ -356,11 +308,10 @@ Status RobinhoodTable::Erase(Key key) {
       if (!path_ok) {
         continue;
       }
-      // Re-insert the overflow entry at the hole.
-      EncodeScratch(bucket[i].key, bucket[i].seq, bucket[i].value);
-      StoreSlot(s, scratch_.get(), d);
-      bucket.erase(bucket.begin() + static_cast<ptrdiff_t>(i));
-      size_overflow_--;
+      // Re-insert the overflow entry at the hole; the entry keeps its
+      // value until it leaves the bucket.
+      StoreSlot(s, NewSlot(bucket[i].key, bucket[i].seq, bucket[i].value), d);
+      RemoveOverflow(&bucket[i]);
       size_table_++;
       return Status::Ok();
     }
@@ -371,12 +322,12 @@ Status RobinhoodTable::Erase(Key key) {
   size_t hole = s;
   size_t t = Advance(s);
   while (t != s) {
-    const SlotHeader th = Header(t);
+    const SlotHeader& th = slots_[t].header;
     if ((th.flags & kSlotOccupied) == 0 || th.disp == 0) {
       break;
     }
-    StoreSlot(hole, SlotPtr(t), static_cast<uint16_t>(th.disp - 1));
-    ClearSlot(t);
+    StoreSlot(hole, slots_[t], static_cast<uint16_t>(th.disp - 1));
+    slots_[t] = Slot{};
     hole = t;
     t = Advance(t);
   }
@@ -386,7 +337,7 @@ Status RobinhoodTable::Erase(Key key) {
 void RobinhoodTable::TightenHints() {
   std::fill(seg_max_disp_.begin(), seg_max_disp_.end(), 0);
   for (size_t slot = 0; slot < capacity_; ++slot) {
-    const SlotHeader h = Header(slot);
+    const SlotHeader& h = slots_[slot].header;
     if ((h.flags & kSlotOccupied) != 0) {
       const size_t home = (slot - h.disp) & mask_;
       const size_t seg = SegmentOfSlot(home);
@@ -397,20 +348,22 @@ void RobinhoodTable::TightenHints() {
 
 void RobinhoodTable::ReadRegion(size_t start_slot, size_t count, std::vector<uint8_t>& out) const {
   count = std::min(count, capacity_);
-  out.resize(count * slot_size_);
+  out.resize(count * sizeof(Slot));
   const size_t first = std::min(count, capacity_ - (start_slot & mask_));
-  std::memcpy(out.data(), SlotPtr(start_slot & mask_), first * slot_size_);
+  // A byte copy of the slots: the handles' bits, taking no reference.
+  std::memcpy(out.data(), static_cast<const void*>(&slots_[start_slot & mask_]),
+              first * sizeof(Slot));
   if (first < count) {
-    std::memcpy(out.data() + first * slot_size_, SlotPtr(0), (count - first) * slot_size_);
+    std::memcpy(out.data() + first * sizeof(Slot), static_cast<const void*>(&slots_[0]),
+                (count - first) * sizeof(Slot));
   }
 }
 
 std::optional<size_t> RobinhoodTable::FindInRegion(const std::vector<uint8_t>& region,
                                                    size_t region_start, Key key) const {
   (void)region_start;
-  const size_t slots = region.size() / slot_size_;
-  for (size_t i = 0; i < slots; ++i) {
-    SlotView view(region.data() + i * slot_size_, inline_area_);
+  for (size_t i = 0; i < RegionSlots(region); ++i) {
+    const SlotView view = ViewInRegion(region, i);
     if (view.occupied() && view.key() == key) {
       return i;
     }

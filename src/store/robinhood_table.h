@@ -4,7 +4,7 @@
 // balancing, modified for the SmartNIC context:
 //
 //  * Global displacement limit Dm. An insertion whose displacement would
-//    reach Dm goes to the per-segment linked overflow bucket instead.
+//    reach Dm goes to its segment's overflow bucket instead.
 //  * Fixed-size segments; per-segment displacement bookkeeping backs the
 //    NIC index's d_i location hints.
 //  * DMA-consistent swapping: Robinhood insertion displaces existing
@@ -14,31 +14,36 @@
 //    reads at every intermediate state.
 //  * Deletion pulls a qualifying overflow element over the hole when one
 //    exists, otherwise performs a bounded backward shift (no tombstones).
-//  * Values above kInlineValueLimit (256 B) live in a LargeObjectHeap; the
-//    slot stores an 8-byte handle that the NIC dereferences with a second
-//    single-object DMA read.
 //
-// The table is backed by one contiguous byte array that plays the role of
-// host DRAM: ReadRegion() copies raw slot bytes exactly as the SmartNIC's
-// DMA engine would, and the NIC index parses those bytes.
+// A slot is a 16-byte header and an 8-byte store::Value handle that owns
+// one reference to the object's shared block, the block the workload's
+// row, the LOG record and the NIC cache hold too. The paper keeps objects
+// inline so one DMA read of d_i + k slots returns them; slot_size() is
+// that logical slot (header + value_size, or header + an 8-byte pointer
+// for values above kInlineValueLimit, which cost the NIC a second DMA
+// read), and every modeled DMA cost reads it. ReadRegion() copies the
+// 24-byte slots themselves, as the SmartNIC's DMA engine copies host
+// DRAM, and the NIC index parses the copy.
 
 #ifndef SRC_STORE_ROBINHOOD_TABLE_H_
 #define SRC_STORE_ROBINHOOD_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/store/large_object_heap.h"
 #include "src/store/types.h"
 
 namespace xenic::store {
 
-// On-"DRAM" slot header layout. Field order matters: the NIC parses raw
-// bytes returned by DMA region reads via SlotView.
+// Slot header layout. Field order matters: the NIC parses the headers of
+// a DMA region read via SlotView.
 struct SlotHeader {
   Key key;        // 8 B
   uint16_t disp;  // displacement from home slot
@@ -48,14 +53,27 @@ struct SlotHeader {
 static_assert(sizeof(SlotHeader) == 16);
 
 constexpr uint16_t kSlotOccupied = 1u << 0;
+// The slot stands for a pointer to the value: the NIC pays a second DMA
+// read for the object.
 constexpr uint16_t kSlotLargeValue = 1u << 1;
 
 constexpr size_t kInlineValueLimit = 256;
 
-// Read-only view over one slot inside a raw byte region.
+// One table slot in host DRAM.
+struct Slot {
+  SlotHeader header;
+  Value value;  // one reference to the object's block; empty when free
+};
+static_assert(sizeof(Slot) == 24);
+
+// Read-only view over one slot of a region that ReadRegion copied. The
+// copied handle took no reference, so value() may be called only until
+// the table's next write, which may release the block (as CommitLog::
+// Peek's record is valid only until the next append); the Value it
+// returns holds its own reference.
 class SlotView {
  public:
-  SlotView(const uint8_t* bytes, size_t value_area) : bytes_(bytes), value_area_(value_area) {}
+  explicit SlotView(const uint8_t* bytes) : bytes_(bytes) {}
 
   SlotHeader header() const {
     SlotHeader h;
@@ -67,19 +85,11 @@ class SlotView {
   Key key() const { return header().key; }
   Seq seq() const { return header().seq; }
   uint16_t disp() const { return header().disp; }
-
-  // Inline value bytes (for large values: the 8-byte heap handle).
-  const uint8_t* value_bytes() const { return bytes_ + sizeof(SlotHeader); }
-  size_t value_area() const { return value_area_; }
-  LargeObjectHeap::Handle large_handle() const {
-    LargeObjectHeap::Handle h;
-    std::memcpy(&h, value_bytes(), sizeof(h));
-    return h;
-  }
+  // The slot's value, sharing the table's block.
+  Value value() const { return Value::FromImage(bytes_ + offsetof(Slot, value)); }
 
  private:
   const uint8_t* bytes_;
-  size_t value_area_;
 };
 
 // Result of a host-local lookup.
@@ -101,6 +111,11 @@ class RobinhoodTable {
 
   // --- Host-local operations (used by local transactions and the
   // Robinhood worker threads applying committed write sets). ---
+  //
+  // An inline table (value_size() up to kInlineValueLimit) stores a value
+  // of value_size() bytes by sharing its block, and any other value
+  // zero-padded or truncated to value_size(), in table slots and overflow
+  // entries alike. A large-value table shares every value as given.
 
   // Insert a new key. kAlreadyExists if present; kCapacity if full.
   Status Insert(Key key, const Value& value, Seq seq = 1);
@@ -112,6 +127,7 @@ class RobinhoodTable {
   // Remove a key (table slot or overflow).
   Status Erase(Key key);
 
+  // The stored value shares the table's block.
   std::optional<LookupResult> Lookup(Key key) const;
   bool Contains(Key key) const;
   std::optional<Seq> GetSeq(Key key) const;
@@ -127,6 +143,7 @@ class RobinhoodTable {
   size_t size() const { return size_table_ + size_overflow_; }
   size_t overflow_size() const { return size_overflow_; }
   double Occupancy() const { return static_cast<double>(size_table_) / capacity_; }
+  // The logical slot a DMA read moves (see the file comment).
   size_t slot_size() const { return slot_size_; }
   size_t value_size() const { return value_size_; }
   bool large_values() const { return large_values_; }
@@ -143,7 +160,7 @@ class RobinhoodTable {
   // slightly larger read, never a missed key).
   uint16_t SegmentMaxDisp(size_t segment) const { return seg_max_disp_[segment]; }
   bool SegmentHasOverflow(size_t segment) const {
-    return size_overflow_ != 0 && segment < overflow_.size() && !overflow_[segment].empty();
+    return size_overflow_ != 0 && overflow_.contains(segment);
   }
   // Recompute exact per-segment displacement bounds (maintenance sweep).
   void TightenHints();
@@ -152,23 +169,27 @@ class RobinhoodTable {
   // home slot and its segment's displacement bound. No state changes.
   void Prefetch(Key key) const {
     const size_t home = HomeSlot(key);
-    __builtin_prefetch(SlotPtr(home));
+    __builtin_prefetch(&slots_[home]);
     __builtin_prefetch(&seg_max_disp_[SegmentOfSlot(home)]);
   }
 
   // --- DMA-visible surface. ---
 
-  // Copy `count` raw slots starting at `start_slot` (wrapping) into `out`.
-  // This is what a SmartNIC DMA read of the table region returns.
+  // Copy `count` slots starting at `start_slot` (wrapping) into `out`,
+  // sizeof(Slot) bytes each. This is what a SmartNIC DMA read of the table
+  // region returns; its handles take no reference (see SlotView).
   void ReadRegion(size_t start_slot, size_t count, std::vector<uint8_t>& out) const;
+  static size_t RegionSlots(const std::vector<uint8_t>& region) {
+    return region.size() / sizeof(Slot);
+  }
 
   // Parse a raw region (as returned by ReadRegion) searching for `key`.
   // `region_start` is the slot index of the first byte. Returns the offset
   // (in slots) of the match, or nullopt.
   std::optional<size_t> FindInRegion(const std::vector<uint8_t>& region, size_t region_start,
                                      Key key) const;
-  SlotView ViewInRegion(const std::vector<uint8_t>& region, size_t slot_offset) const {
-    return SlotView(region.data() + slot_offset * slot_size_, slot_size_ - sizeof(SlotHeader));
+  static SlotView ViewInRegion(const std::vector<uint8_t>& region, size_t slot_offset) {
+    return SlotView(region.data() + slot_offset * sizeof(Slot));
   }
 
   struct OverflowEntry {
@@ -177,16 +198,8 @@ class RobinhoodTable {
     Value value;
   };
   // A segment's overflow bucket, read in place (what a DMA read of the
-  // overflow page returns).
-  const std::vector<OverflowEntry>& ReadOverflow(size_t segment) const {
-    return overflow_[segment];
-  }
-
-  // Large-object heap (second-hop DMA reads).
-  const LargeObjectHeap& heap() const { return heap_; }
-
-  // Decode a value from a slot view, following large-object indirection.
-  Value DecodeValue(const SlotView& view) const;
+  // overflow page returns); empty for a segment that never overflowed.
+  const std::vector<OverflowEntry>& ReadOverflow(size_t segment) const;
 
   // Test hook: runs between individual copy steps of a Robinhood insert so
   // tests can interleave DMA reads at every intermediate table state.
@@ -197,32 +210,25 @@ class RobinhoodTable {
   uint64_t total_probe_slots() const { return total_probe_slots_; }
 
  private:
-  uint8_t* SlotPtr(size_t slot) { return data_.get() + slot * slot_size_; }
-  const uint8_t* SlotPtr(size_t slot) const { return data_.get() + slot * slot_size_; }
-  SlotHeader Header(size_t slot) const {
-    SlotHeader h;
-    std::memcpy(&h, SlotPtr(slot), sizeof(h));
-    return h;
-  }
-  void WriteHeader(size_t slot, const SlotHeader& h) { std::memcpy(SlotPtr(slot), &h, sizeof(h)); }
-  bool Occupied(size_t slot) const { return (Header(slot).flags & kSlotOccupied) != 0; }
   size_t Advance(size_t slot) const { return (slot + 1) & mask_; }
 
-  // Copy a full slot image (header + inline value area) into `slot`,
-  // setting its displacement. `bytes` is another slot or the scratch slot.
-  void StoreSlot(size_t slot, const uint8_t* bytes, uint16_t disp);
-  void ClearSlot(size_t slot);
-
-  // Copy a value's leading bytes into an inline value area.
-  void CopyInline(uint8_t* area, const Value& value) const;
-  // Encode a new element into the scratch slot, placing the value in the
-  // heap when the table uses large values.
-  void EncodeScratch(Key key, Seq seq, const Value& value);
-  void FreeSlotPayload(size_t slot);
+  // One copy step: move `from` (a copy of another slot, or a new element)
+  // into `slot` with displacement `disp`. A copied source keeps its
+  // reference until a later step overwrites it.
+  void StoreSlot(size_t slot, Slot from, uint16_t disp);
+  // A new element's slot image.
+  Slot NewSlot(Key key, Seq seq, Value value) const;
+  // The value a slot or overflow entry stores (see the size rule above).
+  Value Stored(const Value& value) const;
 
   // Find the table slot holding `key`, if any.
   std::optional<size_t> FindSlot(Key key) const;
-  std::optional<size_t> FindOverflow(Key key, size_t& segment_out) const;
+  const OverflowEntry* FindOverflow(Key key) const;
+  // Point `key`'s slot or overflow entry at `value`; returns its version
+  // for the caller to set, or null when the key is absent.
+  Seq* Overwrite(Key key, const Value& value);
+  // Remove `e` from its bucket, and the bucket once empty.
+  void RemoveOverflow(const OverflowEntry* e);
 
   void NoteDisp(Key key, uint16_t disp);
 
@@ -232,20 +238,18 @@ class RobinhoodTable {
   size_t mask_;
   size_t value_size_;
   bool large_values_;
-  size_t inline_area_;  // bytes of value area per slot
   size_t slot_size_;
   uint16_t max_displacement_;
   uint16_t segment_slots_;
   size_t num_segments_;
 
-  std::unique_ptr<uint8_t[]> data_;
-  // One slot image that Robinhood inserts and overflow pulls build the new
-  // element in, and the insert's swap chain; both reused by every insert.
-  std::unique_ptr<uint8_t[]> scratch_;
+  std::unique_ptr<Slot[]> slots_;
+  // The insert's swap chain, reused by every insert.
   std::vector<size_t> chain_;
-  std::vector<std::vector<OverflowEntry>> overflow_;
+  // Overflow buckets by segment; a segment has one only while it holds an
+  // entry, so most tables keep none.
+  std::map<size_t, std::vector<OverflowEntry>> overflow_;
   std::vector<uint16_t> seg_max_disp_;
-  LargeObjectHeap heap_;
 
   size_t size_table_ = 0;
   size_t size_overflow_ = 0;

@@ -11,6 +11,7 @@
 #include <iterator>
 #include <new>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/rng.h"
@@ -82,6 +83,19 @@ class Value {
     return block_ != nullptr ? block_->refs.load() : 0;
   }
 
+  // A handle read back from `image`, a byte copy of a live Value (a
+  // table slot's DMA image, RobinhoodTable::ReadRegion). The copy took no
+  // reference; the returned handle shares the block, which the copied
+  // Value must still hold.
+  static Value FromImage(const uint8_t* image) {
+    Value v;
+    std::memcpy(&v.block_, image, sizeof(v.block_));
+    if (v.block_ != nullptr) {
+      ++v.block_->refs;
+    }
+    return v;
+  }
+
   // The one writer: detaches a shared block (copying its bytes) so the
   // caller owns the bytes it is about to change.
   uint8_t* mutable_data() {
@@ -121,7 +135,7 @@ class Value {
 
   Block* block_ = nullptr;
 };
-static_assert(sizeof(Value) == 8);
+static_assert(sizeof(Value) == 8 && std::is_standard_layout_v<Value>);  // bytes == block_
 
 inline Value MakeValue(size_t size, uint8_t fill) { return Value(size, fill); }
 

@@ -1,11 +1,9 @@
 // Allocation checks for bulk loading: storing a replica object costs no
-// heap allocation. Datastore::Load copies a small value's bytes into its
-// host-table slot, or shares a large value's block with the large-object
-// heap, and shares the block with the NIC cache; XenicCluster::
-// LoadReplicated hands every replica the same block. What remains is
-// amortized growth: a NIC index entry's overflow positions once its
-// segment outgrows the inline ways, the host table's overflow buckets, and
-// the large-object heap's slot vector.
+// heap allocation. Datastore::Load shares the value's block with its
+// host-table slot and with the NIC cache; XenicCluster::LoadReplicated
+// hands every replica the same block. What remains is amortized growth: a
+// NIC index entry's overflow positions once its segment outgrows the
+// inline ways, and the host table's overflow buckets.
 //
 // The values are built before the counted window (building them is the
 // workload's cost, not the store's), and the tables are sized the way the
@@ -29,8 +27,8 @@ constexpr size_t kKeys = 12000;
 constexpr uint32_t kNodes = 6;
 constexpr double kMaxCallsPerObject = 0.1;
 
-// Table 0 holds 64-byte values inline; table 1 holds 312-byte values in
-// the large-object heap.
+// Table 0 holds 64-byte values inline; table 1 holds 312-byte values,
+// which a NIC reads with a second DMA read.
 std::vector<store::TableSpec> Tables() {
   return {store::TableSpec{0, "inline", 14, 64, 8, 8},
           store::TableSpec{1, "large", 15, 312, 16, 8}};

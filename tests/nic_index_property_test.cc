@@ -99,8 +99,7 @@ TEST_P(NicIndexChurnTest, LookupsCompleteUnderChurn) {
       std::vector<uint8_t> region;
       host.ReadRegion(0, host.capacity(), region);
       for (size_t s = 0; s < host.capacity(); ++s) {
-        SlotView view(region.data() + s * host.slot_size(),
-                      host.slot_size() - sizeof(SlotHeader));
+        const SlotView view = RobinhoodTable::ViewInRegion(region, s);
         if (view.occupied()) {
           const size_t seg = host.SegmentOfKey(view.key());
           ASSERT_GE(index.HintOf(seg), std::min<uint16_t>(view.disp(), host.max_displacement()));

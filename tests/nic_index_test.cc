@@ -161,6 +161,30 @@ TEST(NicIndexTest, LargeValueSecondHop) {
   EXPECT_GE(s.bytes_read, 400u);
 }
 
+TEST(NicIndexTest, MissServesTheSlotsBlockPricedByLogicalSlotSize) {
+  // The DMA read copies 24-byte slots, but its receipt prices the logical
+  // slot (header + inline value, or header + pointer plus a second read of
+  // the value), and the miss hands back, and caches, the slot's block.
+  for (size_t value_size : {64, 312}) {
+    Fixture f(/*dm=*/8, value_size);
+    const Value v(value_size, 0x5A);
+    ASSERT_TRUE(f.host->Insert(10, v).ok());
+    f.index->SyncHintsFromHost();  // d_hint 0: a 2-slot first read
+    NicIndex::LookupStats s;
+    auto r = f.index->LookupRemote(10, &s);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_FALSE(s.cache_hit);
+    EXPECT_EQ(r->value.data(), v.data());
+    const bool large = f.host->large_values();
+    EXPECT_EQ(s.objects_read, 2u);
+    EXPECT_EQ(s.dma_reads, large ? 2u : 1u);
+    EXPECT_EQ(s.bytes_read, 2 * f.host->slot_size() + (large ? value_size : 0));
+    const auto cached = f.index->CachedEntries();
+    ASSERT_EQ(cached.size(), 1u);
+    EXPECT_EQ(cached[0].value->data(), v.data());
+  }
+}
+
 TEST(NicIndexTest, LockAcquireConflictRelease) {
   Fixture f;
   const TxnId t1 = MakeTxnId(0, 1);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -64,6 +65,23 @@ TEST(ValueTest, EmptyValueAllocatesNothing) {
     EXPECT_EQ(v->begin(), v->end());
   }
   EXPECT_EQ(a.mutable_data(), nullptr);
+}
+
+TEST(ValueTest, FromImageSharesTheCopiedHandlesBlock) {
+  // A byte copy of a handle (a DMA image of a table slot) takes no
+  // reference; reading it back shares the block without allocating.
+  const Value a(16, 1);
+  uint8_t image[sizeof(Value)];
+  std::memcpy(image, static_cast<const void*>(&a), sizeof(image));
+  EXPECT_EQ(a.use_count(), 1u);
+  const uint64_t before = OperatorNewCalls();
+  const Value b = Value::FromImage(image);
+  EXPECT_EQ(OperatorNewCalls(), before);
+  EXPECT_EQ(b.data(), a.data());
+  EXPECT_EQ(a.use_count(), 2u);
+  const Value none;
+  std::memcpy(image, static_cast<const void*>(&none), sizeof(image));
+  EXPECT_TRUE(Value::FromImage(image).empty());
 }
 
 TEST(ValueTest, EqualityComparesBytes) {

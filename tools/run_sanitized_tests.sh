@@ -2,7 +2,7 @@
 # Builds the tree with AddressSanitizer + UndefinedBehaviorSanitizer and runs
 # the tier-1 test suite plus a few short chaos schedules under it: one on
 # Xenic, one on each baseline mode, the lock-wait schedules of each 2PL
-# policy and of OCC's hot keys, and two failover schedules; then three short
+# policy and of OCC's hot keys, and two failover schedules; then five short
 # closed-loop xenicsim runs. The chaos harness stresses exactly the paths
 # sanitizers are good at catching -- crash teardown, log reclamation,
 # NIC-index eviction, routing moves -- so seeds run here even though the
@@ -58,14 +58,19 @@ done
 # their callback runs. YCSB on Xenic with --txn-attrib, and on DrTM+H.
 # Then the full TPC-C mix on Xenic: OrderStatus, Delivery and StockLevel
 # read the order packs that the coordinators' B+trees and the backups'
-# log-apply hooks share.
+# log-apply hooks share. Then Retwis on Xenic, whose 64-byte host table
+# slots hold handles to the blocks the NIC caches and log records share,
+# applied by the host workers and, with --nic-log-apply, by the NIC cores.
 # Output goes to a scratch directory: xenicsim writes its report there.
 tools_dir=$(cd "$BUILD_DIR"/tools && pwd)
 run_dir=$(mktemp -d)
 (cd "$run_dir" &&
   "$tools_dir"/xenicsim --workload ycsb --txn-attrib --measure-us 300 >/dev/null &&
   "$tools_dir"/xenicsim --system drtmh --workload ycsb --measure-us 300 >/dev/null &&
-  "$tools_dir"/xenicsim --workload tpcc --measure-us 300 >/dev/null)
+  "$tools_dir"/xenicsim --workload tpcc --measure-us 300 >/dev/null &&
+  "$tools_dir"/xenicsim --workload retwis --scale 2000 --measure-us 200 >/dev/null &&
+  "$tools_dir"/xenicsim --workload retwis --scale 2000 --measure-us 200 --nic-log-apply \
+    >/dev/null)
 rm -rf "$run_dir"
 
 echo "sanitized run OK"
