@@ -683,21 +683,25 @@ void BaselineNode::LogPhase(TxnState* st) {
 
   const Handle h = st->handle();
   for (store::NodeId shard : shards) {
-    store::LogRecord rec;
-    rec.type = store::LogRecordType::kLog;
-    rec.txn = h.txn;
-    st->ShardWrites(*map_, shard, id(), &rec.writes);
-    const auto bytes = static_cast<uint32_t>(rec.ByteSize());
     const auto backups = repl_->BackupsOf(shard);
-    for (auto it = backups.begin(); it != backups.end();) {
-      const store::NodeId backup = *it;
-      // Each backup appends its own copy; the last one takes the record.
-      const uint32_t slot =
-          ++it == backups.end() ? log_records_.Put(std::move(rec)) : log_records_.Put(rec);
-      auto append = sim::InlineCallback([this, backup, slot] {
-        auto r = (*peers_)[backup]->store_->log().Append(log_records_.Take(slot));
+    if (backups.empty()) {
+      continue;
+    }
+    // The shard's one LOG record, parked for all of its backups: each
+    // backup's append copies it into that backup's log.
+    const uint32_t slot = write_sets_.Acquire();
+    WriteSet& set = write_sets_[slot];
+    st->ShardWrites(*map_, shard, id(), &set.writes);
+    set.refs = static_cast<uint32_t>(backups.size());
+    const auto bytes = static_cast<uint32_t>(store::LogRecordBytes(set.writes));
+    for (const store::NodeId backup : backups) {
+      auto append = sim::InlineCallback([this, txn = h.txn, backup, slot] {
+        store::LogHeader header;
+        header.txn = txn;
+        auto r = (*peers_)[backup]->store_->log().AppendCopy(header, write_sets_[slot].writes);
         assert(r.ok() && "baseline backup log overflow");
         (void)r;
+        UnrefWriteSet(slot);
       });
       auto acked = sim::InlineCallback([this, h, backup, shard] { OnLogAck(h, backup, shard); });
       if (mode_ == BaselineMode::kFasst) {
@@ -736,8 +740,8 @@ void BaselineNode::CommitPhase(TxnState* st) {
   st->pending = 0;
 
   for (store::NodeId shard : shards) {
-    const uint32_t slot = commit_sets_.Acquire();
-    CommitSet& set = commit_sets_[slot];
+    const uint32_t slot = write_sets_.Acquire();
+    WriteSet& set = write_sets_[slot];
     std::vector<store::LogWrite>& writes = set.writes;
     st->ShardWrites(*map_, shard, id(), &writes);
     // Strip workload-managed writes: primaries apply only table writes
@@ -746,7 +750,7 @@ void BaselineNode::CommitPhase(TxnState* st) {
       return w.table >= store_->num_tables();
     });
     if (writes.empty()) {
-      commit_sets_.Release(slot);
+      write_sets_.Release(slot);
       continue;
     }
     if (shard == id()) {
@@ -754,11 +758,11 @@ void BaselineNode::CommitPhase(TxnState* st) {
       set.refs = 1;
       host_cores_->Submit(kHostKeyCost * static_cast<sim::Tick>(writes.size()),
                           sim::InlineCallback([this, h, slot] {
-                            for (const auto& w : commit_sets_[slot].writes) {
+                            for (const auto& w : write_sets_[slot].writes) {
                               store_->ApplyWrite(w);
                               store_->table(w.table).Unlock(w.key, h.txn);
                             }
-                            UnrefCommitSet(slot);
+                            UnrefWriteSet(slot);
                             OnCommitDone(h);
                           }));
       continue;
@@ -773,14 +777,14 @@ void BaselineNode::CommitPhase(TxnState* st) {
         transport_.Write(
             net::MsgType::kCommit, shard, bytes,
             sim::InlineCallback([this, shard, slot, j] {
-              (*peers_)[shard]->store_->ApplyWrite(commit_sets_[slot].writes[j]);
+              (*peers_)[shard]->store_->ApplyWrite(write_sets_[slot].writes[j]);
             }),
             sim::InlineCallback([this, h, shard, slot, j] {
               transport_.Write(net::MsgType::kUnlock, shard, 8,
                                sim::InlineCallback([this, txn = h.txn, shard, slot, j] {
-                                 const store::LogWrite& w = commit_sets_[slot].writes[j];
+                                 const store::LogWrite& w = write_sets_[slot].writes[j];
                                  (*peers_)[shard]->store_->table(w.table).Unlock(w.key, txn);
-                                 UnrefCommitSet(slot);
+                                 UnrefWriteSet(slot);
                                }),
                                sim::InlineCallback([this, h] { OnCommitDone(h); }), h.txn);
             }),
@@ -800,11 +804,11 @@ void BaselineNode::CommitPhase(TxnState* st) {
                    kRpcHandlerPerKey * static_cast<sim::Tick>(writes.size()),
                    sim::InlineCallback([this, txn = h.txn, shard, slot] {
                      BaselineStore* target = (*peers_)[shard]->store_;
-                     for (const auto& w : commit_sets_[slot].writes) {
+                     for (const auto& w : write_sets_[slot].writes) {
                        target->ApplyWrite(w);
                        target->table(w.table).Unlock(w.key, txn);
                      }
-                     UnrefCommitSet(slot);
+                     UnrefWriteSet(slot);
                    }),
                    sim::InlineCallback([this, h] { OnCommitDone(h); }), h.txn);
   }
@@ -824,9 +828,11 @@ void BaselineNode::OnCommitDone(Handle h) {
   }
 }
 
-void BaselineNode::UnrefCommitSet(uint32_t slot) {
-  if (--commit_sets_[slot].refs == 0) {
-    commit_sets_.Release(slot);
+void BaselineNode::UnrefWriteSet(uint32_t slot) {
+  WriteSet& set = write_sets_[slot];
+  if (--set.refs == 0) {
+    set.writes.clear();  // the values go; the vector's capacity stays
+    write_sets_.Release(slot);
   }
 }
 

@@ -24,12 +24,12 @@
 // runs both steps in one host job); each phase step is a method called
 // with the state, and every verb and host closure captures
 // only the node, the state's handle and a few indexes, so it stays inline
-// in SmallCallback (sim::InlineCallback). LOG records, COMMIT write sets,
+// in SmallCallback (sim::InlineCallback). LOG and COMMIT write sets,
 // unlock key sets and outcome reports are parked in node-owned slot
-// tables; an abort's report hands the request back. What a
-// transaction still allocates is its data: the values it writes and each
-// LOG record's write vector (one per backup). DrTM+R's lock CAS adds
-// RdmaNic::Atomic's own wrappers.
+// tables, the write sets and key sets reused in place; a shard's one LOG
+// record serves all of its backups, each append copying it into the
+// backup's log. An abort's report hands the request back. What a
+// transaction still allocates is its data: the values it writes.
 
 #ifndef SRC_BASELINE_BASELINE_NODE_H_
 #define SRC_BASELINE_BASELINE_NODE_H_
@@ -125,9 +125,10 @@ class BaselineNode {
     std::vector<txn::ShardGroup> groups;
     std::vector<AbortReason> group_refused;
   };
-  // One shard's COMMIT writes, freed when `refs` closures are done with
-  // them (DrTM+R: one per key).
-  struct CommitSet {
+  // One shard's LOG record writes or COMMIT writes, freed when `refs`
+  // closures are done with them (LOG: one per backup; DrTM+R's COMMIT: one
+  // per key).
+  struct WriteSet {
     std::vector<store::LogWrite> writes;
     uint32_t refs = 0;
   };
@@ -168,8 +169,8 @@ class BaselineNode {
   void OnLogAck(Handle h, store::NodeId backup, store::NodeId shard);
   void CommitPhase(TxnState* st);
   void OnCommitDone(Handle h);
-  // Drop one closure's claim on a parked COMMIT write set.
-  void UnrefCommitSet(uint32_t slot);
+  // Drop one closure's claim on a parked write set.
+  void UnrefWriteSet(uint32_t slot);
   void AbortCleanup(TxnState* st, TxnOutcome outcome);
   void ReportAndFinish(TxnState* st, TxnOutcome outcome);
   void EraseState(TxnState* st) { txns_.Release(st); }
@@ -183,11 +184,10 @@ class BaselineNode {
   BaselineMode mode_;
   std::vector<BaselineNode*>* peers_;
   txn::TxnPool<TxnState> txns_;
-  // Parked for the closures that deliver them: LOG records until the
-  // backup appends them, COMMIT write sets until applied (reused in
-  // place), and unlock key sets until released (reused in place).
-  sim::SlotTable<store::LogRecord> log_records_;
-  sim::SlotTable<CommitSet> commit_sets_;
+  // Parked for the closures that deliver them, reused in place: LOG
+  // record and COMMIT write sets until every backup appended or the
+  // primary applied them, and unlock key sets until released.
+  sim::SlotTable<WriteSet> write_sets_;
   sim::SlotTable<std::vector<KeyRef>> unlock_sets_;
   // Outcome reports (ReportAndFinish), parked until the callback's host
   // job runs, so that job captures only a slot.

@@ -136,7 +136,7 @@ BaselineStore::BaselineStore(const std::vector<TableSpec>& specs) {
   }
 }
 
-store::ApplyOutcome BaselineStore::ApplyLogRecord(const store::LogRecord& record,
+store::ApplyOutcome BaselineStore::ApplyLogRecord(const store::LogRecordView& record,
                                                   bool /*stability_gate*/) {
   for (const auto& w : record.writes) {
     if (w.table < tables_.size()) {  // else workload-managed: the drain's apply hook takes it

@@ -122,7 +122,7 @@ class BaselineStore final : public store::LogApplyTarget {
 
   // The log drain's store step: upsert or erase each write. Baselines keep
   // no NIC cache, pending-read index or tombstones, and never gate.
-  store::ApplyOutcome ApplyLogRecord(const store::LogRecord& record,
+  store::ApplyOutcome ApplyLogRecord(const store::LogRecordView& record,
                                      bool stability_gate) override;
 
  private:

@@ -60,7 +60,7 @@ sim::Tick LogDrain::ApplyBatch() {
   const size_t num_tables = target_->num_tables();
   sim::Tick extra = 0;
   for (int consumed = 0; consumed < kBatch; ++consumed) {
-    const store::LogRecord* rec = log.Peek();
+    const store::LogRecordView* rec = log.Peek();
     if (rec == nullptr) {
       break;
     }

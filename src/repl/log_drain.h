@@ -64,7 +64,7 @@ class LogDrain {
   void set_apply_hook(ApplyHook hook) { apply_hook_ = std::move(hook); }
   // Runs once per applied (not dropped) record, before its writes are
   // costed: the caller's trace instant or counter. No simulation effect.
-  using RecordHook = std::function<void(const store::LogRecord&)>;
+  using RecordHook = std::function<void(const store::LogRecordView&)>;
   void set_record_hook(RecordHook hook) { record_hook_ = std::move(hook); }
 
  private:

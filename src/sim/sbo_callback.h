@@ -36,9 +36,13 @@ class SmallFunction<R(Args...)> {
   SmallFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t)) {
+      if constexpr (std::is_trivially_copyable_v<Fn>) {
+        ClearUnused<std::is_empty_v<Fn> ? 0 : sizeof(Fn)>();
+      }
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &InlineOps<Fn>::ops;
     } else {
+      ClearUnused<sizeof(Fn*)>();
       *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
       ops_ = &HeapOps<Fn>::ops;
     }
@@ -92,6 +96,16 @@ class SmallFunction<R(Args...)> {
     // nullptr means trivially destructible: destruction is a no-op.
     void (*destroy)(void* storage) noexcept;
   };
+
+  // Zero the storage past the first `used` bytes, which the target fills
+  // (an empty capture fills none), so that Relocate's fixed-size memcpy
+  // copies no indeterminate byte.
+  template <size_t used>
+  void ClearUnused() noexcept {
+    if constexpr (used < kInlineSize) {
+      std::memset(storage_ + used, 0, kInlineSize - used);
+    }
+  }
 
   // Steal other's target. Precondition: other.ops_ != nullptr and *this is
   // empty (default-constructed or just Reset).

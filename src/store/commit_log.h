@@ -6,16 +6,21 @@
 // the critical path, and acknowledge so the NIC can reclaim log space and
 // unpin cache entries.
 //
-// The log is a bounded ring: Append fails with kCapacity when the host has
-// fallen behind, which back-pressures the NIC (tested explicitly). Its
-// storage is a power-of-two array that doubles when full, up to the
-// capacity, so once it has grown to the peak backlog neither Append nor
-// Reclaim allocates.
+// The log is a bounded ring of record headers: Append fails with kCapacity
+// when the host has fallen behind, which back-pressures the NIC (tested
+// explicitly). Each record's writes lie contiguously in one log-owned write
+// store, in append order; the store wraps like the ring, skipping the end
+// of its array when a record does not fit there, and grows instead of
+// refusing. Both are power-of-two arrays that double when full (the ring up
+// to the capacity), so once they have grown to the peak backlog neither
+// Append nor Reclaim allocates. Append moves the writes out of the caller's
+// vector, which keeps its capacity for the caller's next record.
 
 #ifndef SRC_STORE_COMMIT_LOG_H_
 #define SRC_STORE_COMMIT_LOG_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -37,65 +42,84 @@ struct LogWrite {
   bool is_delete = false;
 };
 
-struct LogRecord {
+// Serialized size of a record with `writes`, used for DMA-write cost
+// accounting.
+inline size_t LogRecordBytes(std::span<const LogWrite> writes) {
+  size_t n = 24;  // record header
+  for (const auto& w : writes) {
+    n += 24 + w.value.size();
+  }
+  return n;
+}
+
+// A record's header: everything but its writes.
+struct LogHeader {
   LogRecordType type = LogRecordType::kLog;
   TxnId txn = kNoTxn;
   uint64_t lsn = 0;  // assigned by Append
   // How many distinct written shards the transaction logged to. Recovery
   // uses this to decide global completeness: a transaction is committed iff
   // records for all `total_shards` shards reached every surviving backup.
-  // Fits in the 24-byte record header, so ByteSize() is unchanged.
+  // Fits in the 24-byte record header, so the byte size is unchanged.
   uint32_t total_shards = 1;
   // Which shard (primary, under the map the coordinator used) this record
   // replicates. Recovery keys its applied-record index by (txn, shard) so
   // an applied-and-reclaimed record still counts as replication evidence.
-  // Also header-resident: ByteSize() unchanged.
+  // Also header-resident: the byte size is unchanged.
   NodeId shard = 0;
+};
+
+// A record with a write vector of its own: what a sender builds, and what
+// a recovery scan keeps.
+struct LogRecord : LogHeader {
   std::vector<LogWrite> writes;
 
-  // Serialized size, used for DMA-write cost accounting.
-  size_t ByteSize() const {
-    size_t n = 24;  // record header
-    for (const auto& w : writes) {
-      n += 24 + w.value.size();
-    }
-    return n;
-  }
+  size_t ByteSize() const { return LogRecordBytes(writes); }
+};
+
+// A record where it lies -- its header and a view of its writes. The log
+// hands these out; a LogRecord converts to one.
+struct LogRecordView : LogHeader {
+  std::span<const LogWrite> writes;
+
+  LogRecordView() = default;
+  LogRecordView(const LogHeader& header, std::span<const LogWrite> record_writes)
+      : LogHeader(header), writes(record_writes) {}
+  LogRecordView(const LogRecord& record)  // NOLINT(google-explicit-constructor)
+      : LogRecordView(record, record.writes) {}
 };
 
 class CommitLog {
  public:
   explicit CommitLog(size_t capacity_records = 1 << 16) : capacity_(capacity_records) {}
+  ~CommitLog();
+  // Record views point into the write store.
+  CommitLog(const CommitLog&) = delete;
+  CommitLog& operator=(const CommitLog&) = delete;
 
-  // NIC side: append a record via DMA write. kCapacity when the ring is full.
-  Result<uint64_t> Append(LogRecord record);
+  // NIC side: append a record via DMA write -- `header`, its lsn assigned
+  // here, and the writes moved out of `*writes`, which is left empty with
+  // its capacity. kCapacity when the ring is full, leaving `*writes` as it
+  // was.
+  Result<uint64_t> Append(const LogHeader& header, std::vector<LogWrite>* writes);
+  // The same with copies of `writes`.
+  Result<uint64_t> AppendCopy(const LogHeader& header, std::span<const LogWrite> writes);
 
   // Host side: next unapplied record, or nullptr when drained. Valid until
   // the next Append or Reclaim.
-  const LogRecord* Peek() const;
+  const LogRecordView* Peek() const;
   // Host side: mark the head record applied; it remains buffered until Ack.
   void PopApplied();
 
-  // NIC side: reclaim all records with lsn < `upto` (host acked them).
-  // Keeps up to kSpareWrites of their write vectors, emptied, for
-  // SpareWrites.
+  // NIC side: reclaim all records with lsn < `upto` (host acked them),
+  // releasing their writes' values.
   void Reclaim(uint64_t upto);
 
-  // NIC side: an empty write vector for a record about to be built, with a
-  // reclaimed record's capacity when one is spare.
-  std::vector<LogWrite> SpareWrites() {
-    if (spare_writes_.empty()) {
-      return {};
-    }
-    std::vector<LogWrite> writes = std::move(spare_writes_.back());
-    spare_writes_.pop_back();
-    return writes;
-  }
-
-  // Recovery: snapshot every unreclaimed record (applied-but-unacked and
-  // pending alike), oldest first -- the state a recovery scan reads from
-  // host memory.
-  std::vector<LogRecord> Snapshot() const;
+  // Recovery: unreclaimed record `i` (applied-but-unacked and pending
+  // alike), oldest first, for i < unreclaimed() -- the state a recovery
+  // scan reads from host memory, in place. Valid until the next Append or
+  // Reclaim.
+  const LogRecordView& Record(size_t i) const { return At(i); }
 
   bool Full() const { return size_ >= capacity_; }
   size_t pending() const { return size_ - applied_; }
@@ -115,24 +139,45 @@ class CommitLog {
 
  private:
   // The record `i` places after the oldest unreclaimed one.
-  LogRecord& At(size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
-  const LogRecord& At(size_t i) const { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+  LogRecordView& At(size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+  const LogRecordView& At(size_t i) const { return ring_[(head_ + i) & (ring_.size() - 1)]; }
   // Double the ring (to at least 16 slots, at most capacity_ rounded up to
   // a power of two), moving the records to its front in order.
   void Grow();
+  // Put `header` at the ring's tail with `n` write slots of raw storage,
+  // which the caller constructs; returns them.
+  LogWrite* Push(const LogHeader& header, size_t n);
+  // `n` > 0 contiguous write slots at the store's tail: after the newest
+  // record's writes, or at the front of the array when the rest of it is
+  // too short -- a gap freed with the record.
+  LogWrite* PlaceWrites(size_t n);
+  // Double the write store until the live writes and `n` more fit, moving
+  // the live writes to its front in order.
+  void GrowWrites(size_t n);
+  // Where a live record's writes lie in the store.
+  size_t Offset(const LogRecordView& rec) const {
+    return static_cast<size_t>(rec.writes.data() - writes_);
+  }
 
   size_t capacity_;
-  std::vector<LogRecord> ring_;  // a power of two in size, or empty
-  size_t head_ = 0;              // slot of the oldest unreclaimed record
-  size_t size_ = 0;              // unreclaimed records
+  std::vector<LogRecordView> ring_;  // a power of two in size, or empty
+  size_t head_ = 0;                  // slot of the oldest unreclaimed record
+  size_t size_ = 0;                  // unreclaimed records
   size_t applied_ = 0;  // records at the front that are applied but unacked
   uint64_t next_lsn_ = 0;
+  // The write store: raw storage for writes_cap_ writes (a power of two, or
+  // 0), of which the unreclaimed records' writes are constructed. The live
+  // span runs from writes_head_ to writes_tail_, wrapping, and covers
+  // writes_used_ slots, skipped gaps included.
+  LogWrite* writes_ = nullptr;
+  size_t writes_cap_ = 0;
+  size_t writes_head_ = 0;
+  size_t writes_tail_ = 0;
+  size_t writes_used_ = 0;
   // Transactions whose commit point is known (see MarkStable). Bounded by
   // the transactions of one run; only consulted by the stability-gated NIC
   // drain, so the default host-worker path never reads it.
   std::unordered_set<TxnId> stable_;
-  static constexpr size_t kSpareWrites = 64;
-  std::vector<std::vector<LogWrite>> spare_writes_;
 };
 
 // What a store's log step did with one record (LogApplyTarget).
@@ -154,7 +199,7 @@ class LogApplyTarget {
   // Apply `record`'s writes to tables below num_tables(). With
   // `stability_gate` set, a kLog record whose commit point is not yet
   // known (CommitLog::IsStable) is left for a later poll.
-  virtual ApplyOutcome ApplyLogRecord(const LogRecord& record, bool stability_gate) = 0;
+  virtual ApplyOutcome ApplyLogRecord(const LogRecordView& record, bool stability_gate) = 0;
 
  protected:
   ~LogApplyTarget() = default;

@@ -36,11 +36,12 @@ Status Datastore::Load(TableId table, Key key, const Value& value, Seq seq) {
   return Status::Ok();
 }
 
-Result<uint64_t> Datastore::Append(LogRecord record) {
-  if (IsTombstoned(record.txn)) {
+Result<uint64_t> Datastore::Append(const LogHeader& header, std::vector<LogWrite>* writes) {
+  if (IsTombstoned(header.txn)) {
     // Late-arriving record for a transaction the epoch change already
     // aborted: acknowledge (the sender's state is gone anyway) but never
     // buffer it where a worker could apply it.
+    writes->clear();
     return Result<uint64_t>(log_.next_lsn());
   }
   // Only COMMIT records make writes visible to host readers at this node:
@@ -48,8 +49,8 @@ Result<uint64_t> Datastore::Append(LogRecord record) {
   // read. Index commit-record writes for FreshLookup under the lsn the
   // append assigns; the pending entries share the record's values. A full
   // ring rejects the append and indexes nothing.
-  if (record.type == LogRecordType::kCommit && !log_.Full()) {
-    for (const auto& w : record.writes) {
+  if (header.type == LogRecordType::kCommit && !log_.Full()) {
+    for (const auto& w : *writes) {
       if (w.table >= tables_.size()) {
         continue;  // workload-managed writes are not host-table state
       }
@@ -57,7 +58,7 @@ Result<uint64_t> Datastore::Append(LogRecord record) {
                     PendingIndex::Write{log_.next_lsn(), w.seq, w.value, w.is_delete});
     }
   }
-  return log_.Append(std::move(record));
+  return log_.Append(header, writes);
 }
 
 std::optional<LookupResult> Datastore::FreshLookup(TableId table, Key key) const {
@@ -77,7 +78,7 @@ std::optional<Seq> Datastore::FreshSeq(TableId table, Key key) const {
   return tables_.at(table)->GetSeq(key);
 }
 
-void Datastore::ClearPending(const LogRecord& record) {
+void Datastore::ClearPending(const LogRecordView& record) {
   for (const auto& w : record.writes) {
     pending_.Erase(PendingKey(w.table, w.key), record.lsn);
   }
@@ -89,7 +90,7 @@ void Datastore::AckHostApplied(TableId table, Key key) {
   indexes_[table]->OnHostApplied(key, t.SegmentMaxDisp(seg), t.SegmentHasOverflow(seg));
 }
 
-ApplyOutcome Datastore::ApplyLogRecord(const LogRecord& record, bool stability_gate) {
+ApplyOutcome Datastore::ApplyLogRecord(const LogRecordView& record, bool stability_gate) {
   if (IsTombstoned(record.txn)) {
     // Epoch-aborted transaction: drop the record. A commit record pinned
     // its cached objects until host apply, and the cached values were
@@ -198,9 +199,9 @@ void Datastore::TombstoneTxn(TxnId txn) {
   // FreshLookup stops serving the aborted values; the records themselves
   // stay in the ring (workers pop-and-skip them, keeping lsn accounting
   // intact).
-  for (const auto& rec : log_.Snapshot()) {
-    if (rec.txn == txn) {
-      ClearPending(rec);
+  for (size_t i = 0; i < log_.unreclaimed(); ++i) {
+    if (log_.Record(i).txn == txn) {
+      ClearPending(log_.Record(i));
     }
   }
 }

@@ -58,10 +58,11 @@ class Datastore final : public LogApplyTarget {
     indexes_[table]->Prefetch(key);
   }
 
-  // NIC side: append a record to the host log, maintaining the host's
-  // pending-write index (the log lives in host memory, so host readers can
-  // see committed-but-unapplied writes -- see FreshLookup).
-  Result<uint64_t> Append(LogRecord record);
+  // NIC side: append a record to the host log (CommitLog::Append: the
+  // writes move out of `*writes`), maintaining the host's pending-write
+  // index (the log lives in host memory, so host readers can see
+  // committed-but-unapplied writes -- see FreshLookup).
+  Result<uint64_t> Append(const LogHeader& header, std::vector<LogWrite>* writes);
 
   // Host-local read that observes the freshest committed state: the newest
   // pending log write for the key if one exists, else the table. Local
@@ -80,7 +81,7 @@ class Datastore final : public LogApplyTarget {
   // write whose key already holds the same or a newer seq is skipped, ack
   // included: a replay never moves a key backwards. Either way the
   // record's writes leave the pending-read index.
-  ApplyOutcome ApplyLogRecord(const LogRecord& record, bool stability_gate) override;
+  ApplyOutcome ApplyLogRecord(const LogRecordView& record, bool stability_gate) override;
 
   // Recovery/abort: mark `txn`'s log records dead on this node. Existing
   // records stay buffered (the ring's lsn accounting is untouched) but their
@@ -113,7 +114,7 @@ class Datastore final : public LogApplyTarget {
     return (static_cast<uint64_t>(table) << 48) ^ key;
   }
   // Remove a record's writes from the pending index.
-  void ClearPending(const LogRecord& record);
+  void ClearPending(const LogRecordView& record);
   // Ack one host-side write to the NIC index: unpin the key and refresh
   // its segment's displacement hint.
   void AckHostApplied(TableId table, Key key);

@@ -38,7 +38,7 @@ bool Contains(const std::vector<NodeId>& nodes, NodeId n) {
 
 // Which shard a record belongs to: the primary of its first write under the
 // pre-failure map (every record's writes target exactly one shard).
-NodeId ShardOfRecord(const ClusterMap& map, const store::LogRecord& rec) {
+NodeId ShardOfRecord(const ClusterMap& map, const store::LogRecordView& rec) {
   assert(!rec.writes.empty());
   return map.PrimaryOf(rec.writes.front().table, rec.writes.front().key);
 }
@@ -61,7 +61,9 @@ Evidence CollectEvidence(XenicCluster& cluster, const std::vector<NodeId>& live)
   Evidence out;
   for (NodeId n : live) {
     auto& ds = cluster.datastore(n);
-    for (const auto& rec : ds.log().Snapshot()) {
+    const store::CommitLog& log = ds.log();
+    for (size_t i = 0; i < log.unreclaimed(); ++i) {
+      const store::LogRecordView& rec = log.Record(i);
       if (rec.type != store::LogRecordType::kLog || rec.writes.empty() ||
           ds.IsTombstoned(rec.txn)) {
         continue;
@@ -70,7 +72,7 @@ Evidence CollectEvidence(XenicCluster& cluster, const std::vector<NodeId>& live)
       t.total_shards = std::max(t.total_shards, rec.total_shards);
       auto [it, inserted] = t.shards.try_emplace(ShardOfRecord(map, rec));
       if (inserted) {
-        it->second.record = rec;
+        it->second.record = store::LogRecord{rec, {rec.writes.begin(), rec.writes.end()}};
       }
       it->second.holders.push_back(n);
     }
@@ -192,12 +194,12 @@ void RollForwardAtPrimary(store::Datastore& ds, store::TxnId txn,
   for (const auto& w : commit.writes) {
     ds.index(w.table).ApplyCommit(w.key, w.value, w.seq);
   }
-  ds.Append(std::move(commit));
+  ds.Append(commit, &commit.writes);
 }
 
 // The roll-forward step: apply the writes of a committed record that land
 // on `shard` at the node taking the shard over.
-void RollForward(store::Datastore& ds, const ClusterMap& map, const store::LogRecord& rec,
+void RollForward(store::Datastore& ds, const ClusterMap& map, const store::LogRecordView& rec,
                  NodeId shard) {
   for (const auto& w : rec.writes) {
     if (w.table < ds.num_tables() && map.PrimaryOf(w.table, w.key) == shard) {
@@ -577,7 +579,9 @@ HandoffReport PlannedHandoff(XenicCluster& cluster, NodeId from) {
   // copies only the departing primary's host tables. With the stragglers
   // tombstoned, what remains in its log for the moving shards is committed.
   auto& promoted_ds = cluster.datastore(*promoted);
-  for (const auto& rec : promoted_ds.log().Snapshot()) {
+  const store::CommitLog& promoted_log = promoted_ds.log();
+  for (size_t i = 0; i < promoted_log.unreclaimed(); ++i) {
+    const store::LogRecordView& rec = promoted_log.Record(i);
     if (rec.type == store::LogRecordType::kLog && !promoted_ds.IsTombstoned(rec.txn)) {
       RollForward(promoted_ds, cluster.map(), rec, from);
     }

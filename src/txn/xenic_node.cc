@@ -86,9 +86,10 @@ XenicNode::XenicNode(nicmodel::SmartNic* nic, store::Datastore* ds, const Cluste
       drain_(nic->engine(), ds, DrainOptions(nic, *features)),
       transport_(nic, &crashed_, &stats_.messages, &stats_.by_type) {
   if (features->nic_log_apply) {
-    drain_.set_record_hook([this](const store::LogRecord&) { stats_.nic_log_applied++; });
+    drain_.set_record_hook([this](const store::LogRecordView&) { stats_.nic_log_applied++; });
   } else {
-    drain_.set_record_hook([this](const store::LogRecord& rec) { TraceInstant("apply", rec.txn); });
+    drain_.set_record_hook(
+        [this](const store::LogRecordView& rec) { TraceInstant("apply", rec.txn); });
   }
 }
 
@@ -987,7 +988,7 @@ void XenicNode::SendLogRecords(NodeId coord, const TxnState& st, NodeId shard,
                                uint32_t total_shards) {
   for (NodeId backup : repl_->BackupsOf(shard)) {
     // Each backup's record is built in its request slot, whose write
-    // vector keeps the capacity ServeLog handed it.
+    // vector keeps its capacity: the backup's append moves the writes out.
     LogSlot req = log_reqs_.AcquireHandle();
     req->coord = coord;
     store::LogRecord& rec = req->record;
@@ -1772,11 +1773,11 @@ void XenicNode::ServeValidate(ValidateSlot req) {
   });
 }
 
-void XenicNode::AppendWhenSpace(store::LogRecord record, AppendedFn appended) {
+void XenicNode::AppendWhenSpace(uint32_t bytes, sim::SmallCallback append) {
   if (crashed_) {
     return;  // the DMA target is gone; retry loops die with the node
   }
-  TryAppend(appends_.Put(PendingAppend{std::move(record), std::move(appended)}));
+  TryAppend(appends_.Put(PendingAppend{bytes, std::move(append)}));
 }
 
 void XenicNode::TryAppend(uint32_t slot) {
@@ -1791,14 +1792,13 @@ void XenicNode::TryAppend(uint32_t slot) {
                                   sim::InlineCallback([this, slot] { TryAppend(slot); }));
     return;
   }
-  const auto bytes = static_cast<uint32_t>(appends_[slot].record.ByteSize());
   // The record becomes host-visible when the DMA completes: the caller's
-  // continuation runs then, with the record, and the append follows in the
-  // same event, so the host workers can never observe the record before
-  // the NIC's own bookkeeping (cache pinning) is in place. The append
-  // schedules nothing, and no continuation reads the log or its pending
-  // index, so their order within the event moves nothing.
-  nic_->DmaWrite(bytes, sim::InlineCallback([this, slot] {
+  // continuation runs then and appends the record last, in the same event,
+  // so the host workers can never observe the record before the NIC's own
+  // bookkeeping (cache pinning) is in place. The append schedules nothing,
+  // and no continuation reads the log or its pending index, so their order
+  // within the event moves nothing.
+  nic_->DmaWrite(appends_[slot].bytes, sim::InlineCallback([this, slot] {
     if (crashed_) {
       appends_.Take(slot);
       return;
@@ -1807,33 +1807,33 @@ void XenicNode::TryAppend(uint32_t slot) {
       TryAppend(slot);
       return;
     }
-    PendingAppend a = appends_.Take(slot);
-    a.appended(a.record);
-    auto result = ds_->Append(std::move(a.record));
-    assert(result.ok());
-    (void)result;
+    appends_.Take(slot).append();
   }));
+}
+
+void XenicNode::AppendLanded(const store::LogHeader& header,
+                             std::vector<store::LogWrite>* writes) {
+  const auto result = ds_->Append(header, writes);
+  assert(result.ok());
+  (void)result;
 }
 
 void XenicNode::ServeLog(LogSlot req) {
   const TxnId txn = req->record.txn;
-  OnNic("hop.log", txn, [this, txn, req = std::move(req)]() mutable {
-    XenicNode* coord = (*peers_)[req->coord];
-    const NodeId shard = req->record.shard;
-    // The append takes the record; the request slot keeps a reclaimed
-    // record's buffer for its next LOG.
-    store::LogRecord record = std::move(req->record);
-    req->record.writes = ds_->log().SpareWrites();
-    req.Reset();
-    auto ack = [this, coord, txn, shard](const store::LogRecord&) {
+  OnNic("hop.log", txn, [this, req = std::move(req)]() mutable {
+    const auto bytes = static_cast<uint32_t>(req->record.ByteSize());
+    AppendWhenSpace(bytes, sim::InlineCallback([this, req = std::move(req)]() mutable {
+      XenicNode* coord = (*peers_)[req->coord];
+      const TxnId txn = req->record.txn;
       const NodeId from = id();
+      const NodeId shard = req->record.shard;
       transport_.SendAck(net::MsgType::kLog, coord->id(),
                          sim::InlineCallback([coord, txn, from, shard] {
                            coord->OnLogAck(txn, from, shard);
                          }),
                          txn);
-    };
-    AppendWhenSpace(std::move(record), sim::InlineCallback<void(const store::LogRecord&)>(ack));
+      AppendLanded(req->record, &req->record.writes);
+    }));
   });
 }
 
@@ -1858,28 +1858,24 @@ void XenicNode::ApplyCommitAtNic(TxnId txn, const std::vector<store::LogWrite>& 
 
 void XenicNode::ServeCommit(CommitSlot req) {
   OnNic(nullptr, store::kNoTxn, [this, req = std::move(req)]() mutable {
-    // The record takes the writes; the request slot keeps a reclaimed
-    // record's buffer for its next COMMIT.
-    store::LogRecord rec;
-    rec.type = store::LogRecordType::kCommit;
-    rec.txn = req->txn;
-    rec.shard = id();
-    rec.writes = std::exchange(req->writes, ds_->log().SpareWrites());
+    const auto bytes = static_cast<uint32_t>(store::LogRecordBytes(req->writes));
     // The commit record is applied by the host workers; cache entries are
     // updated and pinned now, and locks release once the DMA completes.
-    auto commit = [this, req = std::move(req)](const store::LogRecord& rec) mutable {
+    AppendWhenSpace(bytes, sim::InlineCallback([this, req = std::move(req)]() mutable {
       const TxnId txn = req->txn;
       for (const auto& k : req->release_keys) {
         ReleaseOne(txn, k);
       }
-      ApplyCommitAtNic(txn, rec.writes);
+      ApplyCommitAtNic(txn, req->writes);
       XenicNode* coord = (*peers_)[req->coord];
-      req.Reset();
       transport_.SendAck(net::MsgType::kCommit, coord->id(),
                          sim::InlineCallback([coord, txn] { coord->OnCommitAck(txn); }), txn);
-    };
-    AppendWhenSpace(std::move(rec),
-                    sim::InlineCallback<void(const store::LogRecord&)>(std::move(commit)));
+      store::LogHeader header;
+      header.type = store::LogRecordType::kCommit;
+      header.txn = txn;
+      header.shard = id();
+      AppendLanded(header, &req->writes);
+    }));
   });
 }
 

@@ -207,7 +207,9 @@ class XenicNode {
   // step and reply captures only {node, handle} and stays inline in
   // SmallCallback; dropping the handle (a crashed sender or server, a
   // cleared wait queue) frees the slot. A reused slot clears its vectors
-  // and keeps their capacity.
+  // and keeps their capacity. A LOG or COMMIT slot rides its record's DMA
+  // at the server, and the append moves its writes into the log, so the
+  // vector stays with the slot.
   struct ExecRequest {
     TxnId txn = store::kNoTxn;
     NodeId coord = 0;        // where the reply goes
@@ -264,10 +266,9 @@ class XenicNode {
   using ReleaseSlot = sim::SlotTable<ReleaseRequest>::Handle;
   using ShipSlot = sim::SlotTable<ShipExecution>::Handle;
   // Node-owned parking for AppendWhenSpace and the ChargeDmaReads fan-in.
-  using AppendedFn = sim::SmallFunction<void(const store::LogRecord&)>;
   struct PendingAppend {
-    store::LogRecord record;
-    AppendedFn appended;
+    uint32_t bytes = 0;  // the record's DMA write
+    sim::SmallCallback append;
   };
   struct DmaFanIn {
     uint32_t remaining = 0;
@@ -480,11 +481,14 @@ class XenicNode {
   void ReadLocalSets(TxnState* st, const std::vector<uint32_t>& read_idx,
                      store::NicIndex::LookupStats* agg);
 
-  // Append a record to the host log via DMA write, waiting (back-pressure)
-  // while the bounded ring is full. When the DMA lands, `appended` runs
-  // with the record and then the record is appended, in the same event.
-  void AppendWhenSpace(store::LogRecord record, AppendedFn appended);
+  // DMA-write a record of `bytes` to the host log, waiting (back-pressure)
+  // while the bounded ring is full. When the DMA lands with room in the
+  // ring, `append` runs: the caller's effects, then its AppendLanded.
+  void AppendWhenSpace(uint32_t bytes, sim::SmallCallback append);
   void TryAppend(uint32_t slot);
+  // Append a record whose DMA landed: `header` with the writes moved out
+  // of `*writes`, a request slot's vector, which keeps its capacity.
+  void AppendLanded(const store::LogHeader& header, std::vector<store::LogWrite>* writes);
 
   // Commit application at the primary NIC for `writes` (cache update, pin,
   // unlock).

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <random>
 #include <vector>
@@ -19,10 +20,15 @@ LogRecord MakeRecord(TxnId txn, std::vector<Key> keys) {
   return r;
 }
 
+// Appends `record`, its writes moved into the log.
+Result<uint64_t> Add(CommitLog& log, LogRecord record) {
+  return log.Append(record, &record.writes);
+}
+
 TEST(CommitLogTest, AppendAssignsMonotoneLsns) {
   CommitLog log;
-  auto a = log.Append(MakeRecord(1, {1}));
-  auto b = log.Append(MakeRecord(2, {2}));
+  auto a = Add(log, MakeRecord(1, {1}));
+  auto b = Add(log, MakeRecord(2, {2}));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, 0u);
@@ -32,8 +38,8 @@ TEST(CommitLogTest, AppendAssignsMonotoneLsns) {
 
 TEST(CommitLogTest, PeekPopOrder) {
   CommitLog log;
-  log.Append(MakeRecord(1, {1}));
-  log.Append(MakeRecord(2, {2}));
+  Add(log, MakeRecord(1, {1}));
+  Add(log, MakeRecord(2, {2}));
   ASSERT_NE(log.Peek(), nullptr);
   EXPECT_EQ(log.Peek()->txn, 1u);
   log.PopApplied();
@@ -46,8 +52,8 @@ TEST(CommitLogTest, PeekPopOrder) {
 
 TEST(CommitLogTest, ReclaimFreesApplied) {
   CommitLog log;
-  log.Append(MakeRecord(1, {1}));
-  log.Append(MakeRecord(2, {2}));
+  Add(log, MakeRecord(1, {1}));
+  Add(log, MakeRecord(2, {2}));
   log.PopApplied();
   log.PopApplied();
   log.Reclaim(1);
@@ -58,15 +64,15 @@ TEST(CommitLogTest, ReclaimFreesApplied) {
 
 TEST(CommitLogTest, CapacityBackpressure) {
   CommitLog log(2);
-  EXPECT_TRUE(log.Append(MakeRecord(1, {1})).ok());
-  EXPECT_TRUE(log.Append(MakeRecord(2, {2})).ok());
-  auto r = log.Append(MakeRecord(3, {3}));
+  EXPECT_TRUE(Add(log, MakeRecord(1, {1})).ok());
+  EXPECT_TRUE(Add(log, MakeRecord(2, {2})).ok());
+  auto r = Add(log, MakeRecord(3, {3}));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCapacity);
   // Apply + reclaim frees space.
   log.PopApplied();
   log.Reclaim(1);
-  EXPECT_TRUE(log.Append(MakeRecord(3, {3})).ok());
+  EXPECT_TRUE(Add(log, MakeRecord(3, {3})).ok());
 }
 
 TEST(CommitLogTest, ByteSizeCountsWrites) {
@@ -80,8 +86,8 @@ TEST(CommitLogTest, RecordContentsPreserved) {
   r.type = LogRecordType::kCommit;
   r.txn = 42;
   r.writes.push_back(LogWrite{3, 77, 9, Value(4, 0xAB), false});
-  log.Append(std::move(r));
-  const LogRecord* p = log.Peek();
+  log.Append(r, &r.writes);
+  const LogRecordView* p = log.Peek();
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->type, LogRecordType::kCommit);
   EXPECT_EQ(p->txn, 42u);
@@ -92,14 +98,42 @@ TEST(CommitLogTest, RecordContentsPreserved) {
   EXPECT_EQ(p->writes[0].value, Value(4, 0xAB));
 }
 
+TEST(CommitLogTest, AppendMovesTheWritesAndKeepsTheBuffer) {
+  // Append empties the caller's vector and leaves its capacity; AppendCopy
+  // leaves the caller's writes as they were. A refused append moves
+  // nothing.
+  CommitLog log(2);
+  std::vector<LogWrite> buf;
+  buf.reserve(16);
+  const Value v(8, 5);
+  buf.push_back(LogWrite{0, 1, 2, v, false});
+  buf.push_back(LogWrite{0, 2, 3, v, true});
+  ASSERT_TRUE(log.Append(LogHeader{}, &buf).ok());
+  EXPECT_TRUE(buf.empty());
+  EXPECT_EQ(buf.capacity(), 16u);
+  EXPECT_EQ(v.use_count(), 3u);
+  buf.push_back(LogWrite{0, 3, 4, v, false});
+  ASSERT_TRUE(log.AppendCopy(LogHeader{}, buf).ok());
+  ASSERT_EQ(buf.size(), 1u);
+  EXPECT_EQ(v.use_count(), 5u);
+  EXPECT_FALSE(log.Append(LogHeader{}, &buf).ok());
+  EXPECT_EQ(buf.size(), 1u);
+  EXPECT_EQ(log.Record(0).writes.size(), 2u);
+  EXPECT_EQ(log.Record(1).writes[0].key, 3u);
+}
+
 TEST(CommitLogTest, RingMatchesADequeReference) {
-  // The ring against a deque of (txn, lsn): appends, applies and reclaims
-  // that wrap the head many times, then growth while applied but
-  // unreclaimed records are present, up to a capacity that is no power of
-  // two. Peek, the lsns, Snapshot's order and Full must agree throughout.
+  // The ring against a deque of records, each with its own copy of its
+  // writes: appends of 0 to 16 writes, applies and reclaims that wrap the
+  // head many times, then growth while applied but unreclaimed records
+  // are present, up to a capacity that is no power of two. Peek, the
+  // lsns, every record's writes (key, seq, value bytes, is_delete) and
+  // the recovery scan's view (Record) must agree throughout: the write
+  // store wraps, skips its end and grows under them.
   struct Ref {
     TxnId txn;
     uint64_t lsn;
+    std::vector<LogWrite> writes;
   };
   constexpr size_t kCapacity = 200;
   CommitLog log(kCapacity);
@@ -109,22 +143,34 @@ TEST(CommitLogTest, RingMatchesADequeReference) {
   TxnId next_txn = 1;
   uint64_t next_lsn = 0;
   int refused = 0;
+  size_t empty_records = 0;
+  size_t full_records = 0;
+  std::vector<LogWrite> buf;  // every record is built here
+  auto same = [](const LogRecordView& got, const Ref& want) {
+    if (got.txn != want.txn || got.lsn != want.lsn || got.writes.size() != want.writes.size()) {
+      return false;
+    }
+    for (size_t j = 0; j < want.writes.size(); ++j) {
+      const LogWrite& g = got.writes[j];
+      const LogWrite& w = want.writes[j];
+      if (g.table != w.table || g.key != w.key || g.seq != w.seq || g.is_delete != w.is_delete ||
+          !std::equal(g.value.begin(), g.value.end(), w.value.begin(), w.value.end())) {
+        return false;
+      }
+    }
+    return true;
+  };
   auto check = [&](int op) {
-    const LogRecord* head = log.Peek();
+    const LogRecordView* head = log.Peek();
     ASSERT_EQ(head != nullptr, applied < ref.size()) << "op " << op;
     if (head != nullptr) {
-      ASSERT_EQ(head->txn, ref[applied].txn) << "op " << op;
-      ASSERT_EQ(head->lsn, ref[applied].lsn) << "op " << op;
+      ASSERT_TRUE(same(*head, ref[applied])) << "op " << op;
     }
     ASSERT_EQ(log.unreclaimed(), ref.size()) << "op " << op;
     ASSERT_EQ(log.pending(), ref.size() - applied) << "op " << op;
     ASSERT_EQ(log.Full(), ref.size() >= kCapacity) << "op " << op;
-    const std::vector<LogRecord> snap = log.Snapshot();
-    ASSERT_EQ(snap.size(), ref.size()) << "op " << op;
-    for (size_t i = 0; i < snap.size(); ++i) {
-      ASSERT_EQ(snap[i].txn, ref[i].txn) << "op " << op << " record " << i;
-      ASSERT_EQ(snap[i].lsn, ref[i].lsn) << "op " << op << " record " << i;
-      ASSERT_EQ(snap[i].writes.size(), 1u) << "op " << op << " record " << i;
+    for (size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_TRUE(same(log.Record(i), ref[i])) << "op " << op << " record " << i;
     }
   };
   for (int op = 0; op < 20000; ++op) {
@@ -135,12 +181,30 @@ TEST(CommitLogTest, RingMatchesADequeReference) {
     const uint64_t roll = rng() % 10;
     if (roll < 5 && ref.size() < backlog_cap) {
       const TxnId txn = next_txn++;
-      const Result<uint64_t> lsn = log.Append(MakeRecord(txn, {txn}));
+      const size_t n = rng() % 17;
+      buf.clear();
+      for (size_t j = 0; j < n; ++j) {
+        buf.push_back(LogWrite{static_cast<TableId>(rng() % 3), rng() % 1000,
+                               static_cast<Seq>(rng() % 50), Value(1 + rng() % 40, rng() % 256),
+                               rng() % 7 == 0});
+      }
+      LogHeader header;
+      header.txn = txn;
+      Ref want{txn, 0, buf};
+      const bool copy = rng() % 4 == 0;
+      const size_t buf_capacity = buf.capacity();
+      const Result<uint64_t> lsn = copy ? log.AppendCopy(header, buf) : log.Append(header, &buf);
       ASSERT_EQ(lsn.ok(), ref.size() < kCapacity) << "op " << op;
       if (lsn.ok()) {
         ASSERT_EQ(*lsn, next_lsn++) << "op " << op;
-        ref.push_back(Ref{txn, *lsn});
+        ASSERT_EQ(buf.size(), copy ? n : 0) << "op " << op;
+        ASSERT_EQ(buf.capacity(), buf_capacity) << "op " << op;
+        want.lsn = *lsn;
+        ref.push_back(std::move(want));
+        empty_records += n == 0 ? 1 : 0;
+        full_records += n == 16 ? 1 : 0;
       } else {
+        ASSERT_EQ(buf.size(), n) << "op " << op;
         refused++;
       }
     } else if (roll < 8) {
@@ -159,19 +223,21 @@ TEST(CommitLogTest, RingMatchesADequeReference) {
   }
   EXPECT_EQ(log.appended(), next_lsn);
   EXPECT_GT(refused, 0) << "the run must reach capacity";
+  EXPECT_GT(empty_records, 100u);
+  EXPECT_GT(full_records, 100u);
 }
 
 TEST(CommitLogTest, ReclaimReleasesTheRecordsValues) {
   // A reclaimed record's slot stays in the ring until an append reuses it,
   // but the record's values are released at once, as the deque's pop did:
   // a value still shared with a dead record would make the next in-place
-  // write copy it. With the spare pool full, the write vector goes too.
+  // write copy it.
   CommitLog log;
   const Value v(8, 3);
   for (int i = 0; i < 100; ++i) {
     LogRecord rec;
     rec.writes.push_back(LogWrite{0, static_cast<Key>(i), 1, v, false});
-    ASSERT_TRUE(log.Append(std::move(rec)).ok());
+    ASSERT_TRUE(log.Append(rec, &rec.writes).ok());
   }
   EXPECT_EQ(v.use_count(), 101u);
   for (int i = 0; i < 100; ++i) {

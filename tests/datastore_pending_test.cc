@@ -20,7 +20,7 @@ std::vector<TableSpec> OneTable() { return {TableSpec{0, "t", 10, 16, 8, 8}}; }
 // One step of the log drain at the head of `ds`'s log: the store step,
 // then pop and reclaim.
 ApplyOutcome ApplyHead(Datastore& ds) {
-  const LogRecord* rec = ds.log().Peek();
+  const LogRecordView* rec = ds.log().Peek();
   EXPECT_NE(rec, nullptr);
   const uint64_t lsn = rec->lsn;
   const ApplyOutcome out = ds.ApplyLogRecord(*rec, /*stability_gate=*/false);
@@ -37,10 +37,15 @@ LogRecord CommitRecord(TxnId txn, Key key, Seq seq, uint8_t fill) {
   return rec;
 }
 
+// Appends `record` to `ds`, its writes moved into the log.
+Result<uint64_t> Add(Datastore& ds, LogRecord record) {
+  return ds.Append(record, &record.writes);
+}
+
 TEST(DatastorePendingTest, FreshLookupSeesUnappliedCommit) {
   Datastore ds(OneTable(), {});
   ASSERT_TRUE(ds.Load(0, 1, Value(16, 1)).ok());
-  ASSERT_TRUE(ds.Append(CommitRecord(100, 1, 2, 9)).ok());
+  ASSERT_TRUE(Add(ds, CommitRecord(100, 1, 2, 9)).ok());
 
   // Table still has the old value; FreshLookup sees the pending commit.
   EXPECT_EQ(ds.table(0).Lookup(1)->seq, 1u);
@@ -64,7 +69,7 @@ TEST(DatastorePendingTest, LogRecordsDoNotLeakIntoLocalReads) {
   ASSERT_TRUE(ds.Load(0, 1, Value(16, 1)).ok());
   LogRecord rec = CommitRecord(100, 1, 2, 9);
   rec.type = LogRecordType::kLog;
-  ASSERT_TRUE(ds.Append(std::move(rec)).ok());
+  ASSERT_TRUE(ds.Append(rec, &rec.writes).ok());
   EXPECT_EQ(ds.pending_writes(), 0u);
   EXPECT_EQ(ds.FreshSeq(0, 1).value(), 1u);
 }
@@ -72,8 +77,8 @@ TEST(DatastorePendingTest, LogRecordsDoNotLeakIntoLocalReads) {
 TEST(DatastorePendingTest, NewestOfStackedCommitsWins) {
   Datastore ds(OneTable(), {});
   ASSERT_TRUE(ds.Load(0, 7, Value(16, 1)).ok());
-  ASSERT_TRUE(ds.Append(CommitRecord(100, 7, 2, 2)).ok());
-  ASSERT_TRUE(ds.Append(CommitRecord(101, 7, 3, 3)).ok());
+  ASSERT_TRUE(Add(ds, CommitRecord(100, 7, 2, 2)).ok());
+  ASSERT_TRUE(Add(ds, CommitRecord(101, 7, 3, 3)).ok());
   EXPECT_EQ(ds.FreshSeq(0, 7).value(), 3u);
   EXPECT_EQ(ds.FreshLookup(0, 7)->value, Value(16, 3));
   // Apply in order; the freshest view never regresses.
@@ -92,7 +97,7 @@ TEST(DatastorePendingTest, PendingDeleteHidesKey) {
   rec.type = LogRecordType::kCommit;
   rec.txn = 1;
   rec.writes.push_back(LogWrite{0, 5, 0, Value{}, true});
-  ASSERT_TRUE(ds.Append(std::move(rec)).ok());
+  ASSERT_TRUE(ds.Append(rec, &rec.writes).ok());
   EXPECT_FALSE(ds.FreshLookup(0, 5).has_value());
   EXPECT_FALSE(ds.FreshSeq(0, 5).has_value());
   EXPECT_TRUE(ds.table(0).Contains(5));  // not applied yet
@@ -102,7 +107,7 @@ TEST(DatastorePendingTest, PendingDeleteHidesKey) {
 
 TEST(DatastorePendingTest, PendingInsertVisibleBeforeApply) {
   Datastore ds(OneTable(), {});
-  ASSERT_TRUE(ds.Append(CommitRecord(100, 42, 1, 7)).ok());
+  ASSERT_TRUE(Add(ds, CommitRecord(100, 42, 1, 7)).ok());
   auto fresh = ds.FreshLookup(0, 42);
   ASSERT_TRUE(fresh.has_value());
   EXPECT_EQ(fresh->value, Value(16, 7));
@@ -117,7 +122,7 @@ TEST(DatastorePendingTest, WorkloadManagedWritesSkipped) {
   rec.type = LogRecordType::kCommit;
   rec.txn = 1;
   rec.writes.push_back(LogWrite{200, 1, 1, Value(8, 1), false});  // table id 200
-  ASSERT_TRUE(ds.Append(std::move(rec)).ok());
+  ASSERT_TRUE(ds.Append(rec, &rec.writes).ok());
   EXPECT_EQ(ds.pending_writes(), 0u);
 }
 

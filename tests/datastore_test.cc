@@ -59,7 +59,7 @@ TEST(DatastoreTest, ApplyLogRecordUpdatesTables) {
   rec.txn = MakeTxnId(0, 1);
   rec.writes.push_back(LogWrite{0, 1, 2, Value(16, 9), false});
   rec.writes.push_back(LogWrite{0, 55, 1, Value(16, 3), false});  // insert
-  ASSERT_TRUE(ds.log().Append(rec).ok());
+  ASSERT_TRUE(ds.log().Append(rec, &rec.writes).ok());
   EXPECT_EQ(ds.ApplyLogRecord(*ds.log().Peek(), /*stability_gate=*/false),
             ApplyOutcome::kApplied);
   EXPECT_EQ(ds.table(0).Lookup(1)->value, Value(16, 9));

@@ -36,6 +36,11 @@ LogRecord Record(LogRecordType type, store::TxnId txn, store::Key key, store::Se
   return rec;
 }
 
+// Appends `record` to `ds`, its writes moved into the log.
+Result<uint64_t> Add(store::Datastore& ds, LogRecord record) {
+  return ds.Append(record, &record.writes);
+}
+
 // One datastore drained by one context on a host-core pool.
 struct Rig {
   explicit Rig(LogDrain::Options options = {})
@@ -63,7 +68,7 @@ TEST(LogDrainTest, AppliesRecordAndChargesEachCostScaled) {
   const double ratio = net::PerfModel{}.arm_multithread_ratio;
   Rig rig({.speed_ratio = ratio});
   ASSERT_TRUE(rig.ds.Load(0, 1, Value(16, 1)).ok());
-  ASSERT_TRUE(rig.ds.Append(Record(LogRecordType::kCommit, 100, 1, 2, 9)).ok());
+  ASSERT_TRUE(Add(rig.ds, Record(LogRecordType::kCommit, 100, 1, 2, 9)).ok());
   rig.drain->Start(1, kInterval);
   rig.engine.RunUntil(3 * kInterval);
   EXPECT_EQ(rig.ds.table(0).Lookup(1)->value, Value(16, 9));
@@ -84,7 +89,7 @@ TEST(LogDrainTest, TombstonedHeadIsDroppedWithoutCost) {
   // in the log and in the pending-read index when an epoch change aborts
   // the transaction.
   ds.index(0).ApplyCommit(1, Value(16, 9), 2);
-  ASSERT_TRUE(ds.Append(Record(LogRecordType::kCommit, 100, 1, 2, 9)).ok());
+  ASSERT_TRUE(Add(ds, Record(LogRecordType::kCommit, 100, 1, 2, 9)).ok());
   ASSERT_EQ(ds.index(0).pinned_objects(), 1u);
   ds.TombstoneTxn(100);
 
@@ -105,7 +110,7 @@ TEST(LogDrainTest, GatedLogRecordWaitsForStability) {
   ASSERT_TRUE(ds.Load(0, 1, Value(16, 1)).ok());
   LogRecord rec = Record(LogRecordType::kLog, 100, 1, 2, 9);
   rec.shard = 2;
-  ASSERT_TRUE(ds.Append(std::move(rec)).ok());
+  ASSERT_TRUE(ds.Append(rec, &rec.writes).ok());
 
   rig.drain->Start(1, kInterval);
   // Polls run at 2 us and 4.08 us; both find the head unstable.
@@ -127,7 +132,7 @@ TEST(LogDrainTest, PollInFlightAtStopAppliesNothing) {
   ASSERT_TRUE(ds.Load(0, 1, Value(16, 1)).ok());
   rig.drain->Start(1, kInterval);
   rig.engine.RunUntil(kInterval + kPollCost / 2);  // the first poll is running
-  ASSERT_TRUE(ds.Append(Record(LogRecordType::kCommit, 100, 1, 2, 9)).ok());
+  ASSERT_TRUE(Add(ds, Record(LogRecordType::kCommit, 100, 1, 2, 9)).ok());
   rig.drain->Stop();
   rig.engine.RunUntil(10 * kInterval);
   EXPECT_EQ(ds.log().pending(), 1u);

@@ -71,7 +71,7 @@ TEST(RecoveryTest, RollsForwardCompleteTransactions) {
   rec.txn = txn;
   rec.writes.push_back(store::LogWrite{kBank, key, 2, Balance(150), false});
   for (store::NodeId b : c.map().BackupsOf(failed)) {
-    ASSERT_TRUE(c.datastore(b).log().Append(rec).ok());
+    ASSERT_TRUE(c.datastore(b).log().AppendCopy(rec, rec.writes).ok());
   }
 
   const store::NodeId promoted = c.map().BackupsOf(failed)[0];
@@ -110,7 +110,7 @@ TEST(RecoveryTest, DiscardsIncompleteTransactions) {
   rec.txn = txn;
   rec.writes.push_back(store::LogWrite{kBank, key, 2, Balance(999), false});
   const auto backups = c.map().BackupsOf(failed);
-  ASSERT_TRUE(c.datastore(backups[0]).log().Append(rec).ok());
+  ASSERT_TRUE(c.datastore(backups[0]).log().AppendCopy(rec, rec.writes).ok());
 
   const store::NodeId promoted = backups[0];
   c.node(failed).Crash();
@@ -176,7 +176,7 @@ TEST(RecoveryTest, DeadCoordinatorRollForwardSurvivesAPendingCommit) {
   earlier.txn = store::MakeTxnId(1, 4);
   earlier.writes.push_back(store::LogWrite{kBank, a, 2, Balance(80), false});
   c.datastore(0).index(kBank).ApplyCommit(a, Balance(80), 2);
-  ASSERT_TRUE(c.datastore(0).Append(earlier).ok());
+  ASSERT_TRUE(c.datastore(0).Append(earlier, &earlier.writes).ok());
   const store::TxnId txn = store::MakeTxnId(failed, 5);
   ASSERT_TRUE(c.datastore(0).index(kBank).AcquireLock(a, txn).ok());
   store::LogRecord rec;
@@ -305,7 +305,7 @@ TEST(RecoveryTest, CrashBetweenLogAndAckRollsForwardUnderTheChecker) {
   staged.txn = in_doubt;
   staged.writes.push_back(store::LogWrite{kBank, key, 3, Balance(200), false});
   for (store::NodeId b : c.map().BackupsOf(failed)) {
-    ASSERT_TRUE(c.datastore(b).log().Append(staged).ok());
+    ASSERT_TRUE(c.datastore(b).log().AppendCopy(staged, staged.writes).ok());
   }
 
   const store::NodeId promoted = c.map().BackupsOf(failed)[0];
@@ -352,7 +352,7 @@ TEST(RecoveryTest, CrashBeforeFullReplicationDiscardsUnderTheChecker) {
   staged.txn = in_doubt;
   staged.writes.push_back(store::LogWrite{kBank, key, 3, Balance(999), false});
   const auto backups = c.map().BackupsOf(failed);
-  ASSERT_TRUE(c.datastore(backups[0]).log().Append(staged).ok());
+  ASSERT_TRUE(c.datastore(backups[0]).log().AppendCopy(staged, staged.writes).ok());
 
   const store::NodeId promoted = backups[0];
   c.node(failed).Crash();

@@ -151,6 +151,11 @@ store::LogRecord LogRec(store::TxnId txn, store::Key key, int64_t v) {
   return rec;
 }
 
+// Appends `record` to `log`, its writes moved into the log.
+Result<uint64_t> Add(store::CommitLog& log, store::LogRecord record) {
+  return log.Append(record, &record.writes);
+}
+
 // Shared scenario: a LOG record reached `copies` of the failed primary's
 // backups before the crash. Returns the crash failover's report.
 CrashReport RecoverWithCopies(uint32_t nodes, uint32_t repl, uint32_t quorum,
@@ -165,7 +170,7 @@ CrashReport RecoverWithCopies(uint32_t nodes, uint32_t repl, uint32_t quorum,
   EXPECT_LE(copies, backups.size());
   const store::TxnId txn = store::MakeTxnId(0, 42);
   for (size_t i = 0; i < copies; ++i) {
-    EXPECT_TRUE(c.datastore(backups[i]).log().Append(LogRec(txn, key, 150)).ok());
+    EXPECT_TRUE(Add(c.datastore(backups[i]).log(), LogRec(txn, key, 150)).ok());
   }
   c.node(failed).Crash();
   const CrashReport r = CrashFailover(c, failed);
@@ -208,7 +213,9 @@ TEST(ReplQuorumRecoveryTest, Replication5SubQuorumDiscards) {
 // ------------------------------------------------ quorum ack attribution --
 
 bool HoldsRecord(XenicCluster& c, store::NodeId node, store::TxnId txn, store::NodeId shard) {
-  for (const auto& rec : c.datastore(node).log().Snapshot()) {
+  const store::CommitLog& log = c.datastore(node).log();
+  for (size_t i = 0; i < log.unreclaimed(); ++i) {
+    const store::LogRecordView& rec = log.Record(i);
     if (rec.type == store::LogRecordType::kLog && rec.txn == txn && rec.shard == shard) {
       return true;
     }
@@ -485,7 +492,7 @@ TEST(PlannedFailoverTest, HandoffRollsThePromotedNodeForward) {
   const store::Key key = KeyOn(c, 1);
   c.LoadReplicated(kBank, key, Balance(100));
   const store::NodeId promoted = c.repl().BackupsOf(1)[0];
-  ASSERT_TRUE(c.datastore(promoted).log().Append(LogRec(store::MakeTxnId(0, 42), key, 150)).ok());
+  ASSERT_TRUE(Add(c.datastore(promoted).log(), LogRec(store::MakeTxnId(0, 42), key, 150)).ok());
   ASSERT_TRUE(PlannedHandoff(c, 1).performed);
 
   int64_t got = 0;

@@ -2,8 +2,9 @@
 # Builds the tree with AddressSanitizer + UndefinedBehaviorSanitizer and runs
 # the tier-1 test suite plus a few short chaos schedules under it: one on
 # Xenic, one on each baseline mode, the lock-wait schedules of each 2PL
-# policy and of OCC's hot keys, and two failover schedules; then five short
-# closed-loop xenicsim runs. The chaos harness stresses exactly the paths
+# policy and of OCC's hot keys, two failover schedules and one on a tiny
+# commit log; then six short closed-loop xenicsim runs. The chaos harness
+# stresses exactly the paths
 # sanitizers are good at catching -- crash teardown, log reclamation,
 # NIC-index eviction, routing moves -- so seeds run here even though the
 # full chaos matrix would be too slow when instrumented.
@@ -52,6 +53,11 @@ done
 "$BUILD_DIR"/tools/chaos_runner --seed 30 --crashes 0 --handoffs 3 --nic-log-apply
 "$BUILD_DIR"/tools/chaos_runner --seed 342 --crashes 1 --handoffs 2
 
+# An 8-record commit log: appends wait for ring space (back-pressure), the
+# ring and its write store wrap, and the crash's recovery scan reads a
+# wrapped ring in place.
+"$BUILD_DIR"/tools/chaos_runner --seed 3 --log-capacity 8
+
 # The closed-loop runner under the sanitizers: aborted attempts hand their
 # request back and retry from it, a traced run Discards each aborted
 # attempt's id, and both coordinators' outcome reports stay parked until
@@ -61,6 +67,8 @@ done
 # log-apply hooks share. Then Retwis on Xenic, whose 64-byte host table
 # slots hold handles to the blocks the NIC caches and log records share,
 # applied by the host workers and, with --nic-log-apply, by the NIC cores.
+# Last, TPC-C new-order at 48 contexts, whose log backlog grows each log's
+# write store while records are live in it.
 # Output goes to a scratch directory: xenicsim writes its report there.
 tools_dir=$(cd "$BUILD_DIR"/tools && pwd)
 run_dir=$(mktemp -d)
@@ -70,7 +78,8 @@ run_dir=$(mktemp -d)
   "$tools_dir"/xenicsim --workload tpcc --measure-us 300 >/dev/null &&
   "$tools_dir"/xenicsim --workload retwis --scale 2000 --measure-us 200 >/dev/null &&
   "$tools_dir"/xenicsim --workload retwis --scale 2000 --measure-us 200 --nic-log-apply \
-    >/dev/null)
+    >/dev/null &&
+  "$tools_dir"/xenicsim --workload tpcc-no --contexts 48 --measure-us 1000 >/dev/null)
 rm -rf "$run_dir"
 
 echo "sanitized run OK"
