@@ -31,10 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/chaos/chaos_run.h"
-#include "src/common/output_file.h"
-#include "src/common/table_printer.h"
-#include "src/harness/run_spec.h"
 
 namespace {
 
@@ -56,13 +54,6 @@ Scenario RunScenario(const char* name, const ChaosConfig& config) {
   s.avail = chaos::ComputeAvailability(s.verdict.timeline, s.verdict.timeline_faults,
                                        s.verdict.timeline_horizon);
   return s;
-}
-
-std::string Seconds(uint64_t us) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu.%06llu", static_cast<unsigned long long>(us / 1000000),
-                static_cast<unsigned long long>(us % 1000000));
-  return buf;
 }
 
 }  // namespace
@@ -103,13 +94,9 @@ int main(int argc, char** argv) {
 
   TablePrinter tp({"scenario", "fault_at_us", "committed", "dip_depth_pct", "dip_width_us",
                    "degraded_service_s", "verdict"});
-  std::string json = "{\"bench\":\"availability\",\"workload\":\"chaos-bank\",\"seed\":" +
-                     std::to_string(seed) + ",\"detect_us\":" + std::to_string(detect_us) +
-                     ",\"window_us\":" + std::to_string(window_us) +
-                     ",\"replicas\":" + std::to_string(spec.replicas) + ",\"scenarios\":[";
+  std::vector<bench::JsonObject> rows;
   bool all_ok = true;
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    const Scenario& s = scenarios[i];
+  for (const Scenario& s : scenarios) {
     all_ok = all_ok && s.verdict.ok();
     // One injected fault per run, but report the worst dip defensively.
     uint64_t at_us = 0;
@@ -120,26 +107,35 @@ int main(int argc, char** argv) {
       depth = std::max(depth, a.dip_depth_pct);
       width = std::max(width, a.dip_width_us);
     }
+    const double degraded_s = static_cast<double>(s.avail.degraded_service_us) / 1e6;
     tp.AddRow({s.name, std::to_string(at_us), std::to_string(s.verdict.committed),
-               std::to_string(depth), std::to_string(width),
-               Seconds(s.avail.degraded_service_us), s.verdict.ok() ? "PASS" : "FAIL"});
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"scenario\":\"%s\",\"fault_at_us\":%llu,\"committed\":%llu,"
-                  "\"dip_depth_pct\":%u,\"dip_width_us\":%llu,"
-                  "\"degraded_service_seconds\":%s}",
-                  i == 0 ? "" : ",", s.name, static_cast<unsigned long long>(at_us),
-                  static_cast<unsigned long long>(s.verdict.committed), depth,
-                  static_cast<unsigned long long>(width),
-                  Seconds(s.avail.degraded_service_us).c_str());
-    json += buf;
+               std::to_string(depth), std::to_string(width), TablePrinter::Fmt(degraded_s, 6),
+               s.verdict.ok() ? "PASS" : "FAIL"});
+    rows.push_back(bench::JsonObject()
+                       .Str("scenario", s.name)
+                       .Int("fault_at_us", at_us)
+                       .Int("committed", s.verdict.committed)
+                       .Int("dip_depth_pct", depth)
+                       .Int("dip_width_us", width)
+                       .Num("degraded_service_seconds", degraded_s, 6));
   }
-  json += "]}";
 
   std::printf("%s\n",
               tp.Render("Availability: crash vs planned handoff (same seed, same instant)")
                   .c_str());
 
-  WriteOutputFile("BENCH_avail.json", json);
+  bench::WriteBenchFile("BENCH_avail.json",
+                        bench::JsonObject()
+                            .Str("bench", "availability")
+                            .Str("workload", "chaos-bank")
+                            .Int("seed", seed)
+                            .Int("detect_us", detect_us)
+                            .Int("window_us", window_us)
+                            .Int("replicas", spec.replicas)
+                            .List("scenarios", rows),
+                        {bench::Metric("committed", "txns", "higher", 0.05),
+                         bench::Metric("dip_depth_pct", "%", "lower", 0.05),
+                         bench::Metric("dip_width_us", "us", "lower", 0.05),
+                         bench::Metric("degraded_service_seconds", "s", "lower", 0.05)});
   return all_ok ? 0 : 1;
 }

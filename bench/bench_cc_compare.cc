@@ -158,9 +158,7 @@ int main(int argc, char** argv) {
 
   TablePrinter tp({"Policy", "Theta", "Contexts", "Peak tput/srv", "Abort%",
                    "Top abort", "Waits", "Wounds", "Tail bucket"});
-  std::string json = "{\"bench\":\"cc_compare\",\"workload\":\"ycsb\","
-                     "\"read_ratio\":0.5,\"ops_per_txn\":4,\"cells\":[";
-  bool first = true;
+  std::vector<JsonObject> cells;
   for (size_t pi = 0; pi < kNumPolicies; ++pi) {
     for (size_t ti = 0; ti < kNumThetas; ++ti) {
       const int peak = curves[pi][ti].PeakIndex();
@@ -176,35 +174,33 @@ int main(int argc, char** argv) {
                  TablePrinter::Fmt(r.txn_stats.cc_waits),
                  TablePrinter::Fmt(r.txn_stats.cc_wounds),
                  TopTailBucket(attribs[pi][ti])});
-      if (!first) {
-        json += ',';
-      }
-      first = false;
-      char buf[512];
-      std::snprintf(
-          buf, sizeof(buf),
-          "{\"policy\":\"%s\",\"theta\":%.2f,\"contexts\":%u,"
-          "\"peak_tput_per_server\":%.0f,\"abort_rate\":%.4f,"
-          "\"top_abort_reason\":\"%s\",\"top_abort_count\":%llu,"
-          "\"cc_waits\":%llu,\"cc_wounds\":%llu,\"abort_wounded\":%llu,"
-          "\"abort_validate\":%llu,\"abort_lock_execute\":%llu,"
-          "\"top_tail_bucket\":\"%s\"}",
-          txn::CcPolicyName(kPolicies[pi]), kThetas[ti], peak_ctx[pi][ti],
-          curves[pi][ti].PeakTput(), r.abort_rate, reason,
-          static_cast<unsigned long long>(reason_n),
-          static_cast<unsigned long long>(r.txn_stats.cc_waits),
-          static_cast<unsigned long long>(r.txn_stats.cc_wounds),
-          static_cast<unsigned long long>(r.txn_stats.abort_wounded),
-          static_cast<unsigned long long>(r.txn_stats.abort_validate),
-          static_cast<unsigned long long>(r.txn_stats.abort_lock_execute),
-          TopTailBucket(attribs[pi][ti]));
-      json += buf;
+      cells.push_back(JsonObject()
+                          .Str("policy", txn::CcPolicyName(kPolicies[pi]))
+                          .Num("theta", kThetas[ti], 2)
+                          .Int("contexts", peak_ctx[pi][ti])
+                          .Num("peak_tput_per_server", curves[pi][ti].PeakTput(), 0)
+                          .Num("abort_rate", r.abort_rate, 4)
+                          .Str("top_abort_reason", reason)
+                          .Int("top_abort_count", reason_n)
+                          .Int("cc_waits", r.txn_stats.cc_waits)
+                          .Int("cc_wounds", r.txn_stats.cc_wounds)
+                          .Int("abort_wounded", r.txn_stats.abort_wounded)
+                          .Int("abort_validate", r.txn_stats.abort_validate)
+                          .Int("abort_lock_execute", r.txn_stats.abort_lock_execute)
+                          .Str("top_tail_bucket", TopTailBucket(attribs[pi][ti])));
     }
   }
-  json += "]}";
   std::printf("%s", tp.Render("CC compare: YCSB, policy x zipf theta @ peak").c_str());
 
-  WriteOutputFile("BENCH_cc.json", json);
+  WriteBenchFile("BENCH_cc.json",
+                 JsonObject()
+                     .Str("bench", "cc_compare")
+                     .Str("workload", "ycsb")
+                     .Num("read_ratio", 0.5, 1)
+                     .Int("ops_per_txn", 4)
+                     .List("cells", cells),
+                 {Metric("peak_tput_per_server", "txn/s", "higher", 0.05),
+                  Metric("abort_rate", "fraction", "lower", 0.05)});
 
   // Standard observability passes (per-policy at theta 0.99, where the
   // policies differ most): abort breakdown, bottleneck attribution,

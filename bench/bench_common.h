@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -126,7 +125,6 @@ inline std::vector<Curve> RunSweeps(const std::vector<SystemConfig>& cfgs,
 
 // Print the full curves plus the paper-style comparison summary (peak
 // throughput factor and median latency reduction vs the best alternative).
-// Set XENIC_BENCH_CSV=1 to also emit plot-ready CSV.
 inline void PrintCurves(const std::string& title, const std::vector<Curve>& curves) {
   TablePrinter tp({"System", "Contexts", "Tput/server", "Median(us)", "P99(us)", "P999(us)",
                    "Abort%", "Wire%", "Host%", "NIC%"});
@@ -145,19 +143,6 @@ inline void PrintCurves(const std::string& title, const std::vector<Curve>& curv
     }
   }
   std::printf("%s\n", tp.Render(title).c_str());
-
-  if (const char* csv = std::getenv("XENIC_BENCH_CSV"); csv != nullptr && csv[0] == '1') {
-    std::printf("# CSV: %s\nsystem,contexts,tput_per_server,median_us,p99_us,p999_us,abort_rate\n",
-                title.c_str());
-    for (const auto& c : curves) {
-      for (const auto& p : c.points) {
-        std::printf("%s,%u,%.0f,%.2f,%.2f,%.2f,%.4f\n", c.system.c_str(), p.contexts,
-                    p.result.tput_per_server, p.result.MedianLatencyUs(),
-                    p.result.P99LatencyUs(), p.result.P999LatencyUs(), p.result.abort_rate);
-      }
-    }
-    std::printf("\n");
-  }
 
   // Comparison summary (Xenic assumed first). Latency comparisons skip
   // curves with no committed transactions (MinMedianLatencyUs is NaN for
@@ -276,6 +261,56 @@ inline void FinishBench(const harness::RunSpec& opts, const std::string& slug,
                         observers[i]->NeedsRun() ? reruns[i] : p.result, &report, points);
   }
   report.Write(slug);
+}
+
+// A BENCH_*.json document: a JSON object written member by member, in
+// order. A number keeps the decimals its bench chose, so the file holds the
+// values the bench printed. Strings are written unescaped: each is a bench's
+// own identifier (a policy, scenario or bucket name).
+class JsonObject {
+ public:
+  JsonObject& Str(const char* key, const std::string& v) { return Raw(key, '"' + v + '"'); }
+  JsonObject& Int(const char* key, uint64_t v) { return Raw(key, std::to_string(v)); }
+  JsonObject& Num(const char* key, double v, int decimals) {
+    return Raw(key, TablePrinter::Fmt(v, decimals));
+  }
+  // A list of objects, one per line.
+  JsonObject& List(const char* key, const std::vector<JsonObject>& items) {
+    std::string list;
+    for (const JsonObject& item : items) {
+      list += (list.empty() ? "[\n" : ",\n") + item.Text();
+    }
+    return Raw(key, list.empty() ? "[]" : list + "\n]");
+  }
+  std::string Text() const { return "{" + members_ + "}"; }
+
+ private:
+  JsonObject& Raw(const char* key, const std::string& v) {
+    members_ += (members_.empty() ? "\"" : ",\"") + std::string(key) + "\":" + v;
+    return *this;
+  }
+  std::string members_;
+};
+
+// One entry of a BENCH_*.json file's "metrics" list, in the entry shape of
+// BENCHMARK.json's end_to_end list. tools/bench_gate.py gates every numeric
+// leaf whose key is `name`: a "higher" or "lower" leaf fails when it moves
+// the wrong way by more than `bound` times its checked-in value, an "exact"
+// leaf on any change.
+inline JsonObject Metric(const char* name, const char* unit, const char* better,
+                         double bound = 0) {
+  return JsonObject()
+      .Str("name", name)
+      .Str("unit", unit)
+      .Str("better", better)
+      .Num("bound", bound, 2);
+}
+
+// Writes a bench's BENCH_*.json: `doc`'s members, then the "metrics" list
+// that says which of them the gate checks and which way is better.
+inline void WriteBenchFile(const std::string& path, JsonObject doc,
+                           const std::vector<JsonObject>& metrics) {
+  WriteOutputFile(path, doc.List("metrics", metrics).Text() + "\n");
 }
 
 // Standard 6-node 3-replica system configs for the Figure 8 benches.

@@ -155,8 +155,7 @@ int main(int argc, char** argv) {
 
   TablePrinter tp({"Config", "Contexts", "Peak tput/srv", "Abort%", "Tail redo(us)",
                    "Tail dma(us)", "Redo cut%", "Tput delta%"});
-  std::string json = "{\"bench\":\"redo_relief\",\"workload\":\"smallbank-skewed\","
-                     "\"configs\":[";
+  std::vector<JsonObject> configs;
   for (size_t vi = 0; vi < kNumVariants; ++vi) {
     const int peak = curves[vi].PeakIndex();
     if (peak < 0) {
@@ -173,30 +172,37 @@ int main(int argc, char** argv) {
                TablePrinter::Fmt(r.abort_rate * 100, 1), TablePrinter::Fmt(redo, 1),
                TablePrinter::Fmt(dma, 2), TablePrinter::Fmt(redo_cut, 1),
                TablePrinter::Fmt(tput_delta, 2)});
-    if (vi > 0) {
-      json += ',';
-    }
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"config\":\"%s\",\"contexts\":%u,\"peak_tput_per_server\":%.0f,"
-                  "\"abort_rate\":%.4f,\"tail_redo_us\":%.2f,\"tail_dma_us\":%.3f,"
-                  "\"p50_redo_us\":%.2f,\"redo_reduction_pct\":%.1f,"
-                  "\"tput_delta_pct\":%.2f,\"hot_path_txns\":%llu}",
-                  kVariants[vi].name, peak_contexts[vi], curves[vi].PeakTput(), r.abort_rate,
-                  redo, dma, BucketUs(attribs[vi], obs::CostBucket::kRedo, /*tail=*/false),
-                  redo_cut, tput_delta,
-                  static_cast<unsigned long long>(r.txn_stats.hot_path));
-    json += buf;
-  }
-  json += "],\"baseline\":\"uniform\",\"tail_cohort\":\"p95_to_max\"";
-  {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), ",\"baseline_tail_dma_us\":%.3f}", base_dma);
-    json += buf;
+    configs.push_back(
+        JsonObject()
+            .Str("config", kVariants[vi].name)
+            .Int("contexts", peak_contexts[vi])
+            .Num("peak_tput_per_server", curves[vi].PeakTput(), 0)
+            .Num("abort_rate", r.abort_rate, 4)
+            .Num("tail_redo_us", redo, 2)
+            .Num("tail_dma_us", dma, 3)
+            .Num("p50_redo_us", BucketUs(attribs[vi], obs::CostBucket::kRedo, /*tail=*/false), 2)
+            .Num("redo_reduction_pct", redo_cut, 1)
+            .Num("tput_delta_pct", tput_delta, 2)
+            .Int("hot_path_txns", r.txn_stats.hot_path));
   }
   std::printf("%s\n", tp.Render("Redo+DMA tail relief: skewed Smallbank @ peak").c_str());
 
-  WriteOutputFile("BENCH_redo.json", json);
+  WriteBenchFile("BENCH_redo.json",
+                 JsonObject()
+                     .Str("bench", "redo_relief")
+                     .Str("workload", "smallbank-skewed")
+                     .List("configs", configs)
+                     .Str("baseline", "uniform")
+                     .Str("tail_cohort", "p95_to_max")
+                     .Num("baseline_tail_dma_us", base_dma, 3),
+                 {Metric("peak_tput_per_server", "txn/s", "higher", 0.05),
+                  Metric("abort_rate", "fraction", "lower", 0.05),
+                  Metric("tail_redo_us", "us", "lower", 0.05),
+                  Metric("tail_dma_us", "us", "lower", 0.05),
+                  Metric("p50_redo_us", "us", "lower", 0.05),
+                  Metric("redo_reduction_pct", "%", "higher", 0.05),
+                  Metric("tput_delta_pct", "%", "higher", 0.05),
+                  Metric("baseline_tail_dma_us", "us", "lower", 0.05)});
 
   // The satellite observability flags work here too (applied per variant
   // would be ambiguous, so they run against the uniform baseline config).

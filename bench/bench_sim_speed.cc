@@ -124,20 +124,22 @@ int main(int argc, char** argv) {
               TablePrinter::FmtOps(r.sim_events_per_sec).c_str(),
               TablePrinter::FmtOps(r.tput_per_server).c_str());
 
-  char json[512];
-  std::snprintf(json, sizeof(json),
-                "{\n"
-                "  \"raw_engine_events_per_sec\": %.0f,\n"
-                "  \"raw_engine_events\": %llu,\n"
-                "  \"retwis_wall_ms\": %.3f,\n"
-                "  \"retwis_sim_events\": %llu,\n"
-                "  \"retwis_events_per_sec\": %.0f,\n"
-                "  \"retwis_tput_per_server\": %.0f,\n"
-                "  \"hw_concurrency\": %u\n"
-                "}\n",
-                raw_eps, static_cast<unsigned long long>(raw_events), r.wall_seconds * 1e3,
-                static_cast<unsigned long long>(r.sim_events), r.sim_events_per_sec,
-                r.tput_per_server, std::thread::hardware_concurrency());
-  WriteOutputFile("BENCH_sim.json", json);
+  // Wall-clock rates measure the host and jitter run to run, so their bounds
+  // are loose; the event counts are the schedule's and must not move.
+  WriteBenchFile("BENCH_sim.json",
+                 JsonObject()
+                     .Num("raw_engine_events_per_sec", raw_eps, 0)
+                     .Int("raw_engine_events", raw_events)
+                     .Num("retwis_wall_ms", r.wall_seconds * 1e3, 3)
+                     .Int("retwis_sim_events", r.sim_events)
+                     .Num("retwis_events_per_sec", r.sim_events_per_sec, 0)
+                     .Num("retwis_tput_per_server", r.tput_per_server, 0)
+                     .Int("hw_concurrency", std::thread::hardware_concurrency()),
+                 {Metric("raw_engine_events_per_sec", "1/s", "higher", 0.6),
+                  Metric("raw_engine_events", "count", "exact"),
+                  Metric("retwis_wall_ms", "ms", "lower", 0.6),
+                  Metric("retwis_sim_events", "count", "exact"),
+                  Metric("retwis_events_per_sec", "1/s", "higher", 0.6),
+                  Metric("retwis_tput_per_server", "txn/s", "higher", 0.05)});
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "src/txn/txn_core.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace xenic::txn {
 
@@ -165,7 +166,10 @@ void TxnCore::ShardWrites(const ClusterMap& map, NodeId shard, NodeId coord,
   for (const auto& k : write_keys) {
     n += map.PrimaryOf(k.table, k.key) == shard ? 1 : 0;
   }
-  out->reserve(n);
+  // A power of two, so a reused vector reallocates once per doubling of the
+  // largest record it has held, not once per new largest size. A
+  // release-only COMMIT's empty record reserves nothing.
+  out->reserve(n == 0 ? 0 : std::bit_ceil(n));
   for (size_t i = 0; i < write_keys.size(); ++i) {
     const auto& k = write_keys[i];
     if (map.PrimaryOf(k.table, k.key) != shard) {

@@ -1,6 +1,7 @@
 // Metric-reporting helpers shared by the figure benches: the
-// no-commits-latency sentinel fix and peak-point selection. The benches'
-// flag table is tested with the parser, in run_spec_test.cc.
+// no-commits-latency sentinel fix, peak-point selection, and the JSON
+// object the BENCH_*.json files are written with. The benches' flag table
+// is tested with the parser, in run_spec_test.cc.
 
 #include "bench/bench_common.h"
 
@@ -62,6 +63,18 @@ TEST(TablePrinterNanTest, NanRendersAsNoData) {
   EXPECT_EQ(TablePrinter::Fmt(std::numeric_limits<double>::quiet_NaN(), 1), "--");
   EXPECT_EQ(TablePrinter::Fmt(std::numeric_limits<double>::quiet_NaN(), 0), "--");
   EXPECT_EQ(TablePrinter::Fmt(1.25, 1), "1.2");
+}
+
+TEST(JsonObjectTest, KeepsMemberOrderAndEachNumbersDecimals) {
+  const JsonObject doc = JsonObject()
+                             .Str("bench", "x")
+                             .Int("seed", 3)
+                             .Num("rate", 0.397, 4)
+                             .List("rows", {JsonObject().Int("a", 1), JsonObject().Int("a", 2)})
+                             .List("none", {});
+  EXPECT_EQ(doc.Text(),
+            "{\"bench\":\"x\",\"seed\":3,\"rate\":0.3970,"
+            "\"rows\":[\n{\"a\":1},\n{\"a\":2}\n],\"none\":[]}");
 }
 
 }  // namespace

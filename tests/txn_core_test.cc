@@ -199,6 +199,27 @@ TEST(TxnCoreTest, WrittenShardsCarryTheirWritesAndTheCoordinatorsLogWrites) {
   EXPECT_EQ(writes[0].table, 100u);
 }
 
+TEST(TxnCoreTest, ShardWritesGrowsAReusedVectorByDoubling) {
+  Cluster c(0);
+  std::vector<store::LogWrite> writes;
+  int reallocations = 0;
+  for (uint32_t n : {0u, 3u, 5u, 6u, 7u, 8u}) {
+    TxnRequest req;
+    for (uint32_t i = 0; i < n; ++i) {
+      req.writes.push_back({0, 1 + 4 * i});  // every key on shard 1
+    }
+    TxnCore core;
+    core.Init(7, std::move(req), nullptr);
+    const size_t capacity = writes.capacity();
+    core.ShardWrites(c.map, 1, /*coord=*/3, &writes);
+    ASSERT_EQ(writes.size(), n);
+    reallocations += writes.capacity() != capacity ? 1 : 0;
+  }
+  // Capacities 4 and 8, and none for the empty record; reserving each
+  // record's exact size would reallocate for all five others.
+  EXPECT_EQ(reallocations, 2);
+}
+
 TEST(TxnCoreTest, ValidateShardsSkipsWrittenKeys) {
   Cluster c(0);
   TxnRequest req;

@@ -1,75 +1,44 @@
 #!/usr/bin/env python3
-"""Bench regression gate: diff a fresh bench JSON against the checked-in
-trajectory with per-metric tolerances.
+"""Bench regression gate: diff a fresh bench JSON against its checked-in
+BENCH_*.json.
 
 Usage:
-  bench_gate.py BASELINE.json CANDIDATE.json [--tolerance PCT] [--list]
+  bench_gate.py BASELINE.json CANDIDATE.json [--list]
   bench_gate.py --self-test FILE.json [FILE.json ...]
 
-Compare mode walks both JSON trees in parallel (dicts by key, lists by
-index) and gates every numeric leaf whose key classifies as a performance
-metric:
+Each BENCH_*.json ends in a "metrics" list, written by its bench, of
+entries shaped like BENCHMARK.json's end_to_end ones: {"name", "unit",
+"better": "higher" | "lower" | "exact", "bound"}. A metric gates every
+numeric leaf whose key is its name: a higher (lower) leaf fails when it
+falls (rises) by more than bound x |baseline|, an exact leaf on any change.
+The metrics lists must be equal, and a member, list element or number the
+candidate lacks fails, declared or not. --list prints each gated leaf.
 
-  higher-better  throughput-like values (tput, goodput, committed,
-                 speedup, events_per_sec): candidate may not drop more
-                 than the tolerance below baseline.
-  lower-better   latency/degradation-like values (abort_rate, *_us, *_ns,
-                 degraded*, dip_*): candidate may not rise more than the
-                 tolerance above baseline.
-  ignored        config/identity fields (seed, contexts, nodes, window_us,
-                 fault_at_us, ...), wall-clock diagnostics, and anything
-                 unclassified. Unclassified keys never gate -- the gate
-                 must not fail because a bench grew a new diagnostic.
+--self-test FILE... checks on each file that FILE passes against itself,
+that each declared leaf moved 5% of its magnitude past its bound (by 1
+from 0; an exact leaf by +1) fails once per leaf the wrong way and passes
+the right way, that a changed metrics list fails, and that the two usage
+errors below exit 2.
 
-Wall-clock-derived rates (events_per_sec, *_wall_ms, *speedup) gate
-with a much looser tolerance (default 60%): they measure the host, not the
-simulation, and jitter run to run. Simulation-derived metrics are
-deterministic, so the default 5% tolerance only absorbs intentional
-re-baselines, not noise.
-
---self-test FILE... proves the gate has teeth without a fresh bench run:
-  1. FILE vs FILE must pass and must gate at least one metric (guards
-     against classifier rot silently ignoring everything), and
-  2. FILE vs a synthetic candidate with every higher-better metric
-     degraded 10% must FAIL (10% > the 5% tolerance).
-Exit status: 0 = pass, 1 = regression (or self-test failure), 2 = usage.
+Exit status: 0 = pass, 1 = regression (or self-test failure), 2 = usage
+(including a file with no metrics list, or a metric naming no value).
 """
 
+import contextlib
+import io
 import json
-import re
 import sys
 
-DEFAULT_TOLERANCE_PCT = 5.0
-WALL_TOLERANCE_PCT = 60.0
-SELF_TEST_REGRESSION = 0.9  # synthetic candidate: higher-better x0.9
-
-# Order matters: first match wins. Config/identity and wall-clock
-# diagnostics are matched before the broad *_us / committed patterns.
-IGNORE_PAT = re.compile(
-    r"(^|_)(seed|contexts|nodes|hw_concurrency|replicas"
-    r"|theta|read_ratio|ops_per_txn|window_us|detect_us"
-    r"|fault_at_us|at_us|capacity|keys|epoch)($|_)"
-)
-WALL_PAT = re.compile(r"(events_per_sec|wall_ms|wall_seconds|speedup)$")
-LOWER_PAT = re.compile(
-    r"(abort_rate|degraded|dip_|latency|_us$|_ns$|_ms$"
-    r"|^p50|^p99|^p999|_p50|_p99|_p999)"
-)
-HIGHER_PAT = re.compile(r"(tput|goodput|committed|redo_reduction|events)")
+PAST_BOUND = 0.05  # the self-test's moves: this much of |value| past the bound
 
 
-def classify(key):
-    """-> 'ignore' | 'wall' (higher-better, loose) | 'lower' | 'higher'."""
-    k = key.lower()
-    if IGNORE_PAT.search(k):
-        return "ignore"
-    if WALL_PAT.search(k):
-        return "wall"
-    if LOWER_PAT.search(k):
-        return "lower"
-    if HIGHER_PAT.search(k):
-        return "higher"
-    return "ignore"
+def usage(msg):
+    print(f"bench_gate: {msg}", file=sys.stderr)
+    sys.exit(2)
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def walk(base, cand, path, key, out):
@@ -91,58 +60,88 @@ def walk(base, cand, path, key, out):
         for i, (b, c) in enumerate(zip(base, cand)):
             walk(b, c, f"{path}[{i}]", key, out)
         return
-    if isinstance(base, bool) or not isinstance(base, (int, float)):
+    if not is_number(base):
         return
-    if not isinstance(cand, (int, float)) or isinstance(cand, bool):
+    if not is_number(cand):
         out.append((path, "__structure__", base, cand))
         return
-    out.append((path, key, float(base), float(cand)))
+    out.append((path, key, base, cand))
 
 
-def compare(base, cand, tolerance_pct, verbose=False):
-    """-> (regressions, gated_count). regressions: list of strings."""
+def values(doc):
+    """doc without its metrics list: the tree the metrics gate."""
+    return {k: v for k, v in doc.items() if k != "metrics"}
+
+
+def declared(doc, path):
+    """-> {name: metric} of doc's metrics list. Exits 2 unless every metric
+    is well formed, declared once, and names at least one numeric leaf."""
+    metrics = doc.get("metrics") if isinstance(doc, dict) else None
+    if not isinstance(metrics, list) or not metrics:
+        usage(f"{path}: no metrics list")
+    leaves = []
+    walk(values(doc), values(doc), "$", "", leaves)
+    keys = {key for _, key, _, _ in leaves}
+    out = {}
+    for m in metrics:
+        if (not isinstance(m, dict) or not isinstance(m.get("name"), str) or m["name"] in out
+                or m.get("better") not in ("higher", "lower", "exact")
+                or not is_number(m.get("bound")) or m["bound"] < 0):
+            usage(f"{path}: malformed or repeated metric {m!r}")
+        if m["name"] not in keys:
+            usage(f"{path}: metric {m['name']!r} names no numeric value")
+        out[m["name"]] = m
+    return out
+
+
+def compare(base, cand, metrics, verbose=False):
+    """-> (findings, gated_count) of cand against base, whose declared
+    metrics are `metrics`. findings: list of strings."""
+    findings = []
+    if cand["metrics"] != base["metrics"]:
+        findings.append("METRICS the candidate's metrics list differs from the baseline's")
     pairs = []
-    walk(base, cand, "$", "", pairs)
-    regressions = []
+    walk(values(base), cand, "$", "", pairs)
     gated = 0
     for path, key, b, c in pairs:
         if key in ("__structure__", "__missing__"):
-            regressions.append(f"STRUCTURE {path}: baseline={b!r} candidate={c!r}")
+            findings.append(f"STRUCTURE {path}: baseline={b!r} candidate={c!r}")
             continue
-        kind = classify(key)
-        if kind == "ignore":
+        m = metrics.get(key)
+        if m is None:
             continue
-        tol = WALL_TOLERANCE_PCT if kind == "wall" else tolerance_pct
         gated += 1
-        if b == 0:
-            # Zero baseline: a lower-better metric appearing from nothing is
-            # a regression; higher-better going 0 -> anything is fine.
-            bad = kind == "lower" and c > 0
-            delta_pct = float("inf") if bad else 0.0
-        else:
-            delta_pct = (c - b) / abs(b) * 100.0
-            bad = (-delta_pct > tol) if kind in ("higher", "wall") else (delta_pct > tol)
+        slack = m["bound"] * abs(b)
+        bad = {"higher": c < b - slack, "lower": c > b + slack, "exact": c != b}[m["better"]]
         if verbose:
-            print(f"  gate[{kind}] {path}: base={b:g} cand={c:g} "
-                  f"delta={delta_pct:+.2f}% tol={tol:g}%")
+            print(f"  gate[{m['better']} {m['bound']:g}] {path}: base={b:g} cand={c:g}")
         if bad:
-            direction = "dropped" if kind in ("higher", "wall") else "rose"
-            regressions.append(
-                f"REGRESSION {path}: {key} {direction} {abs(delta_pct):.1f}% "
-                f"(base={b:g} cand={c:g} tol={tol:g}%)")
-    return regressions, gated
+            findings.append(f"REGRESSION {path}: base={b:g} cand={c:g} "
+                            f"better={m['better']} bound={m['bound']:g}")
+    return findings, gated
 
 
-def degrade(node):
-    """Deep-copy with every higher-better numeric leaf scaled x0.9."""
+def shift(node, metrics, sign, key=None):
+    """Deep copy of node with every declared leaf moved past its bound: the
+    wrong way for sign 1, the right way for sign -1 (exact leaves stay)."""
     if isinstance(node, dict):
-        return {k: (v * SELF_TEST_REGRESSION
-                    if isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and classify(k) == "higher" else degrade(v))
-                for k, v in node.items()}
+        return {k: shift(v, metrics, sign, k) for k, v in node.items()}
     if isinstance(node, list):
-        return [degrade(v) for v in node]
-    return node
+        return [shift(v, metrics, sign, key) for v in node]
+    m = metrics.get(key)
+    if m is None or not is_number(node):
+        return node
+    step = sign * ((m["bound"] + PAST_BOUND) * abs(node) or 1)
+    return {"higher": node - step, "lower": node + step, "exact": node + max(sign, 0)}[m["better"]]
+
+
+def exits_2(fn):
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            fn()
+    except SystemExit as e:
+        return e.code == 2
+    return False
 
 
 def load(path):
@@ -150,77 +149,59 @@ def load(path):
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        print(f"bench_gate: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
+        usage(f"cannot read {path}: {e}")
 
 
 def self_test(paths):
     ok = True
     for path in paths:
         base = load(path)
-        regs, gated = compare(base, base, DEFAULT_TOLERANCE_PCT)
-        if regs:
-            print(f"self-test FAIL {path}: self-compare regressed:")
-            for r in regs:
-                print(f"  {r}")
-            ok = False
-            continue
-        if gated == 0:
-            print(f"self-test FAIL {path}: no gated metrics (classifier rot?)")
-            ok = False
-            continue
-        regs, _ = compare(base, degrade(base), DEFAULT_TOLERANCE_PCT)
-        if not regs:
-            print(f"self-test FAIL {path}: 10% synthetic regression not caught")
-            ok = False
-            continue
-        print(f"self-test OK {path}: {gated} gated metrics, "
-              f"synthetic 10% regression caught ({len(regs)} findings)")
+        metrics = declared(base, path)
+        moved = {sign: compare(base, shift(base, metrics, sign), metrics)[0] for sign in (1, -1)}
+        same, gated = compare(base, base, metrics)
+        relisted, _ = compare(base, {**base, "metrics": base["metrics"][1:]}, metrics)
+        unmatched = {**base, "metrics": base["metrics"] + [
+            {"name": "no_such_value", "unit": "count", "better": "exact", "bound": 0}]}
+        failures = [msg for msg, failed in [
+            (f"against itself: {gated} leaves gated, findings {same}", same or not gated),
+            (f"moved the wrong way: {len(moved[1])} findings for {gated} leaves",
+             len(moved[1]) != gated or any(not f.startswith("REGRESSION") for f in moved[1])),
+            (f"moved the right way: {moved[-1]}", moved[-1]),
+            (f"changed metrics list: {relisted}",
+             len(relisted) != 1 or not relisted[0].startswith("METRICS")),
+            ("no exit 2 without a metrics list",
+             not exits_2(lambda: declared(values(base), path))),
+            ("no exit 2 on a metric naming no value",
+             not exits_2(lambda: declared(unmatched, path))),
+        ] if failed]
+        for msg in failures:
+            print(f"self-test FAIL {path}: {msg}")
+        if not failures:
+            print(f"self-test OK {path}: {len(metrics)} metrics gate {gated} leaves, "
+                  f"each fails moved the wrong way past its bound")
+        ok = ok and not failures
     return 0 if ok else 1
 
 
 def main(argv):
-    args = [a for a in argv[1:]]
-    if not args:
-        print(__doc__)
-        return 2
-    if args[0] == "--self-test":
-        files = args[1:]
-        if not files:
-            print("bench_gate: --self-test wants at least one file", file=sys.stderr)
-            return 2
-        return self_test(files)
-    tolerance = DEFAULT_TOLERANCE_PCT
-    verbose = False
-    files = []
-    i = 0
-    while i < len(args):
-        if args[i] == "--tolerance":
-            if i + 1 >= len(args):
-                print("bench_gate: --tolerance wants a value", file=sys.stderr)
-                return 2
-            tolerance = float(args[i + 1])
-            i += 2
-        elif args[i].startswith("--tolerance="):
-            tolerance = float(args[i].split("=", 1)[1])
-            i += 1
-        elif args[i] == "--list":
-            verbose = True
-            i += 1
-        else:
-            files.append(args[i])
-            i += 1
-    if len(files) != 2:
-        print("bench_gate: wants BASELINE.json CANDIDATE.json", file=sys.stderr)
-        return 2
+    args = argv[1:]
+    if args[:1] == ["--self-test"]:
+        if len(args) < 2:
+            usage("--self-test wants at least one file")
+        return self_test(args[1:])
+    verbose = "--list" in args
+    files = [a for a in args if a != "--list"]
+    if len(files) != 2 or any(f.startswith("--") for f in files):
+        usage("wants BASELINE.json CANDIDATE.json [--list]")
     base, cand = load(files[0]), load(files[1])
-    regs, gated = compare(base, cand, tolerance, verbose=verbose)
-    for r in regs:
-        print(r)
-    status = "PASS" if not regs else "FAIL"
-    print(f"bench-gate {status}: {gated} metrics gated, "
-          f"{len(regs)} regression(s), tolerance {tolerance:g}%")
-    return 0 if not regs else 1
+    metrics = declared(base, files[0])
+    declared(cand, files[1])
+    findings, gated = compare(base, cand, metrics, verbose=verbose)
+    for f in findings:
+        print(f)
+    print(f"bench-gate {'FAIL' if findings else 'PASS'}: {gated} leaves gated, "
+          f"{len(findings)} finding(s)")
+    return 0 if not findings else 1
 
 
 if __name__ == "__main__":
