@@ -2039,6 +2039,10 @@ std::vector<XenicNode::WedgedTxn> XenicNode::WedgedOn(NodeId failed, bool backup
     }
     out.push_back(std::move(w));
   }
+  // The sweep resolves them in txn-id order, whatever order the states are
+  // stored in.
+  std::sort(out.begin(), out.end(),
+            [](const WedgedTxn& a, const WedgedTxn& b) { return a.id < b.id; });
   return out;
 }
 

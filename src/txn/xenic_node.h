@@ -118,7 +118,8 @@ class XenicNode {
   // `backup_touch` additionally flags transactions whose only involvement
   // with `failed` is a written shard replicated there -- needed for crash
   // sweeps (the dead backup's acks never arrive) but not for planned
-  // handoff, where the departing node stays live and keeps acking.
+  // handoff, where the departing node stays live and keeps acking. Sorted
+  // by txn id.
   std::vector<WedgedTxn> WedgedOn(NodeId failed, bool backup_touch = true) const;
   // Whether this coordinator reported `txn` committed to its application.
   // Recovery consults live coordinators before discarding an in-doubt
@@ -549,9 +550,7 @@ class XenicNode {
   // find nothing even after its state serves another transaction. The
   // index recycles its map nodes (EraseState extracts one into
   // spare_nodes_, NewState re-keys and reinserts it), so it allocates
-  // nothing per transaction and iterates exactly as a map that erased and
-  // emplaced would: WedgedOn walks it, and the recovery transcripts pin
-  // that order.
+  // nothing per transaction.
   TxnPool<TxnState> pool_;
   using StateIndex = std::unordered_map<TxnId, TxnState*>;
   StateIndex txns_;
