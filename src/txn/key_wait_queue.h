@@ -34,15 +34,15 @@ class KeyWaitQueue {
  public:
   struct Waiter {
     uint64_t id = 0;
-    TxnId txn = 0;
+    TxnHandle h;  // the waiting transaction's coordinator state
     uint64_t rank = 0;
     sim::SmallCallback resume;
   };
 
   // Park `resume` behind `key`. Returns the entry's id (never 0).
-  uint64_t Park(const KeyRef& key, TxnId txn, uint64_t rank, sim::SmallCallback resume) {
+  uint64_t Park(const KeyRef& key, TxnHandle h, uint64_t rank, sim::SmallCallback resume) {
     const uint64_t id = ++last_id_;
-    queues_[key].push_back(Waiter{id, txn, rank, std::move(resume)});
+    queues_[key].push_back(Waiter{id, h, rank, std::move(resume)});
     return id;
   }
 
@@ -71,7 +71,7 @@ class KeyWaitQueue {
   }
 
   // Take the waiter a release of `key` wakes: the lowest rank, then the
-  // earliest arrival. Waiters for which `gone(txn)` holds are dropped (their
+  // earliest arrival. Waiters for which `gone(h)` holds are dropped (their
   // continuations destroyed) and the next one is tried.
   template <typename Gone>
   std::optional<Waiter> PopNext(const KeyRef& key, Gone&& gone) {
@@ -81,7 +81,7 @@ class KeyWaitQueue {
       auto pos = std::min_element(it->second.begin(), it->second.end(),
                                   [](const Waiter& a, const Waiter& b) { return a.rank < b.rank; });
       Waiter w = Remove(it, pos);
-      if (!gone(w.txn)) {
+      if (!gone(w.h)) {
         return w;
       }
     }

@@ -235,17 +235,17 @@ size_t DropCachedShard(XenicCluster& cluster, NodeId promoted, NodeId shard) {
 void AbortEverywhere(XenicCluster& cluster, const std::vector<NodeId>& live, XenicNode& coord,
                      const XenicNode::WedgedTxn& w) {
   for (NodeId m : live) {
-    cluster.datastore(m).TombstoneTxn(w.id);
+    cluster.datastore(m).TombstoneTxn(w.h.txn);
   }
   for (NodeId m : live) {
     auto& ds = cluster.datastore(m);
     for (const auto& k : w.keys) {
       if (k.table < ds.num_tables() && cluster.map().PrimaryOf(k.table, k.key) == m) {
-        ds.index(k.table).ReleaseLock(k.key, w.id);
+        ds.index(k.table).ReleaseLock(k.key, w.h.txn);
       }
     }
   }
-  coord.ForceAbortWedged(w.id);
+  coord.ForceAbortWedged(w.h);
 }
 
 // Epoch-change sweep: every live coordinator's wedged transactions --
@@ -267,7 +267,7 @@ std::vector<store::TxnId> SweepWedgedTxns(XenicCluster& cluster, NodeId failed,
         // only copies died with the failed node.
         TxnLogState t;
         t.total_shards = static_cast<uint32_t>(w.records.size());
-        const auto found = ev.find(w.id);
+        const auto found = ev.find(w.h.txn);
         for (auto& [shard, rec] : w.records) {
           ShardRecord& sr = t.shards[shard];
           sr.record = std::move(rec);
@@ -281,12 +281,12 @@ std::vector<store::TxnId> SweepWedgedTxns(XenicCluster& cluster, NodeId failed,
         complete = IsComplete(cluster, t, live);
       }
       if (complete) {
-        report->acks_synthesized += node.ForceCommitWedged(w.id, failed);
+        report->acks_synthesized += node.ForceCommitWedged(w.h, failed);
         report->sweep_committed++;
-        committed.push_back(w.id);
+        committed.push_back(w.h.txn);
       } else {
         AbortEverywhere(cluster, live, node, w);
-        ev.erase(w.id);
+        ev.erase(w.h.txn);
         report->sweep_aborted++;
       }
     }

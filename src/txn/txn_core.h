@@ -176,14 +176,6 @@ struct TxnCore {
   Report TakeReport(TxnResult result);
 };
 
-// A pooled transaction state's name: its TxnPool slot plus its id. Ids are
-// never reused, so once the transaction is released its handles resolve to
-// null, even after another transaction has taken the slot.
-struct TxnHandle {
-  uint32_t slot = 0;
-  TxnId txn = store::kNoTxn;
-};
-
 // A TxnCore that lives in a TxnPool.
 struct PooledTxn : TxnCore {
   uint32_t slot = 0;  // set by the pool
@@ -224,6 +216,19 @@ class TxnPool {
     assert(st->id != store::kNoTxn);
     st->id = store::kNoTxn;
     free_.push_back(st->slot);
+  }
+
+  // States acquired and not yet released.
+  size_t live() const { return states_.size() - free_.size(); }
+
+  // Calls `fn` on every state that holds a transaction, in slot order.
+  template <typename Fn>
+  void ForEachLive(Fn&& fn) const {
+    for (const State& st : states_) {
+      if (st.id != store::kNoTxn) {
+        fn(st);
+      }
+    }
   }
 
  private:

@@ -46,6 +46,14 @@ struct KeyRefHash {
   }
 };
 
+// A pooled transaction state's name: its TxnPool slot plus its id. Ids are
+// never reused, so once the transaction is released its handles resolve to
+// null, even after another transaction has taken the slot.
+struct TxnHandle {
+  uint32_t slot = 0;
+  TxnId txn = store::kNoTxn;
+};
+
 struct ReadResult {
   bool found = false;
   Seq seq = 0;

@@ -93,8 +93,9 @@ XenicNode::XenicNode(nicmodel::SmartNic* nic, store::Datastore* ds, const Cluste
   }
 }
 
-sim::Tick XenicNode::NicOpCost(size_t n_keys) const {
-  return kNicOpBase + kNicKeyCost * static_cast<sim::Tick>(n_keys);
+sim::Tick XenicNode::NicOpCost(const TxnState& st) const {
+  const size_t keys = st.read_keys.size() + st.write_keys.size();
+  return kNicOpBase + kNicKeyCost * static_cast<sim::Tick>(keys);
 }
 
 sim::Tick XenicNode::NicExecCost(sim::Tick host_cost) const {
@@ -162,7 +163,9 @@ TxnId XenicNode::Submit(TxnRequest req, CommitCallback done) {
   if (crashed_) {
     return 0;  // the application died with the node; no outcome is reported
   }
-  TxnState* st = NewState(std::move(req), std::move(done));
+  TxnState* st = pool_.Acquire();
+  st->Init(store::MakeTxnId(id(), next_txn_seq_++), std::move(req), std::move(done));
+  st->map_version = map_->version;
   // Root of this transaction's causal event chain: everything scheduled
   // from here on (host compute, NIC hops, DMA, wire) inherits the id.
   nic_->engine()->set_trace_ctx(st->id);
@@ -201,12 +204,12 @@ void XenicNode::SubmitOnHost(TxnState* st) {
   }
 
   // Distributed: ship the transaction state to the coordinator-side NIC.
-  const TxnId txn = st->id;
+  const TxnHandle h = st->handle();
   const uint32_t bytes = net::wire::TxnDescriptor(st->read_keys.size(), st->write_keys.size(),
                                                   st->req.external_bytes);
-  nic_->HostCompute(kHostInitCost, [this, txn, bytes] {
-    nic_->HostToNic(bytes, [this, txn] { CoordStartOnNic(txn); });
-  });
+  nic_->HostCompute(kHostInitCost, sim::InlineCallback([this, h, bytes] {
+    nic_->HostToNic(bytes, sim::InlineCallback([this, h] { CoordStartOnNic(h); }));
+  }));
 }
 
 // ---------------------------------------------------------------------------
@@ -221,11 +224,11 @@ void XenicNode::HostReadOnlyPath(TxnState* st, NodeId shard) {
   // All reads and execution rounds happen on the host against the local
   // tables within one charged block: atomic, so no validation is needed,
   // and no NIC or wire work is charged.
-  const TxnId txn = st->id;
+  const TxnHandle h = st->handle();
   sim::Tick cost = kHostInitCost + st->req.exec_cost;
   cost += kHostKeyCost * static_cast<sim::Tick>(st->read_keys.size());
-  nic_->HostCompute(cost, [this, txn, shard, replica] {
-    TxnState* st = Live(txn);
+  nic_->HostCompute(cost, sim::InlineCallback([this, h, shard, replica] {
+    TxnState* st = Live(h);
     if (st == nullptr) {
       return;
     }
@@ -239,7 +242,7 @@ void XenicNode::HostReadOnlyPath(TxnState* st, NodeId shard) {
     if (replica && (st->map_version != map_->version || map_->IsFailed(shard) ||
                     ds_->log().Peek() != nullptr)) {
       stats_.replica_read_fallback++;
-      EscalateToDistributed(txn);
+      EscalateToDistributed(h);
       return;
     }
     const HostExec exec = ExecuteOnHost(st, shard);
@@ -247,7 +250,7 @@ void XenicNode::HostReadOnlyPath(TxnState* st, NodeId shard) {
       if (replica) {
         stats_.replica_read_fallback++;
       }
-      EscalateToDistributed(txn);
+      EscalateToDistributed(h);
       return;
     }
     const bool app_abort = exec == HostExec::kAppAbort;
@@ -257,9 +260,9 @@ void XenicNode::HostReadOnlyPath(TxnState* st, NodeId shard) {
     if (replica && !app_abort) {
       stats_.replica_reads++;
     }
-    EraseState(txn);
+    EraseState(st);
     done(outcome);
-  });
+  }));
 }
 
 XenicNode::HostExec XenicNode::ExecuteOnHost(TxnState* st, NodeId shard) {
@@ -327,20 +330,20 @@ bool XenicNode::ReplicaReadEligible(const TxnState& st, NodeId* shard_out) const
 
 void XenicNode::LocalWritePath(TxnState* st) {
   stats_.local_fastpath++;
-  const TxnId txn = st->id;
+  const TxnHandle h = st->handle();
   // Optimistic host execution: read local values + run all rounds in one
   // charged block, producing the write set.
   sim::Tick cost = kHostInitCost + st->req.exec_cost;
   cost += kHostKeyCost *
           static_cast<sim::Tick>(st->read_keys.size() + st->write_keys.size());
-  nic_->HostCompute(cost, [this, txn] {
-    TxnState* st = Live(txn);
+  nic_->HostCompute(cost, sim::InlineCallback([this, h] {
+    TxnState* st = Live(h);
     if (st == nullptr) {
       return;
     }
     switch (ExecuteOnHost(st, id())) {
       case HostExec::kEscalate:
-        EscalateToDistributed(txn);
+        EscalateToDistributed(h);
         return;
       case HostExec::kAppAbort:
         AbortCleanup(st, TxnOutcome::kAppAborted);
@@ -353,14 +356,13 @@ void XenicNode::LocalWritePath(TxnState* st) {
     // re-validate the optimistic reads, then replicate.
     const uint32_t bytes =
         net::wire::WriteImages(st->writes.size(), txn::ValueBytes(st->writes));
-    const TxnId id2 = st->id;
-    nic_->HostToNic(bytes, [this, id2] {
-      TxnState* st = Live(id2);
+    nic_->HostToNic(bytes, sim::InlineCallback([this, h] {
+      TxnState* st = Live(h);
       if (st == nullptr) {
         return;
       }
-      nic_->NicCompute(NicOpCost(st->write_keys.size() + st->read_keys.size()), [this, id2] {
-        TxnState* st = Live(id2);
+      nic_->NicCompute(NicOpCost(*st), sim::InlineCallback([this, h] {
+        TxnState* st = Live(h);
         if (st == nullptr) {
           return;
         }
@@ -397,8 +399,8 @@ void XenicNode::LocalWritePath(TxnState* st) {
                 std::max(st->contention_hint, sketch_.Level(st->write_keys[i], now));
           }
         }
-        ChargeDmaReads(agg, [this, id2, ok] {
-          TxnState* st = Live(id2);
+        ChargeDmaReads(agg, sim::InlineCallback([this, h, ok] {
+          TxnState* st = Live(h);
           if (st == nullptr) {
             return;
           }
@@ -408,10 +410,10 @@ void XenicNode::LocalWritePath(TxnState* st) {
             return;
           }
           LogPhase(st);
-        });
-      });
-    });
-  });
+        }));
+      }));
+    }));
+  }));
 }
 
 // ---------------------------------------------------------------------------
@@ -442,29 +444,30 @@ bool XenicNode::LockedLocalPath(TxnState* st) {
     st->hot_key = *hot;
     stats_.hot_path++;
   }
-  const TxnId txn = st->id;
+  const TxnHandle h = st->handle();
   // Same host->NIC handoff as the local write path, minus the optimistic
   // host execution: the work happens on the NIC under locks.
   const uint32_t bytes = net::wire::TxnDescriptor(st->read_keys.size(), st->write_keys.size(),
                                                   st->req.external_bytes);
-  nic_->HostCompute(kHostInitCost, [this, txn, bytes] {
-    nic_->HostToNic(bytes, [this, txn] {
-      TxnState* st = Live(txn);
+  nic_->HostCompute(kHostInitCost, sim::InlineCallback([this, h, bytes] {
+    nic_->HostToNic(bytes, sim::InlineCallback([this, h] {
+      TxnState* st = Live(h);
       if (st == nullptr) {
         return;
       }
-      nic_->NicCompute(NicOpCost(st->read_keys.size() + st->write_keys.size()),
-                       [this, txn] { LockedLocalAcquire(txn, 0); });
-    });
-  });
+      nic_->NicCompute(NicOpCost(*st),
+                       sim::InlineCallback([this, h] { LockedLocalAcquire(h, 0); }));
+    }));
+  }));
   return true;
 }
 
-void XenicNode::LockedLocalAcquire(TxnId txn, uint32_t parks) {
-  TxnState* st = Live(txn);
+void XenicNode::LockedLocalAcquire(TxnHandle h, uint32_t parks) {
+  TxnState* st = Live(h);
   if (st == nullptr) {
     return;  // aborted meanwhile (wounded, swept): the attempt just dies
   }
+  const TxnId txn = h.txn;
   nic_->engine()->set_trace_ctx(txn);
   st->park_id = 0;
   uint8_t contention = 0;
@@ -476,8 +479,8 @@ void XenicNode::LockedLocalAcquire(TxnId txn, uint32_t parks) {
     if (wait) {
       st->park_key = conflict;
       st->park_id =
-          WaitForLock(txn, conflict, /*local=*/true, sim::InlineCallback([this, txn, parks] {
-                        LockedLocalAcquire(txn, parks + 1);
+          WaitForLock(h, conflict, /*local=*/true, sim::InlineCallback([this, h, parks] {
+                        LockedLocalAcquire(h, parks + 1);
                       }));
       return;
     }
@@ -497,19 +500,19 @@ void XenicNode::LockedLocalAcquire(TxnId txn, uint32_t parks) {
   }
   store::NicIndex::LookupStats agg;
   ReadLocalSets(st, read_idx, &agg);
-  ChargeDmaReads(agg, [this, txn] {
-    TxnState* st = Live(txn);
+  ChargeDmaReads(agg, sim::InlineCallback([this, h] {
+    TxnState* st = Live(h);
     if (st == nullptr) {
       return;
     }
     LockedExecute(st);
-  });
+  }));
 }
 
 void XenicNode::LockedExecute(TxnState* st) {
-  const TxnId txn = st->id;
-  nic_->NicCompute(NicExecCost(st->req.exec_cost), [this, txn] {
-    TxnState* st = Live(txn);
+  const TxnHandle h = st->handle();
+  nic_->NicCompute(NicExecCost(st->req.exec_cost), sim::InlineCallback([this, h] {
+    TxnState* st = Live(h);
     if (st == nullptr) {
       return;
     }
@@ -533,10 +536,10 @@ void XenicNode::LockedExecute(TxnState* st) {
       // Execution discovered remote keys: drop every lock and restart
       // through the distributed path (nothing is held while distributed
       // EXECUTE rounds run, so no cross-path deadlock is possible).
-      UnlockAll(txn, KeyUnion(st->read_keys, st->write_keys));
+      UnlockAll(h.txn, KeyUnion(st->read_keys, st->write_keys));
       st->locked_shards.clear();
       st->reads_locked = false;
-      EscalateToDistributed(txn);
+      EscalateToDistributed(h);
       return;
     }
     // Lock the newly added local keys in place (no parking mid-execution:
@@ -548,7 +551,7 @@ void XenicNode::LockedExecute(TxnState* st) {
     const auto read_base = static_cast<uint32_t>(st->read_keys.size());
     st->AppendKeys(add_reads, add_writes);
     uint8_t contention = 0;
-    if (!new_keys.empty() && !LockAll(txn, new_keys, &contention)) {
+    if (!new_keys.empty() && !LockAll(h.txn, new_keys, &contention)) {
       st->contention_hint = std::max(st->contention_hint, contention);
       st->Abort(AbortReason::kLockLocal);
       AbortCleanup(st, TxnOutcome::kAborted);
@@ -560,22 +563,22 @@ void XenicNode::LockedExecute(TxnState* st) {
     }
     store::NicIndex::LookupStats agg;
     ReadLocalSets(st, new_read_idx, &agg);
-    ChargeDmaReads(agg, [this, txn] {
-      TxnState* st = Live(txn);
+    ChargeDmaReads(agg, sim::InlineCallback([this, h] {
+      TxnState* st = Live(h);
       if (st == nullptr) {
         return;
       }
       LockedExecute(st);
-    });
-  });
+    }));
+  }));
 }
 
 // ---------------------------------------------------------------------------
 // Distributed path: coordinator side.
 // ---------------------------------------------------------------------------
 
-void XenicNode::EscalateToDistributed(TxnId txn) {
-  TxnState* st = Live(txn);
+void XenicNode::EscalateToDistributed(TxnHandle h) {
+  TxnState* st = Live(h);
   if (st == nullptr) {
     return;
   }
@@ -583,18 +586,18 @@ void XenicNode::EscalateToDistributed(TxnId txn) {
   st->ResetKeys();
   const uint32_t bytes = net::wire::TxnDescriptor(st->read_keys.size(), st->write_keys.size(),
                                                   st->req.external_bytes);
-  nic_->HostToNic(bytes, [this, txn] { CoordStartOnNic(txn); });
+  nic_->HostToNic(bytes, sim::InlineCallback([this, h] { CoordStartOnNic(h); }));
 }
 
-void XenicNode::CoordStartOnNic(TxnId id) {
-  TxnState* st = Live(id);
+void XenicNode::CoordStartOnNic(TxnHandle h) {
+  TxnState* st = Live(h);
   if (st == nullptr) {
     return;
   }
   st->coord_start = nic_->engine()->now();
   st->phase_start = st->coord_start;
-  nic_->NicCompute(NicOpCost(st->read_keys.size() + st->write_keys.size()), [this, id] {
-    TxnState* st = Live(id);
+  nic_->NicCompute(NicOpCost(*st), sim::InlineCallback([this, h] {
+    TxnState* st = Live(h);
     if (st == nullptr) {
       return;
     }
@@ -609,7 +612,7 @@ void XenicNode::CoordStartOnNic(TxnId id) {
       return;
     }
     ExecutePhase(st);
-  });
+  }));
 }
 
 bool XenicNode::ShipEligible(const TxnState& st, NodeId* remote_out) const {
@@ -694,7 +697,7 @@ void XenicNode::ExecutePhase(TxnState* st) {
 XenicNode::ExecSlot XenicNode::NewExecRequest(const TxnState& st, NodeId shard, bool lock_only) {
   ExecSlot req = exec_reqs_.AcquireHandle();
   ExecRequest& r = *req;
-  r.txn = st.id;
+  r.h = st.handle();
   r.coord = id();
   r.shard = shard;
   r.lock_only = lock_only;
@@ -727,21 +730,20 @@ void XenicNode::SendExecute(ExecSlot req) {
   }
   const uint32_t bytes = net::wire::ExecuteReq(r.reads.size(), r.writes.size());
   const NodeId shard = r.shard;
-  const TxnId txn = r.txn;
+  const TxnId txn = r.h.txn;
   SendSlot<&XenicNode::ServeExecute>(net::MsgType::kExecute, shard, bytes, std::move(req), txn);
 }
 
 void XenicNode::OnExecuteResp(ExecSlot req) {
-  const TxnId id = req->txn;
   const NodeId shard = req->shard;
   const bool lock_only = req->lock_only;
-  TxnState* st = Live(id);
+  TxnState* st = Live(req->h);
   if (st == nullptr) {
     // Raced with an abort (or this coordinator failed). If the server
     // granted locks, nobody will ever release them through the normal
     // paths: do it here.
     if (!crashed_ && req->ok) {
-      ReleaseOrphanedLocks(id, shard, req->lock_keys);
+      ReleaseOrphanedLocks(req->h.txn, shard, req->lock_keys);
     }
     return;
   }
@@ -804,8 +806,8 @@ void XenicNode::AfterExecuteRound(TxnState* st) {
   RunExecuteLogic(st);
 }
 
-void XenicNode::OnExecuteLogicDone(TxnId txn) {
-  TxnState* st = FindState(txn);
+void XenicNode::OnExecuteLogicDone(TxnHandle h) {
+  TxnState* st = FindState(h);
   if (st == nullptr) {
     return;
   }
@@ -841,8 +843,8 @@ void XenicNode::LockRound(TxnState* st) {
   }
 }
 
-void XenicNode::ExecuteLogic(TxnId txn) {
-  TxnState* st = Live(txn);
+void XenicNode::ExecuteLogic(TxnHandle h) {
+  TxnState* st = Live(h);
   if (st == nullptr) {
     return;
   }
@@ -850,11 +852,11 @@ void XenicNode::ExecuteLogic(TxnId txn) {
 }
 
 void XenicNode::RunExecuteLogic(TxnState* st) {
-  const TxnId txn = st->id;
+  const TxnHandle h = st->handle();
   if (features_->nic_execution && st->req.allow_ship) {
-    nic_->NicCompute(NicExecCost(st->req.exec_cost), sim::InlineCallback([this, txn] {
-      ExecuteLogic(txn);
-      OnExecuteLogicDone(txn);
+    nic_->NicCompute(NicExecCost(st->req.exec_cost), sim::InlineCallback([this, h] {
+      ExecuteLogic(h);
+      OnExecuteLogicDone(h);
     }));
     return;
   }
@@ -863,16 +865,16 @@ void XenicNode::RunExecuteLogic(TxnState* st) {
   // (two extra PCIe crossings on the critical path).
   const uint32_t up_bytes = net::wire::ReadSet(st->reads.size(), ValueBytes(st->reads));
   const sim::Tick exec_cost = st->req.exec_cost;
-  nic_->NicToHost(up_bytes, sim::InlineCallback([this, txn, exec_cost] {
-    nic_->HostCompute(exec_cost, sim::InlineCallback([this, txn] {
-      ExecuteLogic(txn);
-      TxnState* st = Live(txn);
+  nic_->NicToHost(up_bytes, sim::InlineCallback([this, h, exec_cost] {
+    nic_->HostCompute(exec_cost, sim::InlineCallback([this, h] {
+      ExecuteLogic(h);
+      TxnState* st = Live(h);
       if (st == nullptr) {
         return;
       }
       const uint32_t down_bytes =
           net::wire::WriteImages(st->writes.size(), ValueBytes(st->writes));
-      nic_->HostToNic(down_bytes, sim::InlineCallback([this, txn] { OnExecuteLogicDone(txn); }));
+      nic_->HostToNic(down_bytes, sim::InlineCallback([this, h] { OnExecuteLogicDone(h); }));
     }));
   }));
 }
@@ -915,11 +917,10 @@ void XenicNode::ValidatePhase(TxnState* st) {
   // `shards` is every shard the transaction touched.)
   const bool atomic_snapshot = features_->smart_remote_ops && st->round == 0 &&
                                st->write_keys.empty() && shards.size() == 1;
-  const TxnId txn = st->id;
   if (shards.empty() || atomic_snapshot) {
     if (st->write_keys.empty() && st->req.local_log_writes.empty()) {
       ReportAndFinish(st, TxnOutcome::kCommitted);
-      EraseState(txn);  // read-only: no locks to release, no commit phase
+      EraseState(st);  // read-only: no locks to release, no commit phase
       return;
     }
     LogPhase(st);
@@ -930,7 +931,7 @@ void XenicNode::ValidatePhase(TxnState* st) {
   const bool split = !features_->smart_remote_ops;
   stats_.remote_rounds++;
   st->pending = split ? checks : static_cast<uint32_t>(shards.size());
-  auto send = [this, txn](NodeId primary, ValidateSlot req) {
+  auto send = [this, txn = st->id](NodeId primary, ValidateSlot req) {
     const uint32_t bytes = net::wire::ValidateReq(req->checks.size());
     SendSlot<&XenicNode::ServeValidate>(net::MsgType::kValidate, primary, bytes, std::move(req),
                                         txn);
@@ -944,7 +945,7 @@ void XenicNode::ValidatePhase(TxnState* st) {
       }
       if (!req) {
         req = validate_reqs_.AcquireHandle();
-        req->txn = txn;
+        req->h = st->handle();
         req->coord = id();
         req->checks.clear();
       }
@@ -959,8 +960,8 @@ void XenicNode::ValidatePhase(TxnState* st) {
   }
 }
 
-void XenicNode::OnValidateResp(TxnId id, bool ok, uint8_t contention) {
-  TxnState* st = Live(id);
+void XenicNode::OnValidateResp(TxnHandle h, bool ok, uint8_t contention) {
+  TxnState* st = Live(h);
   if (st == nullptr) {
     return;
   }
@@ -978,7 +979,7 @@ void XenicNode::OnValidateResp(TxnId id, bool ok, uint8_t contention) {
   }
   if (st->write_keys.empty() && st->req.local_log_writes.empty()) {
     ReportAndFinish(st, TxnOutcome::kCommitted);
-    EraseState(id);  // read-only: no locks to release, no commit phase
+    EraseState(st);  // read-only: no locks to release, no commit phase
     return;
   }
   LogPhase(st);
@@ -990,6 +991,7 @@ void XenicNode::SendLogRecords(NodeId coord, const TxnState& st, NodeId shard,
     // Each backup's record is built in its request slot, whose write
     // vector keeps its capacity: the backup's append moves the writes out.
     LogSlot req = log_reqs_.AcquireHandle();
+    req->h = st.handle();
     req->coord = coord;
     store::LogRecord& rec = req->record;
     rec.type = store::LogRecordType::kLog;
@@ -1029,8 +1031,8 @@ void XenicNode::LogPhase(TxnState* st) {
   }
 }
 
-void XenicNode::OnLogAck(TxnId id, NodeId from, NodeId shard) {
-  TxnState* st = Live(id);
+void XenicNode::OnLogAck(TxnHandle h, NodeId from, NodeId shard) {
+  TxnState* st = Live(h);
   if (st == nullptr) {
     return;
   }
@@ -1076,13 +1078,13 @@ void XenicNode::CommitPhase(TxnState* st) {
   st->pending = static_cast<uint32_t>(shards.size());
   const TxnId txn = st->id;
   if (st->pending == 0) {
-    EraseState(txn);
+    EraseState(st);
     return;
   }
   for (NodeId shard : shards) {
     CommitSlot req = commit_reqs_.AcquireHandle();
     CommitRequest& r = *req;
-    r.txn = txn;
+    r.h = st->handle();
     r.coord = id();
     st->ShardWrites(*map_, shard, id(), &r.writes);
     // The primary's COMMIT record covers datastore writes only:
@@ -1101,7 +1103,7 @@ void XenicNode::CommitPhase(TxnState* st) {
     }
     if (r.writes.empty() && r.release_keys.empty()) {
       if (--st->pending == 0) {
-        EraseState(txn);
+        EraseState(st);
         return;
       }
       continue;
@@ -1112,14 +1114,14 @@ void XenicNode::CommitPhase(TxnState* st) {
   }
 }
 
-void XenicNode::OnCommitAck(TxnId id) {
-  TxnState* st = FindState(id);
+void XenicNode::OnCommitAck(TxnHandle h) {
+  TxnState* st = FindState(h);
   if (st == nullptr) {
     return;
   }
   assert(st->pending > 0);
   if (--st->pending == 0) {
-    EraseState(id);
+    EraseState(st);
   }
 }
 
@@ -1211,7 +1213,7 @@ void XenicNode::AbortCleanup(TxnState* st, TxnOutcome outcome) {
     }
   }
   ReportAndFinish(st, outcome);
-  EraseState(txn);
+  EraseState(st);
 }
 
 void XenicNode::TxnState::Init(TxnId txn, TxnRequest request, CommitCallback callback) {
@@ -1226,36 +1228,6 @@ void XenicNode::TxnState::Init(TxnId txn, TxnRequest request, CommitCallback cal
   hot_key = {};
   park_key = {};
   park_id = 0;
-}
-
-XenicNode::TxnState* XenicNode::NewState(TxnRequest req, CommitCallback done) {
-  TxnState* st = pool_.Acquire();
-  st->Init(store::MakeTxnId(id(), next_txn_seq_++), std::move(req), std::move(done));
-  st->map_version = map_->version;
-  if (spare_nodes_.empty()) {
-    txns_.emplace(st->id, st);
-    return st;
-  }
-  StateIndex::node_type node = std::move(spare_nodes_.back());
-  spare_nodes_.pop_back();
-  node.key() = st->id;
-  node.mapped() = st;
-  txns_.insert(std::move(node));
-  return st;
-}
-
-void XenicNode::EraseState(TxnId id) {
-  StateIndex::node_type node = txns_.extract(id);
-  if (node.empty()) {
-    return;
-  }
-  pool_.Release(node.mapped());
-  spare_nodes_.push_back(std::move(node));
-}
-
-XenicNode::TxnState* XenicNode::FindState(TxnId id) {
-  auto it = txns_.find(id);
-  return it == txns_.end() ? nullptr : it->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -1302,8 +1274,8 @@ void XenicNode::ShippedPath(TxnState* st, NodeId remote) {
   store::NicIndex::LookupStats agg;
   ReadLocalSets(st, ship_reads_, &agg);
 
-  ChargeDmaReads(agg, [this, txn, remote] {
-    TxnState* st = FindState(txn);
+  ChargeDmaReads(agg, sim::InlineCallback([this, h = st->handle(), remote] {
+    TxnState* st = FindState(h);
     if (st == nullptr) {
       return;
     }
@@ -1321,31 +1293,30 @@ void XenicNode::ShippedPath(TxnState* st, NodeId remote) {
     st->log_acks.Expect(kShipExecSignal, kShipExecSignal);
 
     XenicNode* server = (*peers_)[remote];
-    transport_.Send(
-        net::MsgType::kShipExec, remote, bytes,
-        [this, server, txn, st] { server->ServeShipExec(txn, id(), st); }, txn);
-  });
+    transport_.Send(net::MsgType::kShipExec, remote, bytes,
+                    sim::InlineCallback([this, server, h] { server->ServeShipExec(h, id()); }),
+                    h.txn);
+  }));
 }
 
-bool XenicNode::ShipLive(const ShipExecution& ship) {
-  return !crashed_ && (*peers_)[ship.coord]->FindState(ship.txn) == ship.st;
+XenicNode::TxnState* XenicNode::ShipState(const ShipExecution& ship) {
+  return crashed_ ? nullptr : (*peers_)[ship.coord]->FindState(ship.h);
 }
 
-void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
-  // `st` is a raw pointer into the coordinator's state pool. Before any
-  // dereference, confirm this node is alive and the coordinator still owns
-  // the transaction: a delayed delivery can arrive after an epoch change
-  // aborted the transaction (and its state went back to the pool).
-  if (crashed_ || (*peers_)[coord]->FindState(txn) != st) {
+void XenicNode::ServeShipExec(TxnHandle h, NodeId coord) {
+  // A delayed delivery can arrive after an epoch change aborted the
+  // transaction: its handle then resolves to null at the coordinator, even
+  // once the state serves another transaction.
+  TxnState* st = crashed_ ? nullptr : (*peers_)[coord]->FindState(h);
+  if (st == nullptr) {
     return;
   }
   // Lock all keys homed here (reads and writes), read read-set values,
   // execute, then fan out LOG records to every backup with acks converging
   // at the coordinator NIC.
   ShipSlot ship = ship_execs_.AcquireHandle();
-  ship->txn = txn;
+  ship->h = h;
   ship->coord = coord;
-  ship->st = st;
   HomeKeys(*st, &ship->keys, &ship->reads);
   nic_->NicCompute(kServeCost, sim::InlineCallback([this, ship = std::move(ship)]() mutable {
     ShipAttempt(std::move(ship), 0);
@@ -1356,14 +1327,16 @@ void XenicNode::ShipAttempt(ShipSlot ship, uint32_t parks) {
   if (crashed_) {
     return;
   }
-  const TxnId txn = ship->txn;
+  const TxnHandle h = ship->h;
+  const TxnId txn = h.txn;
   nic_->engine()->set_trace_ctx(txn);
-  // After a park, a crashed coordinator still has the state in its index
-  // (a crash keeps it for exactly these in-flight executions), so the
-  // state check alone can't see the crash: check it directly rather than
-  // lock and execute for a node that will never commit.
+  // After a park, a crashed coordinator's handle still resolves (a crash
+  // keeps its states for exactly these in-flight executions), so the state
+  // check alone can't see the crash: check it directly rather than lock
+  // and execute for a node that will never commit.
   XenicNode* coordinator = (*peers_)[ship->coord];
-  if (!ShipLive(*ship) || (parks > 0 && coordinator->crashed())) {
+  TxnState* st = ShipState(*ship);
+  if (st == nullptr || (parks > 0 && coordinator->crashed())) {
     return;
   }
   uint8_t contention = 0;
@@ -1372,63 +1345,60 @@ void XenicNode::ShipAttempt(ShipSlot ship, uint32_t parks) {
     if (MayParkRemote(txn, conflict, parks)) {
       // Hot key: the shipped execution is parked behind the holder
       // (zero locks held) instead of failing back to the coordinator.
-      WaitForLock(txn, conflict, /*local=*/false,
+      WaitForLock(h, conflict, /*local=*/false,
                   sim::InlineCallback([this, ship = std::move(ship), parks]() mutable {
                     ShipAttempt(std::move(ship), parks + 1);
                   }));
       return;
     }
-    transport_.SendAck(
-        net::MsgType::kShipExec, ship->coord,
-        [coordinator, txn, contention] { coordinator->OnShipFailure(txn, contention); }, txn);
+    transport_.SendAck(net::MsgType::kShipExec, ship->coord,
+                       sim::InlineCallback([coordinator, h, contention] {
+                         coordinator->OnShipFailure(h, contention);
+                       }),
+                       txn);
     return;
   }
 
   store::NicIndex::LookupStats agg;
-  ReadLocalSets(ship->st, ship->reads, &agg);
+  ReadLocalSets(st, ship->reads, &agg);
   ChargeDmaReads(agg, sim::InlineCallback([this, ship = std::move(ship)]() mutable {
     ShipExecute(std::move(ship));
   }));
 }
 
 void XenicNode::ShipExecute(ShipSlot ship) {
-  if (!ShipLive(*ship)) {
-    UnlockAll(ship->txn, ship->keys);
+  const TxnState* st = ShipState(*ship);
+  if (st == nullptr) {
+    UnlockAll(ship->h.txn, ship->keys);
     return;
   }
   // Execute on this NIC.
-  const sim::Tick cost = NicExecCost(ship->st->req.exec_cost);
+  const sim::Tick cost = NicExecCost(st->req.exec_cost);
   nic_->NicCompute(cost, sim::InlineCallback([this, ship = std::move(ship)]() mutable {
     ShipFinish(std::move(ship));
   }));
 }
 
 void XenicNode::ShipFinish(ShipSlot ship) {
-  const TxnId txn = ship->txn;
-  if (!ShipLive(*ship)) {
+  const TxnHandle h = ship->h;
+  const TxnId txn = h.txn;
+  TxnState* st = ShipState(*ship);
+  if (st == nullptr) {
     UnlockAll(txn, ship->keys);
     return;
   }
   const NodeId coord = ship->coord;
   XenicNode* coordinator = (*peers_)[coord];
-  TxnState* st = ship->st;
   std::vector<KeyRef> add_reads;
   std::vector<KeyRef> add_writes;
-  const bool app_abort = st->RunAppRound(0, &add_reads, &add_writes);
+  st->app_abort = st->RunAppRound(0, &add_reads, &add_writes);
   assert(add_reads.empty() && add_writes.empty() &&
          "shipped transactions must be single-round (allow_ship misuse)");
-  if (app_abort) {
+  if (st->app_abort) {
     UnlockAll(txn, ship->keys);
-    transport_.SendAck(
-        net::MsgType::kShipExec, coord,
-        [coordinator, txn] {
-          TxnState* cst = coordinator->FindState(txn);
-          if (cst != nullptr) {
-            cst->app_abort = true;
-          }
-          coordinator->OnShipFailure(txn);
-        },
-        txn);
+    transport_.SendAck(net::MsgType::kShipExec, coord,
+                       sim::InlineCallback([coordinator, h] { coordinator->OnShipFailure(h); }),
+                       txn);
     return;
   }
 
@@ -1444,14 +1414,15 @@ void XenicNode::ShipFinish(ShipSlot ship) {
   // EXEC result back to the coordinator (write values for its local
   // commit); counts as one of the pending completion signals.
   const uint32_t result_bytes = net::wire::ExecResult(st->writes.size(), ValueBytes(st->writes));
-  transport_.Send(
-      net::MsgType::kExecReply, coord, result_bytes,
-      [coordinator, txn] { coordinator->OnLogAck(txn, kShipExecSignal, kShipExecSignal); },
-      txn);
+  transport_.Send(net::MsgType::kExecReply, coord, result_bytes,
+                  sim::InlineCallback([coordinator, h] {
+                    coordinator->OnLogAck(h, kShipExecSignal, kShipExecSignal);
+                  }),
+                  txn);
 }
 
-void XenicNode::OnShipFailure(TxnId txn, uint8_t contention) {
-  TxnState* st = Live(txn);
+void XenicNode::OnShipFailure(TxnHandle h, uint8_t contention) {
+  TxnState* st = Live(h);
   if (st == nullptr) {
     return;
   }
@@ -1518,8 +1489,9 @@ bool XenicNode::MayParkRemote(TxnId txn, const KeyRef& conflict, uint32_t parks)
          waiters_.Count(conflict, kRemoteRank) < kRemoteQueueCap;
 }
 
-uint64_t XenicNode::WaitForLock(TxnId txn, const KeyRef& key, bool local,
+uint64_t XenicNode::WaitForLock(TxnHandle h, const KeyRef& key, bool local,
                                 sim::SmallCallback resume) {
+  const TxnId txn = h.txn;
   uint64_t rank = local ? kLocalRank : kRemoteRank;
   if (Cc2pl()) {
     stats_.cc_waits++;
@@ -1548,7 +1520,7 @@ uint64_t XenicNode::WaitForLock(TxnId txn, const KeyRef& key, bool local,
   } else {
     stats_.hot_remote_parks++;
   }
-  const uint64_t id = waiters_.Park(key, txn, rank, std::move(resume));
+  const uint64_t id = waiters_.Park(key, h, rank, std::move(resume));
   // Fallback wakeup: a release that bypasses this node's release paths
   // (recovery drops locks directly in the index) must not strand the
   // waiter. The timer takes its own entry by id, so it finds nothing once
@@ -1562,7 +1534,7 @@ uint64_t XenicNode::WaitForLock(TxnId txn, const KeyRef& key, bool local,
 }
 
 void XenicNode::WakeNext(const KeyRef& key) {
-  auto next = waiters_.PopNext(key, [this](TxnId txn) {
+  auto next = waiters_.PopNext(key, [this](TxnHandle h) {
     // Under 2PL, skip waiters whose transaction died while parked
     // (wounded, swept by recovery, or their coordinator crashed): wake the
     // next one instead of letting the release go unused until a timeout
@@ -1572,8 +1544,8 @@ void XenicNode::WakeNext(const KeyRef& key) {
     if (!Cc2pl()) {
       return false;
     }
-    XenicNode* coord = (*peers_)[store::TxnNode(txn)];
-    return coord->crashed() || coord->FindState(txn) == nullptr;
+    XenicNode* coord = (*peers_)[store::TxnNode(h.txn)];
+    return coord->crashed() || coord->FindState(h) == nullptr;
   });
   if (next) {
     // Resume in a fresh event: the release may happen inside another
@@ -1595,7 +1567,10 @@ bool XenicNode::CcMayWait(TxnId txn, const KeyRef& conflict, uint32_t parks) con
 
 void XenicNode::ServeWound(TxnId victim) {
   OnNic("hop.wound", victim, [this, victim] {
-    TxnState* st = FindState(victim);
+    // The lock names its owner by id only: the one lookup that walks the
+    // pool.
+    const std::optional<TxnHandle> h = HandleOf(victim);
+    TxnState* st = h ? FindState(*h) : nullptr;
     if (st == nullptr || st->done == nullptr || st->logs_sent) {
       // Already finished, restarted under a new id, or past the commit
       // point (logs out): a wound must not undo a commit decision.
@@ -1631,7 +1606,7 @@ void XenicNode::ChargeDmaReads(const store::NicIndex::LookupStats& stats,
 }
 
 void XenicNode::ServeExecute(ExecSlot req) {
-  const TxnId txn = req->txn;
+  const TxnId txn = req->h.txn;
   OnNic("hop.execute", txn,
         [this, req = std::move(req)]() mutable { ExecuteAttempt(std::move(req), 0); });
 }
@@ -1640,14 +1615,14 @@ void XenicNode::ExecuteAttempt(ExecSlot req, uint32_t parks) {
   if (crashed_) {
     return;  // the node died while this request was parked
   }
-  const TxnId txn = req->txn;
+  const TxnId txn = req->h.txn;
   nic_->engine()->set_trace_ctx(txn);
   XenicNode* coord = (*peers_)[req->coord];
   // A wake after a park must re-check the coordinator: if it crashed, or
   // recovery swept the transaction while we waited, granting locks now
   // would strand them (nobody will release). Dropping the reply is what a
   // lost request looks like, which both of those paths already handle.
-  if (parks > 0 && (coord->crashed() || coord->FindState(txn) == nullptr)) {
+  if (parks > 0 && (coord->crashed() || coord->FindState(req->h) == nullptr)) {
     return;
   }
   // Lock the write set first (all-or-nothing at this shard); a 2PL policy
@@ -1663,7 +1638,8 @@ void XenicNode::ExecuteAttempt(ExecSlot req, uint32_t parks) {
     // abort-retry cycle through the coordinator; timeout, a full queue, or
     // an exhausted park budget denies exactly as the unparked path would.
     if (MayParkRemote(txn, conflict, parks)) {
-      WaitForLock(txn, conflict, /*local=*/false,
+      const TxnHandle h = req->h;
+      WaitForLock(h, conflict, /*local=*/false,
                   sim::InlineCallback([this, req = std::move(req), parks]() mutable {
                     ExecuteAttempt(std::move(req), parks + 1);
                   }));
@@ -1698,7 +1674,7 @@ void XenicNode::ExecuteReadDone(ExecSlot req) {
   const KeyRef key = r.reads[r.next_read++].second;
   // Abort when a read-set key is locked by another transaction (paper 4.2
   // step 2).
-  if (r.read_owner != store::kNoTxn && r.read_owner != r.txn) {
+  if (r.read_owner != store::kNoTxn && r.read_owner != r.h.txn) {
     r.results.pop_back();
     r.ok = false;
     const sim::Tick now = nic_->engine()->now();
@@ -1710,7 +1686,7 @@ void XenicNode::ExecuteReadDone(ExecSlot req) {
 
 void XenicNode::ExecuteFinish(ExecSlot req) {
   if (!req->ok) {
-    UnlockAll(req->txn, req->lock_keys);
+    UnlockAll(req->h.txn, req->lock_keys);
     ReplyExecute(std::move(req));
     return;
   }
@@ -1738,7 +1714,7 @@ void XenicNode::ReplyExecute(ExecSlot req) {
                   : net::wire::ExecuteReply(r.results.size(), ValueBytes(r.results),
                                             r.write_seqs.size());
   const NodeId coord = r.coord;
-  const TxnId txn = r.txn;
+  const TxnId txn = r.h.txn;
   SendSlot<&XenicNode::OnExecuteResp>(net::MsgType::kExecReply, coord, bytes, std::move(req), txn);
 }
 
@@ -1762,13 +1738,13 @@ void XenicNode::ServeValidate(ValidateSlot req) {
     }
     ChargeDmaReads(agg, sim::InlineCallback([this, req = std::move(req), ok, contention]() mutable {
       XenicNode* coord = (*peers_)[req->coord];
-      const TxnId txn = req->txn;
+      const TxnHandle h = req->h;
       req.Reset();
       transport_.SendAck(net::MsgType::kValidate, coord->id(),
-                         sim::InlineCallback([coord, txn, ok, contention] {
-                           coord->OnValidateResp(txn, ok, contention);
+                         sim::InlineCallback([coord, h, ok, contention] {
+                           coord->OnValidateResp(h, ok, contention);
                          }),
-                         txn);
+                         h.txn);
     }));
   });
 }
@@ -1824,14 +1800,14 @@ void XenicNode::ServeLog(LogSlot req) {
     const auto bytes = static_cast<uint32_t>(req->record.ByteSize());
     AppendWhenSpace(bytes, sim::InlineCallback([this, req = std::move(req)]() mutable {
       XenicNode* coord = (*peers_)[req->coord];
-      const TxnId txn = req->record.txn;
+      const TxnHandle h = req->h;
       const NodeId from = id();
       const NodeId shard = req->record.shard;
       transport_.SendAck(net::MsgType::kLog, coord->id(),
-                         sim::InlineCallback([coord, txn, from, shard] {
-                           coord->OnLogAck(txn, from, shard);
+                         sim::InlineCallback([coord, h, from, shard] {
+                           coord->OnLogAck(h, from, shard);
                          }),
-                         txn);
+                         h.txn);
       AppendLanded(req->record, &req->record.writes);
     }));
   });
@@ -1862,14 +1838,15 @@ void XenicNode::ServeCommit(CommitSlot req) {
     // The commit record is applied by the host workers; cache entries are
     // updated and pinned now, and locks release once the DMA completes.
     AppendWhenSpace(bytes, sim::InlineCallback([this, req = std::move(req)]() mutable {
-      const TxnId txn = req->txn;
+      const TxnHandle h = req->h;
+      const TxnId txn = h.txn;
       for (const auto& k : req->release_keys) {
         ReleaseOne(txn, k);
       }
       ApplyCommitAtNic(txn, req->writes);
       XenicNode* coord = (*peers_)[req->coord];
       transport_.SendAck(net::MsgType::kCommit, coord->id(),
-                         sim::InlineCallback([coord, txn] { coord->OnCommitAck(txn); }), txn);
+                         sim::InlineCallback([coord, h] { coord->OnCommitAck(h); }), txn);
       store::LogHeader header;
       header.type = store::LogRecordType::kCommit;
       header.txn = txn;
@@ -1978,10 +1955,9 @@ void XenicNode::Crash() {
   // like to the coordinator (recovery's wedged-txn sweep resolves it);
   // clearing the queue frees each request's slot at its coordinator.
   waiters_.Clear();
-  // txns_ is intentionally NOT cleared: shipped executions at remote nodes
-  // hold raw pointers into it and guard against a vanished coordinator by
-  // re-looking the state up -- freeing it here would leave them dangling
-  // for the events already in flight.
+  // The coordinator states stay in the pool: shipped executions at remote
+  // nodes still resolve their handles and run, as the events already in
+  // flight did before the crash.
 }
 
 std::vector<XenicNode::WedgedTxn> XenicNode::WedgedOn(NodeId failed, bool backup_touch) const {
@@ -1989,15 +1965,15 @@ std::vector<XenicNode::WedgedTxn> XenicNode::WedgedOn(NodeId failed, bool backup
   if (crashed_) {
     return out;
   }
-  for (const auto& [tid, st] : txns_) {
-    if (st->done == nullptr) {
-      continue;  // outcome already reported; the commit phase finishes on its own
+  pool_.ForEachLive([&](const TxnState& st) {
+    if (st.done == nullptr) {
+      return;  // outcome already reported; the commit phase finishes on its own
     }
     bool touches = false;
-    for (const auto& k : st->read_keys) {
+    for (const auto& k : st.read_keys) {
       touches |= map_->PrimaryOf(k.table, k.key) == failed;
     }
-    for (const auto& k : st->write_keys) {
+    for (const auto& k : st.write_keys) {
       const NodeId p = map_->PrimaryOf(k.table, k.key);
       touches |= p == failed;
       // A written shard whose backup died can never collect all LOG acks.
@@ -2011,61 +1987,66 @@ std::vector<XenicNode::WedgedTxn> XenicNode::WedgedOn(NodeId failed, bool backup
       }
     }
     if (!touches) {
-      continue;
+      return;
     }
     WedgedTxn w;
-    w.id = tid;
-    w.logs_sent = st->logs_sent;
-    w.keys = st->read_keys;
-    for (const auto& k : st->write_keys) {
-      if (!ContainsKey(w.keys, k)) {
-        w.keys.push_back(k);
-      }
-    }
-    if (st->logs_sent) {
+    w.h = st.handle();
+    w.logs_sent = st.logs_sent;
+    w.keys = KeyUnion(st.read_keys, st.write_keys);
+    if (st.logs_sent) {
       // Reconstruct the LOG fan-out (one record per written shard) so the
       // sweep can check which live backups already hold or applied it.
       std::vector<NodeId> shards;
-      st->WrittenShards(*map_, id(), &shards);
+      st.WrittenShards(*map_, id(), &shards);
       for (NodeId shard : shards) {
         store::LogRecord rec;
         rec.type = store::LogRecordType::kLog;
-        rec.txn = tid;
+        rec.txn = st.id;
         rec.total_shards = static_cast<uint32_t>(shards.size());
         rec.shard = shard;
-        st->ShardWrites(*map_, shard, id(), &rec.writes);
+        st.ShardWrites(*map_, shard, id(), &rec.writes);
         w.records.emplace_back(shard, std::move(rec));
       }
     }
     out.push_back(std::move(w));
-  }
-  // The sweep resolves them in txn-id order, whatever order the states are
-  // stored in.
+  });
+  // The sweep resolves them in txn-id order, not in the pool's slot order.
   std::sort(out.begin(), out.end(),
-            [](const WedgedTxn& a, const WedgedTxn& b) { return a.id < b.id; });
+            [](const WedgedTxn& a, const WedgedTxn& b) { return a.h.txn < b.h.txn; });
   return out;
 }
 
-size_t XenicNode::ForceCommitWedged(TxnId txn, NodeId failed) {
-  TxnState* st = Live(txn);
+std::optional<TxnHandle> XenicNode::HandleOf(TxnId txn) const {
+  std::optional<TxnHandle> h;
+  pool_.ForEachLive([&](const TxnState& st) {
+    if (st.id == txn) {
+      h = st.handle();
+    }
+  });
+  return h;
+}
+
+size_t XenicNode::ForceCommitWedged(TxnHandle h, NodeId failed) {
+  TxnState* st = Live(h);
   if (st == nullptr || st->done == nullptr) {
     return 0;
   }
-  // One ack per record the failed node holds, each for its own shard.
+  // One ack per record the failed node holds, each for its own shard,
+  // until the commit point frees the state.
   size_t synthesized = 0;
-  while (FindState(txn) == st) {
+  while (FindState(h) != nullptr) {
     const std::optional<NodeId> shard = st->log_acks.AwaitedFrom(failed);
     if (!shard) {
       break;
     }
-    OnLogAck(txn, failed, *shard);
+    OnLogAck(h, failed, *shard);
     synthesized++;
   }
   return synthesized;
 }
 
-void XenicNode::ForceAbortWedged(TxnId txn) {
-  TxnState* st = Live(txn);
+void XenicNode::ForceAbortWedged(TxnHandle h) {
+  TxnState* st = Live(h);
   if (st == nullptr || st->done == nullptr) {
     return;
   }

@@ -33,7 +33,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "src/net/transport.h"
@@ -95,9 +95,8 @@ class XenicNode {
 
   // Fail-stop this node: no submissions, no served requests, no outbound
   // messages, workers halt. In-flight engine events targeting the node
-  // become no-ops. Coordinator states stay indexed (Coordinates), so that
-  // shipped executions in flight can still match the raw TxnState pointers
-  // they hold.
+  // become no-ops. Coordinator states stay in the pool, so the handles that
+  // shipped executions in flight hold still resolve.
   void Crash();
   bool crashed() const { return crashed_; }
 
@@ -109,7 +108,7 @@ class XenicNode {
   // is committed (the dead node's acks are synthesized), otherwise it is
   // aborted and tombstoned.
   struct WedgedTxn {
-    TxnId id = store::kNoTxn;
+    TxnHandle h;                       // the coordinator state (h.txn is the id)
     bool logs_sent = false;            // LOG fan-out happened (write set final)
     std::vector<KeyRef> keys;          // read ∪ write set (lock sweep surface)
     // Per written shard, the LOG record the fan-out sent (set iff logs_sent).
@@ -131,7 +130,7 @@ class XenicNode {
   // number synthesized; the transaction commits once (and if) the remaining
   // live acks arrive -- for a sweep-verified-complete transaction they are
   // already in flight.
-  size_t ForceCommitWedged(TxnId txn, NodeId failed);
+  size_t ForceCommitWedged(TxnHandle h, NodeId failed);
   // Planned failover (txn::PlannedHandoff): the departing primary's lease
   // lands here. State transfer already happened through the replicated
   // log; this just charges the NIC handler for installing the lease.
@@ -139,7 +138,7 @@ class XenicNode {
   // Abort a wedged transaction (caller has already tombstoned its records
   // and released its locks cluster-wide, so the normal release fan-out is
   // suppressed).
-  void ForceAbortWedged(TxnId txn);
+  void ForceAbortWedged(TxnHandle h);
 
   // Slots this node holds for work in flight: requests it sent (EXECUTE,
   // VALIDATE, LOG, COMMIT and lock releases) and shipped executions it
@@ -157,11 +156,16 @@ class XenicNode {
   ParkedSlots parked_slots() const;
   // Coordinator states alive at this node (finished transactions free
   // theirs).
-  size_t live_txns() const { return txns_.size(); }
-  // Whether `txn` still resolves to a coordinator state here: from its
-  // submission until it finishes. A crashed node keeps the states it had
-  // in flight, so shipped executions elsewhere can still check theirs.
-  bool Coordinates(TxnId txn) const { return txns_.count(txn) > 0; }
+  size_t live_txns() const { return pool_.live(); }
+  // The handle of `txn`'s coordinator state, from its submission until it
+  // finishes, found by walking the pool as a WOUND does (every other
+  // continuation holds the handle). A crashed node keeps the states it had
+  // in flight.
+  std::optional<TxnHandle> HandleOf(TxnId txn) const;
+  // Whether `h` still resolves to a coordinator state here, as every
+  // continuation resolves it: null once its transaction finished, even
+  // after the state serves another one.
+  bool Coordinates(TxnHandle h) { return FindState(h) != nullptr; }
   // Destroy every continuation parked at this node (the lock-wait queue,
   // appends, fan-ins). Those hold slot handles into other nodes' request tables, so
   // XenicCluster calls this on every node before it destroys any.
@@ -210,9 +214,11 @@ class XenicNode {
   // cleared wait queue) frees the slot. A reused slot clears its vectors
   // and keeps their capacity. A LOG or COMMIT slot rides its record's DMA
   // at the server, and the append moves its writes into the log, so the
-  // vector stays with the slot.
+  // vector stays with the slot. Each request names its transaction by the
+  // coordinator state's handle, which the reply resolves; the server locks
+  // and logs under its id, h.txn.
   struct ExecRequest {
-    TxnId txn = store::kNoTxn;
+    TxnHandle h;
     NodeId coord = 0;        // where the reply goes
     NodeId shard = 0;        // the serving primary
     bool lock_only = false;  // LockRound's one-key lock request
@@ -230,16 +236,17 @@ class XenicNode {
     std::vector<std::pair<uint32_t, Seq>> write_seqs;
   };
   struct ValidateRequest {
-    TxnId txn = store::kNoTxn;
+    TxnHandle h;
     NodeId coord = 0;
     std::vector<std::pair<KeyRef, Seq>> checks;
   };
   struct LogRequest {
+    TxnHandle h;       // record.txn is h.txn
     NodeId coord = 0;  // collects the ack (the shipped path's executor sends for it)
     store::LogRecord record;
   };
   struct CommitRequest {
-    TxnId txn = store::kNoTxn;
+    TxnHandle h;
     NodeId coord = 0;
     std::vector<store::LogWrite> writes;
     std::vector<KeyRef> release_keys;
@@ -250,13 +257,11 @@ class XenicNode {
     std::vector<KeyRef> keys;
   };
   // A shipped execution (paper 4.2.3) at its executor, parked in a slot
-  // the executor owns from ServeShipExec until it replies. `st` is the
-  // coordinator's state: every step first checks that the coordinator
-  // still resolves `txn` to it (ShipLive).
+  // the executor owns from ServeShipExec until it replies. Every step first
+  // resolves `h` at the coordinator (ShipState).
   struct ShipExecution {
-    TxnId txn = store::kNoTxn;
+    TxnHandle h;
     NodeId coord = 0;
-    TxnState* st = nullptr;
     std::vector<KeyRef> keys;     // keys homed here, locked together
     std::vector<uint32_t> reads;  // read-set indexes homed here
   };
@@ -300,10 +305,10 @@ class XenicNode {
   // on the distributed path).
   enum class HostExec { kDone, kAppAbort, kEscalate };
   HostExec ExecuteOnHost(TxnState* st, NodeId shard);
-  void CoordStartOnNic(TxnId id);
+  void CoordStartOnNic(TxnHandle h);
   // A local fast-path execution discovered remote keys: restart the
   // transaction through the distributed path.
-  void EscalateToDistributed(TxnId txn);
+  void EscalateToDistributed(TxnHandle h);
   bool ShipEligible(const TxnState& st, NodeId* remote_out) const;
   void ShippedPath(TxnState* st, NodeId remote);
   void ExecutePhase(TxnState* st);
@@ -335,28 +340,26 @@ class XenicNode {
   // coordinator NIC (or, without NIC execution, on the host behind two
   // PCIe crossings), then OnExecuteLogicDone picks the next phase.
   void RunExecuteLogic(TxnState* st);
-  void ExecuteLogic(TxnId txn);
-  void OnExecuteLogicDone(TxnId txn);
+  void ExecuteLogic(TxnHandle h);
+  void OnExecuteLogicDone(TxnHandle h);
   void ValidatePhase(TxnState* st);
-  void OnValidateResp(TxnId id, bool ok, uint8_t contention);
+  void OnValidateResp(TxnHandle h, bool ok, uint8_t contention);
   void LogPhase(TxnState* st);
   // The ack `from` sent for `shard`'s LOG record (or the shipped path's
   // EXEC result, kShipExecSignal for both).
-  void OnLogAck(TxnId id, NodeId from, NodeId shard);
-  void OnShipFailure(TxnId id, uint8_t contention = 0);
+  void OnLogAck(TxnHandle h, NodeId from, NodeId shard);
+  void OnShipFailure(TxnHandle h, uint8_t contention = 0);
   void CommitPhase(TxnState* st);
-  void OnCommitAck(TxnId id);
+  void OnCommitAck(TxnHandle h);
   void ReportAndFinish(TxnState* st, TxnOutcome outcome);
   void AbortCleanup(TxnState* st, TxnOutcome outcome);
-  // A pooled state for a new submission, initialized and indexed under its
-  // fresh id.
-  TxnState* NewState(TxnRequest req, CommitCallback done);
-  // Drop `id` from the index and return its state to the pool.
-  void EraseState(TxnId id);
-  TxnState* FindState(TxnId id);
-  // The state of `id` while it can still make progress here: null once the
-  // transaction finished or this node crashed.
-  TxnState* Live(TxnId id) { return crashed_ ? nullptr : FindState(id); }
+  // Return a finished transaction's state to the pool.
+  void EraseState(TxnState* st) { pool_.Release(st); }
+  // The state `h` names: null once its transaction finished.
+  TxnState* FindState(TxnHandle h) { return pool_.Find(h); }
+  // The state `h` names while it can still make progress here: null once
+  // the transaction finished or this node crashed.
+  TxnState* Live(TxnHandle h) { return crashed_ ? nullptr : FindState(h); }
 
   // Send `shard`'s LOG record of `st` to each of the shard's live backups,
   // from this node; `coord` built the transaction and collects the acks (it
@@ -391,16 +394,16 @@ class XenicNode {
   void ServeLogCommit(TxnId txn);
   void ServeCommit(CommitSlot req);
   void ServeRelease(ReleaseSlot req);
-  void ServeShipExec(TxnId txn, NodeId coord, TxnState* coord_state);
+  void ServeShipExec(TxnHandle h, NodeId coord);
   // The shipped execution's lock step, re-entered after each park, then
   // its reads' DMA (ShipExecute), and execution with the LOG fan-out and
   // the EXEC result (ShipFinish).
   void ShipAttempt(ShipSlot ship, uint32_t parks);
   void ShipExecute(ShipSlot ship);
   void ShipFinish(ShipSlot ship);
-  // This node is alive and the coordinator still resolves the shipped
-  // transaction to the state it shipped.
-  bool ShipLive(const ShipExecution& ship);
+  // The coordinator's state of the shipped transaction while this node is
+  // alive and the coordinator has not finished it; else null.
+  TxnState* ShipState(const ShipExecution& ship);
 
   // Lock all given keys in the NIC index; on conflict release those taken
   // and return false. A conflict is recorded in the hot-key sketch; when
@@ -422,7 +425,7 @@ class XenicNode {
   // either aborts or waits in waiters_ holding zero locks: under 2PL as the
   // policy says (CcMayWait), under OCC only on the hot key.
   bool LockedLocalPath(TxnState* st);  // true = routed
-  void LockedLocalAcquire(TxnId txn, uint32_t parks);
+  void LockedLocalAcquire(TxnHandle h, uint32_t parks);
   void LockedExecute(TxnState* st);
 
   // ---- Lock waiting. Every lock request this shard serves waits in one
@@ -442,7 +445,7 @@ class XenicNode {
   // first) with its timeout; returns the entry id. Under 2PL a holder that
   // already released gets `resume` in a fresh event instead (returns 0).
   // `local` marks a locked-local transaction of this node.
-  uint64_t WaitForLock(TxnId txn, const KeyRef& key, bool local, sim::SmallCallback resume);
+  uint64_t WaitForLock(TxnHandle h, const KeyRef& key, bool local, sim::SmallCallback resume);
   // A release of `key`: resume its next waiter in a fresh event. Under 2PL
   // a waiter whose transaction died while parked passes the wake on.
   void WakeNext(const KeyRef& key);
@@ -495,8 +498,9 @@ class XenicNode {
   // unlock).
   void ApplyCommitAtNic(TxnId txn, const std::vector<store::LogWrite>& writes);
 
-  // NIC-core cost helpers.
-  sim::Tick NicOpCost(size_t n_keys) const;
+  // NIC-core cost helpers: one step over `st`'s whole key set, and
+  // execution logic that costs `host_cost` on the host.
+  sim::Tick NicOpCost(const TxnState& st) const;
   sim::Tick NicExecCost(sim::Tick host_cost) const;
 
   // Emit a txn phase span / instant on this node's trace lane when an
@@ -544,17 +548,11 @@ class XenicNode {
   // This node's commit-log drain: host Robinhood workers, or NIC-ARM
   // appliers under features.nic_log_apply. Crash() stops it for good.
   repl::LogDrain drain_;
-  // Coordinator states, reused across transactions, and the index from a
-  // live transaction's id to its state. Continuations name a transaction
-  // by its id and look it up here, so a finished transaction's stragglers
-  // find nothing even after its state serves another transaction. The
-  // index recycles its map nodes (EraseState extracts one into
-  // spare_nodes_, NewState re-keys and reinserts it), so it allocates
-  // nothing per transaction.
+  // Coordinator states, reused across transactions. Continuations hold a
+  // state's handle and resolve it here, so a finished transaction's
+  // stragglers find nothing even after its state serves another
+  // transaction.
   TxnPool<TxnState> pool_;
-  using StateIndex = std::unordered_map<TxnId, TxnState*>;
-  StateIndex txns_;
-  std::vector<StateIndex::node_type> spare_nodes_;
   // Commit outcomes this coordinator reported (recovery oracle; see
   // HasReportedCommit): bit `seq` stands for this node's txn id of that
   // sequence number, so one bit per submitted transaction. Lost with the

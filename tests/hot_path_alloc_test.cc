@@ -3,9 +3,11 @@
 // must not allocate at all; and the remote transaction rounds of XenicNode
 // and of BaselineNode in each mode, whose remaining allocations are the
 // data a transaction carries. XenicPoolTest checks what pooling Xenic's
-// coordinator states must keep: a finished transaction's id stops
-// resolving, a crashed coordinator's states keep resolving, and the
-// reported-commit bitmap answers for the node's own ids only.
+// coordinator states must keep: a finished transaction's handle stops
+// resolving once its slot serves the next one, a crashed coordinator's
+// states keep resolving, a shipped execution whose transaction finished is
+// dropped, and the reported-commit bitmap answers for the node's own ids
+// only.
 //
 // This executable replaces the global operator new with a counting one
 // (alloc_counter.h). Each test first runs its scenario a few times, which
@@ -18,6 +20,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/baseline/baseline_cluster.h"
@@ -304,8 +307,8 @@ TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
   // the protocol: the two values the transaction writes. Each backup's
   // applied-record entry is a slot of a flat table, and the commit log a
   // ring whose slots are reused. The TxnState comes from the node's pool
-  // with its key sets, locked-shard list and ack set, and its index entry
-  // reuses a recycled map node; the outcome report is parked in a
+  // with its key sets, locked-shard list and ack set, and continuations
+  // hold its handle; the outcome report is parked in a
   // node-owned slot and the reported commit is a bit. No value is copied:
   // reads, LOG and COMMIT records and the pending index share the blocks.
   // Each LOG record and COMMIT write set is built in its request slot, and
@@ -347,19 +350,22 @@ TEST(HotPathAllocTest, ShippedTwoShardReadWriteTxnAllocationBudget) {
 // --- Xenic's pooled coordinator states and reported-commit bitmap
 
 TEST(XenicPoolTest, FinishedTxnStopsResolvingOnceItsStateIsReused) {
-  // One transaction at a time, so each submission takes the state (and
-  // the index node) the last one gave back: Submit allocates nothing, and
-  // the finished transaction's id no longer resolves although its state
-  // now serves the next one.
+  // One transaction at a time, so each submission takes the state the last
+  // one gave back: Submit allocates nothing, and the finished
+  // transaction's handle resolves to null although its slot now serves the
+  // next one.
   XenicFixture f(XenicOptions(3, 2));
   const txn::TxnRequest req = TwoShardReadWrite(f);
   txn::XenicNode& node = f.cluster->node(0);
   auto done = [](txn::TxnResult) {};
   txn::TxnRequest r = req;
   const store::TxnId first = node.Submit(std::move(r), done);
-  EXPECT_TRUE(node.Coordinates(first));
+  const std::optional<txn::TxnHandle> stale = node.HandleOf(first);
+  ASSERT_TRUE(stale.has_value());
+  EXPECT_TRUE(node.Coordinates(*stale));
   f.cluster->engine().RunFor(100 * sim::kNsPerUs);
-  EXPECT_FALSE(node.Coordinates(first));
+  EXPECT_FALSE(node.Coordinates(*stale));
+  EXPECT_FALSE(node.HandleOf(first).has_value());
   EXPECT_EQ(node.live_txns(), 0u);
 
   r = req;
@@ -368,25 +374,19 @@ TEST(XenicPoolTest, FinishedTxnStopsResolvingOnceItsStateIsReused) {
   const store::TxnId second = node.Submit(std::move(r), std::move(cb));
   const uint64_t allocs = OperatorNewCalls() - before;
   EXPECT_EQ(allocs, 0u);
-  EXPECT_TRUE(node.Coordinates(second));
-  EXPECT_FALSE(node.Coordinates(first));
+  const std::optional<txn::TxnHandle> h = node.HandleOf(second);
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(h->slot, stale->slot);
+  EXPECT_TRUE(node.Coordinates(*h));
+  EXPECT_FALSE(node.Coordinates(*stale));
   EXPECT_EQ(node.live_txns(), 1u);
   f.cluster->engine().RunFor(100 * sim::kNsPerUs);
-  EXPECT_FALSE(node.Coordinates(second));
+  EXPECT_FALSE(node.Coordinates(*h));
   EXPECT_EQ(node.live_txns(), 0u);
 }
 
-TEST(XenicPoolTest, CrashedCoordinatorKeepsItsInFlightStates) {
-  // A shippable read-modify-write of a key on node 0 and one on node 1:
-  // node 0 locks its key and ships the execution to node 1, then crashes
-  // with the ship message on the wire. Node 1's shipped execution holds
-  // node 0's TxnState* and runs only while node 0 still resolves the
-  // transaction to that state (ServeShipExec's guard), so the crash must
-  // leave the states in flight indexed: node 1 executes and sends the LOG
-  // records.
-  XenicFixture f(XenicOptions(3, 2));
-  const store::Key a = f.LoadOn(0, 1)[0];
-  const store::Key b = f.LoadOn(1, 1)[0];
+// A read-modify-write of `a` and `b` that the coordinator may ship.
+txn::TxnRequest ShippableReadWrite(store::Key a, store::Key b) {
   txn::TxnRequest req;
   req.reads = {{0, a}, {0, b}};
   req.writes = {{0, a}, {0, b}};
@@ -395,24 +395,87 @@ TEST(XenicPoolTest, CrashedCoordinatorKeepsItsInFlightStates) {
       w.value = store::Value(16, 1);
     }
   };
-  txn::XenicNode& coord = f.cluster->node(0);
-  txn::XenicNode& executor = f.cluster->node(1);
-  bool reported = false;
-  const store::TxnId txn =
-      coord.Submit(std::move(req), [&reported](txn::TxnResult) { reported = true; });
-  sim::Engine& e = f.cluster->engine();
-  while (coord.stats().by_type.MsgCount(net::MsgType::kShipExec) == 0 &&
+  return req;
+}
+
+// Run until `node` has sent its first shipped execution.
+void RunUntilShipped(sim::Engine& e, txn::XenicNode& node) {
+  while (node.stats().by_type.MsgCount(net::MsgType::kShipExec) == 0 &&
          e.now() < 100 * sim::kNsPerUs) {
     e.RunFor(10);
   }
-  ASSERT_EQ(coord.stats().by_type.MsgCount(net::MsgType::kShipExec), 1u);
+  ASSERT_EQ(node.stats().by_type.MsgCount(net::MsgType::kShipExec), 1u);
+}
+
+TEST(XenicPoolTest, CrashedCoordinatorKeepsItsInFlightStates) {
+  // A shippable read-modify-write of a key on node 0 and one on node 1:
+  // node 0 locks its key and ships the execution to node 1, then crashes
+  // with the ship message on the wire. Node 1's shipped execution holds
+  // node 0's handle and runs only while it resolves (ServeShipExec's
+  // guard), so the crash must leave the states in flight in the pool:
+  // node 1 executes and sends the LOG records.
+  XenicFixture f(XenicOptions(3, 2));
+  const store::Key a = f.LoadOn(0, 1)[0];
+  const store::Key b = f.LoadOn(1, 1)[0];
+  txn::XenicNode& coord = f.cluster->node(0);
+  txn::XenicNode& executor = f.cluster->node(1);
+  bool reported = false;
+  const store::TxnId txn = coord.Submit(ShippableReadWrite(a, b),
+                                        [&reported](txn::TxnResult) { reported = true; });
+  const std::optional<txn::TxnHandle> h = coord.HandleOf(txn);
+  ASSERT_TRUE(h.has_value());
+  sim::Engine& e = f.cluster->engine();
+  RunUntilShipped(e, coord);
   const uint64_t logs_before = executor.stats().by_type.MsgCount(net::MsgType::kLog);
   coord.Crash();
   e.RunFor(100 * sim::kNsPerUs);
-  EXPECT_TRUE(coord.Coordinates(txn));
+  EXPECT_TRUE(coord.Coordinates(*h));
   EXPECT_EQ(coord.live_txns(), 1u);
   EXPECT_FALSE(reported);
   EXPECT_GT(executor.stats().by_type.MsgCount(net::MsgType::kLog), logs_before);
+}
+
+TEST(XenicPoolTest, ShippedExecutionOfAFinishedTxnIsDropped) {
+  // Node 0 ships a read-modify-write to node 1, and while the ship message
+  // is on the wire the transaction is aborted at its coordinator (as a
+  // handoff's straggler sweep aborts it) and its slot goes to the next
+  // submission: a read of node 1's key and node 2's, which stays in flight
+  // (node 2 is down). The delivery's handle names the same slot but
+  // resolves to null, so node 1 runs nothing for it: had it run, it would
+  // have locked the next transaction's key homed there and left it locked.
+  XenicFixture f(XenicOptions(3, 2));
+  const store::Key a = f.LoadOn(0, 1)[0];
+  const store::Key b = f.LoadOn(1, 1)[0];
+  const store::Key c = f.LoadOn(2, 1)[0];
+  txn::XenicNode& coord = f.cluster->node(0);
+  txn::XenicNode& executor = f.cluster->node(1);
+  f.cluster->node(2).Crash();
+  std::optional<txn::TxnOutcome> shipped_outcome;
+  const store::TxnId shipped =
+      coord.Submit(ShippableReadWrite(a, b), [&shipped_outcome](txn::TxnResult res) {
+        shipped_outcome = res.outcome;
+      });
+  sim::Engine& e = f.cluster->engine();
+  RunUntilShipped(e, coord);
+  const std::optional<txn::TxnHandle> stale = coord.HandleOf(shipped);
+  ASSERT_TRUE(stale.has_value());
+  coord.ForceAbortWedged(*stale);
+
+  txn::TxnRequest read;
+  read.reads = {{0, b}, {0, c}};
+  read.allow_ship = false;
+  const store::TxnId next = coord.Submit(std::move(read), [](txn::TxnResult) {});
+  const std::optional<txn::TxnHandle> h = coord.HandleOf(next);
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(h->slot, stale->slot);
+
+  const uint64_t logs_before = executor.stats().by_type.MsgCount(net::MsgType::kLog);
+  e.RunFor(100 * sim::kNsPerUs);
+  EXPECT_EQ(shipped_outcome, txn::TxnOutcome::kAborted);
+  EXPECT_TRUE(coord.Coordinates(*h));
+  EXPECT_EQ(executor.stats().by_type.MsgCount(net::MsgType::kLog), logs_before);
+  EXPECT_EQ(executor.parked_slots().requests, 0u);
+  EXPECT_EQ(f.cluster->datastore(1).index(0).LockOwner(b), store::kNoTxn);
 }
 
 TEST(XenicPoolTest, ReportedCommitsSurviveBitmapGrowth) {

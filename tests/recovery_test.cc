@@ -376,5 +376,51 @@ TEST(RecoveryTest, CrashBeforeFullReplicationDiscardsUnderTheChecker) {
   c.engine().Run();
 }
 
+// balance += 1 on `key`, on the EXECUTE pipeline (never shipped).
+TxnRequest Increment(store::Key key) {
+  TxnRequest req;
+  req.reads = {{kBank, key}};
+  req.writes = {{kBank, key}};
+  req.allow_ship = false;
+  req.execute = [](ExecRound& er) {
+    (*er.writes)[0].value = Balance(GetI64((*er.reads)[0].value, 0) + 1);
+  };
+  return req;
+}
+
+TEST(RecoveryTest, WedgedOnListsTransactionsInTxnIdOrder) {
+  // The sweep resolves a coordinator's wedged transactions in txn-id order,
+  // not in the order its pool stores their states. Node 0's first
+  // submission finishes and its slot goes to the third, so slot order
+  // (third, second) disagrees with id order (second, third); both wait on
+  // node 2, which is down.
+  HashPartitioner part(4);
+  XenicCluster c(Opts(), &part);
+  const store::Key local = KeyOn(c, 0);
+  const store::Key remote = KeyOn(c, 2);
+  c.LoadReplicated(kBank, local, Balance(100));
+  c.LoadReplicated(kBank, remote, Balance(100));
+  c.node(2).Crash();
+  XenicNode& coord = c.node(0);
+  TxnRequest read;
+  read.reads = {{kBank, local}};
+  std::optional<TxnOutcome> first_outcome;
+  const store::TxnId first =
+      coord.Submit(std::move(read), [&](TxnOutcome o) { first_outcome = o; });
+  const store::TxnId second = coord.Submit(Increment(remote), [](TxnOutcome) {});
+  c.engine().RunFor(50 * sim::kNsPerUs);
+  ASSERT_EQ(first_outcome, TxnOutcome::kCommitted);
+  EXPECT_FALSE(coord.HandleOf(first).has_value());
+  const store::TxnId third = coord.Submit(Increment(remote), [](TxnOutcome) {});
+  c.engine().RunFor(50 * sim::kNsPerUs);
+  ASSERT_LT(second, third);
+  ASSERT_LT(coord.HandleOf(third)->slot, coord.HandleOf(second)->slot);
+
+  const std::vector<XenicNode::WedgedTxn> wedged = coord.WedgedOn(2);
+  ASSERT_EQ(wedged.size(), 2u);
+  EXPECT_EQ(wedged[0].h.txn, second);
+  EXPECT_EQ(wedged[1].h.txn, third);
+}
+
 }  // namespace
 }  // namespace xenic::txn

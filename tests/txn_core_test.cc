@@ -298,6 +298,25 @@ TEST(TxnPoolTest, HandleOfAReleasedTransactionResolvesToNullAfterItsSlotIsReused
   EXPECT_EQ(pool.Find(other->handle()), other);
 }
 
+TEST(TxnPoolTest, LiveStatesAreCountedAndVisitedInSlotOrder) {
+  TxnPool<PooledState> pool;
+  PooledState* a = pool.Acquire();
+  a->Init(101, ReadsOf({1}), nullptr);
+  PooledState* b = pool.Acquire();
+  b->Init(102, ReadsOf({2}), nullptr);
+  pool.Release(a);
+  PooledState* c = pool.Acquire();  // a's slot, a later id
+  c->Init(103, ReadsOf({3}), nullptr);
+  PooledState* d = pool.Acquire();
+  d->Init(104, ReadsOf({4}), nullptr);
+  pool.Release(d);
+  EXPECT_EQ(pool.live(), 2u);
+
+  std::vector<TxnId> visited;
+  pool.ForEachLive([&visited](const PooledState& st) { visited.push_back(st.id); });
+  EXPECT_EQ(visited, (std::vector<TxnId>{103, 102}));
+}
+
 TEST(TxnPoolTest, InitClearsWhatTheLastTransactionLeft) {
   Cluster c(0);
   TxnPool<PooledState> pool;
