@@ -1304,19 +1304,19 @@ XenicNode::TxnState* XenicNode::ShipState(const ShipExecution& ship) {
 }
 
 void XenicNode::ServeShipExec(TxnHandle h, NodeId coord) {
+  ShipSlot ship = ship_execs_.AcquireHandle();
+  ship->h = h;
+  ship->coord = coord;
   // A delayed delivery can arrive after an epoch change aborted the
   // transaction: its handle then resolves to null at the coordinator, even
-  // once the state serves another transaction.
-  TxnState* st = crashed_ ? nullptr : (*peers_)[coord]->FindState(h);
+  // once the state serves another transaction (dropping `ship` frees it).
+  const TxnState* st = ShipState(*ship);
   if (st == nullptr) {
     return;
   }
   // Lock all keys homed here (reads and writes), read read-set values,
   // execute, then fan out LOG records to every backup with acks converging
   // at the coordinator NIC.
-  ShipSlot ship = ship_execs_.AcquireHandle();
-  ship->h = h;
-  ship->coord = coord;
   HomeKeys(*st, &ship->keys, &ship->reads);
   nic_->NicCompute(kServeCost, sim::InlineCallback([this, ship = std::move(ship)]() mutable {
     ShipAttempt(std::move(ship), 0);
@@ -1955,9 +1955,8 @@ void XenicNode::Crash() {
   // like to the coordinator (recovery's wedged-txn sweep resolves it);
   // clearing the queue frees each request's slot at its coordinator.
   waiters_.Clear();
-  // The coordinator states stay in the pool: shipped executions at remote
-  // nodes still resolve their handles and run, as the events already in
-  // flight did before the crash.
+  // The coordinator states stay in the pool: shipped executions in flight
+  // at other nodes still resolve their handles and run to completion.
 }
 
 std::vector<XenicNode::WedgedTxn> XenicNode::WedgedOn(NodeId failed, bool backup_touch) const {
@@ -1986,6 +1985,9 @@ std::vector<XenicNode::WedgedTxn> XenicNode::WedgedOn(NodeId failed, bool backup
         }
       }
     }
+    // Nor can a LOG round that awaits the dead node's ack for a shard an
+    // earlier failover moved off its chain.
+    touches |= backup_touch && st.log_acks.AwaitedFrom(failed).has_value();
     if (!touches) {
       return;
     }

@@ -115,10 +115,11 @@ class XenicNode {
     std::vector<std::pair<NodeId, store::LogRecord>> records;
   };
   // `backup_touch` additionally flags transactions whose only involvement
-  // with `failed` is a written shard replicated there -- needed for crash
-  // sweeps (the dead backup's acks never arrive) but not for planned
-  // handoff, where the departing node stays live and keeps acking. Sorted
-  // by txn id.
+  // with `failed` is a written shard replicated there, or a LOG ack still
+  // awaited from it after an earlier failover moved the shard -- needed
+  // for crash sweeps (the dead backup's acks never arrive) but not for
+  // planned handoff, where the departing node stays live and keeps acking.
+  // Sorted by txn id.
   std::vector<WedgedTxn> WedgedOn(NodeId failed, bool backup_touch = true) const;
   // Whether this coordinator reported `txn` committed to its application.
   // Recovery consults live coordinators before discarding an in-doubt
@@ -162,10 +163,6 @@ class XenicNode {
   // continuation holds the handle). A crashed node keeps the states it had
   // in flight.
   std::optional<TxnHandle> HandleOf(TxnId txn) const;
-  // Whether `h` still resolves to a coordinator state here, as every
-  // continuation resolves it: null once its transaction finished, even
-  // after the state serves another one.
-  bool Coordinates(TxnHandle h) { return FindState(h) != nullptr; }
   // Destroy every continuation parked at this node (the lock-wait queue,
   // appends, fan-ins). Those hold slot handles into other nodes' request tables, so
   // XenicCluster calls this on every node before it destroys any.

@@ -320,6 +320,19 @@ TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
   EXPECT_LE(f.Allocs(req), 2u);
 }
 
+// A read-modify-write of `a` and `b` that the coordinator may ship.
+txn::TxnRequest ShippableReadWrite(store::Key a, store::Key b) {
+  txn::TxnRequest req;
+  req.reads = {{0, a}, {0, b}};
+  req.writes = {{0, a}, {0, b}};
+  req.execute = [](txn::ExecRound& er) {
+    for (auto& w : *er.writes) {
+      w.value = store::Value(16, 1);
+    }
+  };
+  return req;
+}
+
 TEST(HotPathAllocTest, ShippedTwoShardReadWriteTxnAllocationBudget) {
   // The multi-hop shipped path (paper 4.2.3): a read-modify-write of a key
   // on the coordinator and one on node 1 locks the local key, ships the
@@ -331,14 +344,7 @@ TEST(HotPathAllocTest, ShippedTwoShardReadWriteTxnAllocationBudget) {
   XenicFixture f(XenicOptions(3, 2));
   const store::Key a = f.LoadOn(0, 1)[0];
   const store::Key b = f.LoadOn(1, 1)[0];
-  txn::TxnRequest req;
-  req.reads = {{0, a}, {0, b}};
-  req.writes = {{0, a}, {0, b}};
-  req.execute = [](txn::ExecRound& er) {
-    for (auto& w : *er.writes) {
-      w.value = store::Value(16, 1);
-    }
-  };
+  const txn::TxnRequest req = ShippableReadWrite(a, b);
   for (int i = 0; i < kWarmupRounds; ++i) {
     f.Allocs(req);
   }
@@ -351,9 +357,9 @@ TEST(HotPathAllocTest, ShippedTwoShardReadWriteTxnAllocationBudget) {
 
 TEST(XenicPoolTest, FinishedTxnStopsResolvingOnceItsStateIsReused) {
   // One transaction at a time, so each submission takes the state the last
-  // one gave back: Submit allocates nothing, and the finished
-  // transaction's handle resolves to null although its slot now serves the
-  // next one.
+  // one gave back: Submit allocates nothing, and the finished transaction
+  // no longer resolves although its slot now serves the next one (what a
+  // continuation holding its stale handle then does is the next tests').
   XenicFixture f(XenicOptions(3, 2));
   const txn::TxnRequest req = TwoShardReadWrite(f);
   txn::XenicNode& node = f.cluster->node(0);
@@ -362,9 +368,7 @@ TEST(XenicPoolTest, FinishedTxnStopsResolvingOnceItsStateIsReused) {
   const store::TxnId first = node.Submit(std::move(r), done);
   const std::optional<txn::TxnHandle> stale = node.HandleOf(first);
   ASSERT_TRUE(stale.has_value());
-  EXPECT_TRUE(node.Coordinates(*stale));
   f.cluster->engine().RunFor(100 * sim::kNsPerUs);
-  EXPECT_FALSE(node.Coordinates(*stale));
   EXPECT_FALSE(node.HandleOf(first).has_value());
   EXPECT_EQ(node.live_txns(), 0u);
 
@@ -377,25 +381,11 @@ TEST(XenicPoolTest, FinishedTxnStopsResolvingOnceItsStateIsReused) {
   const std::optional<txn::TxnHandle> h = node.HandleOf(second);
   ASSERT_TRUE(h.has_value());
   EXPECT_EQ(h->slot, stale->slot);
-  EXPECT_TRUE(node.Coordinates(*h));
-  EXPECT_FALSE(node.Coordinates(*stale));
+  EXPECT_FALSE(node.HandleOf(first).has_value());
   EXPECT_EQ(node.live_txns(), 1u);
   f.cluster->engine().RunFor(100 * sim::kNsPerUs);
-  EXPECT_FALSE(node.Coordinates(*h));
+  EXPECT_FALSE(node.HandleOf(second).has_value());
   EXPECT_EQ(node.live_txns(), 0u);
-}
-
-// A read-modify-write of `a` and `b` that the coordinator may ship.
-txn::TxnRequest ShippableReadWrite(store::Key a, store::Key b) {
-  txn::TxnRequest req;
-  req.reads = {{0, a}, {0, b}};
-  req.writes = {{0, a}, {0, b}};
-  req.execute = [](txn::ExecRound& er) {
-    for (auto& w : *er.writes) {
-      w.value = store::Value(16, 1);
-    }
-  };
-  return req;
 }
 
 // Run until `node` has sent its first shipped execution.
@@ -422,14 +412,12 @@ TEST(XenicPoolTest, CrashedCoordinatorKeepsItsInFlightStates) {
   bool reported = false;
   const store::TxnId txn = coord.Submit(ShippableReadWrite(a, b),
                                         [&reported](txn::TxnResult) { reported = true; });
-  const std::optional<txn::TxnHandle> h = coord.HandleOf(txn);
-  ASSERT_TRUE(h.has_value());
   sim::Engine& e = f.cluster->engine();
   RunUntilShipped(e, coord);
   const uint64_t logs_before = executor.stats().by_type.MsgCount(net::MsgType::kLog);
   coord.Crash();
   e.RunFor(100 * sim::kNsPerUs);
-  EXPECT_TRUE(coord.Coordinates(*h));
+  EXPECT_TRUE(coord.HandleOf(txn).has_value());
   EXPECT_EQ(coord.live_txns(), 1u);
   EXPECT_FALSE(reported);
   EXPECT_GT(executor.stats().by_type.MsgCount(net::MsgType::kLog), logs_before);
@@ -472,7 +460,7 @@ TEST(XenicPoolTest, ShippedExecutionOfAFinishedTxnIsDropped) {
   const uint64_t logs_before = executor.stats().by_type.MsgCount(net::MsgType::kLog);
   e.RunFor(100 * sim::kNsPerUs);
   EXPECT_EQ(shipped_outcome, txn::TxnOutcome::kAborted);
-  EXPECT_TRUE(coord.Coordinates(*h));
+  EXPECT_TRUE(coord.HandleOf(next).has_value());
   EXPECT_EQ(executor.stats().by_type.MsgCount(net::MsgType::kLog), logs_before);
   EXPECT_EQ(executor.parked_slots().requests, 0u);
   EXPECT_EQ(f.cluster->datastore(1).index(0).LockOwner(b), store::kNoTxn);

@@ -413,13 +413,60 @@ TEST(RecoveryTest, WedgedOnListsTransactionsInTxnIdOrder) {
   EXPECT_FALSE(coord.HandleOf(first).has_value());
   const store::TxnId third = coord.Submit(Increment(remote), [](TxnOutcome) {});
   c.engine().RunFor(50 * sim::kNsPerUs);
+  const std::optional<TxnHandle> second_h = coord.HandleOf(second);
+  const std::optional<TxnHandle> third_h = coord.HandleOf(third);
+  ASSERT_TRUE(second_h.has_value() && third_h.has_value());
   ASSERT_LT(second, third);
-  ASSERT_LT(coord.HandleOf(third)->slot, coord.HandleOf(second)->slot);
+  ASSERT_LT(third_h->slot, second_h->slot);
 
   const std::vector<XenicNode::WedgedTxn> wedged = coord.WedgedOn(2);
   ASSERT_EQ(wedged.size(), 2u);
   EXPECT_EQ(wedged[0].h.txn, second);
   EXPECT_EQ(wedged[1].h.txn, third);
+}
+
+TEST(RecoveryTest, SecondFailoverFindsALogAckAwaitedFromAMovedShardsBackup) {
+  // Two crashes before the first failover: node 1 coordinates a write to
+  // shard 2 (backups 3 and 0), and as its LOG fan-out leaves, node 2 and
+  // node 3 crash. Node 0 acks. Node 2's failover judges the transaction
+  // complete, has no ack of node 2's to synthesize, and moves shard 2 to
+  // node 0, whose backups do not include node 3. The transaction still
+  // waits for node 3's ack, so node 3's failover must flag it although the
+  // shard it writes is no longer backed there, and then commits it.
+  HashPartitioner part(4);
+  XenicCluster c(Opts(), &part);
+  const store::Key key = KeyOn(c, 2);
+  c.LoadReplicated(kBank, key, Balance(100));
+  ASSERT_TRUE(c.repl().IsBackupOf(3, 2));
+  ASSERT_TRUE(c.repl().IsBackupOf(0, 2));
+  XenicNode& coord = c.node(1);
+  std::optional<TxnOutcome> out;
+  coord.Submit(Increment(key), [&](TxnOutcome o) { out = o; });
+  while (coord.stats().by_type.MsgCount(net::MsgType::kLog) == 0 &&
+         c.engine().now() < 100 * sim::kNsPerUs) {
+    c.engine().RunFor(10);
+  }
+  ASSERT_EQ(coord.stats().by_type.MsgCount(net::MsgType::kLog), 2u);
+  c.node(2).Crash();
+  c.node(3).Crash();
+  c.engine().RunFor(20 * sim::kNsPerUs);  // node 0 appends the record and acks
+
+  const CrashReport first = CrashFailover(c, 2);
+  EXPECT_EQ(first.sweep_committed, 1u);
+  EXPECT_EQ(first.acks_synthesized, 0u);
+  EXPECT_EQ(c.map().PrimaryOf(kBank, key), 0u);
+  EXPECT_FALSE(c.repl().IsBackupOf(3, 0));
+  c.engine().RunFor(20 * sim::kNsPerUs);
+  EXPECT_FALSE(out.has_value());  // node 3's ack never comes
+
+  const std::vector<XenicNode::WedgedTxn> wedged = coord.WedgedOn(3);
+  ASSERT_EQ(wedged.size(), 1u);
+  EXPECT_TRUE(wedged[0].logs_sent);
+  const CrashReport second = CrashFailover(c, 3);
+  EXPECT_EQ(second.sweep_committed, 1u);
+  EXPECT_EQ(second.acks_synthesized, 1u);
+  c.engine().RunFor(50 * sim::kNsPerUs);
+  EXPECT_EQ(out, TxnOutcome::kCommitted);
 }
 
 }  // namespace

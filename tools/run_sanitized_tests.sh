@@ -2,7 +2,7 @@
 # Builds the tree with AddressSanitizer + UndefinedBehaviorSanitizer and runs
 # the tier-1 test suite plus a few short chaos schedules under it: one on
 # Xenic, one on each baseline mode, the lock-wait schedules of each 2PL
-# policy and of OCC's hot keys, two failover schedules and one on a tiny
+# policy and of OCC's hot keys, three failover schedules and one on a tiny
 # commit log; then six short closed-loop xenicsim runs. The chaos harness
 # stresses exactly the paths
 # sanitizers are good at catching -- crash teardown, log reclamation,
@@ -52,6 +52,11 @@ done
 # departing node's promotion moved a shard it no longer served.
 "$BUILD_DIR"/tools/chaos_runner --seed 30 --crashes 0 --handoffs 3 --nic-log-apply
 "$BUILD_DIR"/tools/chaos_runner --seed 342 --crashes 1 --handoffs 2
+
+# Two crashes under WOUND_WAIT: wounds, 2PL wait wakes and two recovery
+# sweeps, each resolving coordinator states through their pool handles
+# (the second sweep finds a transaction by the LOG ack it awaits).
+"$BUILD_DIR"/tools/chaos_runner --seed 661 --cc woundwait --crashes 2
 
 # An 8-record commit log: appends wait for ring space (back-pressure), the
 # ring and its write store wrap, and the crash's recovery scan reads a
