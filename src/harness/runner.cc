@@ -40,7 +40,7 @@ class TeeSink : public sim::TraceSink {
 };
 
 // One closed-loop application context: the logical transaction it runs,
-// its current attempt, and between attempts the request to retry.
+// its current attempt, and between attempts its request.
 struct Context {
   store::NodeId node = 0;
   uint8_t tag = 0;
@@ -52,8 +52,10 @@ struct Context {
   // can never fire before that (all completion paths go through engine
   // events), so it is set by the time it is read.
   uint64_t attempt_id = 0;
-  // An aborted attempt's request, handed back with the abort
-  // (TxnResult::request) and moved into the retry's Submit.
+  // The context's request, moved into each attempt's Submit and handed
+  // back with its outcome (TxnResult::request): an abort's is retried as
+  // it is, and any other outcome's is rebuilt into the next transaction
+  // (Workload::NextTxnInto), so its key sets keep their buffers.
   txn::TxnRequest request;
 };
 
@@ -100,30 +102,29 @@ static_assert(std::is_trivially_copyable_v<ContextRef> && sizeof(ContextRef) <= 
 
 void OnOutcome(ContextRef ref, txn::TxnResult res);
 
-// Submits the context's current attempt.
-void Attempt(ContextRef ref, txn::TxnRequest req) {
+// Submits the context's current attempt, moving its request in.
+void Attempt(ContextRef ref) {
   Shared* sh = ref.sh;
   Context& ctx = ref.ctx();
   ctx.attempt_start = sh->system->engine().now();
   ctx.attempt_id = 0;
-  const uint64_t id = sh->system->Submit(
-      ctx.node, std::move(req), [ref](txn::TxnResult res) { OnOutcome(ref, res); });
+  const uint64_t id = sh->system->Submit(ctx.node, std::move(ctx.request),
+                                         [ref](txn::TxnResult res) { OnOutcome(ref, res); });
   ctx.attempt_id = id;
 }
 
-// Starts the context's next logical transaction; the builder's request
-// moves into the first attempt.
+// Starts the context's next logical transaction, built into its request.
 void StartTxn(ContextRef ref) {
   Shared* sh = ref.sh;
   if (sh->stopped) {
     return;
   }
   Context& ctx = ref.ctx();
-  txn::TxnRequest req = sh->workload->NextTxn(ctx.node, sh->rng);
-  ctx.tag = req.tag;
+  sh->workload->NextTxnInto(ctx.node, sh->rng, &ctx.request);
+  ctx.tag = ctx.request.tag;
   ctx.tries = 0;
   ctx.start = sh->system->engine().now();
-  Attempt(ref, std::move(req));
+  Attempt(ref);
 }
 
 void OnOutcome(ContextRef ref, txn::TxnResult res) {
@@ -132,6 +133,8 @@ void OnOutcome(ContextRef ref, txn::TxnResult res) {
     return;
   }
   Context& ctx = ref.ctx();
+  assert(res.request != nullptr && "every outcome hands its request back");
+  ctx.request = std::move(*res.request);
   sim::Engine& eng = sh->system->engine();
   const bool traced = sh->txn_sink != nullptr && ctx.attempt_id != 0;
   if (res.outcome == txn::TxnOutcome::kAborted && ctx.tries < sh->config->retry.max_retries) {
@@ -150,8 +153,6 @@ void OnOutcome(ContextRef ref, txn::TxnResult res) {
     // coordinator returned with the abort.
     const sim::Tick backoff =
         txn::RetryBackoff(sh->config->retry, ctx.tries, res.contention, sh->rng);
-    assert(res.request != nullptr && "an abort hands its request back");
-    ctx.request = std::move(*res.request);
     ctx.tries++;
     // Detached: this completion runs under the aborted attempt's trace
     // context (the system sets it for the commit/abort path), and that id
@@ -160,7 +161,7 @@ void OnOutcome(ContextRef ref, txn::TxnResult res) {
     // TxnTraceSink.
     eng.ScheduleDetachedAfter(backoff, sim::InlineCallback([ref] {
                                 if (!ref.sh->stopped) {
-                                  Attempt(ref, std::move(ref.ctx().request));
+                                  Attempt(ref);
                                 }
                               }));
     return;

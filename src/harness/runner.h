@@ -108,8 +108,9 @@ struct RunResult {
 // The run's contexts live in one state that `system` retains
 // (SystemAdapter::Retain): attempts still in flight or backing off when the
 // run stops complete during a later run on the same system, and count
-// nowhere. An aborted attempt's request comes back with the abort
-// (TxnResult::request), and its retry resubmits it by move.
+// nowhere. Each context keeps one request: every outcome hands it back
+// (TxnResult::request), an abort's retry resubmits it by move, and the
+// context's next transaction is built into it (Workload::NextTxnInto).
 RunResult RunWorkload(SystemAdapter& system, workload::Workload& workload,
                       const RunConfig& config);
 

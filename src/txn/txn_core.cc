@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 namespace xenic::txn {
 
@@ -68,6 +69,7 @@ void TxnCore::Init(TxnId txn, TxnRequest request, CommitCallback callback) {
   abort = false;
   app_abort = false;
   abort_reason = AbortReason::kNone;
+  local_writes = !req.local_log_writes.empty();
   log_acks.Clear();
   ResetKeys();
 }
@@ -154,7 +156,7 @@ void TxnCore::WrittenShards(const ClusterMap& map, NodeId coord, std::vector<Nod
   for (const auto& k : write_keys) {
     AddShard(out, map.PrimaryOf(k.table, k.key));
   }
-  if (!req.local_log_writes.empty()) {
+  if (local_writes) {
     AddShard(out, coord);
   }
 }
@@ -200,13 +202,7 @@ uint32_t TxnCore::ValidateShards(const ClusterMap& map, std::vector<NodeId>* sha
 }
 
 TxnCore::Report TxnCore::TakeReport(TxnResult result) {
-  Report r{std::move(done), {}, result};
-  if (result.outcome == TxnOutcome::kAborted) {
-    r.request = std::move(req);
-  } else {
-    r.request.host_finish = std::move(req.host_finish);
-    r.request.host_finish_cost = req.host_finish_cost;
-  }
+  Report r{std::move(done), std::move(req), result};
   done = nullptr;
   return r;
 }
@@ -217,7 +213,7 @@ void TxnCore::Report::Run(sim::SlotTable<Report>* table, uint32_t slot,
   std::function<void()> host_finish;
   Report& parked = (*table)[slot];
   if (parked.result.outcome == TxnOutcome::kCommitted) {
-    host_finish = std::move(parked.request.host_finish);
+    host_finish = std::exchange(parked.request.host_finish, nullptr);
   }
   const sim::Tick host_finish_cost = parked.request.host_finish_cost;
   host_cores->Submit(kHostFinishBase, sim::InlineCallback([table, slot] {
@@ -225,9 +221,7 @@ void TxnCore::Report::Run(sim::SlotTable<Report>* table, uint32_t slot,
                        // a later report may reuse the slot.
                        Report r = table->Take(slot);
                        TxnResult result = r.result;
-                       if (result.outcome == TxnOutcome::kAborted) {
-                         result.request = &r.request;
-                       }
+                       result.request = &r.request;
                        r.done(result);
                      }));
   if (host_finish) {

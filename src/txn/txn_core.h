@@ -107,6 +107,10 @@ struct TxnCore {
   // next EXECUTE round fetches (and locks) only those.
   uint32_t new_read_base = 0;
   uint32_t new_write_base = 0;
+  // Whether the request carries workload-managed log writes, which
+  // replicate with the coordinator's shard. Kept apart from `req` because
+  // the commit phase runs after the report has handed the request back.
+  bool local_writes = false;
   LogAcks log_acks;
 
   // Take ownership of a submission; the key sets start as the request's
@@ -159,18 +163,22 @@ struct TxnCore {
   // (cleared first). Returns the number of checks.
   uint32_t ValidateShards(const ClusterMap& map, std::vector<NodeId>* shards) const;
 
-  // The application's side of the outcome, taken out of the core once.
+  // The application's side of the outcome, taken out of the core once,
+  // with the whole request: what the core still needs after the report
+  // (the commit phase's key sets and local_writes) it keeps apart from
+  // `req`.
   struct Report {
     CommitCallback done;
-    // The whole request for kAborted, handed back to the callback through
-    // TxnResult::request; otherwise only host_finish and its cost.
+    // Handed back to the callback through TxnResult::request, whatever the
+    // outcome; a commit's host_finish is taken out first (Run).
     TxnRequest request;
     TxnResult result;
     // Reports the report parked in `table`'s `slot`: the callback gets the
-    // outcome after kHostFinishBase of host work on `host_cores`, and a
-    // commit then runs the request's host_finish as deferred host work,
-    // off the latency path. The report stays parked until the callback's
-    // job runs, which takes it out of the table.
+    // outcome and the request after kHostFinishBase of host work on
+    // `host_cores`, and a commit then runs the request's host_finish, taken
+    // out of the request here, as deferred host work, off the latency path.
+    // The report stays parked until the callback's job runs, which takes it
+    // out of the table.
     static void Run(sim::SlotTable<Report>* table, uint32_t slot, sim::Resource* host_cores);
   };
   Report TakeReport(TxnResult result);

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include "src/net/message.h"
@@ -100,6 +101,23 @@ struct TxnRequest {
   // manipulation; paper 5.6 notes TPC-C keeps this on the host).
   sim::Tick host_finish_cost = 0;
   std::function<void()> host_finish;
+
+  // Back to a default request, every field reset, with the key sets and
+  // log writes emptied but keeping their buffers: a closed-loop context
+  // rebuilds its next transaction into the request its last one handed
+  // back (Workload::NextTxnInto) without allocating them again.
+  void Clear() {
+    std::vector<KeyRef> r = std::move(reads);
+    std::vector<KeyRef> w = std::move(writes);
+    std::vector<store::LogWrite> l = std::move(local_log_writes);
+    *this = TxnRequest{};
+    r.clear();
+    w.clear();
+    l.clear();
+    reads = std::move(r);
+    writes = std::move(w);
+    local_log_writes = std::move(l);
+  }
 };
 
 // Outcome reported to the application.
@@ -139,9 +157,13 @@ enum class CcPolicyKind : uint8_t {
 // no signal. Implicitly converts to/from TxnOutcome so callbacks that only
 // care about the outcome keep working unchanged.
 //
-// `request` hands an aborted attempt's request back, unchanged, so a retry
-// can move from it instead of keeping a copy. It is set for kAborted and
-// null for every other outcome, and it is valid only during the callback.
+// `request` hands the submitted request back with every outcome, so the
+// caller can move from it instead of keeping a copy: an abort's comes back
+// unchanged for its retry, and a commit's or an application abort's keeps
+// its key sets, scalars and local_log_writes for the caller's next
+// transaction to be built into. A commit whose host_finish the coordinator
+// runs (after the callback, as deferred host work) comes back without it.
+// The request is valid only during the callback.
 struct TxnResult {
   TxnOutcome outcome = TxnOutcome::kCommitted;
   uint8_t contention = 0;

@@ -255,13 +255,17 @@ void XenicNode::HostReadOnlyPath(TxnState* st, NodeId shard) {
     }
     const bool app_abort = exec == HostExec::kAppAbort;
     auto done = std::move(st->done);
-    const TxnOutcome outcome = app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kCommitted;
-    stats_.Count(outcome, AbortReason::kNone);
+    // Handed back as ReportAndFinish's reports hand it back (this path runs
+    // no host_finish).
+    TxnRequest req = std::move(st->req);
+    TxnResult result(app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kCommitted);
+    result.request = &req;
+    stats_.Count(result.outcome, AbortReason::kNone);
     if (replica && !app_abort) {
       stats_.replica_reads++;
     }
     EraseState(st);
-    done(outcome);
+    done(result);
   }));
 }
 

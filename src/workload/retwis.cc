@@ -41,11 +41,12 @@ void Retwis::Load(const LoadFn& load) {
   }
 }
 
-TxnRequest Retwis::NextTxn(NodeId coordinator, Rng& rng) {
+void Retwis::NextTxnInto(NodeId coordinator, Rng& rng, TxnRequest* out) {
   (void)coordinator;
   const auto type = static_cast<TxnType>(rng.NextWeighted(options_.mix));
 
-  TxnRequest req;
+  TxnRequest& req = *out;
+  req.Clear();
   req.tag = type;
   req.exec_cost = 80;  // minimal coordinator-side computation
   req.external_bytes = 8;
@@ -102,7 +103,6 @@ TxnRequest Retwis::NextTxn(NodeId coordinator, Rng& rng) {
       (*er.writes)[i].value = Payload(stamp + i);
     }
   };
-  return req;
 }
 
 }  // namespace xenic::workload

@@ -45,7 +45,7 @@ class Retwis : public Workload {
   std::vector<TableDef> Tables() const override;
   const txn::Partitioner& partitioner() const override { return part_; }
   void Load(const LoadFn& load) override;
-  TxnRequest NextTxn(NodeId coordinator, Rng& rng) override;
+  void NextTxnInto(NodeId coordinator, Rng& rng, TxnRequest* out) override;
 
   uint64_t total_keys() const { return total_keys_; }
 

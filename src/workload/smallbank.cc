@@ -63,7 +63,7 @@ store::Key Smallbank::PickAccount(Rng& rng) const {
   return rng.NextBounded(total_accounts_);
 }
 
-TxnRequest Smallbank::NextTxn(NodeId coordinator, Rng& rng) {
+void Smallbank::NextTxnInto(NodeId coordinator, Rng& rng, TxnRequest* out) {
   (void)coordinator;
   const auto type = static_cast<TxnType>(rng.NextWeighted(options_.mix));
   const Key a = PickAccount(rng);
@@ -73,7 +73,8 @@ TxnRequest Smallbank::NextTxn(NodeId coordinator, Rng& rng) {
   }
   const auto amount = static_cast<int64_t>(rng.NextRange(1, 50));
 
-  TxnRequest req;
+  TxnRequest& req = *out;
+  req.Clear();
   req.tag = type;
   req.exec_cost = 100;
   req.external_bytes = 16;
@@ -147,7 +148,6 @@ TxnRequest Smallbank::NextTxn(NodeId coordinator, Rng& rng) {
     default:
       break;
   }
-  return req;
 }
 
 }  // namespace xenic::workload

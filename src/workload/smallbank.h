@@ -46,7 +46,7 @@ class Smallbank : public Workload {
   std::vector<TableDef> Tables() const override;
   const txn::Partitioner& partitioner() const override { return part_; }
   void Load(const LoadFn& load) override;
-  TxnRequest NextTxn(NodeId coordinator, Rng& rng) override;
+  void NextTxnInto(NodeId coordinator, Rng& rng, TxnRequest* out) override;
 
   uint64_t total_accounts() const { return total_accounts_; }
 

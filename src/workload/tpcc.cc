@@ -216,25 +216,32 @@ uint64_t Tpcc::HomeWarehouse(NodeId coordinator, Rng& rng) const {
          rng.NextBounded(options_.warehouses_per_node);
 }
 
-TxnRequest Tpcc::NextTxn(NodeId coordinator, Rng& rng) {
+void Tpcc::NextTxnInto(NodeId coordinator, Rng& rng, TxnRequest* req) {
+  req->Clear();
   if (options_.new_order_only) {
-    return BuildNewOrder(coordinator, rng);
+    BuildNewOrder(coordinator, rng, *req);
+    return;
   }
   switch (rng.NextWeighted(options_.mix)) {
     case 0:
-      return BuildNewOrder(coordinator, rng);
+      BuildNewOrder(coordinator, rng, *req);
+      break;
     case 1:
-      return BuildPayment(coordinator, rng);
+      BuildPayment(coordinator, rng, *req);
+      break;
     case 2:
-      return BuildOrderStatus(coordinator, rng);
+      BuildOrderStatus(coordinator, rng, *req);
+      break;
     case 3:
-      return BuildDelivery(coordinator, rng);
+      BuildDelivery(coordinator, rng, *req);
+      break;
     default:
-      return BuildStockLevel(coordinator, rng);
+      BuildStockLevel(coordinator, rng, *req);
+      break;
   }
 }
 
-TxnRequest Tpcc::BuildNewOrder(NodeId coordinator, Rng& rng) {
+void Tpcc::BuildNewOrder(NodeId coordinator, Rng& rng, TxnRequest& req) {
   const uint64_t w = HomeWarehouse(coordinator, rng);
   const uint64_t d = 1 + rng.NextBounded(options_.districts_per_warehouse);
   const uint64_t c = 1 + rng.NextBounded(options_.customers_per_district);
@@ -267,7 +274,6 @@ TxnRequest Tpcc::BuildNewOrder(NodeId coordinator, Rng& rng) {
     lines.at[lines.n++] = line;
   }
 
-  TxnRequest req;
   req.tag = kNewOrder;
   req.exec_cost = 800;
   req.external_bytes = static_cast<uint32_t>(16 + 8 * lines.n);
@@ -322,10 +328,9 @@ TxnRequest Tpcc::BuildNewOrder(NodeId coordinator, Rng& rng) {
   req.host_finish_cost = 3000 + 700 * static_cast<sim::Tick>(lines.n);
   LocalState* ls = locals_[coordinator].get();
   req.host_finish = [this, ls, pack = std::move(pack)] { ApplyOrderPack(*ls, pack); };
-  return req;
 }
 
-TxnRequest Tpcc::BuildPayment(NodeId coordinator, Rng& rng) {
+void Tpcc::BuildPayment(NodeId coordinator, Rng& rng, TxnRequest& req) {
   const uint64_t w = HomeWarehouse(coordinator, rng);
   const uint64_t d = 1 + rng.NextBounded(options_.districts_per_warehouse);
   uint64_t cw = w;
@@ -339,7 +344,6 @@ TxnRequest Tpcc::BuildPayment(NodeId coordinator, Rng& rng) {
   const uint64_t c = 1 + rng.NextBounded(options_.customers_per_district);
   const auto amount = static_cast<int64_t>(1 + rng.NextBounded(5000));
 
-  TxnRequest req;
   req.tag = kPayment;
   req.exec_cost = 400;
   req.external_bytes = 24;
@@ -372,16 +376,14 @@ TxnRequest Tpcc::BuildPayment(NodeId coordinator, Rng& rng) {
   req.host_finish_cost = 800;
   LocalState* ls = locals_[coordinator].get();
   req.host_finish = [ls] { ls->history_count++; };
-  return req;
 }
 
-TxnRequest Tpcc::BuildOrderStatus(NodeId coordinator, Rng& rng) {
+void Tpcc::BuildOrderStatus(NodeId coordinator, Rng& rng, TxnRequest& req) {
   const uint64_t w = HomeWarehouse(coordinator, rng);
   const uint64_t d = 1 + rng.NextBounded(options_.districts_per_warehouse);
   const uint64_t c = 1 + rng.NextBounded(options_.customers_per_district);
   const uint64_t dkey = DKey(w, d);
 
-  TxnRequest req;
   req.tag = kOrderStatus;
   req.exec_cost = 2500;  // B+tree scans dominate
   req.allow_ship = false;
@@ -408,16 +410,14 @@ TxnRequest Tpcc::BuildOrderStatus(NodeId coordinator, Rng& rng) {
       cur = ls->orders.SeekLast(cur->first - 1);
     }
   };
-  return req;
 }
 
-TxnRequest Tpcc::BuildDelivery(NodeId coordinator, Rng& rng) {
+void Tpcc::BuildDelivery(NodeId coordinator, Rng& rng, TxnRequest& req) {
   const uint64_t w = HomeWarehouse(coordinator, rng);
   const uint64_t d = 1 + rng.NextBounded(options_.districts_per_warehouse);
   const uint64_t dkey = DKey(w, d);
   LocalState* ls = locals_[coordinator].get();
 
-  TxnRequest req;
   req.tag = kDelivery;
   req.exec_cost = 2000;
   req.allow_ship = false;  // multi-round, local B+tree access
@@ -462,10 +462,9 @@ TxnRequest Tpcc::BuildDelivery(NodeId coordinator, Rng& rng) {
   req.local_log_writes.push_back(store::LogWrite{kDeliveryPack, dkey, 0, dpack, false});
   req.host_finish_cost = 1500;
   req.host_finish = [ls, dpack = std::move(dpack)] { ApplyDeliveryPack(*ls, dpack); };
-  return req;
 }
 
-TxnRequest Tpcc::BuildStockLevel(NodeId coordinator, Rng& rng) {
+void Tpcc::BuildStockLevel(NodeId coordinator, Rng& rng, TxnRequest& req) {
   const uint64_t w = HomeWarehouse(coordinator, rng);
   const uint64_t d = 1 + rng.NextBounded(options_.districts_per_warehouse);
   const uint64_t dkey = DKey(w, d);
@@ -491,7 +490,6 @@ TxnRequest Tpcc::BuildStockLevel(NodeId coordinator, Rng& rng) {
                          return true;
                        });
 
-  TxnRequest req;
   req.tag = kStockLevel;
   req.exec_cost = 3500;
   req.allow_ship = false;
@@ -509,7 +507,6 @@ TxnRequest Tpcc::BuildStockLevel(NodeId coordinator, Rng& rng) {
     }
     (void)low;
   };
-  return req;
 }
 
 void Tpcc::ApplyOrderPack(LocalState& ls, const Value& pack) const {

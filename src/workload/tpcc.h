@@ -84,7 +84,7 @@ class Tpcc : public Workload {
   std::vector<TableDef> Tables() const override;
   const txn::Partitioner& partitioner() const override { return part_; }
   void Load(const LoadFn& load) override;
-  TxnRequest NextTxn(NodeId coordinator, Rng& rng) override;
+  void NextTxnInto(NodeId coordinator, Rng& rng, TxnRequest* req) override;
   std::function<sim::Tick(const store::LogWrite&)> WorkerHook(NodeId node) override;
   bool CountsForThroughput(uint8_t tag) const override {
     return tag == kNewOrder || options_.new_order_only;
@@ -120,11 +120,12 @@ class Tpcc : public Workload {
     const Tpcc* wl_;
   };
 
-  TxnRequest BuildNewOrder(NodeId coordinator, Rng& rng);
-  TxnRequest BuildPayment(NodeId coordinator, Rng& rng);
-  TxnRequest BuildOrderStatus(NodeId coordinator, Rng& rng);
-  TxnRequest BuildDelivery(NodeId coordinator, Rng& rng);
-  TxnRequest BuildStockLevel(NodeId coordinator, Rng& rng);
+  // Each builds its transaction into `req`, which NextTxnInto cleared.
+  void BuildNewOrder(NodeId coordinator, Rng& rng, TxnRequest& req);
+  void BuildPayment(NodeId coordinator, Rng& rng, TxnRequest& req);
+  void BuildOrderStatus(NodeId coordinator, Rng& rng, TxnRequest& req);
+  void BuildDelivery(NodeId coordinator, Rng& rng, TxnRequest& req);
+  void BuildStockLevel(NodeId coordinator, Rng& rng, TxnRequest& req);
 
   // Shared primary/backup application of logical records.
   void ApplyOrderPack(LocalState& ls, const Value& pack) const;

@@ -46,10 +46,29 @@ class Workload {
   // Populate the database (called once per run).
   virtual void Load(const LoadFn& load) = 0;
 
-  // Build the next transaction for a coordinator. The returned request's
-  // closures may reference per-node workload state (B+trees etc.), which
-  // the workload owns.
-  virtual TxnRequest NextTxn(NodeId coordinator, Rng& rng) = 0;
+  // Build the next transaction for a coordinator. The request's closures
+  // may reference per-node workload state (B+trees etc.), which the
+  // workload owns.
+  //
+  // NextTxnInto builds it into `*req`, which may still hold an earlier
+  // transaction: the builder starts from req->Clear(), so the key sets
+  // reuse their buffers. The closed-loop runner builds each context's next
+  // transaction into the request its last one handed back. NextTxn returns
+  // a fresh request, for callers that keep none (tests, the chaos client
+  // loop, bench_ext_phases). Each is defined in terms of the other, so a
+  // workload overrides exactly one: the benchmark builders override
+  // NextTxnInto; a workload that returns whole requests (a forwarding
+  // decorator, the chaos bank workload) overrides NextTxn and gets no
+  // buffer reuse. Both make the same draws in the same order and build the
+  // same request.
+  virtual TxnRequest NextTxn(NodeId coordinator, Rng& rng) {
+    TxnRequest req;
+    NextTxnInto(coordinator, rng, &req);
+    return req;
+  }
+  virtual void NextTxnInto(NodeId coordinator, Rng& rng, TxnRequest* req) {
+    *req = NextTxn(coordinator, rng);
+  }
 
   // Worker-apply hook for workload-managed log writes (table ids >=
   // kWorkloadTableBase); returns extra host ns. Default: none.

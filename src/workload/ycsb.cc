@@ -57,7 +57,7 @@ bool Ycsb::NextOpIsRead() {
   return false;
 }
 
-TxnRequest Ycsb::NextTxn(NodeId coordinator, Rng& rng) {
+void Ycsb::NextTxnInto(NodeId coordinator, Rng& rng, TxnRequest* out) {
   (void)coordinator;
   const size_t n = options_.ops_per_txn;
   std::array<Key, kMaxOpsPerTxn> keys{};
@@ -75,7 +75,8 @@ TxnRequest Ycsb::NextTxn(NodeId coordinator, Rng& rng) {
     }
   }
 
-  TxnRequest req;
+  TxnRequest& req = *out;
+  req.Clear();
   req.exec_cost = 80;
   req.external_bytes = 8;
   req.allow_ship = true;
@@ -98,7 +99,6 @@ TxnRequest Ycsb::NextTxn(NodeId coordinator, Rng& rng) {
       (*er.writes)[w++].value = Payload(vsize, cur + 1);
     }
   };
-  return req;
 }
 
 }  // namespace xenic::workload

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -22,11 +24,19 @@ namespace {
 // round after round while a round adds keys (the added keys join the
 // hash). A request that does not abort then runs its host_finish, so the
 // workload state later builders read is the one its commits leave.
-uint64_t RequestsFingerprint(Workload& wl, uint32_t nodes, int count) {
-  uint64_t h = 14695981039346656037ull;
-  auto add = [&h](uint64_t x) {
+struct Fingerprint {
+  uint64_t hash = 14695981039346656037ull;
+  int later_rounds = 0;  // rounds run because an earlier one added keys
+};
+
+// With `recycle`, every request is built into one reused request
+// (NextTxnInto), as a closed-loop context rebuilds the request its last
+// transaction handed back; otherwise each is a fresh NextTxn.
+Fingerprint RequestsFingerprint(Workload& wl, uint32_t nodes, int count, bool recycle) {
+  Fingerprint f;
+  auto add = [&f](uint64_t x) {
     for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((x >> (8 * i)) & 0xff)) * 1099511628211ull;
+      f.hash = (f.hash ^ ((x >> (8 * i)) & 0xff)) * 1099511628211ull;
     }
   };
   auto add_value = [&](const Value& v) {
@@ -36,8 +46,14 @@ uint64_t RequestsFingerprint(Workload& wl, uint32_t nodes, int count) {
     }
   };
   Rng rng(7);
+  TxnRequest req;
   for (int i = 0; i < count; ++i) {
-    TxnRequest req = wl.NextTxn(static_cast<NodeId>(i % nodes), rng);
+    const auto node = static_cast<NodeId>(i % nodes);
+    if (recycle) {
+      wl.NextTxnInto(node, rng, &req);
+    } else {
+      req = wl.NextTxn(node, rng);
+    }
     add(req.tag);
     add(req.exec_cost);
     add(req.external_bytes);
@@ -63,6 +79,7 @@ uint64_t RequestsFingerprint(Workload& wl, uint32_t nodes, int count) {
     std::vector<txn::KeyRef> add_writes;
     bool abort = false;
     for (int round = 0;; ++round) {
+      f.later_rounds += round > 0 ? 1 : 0;
       for (size_t r = reads.size(); r < req.reads.size(); ++r) {
         reads.push_back(
             {true, static_cast<store::Seq>(r + 1), Value(656, static_cast<uint8_t>(r + 1))});
@@ -96,51 +113,128 @@ uint64_t RequestsFingerprint(Workload& wl, uint32_t nodes, int count) {
       req.host_finish();
     }
   }
-  return h;
+  return f;
+}
+
+// Runs both passes, each on a fresh workload from `make` (builders keep
+// state: YCSB's read-ratio accumulator, TPC-C's trees), and expects both
+// to give `want` and to run the same later rounds. Returns the two
+// workloads and the rounds.
+template <typename Make>
+auto ExpectFingerprintBothWays(Make make, uint32_t nodes, int count, uint64_t want) {
+  struct Passes {
+    decltype(make()) fresh;
+    decltype(make()) recycled;
+    int later_rounds = 0;
+  };
+  Passes p{make(), make()};
+  const Fingerprint f = RequestsFingerprint(*p.fresh, nodes, count, false);
+  const Fingerprint r = RequestsFingerprint(*p.recycled, nodes, count, true);
+  EXPECT_EQ(f.hash, want) << p.fresh->Name() << ", each request built fresh";
+  EXPECT_EQ(r.hash, want) << p.recycled->Name() << ", built into one reused request";
+  EXPECT_EQ(r.later_rounds, f.later_rounds) << p.recycled->Name();
+  p.later_rounds = f.later_rounds;
+  return p;
 }
 
 // The builders draw the same random numbers in the same order and build
-// the same requests as when these fingerprints were recorded: a change
-// that moves one shows here before it moves a modeled number.
+// the same requests as when these fingerprints were recorded, whether each
+// request is fresh or rebuilt from the last: a change that moves one shows
+// here before it moves a modeled number, and a field a rebuild leaves over
+// from the earlier transaction moves the recycled pass's.
 TEST(RequestFingerprintTest, RetwisYcsbAndTpccNewOrderAreUnchanged) {
-  Retwis::Options ro;
-  ro.num_nodes = 3;
-  ro.keys_per_node = 1000;
-  Retwis retwis(ro);
-  EXPECT_EQ(RequestsFingerprint(retwis, 3, 2000), 7271276685527464890u);
+  ExpectFingerprintBothWays(
+      [] {
+        Retwis::Options ro;
+        ro.num_nodes = 3;
+        ro.keys_per_node = 1000;
+        return std::make_unique<Retwis>(ro);
+      },
+      3, 2000, 7271276685527464890u);
 
-  Ycsb::Options yo;
-  yo.num_nodes = 3;
-  yo.keys_per_node = 1000;
-  yo.zipf_theta = 0.9;
-  Ycsb ycsb(yo);
-  EXPECT_EQ(RequestsFingerprint(ycsb, 3, 2000), 3859683478515385547u);
+  ExpectFingerprintBothWays(
+      [] {
+        Ycsb::Options yo;
+        yo.num_nodes = 3;
+        yo.keys_per_node = 1000;
+        yo.zipf_theta = 0.9;
+        return std::make_unique<Ycsb>(yo);
+      },
+      3, 2000, 3859683478515385547u);
 
-  Tpcc::Options to;
-  to.num_nodes = 3;
-  to.warehouses_per_node = 2;
-  to.customers_per_district = 20;
-  to.items = 200;
-  to.new_order_only = true;
-  to.uniform_remote_items = true;
-  Tpcc tpcc(to);
-  EXPECT_EQ(RequestsFingerprint(tpcc, 3, 2000), 5391534778992147974u);
+  ExpectFingerprintBothWays(
+      [] {
+        Tpcc::Options to;
+        to.num_nodes = 3;
+        to.warehouses_per_node = 2;
+        to.customers_per_district = 20;
+        to.items = 200;
+        to.new_order_only = true;
+        to.uniform_remote_items = true;
+        return std::make_unique<Tpcc>(to);
+      },
+      3, 2000, 5391534778992147974u);
+}
+
+// Smallbank's six types rebuild one another: a read-only Balance after a
+// three-key Amalgamate, a one-key deposit after a two-account payment.
+TEST(RequestFingerprintTest, SmallbankIsUnchanged) {
+  ExpectFingerprintBothWays(
+      [] {
+        Smallbank::Options so;
+        so.num_nodes = 3;
+        so.accounts_per_node = 1000;
+        return std::make_unique<Smallbank>(so);
+      },
+      3, 2000, 1645938476748543517u);
+}
+
+using Rows = std::vector<std::pair<store::Key, store::Value>>;
+
+// Every entry of a B+tree, in key order.
+Rows RowsOf(const btree::BTree& t) {
+  Rows rows;
+  t.Scan(0, ~store::Key{0}, [&](store::Key k, const store::Value& v) {
+    rows.emplace_back(k, v);
+    return true;
+  });
+  return rows;
+}
+
+// Everything a node's local TPC-C state holds: its three trees, its
+// history count and its next order ids.
+std::tuple<Rows, Rows, Rows, uint64_t, std::map<uint64_t, uint32_t>> LocalStateOf(Tpcc& wl,
+                                                                                 NodeId node) {
+  const Tpcc::LocalState& ls = wl.local(node);
+  return {RowsOf(ls.orders), RowsOf(ls.new_orders), RowsOf(ls.order_lines), ls.history_count,
+          std::map<uint64_t, uint32_t>(ls.next_o.begin(), ls.next_o.end())};
 }
 
 // The full TPC-C mix on loaded B+trees: StockLevel's read set comes from
 // the last 20 orders' lines, OrderStatus and Delivery sum an order's line
 // amounts (Delivery's sum lands in the customer row its second round
 // writes), and every new order's host_finish feeds the orders that later
-// builders scan.
+// builders scan. Rebuilt into one request, a Payment becomes an
+// OrderStatus, a NewOrder a Delivery, and so on; both passes must leave
+// every node's local state, which only host_finish writes here, the same.
 TEST(RequestFingerprintTest, TpccFullMixOnLoadedTreesIsUnchanged) {
-  Tpcc::Options to;
-  to.num_nodes = 3;
-  to.warehouses_per_node = 2;
-  to.customers_per_district = 20;
-  to.items = 200;
-  Tpcc tpcc(to);
-  tpcc.Load([](store::TableId, store::Key, const store::Value&) {});
-  EXPECT_EQ(RequestsFingerprint(tpcc, 3, 4000), 782751781435643639u);
+  const auto passes = ExpectFingerprintBothWays(
+      [] {
+        Tpcc::Options to;
+        to.num_nodes = 3;
+        to.warehouses_per_node = 2;
+        to.customers_per_district = 20;
+        to.items = 200;
+        auto tpcc = std::make_unique<Tpcc>(to);
+        tpcc->Load([](store::TableId, store::Key, const store::Value&) {});
+        return tpcc;
+      },
+      3, 4000, 782751781435643639u);
+  EXPECT_GT(passes.later_rounds, 0) << "Deliveries run their second round";
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_TRUE(LocalStateOf(*passes.recycled, n) == LocalStateOf(*passes.fresh, n))
+        << "node " << n;
+  }
 }
 
 TEST(SmallbankTest, MixMatchesWeights) {
@@ -352,16 +446,8 @@ TEST(TpccTest, LoadMirrorsTheSameOrdersOnEveryNode) {
   o.warehouses_per_node = 2;
   Tpcc wl(o);
   wl.Load([](store::TableId, store::Key, const store::Value&) {});
-  auto dump = [](const btree::BTree& t) {
-    std::vector<std::pair<store::Key, store::Value>> rows;
-    t.Scan(0, ~store::Key{0}, [&](store::Key k, const store::Value& v) {
-      rows.emplace_back(k, v);
-      return true;
-    });
-    return rows;
-  };
-  const auto orders = dump(wl.local(0).orders);
-  const auto lines = dump(wl.local(0).order_lines);
+  const Rows orders = RowsOf(wl.local(0).orders);
+  const Rows lines = RowsOf(wl.local(0).order_lines);
   ASSERT_FALSE(orders.empty());
   ASSERT_EQ(lines.size(), orders.size());
   for (size_t i = 0; i < orders.size(); ++i) {
@@ -371,8 +457,8 @@ TEST(TpccTest, LoadMirrorsTheSameOrdersOnEveryNode) {
     EXPECT_EQ(lines[i].second.size(), 24 + 32 * ol_cnt) << "order " << i;
   }
   for (store::NodeId n = 1; n < o.num_nodes; ++n) {
-    EXPECT_EQ(dump(wl.local(n).orders), orders) << "node " << n;
-    const auto mirror = dump(wl.local(n).order_lines);
+    EXPECT_EQ(RowsOf(wl.local(n).orders), orders) << "node " << n;
+    const Rows mirror = RowsOf(wl.local(n).order_lines);
     EXPECT_EQ(mirror, lines) << "node " << n;
     for (size_t i = 0; i < mirror.size() && i < lines.size(); ++i) {
       EXPECT_EQ(mirror[i].second.data(), lines[i].second.data()) << "node " << n << " order " << i;

@@ -3,7 +3,7 @@
 # the tier-1 test suite plus a few short chaos schedules under it: one on
 # Xenic, one on each baseline mode, the lock-wait schedules of each 2PL
 # policy and of OCC's hot keys, three failover schedules and one on a tiny
-# commit log; then six short closed-loop xenicsim runs. The chaos harness
+# commit log; then eight short closed-loop xenicsim runs. The chaos harness
 # stresses exactly the paths
 # sanitizers are good at catching -- crash teardown, log reclamation,
 # NIC-index eviction, routing moves -- so seeds run here even though the
@@ -63,8 +63,9 @@ done
 # wrapped ring in place.
 "$BUILD_DIR"/tools/chaos_runner --seed 3 --log-capacity 8
 
-# The closed-loop runner under the sanitizers: aborted attempts hand their
-# request back and retry from it, a traced run Discards each aborted
+# The closed-loop runner under the sanitizers: every attempt hands its
+# request back, an abort's retry resubmits it and any other outcome's is
+# rebuilt into the next transaction, a traced run Discards each aborted
 # attempt's id, and both coordinators' outcome reports stay parked until
 # their callback runs. YCSB on Xenic with --txn-attrib, and on DrTM+H.
 # Then the full TPC-C mix on Xenic: OrderStatus, Delivery and StockLevel
@@ -72,8 +73,12 @@ done
 # log-apply hooks share. Then Retwis on Xenic, whose 64-byte host table
 # slots hold handles to the blocks the NIC caches and log records share,
 # applied by the host workers and, with --nic-log-apply, by the NIC cores.
-# Last, TPC-C new-order at 48 contexts, whose log backlog grows each log's
-# write store while records are live in it.
+# Then TPC-C new-order at 48 contexts, whose log backlog grows each log's
+# write store while records are live in it. Last, two runs whose contexts
+# rebuild each transaction into the request the last one handed back, as
+# a different type: Smallbank on Xenic, and the full TPC-C mix on FaSST,
+# which also takes Delivery's second round through the baseline
+# coordinator.
 # Output goes to a scratch directory: xenicsim writes its report there.
 tools_dir=$(cd "$BUILD_DIR"/tools && pwd)
 run_dir=$(mktemp -d)
@@ -84,7 +89,9 @@ run_dir=$(mktemp -d)
   "$tools_dir"/xenicsim --workload retwis --scale 2000 --measure-us 200 >/dev/null &&
   "$tools_dir"/xenicsim --workload retwis --scale 2000 --measure-us 200 --nic-log-apply \
     >/dev/null &&
-  "$tools_dir"/xenicsim --workload tpcc-no --contexts 48 --measure-us 1000 >/dev/null)
+  "$tools_dir"/xenicsim --workload tpcc-no --contexts 48 --measure-us 1000 >/dev/null &&
+  "$tools_dir"/xenicsim --workload smallbank --measure-us 300 >/dev/null &&
+  "$tools_dir"/xenicsim --system fasst --workload tpcc --measure-us 300 >/dev/null)
 rm -rf "$run_dir"
 
 echo "sanitized run OK"
