@@ -21,10 +21,10 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/store/txn_marks.h"
 #include "src/store/types.h"
 
 namespace xenic::store {
@@ -134,8 +134,8 @@ class CommitLog {
   // coordinator's kLogCommit notification (or recovery roll-forward) marks
   // it; sweep-aborted transactions are tombstoned at the Datastore level
   // instead.
-  void MarkStable(TxnId txn) { stable_.insert(txn); }
-  bool IsStable(TxnId txn) const { return stable_.count(txn) > 0; }
+  void MarkStable(TxnId txn) { stable_.Insert(txn); }
+  bool IsStable(TxnId txn) const { return stable_.Contains(txn); }
 
  private:
   // The record `i` places after the oldest unreclaimed one.
@@ -174,10 +174,10 @@ class CommitLog {
   size_t writes_head_ = 0;
   size_t writes_tail_ = 0;
   size_t writes_used_ = 0;
-  // Transactions whose commit point is known (see MarkStable). Bounded by
-  // the transactions of one run; only consulted by the stability-gated NIC
-  // drain, so the default host-worker path never reads it.
-  std::unordered_set<TxnId> stable_;
+  // Transactions whose commit point is known (see MarkStable). Grows with
+  // the run; only consulted by the stability-gated NIC drain, so the
+  // default host-worker path never reads it.
+  TxnSet stable_;
 };
 
 // What a store's log step did with one record (LogApplyTarget).

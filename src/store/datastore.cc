@@ -1,9 +1,6 @@
 #include "src/store/datastore.h"
 
-#include <algorithm>
-#include <bit>
 #include <cassert>
-#include <utility>
 
 namespace xenic::store {
 
@@ -138,61 +135,8 @@ ApplyOutcome Datastore::ApplyLogRecord(const LogRecordView& record, bool stabili
   return ApplyOutcome::kApplied;
 }
 
-void Datastore::NoteLogApplied(TxnId txn, NodeId shard, uint32_t total_shards) {
-  assert(shard != kFreeSlot);
-  if ((applied_size_ + 1) * 2 > applied_log_.size()) {
-    GrowApplied();
-  }
-  const size_t mask = applied_log_.size() - 1;
-  size_t i = AppliedHome(txn);
-  for (; applied_log_[i].shard != kFreeSlot; i = (i + 1) & mask) {
-    if (applied_log_[i].txn == txn && applied_log_[i].shard == shard) {
-      return;  // noted already: the first total_shards stands
-    }
-  }
-  applied_log_[i] = AppliedLog{txn, shard, total_shards};
-  applied_size_++;
-}
-
-std::vector<NodeId> Datastore::AppliedShardsOf(TxnId txn, uint32_t* total_shards) const {
-  std::vector<NodeId> out;
-  if (applied_size_ == 0) {
-    return out;
-  }
-  const size_t mask = applied_log_.size() - 1;
-  for (size_t i = AppliedHome(txn); applied_log_[i].shard != kFreeSlot; i = (i + 1) & mask) {
-    const AppliedLog& e = applied_log_[i];
-    if (e.txn != txn) {
-      continue;
-    }
-    out.push_back(e.shard);
-    if (total_shards != nullptr) {
-      *total_shards = std::max(*total_shards, e.total_shards);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void Datastore::GrowApplied() {
-  const std::vector<AppliedLog> old = std::move(applied_log_);
-  applied_log_.assign(std::max<size_t>(64, old.size() * 2), AppliedLog{});
-  applied_shift_ = 64 - static_cast<uint32_t>(std::countr_zero(applied_log_.size()));
-  const size_t mask = applied_log_.size() - 1;
-  for (const AppliedLog& e : old) {
-    if (e.shard == kFreeSlot) {
-      continue;
-    }
-    size_t i = AppliedHome(e.txn);
-    while (applied_log_[i].shard != kFreeSlot) {
-      i = (i + 1) & mask;
-    }
-    applied_log_[i] = e;
-  }
-}
-
 void Datastore::TombstoneTxn(TxnId txn) {
-  if (!tombstoned_.insert(txn).second) {
+  if (!tombstoned_.Insert(txn)) {
     return;
   }
   // Drop already-buffered records' writes from the pending-read index so

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 #include <string>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "src/store/nic_index.h"
 #include "src/store/pending_index.h"
 #include "src/store/robinhood_table.h"
+#include "src/store/txn_marks.h"
 #include "src/store/types.h"
 
 namespace xenic::store {
@@ -91,7 +91,7 @@ class Datastore final : public LogApplyTarget {
   // still being) replicated -- without this a surviving backup could apply a
   // write that the coordinator aborted.
   void TombstoneTxn(TxnId txn);
-  bool IsTombstoned(TxnId txn) const { return tombstoned_.count(txn) > 0; }
+  bool IsTombstoned(TxnId txn) const { return tombstoned_.Contains(txn); }
 
   // Durable applied-record index. A worker noting (txn, shard) here records
   // that this node received, acked, and applied that shard's LOG record --
@@ -104,10 +104,14 @@ class Datastore final : public LogApplyTarget {
   // The record's total_shards is kept too, so a transaction whose records
   // were all applied and reclaimed can still be judged complete. A
   // repeated (txn, shard) keeps its first total_shards.
-  void NoteLogApplied(TxnId txn, NodeId shard, uint32_t total_shards);
+  void NoteLogApplied(TxnId txn, NodeId shard, uint32_t total_shards) {
+    applied_.Note(txn, shard, total_shards);
+  }
   // Shards of `txn` whose records this node applied, in shard order. Raises
   // `*total_shards`, if given, to the records' total_shards.
-  std::vector<NodeId> AppliedShardsOf(TxnId txn, uint32_t* total_shards = nullptr) const;
+  std::vector<NodeId> AppliedShardsOf(TxnId txn, uint32_t* total_shards = nullptr) const {
+    return applied_.ShardsOf(txn, total_shards);
+  }
 
  private:
   static uint64_t PendingKey(TableId table, Key key) {
@@ -127,26 +131,10 @@ class Datastore final : public LogApplyTarget {
   // Transactions whose records must not be applied on this node (epoch
   // aborts). Only ever holds txns aborted across an epoch change, so it
   // stays small.
-  std::unordered_set<TxnId> tombstoned_;
-  // Applied LOG records, keyed (txn, shard); see NoteLogApplied. A flat
-  // open-addressing table probed linearly from the txn's hash, so every
-  // record of one transaction sits in the probe run from its home slot. It
-  // doubles at half full and never erases: it grows by one 16-byte entry
-  // per applied record (ROADMAP item 2's watermark would bound it). Slot
-  // order never reaches an answer: AppliedShardsOf sorts.
-  struct AppliedLog {
-    TxnId txn = kNoTxn;
-    NodeId shard = kFreeSlot;
-    uint32_t total_shards = 0;
-  };
-  static constexpr NodeId kFreeSlot = static_cast<NodeId>(-1);  // no record's shard
-  size_t AppliedHome(TxnId txn) const {
-    return static_cast<size_t>((txn * 0x9E3779B97F4A7C15ull) >> applied_shift_);
-  }
-  void GrowApplied();
-  std::vector<AppliedLog> applied_log_;  // a power of two in size, or empty
-  uint32_t applied_shift_ = 64;          // 64 - log2(applied_log_.size())
-  size_t applied_size_ = 0;
+  TxnSet tombstoned_;
+  // Applied LOG records, keyed (txn, shard); see NoteLogApplied. It never
+  // erases: ROADMAP item 2's watermark would bound it.
+  AppliedIndex applied_;
 };
 
 }  // namespace xenic::store

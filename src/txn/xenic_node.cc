@@ -255,9 +255,14 @@ void XenicNode::HostReadOnlyPath(TxnState* st, NodeId shard) {
     }
     const bool app_abort = exec == HostExec::kAppAbort;
     auto done = std::move(st->done);
-    // Handed back as ReportAndFinish's reports hand it back (this path runs
-    // no host_finish).
+    // Handed back as ReportAndFinish's reports hand it back: a commit's
+    // host_finish taken out first, to run after the callback
+    // (TxnCore::Report::Run).
     TxnRequest req = std::move(st->req);
+    std::function<void()> host_finish;
+    if (!app_abort) {
+      host_finish = std::exchange(req.host_finish, nullptr);
+    }
     TxnResult result(app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kCommitted);
     result.request = &req;
     stats_.Count(result.outcome, AbortReason::kNone);
@@ -265,7 +270,13 @@ void XenicNode::HostReadOnlyPath(TxnState* st, NodeId shard) {
       stats_.replica_reads++;
     }
     EraseState(st);
+    const sim::Tick host_finish_cost = req.host_finish_cost;
     done(result);
+    if (host_finish) {
+      nic_->host_cores().Submit(host_finish_cost, [host_finish = std::move(host_finish)]() mutable {
+        host_finish();
+      });
+    }
   }));
 }
 
@@ -1144,11 +1155,7 @@ void XenicNode::ReportAndFinish(TxnState* st, TxnOutcome outcome) {
   }
   stats_.Count(outcome, st->abort_reason);
   if (outcome == TxnOutcome::kCommitted) {
-    const uint64_t seq = store::TxnSeq(st->id);
-    if (seq / 64 >= reported_committed_.size()) {
-      reported_committed_.resize(seq / 64 + 1);
-    }
-    reported_committed_[seq / 64] |= uint64_t{1} << (seq % 64);
+    reported_committed_.Insert(st->id);
   }
   // The commit point was the log acks; the application learns the outcome
   // once the report crosses to the host.
@@ -1158,14 +1165,7 @@ void XenicNode::ReportAndFinish(TxnState* st, TxnOutcome outcome) {
                   }));
 }
 
-bool XenicNode::HasReportedCommit(TxnId txn) const {
-  if (store::TxnNode(txn) != id()) {
-    return false;
-  }
-  const uint64_t seq = store::TxnSeq(txn);
-  return seq / 64 < reported_committed_.size() &&
-         (reported_committed_[seq / 64] & uint64_t{1} << (seq % 64)) != 0;
-}
+bool XenicNode::HasReportedCommit(TxnId txn) const { return reported_committed_.Contains(txn); }
 
 void XenicNode::ReleaseOrphanedLocks(TxnId txn, NodeId shard, const std::vector<KeyRef>& keys) {
   if (keys.empty()) {

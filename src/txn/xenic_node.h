@@ -43,6 +43,7 @@
 #include "src/sim/slot_table.h"
 #include "src/store/commit_log.h"
 #include "src/store/datastore.h"
+#include "src/store/txn_marks.h"
 #include "src/txn/cc_policy.h"
 #include "src/txn/hot_key_sketch.h"
 #include "src/txn/key_wait_queue.h"
@@ -551,10 +552,10 @@ class XenicNode {
   // transaction.
   TxnPool<TxnState> pool_;
   // Commit outcomes this coordinator reported (recovery oracle; see
-  // HasReportedCommit): bit `seq` stands for this node's txn id of that
-  // sequence number, so one bit per submitted transaction. Lost with the
-  // node on a crash, like any host state.
-  std::vector<uint64_t> reported_committed_;
+  // HasReportedCommit). It holds only this node's ids, so another
+  // coordinator's id is never in it. Lost with the node on a crash, like
+  // any host state.
+  store::TxnSet reported_committed_;
   uint64_t next_txn_seq_ = 1;
   TxnStats stats_;
   // Per-shard conflict sketch feeding contention hints and hot-key routing.

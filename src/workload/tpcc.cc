@@ -475,15 +475,17 @@ void Tpcc::BuildStockLevel(NodeId coordinator, Rng& rng, TxnRequest& req) {
   // owns these B+trees).
   const uint64_t next_o = ls->next_o.count(dkey) != 0 ? ls->next_o[dkey] : 1;
   const uint64_t from_o = next_o > 20 ? next_o - 20 : 1;
-  std::vector<uint64_t> items;
+  std::array<uint64_t, 20> items{};
+  size_t n_items = 0;
   ls->order_lines.Scan(OrderKey(dkey, from_o), OrderKey(dkey, next_o) - 1,
                        [&](store::Key, const Value& pack) {
                          for (uint64_t l = 1; l <= GetU64(pack, 16); ++l) {
                            const uint64_t item = GetU64(pack, PackLine(l));
-                           if (std::find(items.begin(), items.end(), item) == items.end()) {
-                             items.push_back(item);
+                           if (std::find(items.begin(), items.begin() + n_items, item) ==
+                               items.begin() + n_items) {
+                             items[n_items++] = item;
                            }
-                           if (items.size() >= 20) {
+                           if (n_items == items.size()) {
                              return false;
                            }
                          }
@@ -494,8 +496,8 @@ void Tpcc::BuildStockLevel(NodeId coordinator, Rng& rng, TxnRequest& req) {
   req.exec_cost = 3500;
   req.allow_ship = false;
   req.reads.push_back({kDistrict, dkey});
-  for (uint64_t item : items) {
-    req.reads.push_back({kStock, SKey(w, item)});
+  for (size_t i = 0; i < n_items; ++i) {
+    req.reads.push_back({kStock, SKey(w, items[i])});
   }
   const auto threshold = static_cast<int64_t>(10 + rng.NextBounded(11));
   req.execute = [threshold](txn::ExecRound& er) {

@@ -10,9 +10,15 @@
 namespace {
 
 thread_local uint64_t tls_calls = 0;
+thread_local uint64_t tls_bytes = 0;
+
+void Count(std::size_t n) {
+  ++tls_calls;
+  tls_bytes += n;
+}
 
 void* CountedAlloc(std::size_t n) {
-  ++tls_calls;
+  Count(n);
   if (void* p = std::malloc(n == 0 ? 1 : n)) {
     return p;
   }
@@ -20,7 +26,7 @@ void* CountedAlloc(std::size_t n) {
 }
 
 void* CountedAlignedAlloc(std::size_t n, std::align_val_t align) {
-  ++tls_calls;
+  Count(n);
   void* p = nullptr;
   const std::size_t a = static_cast<std::size_t>(align) < sizeof(void*)
                             ? sizeof(void*)
@@ -36,6 +42,7 @@ void* CountedAlignedAlloc(std::size_t n, std::align_val_t align) {
 namespace xenic {
 
 uint64_t OperatorNewCalls() { return tls_calls; }
+uint64_t OperatorNewBytes() { return tls_bytes; }
 
 }  // namespace xenic
 
@@ -44,11 +51,11 @@ void* operator new[](std::size_t n) { return CountedAlloc(n); }
 void* operator new(std::size_t n, std::align_val_t a) { return CountedAlignedAlloc(n, a); }
 void* operator new[](std::size_t n, std::align_val_t a) { return CountedAlignedAlloc(n, a); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++tls_calls;
+  Count(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  ++tls_calls;
+  Count(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 void operator delete(void* p) noexcept { std::free(p); }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <set>
 #include <vector>
 
 namespace xenic::store {
@@ -143,12 +144,35 @@ TEST(DatastoreTest, LargeValueTableRoundTrip) {
   EXPECT_EQ(s.dma_reads, 2u);
 }
 
+// Transaction ids of every shape the marks key on. Before op 50,000,
+// MakeTxnId's ids of six coordinators over 64 sequences, so marks repeat;
+// then ids spread over 2^20 sequences (64 pages), sequences about the
+// first page boundaries and just under 2^40, and raw ids whose
+// coordinator bits are all zeros or all ones.
+TxnId DrawTxnId(std::mt19937_64& rng, int op) {
+  const auto node = static_cast<NodeId>(rng() % 6);
+  if (op < 50000) {
+    return MakeTxnId(node, 1 + rng() % 64);
+  }
+  switch (rng() % 5) {
+    case 0:
+      return MakeTxnId(node, 1 + rng() % (1 << 20));
+    case 1:
+      return MakeTxnId(node, kTxnPageSeqs * (1 + rng() % 3) - 50 + rng() % 100);
+    case 2:
+      return MakeTxnId(node, (uint64_t{1} << 40) - 1 - rng() % 40000);
+    case 3:
+      return 1 + rng() % 100000;
+    default:
+      return ~TxnId{0} - rng() % 100000;
+  }
+}
+
 TEST(DatastoreTest, AppliedIndexMatchesAReferenceSet) {
   // 200k notes against an ordered map from (txn, shard) to the pair's
-  // first total_shards. Few transactions early on, so notes repeat and several
-  // shards of one transaction share a probe run; ids then spread over
-  // every node's sequence space, so the table grows through several
-  // doublings and unrelated transactions collide.
+  // first total_shards, over DrawTxnId's ids. Shards are mostly six, so
+  // a page's planes spill past the inline ones, and now and then one past
+  // 32; totals are mostly 1-6, and now and then about 255, a byte's reach.
   struct Ref {
     TxnId txn;
     NodeId shard;
@@ -159,18 +183,14 @@ TEST(DatastoreTest, AppliedIndexMatchesAReferenceSet) {
   std::map<Ref, uint32_t> ref;
   Datastore ds(TwoTables(), {});
   std::mt19937_64 rng(11);
-  auto draw_txn = [&rng](int op) {
-    const uint64_t seqs = op < 50000 ? 64 : 1 << 20;
-    return MakeTxnId(static_cast<NodeId>(rng() % 6), 1 + rng() % seqs);
-  };
   for (int op = 0; op < 200000; ++op) {
-    const TxnId txn = draw_txn(op);
-    const NodeId shard = static_cast<NodeId>(rng() % 6);
-    const uint32_t total = 1 + static_cast<uint32_t>(rng() % 6);
+    const TxnId txn = DrawTxnId(rng, op);
+    const NodeId shard = static_cast<NodeId>(rng() % 8 == 0 ? 33 + rng() % 1000 : rng() % 6);
+    const auto total = static_cast<uint32_t>(rng() % 64 == 0 ? 245 + rng() % 20 : 1 + rng() % 6);
     ds.NoteLogApplied(txn, shard, total);
     ref.emplace(Ref{txn, shard}, total);  // keeps the first total_shards
 
-    const TxnId probe = op % 2 == 0 ? txn : draw_txn(op);
+    const TxnId probe = op % 2 == 0 ? txn : DrawTxnId(rng, op);
     std::vector<NodeId> want;
     uint32_t want_total = 0;
     for (auto it = ref.lower_bound(Ref{probe, 0}); it != ref.end() && it->first.txn == probe;
@@ -192,6 +212,36 @@ TEST(DatastoreTest, AppliedIndexMatchesAReferenceSet) {
     ASSERT_EQ(ds.AppliedShardsOf(txn), want) << txn;
   }
   EXPECT_TRUE(ds.AppliedShardsOf(MakeTxnId(7, 1)).empty());
+}
+
+TEST(TxnSetTest, MatchesAReferenceSet) {
+  // 200k inserts against a std::set over DrawTxnId's ids, each checking
+  // the first-time answer, the inserted id and another id.
+  std::set<TxnId> ref;
+  TxnSet set;
+  std::mt19937_64 rng(5);
+  for (int op = 0; op < 200000; ++op) {
+    const TxnId txn = DrawTxnId(rng, op);
+    ASSERT_EQ(set.Insert(txn), ref.insert(txn).second) << "op " << op;
+    ASSERT_TRUE(set.Contains(txn)) << "op " << op;
+    const TxnId probe = DrawTxnId(rng, op);
+    ASSERT_EQ(set.Contains(probe), ref.count(probe) > 0) << "op " << op;
+  }
+  for (TxnId txn : ref) {
+    ASSERT_TRUE(set.Contains(txn)) << txn;
+  }
+  EXPECT_FALSE(set.Contains(MakeTxnId(7, 1)));
+  EXPECT_FALSE(set.Contains(kNoTxn));
+
+  // A page answers only for its own sequences: the same slot one page
+  // before, between or after two sparse pages is not in the set.
+  TxnSet sparse;
+  ASSERT_TRUE(sparse.Insert(MakeTxnId(1, 3 * kTxnPageSeqs + 5)));
+  ASSERT_TRUE(sparse.Insert(MakeTxnId(1, 7 * kTxnPageSeqs + 5)));
+  for (uint64_t page : {0, 2, 4, 6, 8}) {
+    EXPECT_FALSE(sparse.Contains(MakeTxnId(1, page * kTxnPageSeqs + 5))) << page;
+  }
+  EXPECT_TRUE(sparse.Contains(MakeTxnId(1, 7 * kTxnPageSeqs + 5)));
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/baseline/baseline_cluster.h"
@@ -305,10 +306,10 @@ TEST(HotPathAllocTest, TwoShardReadWriteTxnAllocationBudget) {
   // Replication 2: two EXECUTEs, one LOG per shard to its backup, two
   // COMMITs. What still allocates is the data the transaction carries, not
   // the protocol: the two values the transaction writes. Each backup's
-  // applied-record entry is a slot of a flat table, and the commit log a
-  // ring whose slots are reused. The TxnState comes from the node's pool
-  // with its key sets, locked-shard list and ack set, and continuations
-  // hold its handle; the outcome report is parked in a
+  // applied-record mark is a bit in a page its index already holds, and
+  // the commit log a ring whose slots are reused. The TxnState comes from
+  // the node's pool with its key sets, locked-shard list and ack set, and
+  // continuations hold its handle; the outcome report is parked in a
   // node-owned slot and the reported commit is a bit. No value is copied:
   // reads, LOG and COMMIT records and the pending index share the blocks.
   // Each LOG record and COMMIT write set is built in its request slot, and
@@ -541,9 +542,13 @@ TEST(HotPathAllocTest, DrtmRTwoShardReadWriteTxnAllocationBudget) {
 // --- The commit log's bookkeeping: the applied-record index and the ring.
 
 TEST(HotPathAllocTest, WarmAppliedIndexNoteAllocatesNothing) {
-  // The index is a flat table that doubles at half full: 1,500 notes size
-  // it to 4,096 slots, so the next 750 -- two shards of each of 250
-  // transactions and a repeat of each -- land in the same array.
+  // The index keeps its marks in pages of store::kTxnPageSeqs sequences,
+  // one set per coordinator, each page made on its first note with its
+  // shard planes inline. 1,500 notes of three coordinators make each one's
+  // first page, and coordinator 0's has a plane for shard 0 only. The
+  // next 750 -- two shards of each of 250 of coordinator 0's transactions,
+  // the second a plane its page had not used, and a repeat of each --
+  // land in that page.
   store::Datastore ds({store::TableSpec{0, "t", 8, 16, 8, 8}}, store::NicIndex::Options{});
   for (store::TxnId t = 1; t <= 1500; ++t) {
     ds.NoteLogApplied(store::MakeTxnId(t % 3, t), static_cast<store::NodeId>(t % 3), 1);
@@ -555,7 +560,29 @@ TEST(HotPathAllocTest, WarmAppliedIndexNoteAllocatesNothing) {
     ds.NoteLogApplied(store::MakeTxnId(0, t), 0, 2);
   }
   EXPECT_EQ(OperatorNewCalls() - before, 0u);
-  EXPECT_EQ(ds.AppliedShardsOf(store::MakeTxnId(0, 1600)), (std::vector<store::NodeId>{0, 1}));
+  uint32_t total = 0;
+  EXPECT_EQ(ds.AppliedShardsOf(store::MakeTxnId(0, 1600), &total),
+            (std::vector<store::NodeId>{0, 1}));
+  EXPECT_EQ(total, 2u);
+}
+
+TEST(HotPathAllocTest, AppliedIndexTakesAtMostFourBytesPerTransaction) {
+  // Two shards of each of 1,000,000 consecutive transactions of one
+  // coordinator, as a backup of two shards applies them: a page holds a
+  // byte of total_shards and a bit per shard for each of its sequences,
+  // about 1.5 bytes per transaction. A table of 16-byte (txn, shard)
+  // entries that doubles at half full asked for 134.
+  constexpr uint64_t kTxns = 1000000;
+  store::Datastore ds({store::TableSpec{0, "t", 8, 16, 8, 8}}, store::NicIndex::Options{});
+  const uint64_t before = OperatorNewBytes();
+  for (uint64_t t = 1; t <= kTxns; ++t) {
+    ds.NoteLogApplied(store::MakeTxnId(2, t), 4, 2);
+    ds.NoteLogApplied(store::MakeTxnId(2, t), 5, 2);
+  }
+  const uint64_t bytes = OperatorNewBytes() - before;
+  EXPECT_LE(bytes, 4 * kTxns);
+  RecordProperty("bytes_per_txn", std::to_string(static_cast<double>(bytes) / kTxns));
+  EXPECT_EQ(ds.AppliedShardsOf(store::MakeTxnId(2, kTxns)), (std::vector<store::NodeId>{4, 5}));
 }
 
 TEST(HotPathAllocTest, WarmCommitLogRingAllocatesNothing) {

@@ -236,7 +236,7 @@ TEST(RequestHandBackTest, XenicShippedCommitAndAppAbortHandTheRequestBack) {
 TEST(RequestHandBackTest, XenicHostLocalReadHandsTheRequestBack) {
   // A read of the coordinator's own key runs on its host alone and
   // reports there, without an outcome report; it hands its request back
-  // all the same.
+  // all the same, and a commit's host_finish runs once after the callback.
   XenicHandBack x;
   const store::Key b = LoadKeys(x.cluster(), 0).second;
   int finished = 0;
@@ -251,9 +251,12 @@ TEST(RequestHandBackTest, XenicHostLocalReadHandsTheRequestBack) {
     Submit(x.cluster(), std::move(req), &finished, &seen);
     EXPECT_EQ(seen.outcome, app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kCommitted);
     ASSERT_TRUE(seen.request);
-    ExpectHandedBack(seen.returned, want, /*with_host_finish=*/true);
+    ExpectHandedBack(seen.returned, want, /*with_host_finish=*/app_abort);
+    // The commit's host_finish has not run at its callback and runs once
+    // after it; the application abort's never runs.
+    EXPECT_EQ(seen.finished_at_callback, app_abort ? 1 : 0);
+    EXPECT_EQ(finished, 1);
   }
-  EXPECT_EQ(finished, 0) << "the host-local read path runs no host_finish";
   x.cluster().StopWorkers();
   x.cluster().engine().Run();
 }

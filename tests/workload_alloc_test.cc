@@ -116,6 +116,37 @@ TEST(WorkloadAllocTest, TpccNewOrderBuildsOnlyItsRequest) {
   ExpectOnlyExtrasWhenRecycled(wl, 3);
 }
 
+TEST(WorkloadAllocTest, TpccStockLevelRebuildAllocatesNothing) {
+  // The full TPC-C mix on loaded B+trees, rebuilt into one reused request.
+  // StockLevel gathers the distinct items of its district's last 20 orders
+  // in a fixed array, and its closure (the threshold) fits std::function's
+  // inline buffer, so once the request's read set has grown to its 21
+  // keys a StockLevel build allocates nothing.
+  workload::Tpcc::Options o;
+  o.num_nodes = 3;
+  o.warehouses_per_node = 2;
+  o.customers_per_district = 20;
+  o.items = 200;
+  workload::Tpcc wl(o);
+  wl.Load([](store::TableId, store::Key, const store::Value&) {});
+  Rng rng(7);
+  txn::TxnRequest req;
+  for (int i = 0; i < 1000; ++i) {
+    wl.NextTxnInto(0, rng, &req);
+  }
+  int stock_levels = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t before = OperatorNewCalls();
+    wl.NextTxnInto(0, rng, &req);
+    const uint64_t allocs = OperatorNewCalls() - before;
+    if (req.tag == workload::Tpcc::kStockLevel) {
+      ++stock_levels;
+      ASSERT_EQ(allocs, 0u) << "request " << i;
+    }
+  }
+  EXPECT_GT(stock_levels, 40);
+}
+
 // Runs `wl` on a three-node cluster of `kind` (a baseline is DrTM+H)
 // through harness::RunWorkload: a one-context low-load run first, as
 // perfbench runs it, then a loaded run of `contexts` per node whose result

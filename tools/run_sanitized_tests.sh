@@ -2,8 +2,9 @@
 # Builds the tree with AddressSanitizer + UndefinedBehaviorSanitizer and runs
 # the tier-1 test suite plus a few short chaos schedules under it: one on
 # Xenic, one on each baseline mode, the lock-wait schedules of each 2PL
-# policy and of OCC's hot keys, three failover schedules and one on a tiny
-# commit log; then eight short closed-loop xenicsim runs. The chaos harness
+# policy and of OCC's hot keys, three failover schedules, one on a tiny
+# commit log and two crashes under the NIC log applier; then eight short
+# closed-loop xenicsim runs. The chaos harness
 # stresses exactly the paths
 # sanitizers are good at catching -- crash teardown, log reclamation,
 # NIC-index eviction, routing moves -- so seeds run here even though the
@@ -62,6 +63,12 @@ done
 # ring and its write store wrap, and the crash's recovery scan reads a
 # wrapped ring in place.
 "$BUILD_DIR"/tools/chaos_runner --seed 3 --log-capacity 8
+
+# Two crashes with the NIC log applier: its stability gate holds LOG
+# records until a kLogCommit or a recovery marks them stable, and both
+# recoveries set stability marks and tombstones and read each backup's
+# applied-record evidence (store::TxnSet, store::AppliedIndex).
+"$BUILD_DIR"/tools/chaos_runner --seed 3 --nic-log-apply --crashes 2
 
 # The closed-loop runner under the sanitizers: every attempt hands its
 # request back, an abort's retry resubmits it and any other outcome's is
